@@ -20,10 +20,7 @@
 //! - **grid bound** — a known-optimum grid stays within 5% of optimal
 //!   through partition + stitch + refine;
 //! - **gap bound** — at the gap-check size, sharded vs unsharded
-//!   tour quality differs by at most 5%;
-//! - **SoA microbench** — batched candidate distances
-//!   ([`tsp_core::SoaCoords::batch_dists`]) vs the scalar per-pair
-//!   path, bit-identical results, speedup recorded.
+//!   tour quality differs by at most 5%.
 //!
 //! ```text
 //! cargo run --release -p bench -- shard            # 200k → 1M sweep
@@ -34,8 +31,8 @@ use std::fmt::Write as _;
 
 use distclk::{run_sharded_threads, ShardDistConfig};
 use lk::shard::{shard_solve, ShardConfig};
-use lk::{Budget, ClkEngine, Stopwatch};
-use tsp_core::{generate, Instance, SoaCoords};
+use lk::{Budget, ClkEngine};
+use tsp_core::{generate, Instance};
 
 use crate::report::{fmt_secs, Report};
 use crate::testbed::Scale;
@@ -144,64 +141,6 @@ fn one_shard_identity(n: usize, kicks: u64, seed: u64) -> bool {
     let mut engine = ClkEngine::auto(&inst, &nl, cfg.shard.clk.clone());
     let res = engine.run(&Budget::kicks(kicks));
     dist.tour.order() == res.tour.order() && dist.length == res.length
-}
-
-/// SoA microbench: batched candidate distances vs the scalar per-pair
-/// path over every (city, k-NN candidate) pair.
-struct SoaBench {
-    n: usize,
-    k: usize,
-    scalar_secs: f64,
-    batch_secs: f64,
-    identical: bool,
-}
-
-impl SoaBench {
-    fn speedup(&self) -> f64 {
-        self.scalar_secs / self.batch_secs.max(1e-9)
-    }
-}
-
-fn soa_microbench(n: usize, k: usize, seed: u64) -> SoaBench {
-    let inst = generate::uniform(n, 1_000_000.0, seed);
-    let nl = tsp_core::NeighborLists::build(&inst, k);
-    let soa = SoaCoords::from_points(inst.points());
-    // Pre-fault both output buffers so neither path pays the page-in
-    // cost inside its timed region; min-of-rounds squeezes out
-    // scheduler noise (same methodology as the overhead tests).
-    let mut scalar: Vec<i64> = vec![1; n * k];
-    let mut batch: Vec<i64> = vec![1; n * k];
-    let mut scalar_secs = f64::MAX;
-    let mut batch_secs = f64::MAX;
-    for _ in 0..9 {
-        let watch = Stopwatch::start();
-        for c in 0..n {
-            let out = &mut scalar[c * k..(c + 1) * k];
-            for (o, &cand) in out.iter_mut().zip(nl.of(c)) {
-                *o = inst.dist(c, cand as usize);
-            }
-        }
-        scalar_secs = scalar_secs.min(watch.secs());
-
-        let watch = Stopwatch::start();
-        for c in 0..n {
-            soa.batch_dists(
-                inst.metric(),
-                inst.point(c),
-                nl.of(c),
-                &mut batch[c * k..(c + 1) * k],
-            );
-        }
-        batch_secs = batch_secs.min(watch.secs());
-    }
-
-    SoaBench {
-        n,
-        k,
-        scalar_secs,
-        batch_secs,
-        identical: scalar == batch,
-    }
 }
 
 /// Dispatcher entry (registry + `bench all`): sweep sized by the scale.
@@ -323,18 +262,7 @@ pub fn run_mode(smoke: bool) -> Report {
     ));
 
     let one_shard_ok = one_shard_identity(2_000, 10, seed);
-    let soa = soa_microbench(if smoke { 20_000 } else { 200_000 }, 10, seed);
-    report.para(&format!(
-        "One-shard identity: {}. SoA batched candidate distances at \
-         n = {}: {} scalar vs {} batched ({:.2}× on this host, \
-         bit-identical: {}).",
-        one_shard_ok,
-        soa.n,
-        fmt_secs(soa.scalar_secs),
-        fmt_secs(soa.batch_secs),
-        soa.speedup(),
-        soa.identical
-    ));
+    report.para(&format!("One-shard identity: {one_shard_ok}."));
 
     let permutations_valid = results.iter().all(|p| p.permutation_valid);
     let reruns_identical = results
@@ -343,7 +271,6 @@ pub fn run_mode(smoke: bool) -> Report {
     assert!(permutations_valid, "sharded tour is not a permutation");
     assert!(reruns_identical, "fixed-seed sharded rerun diverged");
     assert!(one_shard_ok, "one-shard run diverged from unsharded engine");
-    assert!(soa.identical, "SoA batched distances diverged from scalar");
 
     write_bench_json(
         &mut report,
@@ -353,13 +280,11 @@ pub fn run_mode(smoke: bool) -> Report {
         grid_excess,
         &gap,
         one_shard_ok,
-        &soa,
     );
     report
 }
 
 /// Machine-readable `shard` section of `target/repro/BENCH_lk.json`.
-#[allow(clippy::too_many_arguments)]
 fn write_bench_json(
     report: &mut Report,
     smoke: bool,
@@ -368,7 +293,6 @@ fn write_bench_json(
     grid_excess: f64,
     gap: &GapCheck,
     one_shard_ok: bool,
-    soa: &SoaBench,
 ) {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -401,17 +325,6 @@ fn write_bench_json(
         gap.unsharded_len,
         gap.gap() * 100.0,
         gap.within_bound()
-    );
-    let _ = writeln!(
-        json,
-        "  \"soa\": {{\"n\": {}, \"k\": {}, \"scalar_secs\": {:.6}, \
-         \"batch_secs\": {:.6}, \"speedup\": {:.3}, \"identical\": {}}},",
-        soa.n,
-        soa.k,
-        soa.scalar_secs,
-        soa.batch_secs,
-        soa.speedup(),
-        soa.identical
     );
     let _ = writeln!(json, "  \"results\": [");
     for (i, p) in results.iter().enumerate() {

@@ -27,7 +27,7 @@ use p2p::memory::{InMemoryNetwork, MemoryEndpoint};
 use p2p::{Membership, NodeId, Transport};
 use tsp_core::{Instance, NeighborLists};
 
-use crate::driver::DistResult;
+use crate::driver::{lockstep_round, DistResult};
 use crate::node::{DistConfig, NodeDriver, NodeResult};
 
 /// One scheduled churn action.
@@ -237,23 +237,11 @@ pub fn run_lockstep_churn(
                 }
             }
         }
-        let mut any_live = false;
-        for slot in drivers.iter_mut() {
-            if let Some(node) = slot {
-                if node.step() {
-                    any_live = true;
-                } else {
-                    results.push(slot.take().expect("just matched Some").finish());
-                }
-            }
-        }
+        let any_live = lockstep_round(&mut drivers, &mut results);
         round += 1;
         if !any_live {
             break;
         }
-    }
-    for slot in drivers.into_iter().flatten() {
-        results.push(slot.finish());
     }
     let messages = net.stats().snapshot();
     DistResult::assemble(inst, results, messages, start.elapsed().as_secs_f64())

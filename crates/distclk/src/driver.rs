@@ -102,26 +102,33 @@ impl DistResult {
 /// Run the distributed algorithm with one OS thread per node over an
 /// in-memory network — the wall-clock-faithful driver (the paper's
 /// cluster shape, minus the physical Ethernet; see DESIGN.md §3).
+///
+/// This is [`run_over_transports`] over in-memory endpoints (a panicked
+/// node thread degrades the result instead of aborting the run), plus
+/// the network's message counters.
 pub fn run_threads(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig) -> DistResult {
-    let start = std::time::Instant::now();
     let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-    let results: Vec<NodeResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let node = NodeDriver::new(inst, neighbors, &cfg, ep);
-                    node.run_to_completion()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    });
-    DistResult::assemble(inst, results, stats.snapshot(), start.elapsed().as_secs_f64())
+    let mut result = run_over_transports(inst, neighbors, cfg, endpoints);
+    result.messages = stats.snapshot();
+    result
+}
+
+/// One lockstep round: every live driver executes exactly one
+/// iteration; a driver that terminated is finished into `results` and
+/// its slot emptied. Returns whether any driver is still running.
+pub(crate) fn lockstep_round<T: Transport>(
+    drivers: &mut [Option<NodeDriver<'_, T>>],
+    results: &mut Vec<NodeResult>,
+) -> bool {
+    let mut any_live = false;
+    for slot in drivers.iter_mut() {
+        if slot.as_mut().is_some_and(|node| node.step()) {
+            any_live = true;
+        } else if let Some(done) = slot.take() {
+            results.push(done.finish());
+        }
+    }
+    any_live
 }
 
 /// Run the distributed algorithm in deterministic lockstep on the
@@ -198,24 +205,7 @@ pub fn run_lockstep_telemetry_over<T: Transport>(
         })
         .collect();
     let mut results: Vec<NodeResult> = Vec::with_capacity(drivers.len());
-    loop {
-        let mut any_live = false;
-        for slot in drivers.iter_mut() {
-            if let Some(node) = slot {
-                if node.step() {
-                    any_live = true;
-                } else {
-                    results.push(slot.take().expect("just matched Some").finish());
-                }
-            }
-        }
-        if !any_live {
-            break;
-        }
-    }
-    for slot in drivers.into_iter().flatten() {
-        results.push(slot.finish());
-    }
+    while lockstep_round(&mut drivers, &mut results) {}
     let messages = stats.map_or((0, 0, 0), |s| s.snapshot());
     DistResult::assemble(inst, results, messages, start.elapsed().as_secs_f64())
 }

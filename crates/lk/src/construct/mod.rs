@@ -1,18 +1,17 @@
 //! Initial tour construction heuristics.
 //!
 //! The paper's CLK engine constructs its starting tour with
-//! **Quick-Borůvka** (Applegate, Cook & Rohe), which beats
-//! HK-Christofides starts for subsequent CLK optimization (§2.1). The
+//! **Quick-Borůvka** (Applegate, Cook & Rohe), which gives the
+//! subsequent CLK optimization better starts than the far costlier
+//! Held-Karp-based alternative it was compared against (§2.1). The
 //! other constructions serve as baselines and as cheap restart tours
 //! for the distributed algorithm's `c_r` restart rule.
 
-mod christofides;
 mod greedy;
 mod nearest;
 mod quick_boruvka;
 mod space_filling;
 
-pub use christofides::christofides;
 pub use greedy::greedy_matching;
 pub use nearest::nearest_neighbor;
 pub use quick_boruvka::quick_boruvka;
@@ -32,8 +31,6 @@ pub enum Construction {
     Greedy,
     /// Hilbert space-filling-curve order.
     SpaceFilling,
-    /// Christofides skeleton (MST + greedy odd matching + shortcut).
-    Christofides,
     /// Uniformly random permutation.
     Random,
 }
@@ -48,7 +45,6 @@ pub fn construct<R: Rng>(inst: &Instance, which: Construction, rng: &mut R) -> T
         Construction::QuickBoruvka if geometric => quick_boruvka(inst),
         Construction::Greedy if geometric => greedy_matching(inst),
         Construction::SpaceFilling if geometric => space_filling(inst),
-        Construction::Christofides if geometric => christofides(inst),
         Construction::Random => Tour::random(inst.len(), rng),
         // NearestNeighbor, and the fallback for geometric-only
         // constructions on non-geometric instances.
@@ -74,7 +70,6 @@ mod tests {
             Construction::NearestNeighbor,
             Construction::Greedy,
             Construction::SpaceFilling,
-            Construction::Christofides,
             Construction::Random,
         ] {
             let t = construct(&inst, which, &mut rng);
@@ -93,7 +88,6 @@ mod tests {
             Construction::NearestNeighbor,
             Construction::Greedy,
             Construction::SpaceFilling,
-            Construction::Christofides,
         ] {
             let len = construct(&inst, which, &mut rng).length(&inst);
             assert!(

@@ -1,20 +1,23 @@
-//! The bootstrap hub (paper §2.2).
+//! The hub (paper §2.2).
 //!
-//! The hub is the only central component and is used *only* during
-//! network initialization: each node connects, announces its listen
-//! address, and receives its hypercube position plus the list of
-//! neighbors that have already joined. The joining node then dials
-//! those neighbors directly; nodes joining later dial it, and the TCP
-//! layer registers the reverse edges — so early nodes start with sparse
-//! lists that fill in as the cube completes, exactly as the paper
-//! describes.
+//! The hub is the only central component. During network
+//! initialization each node connects, announces its listen address, and
+//! receives its hypercube position plus the list of neighbors that have
+//! already joined. The joining node then dials those neighbors
+//! directly; nodes joining later dial it, and the TCP layer registers
+//! the reverse edges — so early nodes start with sparse lists that fill
+//! in as the cube completes, exactly as the paper describes.
 //!
-//! The bootstrap protocol is a one-request/one-response text exchange
+//! After bootstrap the same [`LifecycleHub`] keeps serving membership
+//! changes (`DOWN`/`REJOIN`/`HUBCLAIM`), the telemetry plane
+//! (`TELEMETRY`/`METRICS`/`STATUS`) and job admission (`JOB`).
+//!
+//! The hub protocol is a one-request/one-response text exchange
 //! (`JOIN <addr>` → `ID <id> EXPECT <n> NEIGHBORS <id>@<addr>;…`),
 //! deliberately separate from the binary peer protocol.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,140 +36,6 @@ use crate::telemetry::TelemetryStore;
 use crate::topology::{Membership, Topology};
 use crate::NetError;
 
-/// A running hub, serving until `expected` nodes have joined.
-pub struct Hub {
-    addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
-    obs: Obs,
-}
-
-impl Hub {
-    /// Start a hub on `addr` (port 0 for ephemeral) for a network of
-    /// `expected` nodes with the given topology. Bootstrap is silent;
-    /// use [`Hub::start_with`] to trace joins and rejections.
-    pub fn start(addr: &str, expected: usize, topology: Topology) -> Result<Hub, NetError> {
-        Self::start_with(addr, expected, topology, Obs::disabled())
-    }
-
-    /// [`Hub::start`] with an observability handle: every accepted join
-    /// (`hub.join`), rejected request (`hub.reject`), and bootstrap
-    /// completion (`hub.complete`) is recorded as a structured event
-    /// instead of the old `eprintln!` noise.
-    pub fn start_with(
-        addr: &str,
-        expected: usize,
-        topology: Topology,
-        obs: Obs,
-    ) -> Result<Hub, NetError> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let loop_obs = obs.clone();
-        let thread = std::thread::Builder::new()
-            .name("p2p-hub".into())
-            .spawn(move || hub_loop(listener, expected, topology, loop_obs))
-            .expect("spawn hub thread");
-        Ok(Hub {
-            addr,
-            thread: Some(thread),
-            obs,
-        })
-    }
-
-    /// Address nodes should dial.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The hub's observability handle (disabled for [`Hub::start`]).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Wait until all expected nodes joined and the hub retired.
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn hub_loop(listener: TcpListener, expected: usize, topology: Topology, obs: Obs) {
-    let c_joins = obs.counter("hub.joins");
-    let c_rejects = obs.counter("hub.rejects");
-    let mut joined: Vec<SocketAddr> = Vec::with_capacity(expected);
-    while joined.len() < expected {
-        let (stream, _) = match listener.accept() {
-            Ok(x) => x,
-            Err(_) => return,
-        };
-        match serve_one(stream, &mut joined, expected, topology) {
-            Ok((id, neighbors)) => {
-                c_joins.incr();
-                obs.event(
-                    "hub.join",
-                    &[
-                        ("id", Value::U(id as u64)),
-                        ("neighbors", Value::U(neighbors as u64)),
-                        ("joined", Value::U(joined.len() as u64)),
-                    ],
-                );
-            }
-            Err(e) => {
-                // A malformed join attempt doesn't kill the hub.
-                c_rejects.incr();
-                obs.event("hub.reject", &[("error", Value::S(e.to_string()))]);
-            }
-        }
-    }
-    obs.event("hub.complete", &[("nodes", Value::U(joined.len() as u64))]);
-}
-
-fn serve_one(
-    stream: TcpStream,
-    joined: &mut Vec<SocketAddr>,
-    expected: usize,
-    topology: Topology,
-) -> Result<(NodeId, usize), NetError> {
-    // Bound the request read and the reply write: a connector that
-    // never sends its JOIN line (or never drains the reply) must not
-    // wedge the hub for everyone else.
-    stream
-        .set_read_timeout(Some(TcpConfig::default().handshake_timeout))
-        .ok();
-    stream
-        .set_write_timeout(Some(TcpConfig::default().handshake_timeout))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let parts: Vec<&str> = line.trim().splitn(2, ' ').collect();
-    if parts.len() != 2 || parts[0] != "JOIN" {
-        return Err(NetError::Codec(format!("bad hub request {line:?}")));
-    }
-    let listen: SocketAddr = parts[1]
-        .parse()
-        .map_err(|e| NetError::Codec(format!("bad address {:?}: {e}", parts[1])))?;
-    let id = joined.len() as NodeId;
-    // Neighbors in the final topology that already joined.
-    let neighbors: Vec<String> = topology
-        .neighbors(id, expected)
-        .into_iter()
-        .filter(|&m| m < id)
-        .map(|m| format!("{m}@{}", joined[m]))
-        .collect();
-    let mut w = stream;
-    writeln!(
-        w,
-        "ID {id} EXPECT {expected} NEIGHBORS {}",
-        neighbors.join(";")
-    )?;
-    w.flush()?;
-    // Commit the slot only after the reply went out: a client that
-    // disconnected mid-handshake never joined and its id is reused.
-    joined.push(listen);
-    Ok((id, neighbors.len()))
-}
-
 /// A node's view after bootstrap: its id and the already-joined
 /// neighbors to dial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,82 +48,57 @@ pub struct JoinInfo {
     pub neighbors: Vec<(NodeId, SocketAddr)>,
 }
 
-/// Join a network: contact the hub, announce our listen address, and
-/// parse the assigned position and neighbor list. Uses the default
-/// timeout/retry policy (see [`join_via_hub_with`]).
-pub fn join_via_hub(hub: SocketAddr, listen: SocketAddr) -> Result<JoinInfo, NetError> {
-    join_via_hub_with(hub, listen, &TcpConfig::default())
+/// Parse one token of a hub request or reply.
+fn field<T: std::str::FromStr>(what: &str, token: &str) -> Result<T, NetError> {
+    token
+        .parse()
+        .map_err(|_| NetError::Codec(format!("bad {what} {token:?}")))
 }
 
-/// [`join_via_hub`] with an explicit timeout/retry policy: every
-/// attempt bounds the connect, the request write, and the reply read;
-/// failed attempts are retried with exponential backoff (the hub may
-/// simply not be up yet during cluster bring-up).
-pub fn join_via_hub_with(
-    hub: SocketAddr,
-    listen: SocketAddr,
-    cfg: &TcpConfig,
-) -> Result<JoinInfo, NetError> {
-    let mut backoff = cfg.backoff_base;
-    let mut last_err = NetError::Closed;
-    for attempt in 0..=cfg.connect_retries {
-        if attempt > 0 {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.backoff_max);
-        }
-        match join_once(hub, listen, cfg) {
-            Ok(info) => return Ok(info),
-            Err(e) => last_err = e,
-        }
+/// The `id@addr;…` list carried by `ID … NEIGHBORS` and `REPAIR`.
+fn format_peers(peers: &[(NodeId, SocketAddr)]) -> String {
+    let items: Vec<String> = peers.iter().map(|(id, a)| format!("{id}@{a}")).collect();
+    items.join(";")
+}
+
+/// Inverse of [`format_peers`].
+fn parse_peers(list: &str) -> Result<Vec<(NodeId, SocketAddr)>, NetError> {
+    let mut peers = Vec::new();
+    for item in list.split(';').filter(|s| !s.is_empty()) {
+        let (id, addr) = item
+            .split_once('@')
+            .ok_or_else(|| NetError::Codec(format!("bad peer {item:?}")))?;
+        peers.push((field("peer id", id)?, field("peer address", addr)?));
     }
-    Err(last_err)
-}
-
-fn join_once(hub: SocketAddr, listen: SocketAddr, cfg: &TcpConfig) -> Result<JoinInfo, NetError> {
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "JOIN {listen}")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    parse_join_reply(&line)
+    Ok(peers)
 }
 
 fn parse_join_reply(line: &str) -> Result<JoinInfo, NetError> {
-    let err = |m: String| NetError::Codec(m);
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     if tokens.len() < 5 || tokens[0] != "ID" || tokens[2] != "EXPECT" || tokens[4] != "NEIGHBORS" {
-        return Err(err(format!("bad hub reply {line:?}")));
-    }
-    let id: NodeId = tokens[1].parse().map_err(|_| err("bad id".into()))?;
-    let expected: usize = tokens[3].parse().map_err(|_| err("bad expect".into()))?;
-    let mut neighbors = Vec::new();
-    if tokens.len() > 5 {
-        for item in tokens[5].split(';').filter(|s| !s.is_empty()) {
-            let (nid, addr) = item
-                .split_once('@')
-                .ok_or_else(|| err(format!("bad neighbor {item:?}")))?;
-            neighbors.push((
-                nid.parse().map_err(|_| err("bad neighbor id".into()))?,
-                addr.parse()
-                    .map_err(|_| err(format!("bad neighbor addr {addr:?}")))?,
-            ));
-        }
+        return Err(NetError::Codec(format!("bad hub reply {line:?}")));
     }
     Ok(JoinInfo {
-        id,
-        expected,
-        neighbors,
+        id: field("id", tokens[1])?,
+        expected: field("network size", tokens[3])?,
+        neighbors: parse_peers(tokens.get(5).copied().unwrap_or(""))?,
     })
+}
+
+fn parse_repair_reply(line: &str) -> Result<Vec<(NodeId, SocketAddr)>, NetError> {
+    let rest = line
+        .trim()
+        .strip_prefix("REPAIR")
+        .ok_or_else(|| NetError::Codec(format!("bad repair reply {line:?}")))?;
+    parse_peers(rest.trim())
 }
 
 /// Convenience for tests and examples: bootstrap a full TCP network of
 /// `n` [`crate::tcp::TcpEndpoint`]s through a hub on localhost, wiring
-/// all topology edges, and wait until every edge is live.
+/// all topology edges, and wait until every edge is live. The hub is
+/// stopped on return.
 pub fn bootstrap_local(n: usize, topology: Topology) -> Result<Vec<crate::tcp::TcpEndpoint>, NetError> {
-    let hub = Hub::start("127.0.0.1:0", n, topology)?;
+    let hub = LifecycleHub::start("127.0.0.1:0", n, topology)?;
     let hub_addr = hub.addr();
     let mut endpoints = Vec::with_capacity(n);
     for _ in 0..n {
@@ -268,13 +112,8 @@ pub fn bootstrap_local(n: usize, topology: Topology) -> Result<Vec<crate::tcp::T
         }
         endpoints.push(ep);
     }
-    hub.join();
     Ok(endpoints)
 }
-
-// ---------------------------------------------------------------------
-// Lifecycle hub: membership management beyond bootstrap.
-// ---------------------------------------------------------------------
 
 /// Shared state of a [`LifecycleHub`].
 struct LifecycleState {
@@ -295,6 +134,38 @@ struct LifecycleState {
     /// so clients fail over instead of acting on a stale membership
     /// view.
     stepped_down: bool,
+}
+
+impl LifecycleState {
+    /// `(id, address)` of every node of `ids` whose listen address is
+    /// known.
+    fn located(&self, ids: impl IntoIterator<Item = NodeId>) -> Vec<(NodeId, SocketAddr)> {
+        ids.into_iter()
+            .filter_map(|m| self.joined[m].map(|a| (m, a)))
+            .collect()
+    }
+
+    /// Answer a `JOIN`/`REJOIN` of node `id` with the neighbors it must
+    /// dial, then record its listen address. The slot is committed only
+    /// after the reply went out: a client that disconnected
+    /// mid-handshake never joined and its id is reused.
+    fn admit(
+        &mut self,
+        w: &mut TcpStream,
+        id: NodeId,
+        listen: SocketAddr,
+    ) -> Result<usize, NetError> {
+        let neighbors = self.located(self.membership.neighbors(id));
+        writeln!(
+            w,
+            "ID {id} EXPECT {} NEIGHBORS {}",
+            self.expected,
+            format_peers(&neighbors)
+        )?;
+        w.flush()?;
+        self.joined[id] = Some(listen);
+        Ok(neighbors.len())
+    }
 }
 
 /// Receiver of solve jobs arriving on the hub's `JOB` command: the
@@ -320,7 +191,8 @@ type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 /// A hub promoted from one-shot bootstrapper to lifecycle manager: it
 /// keeps serving after bootstrap, accepting three request kinds:
 ///
-/// - `JOIN <addr>` — bootstrap join, exactly as [`Hub`];
+/// - `JOIN <addr>` — bootstrap join: the node is assigned the lowest
+///   free id and told which of its topology neighbors already joined;
 /// - `DOWN <reporter> <dead>` — a node reports a dead peer; the hub
 ///   rewires the topology around the hole (dimension-neighbor
 ///   fallback, see [`Membership::fail`]) and answers
@@ -592,51 +464,31 @@ fn serve_lifecycle(
     }
     match tokens.as_slice() {
         ["JOIN", addr] => {
-            let listen: SocketAddr = addr
-                .parse()
-                .map_err(|e| NetError::Codec(format!("bad address {addr:?}: {e}")))?;
+            let listen: SocketAddr = field("address", addr)?;
             let mut st = state.lock();
             let id = st
                 .joined
                 .iter()
                 .position(|a| a.is_none())
                 .ok_or_else(|| NetError::Codec("network full".into()))?;
-            let expected = st.expected;
-            let neighbors: Vec<String> = st
-                .membership
-                .neighbors(id)
-                .into_iter()
-                .filter_map(|m| st.joined[m].map(|a| format!("{m}@{a}")))
-                .collect();
-            writeln!(
-                w,
-                "ID {id} EXPECT {expected} NEIGHBORS {}",
-                neighbors.join(";")
-            )?;
-            w.flush()?;
-            // Commit only after the reply went out (see `serve_one`).
-            st.joined[id] = Some(listen);
+            let neighbors = st.admit(&mut w, id, listen)?;
             obs.counter("hub.joins").incr();
             obs.event(
                 "hub.join",
                 &[
                     ("id", Value::U(id as u64)),
-                    ("neighbors", Value::U(neighbors.len() as u64)),
+                    ("neighbors", Value::U(neighbors as u64)),
                 ],
             );
             if !st.complete && st.joined.iter().all(|a| a.is_some()) {
                 st.complete = true;
-                obs.event("hub.complete", &[("nodes", Value::U(expected as u64))]);
+                obs.event("hub.complete", &[("nodes", Value::U(st.expected as u64))]);
             }
             Ok(())
         }
         ["DOWN", reporter, dead] => {
-            let reporter: NodeId = reporter
-                .parse()
-                .map_err(|_| NetError::Codec("bad reporter id".into()))?;
-            let dead: NodeId = dead
-                .parse()
-                .map_err(|_| NetError::Codec("bad dead id".into()))?;
+            let reporter: NodeId = field("reporter id", reporter)?;
+            let dead: NodeId = field("dead id", dead)?;
             let mut st = state.lock();
             if reporter >= st.expected || dead >= st.expected || reporter == dead {
                 return Err(NetError::Codec(format!(
@@ -661,16 +513,12 @@ fn serve_lifecycle(
             // a reporter is assigned only the higher-id group members
             // (the reverse edge registers automatically on accept).
             let group = st.repair_memo.get(&dead).cloned().unwrap_or_default();
-            let assignments: Vec<String> = if group.contains(&reporter) {
-                group
-                    .iter()
-                    .filter(|&&m| m > reporter)
-                    .filter_map(|&m| st.joined[m].map(|a| format!("{m}@{a}")))
-                    .collect()
+            let assignments = if group.contains(&reporter) {
+                st.located(group.into_iter().filter(|&m| m > reporter))
             } else {
                 Vec::new()
             };
-            writeln!(w, "REPAIR {}", assignments.join(";"))?;
+            writeln!(w, "REPAIR {}", format_peers(&assignments))?;
             w.flush()?;
             if !assignments.is_empty() {
                 obs.event(
@@ -684,12 +532,8 @@ fn serve_lifecycle(
             Ok(())
         }
         ["REJOIN", id, addr] => {
-            let id: NodeId = id
-                .parse()
-                .map_err(|_| NetError::Codec("bad rejoin id".into()))?;
-            let listen: SocketAddr = addr
-                .parse()
-                .map_err(|e| NetError::Codec(format!("bad address {addr:?}: {e}")))?;
+            let id: NodeId = field("rejoin id", id)?;
+            let listen: SocketAddr = field("address", addr)?;
             let mut st = state.lock();
             if id >= st.expected {
                 return Err(NetError::Codec(format!(
@@ -697,28 +541,15 @@ fn serve_lifecycle(
                     st.expected
                 )));
             }
-            let expected = st.expected;
             st.membership.rejoin(id);
             st.repair_memo.remove(&id);
-            let neighbors: Vec<String> = st
-                .membership
-                .neighbors(id)
-                .into_iter()
-                .filter_map(|m| st.joined[m].map(|a| format!("{m}@{a}")))
-                .collect();
-            writeln!(
-                w,
-                "ID {id} EXPECT {expected} NEIGHBORS {}",
-                neighbors.join(";")
-            )?;
-            w.flush()?;
-            st.joined[id] = Some(listen);
+            let neighbors = st.admit(&mut w, id, listen)?;
             obs.counter("hub.rejoins").incr();
             obs.event(
                 "hub.rejoin",
                 &[
                     ("id", Value::U(id as u64)),
-                    ("neighbors", Value::U(neighbors.len() as u64)),
+                    ("neighbors", Value::U(neighbors as u64)),
                 ],
             );
             Ok(())
@@ -777,9 +608,7 @@ fn serve_lifecycle(
             Ok(())
         }
         ["HUBCLAIM", epoch] => {
-            let claimed: u64 = epoch
-                .parse()
-                .map_err(|_| NetError::Codec("bad claim epoch".into()))?;
+            let claimed: u64 = field("claim epoch", epoch)?;
             let mut st = state.lock();
             if claimed > st.epoch {
                 st.epoch = claimed;
@@ -805,6 +634,75 @@ fn serve_lifecycle(
     }
 }
 
+/// One client exchange with the hub: connect, bound the request write
+/// and the reply read by the handshake timeout, send `line` (followed by
+/// one codec frame for `TELEMETRY`/`JOB`), and return the first reply
+/// line together with the still-open connection. A fenced-out hub's
+/// `MOVED <epoch>` redirect surfaces as a `hub moved: …` error.
+fn request(
+    hub: SocketAddr,
+    line: &str,
+    frame: Option<&Message>,
+    cfg: &TcpConfig,
+) -> Result<(String, BufReader<TcpStream>), NetError> {
+    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
+    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
+    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
+    writeln!(stream, "{line}")?;
+    stream.flush()?;
+    if let Some(frame) = frame {
+        write_frame(&mut stream, frame)?;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply)?;
+    if reply.starts_with("MOVED") {
+        return Err(NetError::Codec(format!("hub moved: {}", reply.trim())));
+    }
+    Ok((reply, reader))
+}
+
+/// Run `attempt` up to `1 + cfg.connect_retries` times with exponential
+/// backoff (the hub may simply not be up yet during cluster bring-up).
+fn retry_request<T>(
+    cfg: &TcpConfig,
+    mut attempt: impl FnMut() -> Result<T, NetError>,
+) -> Result<T, NetError> {
+    let mut backoff = cfg.backoff_base;
+    let mut last_err = NetError::Closed;
+    for n in 0..=cfg.connect_retries {
+        if n > 0 {
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(cfg.backoff_max);
+        }
+        match attempt() {
+            Ok(v) => return Ok(v),
+            Err(e) => last_err = e,
+        }
+    }
+    Err(last_err)
+}
+
+/// Join a network: contact the hub, announce our listen address, and
+/// parse the assigned position and neighbor list. Uses the default
+/// timeout/retry policy (see [`join_via_hub_with`]).
+pub fn join_via_hub(hub: SocketAddr, listen: SocketAddr) -> Result<JoinInfo, NetError> {
+    join_via_hub_with(hub, listen, &TcpConfig::default())
+}
+
+/// [`join_via_hub`] with an explicit timeout/retry policy: every
+/// attempt bounds the connect, the request write, and the reply read;
+/// failed attempts are retried with exponential backoff.
+pub fn join_via_hub_with(
+    hub: SocketAddr,
+    listen: SocketAddr,
+    cfg: &TcpConfig,
+) -> Result<JoinInfo, NetError> {
+    retry_request(cfg, || {
+        parse_join_reply(&request(hub, &format!("JOIN {listen}"), None, cfg)?.0)
+    })
+}
+
 /// Report a dead peer to the hub and parse the repair assignments the
 /// reporter must dial. Retries with backoff like [`join_via_hub_with`].
 pub fn report_down(
@@ -814,15 +712,7 @@ pub fn report_down(
     cfg: &TcpConfig,
 ) -> Result<Vec<(NodeId, SocketAddr)>, NetError> {
     retry_request(cfg, || {
-        let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-        stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-        stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-        writeln!(stream, "DOWN {reporter} {dead}")?;
-        stream.flush()?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        parse_repair_reply(&line)
+        parse_repair_reply(&request(hub, &format!("DOWN {reporter} {dead}"), None, cfg)?.0)
     })
 }
 
@@ -836,15 +726,7 @@ pub fn rejoin_via_hub(
     cfg: &TcpConfig,
 ) -> Result<JoinInfo, NetError> {
     retry_request(cfg, || {
-        let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-        stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-        stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-        writeln!(stream, "REJOIN {id} {listen}")?;
-        stream.flush()?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        parse_join_reply(&line)
+        parse_join_reply(&request(hub, &format!("REJOIN {id} {listen}"), None, cfg)?.0)
     })
 }
 
@@ -858,14 +740,7 @@ pub fn rejoin_via_hub(
 /// other helpers exists to ride out a hub that is *not up yet*,
 /// whereas a claim targets a hub that is suspected down already.
 pub fn claim_hub(hub: SocketAddr, epoch: u64, cfg: &TcpConfig) -> Result<bool, NetError> {
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "HUBCLAIM {epoch}")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, _) = request(hub, &format!("HUBCLAIM {epoch}"), None, cfg)?;
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     match tokens.as_slice() {
         ["OK", "STEPDOWN", _] => Ok(true),
@@ -884,19 +759,10 @@ pub fn ship_telemetry(
     frame: &Message,
     cfg: &TcpConfig,
 ) -> Result<u64, NetError> {
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "TELEMETRY")?;
-    write_frame(&mut stream, frame)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, _) = request(hub, "TELEMETRY", Some(frame), cfg)?;
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     match tokens.as_slice() {
-        ["OK", t] => t
-            .parse()
-            .map_err(|_| NetError::Codec(format!("bad hub clock {t:?}"))),
+        ["OK", t] => field("hub clock", t),
         _ => Err(NetError::Codec(format!("bad telemetry reply {line:?}"))),
     }
 }
@@ -932,27 +798,18 @@ pub fn submit_job(
     submit: &Message,
     cfg: &TcpConfig,
 ) -> Result<(u64, JobStream), NetError> {
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    // Status line under the handshake deadline; once accepted, the
-    // result stream is event-driven (improvements arrive whenever the
-    // engine finds them), so reads block without a deadline.
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "JOB")?;
-    write_frame(&mut stream, submit)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let (line, reader) = request(hub, "JOB", Some(submit), cfg)?;
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     match tokens.as_slice() {
         ["OK", id] => {
-            let job = id
-                .parse()
-                .map_err(|_| NetError::Codec(format!("bad job id {id:?}")))?;
+            let job = field("job id", id)?;
+            // The status line came under the handshake deadline; the
+            // result stream is event-driven (improvements arrive
+            // whenever the engine finds them), so reads block without
+            // one.
             reader.get_ref().set_read_timeout(None).ok();
             Ok((job, JobStream { reader }))
         }
-        ["MOVED", ..] => Err(NetError::Codec(format!("hub moved: {}", line.trim()))),
         ["ERR", ..] => Err(NetError::Codec(format!("job rejected: {}", line.trim()))),
         _ => Err(NetError::Codec(format!("bad job reply {line:?}"))),
     }
@@ -962,26 +819,14 @@ pub fn submit_job(
 /// result stream (on its original connection) still terminates with a
 /// `JobDone` carrying the best tour found up to the cancellation.
 pub fn cancel_job(hub: SocketAddr, job: u64, cfg: &TcpConfig) -> Result<(), NetError> {
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "JOB")?;
-    write_frame(
-        &mut stream,
-        &Message::JobCancel {
-            from: 0,
-            job,
-            reason: 3,
-        },
-    )?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let cancel = Message::JobCancel {
+        from: 0,
+        job,
+        reason: 3,
+    };
+    let (line, _) = request(hub, "JOB", Some(&cancel), cfg)?;
     match line.trim() {
         "OK" => Ok(()),
-        other if other.starts_with("MOVED") => {
-            Err(NetError::Codec(format!("hub moved: {other}")))
-        }
         other => Err(NetError::Codec(format!("bad cancel reply {other:?}"))),
     }
 }
@@ -999,58 +844,9 @@ pub fn scrape_status(hub: SocketAddr, cfg: &TcpConfig) -> Result<String, NetErro
 }
 
 fn scrape(hub: SocketAddr, cmd: &str, cfg: &TcpConfig) -> Result<String, NetError> {
-    use std::io::Read as _;
-    let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
-    stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
-    stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "{cmd}")?;
-    stream.flush()?;
-    let mut body = String::new();
-    stream.read_to_string(&mut body)?;
-    if body.starts_with("MOVED") {
-        return Err(NetError::Codec(format!("hub moved: {}", body.trim())));
-    }
+    let (mut body, mut rest) = request(hub, cmd, None, cfg)?;
+    rest.read_to_string(&mut body)?;
     Ok(body)
-}
-
-fn retry_request<T>(
-    cfg: &TcpConfig,
-    mut attempt: impl FnMut() -> Result<T, NetError>,
-) -> Result<T, NetError> {
-    let mut backoff = cfg.backoff_base;
-    let mut last_err = NetError::Closed;
-    for n in 0..=cfg.connect_retries {
-        if n > 0 {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.backoff_max);
-        }
-        match attempt() {
-            Ok(v) => return Ok(v),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
-}
-
-fn parse_repair_reply(line: &str) -> Result<Vec<(NodeId, SocketAddr)>, NetError> {
-    let err = |m: String| NetError::Codec(m);
-    let rest = line
-        .trim()
-        .strip_prefix("REPAIR")
-        .ok_or_else(|| err(format!("bad repair reply {line:?}")))?
-        .trim();
-    let mut assignments = Vec::new();
-    for item in rest.split(';').filter(|s| !s.is_empty()) {
-        let (nid, addr) = item
-            .split_once('@')
-            .ok_or_else(|| err(format!("bad assignment {item:?}")))?;
-        assignments.push((
-            nid.parse().map_err(|_| err("bad assignment id".into()))?,
-            addr.parse()
-                .map_err(|_| err(format!("bad assignment addr {addr:?}")))?,
-        ));
-    }
-    Ok(assignments)
 }
 
 /// A self-healing attachment on a [`TcpEndpoint`]: whenever the
@@ -1103,32 +899,21 @@ where
             while !thread_stop.load(Ordering::Acquire) {
                 match rx.recv_timeout(Duration::from_millis(50)) {
                     Ok(dead) => {
-                        match report_down(hub, handle.node_id(), dead, &cfg) {
-                            Ok(assignments) => {
-                                last_ok = Instant::now();
-                                for (nid, addr) in assignments {
-                                    let _ = handle.connect_to(nid, addr);
-                                }
-                            }
-                            Err(_) => {
-                                let silent = cfg
-                                    .hub_liveness_timeout
-                                    .is_some_and(|t| last_ok.elapsed() >= t);
-                                if !silent {
-                                    continue;
-                                }
-                                let Some(next) = on_hub_silent(dead) else {
-                                    continue;
-                                };
+                        let mut report = report_down(hub, handle.node_id(), dead, &cfg);
+                        let hub_silent = || {
+                            cfg.hub_liveness_timeout
+                                .is_some_and(|t| last_ok.elapsed() >= t)
+                        };
+                        if report.is_err() && hub_silent() {
+                            if let Some(next) = on_hub_silent(dead) {
                                 hub = next;
-                                if let Ok(assignments) =
-                                    report_down(hub, handle.node_id(), dead, &cfg)
-                                {
-                                    last_ok = Instant::now();
-                                    for (nid, addr) in assignments {
-                                        let _ = handle.connect_to(nid, addr);
-                                    }
-                                }
+                                report = report_down(hub, handle.node_id(), dead, &cfg);
+                            }
+                        }
+                        if let Ok(assignments) = report {
+                            last_ok = Instant::now();
+                            for (nid, addr) in assignments {
+                                let _ = handle.connect_to(nid, addr);
                             }
                         }
                     }
@@ -1300,16 +1085,20 @@ mod tests {
 
     #[test]
     fn hub_assigns_sequential_ids_and_earlier_neighbors() {
-        let hub = Hub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
+        let hub = LifecycleHub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
         let addr = hub.addr();
         let mut infos = Vec::new();
         for i in 0..4 {
             let listen: SocketAddr = format!("127.0.0.1:{}", 40000 + i).parse().unwrap();
             infos.push(join_via_hub(addr, listen).unwrap());
         }
-        hub.join();
         assert_eq!(infos[0].id, 0);
         assert!(infos[0].neighbors.is_empty());
+        // Ring: node 1 neighbors {0, 2}, but 2 has not joined yet.
+        assert_eq!(
+            infos[1].neighbors,
+            vec![(0, "127.0.0.1:40000".parse().unwrap())]
+        );
         // Ring: node 3 neighbors {2, 0}, both already joined.
         assert_eq!(infos[3].id, 3);
         let ids: Vec<NodeId> = infos[3].neighbors.iter().map(|&(i, _)| i).collect();
@@ -1320,19 +1109,18 @@ mod tests {
     #[test]
     fn hub_records_join_and_reject_events() {
         let obs = Obs::for_node(u32::MAX);
-        let hub = Hub::start_with("127.0.0.1:0", 2, Topology::Ring, obs.clone()).unwrap();
+        let mut hub =
+            LifecycleHub::start_with("127.0.0.1:0", 2, Topology::Ring, obs.clone()).unwrap();
         let addr = hub.addr();
         // A garbage request first: must be rejected, not crash the hub.
         {
             let mut s = TcpStream::connect(addr).unwrap();
             writeln!(s, "NONSENSE").unwrap();
         }
-        // Give the hub a moment to process the bad request before the
-        // real joins race it.
-        std::thread::sleep(std::time::Duration::from_millis(50));
         join_via_hub(addr, "127.0.0.1:40020".parse().unwrap()).unwrap();
         join_via_hub(addr, "127.0.0.1:40021".parse().unwrap()).unwrap();
-        hub.join();
+        // Joins every connection thread, so the counters are final.
+        hub.stop();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hub.joins"), 2);
         assert_eq!(snap.counter("hub.rejects"), 1);
@@ -1367,20 +1155,18 @@ mod tests {
 
     #[test]
     fn silent_connector_does_not_wedge_hub() {
-        let hub = Hub::start("127.0.0.1:0", 2, Topology::Ring).unwrap();
+        let mut hub = LifecycleHub::start("127.0.0.1:0", 2, Topology::Ring).unwrap();
         let addr = hub.addr();
-        // Connect and say nothing: serve_one must time out and move on.
-        let _silent = TcpStream::connect(addr).unwrap();
-        // Wait longer than the hub's handshake timeout so the joins
-        // don't race the silent connector's eviction.
-        let cfg = TcpConfig {
-            handshake_timeout: std::time::Duration::from_secs(10),
-            ..Default::default()
-        };
+        // Connect and say nothing: the joins behind it are served at
+        // once (well inside the silent connector's read deadline), on
+        // their own connection threads.
+        let silent = TcpStream::connect(addr).unwrap();
+        let cfg = TcpConfig::fast_fail();
         let a = join_via_hub_with(addr, "127.0.0.1:40010".parse().unwrap(), &cfg).unwrap();
         let b = join_via_hub_with(addr, "127.0.0.1:40011".parse().unwrap(), &cfg).unwrap();
         assert_eq!((a.id, b.id), (0, 1));
-        hub.join();
+        drop(silent);
+        hub.stop();
     }
 
     /// Satellite bugfix: malformed and truncated JOIN lines, and a
@@ -1388,7 +1174,7 @@ mod tests {
     /// the `expected` slots — the full network still bootstraps.
     #[test]
     fn bad_handshakes_do_not_consume_slots() {
-        let hub = Hub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
+        let hub = LifecycleHub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
         let addr = hub.addr();
         {
             // Truncated request (no newline), then disconnect.
@@ -1410,7 +1196,6 @@ mod tests {
             let listen: SocketAddr = format!("127.0.0.1:{}", 40030 + i).parse().unwrap();
             ids.push(join_via_hub(addr, listen).unwrap().id);
         }
-        hub.join();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
     }
@@ -1798,5 +1583,32 @@ mod tests {
         for e in &mut eps {
             e.shutdown();
         }
+    }
+
+    /// The bootstrap hub is the lifecycle hub: after the last `JOIN` it
+    /// keeps answering scrapes and death reports instead of retiring.
+    #[test]
+    fn bootstrap_hub_keeps_serving_after_last_join() {
+        let mut hub = LifecycleHub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
+        let addr = hub.addr();
+        let cfg = TcpConfig::fast_fail();
+        let listens: Vec<SocketAddr> = (0..3)
+            .map(|i| format!("127.0.0.1:{}", 40050 + i).parse().unwrap())
+            .collect();
+        for (i, &l) in listens.iter().enumerate() {
+            assert_eq!(join_via_hub(addr, l).unwrap().id, i);
+        }
+        // A fourth join finds the network full and is refused.
+        assert!(join_via_hub_with(addr, "127.0.0.1:40059".parse().unwrap(), &cfg).is_err());
+
+        // No node has shipped telemetry yet, so the view is empty — but
+        // the scrape itself is served.
+        assert_eq!(scrape_status(addr, &cfg).unwrap(), "");
+        // Node 1 dies: its lower-id survivor is told to dial the other.
+        assert_eq!(
+            report_down(addr, 0, 1, &cfg).unwrap(),
+            vec![(2, listens[2])]
+        );
+        hub.stop();
     }
 }

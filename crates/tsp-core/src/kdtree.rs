@@ -1,10 +1,10 @@
 //! A 2-D k-d tree over city coordinates.
 //!
-//! Used for nearest-neighbor queries on non-uniform instances (clustered
-//! `C`-style and drill-plate `fl`-style data) where the uniform grid of
-//! [`crate::grid`] degenerates, and by the Quick-Borůvka and greedy tour
-//! constructions which need *filtered* nearest-neighbor queries
-//! ("nearest city that still has tour degree < 2").
+//! Used for the k-nearest-neighbor queries behind the candidate lists
+//! (robust on clustered `C`-style and drill-plate `fl`-style data), and
+//! by the Quick-Borůvka and greedy tour constructions which need
+//! *filtered* nearest-neighbor queries ("nearest city that still has
+//! tour degree < 2").
 //!
 //! The tree is built once over index arrays (no per-node allocation,
 //! perf-book idiom) and is immutable; deletions needed by constructions

@@ -20,9 +20,8 @@
 //!   traits that let local search run on either representation.
 //! - [`neighbors`] — k-nearest-neighbor candidate lists with cached
 //!   candidate distances.
-//! - [`grid`] / [`kdtree`] — the two spatial indexes used to build
-//!   candidate lists and to answer nearest-neighbor queries during tour
-//!   construction.
+//! - [`kdtree`] — the spatial index used to build candidate lists and
+//!   to answer nearest-neighbor queries during tour construction.
 //! - [`tsplib`] — a parser and writer for the TSPLIB file format, so
 //!   real benchmark instances (fl1577, pr2392, …) drop in when available.
 //! - [`generate`] — deterministic synthetic instance generators
@@ -44,7 +43,6 @@
 //! ```
 
 pub mod generate;
-pub mod grid;
 pub mod instance;
 pub mod kdtree;
 pub mod metric;
@@ -56,7 +54,7 @@ pub mod tsplib;
 pub mod twolevel;
 
 pub use instance::{Instance, Point};
-pub use metric::{Metric, SoaCoords};
+pub use metric::Metric;
 pub use neighbors::NeighborLists;
 pub use partition::{Partition, PartitionNode, SubInstance};
 pub use tour::Tour;

@@ -170,85 +170,6 @@ pub fn geo(a: Point, b: Point) -> i64 {
     (GEO_EARTH_RADIUS * (0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)).acos() + 1.0) as i64
 }
 
-/// Structure-of-arrays coordinate block for batched distance kernels.
-///
-/// Candidate-list construction evaluates millions of (city, candidate)
-/// distances; going through `Instance::dist` costs one metric-enum match
-/// and one 16-byte `Point` struct load per pair. This layout hoists the
-/// match out of the loop and streams the x/y coordinates from two flat
-/// `f64` arrays, which the compiler can keep in vector registers for the
-/// Euclidean-family metrics.
-///
-/// Results are bit-identical to the scalar path: each per-pair formula
-/// is the very same `#[inline(always)]` free function
-/// ([`euc_2d`], [`ceil_2d`], …) applied to the same coordinates.
-#[derive(Debug, Clone)]
-pub struct SoaCoords {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-}
-
-impl SoaCoords {
-    /// Transpose an array-of-structs point slice into SoA form.
-    pub fn from_points(pts: &[Point]) -> Self {
-        SoaCoords {
-            xs: pts.iter().map(|p| p.x).collect(),
-            ys: pts.iter().map(|p| p.y).collect(),
-        }
-    }
-
-    /// Number of cities.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Whether the block is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// The coordinates of city `i`.
-    #[inline(always)]
-    pub fn point(&self, i: usize) -> Point {
-        Point::new(self.xs[i], self.ys[i])
-    }
-
-    /// Fill `out[i]` with the metric distance from `origin` to city
-    /// `cands[i]` for every candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != cands.len()` or `metric` is
-    /// [`Metric::Explicit`] (matrix metrics have no coordinates).
-    pub fn batch_dists(&self, metric: &Metric, origin: Point, cands: &[u32], out: &mut [i64]) {
-        assert_eq!(cands.len(), out.len(), "output slice must match candidates");
-        // One match per batch, then a tight per-metric loop over the
-        // flat coordinate arrays.
-        macro_rules! batch {
-            ($f:ident) => {
-                for (o, &c) in out.iter_mut().zip(cands) {
-                    let c = c as usize;
-                    *o = $f(origin, Point::new(self.xs[c], self.ys[c]));
-                }
-            };
-        }
-        match metric {
-            Metric::Euc2d => batch!(euc_2d),
-            Metric::Ceil2d => batch!(ceil_2d),
-            Metric::Att => batch!(att),
-            Metric::Geo => batch!(geo),
-            Metric::Max2d => batch!(max_2d),
-            Metric::Man2d => batch!(man_2d),
-            Metric::Explicit(..) => {
-                panic!("explicit metric requires index-based lookup, not coordinates")
-            }
-        }
-    }
-
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,39 +253,6 @@ mod tests {
     #[should_panic(expected = "explicit metric requires index-based lookup")]
     fn explicit_coordinate_distance_panics() {
         Metric::Explicit(vec![0], 1).distance(p(0.0, 0.0), p(1.0, 1.0));
-    }
-
-    #[test]
-    fn batch_dists_bit_identical_to_scalar() {
-        let pts: Vec<Point> = (0..64)
-            .map(|i| p((i as f64 * 37.5) % 911.0, (i as f64 * 91.25) % 733.0))
-            .collect();
-        let soa = SoaCoords::from_points(&pts);
-        assert_eq!(soa.len(), 64);
-        let cands: Vec<u32> = (0..64u32).rev().collect();
-        let mut out = vec![0i64; cands.len()];
-        for m in [
-            Metric::Euc2d,
-            Metric::Ceil2d,
-            Metric::Att,
-            Metric::Max2d,
-            Metric::Man2d,
-        ] {
-            for origin in [0usize, 17, 63] {
-                soa.batch_dists(&m, pts[origin], &cands, &mut out);
-                for (k, &c) in cands.iter().enumerate() {
-                    assert_eq!(out[k], m.distance(pts[origin], pts[c as usize]), "{m:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "explicit metric requires index-based lookup")]
-    fn batch_dists_rejects_explicit() {
-        let soa = SoaCoords::from_points(&[p(0.0, 0.0), p(1.0, 0.0)]);
-        let mut out = [0i64; 1];
-        soa.batch_dists(&Metric::Explicit(vec![0, 1, 1, 0], 2), p(0.0, 0.0), &[1], &mut out);
     }
 
     #[test]

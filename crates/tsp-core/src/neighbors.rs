@@ -4,8 +4,8 @@
 //! a move; they consult a fixed-size candidate list per city (Concorde's
 //! default is 10–12 quadrant/nearest neighbors). [`NeighborLists`] stores
 //! the lists in one flat array (CSR-like, `k` entries per city) for cache
-//! friendliness, built from either spatial index, or by brute force for
-//! explicit-matrix instances.
+//! friendliness, built from the k-d tree for geometric instances and by
+//! brute force for explicit-matrix ones.
 //!
 //! Next to each neighbor id the structure caches the exact metric
 //! distance in a parallel `i64` array, so candidate scans in the LK
@@ -14,10 +14,8 @@
 //! k-NN queries across scoped threads — the serial pass is a visible
 //! startup cost at pla85900 scale.
 
-use crate::grid::Grid;
 use crate::instance::Instance;
 use crate::kdtree::KdTree;
-use crate::metric::SoaCoords;
 
 /// Below this many cities the build stays serial: thread spawn overhead
 /// would dominate the k-NN work.
@@ -48,23 +46,11 @@ impl NeighborLists {
         Self::build_with(inst, k, &|c| tree.k_nearest(c, k))
     }
 
-    /// Build lists via the uniform grid (fast on uniform data; falls back
-    /// to the same exact semantics).
-    pub fn build_with_grid(inst: &Instance, k: usize) -> Self {
-        let n = inst.len();
-        let k = k.min(n - 1);
-        if !inst.metric().is_geometric() {
-            return Self::build_brute_force(inst, k);
-        }
-        let grid = Grid::build(inst);
-        Self::build_with(inst, k, &|c| grid.k_nearest(inst, c, k))
-    }
-
     /// O(n² log n) fallback, ordered by the instance metric itself for
     /// explicit matrices and by unrounded squared Euclidean distance for
     /// geometric instances — the latter matches the `(dist, id)` order
-    /// of the k-d tree and grid queries exactly, so all three builders
-    /// produce identical candidate ids.
+    /// of the k-d tree queries exactly, so both builders produce
+    /// identical candidate ids.
     pub fn build_brute_force(inst: &Instance, k: usize) -> Self {
         let n = inst.len();
         let k = k.min(n - 1);
@@ -98,19 +84,12 @@ impl NeighborLists {
         let n = inst.len();
         let mut flat = vec![0u32; n * k];
         let mut dists = vec![0i64; n * k];
-        // SoA transpose once; the distance-caching loop then runs the
-        // batched kernel instead of n*k dispatched Instance::dist calls.
-        let soa = inst
-            .metric()
-            .is_geometric()
-            .then(|| SoaCoords::from_points(inst.points()));
-        let soa = soa.as_ref();
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(16);
         if threads <= 1 || n < PARALLEL_MIN_CITIES {
-            Self::fill_chunk(inst, soa, k, 0, &mut flat, &mut dists, query);
+            Self::fill_chunk(inst, k, 0, &mut flat, &mut dists, query);
         } else {
             let per = n.div_ceil(threads);
             std::thread::scope(|s| {
@@ -119,7 +98,7 @@ impl NeighborLists {
                     .zip(dists.chunks_mut(per * k))
                     .enumerate()
                 {
-                    s.spawn(move || Self::fill_chunk(inst, soa, k, i * per, fc, dc, query));
+                    s.spawn(move || Self::fill_chunk(inst, k, i * per, fc, dc, query));
                 }
             });
         }
@@ -129,7 +108,6 @@ impl NeighborLists {
     /// Fill the lists for cities `base .. base + chunk_len/k`.
     fn fill_chunk<F>(
         inst: &Instance,
-        soa: Option<&SoaCoords>,
         k: usize,
         base: usize,
         flat: &mut [u32],
@@ -143,18 +121,8 @@ impl NeighborLists {
             let nn = query(c);
             debug_assert_eq!(nn.len(), k);
             flat[i * k..(i + 1) * k].copy_from_slice(&nn);
-            match soa {
-                Some(soa) => soa.batch_dists(
-                    inst.metric(),
-                    inst.point(c),
-                    &nn,
-                    &mut dists[i * k..(i + 1) * k],
-                ),
-                None => {
-                    for (j, &o) in nn.iter().enumerate() {
-                        dists[i * k + j] = inst.dist(c, o as usize);
-                    }
-                }
+            for (j, &o) in nn.iter().enumerate() {
+                dists[i * k + j] = inst.dist(c, o as usize);
             }
         }
     }
@@ -236,24 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn kdtree_and_grid_agree_on_distances() {
+    fn kdtree_and_brute_force_agree_on_ids() {
         // Stronger than distance agreement: the candidate *ids* must be
-        // identical across the k-d tree, the grid, and brute force —
-        // fixed-seed runs must not depend on the spatial index used.
+        // identical between the k-d tree and the brute-force oracle.
         let inst = random_instance(150, 8);
         let a = NeighborLists::build(&inst, 6);
-        let b = NeighborLists::build_with_grid(&inst, 6);
-        let c3 = NeighborLists::build_brute_force(&inst, 6);
+        let b = NeighborLists::build_brute_force(&inst, 6);
         for c in 0..150 {
-            assert_eq!(a.of(c), b.of(c), "kdtree vs grid, city {c}");
-            assert_eq!(a.of(c), c3.of(c), "kdtree vs brute, city {c}");
+            assert_eq!(a.of(c), b.of(c), "kdtree vs brute, city {c}");
         }
     }
 
     #[test]
     fn builders_agree_on_ids_under_heavy_ties() {
         // A lattice is all ties: each city has 4 neighbors at d, 4 at
-        // d√2, 4 at 2d... Every builder must resolve them to the same
+        // d√2, 4 at 2d... Both builders must resolve them to the same
         // (dist, id)-sorted prefix.
         let mut pts = Vec::new();
         for y in 0..11 {
@@ -263,11 +228,9 @@ mod tests {
         }
         let inst = Instance::new("lattice", pts, Metric::Euc2d);
         let tree = NeighborLists::build(&inst, 6);
-        let grid = NeighborLists::build_with_grid(&inst, 6);
         let brute = NeighborLists::build_brute_force(&inst, 6);
         for c in 0..121 {
             assert_eq!(tree.of(c), brute.of(c), "kdtree vs brute, city {c}");
-            assert_eq!(grid.of(c), brute.of(c), "grid vs brute, city {c}");
         }
     }
 
@@ -289,11 +252,25 @@ mod tests {
 
     #[test]
     fn cached_distances_match_instance_metric() {
-        let inst = random_instance(120, 14);
-        for nl in [
-            NeighborLists::build(&inst, 7),
-            NeighborLists::build_with_grid(&inst, 7),
-        ] {
+        // One scalar loop caches the distances for every metric variant
+        // (GEO coordinates stay inside the DDD.MM range).
+        let pts = random_instance(120, 14).points().to_vec();
+        let geo_pts = pts.iter().map(|p| Point::new(p.x / 12.0, p.y / 6.0));
+        let euc = Instance::new("euc", pts.clone(), Metric::Euc2d);
+        let matrix: Vec<i64> = (0..120 * 120)
+            .map(|i| euc.dist(i / 120, i % 120) * 3 + 1)
+            .collect();
+        let insts = [
+            euc,
+            Instance::new("ceil", pts.clone(), Metric::Ceil2d),
+            Instance::new("att", pts.clone(), Metric::Att),
+            Instance::new("geo", geo_pts.collect(), Metric::Geo),
+            Instance::new("max", pts.clone(), Metric::Max2d),
+            Instance::new("man", pts, Metric::Man2d),
+            Instance::explicit("explicit", matrix, 120),
+        ];
+        for inst in &insts {
+            let nl = NeighborLists::build(inst, 7);
             for c in 0..120 {
                 let (ids, ds) = nl.of_with_dists(c);
                 assert_eq!(ids.len(), ds.len());

@@ -1,5 +1,5 @@
-//! Deployable cluster binary: run the bootstrap hub or a compute node
-//! as separate OS processes, communicating over real TCP — the paper's
+//! Deployable cluster binary: run the hub or a compute node as
+//! separate OS processes, communicating over real TCP — the paper's
 //! deployment shape (§2.2: hub + 8 nodes on a switched Ethernet).
 //!
 //! ```text
@@ -12,13 +12,15 @@
 //!
 //! Every node prints its best tour length on exit; collect the minimum
 //! (the paper: "the best result … has to be collected from the local
-//! output of each node", §2.3).
+//! output of each node", §2.3). The hub keeps serving after bootstrap
+//! (`DOWN`/`REJOIN`/`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the
+//! process is killed.
 
 use std::time::Duration;
 
 use dist_clk::distclk::{DistConfig, NodeDriver};
 use dist_clk::lk::Budget;
-use dist_clk::p2p::hub::{join_via_hub, Hub};
+use dist_clk::p2p::hub::{join_via_hub, LifecycleHub};
 use dist_clk::p2p::tcp::TcpEndpoint;
 use dist_clk::p2p::{Topology, Transport};
 use dist_clk::tsp_core::{generate, tsplib, Instance, NeighborLists};
@@ -65,10 +67,12 @@ fn main() {
                 .get(3)
                 .and_then(|s| Topology::by_name(s))
                 .unwrap_or(Topology::Hypercube);
-            let hub = Hub::start(bind, expected, topology).expect("start hub");
+            let hub = LifecycleHub::start(bind, expected, topology).expect("start hub");
             println!("hub listening on {} for {expected} nodes ({topology:?})", hub.addr());
-            hub.join();
-            println!("all nodes joined; hub retired");
+            // The hub serves on its own threads for the life of the process.
+            loop {
+                std::thread::park();
+            }
         }
         Some("node") => {
             let hub_addr = args
