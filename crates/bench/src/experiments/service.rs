@@ -220,7 +220,6 @@ pub fn run_mode(smoke: bool) -> Report {
         workers,
         engine: engine(),
         default_limit: flow_limit,
-        ..Default::default()
     }));
     let mut hub = LifecycleHub::start("127.0.0.1:0", 2, Topology::Ring).expect("hub");
     ServiceJobHandler::attach(Arc::clone(&svc), &hub);

@@ -196,8 +196,6 @@ pub struct NodeDriver<'a, T: Transport> {
     forward_received: bool,
     watch: Stopwatch,
 
-    s_prev: Tour,
-    prev_len: i64,
     best_tour: Tour,
     best_len: i64,
 
@@ -365,8 +363,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             clk_kicks_per_call: cfg.clk_kicks_per_call,
             forward_received: cfg.forward_received,
             watch,
-            s_prev: tour.clone(),
-            prev_len: len,
             best_tour: tour,
             best_len: len,
             obs,
@@ -399,6 +395,11 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// Best length so far.
     pub fn best_length(&self) -> i64 {
         self.best_len
+    }
+
+    /// Best tour so far.
+    pub fn best_tour(&self) -> &Tour {
+        &self.best_tour
     }
 
     /// Whether the node has decided to stop.
@@ -690,10 +691,11 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         // Merge in everything received meanwhile.
         let best_received = self.drain_inbox();
 
-        // SELECTBESTTOUR(S_received ∪ {s} ∪ {s_prev}).
+        // SELECTBESTTOUR(S_received ∪ {s} ∪ {s_prev}); s_prev is the
+        // best tour this round started from, still in `best_tour`.
         // Strictly-better wins; ties keep the earlier candidate
         // (s_prev ≼ s ≼ received) so non-improvement is detected.
-        let mut best_so_far = self.prev_len;
+        let mut best_so_far = self.best_len;
         let mut source = Source::Prev;
         if s_len < best_so_far {
             best_so_far = s_len;
@@ -744,15 +746,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 self.perturb.record_improvement();
                 self.stalled = false;
                 self.reset_strength_event();
-                self.best_tour = s;
-                self.best_len = s_len;
-                self.trace
-                    .record(self.watch.secs(), self.c_clk_calls.get(), s_len);
-                self.events.push(NodeEvent::Improved {
-                    secs: self.watch.secs(),
-                    length: s_len,
-                    local: true,
-                });
+                self.install_best(s, s_len, true);
                 // Only locally-produced bests are broadcast (Fig. 1);
                 // count only broadcasts that actually reached a peer.
                 let tour_id = broadcast_id(self.id, self.broadcast_seq);
@@ -783,15 +777,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 self.perturb.record_improvement();
                 self.stalled = false;
                 self.reset_strength_event();
-                self.best_tour = tour;
-                self.best_len = len;
-                self.trace
-                    .record(self.watch.secs(), self.c_clk_calls.get(), len);
-                self.events.push(NodeEvent::Improved {
-                    secs: self.watch.secs(),
-                    length: len,
-                    local: false,
-                });
+                self.install_best(tour, len, false);
                 self.obs.event(
                     "node.adopt",
                     &[
@@ -839,9 +825,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 }
             }
         }
-
-        self.s_prev = self.best_tour.clone();
-        self.prev_len = self.best_len;
 
         // Known-optimum termination (criterion 1): announce and stop.
         if self.budget.target_met(self.best_len) {
@@ -1060,15 +1043,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         if let Some((len, tour, from, tour_id)) = best_received {
             let adopted = len < self.best_len;
             if adopted {
-                self.best_tour = tour;
-                self.best_len = len;
-                self.trace
-                    .record(self.watch.secs(), self.c_clk_calls.get(), len);
-                self.events.push(NodeEvent::Improved {
-                    secs: self.watch.secs(),
-                    length: len,
-                    local: false,
-                });
+                self.install_best(tour, len, false);
             }
             self.obs.counter("node.resyncs").incr();
             self.obs.event(
@@ -1081,8 +1056,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 ],
             );
             self.resync_remaining = 0;
-            self.s_prev = self.best_tour.clone();
-            self.prev_len = self.best_len;
         } else if self.resync_remaining == 0 {
             self.obs.event("node.resync_timeout", &[]);
         }
@@ -1128,17 +1101,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             return false;
         };
         if len < self.best_len {
-            self.best_tour = tour;
-            self.best_len = len;
-            self.s_prev = self.best_tour.clone();
-            self.prev_len = len;
-            self.trace
-                .record(self.watch.secs(), self.c_clk_calls.get(), len);
-            self.events.push(NodeEvent::Improved {
-                secs: self.watch.secs(),
-                length: len,
-                local: false,
-            });
+            self.install_best(tour, len, false);
         }
         self.perturb
             .set_no_improvements(id.min(u32::MAX as u64) as u32);
@@ -1181,6 +1144,20 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             length: self.best_len,
         });
         self.terminated = true;
+    }
+
+    /// Install a strictly better tour as the node's best, with the
+    /// trace point and `Improved` event every adoption path records.
+    fn install_best(&mut self, tour: Tour, len: i64, local: bool) {
+        self.best_tour = tour;
+        self.best_len = len;
+        self.trace
+            .record(self.watch.secs(), self.c_clk_calls.get(), len);
+        self.events.push(NodeEvent::Improved {
+            secs: self.watch.secs(),
+            length: len,
+            local,
+        });
     }
 
     fn reset_strength_event(&mut self) {

@@ -1,32 +1,35 @@
 //! Solver-as-a-service: a long-lived, multi-tenant job layer over the
-//! cluster (the ROADMAP's top open item).
+//! engine (the ROADMAP's top open item).
 //!
 //! The paper's system solves one instance per cluster bring-up; this
-//! module makes the cluster outlive any single job. A persistent
-//! [`SolverService`] runs a supervisor plus a pool of worker nodes over
-//! an in-process star network (`p2p` wire frames end to end, so the
-//! same protocol drives the TCP front-end). Clients submit a
-//! [`JobSpec`] — TSPLIB or JSON payload plus a deadline and/or quality
-//! budget — and receive a [`JobHandle`] streaming strictly improving
-//! tours back as they are found (anytime semantics), terminated by a
-//! single [`JobUpdate::Done`].
+//! module makes the solver outlive any single job. A persistent
+//! [`SolverService`] is one supervisor thread blocked on one channel of
+//! events: client calls, and the improvements and verdicts that solve
+//! threads report to it directly. It wakes otherwise only when a job
+//! deadline comes due — an idle service does nothing at all. Clients
+//! submit a [`JobSpec`] — TSPLIB or JSON payload plus a deadline and/or
+//! quality budget — and receive a [`JobHandle`] streaming strictly
+//! improving tours back as they are found (anytime semantics),
+//! terminated by a single [`JobUpdate::Done`].
 //!
-//! Design points, in the order the ISSUE names them:
+//! Design points:
 //!
 //! - **Per-job engine state.** The [`crate::NodeDriver`] stays borrowed
 //!   to one instance for its lifetime; the decoupling happens one layer
-//!   up. Every accepted job gets its own solve thread owning its own
-//!   parsed [`Instance`], candidate lists, and a fresh single-node
-//!   driver — engine state is keyed by `job_id`, and one worker
-//!   multiplexes any number of concurrent jobs.
-//! - **Wire protocol.** Scheduling crosses the transport as the five
-//!   `Job*` frames (codec tags 12–16), ids minted by
-//!   [`p2p::job_id`]`(client, seq)` following the PR 2 broadcast-id
-//!   template. The TCP front-end ([`ServiceJobHandler`]) rides the
-//!   lifecycle hub's `JOB` command and is MOVED-fenced after failover
-//!   exactly like `METRICS`/`STATUS`.
+//!   up. Every accepted job gets its own solve thread owning the
+//!   [`Instance`] admission parsed, its candidate lists, and a fresh
+//!   single-node driver — engine state is keyed by `job_id`. A *worker*
+//!   is a placement-and-failure domain, not a thread: it carries any
+//!   number of concurrent jobs, and killing it orphans exactly those.
+//! - **Wire protocol.** The five `Job*` frames (codec tags 12–16) exist
+//!   on the TCP boundary only: the front-end ([`ServiceJobHandler`])
+//!   rides the lifecycle hub's `JOB` command, is MOVED-fenced after
+//!   failover exactly like `METRICS`/`STATUS`, and translates frames to
+//!   and from the in-process [`JobSpec`]/[`JobUpdate`] types. Ids are
+//!   minted by [`p2p::job_id`]`(client, seq)` following the PR 2
+//!   broadcast-id template.
 //! - **Churn survival.** The supervisor remembers each job's last
-//!   streamed best; when a worker dies the job is resubmitted to a
+//!   streamed best; when a worker dies the job is restarted on a
 //!   survivor with that tour as a checkpoint (PR 4's
 //!   [`crate::NodeDriver::restore`] blob — an encoded `TourFound`
 //!   frame, revalidated on restore). The kick budget restarts on the
@@ -41,18 +44,17 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use lk::Budget;
 use obs_api::{kinds, Obs, Value};
 use p2p::codec::write_frame;
 use p2p::hub::JobHandler;
-use p2p::memory::MemoryEndpoint;
-use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId, Topology, Transport};
+use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId};
 use tsp_core::{Instance, Point};
 
 use crate::node::{DistConfig, NodeDriver};
@@ -257,7 +259,7 @@ pub fn points_to_json(pts: &[(f64, f64)]) -> String {
 
 /// Everything a client states about a solve job. At least one bound
 /// (kicks, deadline, or target) should be set; unbounded submissions
-/// are capped at [`ServiceConfig::default_kicks`] on admission.
+/// are capped at 64 kicks on admission.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Engine master seed (bit-reproducible runs; see the conformance
@@ -473,26 +475,15 @@ impl FlowLedger {
 /// Configuration of a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker-node count (the supervisor is an extra node 0 of the
-    /// internal star network).
+    /// Worker count: the placement-and-failure domains jobs are spread
+    /// over (node ids `1..=workers`).
     pub workers: usize,
     /// Engine template: `clk`, `c_v`/`c_r`, perturbation settings.
     /// Per-job fields (`nodes`, `seed`, `budget`) are overridden from
     /// each [`JobSpec`]; everything else applies to all jobs.
     pub engine: DistConfig,
-    /// Fairness: default per-client admission budget (job count when
-    /// `job_cost` is 1).
+    /// Fairness: default per-client admission budget, in jobs.
     pub default_limit: u64,
-    /// Admission cost of one job.
-    pub job_cost: u64,
-    /// Kick cap applied to submissions that set no bound at all.
-    pub default_kicks: u64,
-    /// How long past a job's deadline the supervisor waits for the
-    /// worker's own expiry before force-finishing the job itself (the
-    /// backstop that guarantees clean expiry even across worker death).
-    pub deadline_grace: Duration,
-    /// Supervisor/worker poll interval.
-    pub tick: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -501,13 +492,18 @@ impl Default for ServiceConfig {
             workers: 4,
             engine: DistConfig::default(),
             default_limit: 64,
-            job_cost: 1,
-            default_kicks: 64,
-            deadline_grace: Duration::from_secs(2),
-            tick: Duration::from_millis(1),
         }
     }
 }
+
+/// Admission cost of one job against its tenant's [`FlowBudget`].
+const JOB_COST: u64 = 1;
+/// Kick cap applied to submissions that set no bound at all.
+const DEFAULT_KICKS: u64 = 64;
+/// How long past a job's deadline the supervisor waits for the solve
+/// thread's own expiry before force-finishing the job itself (the
+/// backstop that guarantees clean expiry even if the thread is wedged).
+const DEADLINE_GRACE: Duration = Duration::from_secs(2);
 
 /// One update on a job's result stream. Lengths are monotone
 /// non-increasing across the `Improved` updates of one job, and `Done`
@@ -593,7 +589,9 @@ impl JobHandle {
 // Supervisor internals
 // ---------------------------------------------------------------------------
 
-enum Command {
+/// Everything the supervisor reacts to, on one channel so one blocking
+/// receive covers it all: client calls, and what solve threads report.
+enum Event {
     Submit {
         client: u64,
         spec: JobSpec,
@@ -601,7 +599,6 @@ enum Command {
     },
     Cancel {
         job: u64,
-        reason: DoneReason,
     },
     WorkerDead {
         worker: NodeId,
@@ -613,24 +610,73 @@ enum Command {
         reply: Sender<FlowLedger>,
     },
     Shutdown,
+    /// A solve thread found a better tour.
+    Improved {
+        job: u64,
+        length: i64,
+        order: Vec<u32>,
+    },
+    /// A solve thread (running under worker `from`) stopped.
+    Done {
+        from: NodeId,
+        job: u64,
+        reason: DoneReason,
+        length: i64,
+        order: Vec<u32>,
+    },
+}
+
+/// Cross-thread cancel slot: 0 = not cancelled, else `reason + 1`.
+#[derive(Default)]
+struct CancelSlot(AtomicU8);
+
+impl CancelSlot {
+    fn set(&self, reason: DoneReason) {
+        self.0.store(reason.code() + 1, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> Option<DoneReason> {
+        match self.0.load(Ordering::Relaxed) {
+            0 => None,
+            c => Some(DoneReason::from_code(c - 1)),
+        }
+    }
 }
 
 struct JobState {
-    client: u64,
-    spec: JobSpec,
-    worker: NodeId,
-    accepted: bool,
+    /// The service's engine template with this job's seed and bounds.
+    engine: DistConfig,
+    inst: Arc<Instance>,
     deadline: Option<Instant>,
-    /// Deadline-cancel already sent to the worker.
-    expiry_sent: bool,
+    /// The deadline passed and the solve thread was told so.
+    nudged: bool,
+    worker: NodeId,
+    /// Stops the current assignee's solve thread.
+    cancel: Arc<CancelSlot>,
     best: Option<(i64, Vec<u32>)>,
     subscriber: Sender<JobUpdate>,
 }
 
+/// When the supervisor must wake although no event arrived, given each
+/// job's `(deadline, nudged)`: the earliest deadline still to be
+/// announced, or force-finish time of one already announced.
+fn next_wake(jobs: impl Iterator<Item = (Option<Instant>, bool)>) -> Option<Instant> {
+    jobs.filter_map(|(deadline, nudged)| {
+        let deadline = deadline?;
+        if nudged {
+            deadline.checked_add(DEADLINE_GRACE)
+        } else {
+            Some(deadline)
+        }
+    })
+    .min()
+}
+
 struct Supervisor {
-    ep: MemoryEndpoint,
-    commands: Receiver<Command>,
-    cfg: ServiceConfig,
+    events: Receiver<Event>,
+    /// Handed to every solve thread to report on.
+    reports: Sender<Event>,
+    engine: DistConfig,
     obs: Obs,
     ledger: FlowLedger,
     jobs: HashMap<u64, JobState>,
@@ -646,23 +692,27 @@ struct Supervisor {
 impl Supervisor {
     fn run(mut self) {
         loop {
-            // Inbox first: a worker's final frames beat its death
-            // notice when both are pending, so finished work is never
-            // thrown away by a reassignment.
-            for msg in self.ep.drain() {
-                self.on_frame(msg);
-            }
-            let mut shutdown = false;
-            while let Ok(cmd) = self.commands.try_recv() {
-                if self.on_command(cmd) {
-                    shutdown = true;
-                }
-            }
-            if shutdown {
-                break;
-            }
             self.check_deadlines();
-            std::thread::sleep(self.cfg.tick);
+            let wake = next_wake(self.jobs.values().map(|s| (s.deadline, s.nudged)));
+            let event = match wake {
+                None => self
+                    .events
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected),
+                Some(at) => self
+                    .events
+                    .recv_timeout(at.saturating_duration_since(Instant::now())),
+            };
+            match event {
+                Ok(event) => {
+                    if !self.on_event(event) {
+                        break;
+                    }
+                }
+                // A deadline came due: the top of the loop handles it.
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
         // Terminal updates for anything still in flight, so client
         // streams end cleanly instead of hanging on a dropped channel.
@@ -672,216 +722,202 @@ impl Supervisor {
         }
     }
 
-    fn on_command(&mut self, cmd: Command) -> bool {
-        match cmd {
-            Command::Submit {
+    /// Handle one event; `false` on shutdown.
+    fn on_event(&mut self, event: Event) -> bool {
+        match event {
+            Event::Submit {
                 client,
                 spec,
                 reply,
             } => {
                 let _ = reply.send(self.admit(client, spec));
             }
-            Command::Cancel { job, reason } => {
+            Event::Cancel { job } => {
                 if let Some(state) = self.jobs.get(&job) {
-                    let worker = state.worker;
-                    let _ = self.ep.send(
-                        worker,
-                        Message::JobCancel {
-                            from: 0,
-                            job,
-                            reason: reason.code(),
-                        },
-                    );
+                    state.cancel.set(DoneReason::Cancelled);
                 }
             }
-            Command::WorkerDead { worker } => self.on_worker_dead(worker),
-            Command::MergeLedger { other } => self.ledger.merge(&other),
-            Command::Ledger { reply } => {
+            Event::WorkerDead { worker } => self.on_worker_dead(worker),
+            Event::MergeLedger { other } => self.ledger.merge(&other),
+            Event::Ledger { reply } => {
                 let _ = reply.send(self.ledger.clone());
             }
-            Command::Shutdown => return true,
-        }
-        false
-    }
-
-    fn admit(
-        &mut self,
-        client: u64,
-        mut spec: JobSpec,
-    ) -> Result<(u64, Receiver<JobUpdate>), String> {
-        self.obs.counter(kinds::C_SVC_SUBMITTED).incr();
-        // Validate before charging: a malformed payload is not the
-        // tenant's budget's problem.
-        if let Err(e) = spec.payload.parse() {
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            self.obs.event(
-                kinds::SVC_REJECT,
-                &[("client", Value::U(client)), ("why", Value::U(0))],
-            );
-            return Err(format!("bad payload: {e}"));
-        }
-        // Charge before any effect (the flow-budget discipline).
-        if !self.ledger.charge(client, self.cfg.job_cost) {
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            self.obs.event(
-                kinds::SVC_REJECT,
-                &[("client", Value::U(client)), ("why", Value::U(1))],
-            );
-            return Err(format!(
-                "flow budget exhausted for client {client} (limit {})",
-                self.ledger.get(client).limit
-            ));
-        }
-        if spec.kicks.is_none() && spec.deadline.is_none() && spec.target.is_none() {
-            spec.kicks = Some(self.cfg.default_kicks);
-        }
-        let seq = self.seqs.entry(client).or_insert(0);
-        let job = job_id(client, *seq);
-        *seq += 1;
-        let deadline = spec.deadline.map(|d| Instant::now() + d);
-        let (tx, rx) = unbounded();
-        let state = JobState {
-            client,
-            spec,
-            worker: 0,
-            accepted: false,
-            deadline,
-            expiry_sent: false,
-            best: None,
-            subscriber: tx,
-        };
-        self.jobs.insert(job, state);
-        if !self.dispatch(job, Vec::new()) {
-            self.jobs.remove(&job);
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            return Err("no live workers".into());
-        }
-        self.obs.counter(kinds::C_SVC_ACCEPTED).incr();
-        Ok((job, rx))
-    }
-
-    /// Place a job (fresh or reassigned) on the least-loaded live
-    /// worker (ties to the lowest id). `checkpoint` carries the last
-    /// streamed best on reassignment.
-    fn dispatch(&mut self, job: u64, checkpoint: Vec<u8>) -> bool {
-        loop {
-            let Some(&worker) = self
-                .alive
-                .iter()
-                .min_by_key(|&&w| (self.load.get(&w).copied().unwrap_or(0), w))
-            else {
-                return false;
-            };
-            let state = self.jobs.get_mut(&job).expect("dispatching unknown job");
-            let deadline_ms = match state.deadline {
-                Some(d) => d
-                    .saturating_duration_since(Instant::now())
-                    .as_millis()
-                    .max(1) as u64,
-                None => 0,
-            };
-            let msg = Message::JobSubmit {
-                from: 0,
-                job,
-                client: state.client,
-                seed: state.spec.seed,
-                kicks: state.spec.kicks.unwrap_or(0),
-                deadline_ms,
-                target: state.spec.target.unwrap_or(i64::MIN),
-                payload_kind: state.spec.payload.kind(),
-                payload: state.spec.payload.bytes().to_vec(),
-                checkpoint: checkpoint.clone(),
-            };
-            if self.ep.send(worker, msg).is_ok() {
-                state.worker = worker;
-                *self.load.entry(worker).or_insert(0) += 1;
-                return true;
-            }
-            // The worker died between liveness bookkeeping and this
-            // send; drop it and retry the next candidate.
-            self.alive.retain(|&w| w != worker);
-        }
-    }
-
-    fn on_frame(&mut self, msg: Message) {
-        match msg {
-            Message::JobAccept { job, worker, .. } => {
-                if let Some(state) = self.jobs.get_mut(&job) {
-                    if !state.accepted {
-                        state.accepted = true;
-                        let _ = state.subscriber.send(JobUpdate::Accepted {
-                            worker: worker as NodeId,
-                        });
-                        self.obs.event(
-                            kinds::SVC_ACCEPT,
-                            &[
-                                ("job", Value::U(job)),
-                                ("client", Value::U(state.client)),
-                                ("worker", Value::U(worker)),
-                            ],
-                        );
-                    }
-                }
-            }
-            Message::JobImproved {
-                job, length, order, ..
-            } => {
-                if let Some(state) = self.jobs.get_mut(&job) {
-                    // Relay only strict improvements over the tracked
-                    // best: the per-worker stream is already strictly
-                    // improving, but a reassigned job restarts from its
-                    // checkpoint and may re-announce equal-or-worse
-                    // tours. This filter is what makes the client
-                    // stream monotone decreasing unconditionally.
-                    if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
-                        state.best = Some((length, order.clone()));
-                        let _ = state.subscriber.send(JobUpdate::Improved { length, order });
-                        self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
-                    }
-                }
-            }
-            Message::JobDone {
+            Event::Shutdown => return false,
+            Event::Improved { job, length, order } => self.on_improved(job, length, order),
+            Event::Done {
                 from,
                 job,
                 reason,
                 length,
                 order,
             } => {
-                let stale_worker = match self.jobs.get(&job) {
-                    // A frame from a previous assignee that raced the
-                    // reassignment: keep its tour, ignore its verdict —
-                    // the new worker owns termination now.
-                    Some(state) if state.worker != from => true,
-                    Some(_) => false,
-                    None => return,
-                };
-                let payload = (length < i64::MAX && !order.is_empty()).then_some((length, order));
-                if stale_worker {
-                    if let Some((length, order)) = payload {
-                        self.on_frame(Message::JobImproved {
-                            from,
-                            job,
-                            length,
-                            order,
-                        });
+                let tour = (length < i64::MAX && !order.is_empty()).then_some((length, order));
+                match self.jobs.get(&job) {
+                    Some(state) if state.worker == from => self.finish_job(job, reason, tour),
+                    // A previous assignee that raced the reassignment:
+                    // keep its tour, ignore its verdict — the new
+                    // worker owns termination now.
+                    Some(_) => {
+                        if let Some((length, order)) = tour {
+                            self.on_improved(job, length, order);
+                        }
                     }
-                    return;
+                    None => {}
                 }
-                self.finish_job(job, DoneReason::from_code(reason), payload);
             }
-            // Anything else on the supervisor port (stray tour gossip
-            // from embedded engines is impossible — each job runs a
-            // private 1-node network — but stay total).
-            _ => {}
+        }
+        true
+    }
+
+    fn admit(&mut self, client: u64, spec: JobSpec) -> Result<(u64, Receiver<JobUpdate>), String> {
+        self.obs.counter(kinds::C_SVC_SUBMITTED).incr();
+        let reject = |obs: &Obs, why: u64| {
+            obs.counter(kinds::C_SVC_REJECTED).incr();
+            obs.event(
+                kinds::SVC_REJECT,
+                &[("client", Value::U(client)), ("why", Value::U(why))],
+            );
+        };
+        // Validate before charging: a malformed payload is not the
+        // tenant's budget's problem.
+        let inst = match spec.payload.parse() {
+            Ok(inst) => Arc::new(inst),
+            Err(e) => {
+                reject(&self.obs, 0);
+                return Err(format!("bad payload: {e}"));
+            }
+        };
+        // Charge before any effect (the flow-budget discipline).
+        if !self.ledger.charge(client, JOB_COST) {
+            reject(&self.obs, 1);
+            return Err(format!(
+                "flow budget exhausted for client {client} (limit {})",
+                self.ledger.get(client).limit
+            ));
+        }
+        // A deadline past the end of the clock is no deadline.
+        let deadline = spec.deadline.and_then(|d| Instant::now().checked_add(d));
+        let unbounded_job = spec.kicks.is_none() && deadline.is_none() && spec.target.is_none();
+        let seq = self.seqs.entry(client).or_insert(0);
+        let job = job_id(client, *seq);
+        *seq += 1;
+        let mut engine = self.engine.clone();
+        engine.nodes = 1;
+        engine.seed = spec.seed;
+        engine.budget = Budget {
+            // Each placement sets what is left to the deadline.
+            time_limit: None,
+            max_kicks: if unbounded_job {
+                Some(DEFAULT_KICKS)
+            } else {
+                spec.kicks
+            },
+            target_length: spec.target,
+        };
+        // Telemetry shipping would address frames to a hub peer that
+        // does not exist on the job's private network.
+        engine.telemetry_every = 0;
+        let (tx, rx) = unbounded();
+        let state = JobState {
+            engine,
+            inst,
+            deadline,
+            nudged: false,
+            worker: 0,
+            cancel: Arc::default(),
+            best: None,
+            subscriber: tx,
+        };
+        self.jobs.insert(job, state);
+        let worker = match self.dispatch(job) {
+            Ok(worker) => worker,
+            Err(e) => {
+                self.jobs.remove(&job);
+                self.obs.counter(kinds::C_SVC_REJECTED).incr();
+                return Err(e);
+            }
+        };
+        self.obs.counter(kinds::C_SVC_ACCEPTED).incr();
+        // Sent before the next event is read, so `Accepted` precedes
+        // every `Improved` of the job by construction.
+        let _ = self.jobs[&job]
+            .subscriber
+            .send(JobUpdate::Accepted { worker });
+        self.obs.event(
+            kinds::SVC_ACCEPT,
+            &[
+                ("job", Value::U(job)),
+                ("client", Value::U(client)),
+                ("worker", Value::U(worker as u64)),
+            ],
+        );
+        Ok((job, rx))
+    }
+
+    /// Place a job (fresh or orphaned) on the least-loaded live worker
+    /// (ties to the lowest id) and start its solve thread there, from
+    /// the last streamed best if there is one. Returns the worker.
+    fn dispatch(&mut self, job: u64) -> Result<NodeId, String> {
+        let Some(&worker) = self
+            .alive
+            .iter()
+            .min_by_key(|&&w| (self.load.get(&w).copied().unwrap_or(0), w))
+        else {
+            return Err("no live workers".into());
+        };
+        let state = self.jobs.get_mut(&job).expect("dispatching unknown job");
+        let mut engine = state.engine.clone();
+        engine.budget.time_limit = state
+            .deadline
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        let checkpoint = state.best.as_ref().map(|(length, order)| {
+            p2p::codec::encode(&Message::TourFound {
+                from: 0,
+                id: 0,
+                length: *length,
+                order: order.clone(),
+            })
+            .to_vec()
+        });
+        let inst = Arc::clone(&state.inst);
+        let cancel = Arc::new(CancelSlot::default());
+        let (stop, reports) = (Arc::clone(&cancel), self.reports.clone());
+        // The OS may refuse a thread: that fails this placement, not
+        // the supervisor.
+        std::thread::Builder::new()
+            .name(format!("svc-job-{job:x}"))
+            .spawn(move || solve_job(worker, job, &inst, &engine, checkpoint, &stop, &reports))
+            .map_err(|e| format!("cannot start a solve thread: {e}"))?;
+        state.worker = worker;
+        state.cancel = cancel;
+        *self.load.entry(worker).or_insert(0) += 1;
+        Ok(worker)
+    }
+
+    /// Relay only strict improvements over the tracked best: one solve
+    /// thread's reports are already strictly improving, but a
+    /// reassigned job restarts from its checkpoint and may re-announce
+    /// equal-or-worse tours. This filter is what makes the client
+    /// stream monotone decreasing unconditionally.
+    fn on_improved(&mut self, job: u64, length: i64, order: Vec<u32>) {
+        let Some(state) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
+            state.best = Some((length, order.clone()));
+            let _ = state.subscriber.send(JobUpdate::Improved { length, order });
+            self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
         }
     }
 
     /// Terminal transition: emit `Done` carrying the best tour seen
-    /// from any assignee, drop the job, release the worker-load slot.
+    /// from any assignee, drop the job, stop its solve thread if that
+    /// is still running, release the worker-load slot.
     fn finish_job(&mut self, job: u64, reason: DoneReason, last: Option<(i64, Vec<u32>)>) {
         let Some(mut state) = self.jobs.remove(&job) else {
             return;
         };
+        state.cancel.set(reason);
         if let Some((length, order)) = last {
             if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
                 state.best = Some((length, order));
@@ -890,7 +926,7 @@ impl Supervisor {
         if let Some(load) = self.load.get_mut(&state.worker) {
             *load = load.saturating_sub(1);
         }
-        let (length, order) = state.best.clone().unwrap_or((i64::MAX, Vec::new()));
+        let (length, order) = state.best.unwrap_or((i64::MAX, Vec::new()));
         // Book-keep *before* waking the subscriber: a client that sees
         // the terminal update (possibly across a TCP hop) must also see
         // the completion counters it implies.
@@ -915,9 +951,9 @@ impl Supervisor {
         });
     }
 
-    /// A worker died: reassign every job it carried to survivors,
-    /// restoring each from the last tour the supervisor streamed (the
-    /// checkpoint/restore path — zero accepted-job loss).
+    /// A worker died: its solve threads stop, and every job it carried
+    /// restarts on a survivor from the last tour the supervisor
+    /// streamed (the checkpoint/restore path — zero accepted-job loss).
     fn on_worker_dead(&mut self, worker: NodeId) {
         self.alive.retain(|&w| w != worker);
         self.load.remove(&worker);
@@ -929,30 +965,12 @@ impl Supervisor {
             .collect();
         for job in orphans {
             let state = &self.jobs[&job];
-            if state
-                .deadline
-                .is_some_and(|d| Instant::now() >= d)
-            {
+            state.cancel.set(DoneReason::Cancelled);
+            if state.deadline.is_some_and(|d| Instant::now() >= d) {
                 // Past deadline already: expire cleanly rather than
                 // burn a survivor on it.
                 self.finish_job(job, DoneReason::Deadline, None);
-                continue;
-            }
-            let checkpoint = state
-                .best
-                .as_ref()
-                .map(|(length, order)| {
-                    p2p::codec::encode(&Message::TourFound {
-                        from: 0,
-                        id: 0,
-                        length: *length,
-                        order: order.clone(),
-                    })
-                    .to_vec()
-                })
-                .unwrap_or_default();
-            if self.dispatch(job, checkpoint) {
-                let to = self.jobs[&job].worker;
+            } else if let Ok(to) = self.dispatch(job) {
                 self.obs.counter(kinds::C_SVC_REASSIGNED).incr();
                 self.obs.event(
                     kinds::SVC_REASSIGN,
@@ -968,111 +986,31 @@ impl Supervisor {
         }
     }
 
-    /// Deadline enforcement: at expiry, nudge the worker with a cancel
-    /// (its own time budget normally fires first); `deadline_grace`
-    /// later, force-finish from the supervisor — the guarantee that
-    /// every job terminates even if its worker is wedged or dead.
+    /// Deadline enforcement: at expiry, tell the solve thread (its own
+    /// time budget normally fires first); [`DEADLINE_GRACE`] later,
+    /// force-finish from the supervisor — the guarantee that every job
+    /// terminates even if its thread is wedged.
     fn check_deadlines(&mut self) {
         let now = Instant::now();
         let mut expired = Vec::new();
         for (&job, state) in self.jobs.iter_mut() {
-            let Some(deadline) = state.deadline else {
+            let Some(deadline) = state.deadline.filter(|&d| now >= d) else {
                 continue;
             };
-            if now >= deadline + self.cfg.deadline_grace {
+            if !state.nudged {
+                state.nudged = true;
+                state.cancel.set(DoneReason::Deadline);
+            }
+            if deadline
+                .checked_add(DEADLINE_GRACE)
+                .is_some_and(|g| now >= g)
+            {
                 expired.push(job);
-            } else if now >= deadline && !state.expiry_sent {
-                state.expiry_sent = true;
-                let _ = self.ep.send(
-                    state.worker,
-                    Message::JobCancel {
-                        from: 0,
-                        job,
-                        reason: DoneReason::Deadline.code(),
-                    },
-                );
             }
         }
         for job in expired {
             self.finish_job(job, DoneReason::Deadline, None);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker internals
-// ---------------------------------------------------------------------------
-
-/// Cross-thread cancel slot: 0 = not cancelled, else `reason + 1`.
-#[derive(Default)]
-struct CancelSlot(AtomicU8);
-
-impl CancelSlot {
-    fn set(&self, reason: DoneReason) {
-        self.0.store(reason.code() + 1, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> Option<DoneReason> {
-        match self.0.load(Ordering::Relaxed) {
-            0 => None,
-            c => Some(DoneReason::from_code(c - 1)),
-        }
-    }
-}
-
-fn worker_loop(mut ep: MemoryEndpoint, cfg: ServiceConfig, stop: Arc<AtomicBool>) {
-    let id = ep.node_id();
-    let (tx, rx) = unbounded::<Message>();
-    let mut cancels: HashMap<u64, Arc<CancelSlot>> = HashMap::new();
-    while !stop.load(Ordering::Relaxed) {
-        for msg in ep.drain() {
-            match msg {
-                submit @ Message::JobSubmit { .. } => {
-                    let (Message::JobSubmit { job, .. }, Ok((_, spec, checkpoint))) =
-                        (&submit, JobSpec::from_submit(&submit))
-                    else {
-                        continue;
-                    };
-                    let job = *job;
-                    let cancel = Arc::new(CancelSlot::default());
-                    cancels.insert(job, Arc::clone(&cancel));
-                    let _ = ep.send(
-                        0,
-                        Message::JobAccept {
-                            from: id,
-                            job,
-                            worker: id as u64,
-                        },
-                    );
-                    let tx = tx.clone();
-                    let engine = cfg.engine.clone();
-                    std::thread::spawn(move || {
-                        solve_job(id, job, spec, checkpoint, engine, cancel, tx)
-                    });
-                }
-                Message::JobCancel { job, reason, .. } => {
-                    if let Some(slot) = cancels.get(&job) {
-                        slot.set(DoneReason::from_code(reason));
-                    }
-                }
-                _ => {}
-            }
-        }
-        while let Ok(msg) = rx.try_recv() {
-            if let Message::JobDone { job, .. } = &msg {
-                cancels.remove(job);
-            }
-            if ep.send(0, msg).is_err() {
-                // Supervisor gone: the service is shutting down.
-                return;
-            }
-        }
-        std::thread::sleep(cfg.tick);
-    }
-    // Killed: stop this worker's solve threads too (their results
-    // would be discarded anyway — the channel receiver dies with us).
-    for slot in cancels.values() {
-        slot.set(DoneReason::Cancelled);
     }
 }
 
@@ -1084,61 +1022,32 @@ fn worker_loop(mut ep: MemoryEndpoint, cfg: ServiceConfig, stop: Arc<AtomicBool>
 fn solve_job(
     worker: NodeId,
     job: u64,
-    spec: JobSpec,
-    checkpoint: Vec<u8>,
-    mut engine: DistConfig,
-    cancel: Arc<CancelSlot>,
-    tx: Sender<Message>,
+    inst: &Instance,
+    engine: &DistConfig,
+    checkpoint: Option<Vec<u8>>,
+    cancel: &CancelSlot,
+    reports: &Sender<Event>,
 ) {
-    let done = |reason: DoneReason, length: i64, order: Vec<u32>| Message::JobDone {
-        from: worker,
-        job,
-        reason: reason.code(),
-        length,
-        order,
-    };
-    let Ok(inst) = spec.payload.parse() else {
-        // Admission validated the payload; only a corrupted reassignment
-        // frame can land here.
-        let _ = tx.send(done(DoneReason::Cancelled, i64::MAX, Vec::new()));
-        return;
-    };
-    engine.nodes = 1;
-    engine.seed = spec.seed;
-    engine.budget = Budget {
-        time_limit: spec.deadline,
-        max_kicks: spec.kicks,
-        target_length: spec.target,
-    };
-    // Telemetry shipping would address frames to a hub peer that does
-    // not exist on the private network.
-    engine.telemetry_every = 0;
-    let neighbors = crate::build_neighbors(&inst, &engine);
+    let neighbors = crate::build_neighbors(inst, engine);
     let (mut eps, _) = InMemoryNetwork::build(1, engine.topology);
-    let mut node = NodeDriver::new(&inst, &neighbors, &engine, eps.remove(0));
-    if !checkpoint.is_empty() {
+    let mut node = NodeDriver::new(inst, &neighbors, engine, eps.remove(0));
+    if let Some(checkpoint) = checkpoint {
         node.restore(&checkpoint);
     }
     // Stream the construction-time tour immediately: anytime semantics
     // start at acceptance, not at the first kick.
     let mut last = i64::MAX;
-    let ship = |node: &NodeDriver<MemoryEndpoint>, last: &mut i64| {
-        if node.best_length() < *last {
-            *last = node.best_length();
-            let blob = node.checkpoint();
-            if let Ok(Message::TourFound { length, order, .. }) =
-                p2p::codec::read_frame(&mut blob.as_slice())
-            {
-                let _ = tx.send(Message::JobImproved {
-                    from: worker,
-                    job,
-                    length,
-                    order,
-                });
-            }
+    let mut ship = |node: &NodeDriver<_>| {
+        if node.best_length() < last {
+            last = node.best_length();
+            let _ = reports.send(Event::Improved {
+                job,
+                length: last,
+                order: node.best_tour().order().to_vec(),
+            });
         }
     };
-    ship(&node, &mut last);
+    ship(&node);
     let cancelled = loop {
         if let Some(reason) = cancel.get() {
             break Some(reason);
@@ -1146,91 +1055,74 @@ fn solve_job(
         if !node.step() {
             break None;
         }
-        ship(&node, &mut last);
+        ship(&node);
     };
     let result = node.finish();
     // Attribute a natural stop to whichever bound actually tripped:
     // target beats kicks beats deadline when several are set (the
     // engine's own clock includes construction time, so the deadline
     // verdict falls out by elimination rather than re-measuring).
+    let budget = &engine.budget;
     let reason = cancelled.unwrap_or_else(|| {
-        if spec.target.is_some_and(|t| result.best_length <= t) {
+        if budget
+            .target_length
+            .is_some_and(|t| result.best_length <= t)
+        {
             DoneReason::Target
-        } else if spec.kicks.is_some_and(|k| result.clk_calls >= k) {
+        } else if budget.max_kicks.is_some_and(|k| result.clk_calls >= k) {
             DoneReason::Budget
-        } else if spec.deadline.is_some() {
+        } else if budget.time_limit.is_some() {
             DoneReason::Deadline
         } else {
             DoneReason::Budget
         }
     });
-    let _ = tx.send(done(
+    let _ = reports.send(Event::Done {
+        from: worker,
+        job,
         reason,
-        result.best_length,
-        result.best_tour.order().to_vec(),
-    ));
+        length: result.best_length,
+        order: result.best_tour.order().to_vec(),
+    });
 }
 
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
 
-/// A persistent, multi-tenant solve service: one supervisor thread plus
-/// [`ServiceConfig::workers`] worker threads over an internal star
-/// network, accepting jobs until [`SolverService::shutdown`] (or drop).
+/// A persistent, multi-tenant solve service: one supervisor thread,
+/// plus one solve thread per running job, accepting jobs until
+/// [`SolverService::shutdown`] (or drop).
 pub struct SolverService {
-    commands: Sender<Command>,
-    net: InMemoryNetwork,
-    stops: Vec<Arc<AtomicBool>>,
-    threads: Vec<JoinHandle<()>>,
+    events: Sender<Event>,
+    supervisor: Option<JoinHandle<()>>,
     obs: Obs,
 }
 
 impl SolverService {
-    /// Bring up the cluster and start accepting jobs.
+    /// Start accepting jobs.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "a service needs at least one worker");
         let obs = Obs::for_node(0);
-        let (net, mut endpoints) = InMemoryNetwork::create(cfg.workers + 1, Topology::Star);
-        let (cmd_tx, cmd_rx) = unbounded();
-        let mut threads = Vec::new();
-        let mut stops = Vec::new();
-        // Drain endpoints back-to-front so worker ids match indices.
-        let mut workers: Vec<MemoryEndpoint> = endpoints.split_off(1);
-        let supervisor_ep = endpoints.remove(0);
+        let (events_tx, events_rx) = unbounded();
         let supervisor = Supervisor {
-            ep: supervisor_ep,
-            commands: cmd_rx,
+            events: events_rx,
+            reports: events_tx.clone(),
             alive: (1..=cfg.workers as NodeId).collect(),
             load: HashMap::new(),
             ledger: FlowLedger::new(cfg.default_limit),
             jobs: HashMap::new(),
             seqs: HashMap::new(),
             obs: obs.clone(),
-            cfg: cfg.clone(),
+            engine: cfg.engine,
         };
-        threads.push(
-            std::thread::Builder::new()
-                .name("svc-supervisor".into())
-                .spawn(move || supervisor.run())
-                .expect("spawn supervisor"),
-        );
-        for ep in workers.drain(..) {
-            let stop = Arc::new(AtomicBool::new(false));
-            stops.push(Arc::clone(&stop));
-            let cfg = cfg.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("svc-worker-{}", ep.node_id()))
-                    .spawn(move || worker_loop(ep, cfg, stop))
-                    .expect("spawn worker"),
-            );
-        }
+        let supervisor = std::thread::Builder::new()
+            .name("svc-supervisor".into())
+            .spawn(move || supervisor.run())
+            .expect("spawn supervisor");
         SolverService {
-            commands: cmd_tx,
-            net,
-            stops,
-            threads,
+            events: events_tx,
+            supervisor: Some(supervisor),
             obs,
         }
     }
@@ -1240,8 +1132,8 @@ impl SolverService {
     /// the returned handle.
     pub fn submit(&self, client: u64, spec: JobSpec) -> Result<JobHandle, String> {
         let (reply_tx, reply_rx) = bounded(1);
-        self.commands
-            .send(Command::Submit {
+        self.events
+            .send(Event::Submit {
                 client,
                 spec,
                 reply: reply_tx,
@@ -1255,28 +1147,21 @@ impl SolverService {
 
     /// Cancel a job (client-initiated, reason code 3).
     pub fn cancel(&self, job: u64) {
-        let _ = self.commands.send(Command::Cancel {
-            job,
-            reason: DoneReason::Cancelled,
-        });
+        let _ = self.events.send(Event::Cancel { job });
     }
 
-    /// Crash worker `worker` (1-based node id): its endpoint is
-    /// unregistered, its loop stops, and the supervisor reassigns every
-    /// job it carried from the last streamed checkpoints.
+    /// Crash worker `worker` (1-based node id): it takes no more jobs,
+    /// its solve threads stop, and the supervisor restarts every job it
+    /// carried from the last streamed checkpoints.
     pub fn kill_worker(&self, worker: NodeId) {
-        assert!(worker >= 1, "node 0 is the supervisor");
-        self.net.kill(worker);
-        if let Some(stop) = self.stops.get(worker - 1) {
-            stop.store(true, Ordering::Relaxed);
-        }
-        let _ = self.commands.send(Command::WorkerDead { worker });
+        assert!(worker >= 1, "worker ids start at 1");
+        let _ = self.events.send(Event::WorkerDead { worker });
     }
 
     /// Snapshot the fairness ledger (for replication / inspection).
     pub fn ledger(&self) -> FlowLedger {
         let (tx, rx) = bounded(1);
-        if self.commands.send(Command::Ledger { reply: tx }).is_err() {
+        if self.events.send(Event::Ledger { reply: tx }).is_err() {
             return FlowLedger::new(0);
         }
         rx.recv().unwrap_or_else(|_| FlowLedger::new(0))
@@ -1286,7 +1171,7 @@ impl SolverService {
     /// new holder joins the old holder's last ledger so tenants keep
     /// their `spent`).
     pub fn merge_ledger(&self, other: FlowLedger) {
-        let _ = self.commands.send(Command::MergeLedger { other });
+        let _ = self.events.send(Event::MergeLedger { other });
     }
 
     /// The service's observability handle (`svc.*` counters/events).
@@ -1295,18 +1180,16 @@ impl SolverService {
     }
 
     /// Stop accepting jobs, finish terminal updates for anything in
-    /// flight, and join all service threads.
+    /// flight (their solve threads are told to stop), and join the
+    /// supervisor.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        let _ = self.commands.send(Command::Shutdown);
-        for stop in &self.stops {
-            stop.store(true, Ordering::Relaxed);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        let _ = self.events.send(Event::Shutdown);
+        if let Some(supervisor) = self.supervisor.take() {
+            let _ = supervisor.join();
         }
     }
 }
@@ -1535,6 +1418,31 @@ mod tests {
         ] {
             assert_eq!(DoneReason::from_code(reason.code()), reason);
         }
+    }
+
+    #[test]
+    fn next_wake_is_the_earliest_pending_deadline_action() {
+        let t = Instant::now();
+        let (soon, later) = (t + Duration::from_secs(1), t + Duration::from_secs(5));
+        // No job, or none with a deadline: block until an event.
+        assert_eq!(next_wake([].into_iter()), None);
+        assert_eq!(next_wake([(None, false)].into_iter()), None);
+        // Before expiry: the deadline itself.
+        assert_eq!(next_wake([(Some(soon), false)].into_iter()), Some(soon));
+        // Once the solve thread was told: the force-finish time.
+        assert_eq!(
+            next_wake([(Some(soon), true)].into_iter()),
+            Some(soon + DEADLINE_GRACE)
+        );
+        // The earliest job wins, whichever kind of wake it needs.
+        assert_eq!(
+            next_wake([(Some(later), false), (None, false), (Some(soon), true)].into_iter()),
+            Some(soon + DEADLINE_GRACE)
+        );
+        assert_eq!(
+            next_wake([(Some(later), true), (Some(soon), false)].into_iter()),
+            Some(soon)
+        );
     }
 
     #[test]

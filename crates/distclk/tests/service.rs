@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use distclk::{
     build_neighbors, hard_suite, points_to_json, run_over_transports, DistConfig, DoneReason,
-    EvolveConfig, JobPayload, JobSpec, ServiceConfig, ServiceJobHandler, SolverService,
+    EvolveConfig, JobPayload, JobSpec, JobUpdate, ServiceConfig, ServiceJobHandler, SolverService,
 };
 use lk::Budget;
 use obs_api::kinds;
@@ -339,7 +339,6 @@ fn ledger_survives_holder_merge() {
         workers: 1,
         engine: engine_template(),
         default_limit: 2,
-        ..Default::default()
     });
     let payload = json_payload_of(&inst);
     svc.submit(7, JobSpec::new(payload.clone()).kicks(1))
@@ -353,7 +352,6 @@ fn ledger_survives_holder_merge() {
         workers: 1,
         engine: engine_template(),
         default_limit: 2,
-        ..Default::default()
     });
     svc2.merge_ledger(ledger);
     svc2.submit(7, JobSpec::new(payload.clone()).kicks(1))
@@ -365,4 +363,136 @@ fn ledger_survives_holder_merge() {
     assert!(err.contains("flow budget exhausted"), "{err}");
     svc.shutdown();
     svc2.shutdown();
+}
+
+/// Block until the job has streamed at least one tour, returning the
+/// last length seen so far.
+fn first_improvement(handle: &distclk::JobHandle) -> i64 {
+    loop {
+        match handle.recv().expect("stream closed before any tour") {
+            JobUpdate::Improved { length, .. } => return length,
+            JobUpdate::Accepted { .. } => {}
+            done => panic!("job ended before it could be interrupted: {done:?}"),
+        }
+    }
+}
+
+/// Drain a stream to its end; `(reason, final length, last streamed
+/// length)`. The stream must end in exactly one `Done`.
+fn drain(handle: distclk::JobHandle, mut last: i64) -> (DoneReason, i64, i64) {
+    let mut done = None;
+    while let Some(update) = handle.recv() {
+        assert!(done.is_none(), "update after Done: {update:?}");
+        match update {
+            JobUpdate::Improved { length, .. } => last = length,
+            JobUpdate::Done {
+                reason,
+                length,
+                order,
+            } => {
+                assert!(!order.is_empty());
+                done = Some((reason, length));
+            }
+            JobUpdate::Accepted { .. } => panic!("second Accepted"),
+        }
+    }
+    let (reason, length) = done.expect("stream closed without Done");
+    (reason, length, last)
+}
+
+/// A deadline no clock can represent is no deadline: it must not kill
+/// the supervisor (`Instant + Duration::MAX` overflows), the job ends
+/// on its other bound, and the service keeps admitting.
+#[test]
+fn unrepresentable_deadline_is_no_deadline() {
+    let payload = json_payload_of(&generate::uniform(30, 10_000.0, 914));
+    let svc = SolverService::start(ServiceConfig {
+        workers: 1,
+        engine: engine_template(),
+        ..Default::default()
+    });
+    let (reason, length, _, _) = svc
+        .submit(
+            1,
+            JobSpec::new(payload.clone())
+                .deadline(Duration::MAX)
+                .kicks(1),
+        )
+        .expect("admission")
+        .wait()
+        .expect("terminal update");
+    assert_eq!(reason, DoneReason::Budget);
+    assert!(length < i64::MAX);
+    // With no other bound the default kick cap applies, as for any
+    // unbounded submission.
+    let (reason, ..) = svc
+        .submit(1, JobSpec::new(payload).deadline(Duration::MAX))
+        .expect("the supervisor survived the first job")
+        .wait()
+        .expect("terminal update");
+    assert_eq!(reason, DoneReason::Budget);
+    svc.shutdown();
+}
+
+/// Shutting down under a running job ends its stream with
+/// `Done(Cancelled)` carrying the last streamed tour, promptly — not
+/// at the job's 10 s deadline.
+#[test]
+fn shutdown_cancels_live_jobs_with_their_best_tour() {
+    let payload = json_payload_of(&generate::uniform(48, 10_000.0, 915));
+    let svc = SolverService::start(ServiceConfig {
+        workers: 2,
+        engine: engine_template(),
+        ..Default::default()
+    });
+    let handle = svc
+        .submit(1, JobSpec::new(payload).deadline(Duration::from_secs(10)))
+        .expect("admission");
+    let seen = first_improvement(&handle);
+    let obs = svc.obs().clone();
+    let stopping = std::time::Instant::now();
+    svc.shutdown();
+    let (reason, length, last) = drain(handle, seen);
+    assert!(
+        stopping.elapsed() < Duration::from_secs(1),
+        "shutdown waited for the job"
+    );
+    assert_eq!(reason, DoneReason::Cancelled);
+    assert_eq!(length, last, "Done must carry the last streamed tour");
+    assert_eq!(obs.snapshot().counter(kinds::C_SVC_CANCELLED), 1);
+}
+
+/// Killing the last worker leaves nowhere to reassign to: its jobs
+/// finish `Cancelled` with the best tour streamed so far, and later
+/// submissions are refused.
+#[test]
+fn killing_the_last_worker_cancels_its_jobs_and_refuses_new_ones() {
+    let payload = json_payload_of(&generate::uniform(48, 10_000.0, 916));
+    let svc = SolverService::start(ServiceConfig {
+        workers: 1,
+        engine: engine_template(),
+        ..Default::default()
+    });
+    let handle = svc
+        .submit(
+            1,
+            JobSpec::new(payload.clone()).deadline(Duration::from_secs(10)),
+        )
+        .expect("admission");
+    let seen = first_improvement(&handle);
+    svc.kill_worker(1);
+    let (reason, length, last) = drain(handle, seen);
+    assert_eq!(reason, DoneReason::Cancelled);
+    assert_eq!(length, last, "Done must carry the last streamed tour");
+    let err = svc
+        .submit(1, JobSpec::new(payload).kicks(1))
+        .expect_err("no worker left to place a job on");
+    assert!(err.contains("no live workers"), "{err}");
+    let snapshot = svc.obs().snapshot();
+    assert_eq!(snapshot.counter(kinds::C_SVC_REASSIGNED), 0);
+    assert_eq!(
+        snapshot.counter(kinds::C_SVC_COMPLETED),
+        snapshot.counter(kinds::C_SVC_ACCEPTED)
+    );
+    svc.shutdown();
 }
