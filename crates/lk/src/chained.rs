@@ -26,7 +26,7 @@ use crate::construct::{construct, Construction};
 use crate::kick::{kick, KickStrategy};
 use crate::lin_kernighan::{lk_pass, lin_kernighan, LinKernighan, LkConfig};
 use crate::or_opt::or_opt_pass;
-use crate::search::Optimizer;
+use crate::search::{two_opt_by_edges, Optimizer};
 
 /// Configuration of a Chained LK run.
 #[derive(Debug, Clone)]
@@ -49,11 +49,16 @@ pub struct ChainedLkConfig {
     /// neighborhood; off in plain linkern, on by default here).
     pub use_or_opt: bool,
     /// Instance size at which [`ClkEngine::auto`] switches from the
-    /// array tour to the two-level list. Below the threshold the array's
-    /// cache-friendly O(n) flips win; above it the two-level √n flips
-    /// do. The default is the crossover measured with `bench perf`
-    /// (seed 4242 uniform sweep; see EXPERIMENTS.md): break-even near
-    /// 20k cities, two-level clearly ahead from 50k.
+    /// array tour to the two-level list. Array flips are O(n) but
+    /// cache-friendly, two-level flips O(√n). The default dates from the
+    /// engine that flipped every tentative LK step (break-even near 20k
+    /// cities then). Now that only committed chains flip there is no
+    /// clean crossover: the array runs the first pass 10–35 % faster up
+    /// to 200k cities, the two-level list has the cheaper kick-step tail
+    /// (p90 1.3–1.5× lower) from 50k — EXPERIMENTS.md, "Array vs
+    /// two-level after the virtual-path search". Moving the constant is
+    /// ROADMAP item 1's open decision, deliberately not taken with the
+    /// engine change.
     pub tl_threshold: usize,
     /// Speculative kick workers per chained iteration. `1` (the
     /// default) keeps the serial chain bit-identical to the historical
@@ -143,6 +148,56 @@ pub struct ChainedLk<'a> {
     /// parallel step) — lets the budget loops charge parallel steps for
     /// the work they actually did.
     kicks_spent: u64,
+    /// The flips of the serial chained iteration in progress (see
+    /// [`Journaled`]); kept here so a step allocates nothing.
+    journal: Vec<[u32; 4]>,
+}
+
+/// A tour that forwards every query and logs every flip on its way
+/// through: `flip(b, c)` is recorded as `[prev(b), b, c, next(c)]`, the
+/// two edges it removes. Replaying the log backwards as the 2-opt moves
+/// that remove `(a, c)` and `(b, d)` — the edges each flip added —
+/// restores the tour: each replayed move reverses the same cities its
+/// flip did (ties included), so the array gets its positions back and
+/// the two-level list its directed cycle.
+struct Journaled<'t, T> {
+    tour: &'t mut T,
+    log: &'t mut Vec<[u32; 4]>,
+}
+
+impl<T: TourOps> TourOps for Journaled<'_, T> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.tour.len()
+    }
+
+    #[inline(always)]
+    fn next(&self, c: usize) -> usize {
+        self.tour.next(c)
+    }
+
+    #[inline(always)]
+    fn prev(&self, c: usize) -> usize {
+        self.tour.prev(c)
+    }
+
+    #[inline(always)]
+    fn between(&self, a: usize, b: usize, c: usize) -> bool {
+        self.tour.between(a, b, c)
+    }
+
+    #[inline(always)]
+    fn index(&self, c: usize) -> usize {
+        self.tour.index(c)
+    }
+
+    #[inline]
+    fn flip(&mut self, b: usize, c: usize) {
+        let (a, d) = (self.tour.prev(b), self.tour.next(c));
+        self.log.push([a as u32, b as u32, c as u32, d as u32]);
+        TourOps::flip(self.tour, b, c);
+    }
+
 }
 
 /// One speculative kick worker's reusable search state (don't-look
@@ -162,6 +217,10 @@ struct Probes {
     h_call_gain: Histogram,
     /// Chained-iteration duration (ns).
     h_step_ns: Histogram,
+    /// Flips a serial chained iteration applied to the tour (kick plus
+    /// committed LK and Or-opt moves; the undo of a rejected kick
+    /// replays as many again).
+    h_step_flips: Histogram,
     /// Initial-tour construction duration (ns).
     h_construct_ns: Histogram,
     /// Kicks attempted / kicks whose result was kept.
@@ -182,6 +241,7 @@ impl Probes {
             h_call_ns: obs.histogram("clk.call.ns"),
             h_call_gain: obs.histogram("clk.call.gain"),
             h_step_ns: obs.histogram("clk.step.ns"),
+            h_step_flips: obs.histogram("clk.step.flips"),
             h_construct_ns: obs.histogram("clk.construct.ns"),
             c_kicks: obs.counter("clk.kicks"),
             c_accepts: obs.counter("clk.accepts"),
@@ -250,6 +310,7 @@ impl<'a> ChainedLk<'a> {
             probes,
             workers,
             kicks_spent: 0,
+            journal: Vec::new(),
         }
     }
 
@@ -326,32 +387,45 @@ impl<'a> ChainedLk<'a> {
     /// the kick budget for every attempt it made.
     ///
     /// Length bookkeeping is exact-delta (`kick.delta` minus the
-    /// optimization gain); the tour is never re-measured, so a chained
-    /// iteration costs only the local search plus an O(n) order
-    /// snapshot for the revert path.
+    /// optimization gain) and a rejected kick is undone by replaying the
+    /// step's flip journal backwards, so a chained iteration costs only
+    /// the local search: nothing in it walks, copies or rebuilds the
+    /// tour.
     pub fn chain_step<R: TourRep + Send + Sync>(&mut self, tour: &mut R, current_len: i64) -> i64 {
         if self.cfg.kick_workers > 1 {
             return self.chain_step_parallel(tour, current_len);
         }
         self.kicks_spent += 1;
         let t = self.obs.timer();
-        let saved = tour.to_order();
-        let k = match kick(self.cfg.kick, self.inst, tour, self.neighbors, &mut self.rng) {
-            Some(k) => k,
-            None => return current_len,
+        self.journal.clear();
+        let mut logged = Journaled {
+            tour: &mut *tour,
+            log: &mut self.journal,
+        };
+        let Some(k) = kick(self.cfg.kick, self.inst, &mut logged, self.neighbors, &mut self.rng)
+        else {
+            return current_len;
         };
         self.probes.c_kicks.incr();
-        let opt_gain = self.optimize_around(tour, &k.cities);
+        let opt_gain = optimize_around_with(
+            &mut self.opt,
+            &mut self.lk,
+            self.cfg.use_or_opt,
+            &mut logged,
+            &k.cities,
+        );
         let new_len = current_len + k.delta - opt_gain;
         debug_assert_eq!(new_len, tour.tour_length(self.inst));
-        t.observe_into(&self.probes.h_step_ns);
+        self.probes.h_step_flips.observe(self.journal.len() as u64);
         if new_len <= current_len {
             self.probes.c_accepts.incr();
-            new_len
         } else {
-            *tour = R::from_order_slice(&saved);
-            current_len
+            for &[a, b, c, d] in self.journal.iter().rev() {
+                two_opt_by_edges(tour, (a as usize, c as usize), (b as usize, d as usize));
+            }
         }
+        t.observe_into(&self.probes.h_step_ns);
+        new_len.min(current_len)
     }
 
     /// One speculative parallel iteration: every worker clones the
@@ -709,24 +783,97 @@ mod tests {
         assert_eq!(a.tour.order(), b.tour.order());
     }
 
+    /// Full runs of `cfg` on both representations at each `(n, kicks)`
+    /// must be the same run. The even n = 2000 is there for its ties:
+    /// flips whose two sides hold n/2 cities each, which both
+    /// structures must break alike.
+    fn assert_representations_agree(inst_seed: u64, cfg: ChainedLkConfig, sizes: [(usize, u64); 2]) {
+        for (n, kicks) in sizes {
+            let inst = generate::uniform(n, 10_000.0, inst_seed);
+            let nl = NeighborLists::build(&inst, 10);
+            let mut array = ChainedLk::new(&inst, &nl, cfg.clone());
+            let mut twolevel = ChainedLk::new(&inst, &nl, cfg.clone());
+            let a = array.run_rep::<Tour>(&Budget::kicks(kicks));
+            let b = twolevel.run_rep::<TwoLevelList>(&Budget::kicks(kicks));
+            assert_eq!(a.length, b.length, "n={n}");
+            assert_eq!(a.tour.order(), b.tour.order(), "n={n}");
+            assert_eq!(a.kicks, b.kicks, "n={n}");
+        }
+    }
+
     #[test]
     fn representations_agree_on_full_runs() {
         // The same seed must drive the exact same search on both
         // representations: identical kick sequence, identical final
         // tour, identical trace.
-        let inst = generate::uniform(300, 10_000.0, 76);
-        let nl = NeighborLists::build(&inst, 10);
         let cfg = ChainedLkConfig {
             seed: 13,
             ..Default::default()
         };
-        let mut array = ChainedLk::new(&inst, &nl, cfg.clone());
-        let mut twolevel = ChainedLk::new(&inst, &nl, cfg);
-        let a = array.run_rep::<Tour>(&Budget::kicks(60));
-        let b = twolevel.run_rep::<TwoLevelList>(&Budget::kicks(60));
-        assert_eq!(a.length, b.length);
-        assert_eq!(a.tour.order(), b.tour.order());
-        assert_eq!(a.kicks, b.kicks);
+        assert_representations_agree(76, cfg, [(300, 60), (2000, 120)]);
+    }
+
+    /// Snapshot `tour`, run 200 chained iterations, and after every
+    /// rejected kick demand the snapshot back, bit for bit.
+    fn rejected_kicks_restore<R: TourRep + Send + Sync>(snap: impl Fn(&R) -> Vec<u32>) {
+        // Even n: flips with n/2 cities on either side occur, the case
+        // where "undo by the inverse move" and "undo the same cities"
+        // differ.
+        let inst = generate::uniform(200, 10_000.0, 85);
+        let nl = NeighborLists::build(&inst, 10);
+        let cfg = ChainedLkConfig {
+            seed: 29,
+            ..Default::default()
+        };
+        let mut clk = ChainedLk::new(&inst, &nl, cfg);
+        clk.attach_obs(Obs::for_node(0));
+        let start = clk.construct_tour();
+        let mut tour = R::from_tour(&start);
+        let mut len = start.length(&inst) - clk.optimize(&mut tour);
+        let mut rejected = 0;
+        for step in 0..200 {
+            let before = snap(&tour);
+            let accepts = clk.probes.c_accepts.get();
+            len = clk.chain_step(&mut tour, len);
+            if clk.probes.c_accepts.get() == accepts {
+                rejected += 1;
+                assert_eq!(snap(&tour), before, "{} step {step}", R::NAME);
+            }
+        }
+        assert!(rejected >= 50, "{}: only {rejected} rejected kicks", R::NAME);
+        assert_eq!(tour.tour_length(&inst), len);
+    }
+
+    #[test]
+    fn rejected_kick_is_undone_exactly_on_both_representations() {
+        // The array gets every position back ...
+        rejected_kicks_restore::<Tour>(|t| t.order().to_vec());
+        // ... the two-level list its directed cycle.
+        rejected_kicks_restore::<TwoLevelList>(|t| {
+            let mut cycle = TourOps::to_order(t);
+            cycle.push(t.next(0) as u32);
+            cycle
+        });
+    }
+
+    #[test]
+    fn optimize_around_ignores_cities_activated_behind_its_back() {
+        // A random tour: every city has an improving move.
+        let inst = generate::uniform(120, 10_000.0, 86);
+        let nl = NeighborLists::build(&inst, 8);
+        let mut clk = ChainedLk::new(&inst, &nl, ChainedLkConfig::default());
+        let mut tour = Tour::random(120, &mut SmallRng::seed_from_u64(6));
+        let start = tour.clone();
+        // First call clears the fresh all-active state; nothing seeded,
+        // nothing done, and the context is left all-quiet.
+        assert_eq!(clk.optimize_around(&mut tour, &[]), 0);
+        // Someone else wakes a city up: the next call must not take the
+        // all-quiet shortcut and search from it.
+        clk.opt.activate(5);
+        assert_eq!(clk.optimize_around(&mut tour, &[]), 0);
+        assert_eq!(tour, start);
+        // The move was there to be found.
+        assert!(clk.optimize_around(&mut tour, &[5]) > 0);
     }
 
     #[test]
@@ -756,20 +903,12 @@ mod tests {
         // The adoption rule min(len, worker index) is representation-
         // independent, so both tour structures must produce identical
         // full runs under a worker pool too.
-        let inst = generate::uniform(250, 10_000.0, 82);
-        let nl = NeighborLists::build(&inst, 10);
         let cfg = ChainedLkConfig {
             seed: 23,
             kick_workers: 3,
             ..Default::default()
         };
-        let mut array = ChainedLk::new(&inst, &nl, cfg.clone());
-        let mut twolevel = ChainedLk::new(&inst, &nl, cfg);
-        let a = array.run_rep::<Tour>(&Budget::kicks(45));
-        let b = twolevel.run_rep::<TwoLevelList>(&Budget::kicks(45));
-        assert_eq!(a.length, b.length);
-        assert_eq!(a.tour.order(), b.tour.order());
-        assert_eq!(a.kicks, b.kicks);
+        assert_representations_agree(82, cfg, [(250, 45), (2000, 90)]);
     }
 
     #[test]

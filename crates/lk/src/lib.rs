@@ -9,7 +9,9 @@
 //!   space-filling-curve order.
 //! - [`two_opt`] / [`or_opt`] / [`three_opt`] — classic neighborhood
 //!   searches with candidate lists and don't-look bits.
-//! - [`lin_kernighan`] — the variable-depth LK search.
+//! - [`lin_kernighan`] — the variable-depth LK search, run on a
+//!   [`vpath`] (the open path as runs of the untouched tour) so that
+//!   only committed chains flip the tour.
 //! - [`kick`] — the four double-bridge kicking strategies of §2.1:
 //!   Random, Geometric, Close, Random-walk.
 //! - [`candidates`] — candidate-list construction for the engine:
@@ -43,6 +45,7 @@ pub mod shard;
 pub mod three_opt;
 pub mod tour_merge;
 pub mod two_opt;
+pub mod vpath;
 
 pub use budget::{Budget, Stopwatch, Trace};
 pub use candidates::{build_candidate_lists, CandidateKind};

@@ -9,16 +9,20 @@
 //! and removes the (forced) edge `x_{i+1} = (c, v)` where `v` is `c`'s
 //! path-neighbor on the `last` side; `v` becomes the new endpoint.
 //!
-//! ## Representation trick
+//! ## Searching on a virtual path
 //!
-//! Instead of representing the open path, we always keep the *closed*
-//! tour `path + (last, t1)`. One LK step then equals one 2-opt move:
-//! remove `{(c, v), (last, t1)}`, add `{(last, c), (v, t1)}` — applied
-//! with [`two_opt_by_edges`], which derives orientation from the tour
-//! itself and is therefore immune to the orientation flips of
-//! shorter-side segment reversal. At any depth the current tour is a
-//! *valid* tour, so "closing up" is free, and backtracking is the
-//! inverse 2-opt move.
+//! The search never touches the tour. [`VPath`] holds the open path
+//! `t1 … last` as a list of ≤ depth + 1 runs of the *unmodified* tour;
+//! an LK step `(c, v)` — remove `(c, v)`, add `(last, c)`, new endpoint
+//! `v` — reverses the tail of that list, and backtracking reverses it
+//! back, both in O(depth) and independent of n and of the tour
+//! structure. Closing up is always possible (add `(last, t1)`), so every
+//! depth corresponds to a valid tour whose length the search tracks
+//! exactly.
+//!
+//! Only a chain that *commits* reaches the tour: its steps are replayed,
+//! in order, as the 2-opt moves `remove {(c, v), (last, t1)}` through
+//! [`two_opt_by_edges`]. A failed search has, by type, changed nothing.
 //!
 //! The search keeps the LK positive-gain criterion
 //! `G_i = Σ d(x_j) − Σ d(y_j) > 0`, a tabu list of added/removed edges
@@ -29,6 +33,7 @@
 use tsp_core::TourOps;
 
 use crate::search::{two_opt_by_edges, Optimizer};
+use crate::vpath::VPath;
 
 /// Tuning parameters for the LK search.
 #[derive(Debug, Clone)]
@@ -71,11 +76,11 @@ struct Chain {
     added: Vec<(u32, u32)>,
     /// Edges removed so far, never to be re-added.
     removed: Vec<(u32, u32)>,
-    /// Undo log: the 2-opt step `(c, v, last)` applied at each depth
-    /// (undone by removing the edges it added).
-    undo: Vec<(usize, usize, usize)>,
-    /// Cities touched by the committed chain (for DLB re-activation).
-    touched: Vec<u32>,
+    /// The step `(c, v, last)` taken at each depth of the current chain;
+    /// when the search succeeds, the steps to commit.
+    steps: Vec<(usize, usize, usize)>,
+    /// The open path the chain is being evaluated on.
+    path: VPath,
 }
 
 impl Chain {
@@ -83,16 +88,9 @@ impl Chain {
         Chain {
             added: Vec::with_capacity(64),
             removed: Vec::with_capacity(64),
-            undo: Vec::with_capacity(64),
-            touched: Vec::with_capacity(64),
+            steps: Vec::with_capacity(64),
+            path: VPath::default(),
         }
-    }
-
-    fn reset(&mut self) {
-        self.added.clear();
-        self.removed.clear();
-        self.undo.clear();
-        self.touched.clear();
     }
 }
 
@@ -138,35 +136,47 @@ impl LinKernighan {
     ) -> i64 {
         // Try both tour edges at t1 as the first removed edge.
         for first_side in 0..2 {
-            let last0 = if first_side == 0 { tour.prev(t1) } else { tour.next(t1) };
-            self.chain.reset();
+            self.chain.added.clear();
+            self.chain.removed.clear();
+            self.chain.steps.clear();
+            let last0 = self.chain.path.reset(tour, t1, first_side == 0);
             self.chain.removed.push(norm(t1, last0));
             let g0 = opt.dist(t1, last0);
             let gain = self.step(opt, tour, t1, last0, g0, 0, 1);
             if gain > 0 {
-                // Re-activate everything the chain touched.
-                self.chain.touched.push(t1 as u32);
-                self.chain.touched.push(last0 as u32);
-                for i in 0..self.chain.touched.len() {
-                    opt.activate(self.chain.touched[i] as usize);
+                // Commit: each step is the 2-opt move that closes the
+                // path it produced.
+                for &(c, v, last) in &self.chain.steps {
+                    debug_assert!(!tour.has_edge(last, c));
+                    two_opt_by_edges(tour, (c, v), (last, t1));
+                    debug_assert!(tour.has_edge(last, c) && tour.has_edge(v, t1));
                 }
+                // Re-activate everything the chain touched, deepest
+                // step first.
+                for &(c, v, last) in self.chain.steps.iter().rev() {
+                    opt.activate(c);
+                    opt.activate(v);
+                    opt.activate(last);
+                }
+                opt.activate(t1);
+                opt.activate(last0);
                 return gain;
             }
         }
         0
     }
 
-    /// Recursive LK step. `last` is the path endpoint, `g` the LK gain
-    /// `Σd(x) − Σd(y)` so far (always > 0 on entry), `l_delta` the tour
-    /// length change vs. the original tour (the improvement when
-    /// stopping here is `-l_delta`). Returns the committed improvement
-    /// (> 0, leaving the tour in the improved state) or 0 (tour restored
-    /// to its state at entry).
+    /// Recursive LK step on the virtual path. `last` is the path
+    /// endpoint, `g` the LK gain `Σd(x) − Σd(y)` so far (always > 0 on
+    /// entry), `l_delta` the tour length change vs. the original tour
+    /// (the improvement when stopping here is `-l_delta`). Returns the
+    /// committed improvement (> 0, with `chain.steps` holding the steps
+    /// to apply) or 0 (path and chain restored to their state at entry).
     #[allow(clippy::too_many_arguments)]
     fn step<T: TourOps>(
         &mut self,
-        opt: &mut Optimizer<'_>,
-        tour: &mut T,
+        opt: &Optimizer<'_>,
+        tour: &T,
         t1: usize,
         last: usize,
         g: i64,
@@ -178,9 +188,6 @@ impl LinKernighan {
         let (cands, cdists) = opt.neighbors().of_with_dists(last);
         let breadth = self.cfg.breadth_at(depth);
         let mut tried = 0usize;
-        // `fwd`: does the path run in the tour's forward direction?
-        // (last is one of t1's two tour neighbors; the path leaves t1 on
-        // the other side.)
         let d_last_t1 = opt.dist(last, t1);
 
         for ci in 0..cands.len() {
@@ -196,23 +203,21 @@ impl LinKernighan {
             if d_last_c >= g {
                 break;
             }
-            // Orientation is derived fresh: reverse_segment may have
-            // flipped the array direction at any earlier step.
-            let fwd = tour.prev(t1) == last;
-            debug_assert!(fwd || tour.next(t1) == last);
-            let v = if fwd { tour.next(c) } else { tour.prev(c) };
-            if v == t1 || v == last {
-                continue;
-            }
             let e_add = norm(last, c);
-            let e_rem = norm(c, v);
-            if self.chain.removed.contains(&e_add) || self.chain.added.contains(&e_rem) {
+            if self.chain.removed.contains(&e_add) {
                 continue;
             }
-            // Already a tour edge? Adding (last, c) when it's the (c,v)
-            // edge itself is degenerate (v == last case caught above;
-            // tour adjacency of last and c makes the 2-opt a no-op).
-            if tour.has_edge(last, c) {
+            // The edge to remove: c's path neighbour on the `last` side.
+            let succ = self.chain.path.succ(tour, c);
+            let v = succ.city;
+            // v == last: (last, c) is already a path edge, nothing to
+            // add. (The only other edge at `last` closes the path at
+            // t1, and c != t1.)
+            if v == last {
+                continue;
+            }
+            let e_rem = norm(c, v);
+            if self.chain.added.contains(&e_rem) {
                 continue;
             }
 
@@ -220,36 +225,29 @@ impl LinKernighan {
             let delta = d_last_c + opt.dist(v, t1) - opt.dist(c, v) - d_last_t1;
             let new_l = l_delta + delta;
 
-            // Apply the step.
-            two_opt_by_edges(tour, (c, v), (last, t1));
-            debug_assert!(tour.has_edge(last, c) && tour.has_edge(v, t1));
+            // Take the step: t1 … c v … last becomes t1 … c last … v.
+            self.chain.path.step(c, succ);
             self.chain.added.push(e_add);
             self.chain.removed.push(e_rem);
-            self.chain.undo.push((c, v, last));
+            self.chain.steps.push((c, v, last));
             tried += 1;
 
             // Recurse while the gain criterion holds.
             if new_g > 0 && depth < self.cfg.max_depth {
                 let deeper = self.step(opt, tour, t1, v, new_g, new_l, depth + 1);
                 if deeper > 0 {
-                    self.chain.touched.push(c as u32);
-                    self.chain.touched.push(v as u32);
-                    self.chain.touched.push(last as u32);
                     return deeper;
                 }
             }
             // No deeper commit: accept here if this prefix improves.
             if new_l < 0 {
-                self.chain.touched.push(c as u32);
-                self.chain.touched.push(v as u32);
-                self.chain.touched.push(last as u32);
                 return -new_l;
             }
             // Backtrack: undo this step and forget its tabu entries.
-            two_opt_by_edges(tour, (last, c), (v, t1));
+            self.chain.path.backtrack();
             self.chain.added.pop();
             self.chain.removed.pop();
-            self.chain.undo.pop();
+            self.chain.steps.pop();
         }
         0
     }
@@ -358,6 +356,38 @@ mod tests {
         let gain2 = lin_kernighan(&mut lk, &mut opt, &mut tour);
         assert_eq!(gain2, 0);
         assert_eq!(tour.length(&inst), len);
+    }
+
+    /// A search that finds nothing must not move a single array slot.
+    /// Even n matters: a tentative step whose two sides hold n/2 cities
+    /// each was, when it was still applied to the tour and undone by the
+    /// inverse move, undone on the *other* half — same cycle, reversed
+    /// orientation.
+    #[test]
+    fn failed_search_leaves_the_array_untouched() {
+        // Such a step is a 1-in-n coincidence, hence many small runs
+        // (the apply-and-undo engine failed 7 of these 40).
+        let cases = [12usize, 30, 64, 200]
+            .into_iter()
+            .flat_map(|n| (0..10u64).map(move |seed| (n, seed)));
+        for (n, seed) in cases {
+            let inst = generate::uniform(n, 10_000.0, 47 + seed);
+            let nl = NeighborLists::build(&inst, 8);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut tour = Tour::random(n, &mut rng);
+            let mut opt = Optimizer::new(&inst, &nl);
+            let mut lk = LinKernighan::new(LkConfig::default());
+            lin_kernighan(&mut lk, &mut opt, &mut tour);
+            let mut failed = 0;
+            for t1 in 0..n {
+                let before = tour.clone();
+                if lk.improve_from(&mut opt, &mut tour, t1) == 0 {
+                    failed += 1;
+                    assert_eq!(tour.order(), before.order(), "n={n} seed {seed} anchor {t1}");
+                }
+            }
+            assert!(failed > n / 2, "n={n} seed {seed}: only {failed} failing searches");
+        }
     }
 
     #[test]

@@ -97,6 +97,8 @@ pub struct Optimizer<'a> {
     neighbors: &'a NeighborLists,
     /// Don't-look bits: `true` = city is quiescent.
     dont_look: Vec<bool>,
+    /// Number of cities whose don't-look bit is clear.
+    awake: usize,
     /// FIFO of active cities (those whose neighborhood may contain an
     /// improving move).
     queue: std::collections::VecDeque<u32>,
@@ -111,6 +113,7 @@ impl<'a> Optimizer<'a> {
             inst,
             neighbors,
             dont_look: vec![false; n],
+            awake: n,
             queue: (0..n as u32).collect(),
             in_queue: vec![true; n],
         }
@@ -142,19 +145,27 @@ impl<'a> Optimizer<'a> {
             self.in_queue[c as usize] = true;
             self.dont_look[c as usize] = false;
         }
+        self.awake = self.inst.len();
     }
 
     /// Deactivate every city (used before seeding a targeted queue,
-    /// e.g. after a kick only the kicked cities are active).
+    /// e.g. after a kick only the kicked cities are active). O(1) when
+    /// nothing is active — the state every drained pass leaves behind —
+    /// and a full O(n) clear otherwise.
     pub fn deactivate_all(&mut self) {
+        if self.awake == 0 && self.queue.is_empty() {
+            return;
+        }
         self.queue.clear();
         self.in_queue.iter_mut().for_each(|b| *b = false);
         self.dont_look.iter_mut().for_each(|b| *b = true);
+        self.awake = 0;
     }
 
     /// Mark a city active (idempotent).
     #[inline]
     pub fn activate(&mut self, c: usize) {
+        self.awake += usize::from(self.dont_look[c]);
         self.dont_look[c] = false;
         if !self.in_queue[c] {
             self.in_queue[c] = true;
@@ -178,6 +189,7 @@ impl<'a> Optimizer<'a> {
     /// Set the don't-look bit of `c` (the city found no improving move).
     #[inline]
     pub fn set_dont_look(&mut self, c: usize) {
+        self.awake -= usize::from(!self.dont_look[c]);
         self.dont_look[c] = true;
     }
 
@@ -233,6 +245,46 @@ mod tests {
         assert_eq!(opt.pop_active(), Some(4));
         assert_eq!(opt.pop_active(), Some(1));
         assert_eq!(opt.pop_active(), None);
+    }
+
+    /// `deactivate_all` takes its O(1) exit only from the all-quiet
+    /// state; anything active — queued or merely awake — gets the full
+    /// clear.
+    #[test]
+    fn deactivate_all_full_clear_and_fast_exit() {
+        let inst = generate::uniform(6, 100.0, 3);
+        let nl = NeighborLists::build(&inst, 3);
+        let mut opt = Optimizer::new(&inst, &nl);
+        // Fresh context: everything awake and queued.
+        assert_eq!(opt.awake, 6);
+        opt.deactivate_all();
+        assert_eq!((opt.awake, opt.active_count()), (0, 0));
+        assert!(opt.dont_look.iter().all(|&b| b) && opt.in_queue.iter().all(|&b| !b));
+        // All quiet: the early return must leave the same state.
+        opt.deactivate_all();
+        assert_eq!(opt.pop_active(), None);
+        // Queued and awake.
+        opt.activate(3);
+        assert_eq!((opt.awake, opt.active_count()), (1, 1));
+        opt.deactivate_all();
+        assert_eq!(opt.pop_active(), None);
+        assert!(opt.dont_look[3] && !opt.in_queue[3]);
+        // Awake but no longer queued (popped, verdict pending).
+        opt.activate(4);
+        assert_eq!(opt.pop_active(), Some(4));
+        assert_eq!((opt.awake, opt.active_count()), (1, 0));
+        opt.deactivate_all();
+        assert!(opt.dont_look[4]);
+        assert_eq!(opt.awake, 0);
+        // A drained pass (every popped city gets its bit set) ends quiet.
+        opt.activate(1);
+        opt.activate(1);
+        opt.activate(2);
+        while let Some(c) = opt.pop_active() {
+            opt.set_dont_look(c);
+            opt.set_dont_look(c); // idempotent
+        }
+        assert_eq!((opt.awake, opt.active_count()), (0, 0));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! double-bridge kicks driven purely through [`TourOps`] must leave the
 //! array tour and the two-level list on the *same directed cycle* (the
 //! canonical linearizations and lengths are compared exactly, not just
-//! as undirected edge sets), and the candidate-list distance cache must
-//! agree with the metric everywhere.
+//! as undirected edge sets), the virtual path LK searches on must read
+//! like a tour that really took the same steps, and the candidate-list
+//! distance cache must agree with the metric everywhere.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -12,6 +13,7 @@ use tsp_core::{generate, NeighborLists, Tour, TourOps, TwoLevelList};
 
 use lk::kick::kick;
 use lk::search::{or_opt_move_by_edges, two_opt_by_edges};
+use lk::vpath::VPath;
 use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
 
 /// Both representations of the same random starting permutation.
@@ -156,6 +158,86 @@ proptest! {
         }
         prop_assert!(tl.check_invariants());
         assert_lockstep(&inst, &tour, &tl);
+    }
+}
+
+/// Drive a [`VPath`] over the untouched `base` and a really-flipped copy
+/// of the same tour through one sequence of LK steps and backtracks,
+/// comparing the path successor of every city after each operation.
+///
+/// The flipped tour is the closed tour `path + (last, t1)`; its path
+/// runs along `next` or `prev` depending on which way the flips happened
+/// to leave it, so its successor is read off relative to `t1` and
+/// `last` and not from its orientation.
+fn vpath_matches_flipped_tour<T: TourOps>(
+    base: &T,
+    t1: usize,
+    along_next: bool,
+    ops: &[(u32, u32)],
+) {
+    let n = base.len();
+    let mut real = Tour::from_order(base.to_order());
+    let mut path = VPath::default();
+    let mut last = path.reset(base, t1, along_next);
+    // (c, v, last-before) of every step currently applied.
+    let mut applied: Vec<(usize, usize, usize)> = Vec::new();
+    for &(pick, dice) in ops {
+        // Three operations in ten undo the latest step.
+        if applied.len() == 50 || (dice < 3 && !applied.is_empty()) {
+            let (c, v, before) = applied.pop().unwrap();
+            path.backtrack();
+            assert_eq!(last, v);
+            two_opt_by_edges(&mut real, (before, c), (v, t1));
+            last = before;
+        } else {
+            let c = pick as usize % n;
+            if c == t1 || c == last {
+                continue;
+            }
+            let s = path.succ(base, c);
+            if s.city == last {
+                continue; // (last, c) is already a path edge
+            }
+            path.step(c, s);
+            two_opt_by_edges(&mut real, (c, s.city), (last, t1));
+            applied.push((c, s.city, last));
+            last = s.city;
+        }
+        let real_runs_along_next = real.prev(t1) == last;
+        assert!(real_runs_along_next || real.next(t1) == last);
+        for x in (0..n).filter(|&x| x != last) {
+            let want = if real_runs_along_next { real.next(x) } else { real.prev(x) };
+            assert_eq!(path.succ(base, x).city, want, "succ({x}) at depth {}", applied.len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The virtual path agrees with a tour that really took the steps:
+    /// both sides of `t1`, n even and odd, chains to the depth limit,
+    /// backtracks interleaved, over an array base and over a two-level
+    /// base whose segments earlier flips have split and reversed.
+    #[test]
+    fn vpath_reads_like_the_flipped_tour(
+        n in 5usize..70,
+        seed in any::<u64>(),
+        t1 in any::<u32>(),
+        along_next in any::<bool>(),
+        scramble in prop::collection::vec((any::<u32>(), any::<u32>()), 0..12),
+        ops in prop::collection::vec((any::<u32>(), 0u32..10), 1..160),
+    ) {
+        let (tour, mut tl) = both_reps(n, seed);
+        let t1 = t1 as usize % n;
+        vpath_matches_flipped_tour(&tour, t1, along_next, &ops);
+        for (ra, rb) in scramble {
+            let (a, b) = (ra as usize % n, rb as usize % n);
+            if a != b {
+                tl.flip(a, b);
+            }
+        }
+        vpath_matches_flipped_tour(&tl, t1, along_next, &ops);
     }
 }
 

@@ -40,6 +40,12 @@ pub trait TourOps {
     /// Whether walking forward from `a` meets `b` strictly before `c`.
     fn between(&self, a: usize, b: usize, c: usize) -> bool;
 
+    /// O(1) tour index of city `c` in `0..len()`: the origin is
+    /// arbitrary but `index(next(c)) == (index(c) + 1) % len()` holds for
+    /// every city, so index differences are walking distances. Stable
+    /// only until the next `flip`.
+    fn index(&self, c: usize) -> usize;
+
     /// Reverse the directed path `a … b` (inclusive, walking forward).
     ///
     /// Implementations reverse whichever side of the cycle holds fewer
@@ -131,6 +137,11 @@ impl TourOps for Tour {
         Tour::between(self, a, b, c)
     }
 
+    #[inline(always)]
+    fn index(&self, c: usize) -> usize {
+        self.position(c)
+    }
+
     #[inline]
     fn flip(&mut self, a: usize, b: usize) {
         let (pa, pb) = (self.position(a), self.position(b));
@@ -185,6 +196,11 @@ impl TourOps for TwoLevelList {
     #[inline]
     fn between(&self, a: usize, b: usize, c: usize) -> bool {
         TwoLevelList::between(self, a, b, c)
+    }
+
+    #[inline(always)]
+    fn index(&self, c: usize) -> usize {
+        TwoLevelList::index(self, c)
     }
 
     #[inline]

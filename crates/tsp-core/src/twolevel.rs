@@ -170,6 +170,16 @@ impl TwoLevelList {
         )
     }
 
+    /// Tour index of city `c`: its segment's start plus its logical
+    /// offset (mod n), so `index(next(c)) == (index(c) + 1) % n`. The
+    /// origin is wherever `seg_start` puts it.
+    #[inline]
+    pub fn index(&self, c: usize) -> usize {
+        let id = self.city_seg[c] as usize;
+        let logical = self.segments[id].logical(self.city_off[c] as usize);
+        wrap_pos(self.seg_start[id] + logical as u32, self.n) as usize
+    }
+
     /// Successor of city `c` in tour direction.
     ///
     /// Works in *physical* offsets: within a segment the successor is

@@ -4,7 +4,7 @@
 //! reference applied in the list's own orientation.
 
 use proptest::prelude::*;
-use tsp_core::{Tour, TwoLevelList};
+use tsp_core::{Tour, TourOps, TwoLevelList};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -75,5 +75,45 @@ fn conversion_roundtrips() {
         let tl = TwoLevelList::from_tour(&t);
         assert!(tl.check_invariants(), "n={n}");
         assert_eq!(tl.to_order(), t.order(), "n={n}");
+    }
+}
+
+/// `TourOps::index` numbers the cities consecutively along `next` on
+/// both representations, whatever the flips did to the structure
+/// underneath: in-place reversals, segment splits and merges, and (at
+/// n = 150) a full rebuild.
+#[test]
+fn index_counts_along_next_after_flips() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    fn check<T: TourOps>(tour: &T, what: &str) {
+        let n = tour.len();
+        let mut seen = vec![false; n];
+        for c in 0..n {
+            let i = tour.index(c);
+            assert!(i < n && !seen[i], "{what}: index({c}) = {i}");
+            seen[i] = true;
+            assert_eq!(tour.index(tour.next(c)), (i + 1) % n, "{what}: city {c}");
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(21);
+    for n in [7usize, 150, 5_000] {
+        let mut t = Tour::random(n, &mut rng);
+        let mut tl = TwoLevelList::from_tour(&t);
+        // A rebuild shows as the segment directory collapsing at once.
+        let mut rebuilt = false;
+        for step in 0..400 {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            if a == b {
+                continue;
+            }
+            let segments = tl.segment_count();
+            TourOps::flip(&mut t, a, b);
+            TourOps::flip(&mut tl, a, b);
+            rebuilt |= tl.segment_count() < segments / 2;
+            check(&t, &format!("array n={n} step {step}"));
+            check(&tl, &format!("twolevel n={n} step {step}"));
+        }
+        assert!(rebuilt || n != 150, "400 flips at n = 150 no longer force a rebuild");
     }
 }
