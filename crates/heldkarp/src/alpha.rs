@@ -15,16 +15,18 @@
 
 use tsp_core::{Instance, NeighborLists};
 
-use crate::ascent::{held_karp_bound, AscentConfig};
+use crate::ascent::{sparse_ascent, AscentConfig};
 use crate::mst::shifted_dist;
-use crate::onetree::OneTree;
+use crate::onetree::{two_cheapest, OneTree};
 
 /// Build α-nearness candidate lists of width `k`.
 ///
-/// Runs a Held-Karp ascent first (with `cfg`), then computes α values
-/// from the best 1-tree in O(n²) time and O(n) memory per node.
+/// Runs a Held-Karp ascent first ([`sparse_ascent`] with `cfg`: two
+/// 1-trees on the complete graph, the iterations between them on a
+/// sparse one), then computes α values against the closing 1-tree in
+/// O(n²) time and O(n) memory.
 pub fn alpha_candidate_lists(inst: &Instance, k: usize, cfg: &AscentConfig) -> NeighborLists {
-    let res = held_karp_bound(inst, cfg);
+    let res = sparse_ascent(inst, cfg);
     alpha_lists_from_tree(inst, &res.pi, &res.one_tree, k)
 }
 
@@ -35,108 +37,104 @@ pub fn alpha_lists_from_tree(
     tree: &OneTree,
     k: usize,
 ) -> NeighborLists {
+    let k = k.min(inst.len() - 1);
+    NeighborLists::from_flat(inst, k, alpha_nearest(inst, pi, tree, k))
+}
+
+/// The `k ≤ n − 1` α-nearest cities of every city, `k` ids per row, by
+/// `(α, shifted cost, id)`.
+pub(crate) fn alpha_nearest(inst: &Instance, pi: &[i64], tree: &OneTree, k: usize) -> Vec<u32> {
     let n = inst.len();
-    let k = k.min(n - 1);
     let s = tree.special;
+    // The MST part of the 1-tree: `dad[v]` for v ≠ s, the root its own
+    // dad. (`dad[s]` is an attachment point, not an MST edge.)
+    let dad = &tree.parent;
 
-    // Adjacency of the MST part (excluding the special node's edges).
-    let mut adj_heads = vec![u32::MAX; n];
-    // Each non-root, non-special vertex contributes one edge (v, parent).
-    let mut edge_to = Vec::with_capacity(2 * n);
-    let mut edge_next = Vec::with_capacity(2 * n);
-    let mut push_edge = |from: usize, to: usize, heads: &mut Vec<u32>| {
-        edge_to.push(to as u32);
-        edge_next.push(heads[from]);
-        heads[from] = (edge_to.len() - 1) as u32;
-    };
+    // Shifted weight of every MST edge (v, dad[v]), computed once.
+    let weight: Vec<i64> = (0..n)
+        .map(|v| match dad[v] as usize {
+            p if v == s || p == v => 0,
+            p => shifted_dist(inst, pi, v, p),
+        })
+        .collect();
+    // V \ {s} with every city after its dad: walk up from each city to
+    // the first one already placed and lay the walked path down from
+    // its top.
+    let mut order: Vec<u32> = Vec::with_capacity(n - 1);
+    let mut placed = vec![false; n];
+    placed[s] = true;
+    let mut path: Vec<u32> = Vec::new();
     for v in 0..n {
-        if v == s {
-            continue;
+        let mut x = v;
+        while !placed[x] {
+            placed[x] = true;
+            path.push(x as u32);
+            x = dad[x] as usize;
         }
-        let p = tree.parent[v] as usize;
-        if p != v && p != s {
-            push_edge(v, p, &mut adj_heads);
-            push_edge(p, v, &mut adj_heads);
-        }
+        order.extend(path.drain(..).rev());
     }
 
-    // Cheapest and second-cheapest shifted edges at the special node.
-    let (mut c1, mut c2) = (i64::MAX, i64::MAX);
-    for v in 0..n {
-        if v == s {
-            continue;
-        }
-        let d = shifted_dist(inst, pi, s, v);
-        if d < c1 {
-            c2 = c1;
-            c1 = d;
-        } else if d < c2 {
-            c2 = d;
-        }
-    }
+    // Second-cheapest shifted edge at the special node: forcing (s,j)
+    // in evicts the pricier of the two attachment edges, so
+    // α(s,j) = (c(s,j) − c₂)⁺ — 0 for the two tree edges.
+    let others = (0..n).filter(|&v| v != s);
+    let c2 = two_cheapest(others.map(|v| (v, shifted_dist(inst, pi, s, v))))[1].1;
 
     let mut flat = vec![0u32; n * k];
-    let mut beta = vec![0i64; n];
-    let mut stack: Vec<(u32, u32)> = Vec::with_capacity(n);
+    // β(i, j) of the current row i, with c₂ standing in at j = s;
+    // `on_path[j] == i` marks the cities between i and the root, whose
+    // β is set on the way up.
+    let mut beta = vec![c2; n];
+    let mut on_path = vec![u32::MAX; n];
     let mut cand: Vec<(i64, i64, u32)> = Vec::with_capacity(n);
 
     for i in 0..n {
-        cand.clear();
         if i == s {
-            // α(s,j) = c(s,j) − c₂ (forcing (s,j) evicts the pricier of
-            // the two attachment edges); 0 for the two tree edges.
-            for j in 0..n {
-                if j == s {
-                    continue;
-                }
-                let c = shifted_dist(inst, pi, s, j);
-                let a = (c - c2).max(0);
-                cand.push((a, c, j as u32));
-            }
+            beta.fill(c2);
         } else {
-            // β(i, ·) over the MST via DFS from i; β to the special node
-            // handled separately below.
+            // β(i, ·) over the MST as in LKH: up the path from i to the
+            // root first, then one root-first sweep in which every other
+            // city extends its dad's value by its own edge.
             beta[i] = i64::MIN;
-            stack.clear();
-            stack.push((i as u32, u32::MAX));
-            while let Some((v, from)) = stack.pop() {
-                let mut e = adj_heads[v as usize];
-                while e != u32::MAX {
-                    let u = edge_to[e as usize];
-                    if u != from {
-                        let w = shifted_dist(inst, pi, v as usize, u as usize);
-                        beta[u as usize] = if v as usize == i { w } else { beta[v as usize].max(w) };
-                        stack.push((u, v));
-                    }
-                    e = edge_next[e as usize];
+            on_path[i] = i as u32;
+            let mut x = i;
+            while dad[x] as usize != x {
+                let p = dad[x] as usize;
+                beta[p] = beta[x].max(weight[x]);
+                on_path[p] = i as u32;
+                x = p;
+            }
+            for &j in &order {
+                let j = j as usize;
+                if on_path[j] != i as u32 {
+                    beta[j] = beta[dad[j] as usize].max(weight[j]);
                 }
             }
-            for (j, &bj) in beta.iter().enumerate().take(n) {
-                if j == i {
-                    continue;
-                }
+        }
+        cand.clear();
+        for (j, &bj) in beta.iter().enumerate() {
+            if j != i {
                 let c = shifted_dist(inst, pi, i, j);
-                let a = if j == s {
-                    (c - c2).max(0)
-                } else {
-                    (c - bj).max(0)
-                };
-                cand.push((a, c, j as u32));
+                cand.push(((c - bj).max(0), c, j as u32));
             }
         }
         // k smallest by (α, shifted cost, index).
-        cand.sort_unstable();
-        for (slot, &(_, _, j)) in cand.iter().take(k).enumerate() {
+        if 0 < k && k < cand.len() {
+            cand.select_nth_unstable(k - 1);
+        }
+        cand[..k].sort_unstable();
+        for (slot, &(_, _, j)) in cand[..k].iter().enumerate() {
             flat[i * k + slot] = j;
         }
     }
 
-    NeighborLists::from_flat(inst, k, flat)
+    flat
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ascent::held_karp_bound;
     use tsp_core::generate;
 
     #[test]

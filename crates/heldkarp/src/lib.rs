@@ -11,14 +11,21 @@
 //!
 //! ## Pieces
 //!
-//! - [`mst`] — Prim's algorithm over the (π-shifted) complete graph.
+//! - [`mst`] — Prim's algorithm under π-shifted costs: the array
+//!   version over the complete graph (O(n²)) and a heap version over a
+//!   sparse k-nearest-neighbour graph (O(n·K·log n)).
 //! - [`onetree`] — minimum 1-trees: an MST over `V \ {special}` plus the
 //!   two cheapest edges incident to the special node.
 //! - [`ascent`] — subgradient ascent on the Lagrangian dual: maximizes
-//!   `w(π) = len(T_π) − 2·Σπ` over node potentials π.
+//!   `w(π) = len(T_π) − 2·Σπ` over node potentials π. One loop, two
+//!   instances: [`held_karp_bound`] builds every 1-tree on the complete
+//!   graph (the reference bound), [`sparse_ascent`] only the first and
+//!   the last — the last so that its `w(π)` is still a valid bound — and
+//!   the iterations between them on the sparse graph.
 //! - [`alpha`] — α-nearness: `α(i,j)` is the 1-tree length increase when
 //!   edge `(i,j)` is forced into the tree; candidate lists sorted by α
 //!   are markedly better than plain nearest neighbors for LK moves.
+//!   [`alpha_candidate_lists`] is the one builder, on the sparse ascent.
 
 pub mod alpha;
 pub mod ascent;
@@ -26,5 +33,5 @@ pub mod mst;
 pub mod onetree;
 
 pub use alpha::{alpha_candidate_lists, alpha_lists_from_tree};
-pub use ascent::{held_karp_bound, AscentConfig, AscentResult};
+pub use ascent::{held_karp_bound, sparse_ascent, AscentConfig, AscentResult};
 pub use onetree::OneTree;

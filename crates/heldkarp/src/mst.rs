@@ -1,21 +1,21 @@
-//! Prim's minimum spanning tree over the complete (π-shifted) graph.
+//! Prim's minimum spanning tree under π-shifted costs, on the complete
+//! graph and on a sparse one.
 //!
-//! For complete graphs the array-based O(n²) Prim is optimal and
-//! allocation-free after setup — no priority queue needed (perf-book
-//! idiom: flat arrays beat heaps when every node is adjacent to every
-//! other).
+//! For complete graphs the array-based O(n²) Prim is optimal — no
+//! priority queue needed (perf-book idiom: flat arrays beat heaps when
+//! every node is adjacent to every other). The ascent builds only its
+//! first and last tree that way; the iterations in between run
+//! [`prim_sparse`], a heap Prim over a [`SparseGraph`] of a few
+//! neighbours per city, at O(n·K·log n) a tree.
+//!
+//! Both write a parent array the caller owns and keep their working
+//! arrays in a [`PrimScratch`], so the 100–200 trees of one ascent
+//! allocate once.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tsp_core::Instance;
-
-/// A spanning tree as a parent array: `parent[v]` is `v`'s neighbor on
-/// the path to the root; `parent[root] == root`.
-#[derive(Debug, Clone)]
-pub struct Mst {
-    pub parent: Vec<u32>,
-    pub root: usize,
-    /// Total length under the *shifted* costs used to build the tree.
-    pub shifted_len: i64,
-}
 
 /// Cost of edge `(i, j)` shifted by node potentials:
 /// `d(i,j) + π_i + π_j`. Potentials are kept in fixed-point `i64`
@@ -25,22 +25,62 @@ pub fn shifted_dist(inst: &Instance, pi: &[i64], i: usize, j: usize) -> i64 {
     inst.dist(i, j) + pi[i] + pi[j]
 }
 
-/// Prim MST over the vertex subset `verts` (all distinct), under shifted
-/// costs. O(|verts|²) time, O(|verts|) space.
+/// Prim's working arrays, owned by the caller so consecutive trees
+/// reuse them.
+#[derive(Debug, Default)]
+pub struct PrimScratch {
+    /// Cheapest known connection cost into the tree.
+    best: Vec<i64>,
+    /// The tree endpoint realizing `best` (dense Prim only; the heap
+    /// entries carry it on the sparse path).
+    who: Vec<u32>,
+    in_tree: Vec<bool>,
+    /// Fringe of the sparse Prim: `(shifted cost, city, parent)`, a
+    /// total order, so equal costs pop in one fixed sequence.
+    heap: BinaryHeap<Reverse<(i64, u32, u32)>>,
+}
+
+impl PrimScratch {
+    fn reset(&mut self, len: usize) {
+        self.best.clear();
+        self.best.resize(len, i64::MAX);
+        self.who.clear();
+        self.who.resize(len, 0);
+        self.in_tree.clear();
+        self.in_tree.resize(len, false);
+        self.heap.clear();
+    }
+}
+
+/// Prim MST over the vertex subset `verts` (all distinct) of the
+/// complete graph, under shifted costs. O(|verts|²) time.
+///
+/// The tree is written as a parent array over all cities: `parent[v]`
+/// is `v`'s neighbor on the path to the root `verts[0]`, the root is
+/// its own parent, cities outside `verts` get `u32::MAX`. Returns the
+/// tree's total length under the shifted costs.
 ///
 /// # Panics
 ///
 /// Panics if `verts.len() < 1`.
-pub fn prim(inst: &Instance, pi: &[i64], verts: &[u32]) -> Mst {
+pub fn prim(
+    inst: &Instance,
+    pi: &[i64],
+    verts: &[u32],
+    parent: &mut Vec<u32>,
+    scratch: &mut PrimScratch,
+) -> i64 {
     let m = verts.len();
     assert!(m >= 1, "MST needs at least one vertex");
     let root = verts[0] as usize;
     // best[k]: cheapest connection cost of verts[k] into the tree;
     // who[k]: the tree endpoint realizing it.
-    let mut best = vec![i64::MAX; m];
-    let mut who = vec![0u32; m];
-    let mut in_tree = vec![false; m];
-    let mut parent = vec![u32::MAX; inst.len()];
+    scratch.reset(m);
+    let PrimScratch {
+        best, who, in_tree, ..
+    } = scratch;
+    parent.clear();
+    parent.resize(inst.len(), u32::MAX);
     parent[root] = root as u32;
     in_tree[0] = true;
     let mut shifted_len = 0i64;
@@ -75,17 +115,166 @@ pub fn prim(inst: &Instance, pi: &[i64], verts: &[u32]) -> Mst {
             }
         }
     }
-    Mst {
-        parent,
-        root,
-        shifted_len,
+    shifted_len
+}
+
+/// A symmetric sparse graph over the cities in CSR form, the metric
+/// distance of every arc cached beside its target. Rows are sorted by
+/// city id and hold no duplicates, so the graph — and every tree grown
+/// on it — is a function of the edge *set* alone.
+#[derive(Debug)]
+pub struct SparseGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    dists: Vec<i64>,
+}
+
+impl SparseGraph {
+    /// The graph of `edges` — pairs of distinct cities, in any order
+    /// and multiplicity — symmetrised. `edges` is called twice, to
+    /// size the rows and to fill them, so no pair list is ever stored.
+    pub fn from_edges<I>(inst: &Instance, edges: impl Fn() -> I) -> SparseGraph
+    where
+        I: Iterator<Item = (usize, usize)>,
+    {
+        let n = inst.len();
+        // Every pair lands in both endpoints' rows; size the rows, fill
+        // them, then sort and dedup each one, compacting leftwards in
+        // the same array.
+        let mut offsets = vec![0u32; n + 1];
+        for (a, b) in edges() {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut targets = vec![0u32; offsets[n] as usize];
+        let mut next = offsets[..n].to_vec();
+        for (a, b) in edges() {
+            targets[next[a] as usize] = b as u32;
+            next[a] += 1;
+            targets[next[b] as usize] = a as u32;
+            next[b] += 1;
+        }
+        drop(next);
+        let mut write = 0usize;
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            targets[lo..hi].sort_unstable();
+            offsets[v] = write as u32;
+            let mut prev = None;
+            for e in lo..hi {
+                let u = targets[e];
+                if prev != Some(u) {
+                    targets[write] = u;
+                    write += 1;
+                    prev = Some(u);
+                }
+            }
+        }
+        offsets[n] = write as u32;
+        targets.truncate(write);
+        targets.shrink_to_fit();
+        let mut graph = SparseGraph {
+            offsets,
+            targets,
+            dists: Vec::with_capacity(write),
+        };
+        for v in 0..n {
+            for e in graph.offsets[v] as usize..graph.offsets[v + 1] as usize {
+                graph.dists.push(inst.dist(v, graph.targets[e] as usize));
+            }
+        }
+        graph
     }
+
+    /// Number of cities.
+    pub fn cities(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of directed arcs (twice the number of edges).
+    pub fn arcs(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The neighbours of `v`, ascending by city id, with the metric
+    /// distance to each.
+    #[inline]
+    pub fn row(&self, v: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
+        let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+        self.targets[lo..hi]
+            .iter()
+            .zip(&self.dists[lo..hi])
+            .map(|(&u, &d)| (u as usize, d))
+    }
+}
+
+/// Prim MST over `graph` without the city `skip`, rooted at `root`,
+/// under shifted costs: a binary heap with lazy deletion,
+/// O(arcs · log n). Parent array and return value as for [`prim`]
+/// (`parent[skip]` is `u32::MAX`).
+///
+/// # Panics
+///
+/// Panics if `graph` minus `skip` is not connected.
+pub fn prim_sparse(
+    graph: &SparseGraph,
+    pi: &[i64],
+    root: usize,
+    skip: usize,
+    parent: &mut Vec<u32>,
+    scratch: &mut PrimScratch,
+) -> i64 {
+    let n = graph.cities();
+    scratch.reset(n);
+    let PrimScratch {
+        best,
+        in_tree,
+        heap,
+        ..
+    } = scratch;
+    parent.clear();
+    parent.resize(n, u32::MAX);
+    in_tree[skip] = true;
+    let mut shifted_len = 0i64;
+    let mut spanned = 0usize;
+    heap.push(Reverse((0, root as u32, root as u32)));
+    while let Some(Reverse((cost, v, from))) = heap.pop() {
+        let v = v as usize;
+        if in_tree[v] {
+            continue;
+        }
+        in_tree[v] = true;
+        parent[v] = from;
+        shifted_len += cost;
+        spanned += 1;
+        for (u, d) in graph.row(v) {
+            if !in_tree[u] {
+                let c = d + pi[v] + pi[u];
+                if c < best[u] {
+                    best[u] = c;
+                    heap.push(Reverse((c, u as u32, v as u32)));
+                }
+            }
+        }
+    }
+    assert_eq!(spanned, n - 1, "sparse graph is not connected");
+    shifted_len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsp_core::{generate, Instance};
+
+    /// `prim` with throw-away buffers: `(parent, shifted_len)`.
+    fn mst(inst: &Instance, pi: &[i64], verts: &[u32]) -> (Vec<u32>, i64) {
+        let mut parent = Vec::new();
+        let len = prim(inst, pi, verts, &mut parent, &mut PrimScratch::default());
+        (parent, len)
+    }
 
     fn mst_len_brute(inst: &Instance, verts: &[u32]) -> i64 {
         // Kruskal by sorting all edges (test-only reference).
@@ -130,8 +319,8 @@ mod tests {
         let inst = generate::uniform(60, 1000.0, 42);
         let pi = vec![0i64; 60];
         let verts: Vec<u32> = (0..60).collect();
-        let mst = prim(&inst, &pi, &verts);
-        assert_eq!(mst.shifted_len, mst_len_brute(&inst, &verts));
+        let (_, len) = mst(&inst, &pi, &verts);
+        assert_eq!(len, mst_len_brute(&inst, &verts));
     }
 
     #[test]
@@ -139,10 +328,10 @@ mod tests {
         let inst = generate::uniform(50, 1000.0, 1);
         let pi = vec![0i64; 50];
         let verts: Vec<u32> = (10..50).collect();
-        let mst = prim(&inst, &pi, &verts);
-        assert_eq!(mst.shifted_len, mst_len_brute(&inst, &verts));
+        let (parent, len) = mst(&inst, &pi, &verts);
+        assert_eq!(len, mst_len_brute(&inst, &verts));
         // Vertices outside the subset keep no parent.
-        assert_eq!(mst.parent[0], u32::MAX);
+        assert_eq!(parent[0], u32::MAX);
     }
 
     #[test]
@@ -150,14 +339,15 @@ mod tests {
         let inst = generate::uniform(40, 1000.0, 9);
         let pi = vec![0i64; 40];
         let verts: Vec<u32> = (0..40).collect();
-        let mst = prim(&inst, &pi, &verts);
-        assert_eq!(mst.parent[mst.root], mst.root as u32);
+        let (parent, _) = mst(&inst, &pi, &verts);
+        let root = verts[0] as usize;
+        assert_eq!(parent[root], root as u32);
         // Every vertex reaches the root.
         for v in 0..40usize {
             let mut cur = v;
             let mut steps = 0;
-            while cur != mst.root {
-                cur = mst.parent[cur] as usize;
+            while cur != root {
+                cur = parent[cur] as usize;
                 steps += 1;
                 assert!(steps <= 40, "cycle in parent array");
             }
@@ -178,10 +368,105 @@ mod tests {
             tsp_core::Metric::Euc2d,
         );
         let verts: Vec<u32> = vec![0, 1, 2];
-        let no_pi = prim(&inst, &[0, 0, 0], &verts);
-        assert_eq!(no_pi.shifted_len, 2); // 0-1, 1-2
-        let heavy_mid = prim(&inst, &[0, 100, 0], &verts);
+        let (_, no_pi) = mst(&inst, &[0, 0, 0], &verts);
+        assert_eq!(no_pi, 2); // 0-1, 1-2
+        let (_, heavy_mid) = mst(&inst, &[0, 100, 0], &verts);
         // Tree must still span, but 0-2 (cost 2) replaces one mid edge.
-        assert_eq!(heavy_mid.shifted_len, 2 + 101);
+        assert_eq!(heavy_mid, 2 + 101);
+    }
+
+    #[test]
+    fn scratch_reuse_leaves_no_state_behind() {
+        let inst = generate::clustered(70, 10_000.0, 4, 300.0, 5);
+        let mut scratch = PrimScratch::default();
+        let mut parent = Vec::new();
+        let verts: Vec<u32> = (0..70).collect();
+        let pis: [Vec<i64>; 2] = [vec![0; 70], (0..70).map(|v| (v % 7) * 40 - 100).collect()];
+        for pi in pis.iter().chain(pis.iter()) {
+            let len = prim(&inst, pi, &verts, &mut parent, &mut scratch);
+            assert_eq!((parent.clone(), len), mst(&inst, pi, &verts));
+        }
+    }
+
+    /// On a graph that holds every edge, the heap Prim finds a tree of
+    /// the dense Prim's length, with and without a skipped city.
+    #[test]
+    fn sparse_prim_on_the_complete_graph_matches_dense() {
+        let n = 45;
+        let inst = generate::uniform(n, 1000.0, 17);
+        // Every edge once in each direction and once more: duplicates
+        // and both orientations must collapse.
+        let graph = SparseGraph::from_edges(&inst, || {
+            (0..n)
+                .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                .chain((1..n).map(|b| (b, 0)))
+        });
+        assert_eq!(graph.arcs(), n * (n - 1));
+        let pi: Vec<i64> = (0..n as i64).map(|v| (v * 37) % 90 - 45).collect();
+        let mut parent = Vec::new();
+        let mut scratch = PrimScratch::default();
+        let verts: Vec<u32> = (1..n as u32).collect();
+        let (_, dense) = mst(&inst, &pi, &verts);
+        let sparse = prim_sparse(&graph, &pi, 1, 0, &mut parent, &mut scratch);
+        assert_eq!(sparse, dense);
+        assert_eq!(parent[0], u32::MAX);
+        assert_eq!(parent[1], 1);
+        assert!(parent[2..].iter().all(|&p| p != u32::MAX && p != 0));
+    }
+
+    #[test]
+    fn sparse_rows_are_sorted_symmetric_and_duplicate_free() {
+        let inst = generate::clustered(200, 10_000.0, 5, 200.0, 3);
+        // 6-NN edges plus a path, most of whose edges are 6-NN edges too.
+        let knn = tsp_core::NeighborLists::build(&inst, 6);
+        let extra: Vec<(usize, usize)> = (1..200).map(|v| (v - 1, v)).collect();
+        let graph = SparseGraph::from_edges(&inst, || {
+            (0..200)
+                .flat_map(|v| knn.of(v).iter().map(move |&u| (v, u as usize)))
+                .chain(extra.iter().copied())
+        });
+        for v in 0..200 {
+            let row: Vec<(usize, i64)> = graph.row(v).collect();
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "row {v} unsorted or duplicated"
+            );
+            for &(u, d) in &row {
+                assert_ne!(u, v);
+                assert_eq!(d, inst.dist(v, u));
+                assert!(
+                    graph.row(u).any(|(b, _)| b == v),
+                    "arc {v}->{u} has no reverse"
+                );
+            }
+        }
+        for &(a, b) in &extra {
+            assert!(graph.row(a).any(|(u, _)| u == b));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not connected")]
+    fn sparse_prim_rejects_a_disconnected_graph() {
+        // Two clusters of four, 3-NN edges only: no edge crosses.
+        let mut pts = Vec::new();
+        for c in 0..2 {
+            for i in 0..4 {
+                pts.push(tsp_core::Point::new(c as f64 * 1e6 + i as f64, 0.0));
+            }
+        }
+        let inst = Instance::new("split", pts, tsp_core::Metric::Euc2d);
+        let knn = tsp_core::NeighborLists::build(&inst, 3);
+        let graph = SparseGraph::from_edges(&inst, || {
+            (0..8).flat_map(|v| knn.of(v).iter().map(move |&u| (v, u as usize)))
+        });
+        prim_sparse(
+            &graph,
+            &[0; 8],
+            0,
+            7,
+            &mut Vec::new(),
+            &mut PrimScratch::default(),
+        );
     }
 }

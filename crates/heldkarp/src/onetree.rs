@@ -5,10 +5,16 @@
 //! a 1-tree, so the minimum 1-tree length is a lower bound on the
 //! optimal tour; Held & Karp sharpen it with node potentials (see
 //! [`crate::ascent`]).
+//!
+//! Two oracles build them into a tree the caller keeps: [`Complete`]
+//! over all n(n−1)/2 edges — the one whose dual value is a lower bound
+//! — and [`Sparse`] over a [`SparseGraph`], whose tree is minimum only
+//! among the edges it was given and so serves to steer the ascent, not
+//! to bound anything.
 
 use tsp_core::Instance;
 
-use crate::mst::{prim, shifted_dist};
+use crate::mst::{prim, prim_sparse, shifted_dist, PrimScratch, SparseGraph};
 
 /// A minimum 1-tree under shifted costs.
 #[derive(Debug, Clone)]
@@ -27,6 +33,99 @@ pub struct OneTree {
     pub shifted_len: i64,
 }
 
+/// The two cheapest of `edges` as `[(city, cost); 2]`, cheapest first;
+/// among equal costs the earlier one wins.
+pub(crate) fn two_cheapest(edges: impl Iterator<Item = (usize, i64)>) -> [(usize, i64); 2] {
+    let mut two = [(usize::MAX, i64::MAX); 2];
+    for (v, d) in edges {
+        if d < two[0].1 {
+            two = [(v, d), two[0]];
+        } else if d < two[1].1 {
+            two[1] = (v, d);
+        }
+    }
+    two
+}
+
+/// The 1-tree oracle of the complete graph: dense Prim, its buffers
+/// kept across calls.
+pub(crate) struct Complete<'a> {
+    inst: &'a Instance,
+    special: usize,
+    /// `V \ {special}`.
+    verts: Vec<u32>,
+    scratch: PrimScratch,
+}
+
+impl<'a> Complete<'a> {
+    /// # Panics
+    ///
+    /// Panics if the instance has fewer than 3 cities.
+    pub(crate) fn new(inst: &'a Instance, special: usize) -> Self {
+        let n = inst.len();
+        assert!(n >= 3);
+        Complete {
+            inst,
+            special,
+            verts: (0..n as u32).filter(|&v| v as usize != special).collect(),
+            scratch: PrimScratch::default(),
+        }
+    }
+
+    /// A new minimum 1-tree under `pi`.
+    pub(crate) fn build(&mut self, pi: &[i64]) -> OneTree {
+        let mut t = OneTree {
+            special: self.special,
+            parent: Vec::new(),
+            second: usize::MAX,
+            degree: Vec::new(),
+            shifted_len: 0,
+        };
+        self.one_tree(pi, &mut t);
+        t
+    }
+
+    /// Make `t` the minimum 1-tree under `pi`.
+    pub(crate) fn one_tree(&mut self, pi: &[i64], t: &mut OneTree) {
+        let mst_len = prim(self.inst, pi, &self.verts, &mut t.parent, &mut self.scratch);
+        let s = self.special;
+        debug_assert_eq!(t.special, s);
+        let at_special = self.verts.iter().map(|&v| v as usize);
+        t.attach(
+            mst_len,
+            two_cheapest(at_special.map(|v| (v, shifted_dist(self.inst, pi, s, v)))),
+        );
+    }
+}
+
+/// The 1-tree oracle of a sparse graph: heap Prim. The graph must keep
+/// `V \ {special}` connected and the special node at two edges or more
+/// — any graph that holds the edges of one 1-tree does.
+pub(crate) struct Sparse {
+    graph: SparseGraph,
+    scratch: PrimScratch,
+}
+
+impl Sparse {
+    pub(crate) fn new(graph: SparseGraph) -> Self {
+        Sparse {
+            graph,
+            scratch: PrimScratch::default(),
+        }
+    }
+
+    /// Make `t` the minimum 1-tree under `pi` among the graph's edges.
+    pub(crate) fn one_tree(&mut self, pi: &[i64], t: &mut OneTree) {
+        let s = t.special;
+        let root = usize::from(s == 0);
+        let mst_len = prim_sparse(&self.graph, pi, root, s, &mut t.parent, &mut self.scratch);
+        t.attach(
+            mst_len,
+            two_cheapest(self.graph.row(s).map(|(v, d)| (v, d + pi[s] + pi[v]))),
+        );
+    }
+}
+
 impl OneTree {
     /// Build the minimum 1-tree with special node `special` under the
     /// potentials `pi`.
@@ -35,48 +134,31 @@ impl OneTree {
     ///
     /// Panics if the instance has fewer than 3 cities.
     pub fn build(inst: &Instance, pi: &[i64], special: usize) -> OneTree {
-        let n = inst.len();
-        assert!(n >= 3);
-        let verts: Vec<u32> = (0..n as u32).filter(|&v| v as usize != special).collect();
-        let mst = prim(inst, pi, &verts);
-        // Two cheapest edges from `special`.
-        let (mut b1, mut b2) = (usize::MAX, usize::MAX);
-        let (mut d1, mut d2) = (i64::MAX, i64::MAX);
-        for v in 0..n {
-            if v == special {
+        Complete::new(inst, special).build(pi)
+    }
+
+    /// Finish a 1-tree whose `parent` holds an MST of length `mst_len`
+    /// over `V \ {special}`: attach the special node by `two` and count
+    /// the degrees.
+    fn attach(&mut self, mst_len: i64, two: [(usize, i64); 2]) {
+        let [(b1, d1), (b2, d2)] = two;
+        let s = self.special;
+        self.parent[s] = b1 as u32;
+        self.second = b2;
+        self.degree.clear();
+        self.degree.resize(self.parent.len(), 0);
+        for v in 0..self.parent.len() {
+            let p = self.parent[v] as usize;
+            if v == s || p == v {
                 continue;
             }
-            let d = shifted_dist(inst, pi, special, v);
-            if d < d1 {
-                d2 = d1;
-                b2 = b1;
-                d1 = d;
-                b1 = v;
-            } else if d < d2 {
-                d2 = d;
-                b2 = v;
-            }
+            self.degree[v] += 1;
+            self.degree[p] += 1;
         }
-        let mut parent = mst.parent;
-        parent[special] = b1 as u32;
-        let mut degree = vec![0u32; n];
-        for v in 0..n {
-            if v == special || v == mst.root {
-                continue;
-            }
-            degree[v] += 1;
-            degree[parent[v] as usize] += 1;
-        }
-        degree[special] += 2;
-        degree[b1] += 1;
-        degree[b2] += 1;
-        OneTree {
-            special,
-            parent,
-            second: b2,
-            degree,
-            shifted_len: mst.shifted_len + d1 + d2,
-        }
+        self.degree[s] += 2;
+        self.degree[b1] += 1;
+        self.degree[b2] += 1;
+        self.shifted_len = mst_len + d1 + d2;
     }
 
     /// The Held-Karp dual value `w(π) = len(T_π) − 2·Σπ` for the

@@ -9,20 +9,23 @@
 //!
 //! - **k-NN** — spatial-index lists (`NeighborLists::build`), O(n log n),
 //!   the default; the only practical choice at 10⁵⁺ cities.
-//! - **α** — `heldkarp::alpha` lists after a subgradient ascent. The
-//!   α computation is O(n²), so this is for the paper-scale instances
-//!   (10³–10⁴ cities) the ablation sweeps, not the 100k perf point.
+//! - **α** — `heldkarp::alpha_candidate_lists` under
+//!   `AscentConfig::default()`. The subgradient iterations run on a
+//!   sparse graph at k-NN prices, but two 1-trees (the first and the
+//!   last) and the α ranking itself still visit all n² pairs — ≈ 0.2 s
+//!   in all at 2 000 cities, minutes at 10⁵ — so this is for the
+//!   paper-scale instances (10³–10⁴ cities) the ablation sweeps, not
+//!   the 100k perf point.
 //! - **Hybrid** — the first ⌈k/2⌉ α candidates per city (structural
 //!   edges), remaining slots filled with the nearest k-NN candidates not
-//!   already present. Same O(n²) cost as α.
+//!   already present. The α build plus one k-NN build.
 //!
 //! All three are deterministic: the ascent is seed-free, k-NN ties are
 //! broken by `(dist, id)` in every builder, and α ties by
 //! `(α, shifted cost, id)` — so distributed nodes that agree on the
 //! wire-level config build bit-identical lists independently.
 
-use heldkarp::alpha::alpha_lists_from_tree;
-use heldkarp::{held_karp_bound, AscentConfig};
+use heldkarp::{alpha_candidate_lists, AscentConfig};
 use tsp_core::{Instance, NeighborLists};
 
 /// How the engine's candidate lists are built. Part of the wire-level
@@ -68,27 +71,13 @@ impl CandidateKind {
     }
 }
 
-/// Ascent effort for α-based lists, scaled inversely with n so list
-/// construction stays a bounded fraction of a run: ~100 iterations for
-/// paper-scale instances, tapering to 8 for very large ones. Purely a
-/// function of n — every node computes the same schedule.
-pub fn default_ascent(n: usize) -> AscentConfig {
-    AscentConfig {
-        max_iterations: (200_000 / n.max(1)).clamp(8, 100),
-        ..Default::default()
-    }
-}
-
 /// Build candidate lists of the given kind and width `k`.
 pub fn build_candidate_lists(inst: &Instance, kind: CandidateKind, k: usize) -> NeighborLists {
     let n = inst.len();
     let k = k.min(n - 1);
     match kind {
         CandidateKind::Knn => NeighborLists::build(inst, k),
-        CandidateKind::Alpha => {
-            let res = held_karp_bound(inst, &default_ascent(n));
-            alpha_lists_from_tree(inst, &res.pi, &res.one_tree, k)
-        }
+        CandidateKind::Alpha => alpha_candidate_lists(inst, k, &AscentConfig::default()),
         CandidateKind::Hybrid => hybrid_lists(inst, k),
     }
 }
@@ -99,8 +88,7 @@ pub fn build_candidate_lists(inst: &Instance, kind: CandidateKind, k: usize) -> 
 /// the short local edges the double-bridge kicks rely on.
 fn hybrid_lists(inst: &Instance, k: usize) -> NeighborLists {
     let n = inst.len();
-    let res = held_karp_bound(inst, &default_ascent(n));
-    let alpha = alpha_lists_from_tree(inst, &res.pi, &res.one_tree, k);
+    let alpha = alpha_candidate_lists(inst, k, &AscentConfig::default());
     let knn = NeighborLists::build(inst, k);
     let alpha_k = k.div_ceil(2);
     let mut flat = vec![0u32; n * k];
@@ -160,14 +148,22 @@ mod tests {
 
     #[test]
     fn hybrid_starts_with_alpha_prefix_and_stays_deterministic() {
-        let inst = generate::uniform(80, 10_000.0, 32);
-        let res = held_karp_bound(&inst, &default_ascent(80));
-        let alpha = alpha_lists_from_tree(&inst, &res.pi, &res.one_tree, 8);
-        let a = build_candidate_lists(&inst, CandidateKind::Hybrid, 8);
-        let b = build_candidate_lists(&inst, CandidateKind::Hybrid, 8);
-        for c in 0..80 {
-            assert_eq!(a.of(c), b.of(c), "hybrid not deterministic at {c}");
-            assert_eq!(&a.of(c)[..4], &alpha.of(c)[..4], "α prefix lost at {c}");
+        // The drill plate's equal spacings put ties in both rankings.
+        for inst in [
+            generate::uniform(80, 10_000.0, 32),
+            generate::drill_plate(400, 32),
+        ] {
+            let alpha = alpha_candidate_lists(&inst, 8, &AscentConfig::default());
+            let a = build_candidate_lists(&inst, CandidateKind::Hybrid, 8);
+            let b = build_candidate_lists(&inst, CandidateKind::Hybrid, 8);
+            for c in 0..inst.len() {
+                assert_eq!(
+                    a.of_with_dists(c),
+                    b.of_with_dists(c),
+                    "hybrid not deterministic at {c}"
+                );
+                assert_eq!(&a.of(c)[..4], &alpha.of(c)[..4], "α prefix lost at {c}");
+            }
         }
     }
 
@@ -180,8 +176,7 @@ mod tests {
             assert_eq!(knn.of(c), direct.of(c));
         }
         let alpha = build_candidate_lists(&inst, CandidateKind::Alpha, 6);
-        let res = held_karp_bound(&inst, &default_ascent(50));
-        let direct = alpha_lists_from_tree(&inst, &res.pi, &res.one_tree, 6);
+        let direct = alpha_candidate_lists(&inst, 6, &AscentConfig::default());
         for c in 0..50 {
             assert_eq!(alpha.of(c), direct.of(c));
         }

@@ -146,3 +146,30 @@ fn multilevel_quality_sane_on_clusters() {
         clk.length
     );
 }
+
+/// The ascent behind the α lists returns a valid bound on every family:
+/// the complete graph's `w(π)` at its potentials, below a CLK tour.
+#[test]
+fn sparse_ascent_bound_is_valid_on_every_family() {
+    for inst in families() {
+        let res = heldkarp::sparse_ascent(&inst, &heldkarp::AscentConfig::default());
+        let dense = heldkarp::OneTree::build(&inst, &res.pi, 0);
+        assert_eq!(res.bound, dense.dual_value(&res.pi), "{}", inst.name());
+        let cfg = ChainedLkConfig {
+            candidates: lk::CandidateKind::Hybrid,
+            ..Default::default()
+        };
+        let nl = cfg.build_neighbors(&inst);
+        let tour = ChainedLk::new(&inst, &nl, cfg).run(&Budget::kicks(100));
+        assert!(
+            res.bound <= tour.length,
+            "{}: bound {} above a tour of {}",
+            inst.name(),
+            res.bound,
+            tour.length
+        );
+        if let Some(opt) = inst.known_optimum() {
+            assert!(res.bound <= opt, "{}: bound above the optimum", inst.name());
+        }
+    }
+}
