@@ -27,7 +27,7 @@ use p2p::memory::{InMemoryNetwork, MemoryEndpoint};
 use p2p::{Membership, NodeId, Transport};
 use tsp_core::{Instance, NeighborLists};
 
-use crate::driver::{lockstep_round, DistResult};
+use crate::driver::{lockstep_round, started_node, DistResult};
 use crate::node::{DistConfig, NodeDriver, NodeResult};
 
 /// One scheduled churn action.
@@ -142,7 +142,7 @@ pub fn run_lockstep_churn(
     let mut membership = Membership::new(cfg.topology, cfg.nodes);
     let mut drivers: Vec<Option<NodeDriver<'_, MemoryEndpoint>>> = endpoints
         .into_iter()
-        .map(|ep| Some(NodeDriver::new(inst, neighbors, cfg, ep)))
+        .map(|ep| Some(started_node(inst, neighbors, cfg, ep)))
         .collect();
     let mut results: Vec<NodeResult> = Vec::with_capacity(cfg.nodes);
     // Driver-side mirror of the hub role, used to resolve `KillHub`

@@ -113,6 +113,22 @@ pub fn run_threads(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig)
     result
 }
 
+/// A fresh node with its Fig. 1 preamble behind it, for the lockstep
+/// drivers: their rounds count iterations of the Fig. 1 loop (churn
+/// schedules are keyed by them), and a node's clock should run through
+/// its own construction and first LK pass, as on a processor of its
+/// own, not through the constructions of the nodes built after it.
+pub(crate) fn started_node<'a, T: Transport>(
+    inst: &'a Instance,
+    neighbors: &'a NeighborLists,
+    cfg: &DistConfig,
+    transport: T,
+) -> NodeDriver<'a, T> {
+    let mut node = NodeDriver::new(inst, neighbors, cfg, transport);
+    node.step();
+    node
+}
+
 /// One lockstep round: every live driver executes exactly one
 /// iteration; a driver that terminated is finished into `results` and
 /// its slot emptied. Returns whether any driver is still running.
@@ -195,7 +211,7 @@ pub fn run_lockstep_telemetry_over<T: Transport>(
     let mut drivers: Vec<Option<NodeDriver<'_, T>>> = transports
         .into_iter()
         .map(|ep| {
-            let mut node = NodeDriver::new(inst, neighbors, cfg, ep);
+            let mut node = started_node(inst, neighbors, cfg, ep);
             if let Some((store, attach)) = &telemetry {
                 if attach.covers(node.id()) {
                     node.attach_telemetry(Arc::clone(store));

@@ -198,6 +198,12 @@ pub struct NodeDriver<'a, T: Transport> {
 
     best_tour: Tour,
     best_len: i64,
+    /// The construction tour while the Fig. 1 preamble
+    /// `s_best := CLK(INITIALTOUR)` is still owed; the first
+    /// [`NodeDriver::step`] takes it. Kept apart from `best_tour` so
+    /// that a [`NodeDriver::restore`] in between cannot put another
+    /// tour through the preamble.
+    initial: Option<Tour>,
 
     // Counters live in the obs registry (the single source of truth
     // NodeResult reads from); these are the resolved handles.
@@ -233,9 +239,13 @@ pub struct NodeDriver<'a, T: Transport> {
 }
 
 impl<'a, T: Transport> NodeDriver<'a, T> {
-    /// Create a node and run the initial `s_best := CLK(INITIALTOUR)`
-    /// step (paper Fig. 1 preamble). The node gets its own live
-    /// [`Obs`] registry — `NodeResult` counters are read from it.
+    /// Create a node. It returns as soon as the initial tour is
+    /// constructed, with [`NodeDriver::best_tour`] and the trace holding
+    /// that tour; the paper's Fig. 1 preamble `s_best := CLK(INITIALTOUR)`
+    /// is the node's first [`NodeDriver::step`] (CLK call 1: no
+    /// perturbation, no broadcast, the inbox stays unread). The node
+    /// gets its own live [`Obs`] registry — `NodeResult` counters are
+    /// read from it.
     pub fn new(
         inst: &'a Instance,
         neighbors: &'a NeighborLists,
@@ -294,10 +304,11 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         Self::construct(inst, neighbors, cfg, transport, obs, true)
     }
 
-    /// Shared constructor. A fresh node (`optimize_initial`) runs the
-    /// Fig. 1 preamble `s_best := CLK(INITIALTOUR)`; a rejoining node
-    /// keeps the raw construction — its first improvement should come
-    /// from the neighborhood via resync, not from repeating local work.
+    /// Shared constructor. A fresh node (`optimize_initial`) owes the
+    /// Fig. 1 preamble `s_best := CLK(INITIALTOUR)` as its first step; a
+    /// rejoining node keeps the raw construction — its first improvement
+    /// should come from the neighborhood via resync, not from repeating
+    /// local work.
     fn construct(
         inst: &'a Instance,
         neighbors: &'a NeighborLists,
@@ -332,18 +343,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let c_rejected = obs.counter("node.rejected");
         let h_kick_strength = obs.histogram("node.kick_strength");
 
-        let mut tour = engine.construct_tour();
-        let len = if optimize_initial {
-            let len = engine.optimize_tour(&mut tour);
-            c_clk_calls.incr();
-            obs.event(
-                "node.initial",
-                &[("len", Value::U(len.max(0) as u64))],
-            );
-            len
-        } else {
-            tour.length(inst)
-        };
+        let tour = engine.construct_tour();
+        let len = tour.length(inst);
 
         let mut trace = Trace::new();
         trace.record(watch.secs(), 0, len);
@@ -363,6 +364,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             clk_kicks_per_call: cfg.clk_kicks_per_call,
             forward_received: cfg.forward_received,
             watch,
+            initial: optimize_initial.then(|| tour.clone()),
             best_tour: tour,
             best_len: len,
             obs,
@@ -630,11 +632,30 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         len
     }
 
-    /// Run one iteration of the Fig. 1 loop. Returns `false` when the
-    /// node has terminated (budget, target, or peer notification).
+    /// The Fig. 1 preamble `s_best := CLK(INITIALTOUR)` on the
+    /// construction tour: one full LK optimization, counted as a CLK
+    /// call, nothing perturbed, nothing sent or read.
+    fn preamble(&mut self, mut tour: Tour) {
+        let len = self.engine.optimize_tour(&mut tour);
+        self.c_clk_calls.incr();
+        self.obs
+            .event("node.initial", &[("len", Value::U(len.max(0) as u64))]);
+        if len < self.best_len {
+            self.install_best(tour, len, true);
+        }
+    }
+
+    /// Run one unit of work: the preamble on a fresh node's first call,
+    /// one iteration of the Fig. 1 loop afterwards. Returns `false`
+    /// when the node has terminated (budget, target, or peer
+    /// notification).
     pub fn step(&mut self) -> bool {
         if self.terminated {
             return false;
+        }
+        if let Some(tour) = self.initial.take() {
+            self.preamble(tour);
+            return true;
         }
         // A rejoining node spends its first rounds listening for a
         // BestReply instead of optimizing — adopting the neighborhood's
@@ -642,8 +663,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         if self.resync_remaining > 0 {
             return self.resync_step();
         }
-        // Known-optimum reached already (possibly by the initial CLK in
-        // `new()`): announce before stopping.
+        // Known-optimum reached already (possibly by the preamble):
+        // announce before stopping.
         if self.budget.target_met(self.best_len) {
             self.announce_optimum();
             return false;
@@ -1236,6 +1257,7 @@ enum Source {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::started_node;
     use p2p::memory::InMemoryNetwork;
     use tsp_core::generate;
 
@@ -1256,6 +1278,106 @@ mod tests {
         assert_eq!(res.best_tour.length(&inst), res.best_length);
         assert!(res.clk_calls >= 5);
         assert_eq!(res.broadcasts, 0, "no neighbors to broadcast to");
+    }
+
+    /// A one-node network's only node over `inst`, fresh from `new`.
+    fn lone_node<'a>(
+        inst: &'a Instance,
+        nl: &'a NeighborLists,
+        cfg: &DistConfig,
+    ) -> NodeDriver<'a, p2p::memory::MemoryEndpoint> {
+        let (mut eps, _) = InMemoryNetwork::build(1, cfg.topology);
+        NodeDriver::new(inst, nl, cfg, eps.remove(0))
+    }
+
+    #[test]
+    fn new_holds_the_construction_tour_and_the_first_step_is_the_preamble() {
+        use lk::CandidateKind;
+        // `(instance and run seed, candidates, best_length() right after
+        // new)` at the commit where `new` still ran the preamble itself.
+        const PARENT_NEW: [(u64, CandidateKind, i64); 6] = [
+            (1, CandidateKind::Knn, 483_948),
+            (2, CandidateKind::Knn, 421_027),
+            (3, CandidateKind::Knn, 437_670),
+            (1, CandidateKind::Hybrid, 444_839),
+            (2, CandidateKind::Hybrid, 424_433),
+            (3, CandidateKind::Hybrid, 442_432),
+        ];
+        for (seed, candidates, parent_new) in PARENT_NEW {
+            let inst = generate::drill_plate(300, seed);
+            let cfg = DistConfig {
+                nodes: 1,
+                seed,
+                clk: ChainedLkConfig {
+                    candidates,
+                    ..Default::default()
+                },
+                budget: Budget::kicks(3),
+                ..Default::default()
+            };
+            let nl = crate::build_neighbors(&inst, &cfg);
+            let mut node = lone_node(&inst, &nl, &cfg);
+            let node_clk = ChainedLkConfig {
+                seed: seed.wrapping_mul(1_000_003),
+                ..cfg.clk.clone()
+            };
+            let constructed = ClkEngine::auto(&inst, &nl, node_clk).construct_tour();
+            assert_eq!(node.best_tour(), &constructed, "seed {seed} {candidates:?}");
+            assert_eq!(node.best_length(), constructed.length(&inst));
+            assert_eq!(node.c_clk_calls.get(), 0);
+            assert!(matches!(node.trace.points(), &[(_, 0, l)] if l == node.best_length()));
+
+            assert!(node.step());
+            assert_eq!(node.best_length(), parent_new, "seed {seed} {candidates:?}");
+            assert_eq!(node.c_clk_calls.get(), 1);
+            assert_eq!(node.c_broadcasts.get(), 0);
+            assert_eq!(node.perturb.no_improvements(), 0);
+            assert_eq!(node.trace.points().len(), 2);
+        }
+    }
+
+    #[test]
+    fn restored_checkpoint_does_not_go_through_the_preamble() {
+        let inst = generate::uniform(150, 10_000.0, 204);
+        let nl = NeighborLists::build(&inst, 8);
+        let cfg = DistConfig {
+            nodes: 1,
+            budget: Budget::kicks(4),
+            clk_kicks_per_call: 5,
+            ..Default::default()
+        };
+        // A checkpoint from a node that has worked for a while: better
+        // than the construction tour and than its first LK pass.
+        let mut donor = lone_node(&inst, &nl, &cfg);
+        donor.step();
+        let first_pass = donor.best_length();
+        while donor.step() {}
+        let checkpoint = donor.checkpoint();
+        let restored = (donor.best_length(), donor.best_tour().clone());
+        assert!(
+            restored.0 < first_pass,
+            "donor never improved: pick another seed"
+        );
+
+        let mut node = lone_node(&inst, &nl, &cfg);
+        assert!(node.restore(&checkpoint));
+        assert_eq!(
+            (node.best_length(), node.best_tour()),
+            (restored.0, &restored.1)
+        );
+        // The preamble is still owed, on the construction tour: it counts
+        // as CLK call 1 and finds `first_pass`, which does not displace
+        // the checkpoint — and the checkpoint itself is not optimized.
+        assert!(node.step());
+        assert_eq!(node.c_clk_calls.get(), 1);
+        assert_eq!(
+            (node.best_length(), node.best_tour()),
+            (restored.0, &restored.1)
+        );
+        let res = node.finish();
+        let lens: Vec<i64> = res.trace.points().iter().map(|p| p.2).collect();
+        assert_eq!(lens.len(), 2, "construction, checkpoint: {lens:?}");
+        assert!(!lens.contains(&first_pass));
     }
 
     #[test]
@@ -1283,7 +1405,7 @@ mod tests {
             breadth: vec![1],
         };
         cfg.clk.use_or_opt = false;
-        let mut node1 = NodeDriver::new(&inst, &nl, &cfg, ep1);
+        let mut node1 = started_node(&inst, &nl, &cfg, ep1);
         let opt_tour = generate::grid_optimal_tour(14, 14);
         let opt_len = opt_tour.length(&inst);
         assert_eq!(Some(opt_len), inst.known_optimum());
@@ -1332,7 +1454,7 @@ mod tests {
             clk_kicks_per_call: 0,
             ..Default::default()
         };
-        let mut node1 = NodeDriver::new(&inst, &nl, &cfg, ep1);
+        let mut node1 = started_node(&inst, &nl, &cfg, ep1);
         let before = node1.best_length();
         use p2p::Transport as _;
         // Wrong city count (would have panicked Tour::from_order).
@@ -1402,7 +1524,7 @@ mod tests {
             clk_kicks_per_call: 0,
             ..Default::default()
         };
-        let mut node1 = NodeDriver::new(&inst, &nl, &cfg, ep1);
+        let mut node1 = started_node(&inst, &nl, &cfg, ep1);
         ep0.send(1, Message::OptimumFound { from: 0, length: 42 })
             .unwrap();
         // The step that drains the message must be the last.

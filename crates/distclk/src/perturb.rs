@@ -103,10 +103,13 @@ impl Perturbator {
             return PerturbAction::Restart;
         }
         let kicks = if self.use_dbm { self.strength() } else { 0 };
+        // Report what was done to the tour: one too small to kick
+        // (`Tour::random_double_bridge`) comes back as `Kicked(0)`.
+        let mut applied = 0;
         for _ in 0..kicks {
-            tour.random_double_bridge(rng);
+            applied += u32::from(tour.random_double_bridge(rng));
         }
-        PerturbAction::Kicked(kicks)
+        PerturbAction::Kicked(applied)
     }
 }
 
@@ -174,6 +177,22 @@ mod tests {
             p.record_no_improvement();
         }
         assert_eq!(p.perturbate(&mut tour, &mut rng), PerturbAction::Restart);
+    }
+
+    #[test]
+    fn tour_too_small_to_kick_reports_no_kicks() {
+        let mut p = Perturbator::new(1, 256, true);
+        let mut rng = SmallRng::seed_from_u64(4);
+        for _ in 0..3 {
+            p.record_no_improvement();
+        }
+        assert_eq!(p.strength(), 4);
+        let mut small = Tour::identity(7);
+        assert_eq!(p.perturbate(&mut small, &mut rng), PerturbAction::Kicked(0));
+        assert_eq!(small, Tour::identity(7));
+        let mut tour = Tour::identity(8);
+        assert_eq!(p.perturbate(&mut tour, &mut rng), PerturbAction::Kicked(4));
+        assert_ne!(tour, Tour::identity(8));
     }
 
     #[test]

@@ -1019,6 +1019,11 @@ impl Supervisor {
 /// step-for-step the [`crate::run_over_transports`] loop
 /// (`while step(); finish()`), which is what the conformance suite
 /// pins: same seed and config ⇒ bit-identical tour.
+///
+/// Reports in the order the node obtains tours: the construction tour
+/// as soon as [`NodeDriver::new`] returns, the first LK pass's result
+/// after the first step, then every improving iteration — so a job's
+/// first `JobImproved` precedes its first LK pass.
 fn solve_job(
     worker: NodeId,
     job: u64,
@@ -1034,8 +1039,9 @@ fn solve_job(
     if let Some(checkpoint) = checkpoint {
         node.restore(&checkpoint);
     }
-    // Stream the construction-time tour immediately: anytime semantics
-    // start at acceptance, not at the first kick.
+    // `new` returns with the construction tour (or the checkpoint, if
+    // that is better): stream it before the first LK pass, which is the
+    // node's first step. Anytime semantics start at acceptance.
     let mut last = i64::MAX;
     let mut ship = |node: &NodeDriver<_>| {
         if node.best_length() < last {

@@ -25,7 +25,7 @@ use distclk::{
     build_neighbors, hard_suite, points_to_json, run_over_transports, DistConfig, DoneReason,
     EvolveConfig, JobPayload, JobSpec, JobUpdate, ServiceConfig, ServiceJobHandler, SolverService,
 };
-use lk::Budget;
+use lk::{Budget, ChainedLkConfig, ClkEngine};
 use obs_api::kinds;
 use p2p::hub::LifecycleHub;
 use p2p::{InMemoryNetwork, Message, TcpConfig, Topology};
@@ -90,6 +90,17 @@ fn conformance_single_job_matches_direct_engine_over_ten_seeds() {
             "seed {seed}: stream not strictly improving: {improvements:?}"
         );
         assert_eq!(*improvements.last().unwrap(), length, "seed {seed}");
+
+        // Anytime from construction: the stream opens with the
+        // Quick-Borůvka tour itself, before the first LK pass (which
+        // improves on it here, so there is a second update at least).
+        let node_clk = ChainedLkConfig {
+            seed: seed.wrapping_mul(1_000_003),
+            ..cfg.clk.clone()
+        };
+        let constructed = ClkEngine::auto(&inst, &nl, node_clk).construct_tour();
+        assert_eq!(improvements[0], constructed.length(&inst), "seed {seed}");
+        assert!(improvements.len() >= 2, "seed {seed}: {improvements:?}");
     }
     svc.shutdown();
 }

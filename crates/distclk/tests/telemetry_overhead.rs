@@ -3,9 +3,9 @@
 //! tours.
 //!
 //! Methodology as in `lk/tests/obs_overhead.rs` (the PR 2 bound):
-//! min-of-N timing with alternating on/off order, so scheduler noise
-//! and thermal drift hit both variants equally and the minimum
-//! approaches the true cost of the code.
+//! on/off pairs in alternating order, failing only if every pair is
+//! over the bound, so scheduler noise and thermal drift hit both
+//! variants equally and cannot fail the test from one side.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ const N_CITIES: usize = 300;
 const NODES: usize = 4;
 const CALLS: u64 = 8;
 const KICKS_PER_CALL: u64 = 12;
-const ROUNDS: usize = 5;
+const MAX_PAIRS: usize = 7;
 
 fn cfg() -> DistConfig {
     DistConfig {
@@ -72,28 +72,40 @@ fn telemetry_overhead_under_two_percent() {
     run_once(&inst, &nl, 0);
     run_once(&inst, &nl, 1);
 
-    let mut best_off = Duration::MAX;
-    let mut best_on = Duration::MAX;
-    for _ in 0..ROUNDS {
-        let (t_off, _, _) = run_once(&inst, &nl, 0);
-        let (t_on, _, _) = run_once(&inst, &nl, 1);
-        best_off = best_off.min(t_off);
-        best_on = best_on.min(t_on);
+    // Per-pair overhead, then the *minimum* over pairs (the form
+    // `zero_churn_overhead_under_two_percent` uses): a systematic cost
+    // taxes every pair, while a descheduling spike on one side cannot
+    // survive the min unless it hits the "on" run of every pair — so
+    // the first pair inside the bound settles it. Two separate minima,
+    // as here before, let one quiet "off" run set a bar no "on" run of
+    // a busier moment could meet.
+    let mut overhead = f64::MAX;
+    for round in 0..MAX_PAIRS {
+        // Alternate which side runs first, so drift within a pair
+        // favours neither.
+        let (t_off, t_on) = if round % 2 == 0 {
+            let off = run_once(&inst, &nl, 0).0;
+            (off, run_once(&inst, &nl, 1).0)
+        } else {
+            let on = run_once(&inst, &nl, 1).0;
+            (run_once(&inst, &nl, 0).0, on)
+        };
+        // Keep the workload long enough that 2% clears timer
+        // resolution; if this fires, raise CALLS/KICKS_PER_CALL rather
+        // than loosening the bound.
+        assert!(
+            t_off > Duration::from_millis(50),
+            "workload too short ({t_off:?}) for a meaningful 2% bound; raise the budget"
+        );
+        let off = t_off.as_secs_f64();
+        overhead = overhead.min((t_on.as_secs_f64() - off) / off);
+        if overhead <= 0.02 {
+            return;
+        }
     }
-
-    let off = best_off.as_secs_f64();
-    let on = best_on.as_secs_f64();
-    // Keep the workload long enough that 2% clears timer resolution;
-    // if this fires, raise CALLS/KICKS_PER_CALL rather than loosening
-    // the bound.
-    assert!(
-        off > 0.05,
-        "workload too short ({off:.3}s) for a meaningful 2% bound; raise the budget"
-    );
-    assert!(
-        on <= off * 1.02,
-        "telemetry overhead {:.2}% exceeds the 2% budget (off={off:.3}s on={on:.3}s)",
-        (on - off) / off * 100.0
+    panic!(
+        "telemetry overhead {:.2}% exceeds the 2% budget in every one of {MAX_PAIRS} pairs",
+        overhead * 100.0
     );
 }
 

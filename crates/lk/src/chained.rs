@@ -111,8 +111,31 @@ pub struct ClkResult {
     pub kicks: u64,
     /// Wall time used.
     pub seconds: f64,
-    /// Best-so-far convergence trace.
+    /// Best-so-far convergence trace: one point per [`Progress`] the run
+    /// reported, so every point is a tour the caller was offered. The
+    /// first is the construction tour.
     pub trace: Trace,
+}
+
+/// A tour a run holds, reported the moment it exists: the construction
+/// tour, the result of the first LK pass, then every improving kick.
+/// Lengths strictly decrease from one report to the next.
+pub struct Progress<'a> {
+    /// Seconds since the run started.
+    pub secs: f64,
+    /// Kick attempts spent so far.
+    pub kicks: u64,
+    /// Length of the tour.
+    pub length: i64,
+    tour: &'a dyn Fn() -> Tour,
+}
+
+impl Progress<'_> {
+    /// The tour itself. Built on request — O(n) on the two-level list —
+    /// so a consumer that only watches lengths pays nothing for it.
+    pub fn tour(&self) -> Tour {
+        (self.tour)()
+    }
 }
 
 /// A reusable Chained LK engine bound to one instance.
@@ -544,14 +567,40 @@ impl<'a> ChainedLk<'a> {
     /// [`ChainedLk::clk_call`], the kick budget counts attempts, so the
     /// reported `kicks` grows by `kick_workers` per parallel step.
     pub fn run_rep<R: TourRep + Send + Sync>(&mut self, budget: &Budget) -> ClkResult {
+        self.run_rep_with::<R>(budget, &mut |_| {})
+    }
+
+    /// [`ChainedLk::run_rep`] that also hands `sink` every tour the run
+    /// obtains, as it obtains it: a caller holds a tour once construction
+    /// is done, not once the first LK pass is.
+    pub fn run_rep_with<R: TourRep + Send + Sync>(
+        &mut self,
+        budget: &Budget,
+        sink: &mut dyn FnMut(&Progress<'_>),
+    ) -> ClkResult {
         let watch = Stopwatch::start();
+        let mut trace = Trace::new();
+        // The one place a run reports a tour; the trace is its first
+        // consumer.
+        let mut report = |kicks: u64, length: i64, tour: &dyn Fn() -> Tour| {
+            let secs = watch.secs();
+            trace.record(secs, kicks, length);
+            sink(&Progress {
+                secs,
+                kicks,
+                length,
+                tour,
+            });
+        };
         let start = self.construct_tour();
         let before = start.length(self.inst);
+        report(0, before, &|| start.clone());
         let mut rep = R::from_tour(&start);
         let mut best_len = before - self.optimize(&mut rep);
-        let mut trace = Trace::new();
+        if best_len < before {
+            report(0, best_len, &|| rep.to_tour());
+        }
         let mut kicks = 0u64;
-        trace.record(watch.secs(), kicks, best_len);
 
         while !budget.exhausted(watch.elapsed(), kicks, best_len) {
             let before_spend = self.kicks_spent;
@@ -559,7 +608,7 @@ impl<'a> ChainedLk<'a> {
             kicks += self.kicks_spent - before_spend;
             if new_len < best_len {
                 best_len = new_len;
-                trace.record(watch.secs(), kicks, best_len);
+                report(kicks, best_len, &|| rep.to_tour());
             }
         }
         let tour = rep.to_tour();
@@ -680,10 +729,15 @@ impl<'a> ClkEngine<'a> {
 
     /// See [`ChainedLk::run`]; dispatches on the representation.
     pub fn run(&mut self, budget: &Budget) -> ClkResult {
+        self.run_with(budget, &mut |_| {})
+    }
+
+    /// See [`ChainedLk::run_rep_with`]; dispatches on the representation.
+    pub fn run_with(&mut self, budget: &Budget, sink: &mut dyn FnMut(&Progress<'_>)) -> ClkResult {
         if self.two_level {
-            self.inner.run_rep::<TwoLevelList>(budget)
+            self.inner.run_rep_with::<TwoLevelList>(budget, sink)
         } else {
-            self.inner.run_rep::<Tour>(budget)
+            self.inner.run_rep_with::<Tour>(budget, sink)
         }
     }
 }

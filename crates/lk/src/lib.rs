@@ -49,7 +49,7 @@ pub mod vpath;
 
 pub use budget::{Budget, Stopwatch, Trace};
 pub use candidates::{build_candidate_lists, CandidateKind};
-pub use chained::{ChainedLk, ChainedLkConfig, ClkEngine, ClkResult};
+pub use chained::{ChainedLk, ChainedLkConfig, ClkEngine, ClkResult, Progress};
 pub use kick::{Kick, KickStrategy};
 pub use lin_kernighan::LkConfig;
 pub use search::Optimizer;

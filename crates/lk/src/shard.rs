@@ -416,13 +416,15 @@ fn refine_seams(
     for (i, &c) in order.iter().enumerate() {
         pos[c as usize] = i as u32;
     }
+    // Per seam, the window that last came back without a gain.
+    let mut settled: Vec<Vec<u32>> = vec![Vec::new(); seams.len()];
     let mut total = 0i64;
     let mut rounds = 0usize;
     while rounds < cfg.max_refine_rounds.max(1) {
         let mut round_gain = 0i64;
-        for &c in seams {
+        for (&c, settled) in seams.iter().zip(&mut settled) {
             let center = pos[c as usize] as usize;
-            round_gain += refine_window(inst, order, &mut pos, center, cfg.window);
+            round_gain += refine_window(inst, order, &mut pos, center, cfg.window, settled);
         }
         rounds += 1;
         total += round_gain;
@@ -436,12 +438,19 @@ fn refine_seams(
 /// Re-optimize the window of `window` consecutive tour cities centered
 /// at position `center` as a pinned-endpoint path (see module docs).
 /// Splices the improved path back in place and returns the gain.
+///
+/// The outcome is a function of the window's cities in tour order
+/// alone. `settled` holds the window this seam last found nothing in:
+/// meeting it again — in the closing round most windows do — is a gain
+/// of zero without the search, and a window that gains nothing now is
+/// remembered there.
 fn refine_window(
     inst: &Instance,
     order: &mut [u32],
     pos: &mut [u32],
     center: usize,
     window: usize,
+    settled: &mut Vec<u32>,
 ) -> i64 {
     let n = order.len();
     // Keep at least one city outside the window so the pinned path has
@@ -452,6 +461,9 @@ fn refine_window(
     }
     let start = (center + n - m / 2) % n;
     let w: Vec<u32> = (0..m).map(|i| order[(start + i) % n]).collect();
+    if w == *settled {
+        return 0;
+    }
     let old_cost: i64 = w
         .windows(2)
         .map(|p| inst.dist(p[0] as usize, p[1] as usize))
@@ -498,6 +510,7 @@ fn refine_window(
         .map(|p| inst.dist(w[p[0] as usize] as usize, w[p[1] as usize] as usize))
         .sum();
     if new_cost >= old_cost {
+        *settled = w;
         return 0;
     }
     for (i, &li) in path.iter().enumerate() {
@@ -605,7 +618,8 @@ mod tests {
             pos[c as usize] = i as u32;
         }
         let before: i64 = order_length(&inst, &order);
-        let gain = refine_window(&inst, &mut order, &mut pos, 32, 32);
+        let mut settled = Vec::new();
+        let gain = refine_window(&inst, &mut order, &mut pos, 32, 32, &mut settled);
         let after: i64 = order_length(&inst, &order);
         assert_eq!(before - after, gain);
         assert!(gain >= 0);
@@ -613,6 +627,65 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn skipping_settled_windows_changes_nothing() {
+        // Reference: the same rounds with nothing remembered, every
+        // window searched every time.
+        let inst = generate::uniform(3_000, 10_000.0, 41);
+        let cfg = small_cfg(8, 5);
+        let part = Partition::build(&inst, cfg.shards);
+        let mut cycles: Vec<Option<Vec<u32>>> = (0..part.shard_count())
+            .map(|s| Some(solve_one_shard(&inst, &part, s, &cfg).0))
+            .collect();
+        let mut seams = Vec::new();
+        let mut pos = vec![0u32; inst.len()];
+        let stitched = stitch_rec(
+            &inst,
+            &part,
+            part.root(),
+            &mut cycles,
+            24,
+            &mut seams,
+            &mut pos,
+        );
+        seams.sort_unstable();
+        seams.dedup();
+
+        let mut want = stitched.clone();
+        for (i, &c) in want.iter().enumerate() {
+            pos[c as usize] = i as u32;
+        }
+        let (mut want_gain, mut want_rounds) = (0i64, 0usize);
+        loop {
+            let mut round_gain = 0;
+            for &c in &seams {
+                let center = pos[c as usize] as usize;
+                round_gain += refine_window(
+                    &inst,
+                    &mut want,
+                    &mut pos,
+                    center,
+                    cfg.window,
+                    &mut Vec::new(),
+                );
+            }
+            want_rounds += 1;
+            want_gain += round_gain;
+            if round_gain == 0 {
+                break;
+            }
+        }
+        assert!(
+            want_gain > 0 && want_rounds >= 2,
+            "nothing to refine: pick another instance"
+        );
+
+        let mut got = stitched;
+        let (gain, rounds) = refine_seams(&inst, &mut got, &seams, &cfg);
+        assert_eq!((gain, rounds), (want_gain, want_rounds));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -82,3 +82,29 @@ proptest! {
         prop_assert_eq!(sharded.length, plain.length);
     }
 }
+
+/// The benchmark's shape, 100 000 cities in 8 shards, pinned to what
+/// the pipeline returned before seam refinement learned to skip
+/// windows it had already found nothing in: the skip is exact, so
+/// tour length, refinement gain and round count may not move.
+#[test]
+fn hundred_thousand_cities_in_eight_shards_refine_as_before() {
+    let inst = generate::uniform(100_000, 1e6, 4242);
+    let mut c = ShardConfig {
+        shards: 8,
+        kicks_per_shard: 30,
+        ..ShardConfig::default()
+    };
+    c.clk.seed = 7;
+    let res = shard_solve(&inst, &c);
+    assert_eq!(res.length, 232_886_586);
+    assert_eq!(res.length, cycle_length(&inst, res.tour.order()));
+    assert_eq!(
+        (
+            res.stats.refine_gain,
+            res.stats.refine_rounds,
+            res.stats.seam_cities
+        ),
+        (38_122, 2, 28)
+    );
+}

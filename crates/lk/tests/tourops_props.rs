@@ -9,12 +9,65 @@
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
-use tsp_core::{generate, NeighborLists, Tour, TourOps, TwoLevelList};
+use tsp_core::{generate, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
 
 use lk::kick::kick;
 use lk::search::{or_opt_move_by_edges, two_opt_by_edges};
 use lk::vpath::VPath;
 use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
+
+/// One sink-observed run on representation `R`: what the sink was
+/// handed must be what a caller could have taken, and the trace must be
+/// its record. Returns the reported `(kicks, length)` series.
+fn sink_reports_the_run<R: TourRep + Send + Sync>(
+    inst: &tsp_core::Instance,
+    nl: &NeighborLists,
+    cfg: &ChainedLkConfig,
+    budget: &Budget,
+) -> Vec<(u64, i64)> {
+    let first = ChainedLk::new(inst, nl, cfg.clone()).construct_tour();
+    let mut seen: Vec<(f64, u64, i64, Tour)> = Vec::new();
+    let res = ChainedLk::new(inst, nl, cfg.clone()).run_rep_with::<R>(budget, &mut |p| {
+        seen.push((p.secs, p.kicks, p.length, p.tour()));
+    });
+    for (_, _, length, tour) in &seen {
+        assert!(tour.is_valid(), "{}: reported a non-permutation", R::NAME);
+        assert_eq!(tour.tour_length(inst), *length, "{}", R::NAME);
+    }
+    for w in seen.windows(2) {
+        assert!(
+            w[1].2 < w[0].2,
+            "{}: lengths must strictly decrease",
+            R::NAME
+        );
+        assert!(
+            w[1].0 >= w[0].0 && w[1].1 >= w[0].1,
+            "{}: went back in time",
+            R::NAME
+        );
+    }
+    assert_eq!(
+        seen[0].3,
+        first,
+        "{}: first report is not the construction tour",
+        R::NAME
+    );
+    // The last report has the result's length; its tour may have been
+    // left since by kicks accepted at equal length, which report nothing.
+    let last = seen.last().expect("construction is always reported");
+    assert_eq!(last.2, res.length, "{}", R::NAME);
+    if res.trace.points().last().is_some_and(|p| p.1 == res.kicks) {
+        assert_eq!(last.3, res.tour, "{}", R::NAME);
+    }
+    let series: Vec<(f64, u64, i64)> = seen.iter().map(|(s, k, l, _)| (*s, *k, *l)).collect();
+    assert_eq!(
+        res.trace.points(),
+        &series[..],
+        "{}: trace is not the sink's record",
+        R::NAME
+    );
+    series.into_iter().map(|(_, k, l)| (k, l)).collect()
+}
 
 /// Both representations of the same random starting permutation.
 fn both_reps(n: usize, seed: u64) -> (Tour, TwoLevelList) {
@@ -266,6 +319,27 @@ proptest! {
         prop_assert_eq!(ra.length, rb.length);
         prop_assert_eq!(ra.kicks, rb.kicks);
         prop_assert_eq!(TourOps::to_order(&ra.tour), TourOps::to_order(&rb.tour));
+    }
+
+    /// Every tour a run holds — construction, first pass, improving
+    /// kicks — reaches the progress sink as it is, on either
+    /// representation, and both report the same series.
+    #[test]
+    fn progress_sink_reports_every_tour_the_run_holds(
+        n in 40usize..160,
+        seed in any::<u64>(),
+        kicks in 0u64..25,
+    ) {
+        let inst = generate::uniform(n, 10_000.0, seed ^ 0xB3);
+        let nl = NeighborLists::build(&inst, 8);
+        let cfg = ChainedLkConfig {
+            seed,
+            ..Default::default()
+        };
+        let budget = Budget::kicks(kicks);
+        let array = sink_reports_the_run::<Tour>(&inst, &nl, &cfg, &budget);
+        let twolevel = sink_reports_the_run::<TwoLevelList>(&inst, &nl, &cfg, &budget);
+        prop_assert_eq!(array, twolevel);
     }
 
     /// Speculative parallel kicks keep the cross-representation and

@@ -302,12 +302,14 @@ impl Tour {
         }
     }
 
-    /// Apply one uniformly random double-bridge move.
-    pub fn random_double_bridge<R: Rng>(&mut self, rng: &mut R) {
+    /// Apply one uniformly random double-bridge move. A tour of fewer
+    /// than 8 cities is too small for a meaningful 4-exchange: it is
+    /// left untouched, no random number is drawn, and the return value
+    /// says so (`false`).
+    pub fn random_double_bridge<R: Rng>(&mut self, rng: &mut R) -> bool {
         let n = self.len();
         if n < 8 {
-            // Too small for a meaningful 4-exchange; rotate instead.
-            return;
+            return false;
         }
         loop {
             let mut cuts = [0usize; 4];
@@ -318,7 +320,7 @@ impl Tour {
             sorted.sort_unstable();
             if sorted[0] < sorted[1] && sorted[1] < sorted[2] && sorted[2] < sorted[3] {
                 self.double_bridge_at(sorted);
-                return;
+                return true;
             }
         }
     }
@@ -486,8 +488,10 @@ mod tests {
     fn random_double_bridge_small_tour_noop() {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut t = Tour::identity(5);
-        t.random_double_bridge(&mut rng);
+        assert!(!t.random_double_bridge(&mut rng));
         assert_eq!(t.order(), &[0, 1, 2, 3, 4]);
+        // ... and without touching the RNG.
+        assert_eq!(rng.gen::<u64>(), SmallRng::seed_from_u64(7).gen::<u64>());
     }
 
     #[test]

@@ -26,7 +26,15 @@ fn main() {
         "best tour: {} after {} kicks in {:.2}s",
         result.length, result.kicks, result.seconds
     );
-    println!("improvements recorded: {}", result.trace.points().len());
+    // The trace starts at the construction tour: a caller holds a tour
+    // long before the first LK pass is through (`run_with` hands them
+    // over as they come).
+    let (first_secs, _, first_len) = result.trace.points()[0];
+    println!(
+        "first tour: {first_len} after {:.1} ms (Quick-Borůvka)",
+        first_secs * 1e3
+    );
+    println!("tours reported: {}", result.trace.points().len());
 
     // Compare against the Held-Karp lower bound.
     let hk = dist_clk::heldkarp::held_karp_bound(
