@@ -117,16 +117,6 @@ pub fn length_at_kicks(trace: &Trace, kicks: u64) -> Option<i64> {
         .last()
 }
 
-/// Mean time (seconds) at which each trace first reached `length`;
-/// `None` if any run never reached it.
-pub fn mean_time_to(traces: &[Trace], length: i64) -> Option<f64> {
-    let mut times = Vec::with_capacity(traces.len());
-    for t in traces {
-        times.push(t.time_to_reach(length)?);
-    }
-    Some(mean(&times))
-}
-
 /// Mean effort (kicks / CLK calls) at which each trace first reached
 /// `length`; `None` if any run never reached it.
 pub fn mean_kicks_to(traces: &[Trace], length: i64) -> Option<f64> {
@@ -172,16 +162,5 @@ mod tests {
         assert_eq!(length_at_kicks(&t, 5), Some(90));
         assert_eq!(length_at_kicks(&t, 7), Some(90));
         assert_eq!(length_at_kicks(&t, 100), Some(80));
-    }
-
-    #[test]
-    fn mean_time_to_requires_all_runs() {
-        let mut a = Trace::new();
-        a.record(1.0, 0, 50);
-        let mut b = Trace::new();
-        b.record(3.0, 0, 50);
-        assert_eq!(mean_time_to(&[a.clone(), b], 50), Some(2.0));
-        let c = Trace::new();
-        assert_eq!(mean_time_to(&[a, c], 50), None);
     }
 }

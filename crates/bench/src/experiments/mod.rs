@@ -9,10 +9,7 @@ pub mod figure3;
 pub mod hub_failover;
 pub mod messages;
 pub mod monitor;
-pub mod perf;
 pub mod profile;
-pub mod service;
-pub mod shard;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -43,17 +40,13 @@ pub fn run(id: &str, scale: &Scale) -> Option<Report> {
         "hub-failover" => hub_failover::run(scale),
         "monitor" => monitor::run(scale),
         "profile" => profile::run(scale),
-        "perf" => perf::run(scale),
-        "shard" => shard::run(scale),
-        "service" => service::run(scale),
         _ => return None,
     };
     Some(report)
 }
 
 /// All experiment ids in suggested execution order.
-pub const ALL: [&str; 18] = [
+pub const ALL: [&str; 15] = [
     "table3", "table4", "table5", "table1", "table2", "figure2", "figure3", "messages",
-    "variator", "ablation", "faults", "churn", "hub-failover", "monitor", "profile", "perf",
-    "shard", "service",
+    "variator", "ablation", "faults", "churn", "hub-failover", "monitor", "profile",
 ];

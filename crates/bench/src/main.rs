@@ -10,7 +10,7 @@
 //! cargo run -p bench -- list
 //! ```
 
-use bench::experiments::{self, churn, hub_failover, monitor, perf, profile, service, shard};
+use bench::experiments::{self, churn, hub_failover, monitor, profile};
 use bench::testbed::Scale;
 
 fn main() {
@@ -26,22 +26,15 @@ fn main() {
             println!("experiments: {}", experiments::ALL.join(", "));
             println!("usage: bench <id>|all [--full]");
             println!("       bench profile [<tsplib-file>|<testbed-name>] [--full]");
-            println!("       bench perf [--smoke]   # array vs two-level tour sweep");
             println!("       bench churn [--smoke]  # seeded kill/revive chaos sweep");
             println!("       bench hub-failover [--smoke]  # hub death, election, epoch fencing");
             println!("       bench monitor [--smoke]  # live mid-run telemetry scrape over TCP");
-            println!("       bench shard [--smoke]  # divide-and-optimize sharding, 200k -> 1M");
-            println!("       bench service [--smoke]  # multi-tenant job service over TCP");
         }
         "all" => {
             for id in experiments::ALL {
                 run_one(id, &scale);
             }
             println!("all reports written to target/repro/");
-        }
-        "perf" => {
-            // Full sweep (≥10k cities) unless --smoke caps it for CI.
-            perf::run_mode(smoke).write().expect("write report");
         }
         "churn" => {
             // Seeded kill/revive chaos sweep; --smoke caps it for CI.
@@ -54,14 +47,6 @@ fn main() {
         "monitor" => {
             // Live telemetry plane end-to-end; --smoke caps it for CI.
             monitor::run_mode(smoke).write().expect("write report");
-        }
-        "shard" => {
-            // Divide-and-optimize sweep; --smoke caps it for CI.
-            shard::run_mode(smoke).write().expect("write report");
-        }
-        "service" => {
-            // Multi-tenant job fleet over TCP; --smoke caps it for CI.
-            service::run_mode(smoke).write().expect("write report");
         }
         "profile" => {
             let report = match positional.next() {

@@ -82,56 +82,6 @@ impl Report {
     }
 }
 
-/// Merge one experiment's machine-readable body into
-/// `target/repro/BENCH_lk.json`.
-///
-/// Experiments don't own the whole file: each writes its body (a
-/// complete JSON object) under `target/repro/bench_sections/<section>.json`,
-/// and the merged file is recomposed as `{ "<section>": <body>, ... }`
-/// over every section present, sorted by name. Re-running one
-/// experiment refreshes its section without clobbering the others, so
-/// CI smoke jobs can each grep their own contract keys from the same
-/// file. Returns the merged path.
-pub fn merge_bench_json(section: &str, body: &str) -> std::io::Result<PathBuf> {
-    assert!(
-        section
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_'),
-        "section must be a bare identifier, got {section:?}"
-    );
-    let dir = Report::out_dir().join("bench_sections");
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.join(format!("{section}.json")), body)?;
-
-    let mut sections: Vec<(String, String)> = Vec::new();
-    for entry in std::fs::read_dir(&dir)? {
-        let path = entry?.path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if path.extension().and_then(|e| e.to_str()) == Some("json") {
-            sections.push((stem.to_string(), std::fs::read_to_string(&path)?));
-        }
-    }
-    sections.sort();
-
-    let mut json = String::from("{\n");
-    for (i, (name, body)) in sections.iter().enumerate() {
-        let _ = writeln!(json, "  \"{name}\":");
-        for line in body.trim_end().lines() {
-            let _ = writeln!(json, "  {line}");
-        }
-        if i + 1 < sections.len() {
-            json.truncate(json.trim_end().len());
-            json.push_str(",\n");
-        }
-    }
-    json.push_str("}\n");
-    let path = Report::out_dir().join("BENCH_lk.json");
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
 /// Format a fractional excess as the paper prints it (`0.047%`, `OPT`).
 pub fn fmt_excess(excess: f64) -> String {
     if excess <= 0.0 {

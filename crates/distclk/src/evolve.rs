@@ -37,8 +37,6 @@ pub struct EvolveConfig {
     pub generations: usize,
     /// Offspring per generation (λ).
     pub offspring: usize,
-    /// Fraction of cities re-positioned per mutation.
-    pub mutate_frac: f64,
     /// Fixed solve budget (CLK kicks) used by the fitness evaluation.
     pub kicks: u64,
     /// Master seed: drives the initial layout, every mutation, and the
@@ -53,7 +51,6 @@ impl Default for EvolveConfig {
             side: 1000.0,
             generations: 8,
             offspring: 3,
-            mutate_frac: 0.1,
             kicks: 8,
             seed: 0,
         }
@@ -94,9 +91,12 @@ fn instance_of(name: String, points: Vec<Point>) -> Instance {
     Instance::new(name, points, Metric::Euc2d)
 }
 
+/// Fraction of cities re-positioned per mutation.
+const MUTATE_FRAC: f64 = 0.1;
+
 /// Evolve one adversarially hard instance: start uniform, then for
 /// each generation spawn [`EvolveConfig::offspring`] mutants (each
-/// re-positions `mutate_frac` of the cities uniformly) and keep the
+/// re-positions `MUTATE_FRAC` of the cities uniformly) and keep the
 /// variant maximizing [`solve_effort`] — ties to the parent, so the
 /// trajectory is monotone in fitness. Returns the instance and its
 /// final fitness.
@@ -106,7 +106,7 @@ pub fn evolve_hard(cfg: &EvolveConfig) -> (Instance, f64) {
     let parent = instance_of(format!("evolved-{}-g0", cfg.seed), points.clone());
     let mut fitness = solve_effort(&parent, cfg.kicks, cfg.seed);
     let mut champion = parent;
-    let moves = ((cfg.cities as f64 * cfg.mutate_frac).ceil() as usize).max(1);
+    let moves = ((cfg.cities as f64 * MUTATE_FRAC).ceil() as usize).max(1);
     for generation in 1..=cfg.generations {
         for _ in 0..cfg.offspring {
             let mut mutant = points.clone();

@@ -18,7 +18,7 @@ pub struct DistConfig {
     /// Network topology (the paper uses the hypercube).
     pub topology: Topology,
     /// The underlying CLK engine configuration (kick strategy,
-    /// candidate-list kind, kick workers, etc.). Each node derives its
+    /// candidate-list kind, etc.). Each node derives its
     /// own RNG seed from `seed` and its id; everything else — notably
     /// `clk.candidates` / `clk.neighbor_k`, which the candidate lists
     /// are built from (see [`crate::build_neighbors`]) — must be
@@ -54,12 +54,6 @@ pub struct DistConfig {
     pub budget: Budget,
     /// Master seed; node `i` uses `seed * 1000003 + i`.
     pub seed: u64,
-    /// How many loop rounds a rejoining node waits for a validated
-    /// [`Message::BestReply`] before giving up on state resync and
-    /// proceeding from its own constructed tour. In the lockstep driver
-    /// one round suffices for an adjacent live neighbor; the default
-    /// leaves headroom for message loss and thread scheduling.
-    pub resync_patience: u32,
     /// Ship a live [`Message::Telemetry`] frame (metric deltas, new
     /// structured events, convergence state) every this many loop
     /// rounds — directly into an attached [`TelemetryStore`] when one
@@ -90,7 +84,6 @@ impl Default for DistConfig {
             forward_received: false,
             budget: Budget::kicks(50),
             seed: 0,
-            resync_patience: 3,
             telemetry_every: 0,
             stall_window: 128,
         }
@@ -256,10 +249,17 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         Self::new_with_obs(inst, neighbors, cfg, transport, obs)
     }
 
+    /// How many loop rounds a rejoining node waits for a validated
+    /// [`Message::BestReply`] before giving up on state resync and
+    /// proceeding from its own constructed tour. In the lockstep driver
+    /// one round suffices for an adjacent live neighbor; three leave
+    /// headroom for message loss and thread scheduling.
+    const RESYNC_PATIENCE: u32 = 3;
+
     /// Create a node that *rejoins* a running network after a crash:
     /// instead of burning a CLK call on its cold constructed tour, it
     /// broadcasts a [`Message::BestRequest`] and spends its first
-    /// (up to) `cfg.resync_patience` loop rounds waiting to adopt the
+    /// (up to) `RESYNC_PATIENCE` loop rounds waiting to adopt the
     /// neighborhood's validated best — population state resync, so a
     /// restarted node is productive immediately instead of repeating
     /// work the network already did.
@@ -271,7 +271,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     ) -> Self {
         let obs = Obs::for_node(transport.node_id() as u32);
         let mut node = Self::construct(inst, neighbors, cfg, transport, obs, false);
-        node.begin_resync(cfg.resync_patience);
+        node.begin_resync(Self::RESYNC_PATIENCE);
         node
     }
 

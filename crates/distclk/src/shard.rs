@@ -18,7 +18,7 @@
 //! partition (shard id in range, the order is a permutation of the
 //! shard's membership, the length recomputes) and winner-merges
 //! duplicates by `(length, sender)`. Missing shards — worker death,
-//! dropped frames — are re-solved locally after `collect_timeout`;
+//! dropped frames — are re-solved locally after `COLLECT_TIMEOUT`;
 //! because shard solves are deterministic ([`lk::shard::shard_seed`]),
 //! the recovery path produces bit-identical sub-tours, so the final
 //! tour does not depend on node count, arrival order, or which
@@ -40,9 +40,6 @@ pub struct ShardDistConfig {
     pub nodes: usize,
     /// The pipeline configuration shared by every node.
     pub shard: ShardConfig,
-    /// How long the collector waits for outstanding shard results
-    /// before re-solving them locally.
-    pub collect_timeout: Duration,
 }
 
 impl Default for ShardDistConfig {
@@ -50,7 +47,6 @@ impl Default for ShardDistConfig {
         ShardDistConfig {
             nodes: 4,
             shard: ShardConfig::default(),
-            collect_timeout: Duration::from_secs(120),
         }
     }
 }
@@ -182,7 +178,7 @@ pub fn run_sharded_threads_with_obs(
                 }
             });
         }
-        collect(inst, &part, cfg, collector_ep, obs)
+        collect(inst, &part, cfg, collector_ep, obs, COLLECT_TIMEOUT)
     });
 
     let mut stats = ShardStats {
@@ -214,15 +210,20 @@ pub fn run_sharded_threads_with_obs(
 
 type Collected = Vec<Option<(i64, Vec<u32>)>>;
 
+/// How long the collector waits for outstanding shard results before
+/// re-solving them locally.
+const COLLECT_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Collector loop on node 0: solve its own shards, drain worker
 /// results with validation and winner-merge, re-solve whatever is
-/// still missing after the timeout.
+/// still missing after `patience`.
 fn collect<T: Transport>(
     inst: &Instance,
     part: &Partition,
     cfg: &ShardDistConfig,
     mut ep: T,
     obs: &Obs,
+    patience: Duration,
 ) -> (Collected, Vec<NodeId>, u64, f64) {
     let t0 = Instant::now();
     let shard_count = part.shard_count();
@@ -254,7 +255,7 @@ fn collect<T: Transport>(
         }
     }
 
-    let deadline = t0 + cfg.collect_timeout;
+    let deadline = t0 + patience;
     let mut outstanding = cycles.iter().filter(|c| c.is_none()).count();
     while outstanding > 0 && Instant::now() < deadline {
         match ep.try_recv() {
@@ -343,10 +344,21 @@ mod tests {
         // non-local shard itself; the tour must still be bit-identical.
         let inst = generate::uniform(350, 10_000.0, 23);
         let local = lk::shard::shard_solve(&inst, &cfg(1, 4, 9).shard);
-        let mut impatient = cfg(3, 4, 9);
-        impatient.collect_timeout = Duration::ZERO;
-        let dist = run_sharded_threads(&inst, &impatient);
-        assert_eq!(dist.tour.order(), local.tour.order());
+        let cfg = cfg(3, 4, 9);
+        let part = Partition::build(&inst, cfg.shard.shards);
+        let (mut endpoints, _) = InMemoryNetwork::build(cfg.nodes, Topology::Star);
+        let obs = Obs::disabled();
+        let (cycles, solver_of, rejected, _) =
+            collect(&inst, &part, &cfg, endpoints.remove(0), &obs, Duration::ZERO);
+        assert_eq!(rejected, 0);
+        for (s, &solver) in solver_of.iter().enumerate() {
+            let want = if node_of_shard(s, cfg.nodes) == 0 { 0 } else { RESOLVED_LOCALLY };
+            assert_eq!(solver, want, "shard {s}");
+        }
+        let cycles = cycles.into_iter().map(|c| c.map(|(_, order)| order)).collect();
+        let mut stats = ShardStats::default();
+        let tour = stitch_and_refine(&inst, &part, cycles, &cfg.shard, &obs, &mut stats);
+        assert_eq!(tour.order(), local.tour.order());
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn hub_failover_ten_seeds_elect_heal_and_reproduce() {
         );
 
         // (a) The promotion happened in time: both rejoiners resynced
-        // successfully within `resync_patience`, which requires a
+        // successfully within the resync patience, which requires a
         // healed topology and a live lifecycle service at rejoin time.
         for n in a.nodes.iter().filter(|n| !n.aborted && n.received > 0) {
             if aborted.contains(&n.id) {

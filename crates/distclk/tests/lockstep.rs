@@ -136,45 +136,6 @@ fn all_kicks_through_distributed_stack() {
     }
 }
 
-/// The worker-count determinism contract, distributed edition:
-/// `kick_workers = 1` must be bit-identical to the historical serial
-/// engine across a 10-seed lockstep suite — same best length, same
-/// best tour, same per-node broadcast counts.
-#[test]
-fn workers_one_lockstep_identical_to_serial_over_ten_seeds() {
-    let inst = generate::uniform(120, 100_000.0, 27);
-    let nl = NeighborLists::build(&inst, 8);
-    for seed in 0..10u64 {
-        let serial = base_cfg(4, 4, seed);
-        assert_eq!(serial.clk.kick_workers, 1, "default must stay serial");
-        let mut one = base_cfg(4, 4, seed);
-        one.clk.kick_workers = 1;
-        let a = run_lockstep(&inst, &nl, &serial);
-        let b = run_lockstep(&inst, &nl, &one);
-        assert_eq!(a.best_length, b.best_length, "seed {seed}");
-        assert_eq!(a.best_tour.order(), b.best_tour.order(), "seed {seed}");
-        for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(na.best_length, nb.best_length, "seed {seed} node {}", na.id);
-            assert_eq!(na.broadcasts, nb.broadcasts, "seed {seed} node {}", na.id);
-        }
-    }
-}
-
-/// Parallel kick workers inside the distributed stack stay
-/// deterministic for fixed (seed, W): two identical runs agree exactly.
-#[test]
-fn parallel_workers_deterministic_through_distributed_stack() {
-    let inst = generate::uniform(120, 100_000.0, 28);
-    let nl = NeighborLists::build(&inst, 8);
-    let mut cfg = base_cfg(4, 3, 11);
-    cfg.clk.kick_workers = 4;
-    let a = run_lockstep(&inst, &nl, &cfg);
-    let b = run_lockstep(&inst, &nl, &cfg);
-    assert_eq!(a.best_length, b.best_length);
-    assert_eq!(a.best_tour.order(), b.best_tour.order());
-    assert!(a.best_tour.is_valid());
-}
-
 /// The candidate-kind knob is plumbed through the distributed stack:
 /// every kind runs end-to-end on lists built from the shared config,
 /// and the choice is part of the deterministic run fingerprint.

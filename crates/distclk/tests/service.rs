@@ -47,6 +47,24 @@ fn json_payload_of(inst: &tsp_core::Instance) -> JobPayload {
     JobPayload::Json(points_to_json(&pts))
 }
 
+/// The direct reference for a service job: one node, same seed, same
+/// kick budget, no service in between. Returns the config and lists it
+/// ran on too.
+fn direct_reference(
+    inst: &tsp_core::Instance,
+    seed: u64,
+    kicks: u64,
+) -> (DistConfig, tsp_core::NeighborLists, distclk::DistResult) {
+    let mut cfg = engine_template();
+    cfg.nodes = 1;
+    cfg.seed = seed;
+    cfg.budget = Budget::kicks(kicks);
+    let nl = build_neighbors(inst, &cfg);
+    let (eps, _) = InMemoryNetwork::build(1, cfg.topology);
+    let result = run_over_transports(inst, &nl, &cfg, eps);
+    (cfg, nl, result)
+}
+
 /// ISSUE acceptance criterion: the single-job service path is
 /// bit-identical to the direct engine across 10 seeds. Both sides
 /// parse the *same payload text* (the service has no other input), so
@@ -64,14 +82,7 @@ fn conformance_single_job_matches_direct_engine_over_ten_seeds() {
         ..Default::default()
     });
     for seed in 0..10u64 {
-        // Direct reference: one node, same seed, same kick budget.
-        let mut cfg = engine_template();
-        cfg.nodes = 1;
-        cfg.seed = seed;
-        cfg.budget = Budget::kicks(6);
-        let nl = build_neighbors(&inst, &cfg);
-        let (eps, _) = InMemoryNetwork::build(1, cfg.topology);
-        let reference = run_over_transports(&inst, &nl, &cfg, eps);
+        let (cfg, nl, reference) = direct_reference(&inst, seed, 6);
 
         let handle = svc
             .submit(seed, JobSpec::new(payload.clone()).seed(seed).kicks(6))
@@ -337,6 +348,52 @@ fn tcp_cancel_terminates_stream_cleanly() {
     assert_eq!(reason, DoneReason::Cancelled.code());
     let snapshot = svc.obs().snapshot();
     assert_eq!(snapshot.counter(kinds::C_SVC_CANCELLED), 1);
+    hub.stop();
+}
+
+/// Fairness at the socket: a tenant that submits past its flow budget
+/// over TCP is turned away on the status line (`ERR …`), exactly as
+/// often as it overshoots, and every job it did get in returns the
+/// direct engine's length for its seed.
+#[test]
+fn tcp_admission_rejects_exactly_the_overshoot() {
+    let inst = generate::uniform(40, 10_000.0, 914);
+    let payload = json_payload_of(&inst);
+    let limit = 3u64;
+    let svc = Arc::new(SolverService::start(ServiceConfig {
+        workers: 1,
+        engine: engine_template(),
+        default_limit: limit,
+    }));
+    let mut hub = LifecycleHub::start("127.0.0.1:0", 2, Topology::Ring).expect("hub");
+    ServiceJobHandler::attach(Arc::clone(&svc), &hub);
+    let tcp = TcpConfig::default();
+
+    let parsed = payload.parse().expect("payload parses");
+    let mut rejected = 0;
+    for seed in 0..limit + 2 {
+        let spec = JobSpec::new(payload.clone()).seed(seed).kicks(6);
+        match p2p::hub::submit_job(hub.addr(), &spec.to_submit(999), &tcp) {
+            Ok((_, mut stream)) => {
+                assert!(seed < limit, "job {seed} admitted past the limit");
+                let length = loop {
+                    if let Message::JobDone { length, .. } = stream.next_frame().expect("frame") {
+                        break length;
+                    }
+                };
+                let (_, _, direct) = direct_reference(&parsed, seed, 6);
+                assert_eq!(length, direct.best_length, "seed {seed}");
+            }
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains("job rejected: ERR"), "{msg}");
+                assert!(msg.contains("flow budget exhausted"), "{msg}");
+                rejected += 1;
+            }
+        }
+    }
+    assert_eq!(rejected, 2);
+    assert_eq!(svc.obs().snapshot().counter(kinds::C_SVC_REJECTED), 2);
     hub.stop();
 }
 

@@ -32,11 +32,6 @@ use crate::onetree::{Complete, OneTree, Sparse};
 pub struct AscentConfig {
     /// Maximum number of 1-tree constructions.
     pub max_iterations: usize,
-    /// Initial step size; `None` derives it from the first 1-tree
-    /// (`len / (2n)`, at least 1).
-    pub initial_step: Option<i64>,
-    /// Iterations per period before the step halves.
-    pub period: usize,
     /// Special node for the 1-trees.
     pub special: usize,
 }
@@ -45,8 +40,6 @@ impl Default for AscentConfig {
     fn default() -> Self {
         AscentConfig {
             max_iterations: 200,
-            initial_step: None,
-            period: 20,
             special: 0,
         }
     }
@@ -131,6 +124,9 @@ fn sparse_graph(inst: &Instance, first: &OneTree) -> SparseGraph {
     })
 }
 
+/// Non-improving iterations before the step halves.
+const PERIOD: usize = 20;
+
 /// The subgradient loop. `t` is the complete graph's minimum 1-tree at
 /// π = 0; `next_tree` rebuilds it for new potentials.
 fn ascend(
@@ -146,9 +142,8 @@ fn ascend(
     let mut iterations = 1;
     let mut on_tour = t.is_tour();
 
-    let mut step = cfg
-        .initial_step
-        .unwrap_or_else(|| (best_w / (2 * n as i64)).max(1));
+    // The initial step comes from the first 1-tree.
+    let mut step = (best_w / (2 * n as i64)).max(1);
     let mut since_improve = 0usize;
     // Previous subgradient for the momentum term (Helsgaun's 0.7/0.3 mix
     // stabilizes zig-zagging; we use integer halves).
@@ -180,7 +175,7 @@ fn ascend(
             since_improve += 1;
         }
         on_tour = t.is_tour();
-        if since_improve >= cfg.period {
+        if since_improve >= PERIOD {
             step /= 2;
             since_improve = 0;
         }

@@ -162,7 +162,6 @@ proptest! {
         let cfg = AscentConfig {
             max_iterations: 25,
             special: seed as usize % n,
-            ..Default::default()
         };
         let res = if sparse { sparse_ascent(&inst, &cfg) } else { held_karp_bound(&inst, &cfg) };
         let k = 5.min(n - 1);

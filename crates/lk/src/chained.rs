@@ -17,7 +17,7 @@
 
 use obs_api::{Counter, Histogram, Obs};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
 
 use crate::budget::{Budget, Stopwatch, Trace};
@@ -60,15 +60,6 @@ pub struct ChainedLkConfig {
     /// ROADMAP item 1's open decision, deliberately not taken with the
     /// engine change.
     pub tl_threshold: usize,
-    /// Speculative kick workers per chained iteration. `1` (the
-    /// default) keeps the serial chain bit-identical to the historical
-    /// engine; `W > 1` clones the tour W times per step, applies an
-    /// independent kick + local re-optimization to each clone on scoped
-    /// threads, and adopts the best outcome with ties broken by worker
-    /// index. Deterministic for fixed `(seed, W)`: per-worker RNG seeds
-    /// are drawn from the engine RNG in worker order before any thread
-    /// runs, so thread scheduling cannot reorder the stream.
-    pub kick_workers: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -83,7 +74,6 @@ impl Default for ChainedLkConfig {
             candidates: CandidateKind::Knn,
             use_or_opt: true,
             tl_threshold: 50_000,
-            kick_workers: 1,
             seed: 0,
         }
     }
@@ -164,14 +154,7 @@ pub struct ChainedLk<'a> {
     rng: SmallRng,
     obs: Obs,
     probes: Probes,
-    /// Persistent per-worker search state for speculative parallel
-    /// kicks; empty when `cfg.kick_workers <= 1`.
-    workers: Vec<WorkerSlot<'a>>,
-    /// Total kick attempts so far (one per serial step, `W` per
-    /// parallel step) — lets the budget loops charge parallel steps for
-    /// the work they actually did.
-    kicks_spent: u64,
-    /// The flips of the serial chained iteration in progress (see
+    /// The flips of the chained iteration in progress (see
     /// [`Journaled`]); kept here so a step allocates nothing.
     journal: Vec<[u32; 4]>,
 }
@@ -223,14 +206,6 @@ impl<T: TourOps> TourOps for Journaled<'_, T> {
 
 }
 
-/// One speculative kick worker's reusable search state (don't-look
-/// bits, LK scratch). Kept across steps so parallel iterations stay
-/// allocation-free on the hot path, like the serial engine.
-struct WorkerSlot<'a> {
-    opt: Optimizer<'a>,
-    lk: LinKernighan,
-}
-
 /// Metric handles resolved once at attach time so the hot loop never
 /// touches the registry map. All no-ops until [`ChainedLk::attach_obs`]
 /// is called with a live handle.
@@ -240,7 +215,7 @@ struct Probes {
     h_call_gain: Histogram,
     /// Chained-iteration duration (ns).
     h_step_ns: Histogram,
-    /// Flips a serial chained iteration applied to the tour (kick plus
+    /// Flips a chained iteration applied to the tour (kick plus
     /// committed LK and Or-opt moves; the undo of a rejected kick
     /// replays as many again).
     h_step_flips: Histogram,
@@ -249,17 +224,10 @@ struct Probes {
     /// Kicks attempted / kicks whose result was kept.
     c_kicks: Counter,
     c_accepts: Counter,
-    /// Per-worker kick counters (`clk.worker<i>.kicks`), one per
-    /// speculative kick worker; empty for the serial engine.
-    c_worker_kicks: Vec<Counter>,
-    /// Parallel steps whose adopted result came from worker `i`
-    /// (`clk.worker<i>.wins`).
-    c_worker_wins: Vec<Counter>,
 }
 
 impl Probes {
-    fn resolve(obs: &Obs, workers: usize) -> Self {
-        let per_worker = if workers > 1 { workers } else { 0 };
+    fn resolve(obs: &Obs) -> Self {
         Probes {
             h_call_ns: obs.histogram("clk.call.ns"),
             h_call_gain: obs.histogram("clk.call.gain"),
@@ -268,41 +236,8 @@ impl Probes {
             h_construct_ns: obs.histogram("clk.construct.ns"),
             c_kicks: obs.counter("clk.kicks"),
             c_accepts: obs.counter("clk.accepts"),
-            c_worker_kicks: (0..per_worker)
-                .map(|w| obs.counter(&format!("clk.worker{w}.kicks")))
-                .collect(),
-            c_worker_wins: (0..per_worker)
-                .map(|w| obs.counter(&format!("clk.worker{w}.wins")))
-                .collect(),
         }
     }
-}
-
-/// LK-optimize `tour` around the given seed cities with explicit search
-/// state — the body of [`ChainedLk::optimize_around`], factored out so
-/// speculative kick workers can run it against their own
-/// [`Optimizer`]/[`LinKernighan`] slots.
-fn optimize_around_with<T: TourOps>(
-    opt: &mut Optimizer<'_>,
-    lk: &mut LinKernighan,
-    use_or_opt: bool,
-    tour: &mut T,
-    seeds: &[usize],
-) -> i64 {
-    opt.deactivate_all();
-    for &s in seeds {
-        opt.activate(s);
-        opt.activate(tour.next(s));
-        opt.activate(tour.prev(s));
-    }
-    let mut gain = lk_pass(lk, opt, tour);
-    if use_or_opt {
-        for &s in seeds {
-            opt.activate(s);
-        }
-        gain += or_opt_pass(opt, tour);
-    }
-    gain
 }
 
 impl<'a> ChainedLk<'a> {
@@ -311,17 +246,7 @@ impl<'a> ChainedLk<'a> {
     pub fn new(inst: &'a Instance, neighbors: &'a NeighborLists, cfg: ChainedLkConfig) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let obs = Obs::disabled();
-        let probes = Probes::resolve(&obs, cfg.kick_workers);
-        let workers = if cfg.kick_workers > 1 {
-            (0..cfg.kick_workers)
-                .map(|_| WorkerSlot {
-                    opt: Optimizer::new(inst, neighbors),
-                    lk: LinKernighan::new(cfg.lk.clone()),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let probes = Probes::resolve(&obs);
         ChainedLk {
             inst,
             neighbors,
@@ -331,8 +256,6 @@ impl<'a> ChainedLk<'a> {
             rng,
             obs,
             probes,
-            workers,
-            kicks_spent: 0,
             journal: Vec::new(),
         }
     }
@@ -342,7 +265,7 @@ impl<'a> ChainedLk<'a> {
     /// Instrumentation never touches the RNG, so attaching cannot
     /// change the search trajectory.
     pub fn attach_obs(&mut self, obs: Obs) {
-        self.probes = Probes::resolve(&obs, self.cfg.kick_workers);
+        self.probes = Probes::resolve(&obs);
         self.obs = obs;
     }
 
@@ -396,150 +319,68 @@ impl<'a> ChainedLk<'a> {
     /// paper's engine re-optimizes locally; this is what makes chained
     /// iterations cheap).
     pub fn optimize_around<T: TourOps>(&mut self, tour: &mut T, seeds: &[usize]) -> i64 {
-        optimize_around_with(&mut self.opt, &mut self.lk, self.cfg.use_or_opt, tour, seeds)
+        self.opt.deactivate_all();
+        for &s in seeds {
+            self.opt.activate(s);
+            self.opt.activate(tour.next(s));
+            self.opt.activate(tour.prev(s));
+        }
+        let mut gain = lk_pass(&mut self.lk, &mut self.opt, tour);
+        if self.cfg.use_or_opt {
+            for &s in seeds {
+                self.opt.activate(s);
+            }
+            gain += or_opt_pass(&mut self.opt, tour);
+        }
+        gain
     }
 
     /// One chained iteration on `tour` (assumed LK-optimal, of length
     /// `current_len`): kick, re-optimize around the kick, keep iff not
     /// worse. Returns the new length.
     ///
-    /// With `kick_workers = 1` this is the historical serial step —
-    /// bit-identical results for a given seed. With `W > 1` it runs `W`
-    /// speculative kicks concurrently and adopts the best (see
-    /// [`ChainedLk::chain_step_parallel`]); either way one call charges
-    /// the kick budget for every attempt it made.
-    ///
     /// Length bookkeeping is exact-delta (`kick.delta` minus the
     /// optimization gain) and a rejected kick is undone by replaying the
     /// step's flip journal backwards, so a chained iteration costs only
     /// the local search: nothing in it walks, copies or rebuilds the
     /// tour.
-    pub fn chain_step<R: TourRep + Send + Sync>(&mut self, tour: &mut R, current_len: i64) -> i64 {
-        if self.cfg.kick_workers > 1 {
-            return self.chain_step_parallel(tour, current_len);
-        }
-        self.kicks_spent += 1;
+    pub fn chain_step<R: TourRep>(&mut self, tour: &mut R, current_len: i64) -> i64 {
         let t = self.obs.timer();
-        self.journal.clear();
+        // Out of `self` for the step: the logged tour goes through
+        // `&mut self` methods.
+        let mut journal = std::mem::take(&mut self.journal);
+        journal.clear();
         let mut logged = Journaled {
             tour: &mut *tour,
-            log: &mut self.journal,
+            log: &mut journal,
         };
         let Some(k) = kick(self.cfg.kick, self.inst, &mut logged, self.neighbors, &mut self.rng)
         else {
+            self.journal = journal;
             return current_len;
         };
         self.probes.c_kicks.incr();
-        let opt_gain = optimize_around_with(
-            &mut self.opt,
-            &mut self.lk,
-            self.cfg.use_or_opt,
-            &mut logged,
-            &k.cities,
-        );
+        let opt_gain = self.optimize_around(&mut logged, &k.cities);
         let new_len = current_len + k.delta - opt_gain;
         debug_assert_eq!(new_len, tour.tour_length(self.inst));
-        self.probes.h_step_flips.observe(self.journal.len() as u64);
+        self.probes.h_step_flips.observe(journal.len() as u64);
         if new_len <= current_len {
             self.probes.c_accepts.incr();
         } else {
-            for &[a, b, c, d] in self.journal.iter().rev() {
+            for &[a, b, c, d] in journal.iter().rev() {
                 two_opt_by_edges(tour, (a as usize, c as usize), (b as usize, d as usize));
             }
         }
+        self.journal = journal;
         t.observe_into(&self.probes.h_step_ns);
         new_len.min(current_len)
     }
 
-    /// One speculative parallel iteration: every worker clones the
-    /// tour, applies its own kick + local re-optimization on a scoped
-    /// thread, and the engine adopts the best resulting tour iff it is
-    /// no worse than `current_len`, ties broken by the lowest worker
-    /// index.
-    ///
-    /// Deterministic for fixed `(seed, W)`: the per-worker RNG seeds
-    /// are drawn from the engine RNG *in worker order before any thread
-    /// starts* — the step's only use of the main RNG — and the adoption
-    /// rule `min(new_len, worker_index)` is scheduling-independent.
-    fn chain_step_parallel<R: TourRep + Send + Sync>(
-        &mut self,
-        tour: &mut R,
-        current_len: i64,
-    ) -> i64 {
-        let w = self.workers.len();
-        self.kicks_spent += w as u64;
-        let t = self.obs.timer();
-        let worker_seeds: Vec<u64> = (0..w).map(|_| self.rng.gen()).collect();
-        let strategy = self.cfg.kick;
-        let use_or_opt = self.cfg.use_or_opt;
-        let inst = self.inst;
-        let neighbors = self.neighbors;
-        let shared: &R = tour;
-        let workers = &mut self.workers;
-        let outcomes: Vec<Option<(i64, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .zip(worker_seeds)
-                .map(|(slot, seed)| {
-                    scope.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(seed);
-                        let mut cand = shared.clone();
-                        let k = kick(strategy, inst, &mut cand, neighbors, &mut rng)?;
-                        let gain = optimize_around_with(
-                            &mut slot.opt,
-                            &mut slot.lk,
-                            use_or_opt,
-                            &mut cand,
-                            &k.cities,
-                        );
-                        let new_len = current_len + k.delta - gain;
-                        debug_assert_eq!(new_len, cand.tour_length(inst));
-                        Some((new_len, cand))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kick worker panicked"))
-                .collect()
-        });
-        let mut best: Option<(i64, usize, R)> = None;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let Some((len, cand)) = outcome else { continue };
-            self.probes.c_kicks.incr();
-            self.probes.c_worker_kicks[i].incr();
-            // Strict `<` keeps the earlier (lower-index) worker on ties.
-            if best.as_ref().is_none_or(|&(bl, _, _)| len < bl) {
-                best = Some((len, i, cand));
-            }
-        }
-        t.observe_into(&self.probes.h_step_ns);
-        match best {
-            Some((len, i, cand)) if len <= current_len => {
-                self.probes.c_accepts.incr();
-                self.probes.c_worker_wins[i].incr();
-                *tour = cand;
-                len
-            }
-            _ => current_len,
-        }
-    }
-
-    /// Kick attempts charged so far (one per serial step, `W` per
-    /// parallel step). Monotone over the engine's lifetime.
-    pub fn kicks_spent(&self) -> u64 {
-        self.kicks_spent
-    }
-
     /// One full CLK call on an array tour via representation `R`:
-    /// convert, fully optimize, spend `kicks` kick attempts on chained
-    /// iterations (bailing out as soon as `stop(len)` says so), convert
-    /// back. Returns the final length.
-    ///
-    /// The budget counts *attempts*: a serial step spends 1, a parallel
-    /// step spends `kick_workers` — so a worker pool explores the same
-    /// number of kicks faster instead of multiplying the work.
-    pub fn clk_call<R: TourRep + Send + Sync>(
+    /// convert, fully optimize, run `kicks` chained iterations (bailing
+    /// out as soon as `stop(len)` says so), convert back. Returns the
+    /// final length.
+    pub fn clk_call<R: TourRep>(
         &mut self,
         tour: &mut Tour,
         kicks: u64,
@@ -549,31 +390,26 @@ impl<'a> ChainedLk<'a> {
         let mut rep = R::from_tour(tour);
         let gain = self.optimize(&mut rep);
         let mut len = before - gain;
-        let mut spent = 0u64;
-        while spent < kicks {
+        for _ in 0..kicks {
             if stop(len) {
                 break;
             }
-            let before_spend = self.kicks_spent;
             len = self.chain_step(&mut rep, len);
-            spent += self.kicks_spent - before_spend;
         }
         *tour = rep.to_tour();
         len
     }
 
     /// Full standalone CLK run on representation `R`: construct,
-    /// optimize, chain kicks until the budget is exhausted. Like
-    /// [`ChainedLk::clk_call`], the kick budget counts attempts, so the
-    /// reported `kicks` grows by `kick_workers` per parallel step.
-    pub fn run_rep<R: TourRep + Send + Sync>(&mut self, budget: &Budget) -> ClkResult {
+    /// optimize, chain kicks until the budget is exhausted.
+    pub fn run_rep<R: TourRep>(&mut self, budget: &Budget) -> ClkResult {
         self.run_rep_with::<R>(budget, &mut |_| {})
     }
 
     /// [`ChainedLk::run_rep`] that also hands `sink` every tour the run
     /// obtains, as it obtains it: a caller holds a tour once construction
     /// is done, not once the first LK pass is.
-    pub fn run_rep_with<R: TourRep + Send + Sync>(
+    pub fn run_rep_with<R: TourRep>(
         &mut self,
         budget: &Budget,
         sink: &mut dyn FnMut(&Progress<'_>),
@@ -603,9 +439,8 @@ impl<'a> ChainedLk<'a> {
         let mut kicks = 0u64;
 
         while !budget.exhausted(watch.elapsed(), kicks, best_len) {
-            let before_spend = self.kicks_spent;
             let new_len = self.chain_step(&mut rep, best_len);
-            kicks += self.kicks_spent - before_spend;
+            kicks += 1;
             if new_len < best_len {
                 best_len = new_len;
                 report(kicks, best_len, &|| rep.to_tour());
@@ -837,13 +672,19 @@ mod tests {
         assert_eq!(a.tour.order(), b.tour.order());
     }
 
-    /// Full runs of `cfg` on both representations at each `(n, kicks)`
-    /// must be the same run. The even n = 2000 is there for its ties:
-    /// flips whose two sides hold n/2 cities each, which both
-    /// structures must break alike.
-    fn assert_representations_agree(inst_seed: u64, cfg: ChainedLkConfig, sizes: [(usize, u64); 2]) {
-        for (n, kicks) in sizes {
-            let inst = generate::uniform(n, 10_000.0, inst_seed);
+    #[test]
+    fn representations_agree_on_full_runs() {
+        // The same seed must drive the exact same search on both
+        // representations: identical kick sequence, identical final
+        // tour. The even n = 2000 is there for its ties: flips whose two
+        // sides hold n/2 cities each, which both structures must break
+        // alike.
+        let cfg = ChainedLkConfig {
+            seed: 13,
+            ..Default::default()
+        };
+        for (n, kicks) in [(300, 60), (2000, 120)] {
+            let inst = generate::uniform(n, 10_000.0, 76);
             let nl = NeighborLists::build(&inst, 10);
             let mut array = ChainedLk::new(&inst, &nl, cfg.clone());
             let mut twolevel = ChainedLk::new(&inst, &nl, cfg.clone());
@@ -855,21 +696,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn representations_agree_on_full_runs() {
-        // The same seed must drive the exact same search on both
-        // representations: identical kick sequence, identical final
-        // tour, identical trace.
-        let cfg = ChainedLkConfig {
-            seed: 13,
-            ..Default::default()
-        };
-        assert_representations_agree(76, cfg, [(300, 60), (2000, 120)]);
-    }
-
     /// Snapshot `tour`, run 200 chained iterations, and after every
     /// rejected kick demand the snapshot back, bit for bit.
-    fn rejected_kicks_restore<R: TourRep + Send + Sync>(snap: impl Fn(&R) -> Vec<u32>) {
+    fn rejected_kicks_restore<R: TourRep>(snap: impl Fn(&R) -> Vec<u32>) {
         // Even n: flips with n/2 cities on either side occur, the case
         // where "undo by the inverse move" and "undo the same cities"
         // differ.
@@ -928,84 +757,6 @@ mod tests {
         assert_eq!(tour, start);
         // The move was there to be found.
         assert!(clk.optimize_around(&mut tour, &[5]) > 0);
-    }
-
-    #[test]
-    fn parallel_kicks_deterministic_for_fixed_seed_and_workers() {
-        let inst = generate::uniform(300, 10_000.0, 81);
-        let nl = NeighborLists::build(&inst, 10);
-        for workers in [2usize, 4] {
-            let cfg = ChainedLkConfig {
-                seed: 17,
-                kick_workers: workers,
-                ..Default::default()
-            };
-            let mut a = ChainedLk::new(&inst, &nl, cfg.clone());
-            let mut b = ChainedLk::new(&inst, &nl, cfg);
-            let ra = a.run(&Budget::kicks(40));
-            let rb = b.run(&Budget::kicks(40));
-            assert_eq!(ra.length, rb.length, "workers={workers}");
-            assert_eq!(ra.tour.order(), rb.tour.order(), "workers={workers}");
-            assert_eq!(ra.kicks, rb.kicks, "workers={workers}");
-            assert!(ra.tour.is_valid());
-            assert_eq!(ra.tour.length(&inst), ra.length);
-        }
-    }
-
-    #[test]
-    fn parallel_kicks_agree_across_representations() {
-        // The adoption rule min(len, worker index) is representation-
-        // independent, so both tour structures must produce identical
-        // full runs under a worker pool too.
-        let cfg = ChainedLkConfig {
-            seed: 23,
-            kick_workers: 3,
-            ..Default::default()
-        };
-        assert_representations_agree(82, cfg, [(250, 45), (2000, 90)]);
-    }
-
-    #[test]
-    fn workers_one_is_bit_identical_to_serial_engine() {
-        // kick_workers = 1 must take the exact serial code path: same
-        // tour, same length, same kick count as the default config.
-        let inst = generate::uniform(200, 10_000.0, 83);
-        let nl = NeighborLists::build(&inst, 10);
-        for seed in [1u64, 5, 9] {
-            let serial_cfg = ChainedLkConfig {
-                seed,
-                ..Default::default()
-            };
-            assert_eq!(serial_cfg.kick_workers, 1, "default must stay serial");
-            let one_cfg = ChainedLkConfig {
-                seed,
-                kick_workers: 1,
-                ..Default::default()
-            };
-            let a = ChainedLk::new(&inst, &nl, serial_cfg).run(&Budget::kicks(50));
-            let b = ChainedLk::new(&inst, &nl, one_cfg).run(&Budget::kicks(50));
-            assert_eq!(a.length, b.length, "seed {seed}");
-            assert_eq!(a.tour.order(), b.tour.order(), "seed {seed}");
-            assert_eq!(a.kicks, b.kicks, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_steps_charge_the_kick_budget_per_attempt() {
-        let inst = generate::uniform(150, 10_000.0, 84);
-        let nl = NeighborLists::build(&inst, 10);
-        let cfg = ChainedLkConfig {
-            seed: 2,
-            kick_workers: 4,
-            ..Default::default()
-        };
-        let mut clk = ChainedLk::new(&inst, &nl, cfg);
-        let res = clk.run(&Budget::kicks(40));
-        // 40 attempts at 4 per step = exactly 10 parallel steps.
-        assert_eq!(res.kicks, 40);
-        assert_eq!(clk.kicks_spent(), 40);
-        assert!(res.tour.is_valid());
-        assert_eq!(res.tour.length(&inst), res.length);
     }
 
     #[test]

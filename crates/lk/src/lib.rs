@@ -7,7 +7,7 @@
 //! - [`construct`] — initial tours: **Quick-Borůvka** (the paper's
 //!   default, §2.1), nearest-neighbor, greedy edge matching, and a
 //!   space-filling-curve order.
-//! - [`two_opt`] / [`or_opt`] / [`three_opt`] — classic neighborhood
+//! - [`two_opt`] / [`or_opt`] — classic neighborhood
 //!   searches with candidate lists and don't-look bits.
 //! - [`lin_kernighan`] — the variable-depth LK search, run on a
 //!   [`vpath`] (the open path as runs of the untouched tour) so that
@@ -42,7 +42,6 @@ pub mod multilevel;
 pub mod or_opt;
 pub mod search;
 pub mod shard;
-pub mod three_opt;
 pub mod tour_merge;
 pub mod two_opt;
 pub mod vpath;

@@ -395,6 +395,7 @@ mod tests {
         let inst = generate::uniform(150, 10_000.0, 45);
         let mut rng = SmallRng::seed_from_u64(4);
         let mut tour = Tour::random(150, &mut rng);
+        let mut two = tour.clone();
         let before = tour.length(&inst);
         let nl = NeighborLists::build(&inst, 8);
         let mut opt = Optimizer::new(&inst, &nl);
@@ -402,6 +403,10 @@ mod tests {
         let gain = lin_kernighan(&mut lk, &mut opt, &mut tour);
         assert!(gain > 0);
         assert_eq!(tour.length(&inst), before - gain);
+        // Depth 3 searches a superset of the 2-opt moves; the order of
+        // first improvements differs, hence the tolerance.
+        crate::two_opt::two_opt(&mut Optimizer::new(&inst, &nl), &mut two);
+        assert!(tour.length(&inst) as f64 <= 1.03 * two.length(&inst) as f64);
     }
 
     #[test]

@@ -19,8 +19,6 @@ use crate::lin_kernighan::LkConfig;
 /// Configuration for LKH-lite.
 #[derive(Debug, Clone)]
 pub struct LkhLiteConfig {
-    /// α-candidate list width (LKH's default is 5).
-    pub alpha_k: usize,
     /// Held-Karp ascent effort.
     pub ascent: AscentConfig,
     /// Chain depth / breadth (deeper & wider than plain CLK).
@@ -34,7 +32,6 @@ pub struct LkhLiteConfig {
 impl Default for LkhLiteConfig {
     fn default() -> Self {
         LkhLiteConfig {
-            alpha_k: 6,
             ascent: AscentConfig::default(),
             lk: LkConfig {
                 max_depth: 64,
@@ -55,9 +52,12 @@ pub struct LkhLiteResult {
     pub preprocess_seconds: f64,
 }
 
+/// α-candidate list width (LKH's default is 5).
+const ALPHA_K: usize = 6;
+
 /// Build the α-nearness lists for an instance (exposed for reuse).
 pub fn alpha_lists(inst: &Instance, cfg: &LkhLiteConfig) -> NeighborLists {
-    alpha_candidate_lists(inst, cfg.alpha_k, &cfg.ascent)
+    alpha_candidate_lists(inst, ALPHA_K, &cfg.ascent)
 }
 
 /// Run LKH-lite under a budget (the budget applies to the search phase;
@@ -71,7 +71,7 @@ pub fn lkh_lite(inst: &Instance, cfg: &LkhLiteConfig, budget: &Budget) -> LkhLit
     let clk_cfg = ChainedLkConfig {
         kick: KickStrategy::RandomWalk(50),
         lk: cfg.lk.clone(),
-        neighbor_k: cfg.alpha_k,
+        neighbor_k: ALPHA_K,
         seed: cfg.seed,
         ..Default::default()
     };
@@ -144,7 +144,7 @@ mod tests {
             ..Default::default()
         };
         let alpha = alpha_lists(&inst, &cfg);
-        let geo = NeighborLists::build(&inst, cfg.alpha_k);
+        let geo = NeighborLists::build(&inst, ALPHA_K);
         let mut differs = false;
         for c in 0..inst.len() {
             if alpha.of(c) != geo.of(c) {

@@ -18,25 +18,10 @@ use crate::budget::Budget;
 use crate::chained::{ChainedLk, ChainedLkConfig};
 
 /// Configuration of the multilevel scheme.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MultilevelConfig {
-    /// Stop coarsening at or below this many cities.
-    pub coarsest_size: usize,
-    /// Kicks per city during each refinement (Walshaw's `N/10` rule:
-    /// `kicks = cities * kicks_per_city_permille / 1000`).
-    pub kicks_per_city_permille: u32,
     /// Underlying CLK configuration.
     pub clk: ChainedLkConfig,
-}
-
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        MultilevelConfig {
-            coarsest_size: 32,
-            kicks_per_city_permille: 100, // N/10
-            clk: ChainedLkConfig::default(),
-        }
-    }
 }
 
 /// One coarsening level: the coarse instance plus, per coarse node, its
@@ -140,6 +125,12 @@ pub struct MultilevelResult {
     pub seconds: f64,
 }
 
+/// Stop coarsening at or below this many cities.
+const COARSEST_SIZE: usize = 32;
+
+/// Cities per kick during each refinement (Walshaw's `N/10` rule).
+const CITIES_PER_KICK: u64 = 10;
+
 /// Run multilevel CLK on `inst`.
 pub fn multilevel_clk(inst: &Instance, cfg: &MultilevelConfig, seed: u64) -> MultilevelResult {
     let start = std::time::Instant::now();
@@ -149,7 +140,7 @@ pub fn multilevel_clk(inst: &Instance, cfg: &MultilevelConfig, seed: u64) -> Mul
     let mut levels: Vec<Level> = Vec::new();
     loop {
         let cur: &Instance = levels.last().map(|l| &l.inst).unwrap_or(inst);
-        if cur.len() <= cfg.coarsest_size.max(8) {
+        if cur.len() <= COARSEST_SIZE {
             break;
         }
         let lvl = coarsen(cur, &mut rng);
@@ -165,7 +156,7 @@ pub fn multilevel_clk(inst: &Instance, cfg: &MultilevelConfig, seed: u64) -> Mul
     let mut clk_cfg = cfg.clk.clone();
     clk_cfg.seed = rng.gen();
     let mut engine = ChainedLk::new(coarsest, &nl, clk_cfg);
-    let kicks = (coarsest.len() as u64 * cfg.kicks_per_city_permille as u64) / 1000 + 10;
+    let kicks = coarsest.len() as u64 / CITIES_PER_KICK + 10;
     let mut tour = engine.run(&Budget::kicks(kicks)).tour;
 
     // Uncoarsen + refine level by level.
@@ -177,7 +168,7 @@ pub fn multilevel_clk(inst: &Instance, cfg: &MultilevelConfig, seed: u64) -> Mul
         clk_cfg.seed = rng.gen();
         let mut engine = ChainedLk::new(fine, &nl, clk_cfg);
         engine.optimize(&mut tour);
-        let kicks = (fine.len() as u64 * cfg.kicks_per_city_permille as u64) / 1000;
+        let kicks = fine.len() as u64 / CITIES_PER_KICK;
         let mut best = tour.length(fine);
         for _ in 0..kicks {
             best = engine.chain_step(&mut tour, best);

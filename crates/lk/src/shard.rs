@@ -70,11 +70,6 @@ pub struct ShardConfig {
     pub kicks_per_shard: u64,
     /// Seam window size in cities.
     pub window: usize,
-    /// Hard cap on refinement rounds (the loop stops earlier at the
-    /// first no-improvement round).
-    pub max_refine_rounds: usize,
-    /// Boundary cities per side nominated for stitching at each merge.
-    pub boundary_cands: usize,
 }
 
 impl Default for ShardConfig {
@@ -84,8 +79,6 @@ impl Default for ShardConfig {
             clk: ChainedLkConfig::default(),
             kicks_per_shard: 50,
             window: 256,
-            max_refine_rounds: 16,
-            boundary_cands: 24,
         }
     }
 }
@@ -158,6 +151,9 @@ pub fn solve_one_shard(
     (sub.to_global_order(res.tour.order()), res.length)
 }
 
+/// Boundary cities per side nominated for stitching at each merge.
+const BOUNDARY_CANDS: usize = 24;
+
 /// Stitch per-shard sub-tours into one global tour and refine the
 /// seams. `cycles[s]` must be shard `s`'s sub-tour in global ids.
 ///
@@ -178,7 +174,7 @@ pub fn stitch_and_refine(
         part,
         part.root(),
         &mut cycles,
-        cfg.boundary_cands.max(1),
+        BOUNDARY_CANDS,
         &mut seams,
         &mut pos,
     );
@@ -403,6 +399,10 @@ fn merge_cycles(
     out
 }
 
+/// Hard cap on refinement rounds (the loop stops earlier at the first
+/// no-improvement round).
+const MAX_REFINE_ROUNDS: usize = 16;
+
 /// Iterate windowed re-optimization over the seam cities (sorted order)
 /// until a round yields no improvement or the round cap is hit.
 /// Returns `(total gain, rounds executed)`.
@@ -420,7 +420,7 @@ fn refine_seams(
     let mut settled: Vec<Vec<u32>> = vec![Vec::new(); seams.len()];
     let mut total = 0i64;
     let mut rounds = 0usize;
-    while rounds < cfg.max_refine_rounds.max(1) {
+    while rounds < MAX_REFINE_ROUNDS {
         let mut round_gain = 0i64;
         for (&c, settled) in seams.iter().zip(&mut settled) {
             let center = pos[c as usize] as usize;

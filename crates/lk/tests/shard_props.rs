@@ -2,8 +2,9 @@
 //! per-shard CLK → stitch → seam refinement must always yield a valid
 //! permutation whose reported length recomputes exactly under the
 //! metric, the whole pipeline must be bit-stable under a fixed seed,
-//! and the one-shard configuration must collapse to the unsharded
-//! engine bit-for-bit.
+//! the one-shard configuration must collapse to the unsharded engine
+//! bit-for-bit, and dividing must cost at most 5 % of tour length at
+//! equal total kicks.
 
 use proptest::prelude::*;
 use tsp_core::generate;
@@ -81,6 +82,33 @@ proptest! {
         prop_assert_eq!(sharded.tour.order(), plain.tour.order());
         prop_assert_eq!(sharded.length, plain.length);
     }
+}
+
+/// What dividing costs: at equal total kicks (8 shards × 10 against one
+/// engine × 80) the stitched and refined tour is at most 5 % longer
+/// than the unsharded one.
+#[test]
+fn sharded_within_five_percent_of_unsharded_at_equal_total_kicks() {
+    let inst = generate::uniform(6_000, 1e6, 4242);
+    let mut sharded = ShardConfig {
+        shards: 8,
+        kicks_per_shard: 10,
+        ..ShardConfig::default()
+    };
+    sharded.clk.seed = 4242;
+    let unsharded = ShardConfig {
+        shards: 1,
+        kicks_per_shard: 80,
+        ..sharded.clone()
+    };
+    let divided = shard_solve(&inst, &sharded).length;
+    let whole = shard_solve(&inst, &unsharded).length;
+    let gap = (divided - whole) as f64 / whole as f64;
+    assert!(
+        gap <= 0.05,
+        "sharded {divided} vs unsharded {whole}: {:+.2} % (bound 5 %)",
+        gap * 100.0
+    );
 }
 
 /// The benchmark's shape, 100 000 cities in 8 shards, pinned to what

@@ -410,24 +410,40 @@ fn lifecycle_loop(
         let conn_telemetry = Arc::clone(&telemetry);
         let conn_jobs = Arc::clone(&jobs);
         let conn_obs = obs.clone();
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("p2p-hub-conn".into())
             .spawn(move || {
                 if let Err(e) =
                     serve_lifecycle(stream, &conn_state, &conn_telemetry, &conn_jobs, &conn_obs)
                 {
-                    conn_obs.counter("hub.rejects").incr();
-                    conn_obs.event("hub.reject", &[("error", Value::S(e.to_string()))]);
+                    reject(&conn_obs, &e);
                 }
-            })
-            .expect("spawn hub connection thread");
+            });
         conns.retain(|h| !h.is_finished());
-        conns.push(handle);
+        match spawned {
+            Ok(handle) => conns.push(handle),
+            // Out of threads (a connection flood): the closure was
+            // dropped and the stream with it, so this client sees a
+            // closed connection and the hub keeps serving.
+            Err(e) => reject(&obs, &e),
+        }
     }
     for h in conns {
         let _ = h.join();
     }
 }
+
+/// Count and log a connection that was dropped without being served.
+fn reject(obs: &Obs, error: &dyn std::fmt::Display) {
+    obs.counter("hub.rejects").incr();
+    obs.event("hub.reject", &[("error", Value::S(error.to_string()))]);
+}
+
+/// Cap on the request line, a few hundred bytes above the longest legal
+/// one (`REJOIN <id> <ipv6 address>`, under 100 bytes). The read timeout
+/// is per read, not per line, so without a cap a client that streams
+/// bytes and no newline grows the line without bound.
+const MAX_REQUEST_LINE: u64 = 512;
 
 /// Serve one lifecycle request (`JOIN` / `DOWN` / `REJOIN` /
 /// `HUBCLAIM` / `TELEMETRY` / `METRICS` / `STATUS` / `JOB`) under
@@ -447,7 +463,12 @@ fn serve_lifecycle(
     stream.set_write_timeout(Some(deadline)).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    (&mut reader).take(MAX_REQUEST_LINE).read_line(&mut line)?;
+    if line.len() as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') {
+        return Err(NetError::Codec(format!(
+            "request line over {MAX_REQUEST_LINE} bytes"
+        )));
+    }
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     let mut w = stream;
     // A fenced-out hub must not act on its now-stale membership view:
@@ -1133,6 +1154,39 @@ mod tests {
                 1
             );
         }
+    }
+
+    #[test]
+    fn newline_less_request_is_cut_off_at_the_cap() {
+        let obs = Obs::for_node(u32::MAX);
+        let mut hub =
+            LifecycleHub::start_with("127.0.0.1:0", 1, Topology::Ring, obs.clone()).unwrap();
+        let addr = hub.addr();
+        // 1 MiB and no newline, on a connection that stays open: the hub
+        // must hang up once the cap is read, not buffer the stream until
+        // its read timeout. The write itself may fail half-way — the
+        // hub has gone by then.
+        let patience = TcpConfig::default().handshake_timeout / 2;
+        let mut flood = TcpStream::connect(addr).unwrap();
+        flood.set_write_timeout(Some(patience)).unwrap();
+        flood.set_read_timeout(Some(patience)).unwrap();
+        let _ = flood.write_all(&vec![b'A'; 1 << 20]);
+        let hung_up = match flood.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        };
+        assert!(hung_up, "hub kept reading a request line with no end");
+        // The hub still serves.
+        let info = join_via_hub(addr, "127.0.0.1:40030".parse().unwrap()).unwrap();
+        assert_eq!(info.id, 0);
+        // Joins every connection thread, so the counters are final.
+        hub.stop();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("hub.rejects"), 1);
+        assert_eq!(snap.counter("hub.joins"), 1);
     }
 
     #[test]

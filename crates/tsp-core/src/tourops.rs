@@ -97,8 +97,8 @@ pub trait TourOps {
 /// converted back to a plain visiting order — what the Chained-LK
 /// driver needs to move tours across the representation boundary.
 pub trait TourRep: TourOps + Clone {
-    /// Short human-readable name ("array" / "twolevel"), used by the
-    /// perf experiment and diagnostics.
+    /// Short human-readable name ("array" / "twolevel"), used by
+    /// diagnostics.
     const NAME: &'static str;
 
     /// Build from a visiting order (must be a permutation of `0..n`).

@@ -1,49 +1,53 @@
-//! Large-instance workflow: the pla33810/pla85900-class sizes of the
-//! paper's testbed need the two-level tour list (O(√n) flips). This
-//! example optimizes a 50k-city instance with candidate-list 2-opt on
-//! the two-level structure — a size where array-tour reversals would
-//! dominate the runtime.
+//! Large-instance workflow: divide-and-optimize sharding
+//! (`lk::shard_solve`) on `n` uniform cities — balanced k-d partition,
+//! full CLK per shard, stitch along the partition tree, pinned-edge seam
+//! refinement. Shards hold about 16k cities each, so the working set of
+//! one engine stays bounded however large `n` gets; this is the recipe
+//! behind the 200k → 1M table in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release --example large_instance [n]
+//! cargo run --release --example large_instance 1000000   # 64 shards, ~40 s on one core
 //! ```
 
-use dist_clk::lk::construct::space_filling;
-use dist_clk::lk::two_opt::two_opt;
-use dist_clk::lk::Optimizer;
-use dist_clk::tsp_core::{generate, NeighborLists, TwoLevelList};
+use dist_clk::lk::{shard_solve, ShardConfig};
+use dist_clk::tsp_core::generate;
 
 fn main() {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    println!("generating a {n}-city pcb-like instance…");
-    let inst = generate::pcb_like(n, 3);
+        .unwrap_or(100_000);
+    let seed = 4242;
+    println!("generating {n} uniform cities…");
+    let inst = generate::uniform(n, 1_000_000.0, seed);
+
+    let mut cfg = ShardConfig {
+        shards: (n / 15_625).max(1).next_power_of_two(),
+        kicks_per_shard: 20,
+        ..ShardConfig::default()
+    };
+    cfg.clk.seed = seed;
 
     let t = std::time::Instant::now();
-    let neighbors = NeighborLists::build(&inst, 8);
-    println!("candidate lists built in {:.2}s", t.elapsed().as_secs_f64());
+    let res = shard_solve(&inst, &cfg);
+    let total = t.elapsed().as_secs_f64();
+    assert!(res.tour.is_valid(), "sharded tour is not a permutation");
 
-    let t = std::time::Instant::now();
-    let start = space_filling(&inst);
-    let start_len = start.length(&inst);
+    let s = &res.stats;
+    // What `shard_solve` spends outside its three timed phases is the
+    // k-d partition (and one closing length recomputation).
+    let partition = total - s.solve_seconds - s.stitch_seconds - s.refine_seconds;
     println!(
-        "space-filling start: {start_len} in {:.2}s",
-        t.elapsed().as_secs_f64()
+        "{} shards, largest {} cities, {} seam cities",
+        s.shard_count, s.max_shard_cities, s.seam_cities
     );
-
-    let mut tl = TwoLevelList::from_tour(&start);
-    let t = std::time::Instant::now();
-    let mut opt = Optimizer::new(&inst, &neighbors);
-    let gain = two_opt(&mut opt, &mut tl);
-    let secs = t.elapsed().as_secs_f64();
-    let final_len = start_len - gain;
     println!(
-        "two-level 2-opt: {final_len} ({:.2}% better) in {:.2}s, {} segments",
-        gain as f64 / start_len as f64 * 100.0,
-        secs,
-        tl.segment_count()
+        "partition {partition:.2}s  solve {:.2}s  stitch {:.2}s  refine {:.2}s  total {total:.2}s",
+        s.solve_seconds, s.stitch_seconds, s.refine_seconds
     );
-    debug_assert_eq!(tl.to_tour().length(&inst), final_len);
+    println!(
+        "length {} (stitched {}, refinement gained {})",
+        res.length, s.stitched_length, s.refine_gain
+    );
 }
