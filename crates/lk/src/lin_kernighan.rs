@@ -25,10 +25,15 @@
 //! [`two_opt_by_edges`]. A failed search has, by type, changed nothing.
 //!
 //! The search keeps the LK positive-gain criterion
-//! `G_i = Σ d(x_j) − Σ d(y_j) > 0`, a tabu list of added/removed edges
-//! (edges once added are never removed and vice versa), breadth limits
-//! per level with backtracking on the first levels, and commits to the
-//! most improving prefix of the chain.
+//! `G_i = Σ d(x_j) − Σ d(y_j) > 0`, breadth limits per level with
+//! backtracking on the first levels, and commits to the most improving
+//! prefix of the chain. Its tabu rule — never remove an added edge, never
+//! add a removed one — needs no edge lists: skip `c` when `(last, c)` is
+//! a tour edge, skip `(c, v)` when it is not one. Exact, because every
+//! removed edge is a tour edge (`x₁ = (t1, last0)` is one, later removals
+//! are path edges that were not added) and no added edge is one (a tour
+//! edge `(last, c)` is removed already or the path edge at `last`), so a
+//! path edge was added iff it is not a tour edge.
 
 use tsp_core::TourOps;
 
@@ -72,10 +77,6 @@ impl LkConfig {
 
 /// Reusable scratch state for one LK chain.
 struct Chain {
-    /// Edges added so far (normalized `(min,max)`), never to be removed.
-    added: Vec<(u32, u32)>,
-    /// Edges removed so far, never to be re-added.
-    removed: Vec<(u32, u32)>,
     /// The step `(c, v, last)` taken at each depth of the current chain;
     /// when the search succeeds, the steps to commit.
     steps: Vec<(usize, usize, usize)>,
@@ -86,20 +87,23 @@ struct Chain {
 impl Chain {
     fn new() -> Self {
         Chain {
-            added: Vec::with_capacity(64),
-            removed: Vec::with_capacity(64),
             steps: Vec::with_capacity(64),
             path: VPath::default(),
         }
     }
-}
 
-#[inline]
-fn norm(a: usize, b: usize) -> (u32, u32) {
-    if a < b {
-        (a as u32, b as u32)
-    } else {
-        (b as u32, a as u32)
+    /// Whether the tabu rule as edge lists, rebuilt from `steps` and
+    /// `x₁ = (t1, last0)`, rejects `c` at `last`: what the adjacency tests
+    /// in [`LinKernighan::step`] must agree with on every debug-build probe.
+    fn list_tabu<T: TourOps>(&self, tour: &T, t1: usize, last: usize, c: usize) -> bool {
+        let same = |a: (usize, usize), b: (usize, usize)| a == b || a == (b.1, b.0);
+        let last0 = self.steps.first().map_or(last, |s| s.2);
+        let removed = |e| same(e, (t1, last0)) || self.steps.iter().any(|s| same(e, (s.0, s.1)));
+        if removed((last, c)) {
+            return true;
+        }
+        let v = self.path.succ(tour, c).city;
+        v == last || self.steps.iter().any(|s| same((c, v), (s.2, s.0)))
     }
 }
 
@@ -136,13 +140,10 @@ impl LinKernighan {
     ) -> i64 {
         // Try both tour edges at t1 as the first removed edge.
         for first_side in 0..2 {
-            self.chain.added.clear();
-            self.chain.removed.clear();
             self.chain.steps.clear();
             let last0 = self.chain.path.reset(tour, t1, first_side == 0);
-            self.chain.removed.push(norm(t1, last0));
             let g0 = opt.dist(t1, last0);
-            let gain = self.step(opt, tour, t1, last0, g0, 0, 1);
+            let gain = self.step(opt, tour, t1, last0, g0, g0, 0, 1);
             if gain > 0 {
                 // Commit: each step is the 2-opt move that closes the
                 // path it produced.
@@ -167,9 +168,10 @@ impl LinKernighan {
     }
 
     /// Recursive LK step on the virtual path. `last` is the path
-    /// endpoint, `g` the LK gain `Σd(x) − Σd(y)` so far (always > 0 on
-    /// entry), `l_delta` the tour length change vs. the original tour
-    /// (the improvement when stopping here is `-l_delta`). Returns the
+    /// endpoint, `d_last_t1` the length of the edge that closes the path,
+    /// `g` the LK gain `Σd(x) − Σd(y)` so far (always > 0 on entry),
+    /// `l_delta` the tour length change vs. the original tour (the
+    /// improvement when stopping here is `-l_delta`). Returns the
     /// committed improvement (> 0, with `chain.steps` holding the steps
     /// to apply) or 0 (path and chain restored to their state at entry).
     #[allow(clippy::too_many_arguments)]
@@ -179,6 +181,7 @@ impl LinKernighan {
         tour: &T,
         t1: usize,
         last: usize,
+        d_last_t1: i64,
         g: i64,
         l_delta: i64,
         depth: usize,
@@ -188,7 +191,7 @@ impl LinKernighan {
         let (cands, cdists) = opt.neighbors().of_with_dists(last);
         let breadth = self.cfg.breadth_at(depth);
         let mut tried = 0usize;
-        let d_last_t1 = opt.dist(last, t1);
+        let (last_next, last_prev) = (tour.next(last), tour.prev(last));
 
         for ci in 0..cands.len() {
             if tried >= breadth {
@@ -203,38 +206,34 @@ impl LinKernighan {
             if d_last_c >= g {
                 break;
             }
-            let e_add = norm(last, c);
-            if self.chain.removed.contains(&e_add) {
+            // Tabu by adjacency (module docs): add no tour edge, ...
+            if c == last_next || c == last_prev {
+                debug_assert!(self.chain.list_tabu(tour, t1, last, c));
                 continue;
             }
-            // The edge to remove: c's path neighbour on the `last` side.
+            // ... and remove only tour edges: (c, v), v being c's path
+            // neighbour on the `last` side (this also skips v == last).
             let succ = self.chain.path.succ(tour, c);
             let v = succ.city;
-            // v == last: (last, c) is already a path edge, nothing to
-            // add. (The only other edge at `last` closes the path at
-            // t1, and c != t1.)
-            if v == last {
-                continue;
-            }
-            let e_rem = norm(c, v);
-            if self.chain.added.contains(&e_rem) {
+            let tabu = v != tour.next(c) && v != tour.prev(c);
+            debug_assert_eq!(tabu, self.chain.list_tabu(tour, t1, last, c));
+            if tabu {
                 continue;
             }
 
-            let new_g = g + opt.dist(c, v) - d_last_c;
-            let delta = d_last_c + opt.dist(v, t1) - opt.dist(c, v) - d_last_t1;
-            let new_l = l_delta + delta;
+            let d_c_v = opt.dist(c, v);
+            let d_v_t1 = opt.dist(v, t1);
+            let new_g = g + d_c_v - d_last_c;
+            let new_l = l_delta + d_last_c + d_v_t1 - d_c_v - d_last_t1;
 
             // Take the step: t1 … c v … last becomes t1 … c last … v.
             self.chain.path.step(c, succ);
-            self.chain.added.push(e_add);
-            self.chain.removed.push(e_rem);
             self.chain.steps.push((c, v, last));
             tried += 1;
 
             // Recurse while the gain criterion holds.
             if new_g > 0 && depth < self.cfg.max_depth {
-                let deeper = self.step(opt, tour, t1, v, new_g, new_l, depth + 1);
+                let deeper = self.step(opt, tour, t1, v, d_v_t1, new_g, new_l, depth + 1);
                 if deeper > 0 {
                     return deeper;
                 }
@@ -243,10 +242,7 @@ impl LinKernighan {
             if new_l < 0 {
                 return -new_l;
             }
-            // Backtrack: undo this step and forget its tabu entries.
             self.chain.path.backtrack();
-            self.chain.added.pop();
-            self.chain.removed.pop();
             self.chain.steps.pop();
         }
         0

@@ -4,17 +4,21 @@
 //! array tour and the two-level list on the *same directed cycle* (the
 //! canonical linearizations and lengths are compared exactly, not just
 //! as undirected edge sets), the virtual path LK searches on must read
-//! like a tour that really took the same steps, and the candidate-list
+//! like a tour that really took the same steps, LK searched from every
+//! anchor must be exact on degenerate instances, and the candidate-list
 //! distance cache must agree with the metric everywhere.
 
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
-use tsp_core::{generate, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+use tsp_core::{
+    generate, Instance, Metric, NeighborLists, Point, Tour, TourOps, TourRep, TwoLevelList,
+};
 
 use lk::kick::kick;
+use lk::lin_kernighan::LinKernighan;
 use lk::search::{or_opt_move_by_edges, two_opt_by_edges};
 use lk::vpath::VPath;
-use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
+use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy, LkConfig, Optimizer};
 
 /// One sink-observed run on representation `R`: what the sink was
 /// handed must be what a caller could have taken, and the trace must be
@@ -291,6 +295,70 @@ proptest! {
             }
         }
         vpath_matches_flipped_tour(&tl, t1, along_next, &ops);
+    }
+}
+
+/// The instance shapes the LK search is exercised on: uniform,
+/// clustered, all cities on one line (ties everywhere), and only three
+/// distinct locations (most distances zero).
+fn lk_shapes(n: usize, seed: u64) -> Vec<(&'static str, Instance)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let collinear = (0..n)
+        .map(|_| Point::new(rng.gen_range(0..1_000) as f64, 0.0))
+        .collect();
+    let spots = [Point::new(0.0, 0.0), Point::new(500.0, 0.0), Point::new(0.0, 300.0)];
+    let duplicates = (0..n).map(|_| spots[rng.gen_range(0..spots.len())]).collect();
+    vec![
+        ("uniform", generate::uniform(n, 10_000.0, seed)),
+        ("clustered", generate::clustered(n, 10_000.0, 3, 300.0, seed)),
+        ("collinear", Instance::new("collinear", collinear, Metric::Euc2d)),
+        ("duplicates", Instance::new("duplicates", duplicates, Metric::Euc2d)),
+    ]
+}
+
+/// Two sweeps of `improve_from` over every anchor on representation
+/// `R`: a gain must be exactly what the tour lost, and a search that
+/// finds nothing must leave the tour as it was. Returns the final cycle.
+fn improve_from_every_anchor<R: TourRep>(
+    inst: &Instance,
+    nl: &NeighborLists,
+    start: &Tour,
+    label: &str,
+) -> Vec<u32> {
+    let mut tour = R::from_tour(start);
+    let mut opt = Optimizer::new(inst, nl);
+    let mut lk = LinKernighan::new(LkConfig::default());
+    for t1 in (0..inst.len()).chain(0..inst.len()) {
+        let (len, order) = (tour.tour_length(inst), tour.to_order());
+        let gain = lk.improve_from(&mut opt, &mut tour, t1);
+        if gain > 0 {
+            assert_eq!(tour.tour_length(inst), len - gain, "{label} {}: anchor {t1}", R::NAME);
+        } else {
+            assert_eq!(gain, 0, "{label} {}: anchor {t1}", R::NAME);
+            assert_eq!(tour.to_order(), order, "{label} {}: anchor {t1}", R::NAME);
+        }
+    }
+    tour.to_order()
+}
+
+/// LK from every anchor, on both representations, is exact on
+/// degenerate as well as random instances. In debug builds every probe
+/// also checks the adjacency tabu tests against the added/removed lists
+/// they replace (the `debug_assert!`s in `LinKernighan::step`).
+#[test]
+fn lk_is_exact_from_every_anchor() {
+    for n in [5usize, 8, 13, 64, 200] {
+        for seed in 0..3u64 {
+            for (shape, inst) in lk_shapes(n, seed) {
+                let nl = NeighborLists::build(&inst, 8);
+                let start = Tour::random(n, &mut SmallRng::seed_from_u64(seed ^ 0x5EED));
+                let label = format!("{shape} n={n} seed {seed}");
+                let array = improve_from_every_anchor::<Tour>(&inst, &nl, &start, &label);
+                let two_level =
+                    improve_from_every_anchor::<TwoLevelList>(&inst, &nl, &start, &label);
+                assert_eq!(array, two_level, "{label}: representations diverged");
+            }
+        }
     }
 }
 
