@@ -14,11 +14,17 @@
 //! The search never touches the tour. [`VPath`] holds the open path
 //! `t1 … last` as a list of ≤ depth + 1 runs of the *unmodified* tour;
 //! an LK step `(c, v)` — remove `(c, v)`, add `(last, c)`, new endpoint
-//! `v` — reverses the tail of that list, and backtracking reverses it
-//! back, both in O(depth) and independent of n and of the tour
-//! structure. Closing up is always possible (add `(last, t1)`), so every
-//! depth corresponds to a valid tour whose length the search tracks
-//! exactly.
+//! `v` — reverses the tail of that list in O(depth), independent of n
+//! and of the tour structure. Closing up is always possible (add
+//! `(last, t1)`), so every depth corresponds to a valid tour whose length
+//! the search tracks exactly.
+//!
+//! Only the first levels, where the breadth is > 1, ever come back to a
+//! path: such a level marks it on entry (a copy of its ≤ depth + 1 runs)
+//! and rewinds to the mark after each failed candidate, which undoes the
+//! candidate's step and every step below it at once. A level of breadth
+//! 1 never undoes its own step — no other candidate will be tried from
+//! there (linkern's `step_noback`).
 //!
 //! Only a chain that *commits* reaches the tour: its steps are replayed,
 //! in order, as the 2-opt moves `remove {(c, v), (last, t1)}` through
@@ -26,14 +32,17 @@
 //!
 //! The search keeps the LK positive-gain criterion
 //! `G_i = Σ d(x_j) − Σ d(y_j) > 0`, breadth limits per level with
-//! backtracking on the first levels, and commits to the most improving
+//! rewinding on the first levels, and commits to the most improving
 //! prefix of the chain. Its tabu rule — never remove an added edge, never
 //! add a removed one — needs no edge lists: skip `c` when `(last, c)` is
 //! a tour edge, skip `(c, v)` when it is not one. Exact, because every
 //! removed edge is a tour edge (`x₁ = (t1, last0)` is one, later removals
 //! are path edges that were not added) and no added edge is one (a tour
 //! edge `(last, c)` is removed already or the path edge at `last`), so a
-//! path edge was added iff it is not a tour edge.
+//! path edge was added iff it is not a tour edge. On the virtual path
+//! that is one flag of the successor query: the added edges are exactly
+//! the run boundaries, so `(c, v)` is not a tour edge iff `v` lies
+//! across one.
 
 use tsp_core::TourOps;
 
@@ -45,8 +54,9 @@ use crate::vpath::VPath;
 pub struct LkConfig {
     /// Maximum chain depth (number of sequential edge exchanges).
     pub max_depth: usize,
-    /// Breadth (candidates tried with backtracking) per level; levels
-    /// beyond the vector use 1 (greedy).
+    /// Breadth (candidates tried, the path rewound to its mark after each
+    /// failure) per level; levels beyond the vector use 1 (greedy: the
+    /// one step is never undone on its own level).
     pub breadth: Vec<usize>,
 }
 
@@ -173,7 +183,12 @@ impl LinKernighan {
     /// `l_delta` the tour length change vs. the original tour (the
     /// improvement when stopping here is `-l_delta`). Returns the
     /// committed improvement (> 0, with `chain.steps` holding the steps
-    /// to apply) or 0 (path and chain restored to their state at entry).
+    /// to apply) or 0. On 0, a level with breadth > 1 has put path and
+    /// chain back as they were at entry (it marked the path, rewound after
+    /// each failed candidate and released the mark); a level with breadth
+    /// 1 leaves its step and whatever lies below it applied, and the
+    /// caller's rewind, or the next `reset`, undoes them (linkern's
+    /// `step_noback`).
     #[allow(clippy::too_many_arguments)]
     fn step<T: TourOps>(
         &mut self,
@@ -190,6 +205,9 @@ impl LinKernighan {
         // test below never recomputes a distance from coordinates.
         let (cands, cdists) = opt.neighbors().of_with_dists(last);
         let breadth = self.cfg.breadth_at(depth);
+        // Only a level that may try another candidate comes back to this
+        // path; a one-candidate level leaves its failed step to its caller.
+        let mark = (breadth > 1).then(|| self.chain.path.mark());
         let mut tried = 0usize;
         let (last_next, last_prev) = (tour.next(last), tour.prev(last));
 
@@ -212,14 +230,14 @@ impl LinKernighan {
                 continue;
             }
             // ... and remove only tour edges: (c, v), v being c's path
-            // neighbour on the `last` side (this also skips v == last).
+            // neighbour on the `last` side, is one iff it lies inside a
+            // run (this also skips v == last).
             let succ = self.chain.path.succ(tour, c);
-            let v = succ.city;
-            let tabu = v != tour.next(c) && v != tour.prev(c);
-            debug_assert_eq!(tabu, self.chain.list_tabu(tour, t1, last, c));
-            if tabu {
+            debug_assert_eq!(succ.across, self.chain.list_tabu(tour, t1, last, c));
+            if succ.across {
                 continue;
             }
+            let v = succ.city;
 
             let d_c_v = opt.dist(c, v);
             let d_v_t1 = opt.dist(v, t1);
@@ -238,12 +256,19 @@ impl LinKernighan {
                     return deeper;
                 }
             }
-            // No deeper commit: accept here if this prefix improves.
+            // No deeper commit: accept here if this prefix improves,
+            // dropping the failed steps a breadth-1 level below left.
             if new_l < 0 {
+                self.chain.steps.truncate(depth);
                 return -new_l;
             }
-            self.chain.path.backtrack();
-            self.chain.steps.pop();
+            if let Some(mark) = mark {
+                self.chain.path.rewind(mark);
+                self.chain.steps.truncate(depth - 1);
+            }
+        }
+        if let Some(mark) = mark {
+            self.chain.path.release(mark);
         }
         0
     }

@@ -37,9 +37,16 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
     // segment ends. Try both orientations. Each candidate carries its
     // cached metric distance to the list owner (`d(s,c)` in the first
     // half of the scan, `d(e,c)` in the second), saving one coordinate
-    // distance per probe.
+    // distance per probe. A one-city segment has one list and one
+    // orientation: distances are symmetric, so a second scan of the same
+    // list, or the reversed insertion, would only repeat a rejected move.
+    let single = s == e;
     let (cands_s, dists_s) = opt.neighbors().of_with_dists(s);
-    let (cands_e, dists_e) = opt.neighbors().of_with_dists(e);
+    let (cands_e, dists_e) = if single {
+        (&[][..], &[][..])
+    } else {
+        opt.neighbors().of_with_dists(e)
+    };
     let k = cands_s.len();
     for i in 0..k + cands_e.len() {
         let (c, cached) = if i < k {
@@ -71,7 +78,11 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
         // Forward orientation: c -> s ... e -> d.
         let fwd_cost = (if i < k { cached } else { opt.dist(c, s) }) + opt.dist(e, d);
         // Reversed: c -> e ... s -> d.
-        let rev_cost = (if i < k { opt.dist(c, e) } else { cached }) + opt.dist(s, d);
+        let rev_cost = if single {
+            fwd_cost
+        } else {
+            (if i < k { opt.dist(c, e) } else { cached }) + opt.dist(s, d)
+        };
         let base = removed + broken - bridge;
         let (cost, reversed) = if fwd_cost <= rev_cost {
             (fwd_cost, false)

@@ -9,7 +9,8 @@
 //! into `t1 … c last … v`, i.e. it splits the run after `c` and reverses
 //! the *list of runs* behind the split, toggling each run's direction —
 //! O(depth) work on ≤ depth + 1 runs, and not one city of the base tour
-//! moves. Backtracking is the same tail reversal followed by a merge.
+//! moves. Undoing is a copy: [`VPath::mark`] saves the runs, and
+//! [`VPath::rewind`] puts them back however many steps were taken since.
 //! (Karapetyan & Gutin, arXiv 1003.5330, state LK in exactly these
 //! terms: operations on a path, independent of the tour structure.)
 
@@ -41,6 +42,9 @@ impl Run {
 pub struct Succ {
     /// The path successor (the neighbour on the `last` side).
     pub city: usize,
+    /// Whether the successor lies across a run boundary, in the next run;
+    /// otherwise it is the queried city's neighbour on the base tour.
+    pub across: bool,
     /// Index of the run holding the queried city.
     run: u32,
     /// Sequence number of the queried city.
@@ -55,9 +59,8 @@ pub struct Succ {
 #[derive(Debug, Default)]
 pub struct VPath {
     runs: Vec<Run>,
-    /// One entry per applied step: the number of runs in front of the
-    /// reversed tail, and whether the step split a run.
-    steps: Vec<(u32, bool)>,
+    /// The runs as they were at each mark still held, oldest first.
+    saved: Vec<Run>,
     n: u32,
     /// `index(t1)`.
     origin: u32,
@@ -75,7 +78,7 @@ impl VPath {
         self.along_next = along_next;
         let last = if along_next { tour.prev(t1) } else { tour.next(t1) };
         self.runs.clear();
-        self.steps.clear();
+        self.saved.clear();
         self.runs.push(Run {
             lo: 0,
             hi: self.n - 1,
@@ -105,17 +108,18 @@ impl VPath {
     ///
     /// The runs are scanned from the tail: candidates lie near `last`,
     /// and the runs that recent steps cut sit at that end of the list.
+    /// `lo <= seq <= hi` is one unsigned compare of the offset from `lo`.
     #[inline]
     pub fn succ<T: TourOps>(&self, tour: &T, c: usize) -> Succ {
         let seq = self.seq(tour, c);
         let r = self
             .runs
             .iter()
-            .rposition(|run| run.lo <= seq && seq <= run.hi)
+            .rposition(|run| seq.wrapping_sub(run.lo) <= run.hi - run.lo)
             .expect("the runs cover every sequence number");
         let run = &self.runs[r];
-        let at_exit = seq == if run.rev { run.lo } else { run.hi };
-        let city = if at_exit {
+        let across = seq == if run.rev { run.lo } else { run.hi };
+        let city = if across {
             debug_assert!(r + 1 < self.runs.len(), "the path's end has no successor");
             self.runs[r + 1].first_city()
         } else if run.rev == self.along_next {
@@ -125,6 +129,7 @@ impl VPath {
         };
         Succ {
             city,
+            across,
             run: r as u32,
             seq,
         }
@@ -136,8 +141,7 @@ impl VPath {
         let r = s.run as usize;
         let run = self.runs[r];
         let (c, v) = (c as u32, s.city as u32);
-        let split = s.seq != if run.rev { run.lo } else { run.hi };
-        if split {
+        if !s.across {
             let (head, tail) = if run.rev {
                 (
                     Run { lo: s.seq, lo_city: c, ..run },
@@ -157,25 +161,27 @@ impl VPath {
         } else {
             self.reverse_tail(r + 1);
         }
-        self.steps.push((r as u32 + 1, split));
     }
 
-    /// Undo the most recent [`VPath::step`].
-    pub fn backtrack(&mut self) {
-        let (head, split) = self.steps.pop().expect("backtrack without a step");
-        let head = head as usize;
-        if split {
-            let tail = self.runs.pop().expect("a split step left its cut-off piece last");
-            let run = &mut self.runs[head - 1];
-            if run.rev {
-                run.lo = tail.lo;
-                run.lo_city = tail.lo_city;
-            } else {
-                run.hi = tail.hi;
-                run.hi_city = tail.hi_city;
-            }
-        }
-        self.reverse_tail(head);
+    /// Save the path as it is now and return the mark to come back to.
+    /// Marks nest: [`VPath::rewind`] and [`VPath::release`] take the
+    /// newest mark still held.
+    pub fn mark(&mut self) -> usize {
+        let mark = self.saved.len();
+        self.saved.extend_from_slice(&self.runs);
+        mark
+    }
+
+    /// Put the path back as it was at `mark`, undoing every step taken
+    /// since, and keep the mark.
+    pub fn rewind(&mut self, mark: usize) {
+        self.runs.clear();
+        self.runs.extend_from_slice(&self.saved[mark..]);
+    }
+
+    /// Drop `mark`; the path stays as it is.
+    pub fn release(&mut self, mark: usize) {
+        self.saved.truncate(mark);
     }
 
     /// Reverse the path behind the first `head` runs.
@@ -214,25 +220,36 @@ mod tests {
     }
 
     #[test]
-    fn step_reverses_the_tail_and_backtrack_restores_it() {
+    fn step_reverses_the_tail_and_rewind_restores_it() {
         let tour = Tour::identity(8);
         let mut path = VPath::default();
         path.reset(&tour, 0, true);
+        let outer = path.mark();
         // 0 1 2 | 3 4 5 6 7  →  0 1 2 7 6 5 4 3
-        path.step(2, path.succ(&tour, 2));
+        let s = path.succ(&tour, 2);
+        assert!(!s.across);
+        path.step(2, s);
         assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 7, 6, 5, 4, 3]);
+        let inner = path.mark();
         // 0 1 2 7 6 | 5 4 3  →  0 1 2 7 6 3 4 5 (splits a reversed run)
         path.step(6, path.succ(&tour, 6));
         assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 7, 6, 3, 4, 5]);
         // Cut at a run boundary: no split. 0 1 2 | 7 6 3 4 5
-        path.step(2, path.succ(&tour, 2));
+        let s = path.succ(&tour, 2);
+        assert!(s.across);
+        path.step(2, s);
         assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 5, 4, 3, 6, 7]);
-        assert_eq!(path.steps.len(), 3);
-        path.backtrack();
-        assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 7, 6, 3, 4, 5]);
-        path.backtrack();
-        path.backtrack();
+        // Two unmarked steps undone at once, the mark kept for another try.
+        path.rewind(inner);
+        assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 7, 6, 5, 4, 3]);
+        path.step(6, path.succ(&tour, 6));
+        path.rewind(inner);
+        assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 7, 6, 5, 4, 3]);
+        path.release(inner);
+        path.rewind(outer);
         assert_eq!(walk(&path, &tour, 0), [0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(path.runs.len(), 1);
+        path.release(outer);
+        assert!(path.saved.is_empty());
     }
 }

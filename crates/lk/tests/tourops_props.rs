@@ -4,9 +4,11 @@
 //! array tour and the two-level list on the *same directed cycle* (the
 //! canonical linearizations and lengths are compared exactly, not just
 //! as undirected edge sets), the virtual path LK searches on must read
-//! like a tour that really took the same steps, LK searched from every
-//! anchor must be exact on degenerate instances, and the candidate-list
-//! distance cache must agree with the metric everywhere.
+//! like a tour that really took the same steps and came back through
+//! nested marks, LK searched from every anchor must be exact on
+//! degenerate instances, Or-opt must end where its two-scan original
+//! does, and the candidate-list distance cache must agree with the
+//! metric everywhere.
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -16,6 +18,7 @@ use tsp_core::{
 
 use lk::kick::kick;
 use lk::lin_kernighan::LinKernighan;
+use lk::or_opt::{or_opt, MAX_SEGMENT};
 use lk::search::{or_opt_move_by_edges, two_opt_by_edges};
 use lk::vpath::VPath;
 use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy, LkConfig, Optimizer};
@@ -219,8 +222,16 @@ proptest! {
 }
 
 /// Drive a [`VPath`] over the untouched `base` and a really-flipped copy
-/// of the same tour through one sequence of LK steps and backtracks,
-/// comparing the path successor of every city after each operation.
+/// of the same tour through one sequence of LK steps, nested marks,
+/// rewinds and releases, comparing the path successor of every city
+/// after each operation.
+///
+/// The marks nest as LK's do: one taken right after the reset that is
+/// never released, more taken at random depths. A rewind undoes every
+/// step since the newest mark — usually several unmarked steps at once,
+/// LK's breadth-1 levels — and then keeps the mark for another try or
+/// releases it. The flipped tour undoes the same steps one inverse move
+/// at a time.
 ///
 /// The flipped tour is the closed tour `path + (last, t1)`; its path
 /// runs along `next` or `prev` depending on which way the flips happened
@@ -238,14 +249,26 @@ fn vpath_matches_flipped_tour<T: TourOps>(
     let mut last = path.reset(base, t1, along_next);
     // (c, v, last-before) of every step currently applied.
     let mut applied: Vec<(usize, usize, usize)> = Vec::new();
+    // (mark, steps applied when it was taken), oldest first.
+    let mut marks = vec![(path.mark(), 0usize)];
     for &(pick, dice) in ops {
-        // Three operations in ten undo the latest step.
-        if applied.len() == 50 || (dice < 3 && !applied.is_empty()) {
-            let (c, v, before) = applied.pop().unwrap();
-            path.backtrack();
-            assert_eq!(last, v);
-            two_opt_by_edges(&mut real, (before, c), (v, t1));
-            last = before;
+        if dice == 0 {
+            marks.push((path.mark(), applied.len()));
+        } else if applied.len() == 50 || dice < 3 {
+            // Rewind to the newest mark; every other time also release
+            // it (the outermost mark is kept).
+            let &(mark, depth) = marks.last().unwrap();
+            while applied.len() > depth {
+                let (c, v, before) = applied.pop().unwrap();
+                assert_eq!(last, v);
+                two_opt_by_edges(&mut real, (before, c), (v, t1));
+                last = before;
+            }
+            path.rewind(mark);
+            if dice == 1 && marks.len() > 1 {
+                path.release(mark);
+                marks.pop();
+            }
         } else {
             let c = pick as usize % n;
             if c == t1 || c == last {
@@ -264,7 +287,13 @@ fn vpath_matches_flipped_tour<T: TourOps>(
         assert!(real_runs_along_next || real.next(t1) == last);
         for x in (0..n).filter(|&x| x != last) {
             let want = if real_runs_along_next { real.next(x) } else { real.prev(x) };
-            assert_eq!(path.succ(base, x).city, want, "succ({x}) at depth {}", applied.len());
+            let got = path.succ(base, x);
+            let depth = applied.len();
+            assert_eq!(got.city, want, "succ({x}) at depth {depth}, {} marks", marks.len());
+            // Inside a run the successor is the base tour neighbour.
+            if !got.across {
+                assert!(base.next(x) == want || base.prev(x) == want, "succ({x}) at depth {depth}");
+            }
         }
     }
 }
@@ -274,8 +303,9 @@ proptest! {
 
     /// The virtual path agrees with a tour that really took the steps:
     /// both sides of `t1`, n even and odd, chains to the depth limit,
-    /// backtracks interleaved, over an array base and over a two-level
-    /// base whose segments earlier flips have split and reversed.
+    /// nested marks with rewinds and releases interleaved, over an array
+    /// base and over a two-level base whose segments earlier flips have
+    /// split and reversed.
     #[test]
     fn vpath_reads_like_the_flipped_tour(
         n in 5usize..70,
@@ -360,6 +390,138 @@ fn lk_is_exact_from_every_anchor() {
             }
         }
     }
+}
+
+/// Or-opt's segment move as it stood before a one-city segment got a
+/// single scan: both candidate lists and both orientations, always.
+fn try_segment_both_lists<T: TourOps>(
+    opt: &mut Optimizer<'_>,
+    tour: &mut T,
+    s: usize,
+    len: usize,
+) -> i64 {
+    let n = tour.len();
+    if len + 2 >= n {
+        return 0;
+    }
+    let mut e = s;
+    for _ in 1..len {
+        e = tour.next(e);
+    }
+    let p = tour.prev(s);
+    let q = tour.next(e);
+    if p == e || q == s {
+        return 0;
+    }
+    let removed = opt.dist(p, s) + opt.dist(e, q);
+    let bridge = opt.dist(p, q);
+    let (cands_s, dists_s) = opt.neighbors().of_with_dists(s);
+    let (cands_e, dists_e) = opt.neighbors().of_with_dists(e);
+    let k = cands_s.len();
+    for i in 0..k + cands_e.len() {
+        let (c, cached) = if i < k {
+            (cands_s[i] as usize, dists_s[i])
+        } else {
+            (cands_e[i - k] as usize, dists_e[i - k])
+        };
+        if c == p {
+            continue;
+        }
+        let mut inside = false;
+        let mut walk = s;
+        for _ in 0..len {
+            if walk == c {
+                inside = true;
+                break;
+            }
+            walk = tour.next(walk);
+        }
+        if inside {
+            continue;
+        }
+        let d = tour.next(c);
+        if d == s {
+            continue;
+        }
+        let broken = opt.dist(c, d);
+        let fwd_cost = (if i < k { cached } else { opt.dist(c, s) }) + opt.dist(e, d);
+        let rev_cost = (if i < k { opt.dist(c, e) } else { cached }) + opt.dist(s, d);
+        let base = removed + broken - bridge;
+        let (cost, reversed) = if fwd_cost <= rev_cost {
+            (fwd_cost, false)
+        } else {
+            (rev_cost, true)
+        };
+        let gain = base - cost;
+        if gain > 0 {
+            or_opt_move_by_edges(tour, s, e, p, q, c, d, reversed);
+            for city in [p, q, s, e, c, d] {
+                opt.activate(city);
+            }
+            return gain;
+        }
+    }
+    0
+}
+
+/// `or_opt` over [`try_segment_both_lists`].
+fn or_opt_both_lists<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T) -> i64 {
+    opt.activate_all();
+    let mut total = 0i64;
+    while let Some(t1) = opt.pop_active() {
+        let mut gained = 0;
+        for len in 1..=MAX_SEGMENT.min(tour.len() - 3) {
+            gained = try_segment_both_lists(opt, tour, t1, len);
+            if gained > 0 {
+                break;
+            }
+        }
+        if gained > 0 {
+            total += gained;
+        } else {
+            opt.set_dont_look(t1);
+        }
+    }
+    total
+}
+
+/// A symmetric explicit matrix over uniform points whose edge
+/// `(order[0], order[n − 1])` costs −2⁴⁰ — a shard seam window's pinned
+/// closing edge — for a start tour `order` that holds it.
+fn pinned_matrix(n: usize, seed: u64, order: &[u32]) -> Instance {
+    let pts = generate::uniform(n, 10_000.0, seed);
+    let mut mat: Vec<i64> = (0..n * n).map(|ij| pts.dist(ij / n, ij % n)).collect();
+    let (a, b) = (order[0] as usize, order[n - 1] as usize);
+    mat[a * n + b] = -(1 << 40);
+    mat[b * n + a] = -(1 << 40);
+    Instance::explicit("pinned", mat, n)
+}
+
+/// Or-opt with one scan for a one-city segment ends exactly where the
+/// two-scan, two-orientation original does: same gain, same cycle, on
+/// degenerate geometry and on a pinned explicit matrix.
+#[test]
+fn or_opt_matches_the_two_scan_original() {
+    let mut cases = 0;
+    for n in [6usize, 9, 16, 40, 120] {
+        for seed in 0..10u64 {
+            let start = Tour::random(n, &mut SmallRng::seed_from_u64(seed ^ 0x0E0E));
+            let mut shapes = lk_shapes(n, seed);
+            shapes.push(("pinned", pinned_matrix(n, seed, start.order())));
+            for (shape, inst) in shapes {
+                let nl = NeighborLists::build(&inst, 8.min(n - 1));
+                let (mut fast, mut slow) = (start.clone(), start.clone());
+                let gain = or_opt(&mut Optimizer::new(&inst, &nl), &mut fast);
+                let want = or_opt_both_lists(&mut Optimizer::new(&inst, &nl), &mut slow);
+                let label = format!("{shape} n={n} seed {seed}");
+                assert_eq!(gain, want, "{label}");
+                assert_eq!(fast.to_order(), slow.to_order(), "{label}");
+                assert_eq!(fast.tour_length(&inst), start.tour_length(&inst) - gain, "{label}");
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 200);
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::metric::Metric;
+use crate::metric::{self, Metric};
 
 /// A city location in the plane (or a DDD.MM lat/lon pair for `GEO`).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -129,10 +129,13 @@ impl Instance {
         &self.metric
     }
 
-    /// Distance between cities `i` and `j`.
+    /// Distance between cities `i` and `j`. `EUC_2D`, the metric of the
+    /// search's hottest loops, is computed right here rather than behind
+    /// [`Metric::distance`]'s second match.
     #[inline(always)]
     pub fn dist(&self, i: usize, j: usize) -> i64 {
         match &self.metric {
+            Metric::Euc2d => metric::euc_2d(self.points[i], self.points[j]),
             Metric::Explicit(m, n) => m[i * n + j],
             m => m.distance(self.points[i], self.points[j]),
         }
