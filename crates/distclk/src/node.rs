@@ -1404,7 +1404,6 @@ mod tests {
             max_depth: 2,
             breadth: vec![1],
         };
-        cfg.clk.use_or_opt = false;
         let mut node1 = started_node(&inst, &nl, &cfg, ep1);
         let opt_tour = generate::grid_optimal_tour(14, 14);
         let opt_len = opt_tour.length(&inst);

@@ -45,9 +45,6 @@ pub struct ChainedLkConfig {
     /// every node builds its lists from this knob, so all nodes must
     /// agree on it (see [`ChainedLkConfig::build_neighbors`]).
     pub candidates: CandidateKind,
-    /// Also run an Or-opt pass after each LK pass (cheap extra
-    /// neighborhood; off in plain linkern, on by default here).
-    pub use_or_opt: bool,
     /// Instance size at which [`ClkEngine::auto`] switches from the
     /// array tour to the two-level list. Array flips are O(n) but
     /// cache-friendly, two-level flips O(√n). The default dates from the
@@ -72,7 +69,6 @@ impl Default for ChainedLkConfig {
             construction: Construction::QuickBoruvka,
             neighbor_k: 10,
             candidates: CandidateKind::Knn,
-            use_or_opt: true,
             tl_threshold: 50_000,
             seed: 0,
         }
@@ -298,26 +294,25 @@ impl<'a> ChainedLk<'a> {
         tour
     }
 
-    /// Fully LK-optimize `tour` (all cities active). Returns the gain.
+    /// Fully LK-optimize `tour` (all cities active), then run an Or-opt
+    /// pass (LK again if it gained). Returns the gain.
     pub fn optimize<T: TourOps>(&mut self, tour: &mut T) -> i64 {
         let t = self.obs.timer();
         let mut gain = lin_kernighan(&mut self.lk, &mut self.opt, tour);
-        if self.cfg.use_or_opt {
+        self.opt.activate_all();
+        let g2 = or_opt_pass(&mut self.opt, tour);
+        if g2 > 0 {
             self.opt.activate_all();
-            let g2 = or_opt_pass(&mut self.opt, tour);
-            if g2 > 0 {
-                self.opt.activate_all();
-                gain += g2 + lk_pass(&mut self.lk, &mut self.opt, tour);
-            }
+            gain += g2 + lk_pass(&mut self.lk, &mut self.opt, tour);
         }
         t.observe_into(&self.probes.h_call_ns);
         self.probes.h_call_gain.observe(gain.max(0) as u64);
         gain
     }
 
-    /// LK-optimize only around the given seed cities (after a kick the
-    /// paper's engine re-optimizes locally; this is what makes chained
-    /// iterations cheap).
+    /// LK-optimize, then Or-opt, only around the given seed cities (after
+    /// a kick the paper's engine re-optimizes locally; this is what makes
+    /// chained iterations cheap).
     pub fn optimize_around<T: TourOps>(&mut self, tour: &mut T, seeds: &[usize]) -> i64 {
         self.opt.deactivate_all();
         for &s in seeds {
@@ -325,14 +320,11 @@ impl<'a> ChainedLk<'a> {
             self.opt.activate(tour.next(s));
             self.opt.activate(tour.prev(s));
         }
-        let mut gain = lk_pass(&mut self.lk, &mut self.opt, tour);
-        if self.cfg.use_or_opt {
-            for &s in seeds {
-                self.opt.activate(s);
-            }
-            gain += or_opt_pass(&mut self.opt, tour);
+        let gain = lk_pass(&mut self.lk, &mut self.opt, tour);
+        for &s in seeds {
+            self.opt.activate(s);
         }
-        gain
+        gain + or_opt_pass(&mut self.opt, tour)
     }
 
     /// One chained iteration on `tour` (assumed LK-optimal, of length

@@ -189,7 +189,8 @@ pub trait JobHandler: Send + Sync {
 type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 
 /// A hub promoted from one-shot bootstrapper to lifecycle manager: it
-/// keeps serving after bootstrap, accepting three request kinds:
+/// keeps serving after bootstrap, answering eight commands, one text
+/// request line per connection:
 ///
 /// - `JOIN <addr>` — bootstrap join: the node is assigned the lowest
 ///   free id and told which of its topology neighbors already joined;
@@ -202,20 +203,27 @@ type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 /// - `REJOIN <id> <addr>` — a restarted node rejoins under its old id;
 ///   the hub marks it alive again and answers with the standard
 ///   `ID … EXPECT … NEIGHBORS …` reply listing the alive neighbors to
-///   dial.
+///   dial;
+/// - `TELEMETRY` — followed by one `Telemetry` codec frame, folded into
+///   the cluster-merged store; answered `OK <hub clock>`;
+/// - `METRICS` / `STATUS` — scrapes of that store (Prometheus text and
+///   the per-node status table);
+/// - `JOB` — followed by one `JobSubmit` or `JobCancel` codec frame; the
+///   connection is handed to the registered [`JobHandler`];
+/// - `HUBCLAIM <epoch>` — see below.
 ///
 /// Every connection is served on its own short-lived thread under a
 /// read deadline, so a malformed, truncated, or wedged request can
 /// neither consume a join slot nor stall the hub for everyone else.
 ///
-/// The hub role is *migratable* (DESIGN.md §9 "hub migration"): a
-/// fourth request kind, `HUBCLAIM <epoch>`, lets an elected successor
-/// fence this hub out of the role. A claim with an epoch strictly
-/// greater than the hub's own is accepted (`OK STEPDOWN <epoch>`);
-/// from then on lifecycle requests are answered `MOVED <epoch>` so
-/// clients fail over to the successor. Stale claims are answered
-/// `STALE <epoch>`. A successor reconstructs its serving state from a
-/// replicated [`MembershipLog`] via [`LifecycleHub::start_from_log`].
+/// The hub role is *migratable* (DESIGN.md §9 "hub migration"):
+/// `HUBCLAIM <epoch>` lets an elected successor fence this hub out of
+/// the role. A claim with an epoch strictly greater than the hub's own
+/// is accepted (`OK STEPDOWN <epoch>`); from then on every other
+/// command is answered `MOVED <epoch>` so clients fail over to the
+/// successor. Stale claims are answered `STALE <epoch>`. A successor
+/// reconstructs its serving state from a replicated [`MembershipLog`]
+/// via [`LifecycleHub::start_from_log`].
 pub struct LifecycleHub {
     addr: SocketAddr,
     thread: Option<JoinHandle<()>>,

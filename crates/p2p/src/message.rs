@@ -275,53 +275,11 @@ impl Message {
         }
     }
 
-    /// Wire-size estimate in bytes (used by the message-statistics
-    /// experiment to report communication volume).
+    /// Exact payload size in bytes (the frame is 4 bytes more): the
+    /// codec's one layout run into a byte counter. Both transports count
+    /// their traffic with it.
     pub fn wire_size(&self) -> usize {
-        match self {
-            Message::TourFound { order, .. } | Message::BestReply { order, .. } => {
-                1 + 8 + 8 + 8 + 4 + 4 * order.len()
-            }
-            // tag + from + shard + length + count + cities.
-            Message::ShardResult { order, .. } => 1 + 8 + 4 + 8 + 4 + 4 * order.len(),
-            Message::JobSubmit {
-                payload,
-                checkpoint,
-                ..
-            } => {
-                // tag + from + job + client + seed + kicks + deadline
-                // + target + kind + two length-prefixed byte sections.
-                1 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 4 + payload.len() + 4 + checkpoint.len()
-            }
-            Message::JobAccept { .. } => 1 + 8 + 8 + 8,
-            // tag + from + job + length + count + cities.
-            Message::JobImproved { order, .. } => 1 + 8 + 8 + 8 + 4 + 4 * order.len(),
-            // tag + from + job + reason + length + count + cities.
-            Message::JobDone { order, .. } => 1 + 8 + 8 + 1 + 8 + 4 + 4 * order.len(),
-            Message::JobCancel { .. } => 1 + 8 + 8 + 1,
-            Message::OptimumFound { .. } => 1 + 8 + 8,
-            Message::Leave { .. } | Message::Ping { .. } => 1 + 8,
-            Message::Pong { .. } => 1 + 8 + 8,
-            Message::BestRequest { .. } => 1 + 8,
-            Message::HubClaim { .. } => 1 + 8 + 8,
-            Message::LogSnapshot { entries, .. } => 1 + 8 + 4 + 17 * entries.len(),
-            Message::Telemetry {
-                counters,
-                gauges,
-                events_jsonl,
-                ..
-            } => {
-                // tag + from + t_ns + rtt_ns + best_len + clk_calls
-                // + stalled + three length-prefixed sections.
-                1 + 8 + 8 + 8 + 8 + 8 + 1
-                    + 4
-                    + counters.iter().map(|(n, _)| 2 + n.len() + 8).sum::<usize>()
-                    + 4
-                    + gauges.iter().map(|(n, _)| 2 + n.len() + 8).sum::<usize>()
-                    + 4
-                    + events_jsonl.len()
-            }
-        }
+        crate::codec::put(self, 0)
     }
 }
 

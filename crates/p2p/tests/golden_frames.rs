@@ -1,0 +1,153 @@
+//! Golden frames: one sample message per wire tag, with the length and
+//! an FNV-1a-64 digest of its encoded frame, recorded from the codec as
+//! it stood before its layout was rewritten. A change that claims to
+//! leave the bytes on the wire as they are must leave these constants
+//! exactly as they are; a change that means to alter the protocol
+//! re-records them and says so.
+
+use p2p::codec::{decode, encode};
+use p2p::{LogEntry, Message};
+
+/// `(tag, frame length incl. the 4-byte prefix, FNV-1a-64 of the frame)`.
+const GOLDEN: [(u8, usize, u64); 16] = [
+    (1, 181, 0x9816_4a72_44eb_4aec),
+    (2, 21, 0xe2f1_a3d8_c921_1cdf),
+    (3, 13, 0xc97e_3bf5_16c6_3e5a),
+    (4, 13, 0x26b0_0338_cfdd_1130),
+    (5, 21, 0x356b_2c4a_831f_4dd9),
+    (6, 13, 0x0f8f_1fe1_e334_6914),
+    (7, 181, 0x422b_52dd_0f6f_e3e2),
+    (8, 21, 0x2a17_2cf8_f26e_3ab8),
+    (9, 85, 0x4e30_a12a_5d95_4ed1),
+    (10, 173, 0x16ae_c12b_9e3c_b3b6),
+    (11, 73, 0x635a_f7ef_6d15_4b3b),
+    (12, 95, 0x1831_4cf8_6426_baba),
+    (13, 29, 0xe0a0_6bcb_6835_2d75),
+    (14, 45, 0x2d14_29d4_5720_3982),
+    (15, 46, 0x2bcc_9f31_8594_eaa5),
+    (16, 22, 0x56e3_d582_0233_9c1c),
+];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One message per tag, in tag order, with fields chosen so that every
+/// byte of the layout is non-trivial (negative lengths, high bits set,
+/// non-empty sections).
+fn samples() -> Vec<Message> {
+    let order: Vec<u32> = (0..37).map(|i| (i * 7919) % 1_000_003).collect();
+    vec![
+        Message::TourFound {
+            from: 5,
+            id: p2p::broadcast_id(5, 42),
+            length: -1_234_567,
+            order: order.clone(),
+        },
+        Message::OptimumFound {
+            from: 6,
+            length: i64::MAX - 3,
+        },
+        Message::Leave { from: 7 },
+        Message::Ping { from: 8 },
+        Message::Pong {
+            from: 9,
+            t_ns: u64::MAX - 11,
+        },
+        Message::BestRequest { from: 10 },
+        Message::BestReply {
+            from: 11,
+            id: p2p::broadcast_id(11, 3),
+            length: 987_654,
+            order: order.iter().rev().copied().collect(),
+        },
+        Message::HubClaim {
+            from: 12,
+            epoch: 0x0123_4567_89ab_cdef,
+        },
+        Message::LogSnapshot {
+            from: 13,
+            entries: vec![
+                LogEntry::Join { node: 0, epoch: 1 },
+                LogEntry::Down { node: 3, inc: 2 },
+                LogEntry::Rejoin { node: 3, inc: 2 },
+                LogEntry::Repair { a: 1, b: 7 },
+            ],
+        },
+        Message::Telemetry {
+            from: 14,
+            t_ns: 1_000_000_007,
+            rtt_ns: 42_000,
+            best_len: -27_686,
+            clk_calls: 512,
+            stalled: true,
+            counters: vec![("clk.calls".into(), 512), ("node.broadcasts".into(), 9)],
+            gauges: vec![("node.best_len".into(), -27_686)],
+            events_jsonl: b"{\"t_ns\":1,\"node\":14,\"seq\":0,\"kind\":\"clk.stall\"}\n".to_vec(),
+        },
+        Message::ShardResult {
+            from: 15,
+            shard: 0xdead_beef,
+            length: 123_456_789,
+            order: order[..11].to_vec(),
+        },
+        Message::JobSubmit {
+            from: 16,
+            job: p2p::job_id(7, 1),
+            client: 7,
+            seed: 99,
+            kicks: 250,
+            deadline_ms: 10_000,
+            target: -5,
+            payload_kind: 2,
+            payload: b"[[0,0],[3,4],[6,0]]".to_vec(),
+            checkpoint: vec![1, 2, 3, 4, 5, 250],
+        },
+        Message::JobAccept {
+            from: 17,
+            job: p2p::job_id(7, 1),
+            worker: 17,
+        },
+        Message::JobImproved {
+            from: 18,
+            job: p2p::job_id(7, 1),
+            length: 16,
+            order: vec![2, 0, 1],
+        },
+        Message::JobDone {
+            from: 19,
+            job: p2p::job_id(7, 1),
+            reason: 2,
+            length: 16,
+            order: vec![0, 1, 2],
+        },
+        Message::JobCancel {
+            from: 20,
+            job: p2p::job_id(7, 1),
+            reason: 3,
+        },
+    ]
+}
+
+#[test]
+fn every_tag_encodes_to_its_recorded_bytes() {
+    let got: Vec<(u8, usize, u64)> = samples()
+        .iter()
+        .map(|m| {
+            let f = encode(m);
+            (f[4], f.len(), fnv1a64(&f))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN);
+}
+
+#[test]
+fn every_tag_is_sized_and_read_back_exactly() {
+    for m in samples() {
+        let f = encode(&m);
+        assert_eq!(f.len(), m.wire_size() + 4, "{m:?}");
+        assert_eq!(decode(&f[4..]).unwrap(), m);
+    }
+}

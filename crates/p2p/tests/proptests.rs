@@ -320,6 +320,32 @@ proptest! {
         }
     }
 
+    /// decode accepts exactly the payloads encode produces: whatever
+    /// arbitrary bytes decode to, encoding it gives those bytes back.
+    #[test]
+    fn decoded_arbitrary_bytes_are_canonical(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
+        if let Ok(m) = decode(&bytes) {
+            prop_assert_eq!(&encode(&m)[4..], &bytes[..]);
+        }
+    }
+
+    /// The same on valid payloads with 1–4 bytes flipped, so that many
+    /// corrupted frames still decode (a flipped length, id or city).
+    #[test]
+    fn decoded_corrupt_frames_are_canonical(
+        msg in arb_message(),
+        flips in prop::collection::vec((any::<u64>(), 1u8..=255), 1..5),
+    ) {
+        let mut payload = encode(&msg)[4..].to_vec();
+        for (at, xor) in flips {
+            let at = (at % payload.len() as u64) as usize;
+            payload[at] ^= xor;
+        }
+        if let Ok(m) = decode(&payload) {
+            prop_assert_eq!(&encode(&m)[4..], &payload[..]);
+        }
+    }
+
     /// Every job-service frame (tags 12–16) round-trips exactly — the
     /// dedicated coverage the multi-tenant service leans on, matching
     /// the tag-11 `ShardResult` discipline.
