@@ -17,9 +17,6 @@ pub enum Reference {
     /// Exact known optimum (grid instances; TSPLIB files with recorded
     /// optima).
     Optimum(i64),
-    /// Held-Karp lower bound (the paper's fallback for fi10639,
-    /// pla33810, pla85900).
-    HeldKarp(i64),
     /// Best length seen across all runs of the experiment (surrogate
     /// optimum; recorded in EXPERIMENTS.md).
     Surrogate(i64),
@@ -29,7 +26,7 @@ impl Reference {
     /// The reference value.
     pub fn value(&self) -> i64 {
         match *self {
-            Reference::Optimum(v) | Reference::HeldKarp(v) | Reference::Surrogate(v) => v,
+            Reference::Optimum(v) | Reference::Surrogate(v) => v,
         }
     }
 
@@ -43,7 +40,6 @@ impl Reference {
     pub fn label(&self) -> &'static str {
         match self {
             Reference::Optimum(_) => "optimum",
-            Reference::HeldKarp(_) => "HK bound",
             Reference::Surrogate(_) => "surrogate best-known",
         }
     }
@@ -55,9 +51,6 @@ pub struct TestInstance {
     pub paper_name: &'static str,
     /// The stand-in instance (see DESIGN.md §3).
     pub inst: Instance,
-    /// Quality reference (filled with Surrogate post-hoc when neither
-    /// optimum nor HK is precomputed).
-    pub reference: Option<Reference>,
 }
 
 /// Experiment scale knobs.
@@ -125,63 +118,34 @@ pub fn small_testbed(scale: &Scale) -> Vec<TestInstance> {
         TestInstance {
             paper_name: "C1k.1",
             inst: generate::clustered_dimacs(scale.sized(1000), 11),
-            reference: None,
         },
         TestInstance {
             paper_name: "E1k.1",
             inst: generate::uniform(scale.sized(1000), 1_000_000.0, 12),
-            reference: None,
         },
         TestInstance {
             paper_name: "grid1024",
             inst: sized_grid(scale),
-            reference: None, // filled from known_optimum below
         },
         TestInstance {
             paper_name: "fl1577",
             inst: generate::drill_plate(scale.sized(1577), 13),
-            reference: None,
         },
         TestInstance {
             paper_name: "pr2392",
             inst: generate::pcb_like(scale.sized(2392), 14),
-            reference: None,
         },
         TestInstance {
             paper_name: "pcb3038",
             inst: generate::pcb_like(scale.sized(3038), 15),
-            reference: None,
         },
         TestInstance {
             paper_name: "fl3795",
             inst: generate::drill_plate(scale.sized(3795), 16),
-            reference: None,
         },
         TestInstance {
             paper_name: "fnl4461",
             inst: generate::uniform(scale.sized(4461), 1_000_000.0, 17),
-            reference: None,
-        },
-    ]
-}
-
-/// Large-instance additions (fi10639 … pla85900 analogs, reduced).
-pub fn large_testbed(scale: &Scale) -> Vec<TestInstance> {
-    vec![
-        TestInstance {
-            paper_name: "fi10639",
-            inst: generate::road_like(scale.sized(5000), 18),
-            reference: None,
-        },
-        TestInstance {
-            paper_name: "sw24978",
-            inst: generate::road_like(scale.sized(8000), 19),
-            reference: None,
-        },
-        TestInstance {
-            paper_name: "pla33810",
-            inst: generate::pcb_like(scale.sized(9000), 20),
-            reference: None,
         },
     ]
 }
@@ -227,7 +191,7 @@ mod tests {
         let r = Reference::Optimum(1000);
         assert_eq!(r.excess(1010), 0.01);
         assert_eq!(r.value(), 1000);
-        assert_eq!(Reference::HeldKarp(5).label(), "HK bound");
+        assert_eq!(Reference::Surrogate(5).label(), "surrogate best-known");
     }
 
     #[test]

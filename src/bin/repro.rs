@@ -25,7 +25,8 @@ fn main() {
 
     match command {
         "list" => {
-            println!("experiments: {}", experiments::ALL.join(", "));
+            let ids: Vec<&str> = experiments::ALL.iter().map(|(id, _)| *id).collect();
+            println!("experiments: {}", ids.join(", "));
             println!("usage: repro <id>|all [--full]");
         }
         "calibrate" => {
@@ -33,7 +34,7 @@ fn main() {
             println!("normalization factor: {f:.4}");
         }
         "all" => {
-            for id in experiments::ALL {
+            for (id, _) in experiments::ALL {
                 run_one(id, &scale);
             }
             println!("all reports written to target/repro/");
