@@ -6,10 +6,11 @@
 //! bit-for-bit, and dividing must cost at most 5 % of tour length at
 //! equal total kicks.
 
+use obs_api::Obs;
 use proptest::prelude::*;
-use tsp_core::generate;
+use tsp_core::{generate, Partition};
 
-use lk::shard::{shard_solve, ShardConfig};
+use lk::shard::{shard_solve, solve_one_shard, stitch_and_refine, ShardConfig, ShardStats};
 use lk::{Budget, ClkEngine};
 
 /// A fast pipeline config: tiny kick budgets, small refinement windows.
@@ -109,6 +110,42 @@ fn sharded_within_five_percent_of_unsharded_at_equal_total_kicks() {
         "sharded {divided} vs unsharded {whole}: {:+.2} % (bound 5 %)",
         gap * 100.0
     );
+}
+
+/// `shard_solve` solves its shards in parallel; the outcome must be the
+/// serial composition of its public stages: `solve_one_shard` for each
+/// shard in order, then `stitch_and_refine`. With 13 shards on fewer
+/// cores, threads claim several shards each.
+#[test]
+fn parallel_pipeline_equals_serial_composition() {
+    let inst = generate::uniform(2_500, 10_000.0, 99);
+    for shards in [2, 3, 8, 13] {
+        let c = cfg(shards, 31 + shards as u64);
+        let got = shard_solve(&inst, &c);
+
+        let part = Partition::build(&inst, c.shards);
+        assert_eq!(part.shard_count(), shards);
+        let mut want = ShardStats::default();
+        let mut cycles = Vec::new();
+        for s in 0..part.shard_count() {
+            let (order, length) = solve_one_shard(&inst, &part, s, &c);
+            want.shard_lengths.push(length);
+            cycles.push(Some(order));
+        }
+        let tour = stitch_and_refine(&inst, &part, cycles, &c, &Obs::disabled(), &mut want);
+
+        assert_eq!(got.tour.order(), tour.order(), "shards={shards}");
+        let summary = |s: &ShardStats| {
+            (
+                s.shard_lengths.clone(),
+                s.stitched_length,
+                s.refine_gain,
+                s.refine_rounds,
+                s.seam_cities,
+            )
+        };
+        assert_eq!(summary(&got.stats), summary(&want), "shards={shards}");
+    }
 }
 
 /// The benchmark's shape, 100 000 cities in 8 shards, pinned to what

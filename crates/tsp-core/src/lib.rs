@@ -20,6 +20,8 @@
 //!   traits that let local search run on either representation.
 //! - [`neighbors`] — k-nearest-neighbor candidate lists with cached
 //!   candidate distances.
+//! - [`fan_out`](mod@fan_out) — the one primitive that spreads work
+//!   over cores (k-NN builds, shard engines); nested calls run inline.
 //! - [`kdtree`] — the spatial index used to build candidate lists and
 //!   to answer nearest-neighbor queries during tour construction.
 //! - [`tsplib`] — a parser and writer for the TSPLIB file format, so
@@ -42,6 +44,7 @@
 //! assert!(total > 0);
 //! ```
 
+pub mod fan_out;
 pub mod generate;
 pub mod instance;
 pub mod kdtree;
@@ -53,6 +56,7 @@ pub mod tourops;
 pub mod tsplib;
 pub mod twolevel;
 
+pub use fan_out::fan_out;
 pub use instance::{Instance, Point};
 pub use metric::Metric;
 pub use neighbors::NeighborLists;

@@ -10,15 +10,19 @@
 //! Next to each neighbor id the structure caches the exact metric
 //! distance in a parallel `i64` array, so candidate scans in the LK
 //! inner loops read a precomputed value instead of recomputing sqrt
-//! (EUC_2D) or trig (GEO) per probe. Construction chunks the per-city
-//! k-NN queries across scoped threads — the serial pass is a visible
+//! (EUC_2D) or trig (GEO) per probe. Construction hands chunks of
+//! per-city k-NN queries to [`fan_out`] — the serial pass is a visible
 //! startup cost at pla85900 scale.
 
+use std::cmp::Ordering;
+
+use crate::fan_out::fan_out;
 use crate::instance::Instance;
 use crate::kdtree::KdTree;
 
-/// Below this many cities the build stays serial: thread spawn overhead
-/// would dominate the k-NN work.
+/// Cities per k-NN work item. A smaller instance is one item, so its
+/// build stays serial: thread spawn overhead would dominate the k-NN
+/// work.
 const PARALLEL_MIN_CITIES: usize = 2_048;
 
 /// Flat `k`-nearest-neighbor lists for every city, with the metric
@@ -46,7 +50,7 @@ impl NeighborLists {
         Self::build_with(inst, k, &|c| tree.k_nearest(c, k))
     }
 
-    /// O(n² log n) fallback, ordered by the instance metric itself for
+    /// O(n²) fallback, ordered by the instance metric itself for
     /// explicit matrices and by unrounded squared Euclidean distance for
     /// geometric instances — the latter matches the `(dist, id)` order
     /// of the k-d tree queries exactly, so both builders produce
@@ -56,27 +60,23 @@ impl NeighborLists {
         let k = k.min(n - 1);
         let geometric = inst.metric().is_geometric();
         Self::build_with(inst, k, &|c| {
-            let mut all: Vec<u32> = (0..n as u32).filter(|&o| o as usize != c).collect();
+            let others = (0..n as u32).filter(|&o| o as usize != c);
             if geometric {
                 let p = inst.point(c);
-                all.sort_by(|&a, &b| {
-                    inst.point(a as usize)
-                        .sq_dist(&p)
-                        .partial_cmp(&inst.point(b as usize).sq_dist(&p))
-                        .unwrap()
-                        .then(a.cmp(&b))
-                });
+                let keyed = others.map(|o| (inst.point(o as usize).sq_dist(&p), o));
+                k_smallest(keyed.collect(), k, |a, b| {
+                    a.partial_cmp(b).expect("squared distances are never NaN")
+                })
             } else {
-                all.sort_by_key(|&o| (inst.dist(c, o as usize), o));
+                let keyed = others.map(|o| (inst.dist(c, o as usize), o));
+                k_smallest(keyed.collect(), k, Ord::cmp)
             }
-            all.truncate(k);
-            all
         })
     }
 
-    /// Shared builder: run `query` for every city (in parallel chunks
-    /// when the instance is large enough) and cache the metric distance
-    /// of each returned neighbor.
+    /// Shared builder: run `query` for every city (chunks of
+    /// [`PARALLEL_MIN_CITIES`] fanned out) and cache the metric
+    /// distance of each returned neighbor.
     fn build_with<F>(inst: &Instance, k: usize, query: &F) -> Self
     where
         F: Fn(usize) -> Vec<u32> + Sync,
@@ -84,24 +84,13 @@ impl NeighborLists {
         let n = inst.len();
         let mut flat = vec![0u32; n * k];
         let mut dists = vec![0i64; n * k];
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(16);
-        if threads <= 1 || n < PARALLEL_MIN_CITIES {
-            Self::fill_chunk(inst, k, 0, &mut flat, &mut dists, query);
-        } else {
-            let per = n.div_ceil(threads);
-            std::thread::scope(|s| {
-                for (i, (fc, dc)) in flat
-                    .chunks_mut(per * k)
-                    .zip(dists.chunks_mut(per * k))
-                    .enumerate()
-                {
-                    s.spawn(move || Self::fill_chunk(inst, k, i * per, fc, dc, query));
-                }
-            });
-        }
+        let mut chunks: Vec<_> = flat
+            .chunks_mut(PARALLEL_MIN_CITIES * k)
+            .zip(dists.chunks_mut(PARALLEL_MIN_CITIES * k))
+            .collect();
+        fan_out(&mut chunks, |i, (fc, dc)| {
+            Self::fill_chunk(inst, k, i * PARALLEL_MIN_CITIES, fc, dc, query)
+        });
         NeighborLists { k, flat, dists }
     }
 
@@ -186,6 +175,23 @@ impl NeighborLists {
     pub fn is_empty(&self) -> bool {
         self.flat.is_empty()
     }
+}
+
+/// The ids of the `k` smallest `(key, id)` pairs under `cmp`, smallest
+/// first. `cmp` must be a total order (ids are distinct, so a total
+/// order on keys makes one): then the survivors and their order equal
+/// a full sort's prefix, at a selection's cost.
+fn k_smallest<K>(
+    mut keyed: Vec<(K, u32)>,
+    k: usize,
+    cmp: impl Fn(&(K, u32), &(K, u32)) -> Ordering,
+) -> Vec<u32> {
+    if k < keyed.len() {
+        keyed.select_nth_unstable_by(k, &cmp);
+        keyed.truncate(k);
+    }
+    keyed.sort_unstable_by(&cmp);
+    keyed.into_iter().map(|(_, o)| o).collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tsp_core::{generate, Instance, NeighborLists, Tour};
+use tsp_core::{generate, Instance, Metric, NeighborLists, Point, Tour};
 
 /// Strategy: a permutation of 0..n encoded as a seed + size.
 fn tour_strategy() -> impl Strategy<Value = Tour> {
@@ -118,6 +118,63 @@ proptest! {
             for w in ds.windows(2) {
                 prop_assert!(w[0] <= w[1]);
             }
+        }
+    }
+
+    /// The top-k brute-force builder keeps exactly a full sort's
+    /// prefix on explicit matrices full of repeated values (one pair
+    /// pinned at the seam windows' `-PIN`, `-2^40`).
+    #[test]
+    fn brute_force_matches_full_sort_on_explicit_matrices(
+        n in 3usize..40,
+        values in prop::collection::vec(0i64..4, 1_600..1_601),
+        pin in (0usize..40, 0usize..40),
+        k in 1usize..12,
+    ) {
+        let mut m = vec![0i64; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                m[i * n + j] = values[i * 40 + j];
+                m[j * n + i] = values[i * 40 + j];
+            }
+        }
+        let (a, b) = (pin.0 % n, pin.1 % n);
+        if a != b {
+            m[a * n + b] = -(1 << 40);
+            m[b * n + a] = -(1 << 40);
+        }
+        let inst = Instance::explicit("repeats", m, n);
+        let nl = NeighborLists::build_brute_force(&inst, k);
+        for c in 0..n {
+            let mut want: Vec<u32> = (0..n as u32).filter(|&o| o as usize != c).collect();
+            want.sort_by_key(|&o| (inst.dist(c, o as usize), o));
+            want.truncate(nl.k());
+            prop_assert_eq!(nl.of(c), &want[..], "city {}", c);
+        }
+    }
+
+    /// The same on geometric sets whose points repeat: equal squared
+    /// distances fall back to ids, as in the full sort.
+    #[test]
+    fn brute_force_matches_full_sort_on_duplicate_points(
+        coords in prop::collection::vec((0u8..4, 0u8..4), 3..60),
+        k in 1usize..12,
+    ) {
+        let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x as f64, y as f64)).collect();
+        let n = pts.len();
+        let inst = Instance::new("duplicates", pts, Metric::Euc2d);
+        let nl = NeighborLists::build_brute_force(&inst, k);
+        for c in 0..n {
+            let p = inst.point(c);
+            let mut want: Vec<u32> = (0..n as u32).filter(|&o| o as usize != c).collect();
+            want.sort_by(|&a, &b| {
+                inst.point(a as usize).sq_dist(&p)
+                    .partial_cmp(&inst.point(b as usize).sq_dist(&p))
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            want.truncate(nl.k());
+            prop_assert_eq!(nl.of(c), &want[..], "city {}", c);
         }
     }
 

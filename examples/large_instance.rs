@@ -1,13 +1,14 @@
 //! Large-instance workflow: divide-and-optimize sharding
 //! (`lk::shard_solve`) on `n` uniform cities — balanced k-d partition,
-//! full CLK per shard, stitch along the partition tree, pinned-edge seam
-//! refinement. Shards hold about 16k cities each, so the working set of
-//! one engine stays bounded however large `n` gets; this is the recipe
-//! behind the 200k → 1M table in EXPERIMENTS.md.
+//! full CLK per shard (the shards in parallel, one per core), stitch
+//! along the partition tree, pinned-edge seam refinement. Shards hold
+//! about 16k cities each, so the working set of one engine stays bounded
+//! however large `n` gets; this is the recipe behind the 200k → 1M table
+//! in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release --example large_instance [n]
-//! cargo run --release --example large_instance 1000000   # 64 shards, ~40 s on one core
+//! cargo run --release --example large_instance 1000000   # 64 shards, ~5 s on 2 cores, ~10 s on 1
 //! ```
 
 use dist_clk::lk::{shard_solve, ShardConfig};
