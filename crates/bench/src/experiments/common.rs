@@ -52,10 +52,11 @@ pub fn dist_config(scale: &Scale, kick: KickStrategy, nodes: usize, seed: u64) -
 
 /// Run the distributed algorithm `runs` times with distinct seeds.
 ///
-/// Uses the deterministic lockstep driver: this host may be
-/// single-core, where per-node wall time across different thread
-/// counts is not comparable; effort (CLK calls / kicks) is the time
-/// axis for every experiment (see DESIGN.md §3).
+/// Uses the deterministic lockstep driver, which runs a round's CLK
+/// calls on every core and returns the same result at any core count.
+/// Wall time then depends on how many cores the nodes shared, so effort
+/// (CLK calls / kicks) is the time axis for every experiment (see
+/// DESIGN.md §3).
 pub fn run_dist_many(
     inst: &Instance,
     base: &DistConfig,

@@ -8,9 +8,10 @@
 //! attains within its (10×) budget.
 //!
 //! Effort unit: kicks (CLK) / kick-equivalents (DistCLK: CLK calls ×
-//! internal kicks per call). Wall time is not used because the harness
-//! may run on a single core, where per-node wall time across different
-//! node counts is incomparable (DESIGN.md §3). Quality levels are
+//! internal kicks per call). Wall time is not used: the lockstep driver
+//! spreads the nodes over however many cores the host has, so per-node
+//! wall time across different node counts is incomparable (DESIGN.md
+//! §3). Quality levels are
 //! placed relative to the best length over *all* runs of the instance
 //! (surrogate optimum), so they discriminate at any scale — the paper
 //! used fixed percentages over known optima, which our scaled stand-ins

@@ -23,11 +23,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use p2p::memory::{InMemoryNetwork, MemoryEndpoint};
+use p2p::memory::InMemoryNetwork;
 use p2p::{Membership, NodeId, Transport};
 use tsp_core::{Instance, NeighborLists};
 
-use crate::driver::{lockstep_round, started_node, DistResult};
+use crate::driver::{lockstep_round, started_nodes, DistResult};
 use crate::node::{DistConfig, NodeDriver, NodeResult};
 
 /// One scheduled churn action.
@@ -140,10 +140,7 @@ pub fn run_lockstep_churn(
     let start = std::time::Instant::now();
     let (net, endpoints) = InMemoryNetwork::create(cfg.nodes, cfg.topology);
     let mut membership = Membership::new(cfg.topology, cfg.nodes);
-    let mut drivers: Vec<Option<NodeDriver<'_, MemoryEndpoint>>> = endpoints
-        .into_iter()
-        .map(|ep| Some(started_node(inst, neighbors, cfg, ep)))
-        .collect();
+    let mut drivers = started_nodes(inst, neighbors, cfg, endpoints);
     let mut results: Vec<NodeResult> = Vec::with_capacity(cfg.nodes);
     // Driver-side mirror of the hub role, used to resolve `KillHub`
     // targets and pick `MigrateHub` successors. It tracks the outcome

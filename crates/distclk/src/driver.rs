@@ -6,9 +6,9 @@ use lk::Trace;
 use obs_api::MetricsSnapshot;
 use p2p::memory::{InMemoryNetwork, NetStats};
 use p2p::{NodeId, TelemetryStore, Transport};
-use tsp_core::{Instance, NeighborLists, Tour};
+use tsp_core::{fan_out, Instance, NeighborLists, Tour};
 
-use crate::node::{DistConfig, NodeDriver, NodeResult};
+use crate::node::{DistConfig, NodeDriver, NodeResult, Searched};
 
 /// Aggregate outcome of a distributed run.
 #[derive(Debug, Clone)]
@@ -72,10 +72,11 @@ impl DistResult {
         }
     }
 
-    /// Total CPU time proxy: sum of per-node seconds (the paper's
-    /// "total CPU time summed over all CPU nodes" for speed-up factors).
+    /// Total CPU time proxy: the sum of every node's busy time (the
+    /// paper's "total CPU time summed over all CPU nodes" for speed-up
+    /// factors), however many nodes shared a core.
     pub fn total_node_seconds(&self) -> f64 {
-        self.nodes.iter().map(|n| n.seconds).sum()
+        self.nodes.iter().map(|n| n.busy_seconds).sum()
     }
 
     /// Total broadcasts initiated (paper §4: "84.9 broadcasts per run").
@@ -113,32 +114,62 @@ pub fn run_threads(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig)
     result
 }
 
-/// A fresh node with its Fig. 1 preamble behind it, for the lockstep
-/// drivers: their rounds count iterations of the Fig. 1 loop (churn
-/// schedules are keyed by them), and a node's clock should run through
-/// its own construction and first LK pass, as on a processor of its
-/// own, not through the constructions of the nodes built after it.
-pub(crate) fn started_node<'a, T: Transport>(
+/// Fresh nodes with their Fig. 1 preamble behind them, one per
+/// transport, for the lockstep drivers: their rounds count iterations
+/// of the Fig. 1 loop (churn schedules are keyed by them), and a node's
+/// clock should run through its own construction and first LK pass, as
+/// on a processor of its own. The preamble neither sends nor reads, so
+/// the nodes are built through [`fan_out`], one per core.
+pub(crate) fn started_nodes<'a, T: Transport>(
     inst: &'a Instance,
     neighbors: &'a NeighborLists,
     cfg: &DistConfig,
-    transport: T,
-) -> NodeDriver<'a, T> {
-    let mut node = NodeDriver::new(inst, neighbors, cfg, transport);
-    node.step();
-    node
+    transports: Vec<T>,
+) -> Vec<Option<NodeDriver<'a, T>>> {
+    let mut slots: Vec<(Option<T>, Option<NodeDriver<'a, T>>)> =
+        transports.into_iter().map(|ep| (Some(ep), None)).collect();
+    fan_out(&mut slots, |_, (ep, node)| {
+        let ep = ep.take().expect("each transport builds one node");
+        let mut started = NodeDriver::new(inst, neighbors, cfg, ep);
+        started.step();
+        *node = Some(started);
+    });
+    slots.into_iter().map(|(_, node)| node).collect()
 }
 
-/// One lockstep round: every live driver executes exactly one
-/// iteration; a driver that terminated is finished into `results` and
-/// its slot emptied. Returns whether any driver is still running.
+/// One lockstep round: the searches of every live driver run through
+/// [`fan_out`], then each driver settles — reads its inbox, selects,
+/// sends — in id order. A driver that terminated is finished into
+/// `results` and its slot emptied. Returns whether any driver is still
+/// running.
+///
+/// A search touches only its own node (the inbox is read in `settle`),
+/// so this delivers the same messages in the same order as stepping the
+/// drivers one after another, at any thread count.
 pub(crate) fn lockstep_round<T: Transport>(
     drivers: &mut [Option<NodeDriver<'_, T>>],
     results: &mut Vec<NodeResult>,
 ) -> bool {
+    let mut searches: Vec<(&mut NodeDriver<'_, T>, Option<Searched>)> = drivers
+        .iter_mut()
+        .flatten()
+        .map(|node| (node, None))
+        .collect();
+    fan_out(&mut searches, |_, (node, searched)| {
+        *searched = Some(node.search());
+    });
+    // Collected first: the settles below need the slots `searches`
+    // borrows.
+    let mut outcomes = searches
+        .into_iter()
+        .map(|(_, searched)| searched.expect("fan_out fills every slot"))
+        .collect::<Vec<_>>()
+        .into_iter();
     let mut any_live = false;
     for slot in drivers.iter_mut() {
-        if slot.as_mut().is_some_and(|node| node.step()) {
+        let Some(node) = slot else { continue };
+        let searched = outcomes.next().expect("one search per live driver");
+        if node.settle(searched) {
             any_live = true;
         } else if let Some(done) = slot.take() {
             results.push(done.finish());
@@ -147,11 +178,15 @@ pub(crate) fn lockstep_round<T: Transport>(
     any_live
 }
 
-/// Run the distributed algorithm in deterministic lockstep on the
-/// current thread: every round, each live node executes exactly one
-/// iteration; messages sent in round `r` are visible in round `r+1`
-/// (single channel hop). Budgets should be effort-based
-/// (`Budget::kicks`) for full determinism.
+/// Run the distributed algorithm in deterministic lockstep: every
+/// round, each live node executes exactly one iteration. The node-local
+/// halves (perturbation and CLK call) run in parallel, one node per
+/// core; then each node, in id order, reads its inbox, selects and
+/// sends. So node `i` sees in round `r` what nodes `< i` sent in round
+/// `r` and what nodes `≥ i` sent in round `r − 1`, exactly as if the
+/// nodes were stepped one after another, whatever the thread count.
+/// Budgets should be effort-based (`Budget::kicks`) for full
+/// determinism.
 ///
 /// ```
 /// use tsp_core::{generate, NeighborLists};
@@ -208,18 +243,14 @@ pub fn run_lockstep_telemetry_over<T: Transport>(
     telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
 ) -> DistResult {
     let start = std::time::Instant::now();
-    let mut drivers: Vec<Option<NodeDriver<'_, T>>> = transports
-        .into_iter()
-        .map(|ep| {
-            let mut node = started_node(inst, neighbors, cfg, ep);
-            if let Some((store, attach)) = &telemetry {
-                if attach.covers(node.id()) {
-                    node.attach_telemetry(Arc::clone(store));
-                }
+    let mut drivers = started_nodes(inst, neighbors, cfg, transports);
+    if let Some((store, attach)) = &telemetry {
+        for node in drivers.iter_mut().flatten() {
+            if attach.covers(node.id()) {
+                node.attach_telemetry(Arc::clone(store));
             }
-            Some(node)
-        })
-        .collect();
+        }
+    }
     let mut results: Vec<NodeResult> = Vec::with_capacity(drivers.len());
     while lockstep_round(&mut drivers, &mut results) {}
     let messages = stats.map_or((0, 0, 0), |s| s.snapshot());
@@ -381,6 +412,29 @@ mod tests {
         for n in &res.nodes {
             assert!(n.clk_calls < 10_000, "node {} ran to budget", n.id);
         }
+    }
+
+    #[test]
+    fn total_node_seconds_covers_every_clk_call() {
+        // Busy time includes each node's CLK calls, wherever the
+        // lockstep round ran them.
+        let inst = generate::uniform(150, 10_000.0, 310);
+        let nl = NeighborLists::build(&inst, 8);
+        let res = run_lockstep(&inst, &nl, &small_cfg(4, 5, 23));
+        let clk_ns: u64 = res
+            .nodes
+            .iter()
+            .map(|n| n.metrics.histogram("clk.call.ns").map_or(0, |h| h.sum))
+            .sum();
+        if obs_api::ENABLED {
+            assert!(clk_ns > 0, "no CLK call was timed");
+        }
+        let clk_secs = clk_ns as f64 * 1e-9;
+        assert!(
+            res.total_node_seconds() >= 0.9 * clk_secs,
+            "total_node_seconds {} < 0.9 x CLK call time {clk_secs}",
+            res.total_node_seconds()
+        );
     }
 
     #[test]

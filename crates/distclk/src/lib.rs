@@ -25,9 +25,10 @@
 //! - [`driver::run_threads`] — one OS thread per node over any
 //!   [`p2p::Transport`] (in-memory or TCP), wall-clock budgets; this is
 //!   the paper's deployment shape.
-//! - [`driver::run_lockstep`] — single-threaded round-based simulation
-//!   with deterministic message delivery, used by tests and the
-//!   effort-budgeted experiments.
+//! - [`driver::run_lockstep`] — round-based simulation with
+//!   deterministic message delivery, used by tests and the
+//!   effort-budgeted experiments: each round's CLK calls run on every
+//!   core, then the nodes read and send in id order.
 
 pub mod churn;
 pub mod driver;

@@ -1,9 +1,10 @@
 //! The per-node driver: the paper's Figure 1 loop over any transport.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lk::{Budget, ChainedLkConfig, ClkEngine, Stopwatch, Trace};
-use obs_api::{Counter, Histogram, MetricsSnapshot, Obs, Value};
+use obs_api::{Counter, Histogram, MetricsSnapshot, Obs, Span, Value};
 use p2p::election::{LogEntry, Replica};
 use p2p::{broadcast_id, Message, NodeId, TelemetryShipper, TelemetryStore, Topology, Transport};
 use tsp_core::{Instance, NeighborLists, Tour};
@@ -129,8 +130,13 @@ pub struct NodeResult {
     /// permutation, or a claimed length that misstates the recomputed
     /// one on a corrupted order).
     pub rejected: u64,
-    /// Wall time consumed.
+    /// Wall time since the node was constructed: in lockstep runs it
+    /// spans the whole run, rounds the node spent waiting included.
     pub seconds: f64,
+    /// Time spent in this node's own work: its construction and every
+    /// `search` and `settle` half of its steps (the paper's per-node
+    /// CPU time, whichever driver scheduled the node).
+    pub busy_seconds: f64,
     /// Best-so-far trace (time axis = this node's clock).
     pub trace: Trace,
     /// Event log.
@@ -167,6 +173,7 @@ impl NodeResult {
             received: 0,
             rejected: 0,
             seconds: 0.0,
+            busy_seconds: 0.0,
             trace: Trace::new(),
             events: Vec::new(),
             metrics: MetricsSnapshot::default(),
@@ -188,6 +195,8 @@ pub struct NodeDriver<'a, T: Transport> {
     clk_kicks_per_call: u64,
     forward_received: bool,
     watch: Stopwatch,
+    /// Time spent in construction, `search` and `settle` so far.
+    busy: Duration,
 
     best_tour: Tour,
     best_len: i64,
@@ -317,6 +326,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         obs: Obs,
         optimize_initial: bool,
     ) -> Self {
+        let started = Instant::now();
         let id = transport.node_id();
         let mut clk_cfg = cfg.clk.clone();
         clk_cfg.seed = cfg.seed.wrapping_mul(1_000_003).wrapping_add(id as u64);
@@ -364,6 +374,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             clk_kicks_per_call: cfg.clk_kicks_per_call,
             forward_received: cfg.forward_received,
             watch,
+            busy: started.elapsed(),
             initial: optimize_initial.then(|| tour.clone()),
             best_tour: tour,
             best_len: len,
@@ -650,37 +661,74 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// when the node has terminated (budget, target, or peer
     /// notification).
     pub fn step(&mut self) -> bool {
-        if self.terminated {
-            return false;
-        }
-        if let Some(tour) = self.initial.take() {
-            self.preamble(tour);
-            return true;
-        }
-        // A rejoining node spends its first rounds listening for a
-        // BestReply instead of optimizing — adopting the neighborhood's
-        // state beats re-deriving it (see `new_rejoining`).
-        if self.resync_remaining > 0 {
-            return self.resync_step();
-        }
-        // Known-optimum reached already (possibly by the preamble):
-        // announce before stopping.
-        if self.budget.target_met(self.best_len) {
-            self.announce_optimum();
-            return false;
-        }
-        if self.budget_exhausted() {
-            self.finishing_touches();
-            return false;
-        }
+        let searched = self.search();
+        self.settle(searched)
+    }
 
+    /// The node-local half of a step, everything before the inbox is
+    /// read: the termination, resync, target and budget checks, then
+    /// the preamble or the perturbation and the CLK call. It reads and
+    /// writes only this node's own state, so the lockstep driver runs
+    /// the searches of all nodes in parallel. Whether the step runs a
+    /// CLK call or exits early is decided here, once.
+    pub(crate) fn search(&mut self) -> Searched {
+        let started = Instant::now();
+        let searched = if self.terminated {
+            Searched::Stopped
+        } else if let Some(tour) = self.initial.take() {
+            self.preamble(tour);
+            Searched::Preamble
+        } else if self.resync_remaining > 0 {
+            // A rejoining node spends its first rounds listening for a
+            // BestReply instead of optimizing — adopting the
+            // neighborhood's state beats re-deriving it (see
+            // `new_rejoining`).
+            Searched::Resync
+        } else if self.budget.target_met(self.best_len) {
+            // Known-optimum reached already (possibly by the preamble):
+            // announce before stopping.
+            Searched::TargetMet
+        } else if self.budget_exhausted() {
+            Searched::Exhausted
+        } else {
+            self.kick_and_clk()
+        };
+        self.busy += started.elapsed();
+        searched
+    }
+
+    /// The other half of a step, everything from reading the inbox on:
+    /// select, broadcast or forward, termination, telemetry — or the
+    /// early exit [`NodeDriver::search`] chose. Returns what
+    /// [`NodeDriver::step`] returns.
+    pub(crate) fn settle(&mut self, searched: Searched) -> bool {
+        let started = Instant::now();
+        let live = match searched {
+            Searched::Stopped => false,
+            Searched::Preamble => true,
+            Searched::Resync => self.resync_step(),
+            Searched::TargetMet => {
+                self.announce_optimum();
+                false
+            }
+            Searched::Exhausted => {
+                self.finishing_touches();
+                false
+            }
+            Searched::Candidate { tour, len, span } => self.select(tour, len, span),
+        };
+        self.busy += started.elapsed();
+        live
+    }
+
+    /// `s := CHAINEDLINKERNIGHAN(PERTURBATE(s_best))`.
+    fn kick_and_clk(&mut self) -> Searched {
         // One span per Fig. 1 round. When the round produces (or
         // adopts) a broadcast tour it is correlated with that tour's
         // broadcast id, so the exported trace shows a tour's migration
         // as one group of spans across nodes (inert when obs is off).
-        let mut round_span = self.obs.span("node.round");
+        let span = self.obs.span("node.round");
 
-        // s := CHAINEDLINKERNIGHAN(PERTURBATE(s_best))
         let mut s = self.best_tour.clone();
         let no_imp_before = self.perturb.no_improvements();
         match self.perturb.perturbate(&mut s, self.engine.rng_mut()) {
@@ -708,7 +756,16 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 ("best_len", Value::I(self.best_len)),
             ],
         );
+        Searched::Candidate {
+            tour: s,
+            len: s_len,
+            span,
+        }
+    }
 
+    /// Fold the inbox into the round's candidate `s` and act on the
+    /// winner (Fig. 1 from `SELECTBESTTOUR` on).
+    fn select(&mut self, s: Tour, s_len: i64, mut round_span: Span) -> bool {
         // Merge in everything received meanwhile.
         let best_received = self.drain_inbox();
 
@@ -1231,6 +1288,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             received: self.c_received.get(),
             rejected: self.c_rejected.get(),
             seconds: self.watch.secs(),
+            busy_seconds: self.busy.as_secs_f64(),
             trace: self.trace,
             events: self.events,
             metrics: self.obs.snapshot(),
@@ -1248,6 +1306,23 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 }
 
+/// What [`NodeDriver::search`] hands to [`NodeDriver::settle`].
+pub(crate) enum Searched {
+    /// The node had already terminated.
+    Stopped,
+    /// The Fig. 1 preamble ran; nothing is left to settle.
+    Preamble,
+    /// A rejoining node listens for a resync reply this round.
+    Resync,
+    /// The target length is met: announce the optimum and stop.
+    TargetMet,
+    /// The budget is spent: stop.
+    Exhausted,
+    /// The round's candidate tour `s`, its length and the open
+    /// `node.round` span.
+    Candidate { tour: Tour, len: i64, span: Span },
+}
+
 enum Source {
     Prev,
     Local,
@@ -1257,9 +1332,20 @@ enum Source {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::started_node;
-    use p2p::memory::InMemoryNetwork;
+    use p2p::memory::{InMemoryNetwork, MemoryEndpoint};
     use tsp_core::generate;
+
+    /// A node fresh from `new` with its preamble step behind it.
+    fn started_node<'a>(
+        inst: &'a Instance,
+        nl: &'a NeighborLists,
+        cfg: &DistConfig,
+        ep: MemoryEndpoint,
+    ) -> NodeDriver<'a, MemoryEndpoint> {
+        let mut node = NodeDriver::new(inst, nl, cfg, ep);
+        node.step();
+        node
+    }
 
     #[test]
     fn single_node_improves_like_clk() {
@@ -1285,7 +1371,7 @@ mod tests {
         inst: &'a Instance,
         nl: &'a NeighborLists,
         cfg: &DistConfig,
-    ) -> NodeDriver<'a, p2p::memory::MemoryEndpoint> {
+    ) -> NodeDriver<'a, MemoryEndpoint> {
         let (mut eps, _) = InMemoryNetwork::build(1, cfg.topology);
         NodeDriver::new(inst, nl, cfg, eps.remove(0))
     }

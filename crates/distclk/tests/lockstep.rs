@@ -1,10 +1,15 @@
 //! distclk integration tests: the deterministic lockstep driver as a
 //! test harness for the algorithm's cooperative semantics.
 
-use distclk::{run_lockstep, DistConfig, NodeEvent};
+use std::sync::Arc;
+
+use distclk::{
+    run_lockstep, run_lockstep_telemetry_over, DistConfig, NodeDriver, NodeEvent, NodeResult,
+    TelemetryAttach,
+};
 use lk::{Budget, KickStrategy};
-use p2p::Topology;
-use tsp_core::{generate, NeighborLists};
+use p2p::{InMemoryNetwork, TelemetryStore, Topology};
+use tsp_core::{generate, Instance, NeighborLists};
 
 fn base_cfg(nodes: usize, calls: u64, seed: u64) -> DistConfig {
     DistConfig {
@@ -175,5 +180,190 @@ fn node_bookkeeping_complete() {
             Some(NodeEvent::Improved { local: true, .. })
         ));
         assert_eq!(n.best_tour.len(), 100);
+    }
+}
+
+/// The lockstep schedule written out with the public API, one node
+/// after another: `new` plus the preamble step per node, then
+/// round-robin steps until every node has stopped.
+fn round_robin(
+    inst: &Instance,
+    nl: &NeighborLists,
+    cfg: &DistConfig,
+    attach: Option<TelemetryAttach>,
+) -> (Vec<NodeResult>, (u64, u64, u64)) {
+    let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
+    let store = TelemetryStore::shared();
+    let mut live: Vec<Option<NodeDriver<'_, _>>> = endpoints
+        .into_iter()
+        .map(|ep| {
+            let mut node = NodeDriver::new(inst, nl, cfg, ep);
+            let covered = match attach {
+                Some(TelemetryAttach::AllNodes) => true,
+                Some(TelemetryAttach::Node(id)) => id == node.id(),
+                None => false,
+            };
+            if covered {
+                node.attach_telemetry(Arc::clone(&store));
+            }
+            node.step();
+            Some(node)
+        })
+        .collect();
+    let mut results = Vec::new();
+    while live.iter().any(Option::is_some) {
+        for slot in live.iter_mut() {
+            let Some(node) = slot else { continue };
+            if !node.step() {
+                results.push(slot.take().expect("just matched Some").finish());
+            }
+        }
+    }
+    results.sort_by_key(|n| n.id);
+    (results, stats.snapshot())
+}
+
+/// A node's event log with the clock readings zeroed.
+fn without_secs(events: &[NodeEvent]) -> Vec<NodeEvent> {
+    let mut events = events.to_vec();
+    for e in &mut events {
+        match e {
+            NodeEvent::Improved { secs, .. }
+            | NodeEvent::StrengthChanged { secs, .. }
+            | NodeEvent::Restart { secs }
+            | NodeEvent::FoundOptimum { secs, .. }
+            | NodeEvent::PeerFoundOptimum { secs, .. } => *secs = 0.0,
+        }
+    }
+    events
+}
+
+/// `run_lockstep` runs each round's CLK calls in parallel and settles
+/// the nodes in id order; that must be the serial round-robin schedule
+/// exactly: the same tours, counters, hub views, event logs and
+/// message triple, for every topology, forwarding on and off, diverse
+/// constructions, a target-terminated run and both telemetry shapes.
+#[test]
+fn lockstep_rounds_equal_round_robin_steps() {
+    let uniform = generate::uniform(120, 100_000.0, 31);
+    let uniform_nl = NeighborLists::build(&uniform, 8);
+    let grid = generate::grid_known_optimum(6, 6, 100.0);
+    let grid_nl = NeighborLists::build(&grid, 8);
+    let optimum = grid.known_optimum().expect("grid optimum");
+
+    let mut cases: Vec<(
+        &str,
+        &Instance,
+        &NeighborLists,
+        DistConfig,
+        Option<TelemetryAttach>,
+    )> = Vec::new();
+    let mut seed = 0;
+    for topology in [
+        Topology::Hypercube,
+        Topology::Ring,
+        Topology::Complete,
+        Topology::Star,
+    ] {
+        for forward_received in [false, true] {
+            seed += 1;
+            let mut cfg = base_cfg(8, 5, seed);
+            cfg.topology = topology;
+            cfg.forward_received = forward_received;
+            cases.push(("topology", &uniform, &uniform_nl, cfg, None));
+        }
+    }
+    let mut diverse = base_cfg(8, 5, 9);
+    diverse.diversify_construction = true;
+    cases.push((
+        "diversify_construction",
+        &uniform,
+        &uniform_nl,
+        diverse,
+        None,
+    ));
+    let mut target = base_cfg(4, 10_000, 10);
+    target.clk_kicks_per_call = 30;
+    target.budget = Budget::kicks(10_000).with_target(optimum);
+    cases.push(("target", &grid, &grid_nl, target, None));
+    let mut all_nodes = base_cfg(4, 5, 11);
+    all_nodes.telemetry_every = 1;
+    cases.push((
+        "telemetry all nodes",
+        &uniform,
+        &uniform_nl,
+        all_nodes,
+        Some(TelemetryAttach::AllNodes),
+    ));
+    let mut hub_only = base_cfg(4, 5, 12);
+    hub_only.topology = Topology::Complete;
+    hub_only.telemetry_every = 1;
+    cases.push((
+        "telemetry node 0",
+        &uniform,
+        &uniform_nl,
+        hub_only,
+        Some(TelemetryAttach::Node(0)),
+    ));
+
+    for (name, inst, nl, cfg, attach) in cases {
+        let what = format!(
+            "{name} {:?} forward={} seed {}",
+            cfg.topology, cfg.forward_received, cfg.seed
+        );
+        let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
+        let telemetry = attach.map(|a| (TelemetryStore::shared(), a));
+        let got = run_lockstep_telemetry_over(inst, nl, &cfg, endpoints, Some(stats), telemetry);
+        let (want, messages) = round_robin(inst, nl, &cfg, attach);
+        // Telemetry frames that cross the wire carry clock readings as
+        // JSONL text, so their byte count varies from run to run.
+        let (mut got_messages, mut want_messages) = (got.messages, messages);
+        if matches!(attach, Some(TelemetryAttach::Node(_))) {
+            (got_messages.1, want_messages.1) = (0, 0);
+        }
+        assert_eq!(got_messages, want_messages, "{what}: message triple");
+        assert_eq!(got.nodes.len(), want.len(), "{what}");
+        for (g, w) in got.nodes.iter().zip(&want) {
+            let node = format!("{what}, node {}", w.id);
+            assert_eq!(g.id, w.id, "{node}");
+            assert_eq!(g.best_tour.order(), w.best_tour.order(), "{node}: tour");
+            assert_eq!(
+                (
+                    g.best_length,
+                    g.clk_calls,
+                    g.broadcasts,
+                    g.received,
+                    g.rejected
+                ),
+                (
+                    w.best_length,
+                    w.clk_calls,
+                    w.broadcasts,
+                    w.received,
+                    w.rejected
+                ),
+                "{node}: length and counters"
+            );
+            assert_eq!(
+                (g.hub, g.hub_epoch),
+                (w.hub, w.hub_epoch),
+                "{node}: hub view"
+            );
+            assert_eq!(
+                without_secs(&g.events),
+                without_secs(&w.events),
+                "{node}: events"
+            );
+        }
+        if name == "target" {
+            assert_eq!(
+                got.best_length, optimum,
+                "{what}: the target run must reach the optimum"
+            );
+            assert!(
+                got.nodes.iter().all(|n| n.clk_calls < 10_000),
+                "{what}: a node ran to its budget instead of stopping at the target"
+            );
+        }
     }
 }

@@ -118,6 +118,12 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
                     .ok_or_else(|| Error::Parse("missing y".into(), Some(lineno)))?
                     .parse()
                     .map_err(|_| Error::Parse("bad y coordinate".into(), Some(lineno)))?;
+                if !(x.is_finite() && y.is_finite()) {
+                    return Err(Error::Parse(
+                        format!("coordinate ({x}, {y}) is not finite"),
+                        Some(lineno),
+                    ));
+                }
                 coords.push((idx, Point::new(x, y)));
             }
             Section::EdgeWeights => {
@@ -132,6 +138,12 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
     }
 
     let n = dimension.ok_or_else(|| Error::Parse("missing DIMENSION".into(), None))?;
+    if n < 3 {
+        return Err(Error::Parse(
+            format!("DIMENSION {n}: a TSP instance needs at least 3 cities"),
+            None,
+        ));
+    }
     let ewt = edge_weight_type.unwrap_or_else(|| "EUC_2D".into());
 
     let mut inst = if ewt == "EXPLICIT" {
@@ -149,11 +161,15 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
         // TSPLIB indices are 1-based but some files are 0-based; order by
         // the given index to be safe.
         let mut pts = vec![Point::default(); n];
+        let mut filled = vec![false; n];
         let base = coords.iter().map(|&(i, _)| i).min().unwrap_or(1);
         for (i, p) in coords {
             let slot = i - base;
             if slot >= n {
                 return Err(Error::Parse(format!("node index {i} out of range"), None));
+            }
+            if std::mem::replace(&mut filled[slot], true) {
+                return Err(Error::Parse(format!("node index {i} given twice"), None));
             }
             pts[slot] = p;
         }
@@ -180,73 +196,68 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
 }
 
 /// Expand a packed TSPLIB weight list into a full row-major matrix.
+/// The weight count is checked against `n` before anything is
+/// allocated, so a huge DIMENSION over a short list costs nothing.
 fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
-    let mut m = vec![0i64; n * n];
-    let expect = |want: usize| -> Result<()> {
-        if w.len() != want {
-            Err(Error::Parse(
-                format!("{fmt}: expected {want} weights, got {}", w.len()),
-                None,
-            ))
-        } else {
-            Ok(())
-        }
-    };
-    match fmt {
-        "FULL_MATRIX" => {
-            expect(n * n)?;
-            m.copy_from_slice(w);
-        }
-        "UPPER_ROW" => {
-            // Row i lists d(i, i+1..n), no diagonal.
-            expect(n * (n - 1) / 2)?;
-            let mut k = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    m[i * n + j] = w[k];
-                    m[j * n + i] = w[k];
-                    k += 1;
-                }
-            }
-        }
-        "LOWER_ROW" => {
-            expect(n * (n - 1) / 2)?;
-            let mut k = 0;
-            for i in 1..n {
-                for j in 0..i {
-                    m[i * n + j] = w[k];
-                    m[j * n + i] = w[k];
-                    k += 1;
-                }
-            }
-        }
-        "UPPER_DIAG_ROW" => {
-            expect(n * (n + 1) / 2)?;
-            let mut k = 0;
-            for i in 0..n {
-                for j in i..n {
-                    m[i * n + j] = w[k];
-                    m[j * n + i] = w[k];
-                    k += 1;
-                }
-            }
-        }
-        "LOWER_DIAG_ROW" => {
-            expect(n * (n + 1) / 2)?;
-            let mut k = 0;
-            for i in 0..n {
-                for j in 0..=i {
-                    m[i * n + j] = w[k];
-                    m[j * n + i] = w[k];
-                    k += 1;
-                }
-            }
-        }
+    // The cells each format lists, row by row, and how many there are
+    // (`None` past `usize`); every format but FULL_MATRIX lists one
+    // triangle and mirrors it. The caller has checked n >= 3.
+    type Cells = Box<dyn Iterator<Item = (usize, usize)>>;
+    let triangle = n.checked_mul(n - 1).map(|c| c / 2);
+    let with_diagonal = triangle.and_then(|c| c.checked_add(n));
+    let (cells, want): (Cells, Option<usize>) = match fmt {
+        "FULL_MATRIX" => (
+            Box::new((0..n).flat_map(move |i| (0..n).map(move |j| (i, j)))),
+            n.checked_mul(n),
+        ),
+        "UPPER_ROW" => (
+            Box::new((0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))),
+            triangle,
+        ),
+        "LOWER_ROW" => (
+            Box::new((0..n).flat_map(|i| (0..i).map(move |j| (i, j)))),
+            triangle,
+        ),
+        "UPPER_DIAG_ROW" => (
+            Box::new((0..n).flat_map(move |i| (i..n).map(move |j| (i, j)))),
+            with_diagonal,
+        ),
+        "LOWER_DIAG_ROW" => (
+            Box::new((0..n).flat_map(|i| (0..=i).map(move |j| (i, j)))),
+            with_diagonal,
+        ),
         other => {
             return Err(Error::Parse(
                 format!("unsupported EDGE_WEIGHT_FORMAT {other}"),
                 None,
             ))
+        }
+    };
+    let full = fmt == "FULL_MATRIX";
+    if want != Some(w.len()) {
+        let want = want.map_or_else(|| "more than usize::MAX".into(), |c| c.to_string());
+        return Err(Error::Parse(
+            format!("{fmt}: DIMENSION {n} needs {want} weights, got {}", w.len()),
+            None,
+        ));
+    }
+    let mut m = vec![0i64; n * n];
+    for ((i, j), &d) in cells.zip(w) {
+        m[i * n + j] = d;
+        if !full {
+            m[j * n + i] = d;
+        }
+    }
+    if full {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if m[i * n + j] != m[j * n + i] {
+                    return Err(Error::Parse(
+                        format!("FULL_MATRIX is not symmetric at ({}, {})", i + 1, j + 1),
+                        None,
+                    ));
+                }
+            }
         }
     }
     Ok(m)
@@ -459,6 +470,97 @@ NODE_COORD_SECTION
 EOF
 ";
         assert!(parse_instance(text).is_err());
+    }
+
+    /// An explicit instance with `n` cities listed as `fmt`.
+    fn explicit_text(n: &str, fmt: &str, weights: &str) -> String {
+        format!(
+            "NAME : x\nTYPE : TSP\nDIMENSION : {n}\nEDGE_WEIGHT_TYPE : EXPLICIT\n\
+             EDGE_WEIGHT_FORMAT : {fmt}\nEDGE_WEIGHT_SECTION\n{weights}\nEOF\n"
+        )
+    }
+
+    #[test]
+    fn dimension_two_is_an_error() {
+        let text =
+            "DIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n";
+        let err = parse_instance(text).unwrap_err();
+        assert!(err.to_string().contains("at least 3"), "{err}");
+    }
+
+    #[test]
+    fn asymmetric_full_matrix_is_an_error() {
+        let text = explicit_text("3", "FULL_MATRIX", "0 1 2\n1 0 3\n2 4 0");
+        let err = parse_instance(&text).unwrap_err();
+        assert!(err.to_string().contains("not symmetric"), "{err}");
+    }
+
+    #[test]
+    fn upper_row_with_dimension_zero_is_an_error() {
+        assert!(parse_instance(&explicit_text("0", "UPPER_ROW", "")).is_err());
+    }
+
+    #[test]
+    fn huge_explicit_dimension_is_an_error_before_allocating() {
+        for fmt in ["FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW"] {
+            for n in ["4000000000", &usize::MAX.to_string()] {
+                let err = parse_instance(&explicit_text(n, fmt, "1 2 3")).unwrap_err();
+                assert!(err.to_string().contains("weights"), "{fmt} {n}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_coordinate_index_is_an_error() {
+        let text = "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n\
+                    1 0 0\n2 5 5\n2 9 9\nEOF\n";
+        let err = parse_instance(text).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_coordinate_is_an_error() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let text = format!(
+                "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n\
+                 1 0 0\n2 {bad} 5\n3 9 9\nEOF\n"
+            );
+            let err = parse_instance(&text).unwrap_err();
+            assert!(err.to_string().contains("not finite"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn flipped_and_truncated_files_never_panic() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Replacement bytes that keep a mutant close to the grammar.
+        const BYTES: &[u8] = b"0123456789 -.:\nEXPLICITFULL_MATRIXUPPER_ROWDIAG";
+        let valid = [
+            SAMPLE.to_string(),
+            explicit_text("3", "FULL_MATRIX", "0 1 2\n1 0 3\n2 3 0"),
+            explicit_text("4", "UPPER_ROW", "1 2 3\n4 5\n6"),
+            explicit_text("3", "LOWER_DIAG_ROW", "0\n4 0\n5 6 0"),
+        ];
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..4_000 {
+            let mut bytes = valid[rng.gen_range(0..valid.len())].clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = if rng.gen_bool(0.8) {
+                    BYTES[rng.gen_range(0..BYTES.len())]
+                } else {
+                    rng.gen()
+                };
+            }
+            if rng.gen_bool(0.3) {
+                bytes.truncate(rng.gen_range(0..bytes.len()));
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(inst) = parse_instance(&text) {
+                assert!(inst.len() >= 3, "{text}");
+            }
+        }
     }
 
     #[test]
