@@ -166,11 +166,14 @@ impl JobPayload {
                 if pts.len() < 3 {
                     return Err(format!("need at least 3 cities, got {}", pts.len()));
                 }
-                Ok(Instance::new(
+                // The TSPLIB parser checks its own instances.
+                let inst = Instance::new(
                     "json-job",
                     pts.into_iter().map(|(x, y)| Point::new(x, y)).collect(),
                     tsp_core::Metric::Euc2d,
-                ))
+                );
+                inst.check_length_range()?;
+                Ok(inst)
             }
         }
     }
@@ -1340,6 +1343,29 @@ mod tests {
         }
         // Too few cities is an admission error, not a panic.
         assert!(JobPayload::Json("[[0,0],[1,1]]".into()).parse().is_err());
+    }
+
+    /// 12 cities at `(a·s, b·s)`: at s = 1e18 the construction tour's
+    /// length wrapped and the first LK pass never returned; at s = 1e300
+    /// the hybrid candidate build indexed out of range. Both payloads
+    /// are refused at admission, as JSON and as TSPLIB.
+    #[test]
+    fn json_payload_whose_lengths_overflow_is_refused() {
+        for s in [1e18, 1e300] {
+            let pts: Vec<(f64, f64)> = (0..12)
+                .map(|i| ((i % 4) as f64 * s, (i / 4) as f64 * s))
+                .collect();
+            let err = JobPayload::Json(points_to_json(&pts)).parse().unwrap_err();
+            assert!(err.contains("overflow"), "{err}");
+            let inst = Instance::new(
+                "huge",
+                pts.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+                tsp_core::Metric::Euc2d,
+            );
+            let text = tsp_core::tsplib::write_instance(&inst);
+            let err = JobPayload::Tsplib(text).parse().unwrap_err();
+            assert!(err.contains("overflow"), "{err}");
+        }
     }
 
     #[test]

@@ -12,8 +12,13 @@
 //! the MST path between `i` and `j`. For edges at `s`:
 //! `α(s,j) = c(s,j) − c₂` with `c₂` the second-cheapest edge at `s`.
 //! All costs are the π-shifted costs from the ascent.
+//!
+//! Each row reads only the shared tree and writes only its own `k`
+//! slots, so the rows run in fixed blocks through [`fan_out()`], one
+//! block per item: the lists do not depend on how many threads built
+//! them.
 
-use tsp_core::{Instance, NeighborLists};
+use tsp_core::{fan_out, Instance, NeighborLists};
 
 use crate::ascent::{sparse_ascent, AscentConfig};
 use crate::mst::shifted_dist;
@@ -24,7 +29,7 @@ use crate::onetree::{two_cheapest, OneTree};
 /// Runs a Held-Karp ascent first ([`sparse_ascent`] with `cfg`: two
 /// 1-trees on the complete graph, the iterations between them on a
 /// sparse one), then computes α values against the closing 1-tree in
-/// O(n²) time and O(n) memory.
+/// O(n²) time, spread over the cores, and O(n) memory per thread.
 pub fn alpha_candidate_lists(inst: &Instance, k: usize, cfg: &AscentConfig) -> NeighborLists {
     let res = sparse_ascent(inst, cfg);
     alpha_lists_from_tree(inst, &res.pi, &res.one_tree, k)
@@ -40,6 +45,10 @@ pub fn alpha_lists_from_tree(
     let k = k.min(inst.len() - 1);
     NeighborLists::from_flat(inst, k, alpha_nearest(inst, pi, tree, k))
 }
+
+/// Rows of α per [`fan_out()`] item: enough to amortize a block's
+/// scratch, few enough that blocks balance over the threads.
+const ROWS: usize = 64;
 
 /// The `k ≤ n − 1` α-nearest cities of every city, `k` ids per row, by
 /// `(α, shifted cost, id)`.
@@ -81,52 +90,59 @@ pub(crate) fn alpha_nearest(inst: &Instance, pi: &[i64], tree: &OneTree, k: usiz
     let c2 = two_cheapest(others.map(|v| (v, shifted_dist(inst, pi, s, v))))[1].1;
 
     let mut flat = vec![0u32; n * k];
-    // β(i, j) of the current row i, with c₂ standing in at j = s;
-    // `on_path[j] == i` marks the cities between i and the root, whose
-    // β is set on the way up.
-    let mut beta = vec![c2; n];
-    let mut on_path = vec![u32::MAX; n];
-    let mut cand: Vec<(i64, i64, u32)> = Vec::with_capacity(n);
-
-    for i in 0..n {
-        if i == s {
-            beta.fill(c2);
-        } else {
-            // β(i, ·) over the MST as in LKH: up the path from i to the
-            // root first, then one root-first sweep in which every other
-            // city extends its dad's value by its own edge.
-            beta[i] = i64::MIN;
-            on_path[i] = i as u32;
-            let mut x = i;
-            while dad[x] as usize != x {
-                let p = dad[x] as usize;
-                beta[p] = beta[x].max(weight[x]);
-                on_path[p] = i as u32;
-                x = p;
-            }
-            for &j in &order {
-                let j = j as usize;
-                if on_path[j] != i as u32 {
-                    beta[j] = beta[dad[j] as usize].max(weight[j]);
+    if k == 0 {
+        return flat;
+    }
+    let mut blocks: Vec<&mut [u32]> = flat.chunks_mut(ROWS * k).collect();
+    fan_out(&mut blocks, |b, out| {
+        // β(i, j) of the current row i, with c₂ standing in at j = s;
+        // `on_path[j] == i` marks the cities between i and the root,
+        // whose β is set on the way up.
+        let mut beta = vec![c2; n];
+        let mut on_path = vec![u32::MAX; n];
+        let mut cand: Vec<(i64, i64, u32)> = Vec::with_capacity(n);
+        for (r, row) in out.chunks_mut(k).enumerate() {
+            let i = b * ROWS + r;
+            if i == s {
+                beta.fill(c2);
+            } else {
+                // β(i, ·) over the MST as in LKH: up the path from i to
+                // the root first, then one root-first sweep in which
+                // every other city extends its dad's value by its own
+                // edge.
+                beta[i] = i64::MIN;
+                on_path[i] = i as u32;
+                let mut x = i;
+                while dad[x] as usize != x {
+                    let p = dad[x] as usize;
+                    beta[p] = beta[x].max(weight[x]);
+                    on_path[p] = i as u32;
+                    x = p;
+                }
+                for &j in &order {
+                    let j = j as usize;
+                    if on_path[j] != i as u32 {
+                        beta[j] = beta[dad[j] as usize].max(weight[j]);
+                    }
                 }
             }
-        }
-        cand.clear();
-        for (j, &bj) in beta.iter().enumerate() {
-            if j != i {
-                let c = shifted_dist(inst, pi, i, j);
-                cand.push(((c - bj).max(0), c, j as u32));
+            cand.clear();
+            for (j, &bj) in beta.iter().enumerate() {
+                if j != i {
+                    let c = shifted_dist(inst, pi, i, j);
+                    cand.push(((c - bj).max(0), c, j as u32));
+                }
+            }
+            // k smallest by (α, shifted cost, index).
+            if k < cand.len() {
+                cand.select_nth_unstable(k - 1);
+            }
+            cand[..k].sort_unstable();
+            for (slot, &(_, _, j)) in row.iter_mut().zip(&cand[..k]) {
+                *slot = j;
             }
         }
-        // k smallest by (α, shifted cost, index).
-        if 0 < k && k < cand.len() {
-            cand.select_nth_unstable(k - 1);
-        }
-        cand[..k].sort_unstable();
-        for (slot, &(_, _, j)) in cand[..k].iter().enumerate() {
-            flat[i * k + slot] = j;
-        }
-    }
+    });
 
     flat
 }

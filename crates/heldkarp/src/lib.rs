@@ -13,7 +13,8 @@
 //!
 //! - [`mst`] — Prim's algorithm under π-shifted costs: the array
 //!   version over the complete graph (O(n²)) and a heap version over a
-//!   sparse k-nearest-neighbour graph (O(n·K·log n)).
+//!   sparse k-nearest-neighbour graph (O(n·K·log n)), whose heap holds
+//!   each fringe city once and lowers its key in place.
 //! - [`onetree`] — minimum 1-trees: an MST over `V \ {special}` plus the
 //!   two cheapest edges incident to the special node.
 //! - [`ascent`] — subgradient ascent on the Lagrangian dual: maximizes
@@ -26,6 +27,8 @@
 //!   edge `(i,j)` is forced into the tree; candidate lists sorted by α
 //!   are markedly better than plain nearest neighbors for LK moves.
 //!   [`alpha_candidate_lists`] is the one builder, on the sparse ascent.
+//!   The α rows run in blocks through `tsp_core::fan_out`, so the lists
+//!   are the same at any thread count.
 
 pub mod alpha;
 pub mod ascent;

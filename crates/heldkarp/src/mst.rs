@@ -6,14 +6,13 @@
 //! every node is adjacent to every other). The ascent builds only its
 //! first and last tree that way; the iterations in between run
 //! [`prim_sparse`], a heap Prim over a [`SparseGraph`] of a few
-//! neighbours per city, at O(n·K·log n) a tree.
+//! neighbours per city, at O(n·K·log n) a tree. Its heap holds each
+//! fringe city once, keyed by its cheapest connection, and lowers the
+//! key in place when a cheaper one turns up.
 //!
 //! Both write a parent array the caller owns and keep their working
 //! arrays in a [`PrimScratch`], so the 100–200 trees of one ascent
 //! allocate once.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use tsp_core::Instance;
 
@@ -29,16 +28,24 @@ pub fn shifted_dist(inst: &Instance, pi: &[i64], i: usize, j: usize) -> i64 {
 /// reuse them.
 #[derive(Debug, Default)]
 pub struct PrimScratch {
-    /// Cheapest known connection cost into the tree.
+    /// Cheapest known connection cost into the tree; on the sparse
+    /// path [`IN_TREE`] once a city is spanned (or skipped).
     best: Vec<i64>,
-    /// The tree endpoint realizing `best` (dense Prim only; the heap
-    /// entries carry it on the sparse path).
+    /// The tree endpoint realizing `best`: the first city to offer it.
     who: Vec<u32>,
+    /// Whether a city is spanned (dense Prim only).
     in_tree: Vec<bool>,
-    /// Fringe of the sparse Prim: `(shifted cost, city, parent)`, a
-    /// total order, so equal costs pop in one fixed sequence.
-    heap: BinaryHeap<Reverse<(i64, u32, u32)>>,
+    /// Fringe of the sparse Prim: a binary min-heap of `(best[u], u)`,
+    /// one slot per city, a total order, so equal costs pop in one
+    /// fixed sequence.
+    heap: Vec<(i64, u32)>,
+    /// `pos[u]`: the slot of fringe city `u` in `heap`.
+    pos: Vec<u32>,
 }
+
+/// `best` of a city the sparse Prim has spanned or skipped: below every
+/// cost, so no edge can improve it.
+const IN_TREE: i64 = i64::MIN;
 
 impl PrimScratch {
     fn reset(&mut self, len: usize) {
@@ -49,6 +56,8 @@ impl PrimScratch {
         self.in_tree.clear();
         self.in_tree.resize(len, false);
         self.heap.clear();
+        // Read only at fringe cities, each written when it joins.
+        self.pos.resize(len, 0);
     }
 }
 
@@ -212,8 +221,10 @@ impl SparseGraph {
 }
 
 /// Prim MST over `graph` without the city `skip`, rooted at `root`,
-/// under shifted costs: a binary heap with lazy deletion,
-/// O(arcs · log n). Parent array and return value as for [`prim`]
+/// under shifted costs: an indexed binary heap of fringe cities with
+/// decrease-key, O(arcs · log n). Cities leave the fringe by
+/// `(shifted cost, city)`, each attached to the first tree city that
+/// offered that cost. Parent array and return value as for [`prim`]
 /// (`parent[skip]` is `u32::MAX`).
 ///
 /// # Panics
@@ -231,37 +242,89 @@ pub fn prim_sparse(
     scratch.reset(n);
     let PrimScratch {
         best,
-        in_tree,
+        who,
         heap,
+        pos,
         ..
     } = scratch;
     parent.clear();
     parent.resize(n, u32::MAX);
-    in_tree[skip] = true;
+    best[skip] = IN_TREE;
+    who[root] = root as u32;
     let mut shifted_len = 0i64;
     let mut spanned = 0usize;
-    heap.push(Reverse((0, root as u32, root as u32)));
-    while let Some(Reverse((cost, v, from))) = heap.pop() {
-        let v = v as usize;
-        if in_tree[v] {
-            continue;
-        }
-        in_tree[v] = true;
-        parent[v] = from;
+    let (mut v, mut cost) = (root, 0);
+    loop {
+        best[v] = IN_TREE;
+        parent[v] = who[v];
         shifted_len += cost;
         spanned += 1;
         for (u, d) in graph.row(v) {
-            if !in_tree[u] {
-                let c = d + pi[v] + pi[u];
-                if c < best[u] {
-                    best[u] = c;
-                    heap.push(Reverse((c, u as u32, v as u32)));
-                }
+            let c = d + pi[v] + pi[u];
+            if c < best[u] {
+                let at = if best[u] == i64::MAX {
+                    heap.push((c, u as u32));
+                    heap.len() - 1
+                } else {
+                    pos[u] as usize
+                };
+                best[u] = c;
+                who[u] = v as u32;
+                sift_up(heap, pos, at, (c, u as u32));
             }
         }
+        let Some((c, u)) = pop_min(heap, pos) else {
+            break;
+        };
+        (v, cost) = (u as usize, c);
     }
     assert_eq!(spanned, n - 1, "sparse graph is not connected");
     shifted_len
+}
+
+/// Put `item` into slot `at` of the min-heap, whose key there may only
+/// have dropped, and move it up to where it belongs.
+fn sift_up(heap: &mut [(i64, u32)], pos: &mut [u32], mut at: usize, item: (i64, u32)) {
+    while at > 0 {
+        let up = (at - 1) / 2;
+        if heap[up] <= item {
+            break;
+        }
+        heap[at] = heap[up];
+        pos[heap[at].1 as usize] = at as u32;
+        at = up;
+    }
+    heap[at] = item;
+    pos[item.1 as usize] = at as u32;
+}
+
+/// Take the least item off the min-heap.
+fn pop_min(heap: &mut Vec<(i64, u32)>, pos: &mut [u32]) -> Option<(i64, u32)> {
+    let last = heap.pop()?;
+    if heap.is_empty() {
+        return Some(last);
+    }
+    let top = heap[0];
+    // Move `last` down from the root along the lesser children.
+    let mut at = 0;
+    loop {
+        let mut child = 2 * at + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len() && heap[child + 1] < heap[child] {
+            child += 1;
+        }
+        if last <= heap[child] {
+            break;
+        }
+        heap[at] = heap[child];
+        pos[heap[at].1 as usize] = at as u32;
+        at = child;
+    }
+    heap[at] = last;
+    pos[last.1 as usize] = at as u32;
+    Some(top)
 }
 
 #[cfg(test)]

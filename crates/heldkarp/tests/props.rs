@@ -2,14 +2,17 @@
 //! true lower bound, is deterministic, and the α-lists are well-formed
 //! on every generator family.
 
-use heldkarp::mst::shifted_dist;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use heldkarp::mst::{prim_sparse, shifted_dist, PrimScratch, SparseGraph};
 use heldkarp::{
     alpha_candidate_lists, alpha_lists_from_tree, held_karp_bound, sparse_ascent, AscentConfig,
     OneTree,
 };
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
-use tsp_core::{generate, Instance, Metric, Point, Tour};
+use tsp_core::{fan_out, generate, Instance, Metric, Point, Tour};
 
 /// The six generator families at about 80 cities.
 fn families() -> [Instance; 6] {
@@ -104,6 +107,40 @@ fn alpha_reference(inst: &Instance, pi: &[i64], tree: &OneTree, k: usize) -> Vec
         .collect()
 }
 
+/// The sparse Prim as it stood before its indexed heap: a binary heap
+/// of `(shifted cost, city, parent)` with lazy deletion, pushing only on
+/// strict improvement. The reference the production Prim must equal
+/// edge for edge, ties included: `(parent, shifted length)`.
+fn prim_sparse_lazy(graph: &SparseGraph, pi: &[i64], root: usize, skip: usize) -> (Vec<u32>, i64) {
+    let n = graph.cities();
+    let mut best = vec![i64::MAX; n];
+    let mut in_tree = vec![false; n];
+    let mut parent = vec![u32::MAX; n];
+    let mut heap = BinaryHeap::new();
+    in_tree[skip] = true;
+    let mut shifted_len = 0i64;
+    heap.push(Reverse((0i64, root as u32, root as u32)));
+    while let Some(Reverse((cost, v, from))) = heap.pop() {
+        let v = v as usize;
+        if in_tree[v] {
+            continue;
+        }
+        in_tree[v] = true;
+        parent[v] = from;
+        shifted_len += cost;
+        for (u, d) in graph.row(v) {
+            if !in_tree[u] {
+                let c = d + pi[v] + pi[u];
+                if c < best[u] {
+                    best[u] = c;
+                    heap.push(Reverse((c, u as u32, v as u32)));
+                }
+            }
+        }
+    }
+    (parent, shifted_len)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -172,6 +209,48 @@ proptest! {
                 got.of(i), &row[..],
                 "α row {} diverges (special node {})", i, res.one_tree.special
             );
+        }
+    }
+
+    /// The indexed-heap Prim returns the lazy-deletion reference's tree
+    /// — same parent array, same length — on a coarse integer lattice
+    /// full of equal distances and coincident points, under random
+    /// potentials, with and without a skipped city. The graph holds every city's 5 nearest neighbours
+    /// and the edges `(v, v + 1)` and `(v, v + 2)`, so it stays
+    /// connected without any one city.
+    #[test]
+    fn sparse_prim_equals_the_lazy_heap_reference(
+        n in 6usize..120,
+        seed in any::<u64>(),
+        pi_scale in 0i64..4,
+        skip_one in any::<bool>(),
+    ) {
+        use rand::Rng;
+        // One city more than `n`; without a skipped city it carries no
+        // edge and is the one passed as `skip`, so the tree spans all
+        // the others.
+        let inst = duplicated_points(n + 1, seed);
+        let m = if skip_one { n + 1 } else { n };
+        let knn = tsp_core::NeighborLists::build(&inst, 5);
+        let graph = SparseGraph::from_edges(&inst, || {
+            (0..m)
+                .flat_map(|v| knn.of(v).iter().map(move |&u| (v, u as usize)))
+                .filter(|&(_, u)| u < m)
+                .chain((1..m).map(|v| (v - 1, v)))
+                .chain((2..m).map(|v| (v - 2, v)))
+        });
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let pi: Vec<i64> = (0..=n).map(|_| rng.gen_range(-pi_scale..=pi_scale)).collect();
+        let skip = if skip_one { rng.gen_range(0..=n) } else { n };
+        let root = usize::from(skip == 0);
+        let mut parent = Vec::new();
+        let mut scratch = PrimScratch::default();
+        // Twice on one scratch: a second tree must not see the first.
+        for _ in 0..2 {
+            let len = prim_sparse(&graph, &pi, root, skip, &mut parent, &mut scratch);
+            let (want_parent, want_len) = prim_sparse_lazy(&graph, &pi, root, skip);
+            prop_assert_eq!(len, want_len);
+            prop_assert_eq!(&parent, &want_parent);
         }
     }
 
@@ -284,4 +363,28 @@ fn drill_plate_2000_yardstick_is_pinned() {
         held_karp_bound(&inst, &AscentConfig::default()).bound,
         1_783_102
     );
+}
+
+/// α rows computed inside a fan-out item, where a nested fan-out runs
+/// inline on the item's thread, equal those of a call from outside any
+/// fan-out: the lists do not depend on how many threads built them.
+#[test]
+fn alpha_lists_inside_a_fan_out_item_equal_the_outer_call() {
+    let inst = generate::drill_plate(300, 8);
+    let cfg = AscentConfig {
+        max_iterations: 40,
+        special: 150,
+    };
+    let res = sparse_ascent(&inst, &cfg);
+    let outer = alpha_lists_from_tree(&inst, &res.pi, &res.one_tree, 8);
+    let mut inner = vec![None; 2];
+    fan_out(&mut inner, |_, slot| {
+        *slot = Some(alpha_lists_from_tree(&inst, &res.pi, &res.one_tree, 8));
+    });
+    for nl in inner {
+        let nl = nl.expect("fan-out item ran");
+        for c in 0..inst.len() {
+            assert_eq!(nl.of(c), outer.of(c), "row {c}");
+        }
+    }
 }

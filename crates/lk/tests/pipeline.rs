@@ -3,9 +3,9 @@
 
 use lk::construct::{construct, Construction};
 use lk::lin_kernighan::{lin_kernighan, LinKernighan, LkConfig};
-use lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy, Optimizer};
+use lk::{Budget, CandidateKind, ChainedLk, ChainedLkConfig, KickStrategy, Optimizer};
 use rand::{rngs::SmallRng, SeedableRng};
-use tsp_core::{generate, Instance, NeighborLists};
+use tsp_core::{generate, Instance, Metric, NeighborLists, Point};
 
 fn families() -> Vec<Instance> {
     vec![
@@ -171,5 +171,34 @@ fn sparse_ascent_bound_is_valid_on_every_family() {
         if let Some(opt) = inst.known_optimum() {
             assert!(res.bound <= opt, "{}: bound above the optimum", inst.name());
         }
+    }
+}
+
+/// An instance just inside `Instance::check_length_range` — 12 cities
+/// at `(a·s, b·s)` with `n × (w + h + 1)` a hair under 2⁶⁰ — solves on
+/// k-NN and hybrid candidate lists with every length exact. The test
+/// profile keeps overflow checks on, so a sum that wrapped anywhere in
+/// the construction, the ascent, the α pass or the search would panic
+/// here instead of returning a wrong length.
+#[test]
+fn instance_just_under_the_length_limit_solves_without_overflow() {
+    let s = 1.9e16;
+    let pts: Vec<Point> = (0..12)
+        .map(|i| Point::new((i % 4) as f64 * s, (i / 4) as f64 * s))
+        .collect();
+    let inst = Instance::new("near-limit", pts, Metric::Euc2d);
+    inst.check_length_range().expect("inside the limit");
+    let scale = 12.0 * (5.0 * s + 1.0);
+    assert!(scale > 0.98 * tsp_core::instance::MAX_LENGTH_SCALE);
+    for kind in [CandidateKind::Knn, CandidateKind::Hybrid] {
+        let nl = kind.build(&inst, 8);
+        let cfg = ChainedLkConfig {
+            seed: 3,
+            ..Default::default()
+        };
+        let res = ChainedLk::new(&inst, &nl, cfg).run(&Budget::kicks(50));
+        assert!(res.tour.is_valid(), "{kind:?}");
+        assert!(res.length > 0, "{kind:?}: length {}", res.length);
+        assert_eq!(res.length, res.tour.length(&inst), "{kind:?}");
     }
 }

@@ -28,6 +28,10 @@ impl Point {
     }
 }
 
+/// Bound on `n ×` the longest possible edge of an instance the solvers
+/// accept (see [`Instance::check_length_range`]).
+pub const MAX_LENGTH_SCALE: f64 = (1u64 << 60) as f64;
+
 /// A symmetric TSP instance.
 ///
 /// Cities are identified by dense indices `0..n`. Construction validates
@@ -165,6 +169,41 @@ impl Instance {
         self.known_optimum
             .map(|opt| (length - opt) as f64 / opt as f64)
     }
+
+    /// Check that lengths fit in `i64` with room to spare: `n ×` an
+    /// upper bound on every edge — the width plus the height of the
+    /// bounding box (plus one for rounding) for planar coordinates, half
+    /// the earth's circumference for `GEO`, the largest absolute weight
+    /// for a matrix — must not exceed
+    /// [`MAX_LENGTH_SCALE`] = 2⁶⁰. Every tour, 1-tree and move gain is
+    /// a sum of at most `n` edges, so none of them can wrap; past the
+    /// bound a solver can loop on a negative "length" or index out of
+    /// range. Input parsers call this on everything they accept.
+    pub fn check_length_range(&self) -> Result<(), String> {
+        let edge = match &self.metric {
+            Metric::Explicit(m, _) => m.iter().map(|w| w.unsigned_abs()).max().unwrap_or(0) as f64,
+            // TSPLIB's earth radius × π, plus its rounding.
+            Metric::Geo => 20_040.0,
+            _ => {
+                let (mut lo, mut hi) = (self.points[0], self.points[0]);
+                for p in &self.points {
+                    (lo.x, lo.y) = (lo.x.min(p.x), lo.y.min(p.y));
+                    (hi.x, hi.y) = (hi.x.max(p.x), hi.y.max(p.y));
+                }
+                (hi.x - lo.x) + (hi.y - lo.y) + 1.0
+            }
+        };
+        let scale = self.len() as f64 * edge;
+        // Also false for a NaN scale.
+        if scale <= MAX_LENGTH_SCALE {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} cities × an edge of up to {edge:e} exceed 2^60: tour lengths would overflow",
+                self.len()
+            ))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +268,23 @@ mod tests {
     #[should_panic(expected = "at least 3")]
     fn too_small_rejected() {
         Instance::new("p2", vec![Point::default(); 2], Metric::Euc2d);
+    }
+
+    #[test]
+    fn length_range_bounds_n_times_the_longest_edge() {
+        let line = |n: usize, step: f64| {
+            let pts = (0..n).map(|i| Point::new(i as f64 * step, 0.0)).collect();
+            Instance::new("line", pts, Metric::Euc2d)
+        };
+        // 12 × (11·s + 1) against 2^60 ≈ 1.153e18.
+        assert!(line(12, 8.0e15).check_length_range().is_ok());
+        assert!(line(12, 9.0e15).check_length_range().is_err());
+        assert!(line(3, f64::MAX).check_length_range().is_err());
+        let big = (MAX_LENGTH_SCALE / 3.0) as i64;
+        let m = |w: i64| Instance::explicit("m", vec![0, w, 1, w, 0, 1, 1, 1, 0], 3);
+        assert!(m(big).check_length_range().is_ok());
+        assert!(m(big + 1024).check_length_range().is_err());
+        assert!(m(-big - 1024).check_length_range().is_err());
     }
 
     #[test]

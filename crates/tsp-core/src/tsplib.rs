@@ -189,6 +189,8 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
         };
         Instance::new(name, pts, metric)
     };
+    inst.check_length_range()
+        .map_err(|msg| Error::Parse(msg, None))?;
     if let Some(opt) = known_optimum {
         inst.set_known_optimum(opt);
     }
@@ -516,6 +518,29 @@ EOF
                     1 0 0\n2 5 5\n2 9 9\nEOF\n";
         let err = parse_instance(text).unwrap_err();
         assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    /// Finite coordinates whose lengths overflow `i64` (12 cities at
+    /// `(a·s, b·s)`: at s = 1e18 a tour length wraps negative, at
+    /// s = 1e300 every distance saturates) and a matrix whose weights
+    /// do are refused, while the same shape at a sane scale parses.
+    #[test]
+    fn lengths_that_overflow_are_an_error() {
+        let grid = |s: f64| {
+            let lines: String = (0..12)
+                .map(|i| format!("{} {} {}\n", i + 1, (i % 4) as f64 * s, (i / 4) as f64 * s))
+                .collect();
+            format!("DIMENSION : 12\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n{lines}EOF\n")
+        };
+        assert!(parse_instance(&grid(1e3)).is_ok());
+        for s in [1e18, 1e300] {
+            let err = parse_instance(&grid(s)).unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{err}");
+        }
+        let w = i64::MAX / 2;
+        let err =
+            parse_instance(&explicit_text("3", "UPPER_ROW", &format!("{w} 1 1"))).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]
