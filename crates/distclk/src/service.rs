@@ -23,8 +23,7 @@
 //!   number of concurrent jobs, and killing it orphans exactly those.
 //! - **Wire protocol.** The five `Job*` frames (codec tags 12–16) exist
 //!   on the TCP boundary only: the front-end ([`ServiceJobHandler`])
-//!   rides the lifecycle hub's `JOB` command, is MOVED-fenced after
-//!   failover exactly like `METRICS`/`STATUS`, and translates frames to
+//!   rides the lifecycle hub's `JOB` command and translates frames to
 //!   and from the in-process [`JobSpec`]/[`JobUpdate`] types. Ids are
 //!   minted by [`p2p::job_id`]`(client, seq)` following the PR 2
 //!   broadcast-id template.
@@ -1216,9 +1215,7 @@ impl Drop for SolverService {
 /// Adapter registering a [`SolverService`] as the lifecycle hub's
 /// [`JobHandler`]: `p2p::hub::submit_job` connections stream
 /// `JobAccept`/`JobImproved*`/`JobDone` frames mirroring the handle's
-/// updates. Attach with [`ServiceJobHandler::attach`]; after a hub
-/// failover the old holder answers `MOVED` and submissions must chase
-/// the new holder, exactly like `METRICS`/`STATUS` scrapes.
+/// updates. Attach with [`ServiceJobHandler::attach`].
 pub struct ServiceJobHandler {
     service: Arc<SolverService>,
 }

@@ -2,16 +2,16 @@
 //! bully-style election.
 //!
 //! The paper's hub is "only a central component during bootstrap"
-//! (§2.2), but the [`crate::hub::LifecycleHub`] extended it into a
-//! long-lived repair coordinator — a single point of repair. This
-//! module makes the hub role migratable:
+//! (§2.2), so membership repair after bootstrap lives in the nodes,
+//! and the role of coordinating it is migratable rather than a single
+//! point of repair:
 //!
 //! * [`MembershipLog`] — an append-only log of JOIN / DOWN / REJOIN /
 //!   REPAIR facts. Every node keeps a [`Replica`]; entries gossip
 //!   piggy-back on the existing broadcast fabric
 //!   ([`crate::Message::LogSnapshot`]) and the full log is
 //!   snapshot-transferable through the wire codec, so any survivor can
-//!   reconstruct the hub's repair state.
+//!   reconstruct the repair state.
 //! * **Election rule** — the lowest *alive* node id wins, tie-broken
 //!   by join epoch (the node's incarnation number; relevant only when
 //!   a stale incarnation of the same id races its own rejoin). Every

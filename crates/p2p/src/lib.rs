@@ -12,9 +12,14 @@
 //!   one process. Used by the simulation driver and by deterministic
 //!   tests; message *semantics* are identical to TCP.
 //! - [`tcp`] — real TCP sockets with length-prefixed frames and a
-//!   hand-rolled binary codec ([`codec`]), plus the hub bootstrap
-//!   protocol ([`hub`]). This is the deployment path the paper's Java
-//!   system used.
+//!   hand-rolled binary codec ([`codec`]), plus the hub ([`hub`]): it
+//!   bootstraps the network (`JOIN`) and afterwards serves only the
+//!   telemetry plane and job admission. This is the deployment path the
+//!   paper's Java system used.
+//!
+//! Membership after a death is repaired in-band: every node folds the
+//! gossiped facts into a replicated [`election::Replica`] and applies
+//! the [`topology::Membership`] repair rule, with no hub round trip.
 //!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in
 //! [`topology`] for the ablation experiments.

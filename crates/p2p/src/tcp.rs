@@ -40,10 +40,8 @@ use rand::{Rng, SeedableRng};
 use crate::codec::{read_frame, write_frame};
 use crate::message::{Message, NodeId};
 use crate::transport::Transport;
+use crate::util::accept_loop;
 use crate::NetError;
-
-/// Callback invoked (outside all locks) whenever a peer goes down.
-type DownHook = Box<dyn Fn(NodeId) + Send>;
 
 /// Timeouts and retry policy of a [`TcpEndpoint`].
 #[derive(Debug, Clone)]
@@ -76,14 +74,6 @@ pub struct TcpConfig {
     /// peers refresh their clocks (pongs are answered at the reader
     /// level and never reach the application inbox).
     pub liveness_timeout: Option<Duration>,
-    /// Hub-silence threshold for the failover-aware self-healer
-    /// ([`crate::hub::attach_self_healing_with_failover`]): when a
-    /// lifecycle request to the hub fails and the last successful hub
-    /// exchange is older than this, the hub is declared silent and the
-    /// healer asks its failover callback for a successor address.
-    /// `None` (the default) never fails over — requests to a dead hub
-    /// simply error, exactly as pre-migration builds.
-    pub hub_liveness_timeout: Option<Duration>,
 }
 
 impl Default for TcpConfig {
@@ -97,7 +87,6 @@ impl Default for TcpConfig {
             backoff_max: Duration::from_secs(1),
             outbound_queue: 256,
             liveness_timeout: None,
-            hub_liveness_timeout: None,
         }
     }
 }
@@ -121,20 +110,13 @@ impl TcpConfig {
         self.liveness_timeout = Some(timeout);
         self
     }
-
-    /// Enable hub-silence detection with the given threshold (see
-    /// [`TcpConfig::hub_liveness_timeout`]).
-    pub fn with_hub_liveness(mut self, timeout: Duration) -> Self {
-        self.hub_liveness_timeout = Some(timeout);
-        self
-    }
 }
 
 /// A live peer link: the queue feeding its writer thread and the
 /// socket handle used to force-close the link. `gen` identifies this
-/// particular link: when a link is replaced (e.g. a repair re-dial),
-/// the old link's reader/writer threads die with a stale generation
-/// and must not tear down the replacement.
+/// particular link: when a link is replaced (a second dial to the same
+/// peer), the old link's reader/writer threads die with a stale
+/// generation and must not tear down the replacement.
 struct Peer {
     tx: Sender<Message>,
     stream: TcpStream,
@@ -154,29 +136,16 @@ struct Shared {
     neighbors: RwLock<Vec<NodeId>>,
     /// Per-peer last-seen clock, refreshed on every inbound frame.
     last_seen: Mutex<HashMap<NodeId, Instant>>,
-    /// Outstanding liveness-probe send times (local obs clock, ns) by
-    /// peer — consumed by the matching pong to estimate RTT.
-    ping_sent: Mutex<HashMap<NodeId, u64>>,
-    /// Latest `(rtt_ns, offset_ns)` estimate per peer, where offset is
-    /// the peer's obs clock minus ours (`t_remote - (t_send + rtt/2)`).
-    /// Telemetry consumers use these to align cross-node timelines.
-    clock_stats: Mutex<HashMap<NodeId, (u64, i64)>>,
     /// Peers declared down since the last `take_peer_downs` drain.
     peer_downs: Mutex<Vec<NodeId>>,
     /// Monotonic link-generation counter (see [`Peer::gen`]).
     link_gen: AtomicU64,
-    /// Optional callback invoked (outside all locks) whenever a peer
-    /// goes down — the hub lifecycle client hangs off this to report
-    /// deaths and fetch repair assignments.
-    down_hook: Mutex<Option<DownHook>>,
     /// Set on shutdown; accept, handshake, prober, reader, and writer
     /// threads exit.
     shutdown: AtomicBool,
     inbox_tx: Sender<Message>,
     /// Reader threads, joined on shutdown.
     readers: Mutex<Vec<JoinHandle<()>>>,
-    /// In-flight incoming handshakes (bounded by `handshake_timeout`).
-    handshakes: Mutex<Vec<JoinHandle<()>>>,
     cfg: TcpConfig,
     obs: Obs,
     probes: TcpProbes,
@@ -196,6 +165,9 @@ struct TcpProbes {
     c_retries: Counter,
     /// Sends refused because a peer's outbound queue was full.
     c_backpressure: Counter,
+    /// Failed accepts and handshake threads that could not be spawned
+    /// (each costs one incoming connection, never the listener).
+    c_accept_errors: Counter,
     /// Current total outbound-queue depth across peers.
     g_queue: Gauge,
 }
@@ -209,6 +181,7 @@ impl TcpProbes {
             c_msgs_in: obs.counter("tcp.msgs_in"),
             c_retries: obs.counter("tcp.retries"),
             c_backpressure: obs.counter("tcp.backpressure"),
+            c_accept_errors: obs.counter("tcp.accept_errors"),
             g_queue: obs.gauge("tcp.queue_depth"),
         }
     }
@@ -222,57 +195,6 @@ pub struct TcpEndpoint {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
     probe_thread: Option<JoinHandle<()>>,
-}
-
-/// A cloneable control handle onto a live [`TcpEndpoint`]: lets
-/// auxiliary threads (e.g. the hub lifecycle client applying repair
-/// assignments) rewire peers while the endpoint itself is owned by the
-/// node loop.
-#[derive(Clone)]
-pub struct TcpHandle {
-    shared: Arc<Shared>,
-}
-
-impl TcpHandle {
-    /// The endpoint's current node id.
-    pub fn node_id(&self) -> NodeId {
-        self.shared.id.load(Ordering::Relaxed)
-    }
-
-    /// Current neighbor ids.
-    pub fn neighbors(&self) -> Vec<NodeId> {
-        self.shared.neighbors.read().clone()
-    }
-
-    /// Open (or replace) a link to a peer, with the endpoint's retry
-    /// policy.
-    pub fn connect_to(&self, peer: NodeId, addr: SocketAddr) -> Result<(), NetError> {
-        connect_peer(&self.shared, peer, addr)
-    }
-
-    /// Force-close the link to a peer (counts as a peer death).
-    pub fn disconnect(&self, peer: NodeId) {
-        drop_peer(&self.shared, peer);
-    }
-
-    /// Latest Ping/Pong-derived `(rtt_ns, offset_ns)` estimate for a
-    /// peer, where `offset_ns` is the peer's obs clock minus ours.
-    /// `None` until the liveness prober has completed a round trip to
-    /// that peer (requires [`TcpConfig::liveness_timeout`]).
-    pub fn clock_stats(&self, peer: NodeId) -> Option<(u64, i64)> {
-        self.shared.clock_stats.lock().get(&peer).copied()
-    }
-
-    /// All per-peer `(peer, rtt_ns, offset_ns)` estimates gathered so
-    /// far, in unspecified order.
-    pub fn all_clock_stats(&self) -> Vec<(NodeId, u64, i64)> {
-        self.shared
-            .clock_stats
-            .lock()
-            .iter()
-            .map(|(&p, &(rtt, off))| (p, rtt, off))
-            .collect()
-    }
 }
 
 impl TcpEndpoint {
@@ -305,15 +227,11 @@ impl TcpEndpoint {
             peers: Mutex::new(HashMap::new()),
             neighbors: RwLock::new(Vec::new()),
             last_seen: Mutex::new(HashMap::new()),
-            ping_sent: Mutex::new(HashMap::new()),
-            clock_stats: Mutex::new(HashMap::new()),
             peer_downs: Mutex::new(Vec::new()),
             link_gen: AtomicU64::new(0),
-            down_hook: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             inbox_tx,
             readers: Mutex::new(Vec::new()),
-            handshakes: Mutex::new(Vec::new()),
             cfg,
             obs,
             probes,
@@ -321,7 +239,19 @@ impl TcpEndpoint {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name(format!("p2p-accept-{id}"))
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || {
+                // Handshakes run on their own threads with a read
+                // timeout: a silent connector can neither wedge the
+                // loop nor hang forever.
+                let hs_shared = Arc::clone(&accept_shared);
+                accept_loop(
+                    &listener,
+                    &accept_shared.shutdown,
+                    "p2p-handshake",
+                    move |stream| handshake_incoming(stream, &hs_shared),
+                    |_| accept_shared.probes.c_accept_errors.incr(),
+                )
+            })
             .expect("spawn accept thread");
         let probe_thread = shared.cfg.liveness_timeout.map(|timeout| {
             let probe_shared = Arc::clone(&shared);
@@ -355,25 +285,32 @@ impl TcpEndpoint {
     }
 
     /// Open a link to a peer (the hub told us its id and address),
-    /// retrying with exponential backoff on failure.
+    /// retrying with exponential backoff on failure. A link that
+    /// already exists to `peer` is replaced.
     pub fn connect_to(&self, peer: NodeId, addr: SocketAddr) -> Result<(), NetError> {
-        connect_peer(&self.shared, peer, addr)
-    }
-
-    /// A cloneable control handle for auxiliary threads (see
-    /// [`TcpHandle`]).
-    pub fn handle(&self) -> TcpHandle {
-        TcpHandle {
-            shared: Arc::clone(&self.shared),
+        let shared = &self.shared;
+        let cfg = &shared.cfg;
+        let id = shared.id.load(Ordering::Relaxed);
+        let mut backoff = cfg.backoff_base;
+        let mut last_err = NetError::Closed;
+        for attempt in 0..=cfg.connect_retries {
+            if attempt > 0 {
+                shared.probes.c_retries.incr();
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(cfg.backoff_max);
+            }
+            if shared.shutdown.load(Ordering::Acquire) {
+                return Err(NetError::Closed);
+            }
+            match dial(id, addr, cfg) {
+                Ok(stream) => {
+                    register_peer(shared, peer, stream);
+                    return Ok(());
+                }
+                Err(e) => last_err = e,
+            }
         }
-    }
-
-    /// Install a callback invoked whenever a peer is declared down
-    /// (liveness timeout, connection loss, or explicit disconnect).
-    /// Called outside the endpoint's locks; replaces any previous
-    /// hook.
-    pub fn set_peer_down_hook(&self, hook: impl Fn(NodeId) + Send + 'static) {
-        *self.shared.down_hook.lock() = Some(Box::new(hook));
+        Err(last_err)
     }
 
     /// Stop all threads and drop connections. Bounded even with
@@ -410,34 +347,6 @@ impl Drop for TcpEndpoint {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Open a link to `peer` with the endpoint's retry/backoff policy and
-/// register it. Shared by [`TcpEndpoint::connect_to`] and
-/// [`TcpHandle::connect_to`].
-fn connect_peer(shared: &Arc<Shared>, peer: NodeId, addr: SocketAddr) -> Result<(), NetError> {
-    let cfg = &shared.cfg;
-    let id = shared.id.load(Ordering::Relaxed);
-    let mut backoff = cfg.backoff_base;
-    let mut last_err = NetError::Closed;
-    for attempt in 0..=cfg.connect_retries {
-        if attempt > 0 {
-            shared.probes.c_retries.incr();
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.backoff_max);
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        match dial(id, addr, cfg) {
-            Ok(stream) => {
-                register_peer(shared, peer, stream);
-                return Ok(());
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
 }
 
 /// Establish one outbound connection and run the id handshake, both
@@ -500,34 +409,20 @@ fn register_peer(shared: &Arc<Shared>, peer: NodeId, stream: TcpStream) {
 
 /// Forget a peer (liveness timeout, connection error, or departure).
 /// The socket is closed, which terminates its reader and writer
-/// threads; the death is queued for [`Transport::take_peer_downs`] and
-/// the down hook is invoked — both only on the first drop of a link,
-/// so concurrent detection paths (prober, reader, writer) report each
-/// death once.
+/// threads; the death is queued for [`Transport::take_peer_downs`] only
+/// on the first drop of a link, so concurrent detection paths (prober,
+/// reader, writer) report each death once.
 fn drop_peer(shared: &Shared, peer: NodeId) {
     let known = shared.peers.lock().remove(&peer).map(|p| {
         let _ = p.stream.shutdown(Shutdown::Both);
     });
     shared.neighbors.write().retain(|&n| n != peer);
     shared.last_seen.lock().remove(&peer);
-    shared.ping_sent.lock().remove(&peer);
-    shared.clock_stats.lock().remove(&peer);
     if known.is_some() {
         shared.peer_downs.lock().push(peer);
         shared
             .obs
             .event("tcp.peer_down", &[("peer", Value::U(peer as u64))]);
-        // Take the hook out while calling it so a hook that itself
-        // drops a peer (e.g. a repair that replaces a link) cannot
-        // deadlock on the hook lock.
-        let hook = shared.down_hook.lock().take();
-        if let Some(h) = hook {
-            h(peer);
-            let mut slot = shared.down_hook.lock();
-            if slot.is_none() {
-                *slot = Some(h);
-            }
-        }
     }
 }
 
@@ -578,10 +473,6 @@ fn probe_loop(shared: Arc<Shared>, timeout: Duration) {
                 drop_peer(&shared, p);
             } else if tx.try_send(Message::Ping { from: self_id }).is_ok() {
                 shared.probes.g_queue.add(1);
-                // Stamp the send so the matching pong yields an RTT
-                // and clock-offset estimate (enqueue time; the queue
-                // is empty on an idle link, so the skew is small).
-                shared.ping_sent.lock().insert(p, shared.obs.t_ns());
             }
             // A full queue means the peer is stalled; skip the probe —
             // the silence will trip the timeout by itself.
@@ -589,36 +480,8 @@ fn probe_loop(shared: Arc<Shared>, timeout: Duration) {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(x) => x,
-            Err(_) => break,
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Don't leak the connection that raced shutdown.
-            let _ = stream.shutdown(Shutdown::Both);
-            break;
-        }
-        // Handshake on its own thread with a read timeout: a silent
-        // connector can neither wedge this loop nor hang forever.
-        let hs_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("p2p-handshake".into())
-            .spawn(move || handshake_incoming(stream, hs_shared))
-            .expect("spawn handshake thread");
-        let mut hs = shared.handshakes.lock();
-        hs.retain(|h| !h.is_finished());
-        hs.push(handle);
-    }
-    let hs = std::mem::take(&mut *shared.handshakes.lock());
-    for h in hs {
-        let _ = h.join();
-    }
-}
-
 /// Accept-side id handshake; times out instead of blocking forever.
-fn handshake_incoming(mut stream: TcpStream, shared: Arc<Shared>) {
+fn handshake_incoming(mut stream: TcpStream, shared: &Arc<Shared>) {
     stream.set_nodelay(true).ok();
     stream
         .set_read_timeout(Some(shared.cfg.handshake_timeout))
@@ -633,7 +496,7 @@ fn handshake_incoming(mut stream: TcpStream, shared: Arc<Shared>) {
         return;
     }
     let peer = u64::from_le_bytes(id_buf) as NodeId;
-    register_peer(&shared, peer, stream);
+    register_peer(shared, peer, stream);
 }
 
 /// Drain one peer's outbound queue onto its socket. Exits when the
@@ -690,20 +553,8 @@ fn reader_loop(mut stream: TcpStream, peer: NodeId, gen: u64, shared: Arc<Shared
                             }
                         }
                     }
-                    Message::Pong { t_ns: t_remote, .. } => {
-                        // Close the probe round trip: estimate the
-                        // peer's RTT and clock offset for cross-node
-                        // timeline alignment.
-                        if let Some(t_send) = shared.ping_sent.lock().remove(&peer) {
-                            let now = shared.obs.t_ns();
-                            let rtt = now.saturating_sub(t_send);
-                            let offset = (t_remote as i128
-                                - (t_send as i128 + rtt as i128 / 2))
-                                .clamp(i64::MIN as i128, i64::MAX as i128)
-                                as i64;
-                            shared.clock_stats.lock().insert(peer, (rtt, offset));
-                        }
-                    }
+                    // A pong's only job was refreshing `last_seen` above.
+                    Message::Pong { .. } => {}
                     other => {
                         let leaving = matches!(other, Message::Leave { .. });
                         if shared.inbox_tx.send(other).is_err() {
@@ -1073,54 +924,16 @@ mod tests {
             recv_with_timeout(&mut b, 2000),
             Some(Message::OptimumFound { from: 0, length: 5 })
         );
-    }
 
-    /// The liveness prober's ping/pong round trip yields an RTT and
-    /// clock-offset estimate for each peer, readable from the handle.
-    #[test]
-    fn probe_round_trip_estimates_rtt_and_offset() {
-        let cfg = TcpConfig::fast_fail().with_liveness(Duration::from_millis(200));
-        let obs_a = Obs::for_node(0);
-        let a = TcpEndpoint::bind_with_obs(0, "127.0.0.1:0", cfg.clone(), obs_a).unwrap();
-        let b = TcpEndpoint::bind_with_obs(1, "127.0.0.1:0", cfg, Obs::for_node(1)).unwrap();
-        a.connect_to(1, b.listen_addr()).unwrap();
-        let h = a.handle();
-        let got = wait_until(|| h.clock_stats(1).is_some(), Duration::from_secs(5));
-        assert!(got, "no RTT/offset estimate after probing");
-        let (rtt, _offset) = h.clock_stats(1).unwrap();
-        if obs_api::ENABLED {
-            // A loopback round trip is fast but not instant.
-            assert!(rtt > 0 && rtt < 5_000_000_000, "implausible rtt {rtt}");
-        }
-        assert_eq!(h.all_clock_stats().len(), 1);
-        // Dropping the peer clears its estimates.
-        h.disconnect(1);
-        assert!(h.clock_stats(1).is_none());
-    }
-
-    /// The peer-down hook fires once per death, outside the locks.
-    #[test]
-    fn peer_down_hook_fires_once() {
-        let cfg = TcpConfig::fast_fail().with_liveness(Duration::from_millis(300));
-        let mut a = TcpEndpoint::bind_with(0, "127.0.0.1:0", cfg).unwrap();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let hook_hits = Arc::clone(&hits);
-        a.set_peer_down_hook(move |dead| {
-            assert_eq!(dead, 1);
-            hook_hits.fetch_add(1, Ordering::SeqCst);
-        });
-        let mut b = TcpEndpoint::bind_with(1, "127.0.0.1:0", TcpConfig::fast_fail()).unwrap();
-        a.connect_to(1, b.listen_addr()).unwrap();
-        wait_for_neighbors(&b, 1, 2000);
+        // Now b really dies. a's reader and its liveness prober may
+        // race to detect the same death; it is still reported once.
         b.shutdown();
         assert!(wait_until(
-            || hits.load(Ordering::SeqCst) >= 1,
+            || a.neighbors().is_empty(),
             Duration::from_secs(5)
         ));
-        // Reader error and liveness prober may race to detect the same
-        // death; the report must still be singular.
         std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(a.take_peer_downs(), vec![1]);
+        assert!(a.take_peer_downs().is_empty(), "downs reported twice");
     }
 }

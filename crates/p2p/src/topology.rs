@@ -5,9 +5,9 @@
 //! experiments. [`Membership`] tracks which nodes are alive in a
 //! long-running network and computes the self-healing repair edges
 //! that keep the topology connected when a node dies (the
-//! dimension-neighbor fallback of the churn issue): the shared rule
-//! used by both the hub lifecycle manager and the lockstep churn
-//! driver, so the two deployments degrade identically.
+//! dimension-neighbor fallback): the shared rule used by both the
+//! replicated membership view ([`crate::election::Replica`]) and the
+//! lockstep churn driver, so the two degrade identically.
 
 use std::collections::BTreeSet;
 
@@ -91,8 +91,8 @@ impl Topology {
 /// hurt connectivity and keeping them makes repairs idempotent).
 ///
 /// All sets are `BTreeSet`s so iteration order — and therefore every
-/// repair assignment handed out by the hub or the lockstep churn
-/// driver — is deterministic.
+/// repair assignment a replica or the lockstep churn driver derives —
+/// is deterministic.
 #[derive(Debug, Clone)]
 pub struct Membership {
     topo: Topology,
@@ -148,7 +148,7 @@ impl Membership {
     /// Declare `dead` down and rewire around it.
     ///
     /// Returns the repair group — the dead node's alive neighbors, now
-    /// wired into a clique — so the caller (hub or churn driver) can
+    /// wired into a clique — so the caller (replica or churn driver) can
     /// push `connect` assignments to exactly those nodes. Idempotent:
     /// reporting the same death twice returns an empty group.
     pub fn fail(&mut self, dead: NodeId) -> Vec<NodeId> {
@@ -231,8 +231,7 @@ impl Membership {
     }
 }
 
-/// Verify a topology is connected (used in tests and by the hub before
-/// it hands out neighbor lists).
+/// Verify a topology is connected (used in tests).
 pub fn is_connected(topo: Topology, n: usize) -> bool {
     if n == 0 {
         return true;

@@ -13,7 +13,7 @@
 //! Every node prints its best tour length on exit; collect the minimum
 //! (the paper: "the best result … has to be collected from the local
 //! output of each node", §2.3). The hub keeps serving after bootstrap
-//! (`DOWN`/`REJOIN`/`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the
+//! (`TELEMETRY`/`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the
 //! process is killed.
 
 use std::time::Duration;
