@@ -18,8 +18,7 @@
 //!
 //! The failure-handling and telemetry behaviour of the distributed
 //! solver is not an experiment here: its contracts are the `distclk`
-//! test suites (`churn`, `hub_failover`, `faults`, `telemetry_live`)
-//! and `p2p`'s `election`.
+//! test suites (`churn`, `faults`, `telemetry_live`).
 
 pub mod calibrate;
 pub mod experiments;

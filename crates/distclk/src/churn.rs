@@ -4,17 +4,11 @@
 //! rounds. Kills are *crashes*: the victim sends no `Leave`; survivors
 //! observe the death through the transport's peer-down channel (the
 //! in-memory analogue of the TCP liveness timeout) and the topology is
-//! repaired with the same [`Membership`] rule the TCP lifecycle hub
-//! uses — the dead node's surviving neighbors adopt each other. A
-//! revived node rejoins through [`Membership::rejoin`] and resyncs
-//! state from its neighborhood via `BestRequest`/`BestReply` before
-//! its first CLK iteration (see [`NodeDriver::new_rejoining`]).
-//!
-//! [`ChurnAction::KillHub`] and [`ChurnAction::MigrateHub`] exercise
-//! the hub-failover path: killing the current hub makes the survivors
-//! elect the lowest alive id over their replicated membership logs
-//! (see `p2p::election`), while a migration promotes a successor with
-//! the next epoch and forces the still-running hub to step down.
+//! repaired with the [`Membership`] rule — the dead node's surviving
+//! neighbors adopt each other. A revived node rejoins through
+//! [`Membership::rejoin`] and resyncs state from its neighborhood via
+//! `BestRequest`/`BestReply` before its first CLK iteration (see
+//! [`NodeDriver::new_rejoining`]).
 //!
 //! Everything is keyed by round number and seeded RNG, so a fixed
 //! `(seed, schedule)` pair reproduces the run bit-for-bit — the chaos
@@ -39,15 +33,6 @@ pub enum ChurnAction {
     /// Restart a previously killed node: fresh (empty) inbox, rejoin
     /// via the membership rule, state resync from the neighborhood.
     Revive(NodeId),
-    /// Crash whoever currently holds the lifecycle-hub role (node 0 at
-    /// bootstrap, the latest election winner afterwards). Survivors
-    /// detect the silence, elect the lowest alive id, and the winner
-    /// announces `HUB_CLAIM(epoch)` — the distributed failover path.
-    KillHub,
-    /// Orderly hub handover: the lowest alive non-hub node promotes
-    /// itself with the next epoch while the old hub is still running,
-    /// which must step down on seeing the newer claim (epoch fencing).
-    MigrateHub,
 }
 
 /// A kill/revive schedule keyed by lockstep round.
@@ -90,29 +75,6 @@ impl ChurnSchedule {
     pub fn last_round(&self) -> u64 {
         self.events.iter().map(|&(r, _)| r).max().unwrap_or(0)
     }
-
-    /// Seeded hub-failover scenario: crash the hub early, then crash a
-    /// second (non-hub) node so the *elected* hub serves a DOWN, then
-    /// revive that node so the elected hub serves a REJOIN, and
-    /// finally revive the old hub — which comes back as a regular
-    /// member and must accept the newer claim (epoch fencing).
-    pub fn seeded_hub_failover(seed: u64, nodes: usize) -> Self {
-        assert!(nodes >= 4, "hub failover needs at least 4 nodes");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Victim from 1..nodes: distinct from the bootstrap hub. It
-        // may coincide with the election winner, in which case the
-        // schedule exercises a *chained* failover — also worth having.
-        let victim = rng.gen_range(1..nodes);
-        let mut round = rng.gen_range(1..=2u64);
-        let mut events = vec![(round, ChurnAction::KillHub)];
-        round += rng.gen_range(2..=3u64);
-        events.push((round, ChurnAction::Kill(victim)));
-        round += rng.gen_range(2..=3u64);
-        events.push((round, ChurnAction::Revive(victim)));
-        round += rng.gen_range(2..=3u64);
-        events.push((round, ChurnAction::Revive(0)));
-        ChurnSchedule { events }
-    }
 }
 
 /// [`crate::run_lockstep`] under a churn schedule. With an empty
@@ -142,12 +104,6 @@ pub fn run_lockstep_churn(
     let mut membership = Membership::new(cfg.topology, cfg.nodes);
     let mut drivers = started_nodes(inst, neighbors, cfg, endpoints);
     let mut results: Vec<NodeResult> = Vec::with_capacity(cfg.nodes);
-    // Driver-side mirror of the hub role, used to resolve `KillHub`
-    // targets and pick `MigrateHub` successors. It tracks the outcome
-    // the distributed election must converge on (lowest alive id, next
-    // epoch); the conformance tests assert the nodes' own views agree.
-    let mut hub: NodeId = 0;
-    let mut hub_epoch: u64 = 0;
     let mut round: u64 = 0;
     loop {
         for &(r, action) in &schedule.events {
@@ -155,11 +111,7 @@ pub fn run_lockstep_churn(
                 continue;
             }
             match action {
-                ChurnAction::Kill(_) | ChurnAction::KillHub => {
-                    let id = match action {
-                        ChurnAction::Kill(id) => id,
-                        _ => hub,
-                    };
+                ChurnAction::Kill(id) => {
                     if !membership.is_alive(id) {
                         continue;
                     }
@@ -178,8 +130,7 @@ pub fn run_lockstep_churn(
                         }
                     }
                     // Self-healing: the victim's surviving neighbors
-                    // adopt each other (clique repair, same rule as the
-                    // lifecycle hub's REPAIR assignments).
+                    // adopt each other (clique repair).
                     for &a in &group {
                         if let Some(driver) = drivers[a].as_mut() {
                             for &b in &group {
@@ -187,14 +138,6 @@ pub fn run_lockstep_churn(
                                     driver.transport_mut().add_neighbor(b);
                                 }
                             }
-                        }
-                    }
-                    // The hub role dies with its holder: mirror the
-                    // outcome the distributed election converges on.
-                    if id == hub {
-                        if let Some(&succ) = membership.alive_nodes().first() {
-                            hub = succ;
-                            hub_epoch += 1;
                         }
                     }
                 }
@@ -210,27 +153,6 @@ pub fn run_lockstep_churn(
                         }
                     }
                     drivers[id] = Some(NodeDriver::new_rejoining(inst, neighbors, cfg, ep));
-                }
-                ChurnAction::MigrateHub => {
-                    // Orderly handover: the lowest alive non-hub node
-                    // with a running driver claims the next epoch; the
-                    // old hub (still alive) steps down on seeing it.
-                    let succ = membership
-                        .alive_nodes()
-                        .into_iter()
-                        .find(|&v| v != hub && drivers[v].is_some());
-                    let Some(succ) = succ else {
-                        continue;
-                    };
-                    let epoch = drivers[succ]
-                        .as_ref()
-                        .map(|d| d.hub_epoch() + 1)
-                        .unwrap_or(hub_epoch + 1);
-                    if let Some(driver) = drivers[succ].as_mut() {
-                        driver.promote(epoch);
-                    }
-                    hub = succ;
-                    hub_epoch = hub_epoch.max(epoch);
                 }
             }
         }
@@ -274,28 +196,6 @@ mod tests {
             assert!(victims.contains(&revived));
             assert!(kills.iter().all(|&&(r, _)| r < revive_round));
             assert!(a.last_round() == revive_round);
-        }
-    }
-
-    #[test]
-    fn seeded_hub_failover_shape() {
-        for seed in 0..20 {
-            let a = ChurnSchedule::seeded_hub_failover(seed, 8);
-            let b = ChurnSchedule::seeded_hub_failover(seed, 8);
-            assert_eq!(a.events, b.events, "seed {seed} not deterministic");
-            assert_eq!(a.events.len(), 4);
-            assert!(matches!(a.events[0].1, ChurnAction::KillHub));
-            let (kill_round, ChurnAction::Kill(victim)) = a.events[1] else {
-                panic!("second event must be a Kill: {:?}", a.events);
-            };
-            assert!(victim >= 1, "victim must not be the bootstrap hub");
-            assert!(kill_round > a.events[0].0);
-            assert_eq!(a.events[2].1, ChurnAction::Revive(victim));
-            assert_eq!(a.events[3].1, ChurnAction::Revive(0));
-            let rounds: Vec<u64> = a.events.iter().map(|&(r, _)| r).collect();
-            let mut sorted = rounds.clone();
-            sorted.sort_unstable();
-            assert_eq!(rounds, sorted);
         }
     }
 

@@ -83,21 +83,6 @@ impl DistResult {
     pub fn total_broadcasts(&self) -> u64 {
         self.nodes.iter().map(|n| n.broadcasts).sum()
     }
-
-    /// The `(hub, epoch)` every cleanly-finished node agreed on, or
-    /// `None` if any two of them disagreed — the hub-failover
-    /// conformance suite asserts agreement after every schedule.
-    /// Aborted records (crashed incarnations) are excluded: a node
-    /// killed mid-election legitimately carries a stale view.
-    pub fn hub_consensus(&self) -> Option<(Option<p2p::NodeId>, u64)> {
-        let mut views = self
-            .nodes
-            .iter()
-            .filter(|n| !n.aborted)
-            .map(|n| (n.hub, n.hub_epoch));
-        let first = views.next()?;
-        views.all(|v| v == first).then_some(first)
-    }
 }
 
 /// Run the distributed algorithm with one OS thread per node over an
@@ -228,9 +213,9 @@ pub fn run_lockstep_over<T: Transport>(
 /// [`run_lockstep_over`] with a live telemetry plane: the store is
 /// attached per `attach` ([`TelemetryAttach::AllNodes`] ingests frames
 /// in-process on every node — the lockstep equivalent of a live hub
-/// view; [`TelemetryAttach::Node`] attaches only that node, so every
-/// other node ships its frames *over the transport* to the
-/// lifecycle-hub holder exactly like the TCP deployment). Pass
+/// view; [`TelemetryAttach::NodeZero`] attaches only node 0, so every
+/// other node ships its frames *over the transport* to node 0 exactly
+/// like the TCP deployment). Pass
 /// `telemetry: None` (or leave `cfg.telemetry_every` at 0) for a plain
 /// run. The caller keeps the `Arc` and can scrape the store mid-run
 /// from another thread.
@@ -263,17 +248,17 @@ pub enum TelemetryAttach {
     /// Every node ingests its own frames in-process — no telemetry
     /// traffic on the wire. The right mode for single-process drivers.
     AllNodes,
-    /// Only this node (normally the bootstrap lifecycle-hub holder,
-    /// node 0) aggregates; every other node ships its frames over the
-    /// transport to the current hub — the deployment shape.
-    Node(NodeId),
+    /// Only node 0 (the bootstrap hub's position) aggregates; every
+    /// other node ships its frames over the transport to it — the
+    /// deployment shape.
+    NodeZero,
 }
 
 impl TelemetryAttach {
     fn covers(self, id: NodeId) -> bool {
         match self {
             TelemetryAttach::AllNodes => true,
-            TelemetryAttach::Node(n) => n == id,
+            TelemetryAttach::NodeZero => id == 0,
         }
     }
 }
@@ -297,7 +282,7 @@ pub fn run_over_transports<T: Transport + 'static>(
 
 /// [`run_over_transports`] with a live telemetry plane (see
 /// [`run_lockstep_telemetry_over`] for the attachment modes). In the
-/// TCP deployment the natural shape is `TelemetryAttach::Node(0)` with
+/// TCP deployment the natural shape is `TelemetryAttach::NodeZero` with
 /// the store borrowed from the lifecycle hub's scrape server
 /// ([`p2p::hub::LifecycleHub::telemetry`]): frames cross the real
 /// sockets to node 0, merge there, and `METRICS`/`STATUS` scrapes on
@@ -566,14 +551,14 @@ mod tests {
 
     #[test]
     fn telemetry_frames_ship_over_the_transport_to_the_hub_node() {
-        // Store attached only to node 0 (the bootstrap lifecycle-hub
-        // holder): every other node's view must arrive as Telemetry
-        // frames over the wire — the deployment shape.
+        // Store attached only to node 0 (the bootstrap hub's position):
+        // every other node's view must arrive as Telemetry frames over
+        // the wire — the deployment shape.
         let inst = generate::uniform(80, 10_000.0, 308);
         let nl = NeighborLists::build(&inst, 8);
         let mut cfg = small_cfg(4, 4, 7);
-        // Complete graph so every node has a direct edge to the hub
-        // holder (there is no frame routing — telemetry is one hop).
+        // Complete graph so every node has a direct edge to node 0
+        // (there is no frame routing — telemetry is one hop).
         cfg.topology = p2p::Topology::Complete;
         cfg.telemetry_every = 1;
         let store = TelemetryStore::shared();
@@ -584,15 +569,15 @@ mod tests {
             &cfg,
             endpoints,
             Some(stats),
-            Some((Arc::clone(&store), TelemetryAttach::Node(0))),
+            Some((Arc::clone(&store), TelemetryAttach::NodeZero)),
         );
         assert_eq!(
             store.nodes(),
             vec![0, 1, 2, 3],
-            "a node's frames never reached the hub holder"
+            "a node's frames never reached node 0"
         );
-        // Frames drained by the hub holder trail the sender by a round
-        // (and its final frame may arrive after the hub terminated), so
+        // Frames drained by node 0 trail the sender by a round (and a
+        // final frame may arrive after node 0 terminated), so
         // the live view is a *recent* state: a best no better than the
         // node's final one, and real progress shipped.
         for n in &res.nodes {

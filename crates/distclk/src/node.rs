@@ -5,7 +5,6 @@ use std::time::{Duration, Instant};
 
 use lk::{Budget, ChainedLkConfig, ClkEngine, Stopwatch, Trace};
 use obs_api::{Counter, Histogram, MetricsSnapshot, Obs, Span, Value};
-use p2p::election::{LogEntry, Replica};
 use p2p::{broadcast_id, Message, NodeId, TelemetryShipper, TelemetryStore, Topology, Transport};
 use tsp_core::{Instance, NeighborLists, Tour};
 
@@ -58,8 +57,9 @@ pub struct DistConfig {
     /// Ship a live [`Message::Telemetry`] frame (metric deltas, new
     /// structured events, convergence state) every this many loop
     /// rounds — directly into an attached [`TelemetryStore`] when one
-    /// is present, otherwise over the transport to the node currently
-    /// holding the lifecycle-hub role. `0` (the default) disables
+    /// is present, otherwise over the transport to node 0, the bootstrap
+    /// hub's position (dropped when node 0 is dead or is the sender
+    /// itself: telemetry is best-effort). `0` (the default) disables
     /// shipping entirely: the loop stays bit-identical to
     /// pre-telemetry builds (shipping itself never touches the RNG,
     /// but zero keeps even the clock reads out of the hot path).
@@ -152,11 +152,6 @@ pub struct NodeResult {
     /// driver or its thread panicked. Aborted records are excluded from
     /// the aggregate best-tour selection.
     pub aborted: bool,
-    /// Who this node believed held the lifecycle-hub role when it
-    /// finished (node 0 at bootstrap; a survivor after an election).
-    pub hub: Option<NodeId>,
-    /// Epoch of the hub claim in force (0 = the bootstrap hub).
-    pub hub_epoch: u64,
 }
 
 impl NodeResult {
@@ -179,8 +174,6 @@ impl NodeResult {
             metrics: MetricsSnapshot::default(),
             obs_events: Vec::new(),
             aborted: true,
-            hub: None,
-            hub_epoch: 0,
         }
     }
 }
@@ -221,12 +214,6 @@ pub struct NodeDriver<'a, T: Transport> {
     /// Rounds left to wait for a `BestReply` before giving up on state
     /// resync; `0` means the node is not resyncing.
     resync_remaining: u32,
-    /// This node's replica of the membership log and election state
-    /// (see `p2p::election`): who is alive, who holds the hub role and
-    /// at which epoch. Inert in failure-free runs — it is built without
-    /// RNG and only peer-down notices or election messages touch it, so
-    /// clean runs stay bit-identical to pre-election builds.
-    lifecycle: Replica,
 
     // Live telemetry plane (inert when `telemetry_every == 0`).
     telemetry_every: u64,
@@ -254,8 +241,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         cfg: &DistConfig,
         transport: T,
     ) -> Self {
-        let obs = Obs::for_node(transport.node_id() as u32);
-        Self::new_with_obs(inst, neighbors, cfg, transport, obs)
+        Self::construct(inst, neighbors, cfg, transport, true)
     }
 
     /// How many loop rounds a rejoining node waits for a validated
@@ -278,17 +264,15 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         cfg: &DistConfig,
         transport: T,
     ) -> Self {
-        let obs = Obs::for_node(transport.node_id() as u32);
-        let mut node = Self::construct(inst, neighbors, cfg, transport, obs, false);
+        let mut node = Self::construct(inst, neighbors, cfg, transport, false);
         node.begin_resync(Self::RESYNC_PATIENCE);
         node
     }
 
     /// Switch this node into resync mode: broadcast a best-tour request
     /// and wait up to `patience` rounds for a reply before optimizing
-    /// locally. Called by [`NodeDriver::new_rejoining`]; exposed so the
-    /// TCP deployment can trigger a resync after a live rewire too.
-    pub fn begin_resync(&mut self, patience: u32) {
+    /// locally.
+    fn begin_resync(&mut self, patience: u32) {
         self.obs
             .event("node.rejoin", &[("len", Value::U(self.best_len.max(0) as u64))]);
         let sent = self.transport.broadcast(Message::BestRequest { from: self.id });
@@ -298,19 +282,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         );
         // Nobody reachable: waiting is pointless, run standalone.
         self.resync_remaining = if sent > 0 { patience } else { 0 };
-    }
-
-    /// Like [`NodeDriver::new`] but with a caller-supplied observability
-    /// handle (e.g. a shared one in single-process simulations, or a
-    /// ring-sized one for long runs).
-    pub fn new_with_obs(
-        inst: &'a Instance,
-        neighbors: &'a NeighborLists,
-        cfg: &DistConfig,
-        transport: T,
-        obs: Obs,
-    ) -> Self {
-        Self::construct(inst, neighbors, cfg, transport, obs, true)
     }
 
     /// Shared constructor. A fresh node (`optimize_initial`) owes the
@@ -323,11 +294,11 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         neighbors: &'a NeighborLists,
         cfg: &DistConfig,
         transport: T,
-        obs: Obs,
         optimize_initial: bool,
     ) -> Self {
         let started = Instant::now();
         let id = transport.node_id();
+        let obs = Obs::for_node(id as u32);
         let mut clk_cfg = cfg.clk.clone();
         clk_cfg.seed = cfg.seed.wrapping_mul(1_000_003).wrapping_add(id as u64);
         if cfg.diversify_construction {
@@ -388,7 +359,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             last_strength: 1,
             terminated: false,
             resync_remaining: 0,
-            lifecycle: Replica::bootstrap(cfg.topology, cfg.nodes),
             telemetry_every: cfg.telemetry_every,
             telemetry_rounds: 0,
             shipper,
@@ -454,8 +424,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// ships (see [`DistConfig::telemetry_every`]) are ingested
     /// directly instead of traversing the transport, and
     /// [`Message::Telemetry`] frames *received* from peers are merged
-    /// in too — so attaching the store to the lifecycle-hub node turns
-    /// it into the cluster's aggregation point, while attaching the
+    /// in too — so attaching the store to node 0 turns it into the
+    /// cluster's aggregation point, while attaching the
     /// same store to every node gives the lockstep driver an
     /// in-process live view with identical semantics.
     pub fn attach_telemetry(&mut self, store: Arc<TelemetryStore>) {
@@ -477,9 +447,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
 
     /// Build one telemetry frame (metric deltas since the last frame,
     /// structured events not yet shipped, convergence state) and hand
-    /// it to the attached store — or, without one, send it to the node
-    /// currently holding the lifecycle-hub role, which aggregates on
-    /// the cluster's behalf.
+    /// it to the attached store — or, without one, send it to node 0,
+    /// which aggregates on the cluster's behalf.
     fn ship_telemetry_frame(&mut self) {
         let Some(shipper) = self.shipper.as_mut() else {
             return;
@@ -487,144 +456,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let frame = shipper.frame(self.id, self.best_len, self.c_clk_calls.get(), self.stalled);
         if let Some(store) = &self.telemetry {
             store.ingest(&frame);
-        } else if let Some(hub) = self.lifecycle.hub() {
-            if hub != self.id {
-                let _ = self.transport.send(hub, frame);
-            }
-        }
-    }
-
-    /// Who this node currently believes holds the lifecycle-hub role.
-    pub fn hub(&self) -> Option<NodeId> {
-        self.lifecycle.hub()
-    }
-
-    /// Epoch of the hub claim this node currently honors.
-    pub fn hub_epoch(&self) -> u64 {
-        self.lifecycle.epoch()
-    }
-
-    /// This node's replica of the membership log (read-only).
-    pub fn lifecycle(&self) -> &Replica {
-        &self.lifecycle
-    }
-
-    /// Claim the lifecycle-hub role at `epoch` and announce it.
-    /// Called by [`NodeDriver::maybe_elect`] when this node wins an
-    /// election, and by the churn driver's orderly hub *migration*
-    /// (where the old hub is still alive and steps down on seeing the
-    /// newer epoch). A claim that does not beat the one in force — a
-    /// stale epoch — is a no-op.
-    pub fn promote(&mut self, epoch: u64) {
-        if !self.lifecycle.observe_claim(self.id, epoch) {
-            return;
-        }
-        self.obs.counter(obs_api::kinds::C_PROMOTIONS).incr();
-        self.obs
-            .event(obs_api::kinds::NODE_PROMOTE, &[("epoch", Value::U(epoch))]);
-        self.transport.broadcast(Message::HubClaim {
-            from: self.id,
-            epoch,
-        });
-    }
-
-    /// Run the deterministic election rule: if the believed hub is
-    /// dead in this replica's view and this node is the winner (lowest
-    /// alive id, tie-broken by join epoch), promote itself with the
-    /// next epoch. Every replica evaluates the same rule over the same
-    /// replicated log, so all nodes converge on the same winner.
-    fn maybe_elect(&mut self) {
-        if self.lifecycle.hub_alive() || self.lifecycle.winner() != Some(self.id) {
-            return;
-        }
-        let epoch = self.lifecycle.epoch() + 1;
-        self.promote(epoch);
-    }
-
-    /// Gossip fresh membership-log entries to every neighbor except
-    /// `except` (the peer they came from, if any).
-    fn gossip(&mut self, entries: Vec<LogEntry>, except: Option<NodeId>) {
-        let n_entries = entries.len();
-        let snapshot = Message::LogSnapshot {
-            from: self.id,
-            entries,
-        };
-        let mut sent = 0usize;
-        for nb in self.transport.neighbors() {
-            if Some(nb) != except && self.transport.send(nb, snapshot.clone()).is_ok() {
-                sent += 1;
-            }
-        }
-        if sent > 0 {
-            self.obs.event(
-                obs_api::kinds::NODE_GOSSIP,
-                &[
-                    ("entries", Value::U(n_entries as u64)),
-                    ("peers", Value::U(sent as u64)),
-                ],
-            );
-        }
-    }
-
-    /// Handle an incoming `HUB_CLAIM(claimer, epoch)`: accept-and-relay
-    /// or reject as stale (see `p2p::election` for the fencing rule).
-    fn observe_hub_claim(&mut self, claimer: NodeId, epoch: u64) {
-        let was_self_hub = self.lifecycle.hub() == Some(self.id);
-        if self.lifecycle.observe_claim(claimer, epoch) {
-            self.obs.event(
-                obs_api::kinds::NODE_HUB_CLAIM,
-                &[
-                    ("hub", Value::U(claimer as u64)),
-                    ("epoch", Value::U(epoch)),
-                ],
-            );
-            if was_self_hub && claimer != self.id {
-                // A newer claim fences this stale hub out: step down.
-                self.obs.counter(obs_api::kinds::C_STEP_DOWNS).incr();
-                self.obs.event(
-                    obs_api::kinds::NODE_STEP_DOWN,
-                    &[
-                        ("to", Value::U(claimer as u64)),
-                        ("epoch", Value::U(epoch)),
-                    ],
-                );
-            }
-            // Relay the accepted claim; the fencing rule rejects
-            // re-deliveries, which terminates the epidemic.
-            self.transport.broadcast(Message::HubClaim {
-                from: claimer,
-                epoch,
-            });
-        } else {
-            self.obs.counter(obs_api::kinds::C_STALE_CLAIMS).incr();
-            self.obs.event(
-                obs_api::kinds::NODE_STALE_CLAIM,
-                &[
-                    ("claimer", Value::U(claimer as u64)),
-                    ("epoch", Value::U(epoch)),
-                ],
-            );
-        }
-    }
-
-    /// Record that fresh log entries changed this replica. If this
-    /// node currently holds the hub role, a fresh REJOIN means it just
-    /// *served* that rejoin — its replicated state performed the
-    /// membership transition a central hub would have coordinated.
-    fn register_changed(&mut self, changed: &[LogEntry]) {
-        if self.lifecycle.hub() != Some(self.id) {
-            return;
-        }
-        for e in changed {
-            if let LogEntry::Rejoin { node, .. } = e {
-                self.obs
-                    .counter(obs_api::kinds::C_HUB_REJOINS_SERVED)
-                    .incr();
-                self.obs.event(
-                    obs_api::kinds::NODE_HUB_REJOIN_SERVED,
-                    &[("peer", Value::U(*node as u64))],
-                );
-            }
+        } else if self.id != 0 {
+            let _ = self.transport.send(0, frame);
         }
     }
 
@@ -934,14 +767,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         for dead in self.transport.take_peer_downs() {
             self.obs
                 .event("node.peer_down", &[("peer", Value::U(dead as u64))]);
-            // Record the locally observed death in the replicated
-            // membership log and gossip the fresh facts. This is how
-            // hub death is detected too: no hub delivers the DOWN —
-            // each survivor derives the clique repair itself.
-            let entries = self.lifecycle.note_down(dead);
-            if !entries.is_empty() {
-                self.gossip(entries, None);
-            }
         }
         let mut best_received: Option<(i64, Tour, NodeId, u64)> = None;
         for msg in self.transport.drain() {
@@ -1011,32 +836,14 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 }
                 Message::Pong { .. } => {}
                 // A peer shipped its live telemetry here because this
-                // node holds (or held) the lifecycle-hub role: merge it
-                // into the attached store. Without a store the frame is
+                // is node 0: merge it into the attached store. Without a store the frame is
                 // dropped — telemetry is best-effort by design.
                 m @ Message::Telemetry { .. } => {
                     if let Some(store) = &self.telemetry {
                         store.ingest(&m);
                     }
                 }
-                Message::BestRequest { from } => {
-                    // A BestRequest from a peer this replica believed
-                    // dead is the rejoin signal: record it, gossip it.
-                    let entries = self.lifecycle.note_rejoin(from);
-                    if !entries.is_empty() {
-                        self.register_changed(&entries);
-                        self.gossip(entries, Some(from));
-                    }
-                    self.answer_best_request(from);
-                }
-                Message::HubClaim { from, epoch } => self.observe_hub_claim(from, epoch),
-                Message::LogSnapshot { from, entries } => {
-                    let changed = self.lifecycle.apply(&entries);
-                    if !changed.is_empty() {
-                        self.register_changed(&changed);
-                        self.gossip(changed, Some(from));
-                    }
-                }
+                Message::BestRequest { from } => self.answer_best_request(from),
                 // Shard results belong to the sharded driver's
                 // collector loop (`crate::shard`); a replicated-search
                 // node receiving one ignores it.
@@ -1051,9 +858,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 | Message::JobCancel { .. } => {}
             }
         }
-        // With the inbox folded in, the replica's view is as fresh as
-        // it gets this round: run the election rule once.
-        self.maybe_elect();
         best_received
     }
 
@@ -1082,26 +886,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                     ("tour_id", Value::U(tour_id)),
                     ("len", Value::I(self.best_len)),
                 ],
-            );
-        }
-        // Ship the full membership log and the hub claim in force
-        // alongside the tour, so the rejoiner's fresh (bootstrap)
-        // replica converges on the network's view — including any
-        // elections it slept through — in one round.
-        let _ = self.transport.send(
-            to,
-            Message::LogSnapshot {
-                from: self.id,
-                entries: self.lifecycle.log().entries().to_vec(),
-            },
-        );
-        if let Some(hub) = self.lifecycle.hub() {
-            let _ = self.transport.send(
-                to,
-                Message::HubClaim {
-                    from: hub,
-                    epoch: self.lifecycle.epoch(),
-                },
             );
         }
     }
@@ -1294,8 +1078,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             metrics: self.obs.snapshot(),
             obs_events: self.obs.events(),
             aborted,
-            hub: self.lifecycle.hub(),
-            hub_epoch: self.lifecycle.epoch(),
         }
     }
 

@@ -36,8 +36,8 @@
 //! - **Fairness.** Admission charges a per-client [`FlowBudget`] in a
 //!   [`FlowLedger`] before any effect, the semilattice flow-budget
 //!   idiom: `spent` merges by max (join), `limit` by min (meet), so
-//!   ledger replicas merge like the CRDT membership log and a failover
-//!   can never *refund* a tenant.
+//!   ledger replicas merge in any order and a failover can never
+//!   *refund* a tenant.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -369,9 +369,8 @@ impl JobSpec {
 
 /// One tenant's flow budget: a join-semilattice pair. `spent` only
 /// grows (merge = max), `limit` only shrinks (merge = min), so merging
-/// replicas is idempotent, commutative, and associative — the same
-/// monotonicity discipline as the CRDT membership log it travels with,
-/// and a merge after failover can never hand a tenant budget back.
+/// replicas is idempotent, commutative, and associative, and a merge
+/// after failover can never hand a tenant budget back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowBudget {
     /// Cumulative admission cost charged to this tenant.

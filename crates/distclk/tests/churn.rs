@@ -160,6 +160,69 @@ fn empty_schedule_is_identical_to_run_lockstep() {
     }
 }
 
+/// Node 0 — the bootstrap hub's position, where every node without a
+/// telemetry store ships its frames — dies and comes back under live
+/// telemetry: frames addressed to the dead node are dropped, the run
+/// still terminates, every clean finisher holds a validated tour and a
+/// fixed (seed, schedule) reproduces. Telemetry frames carry clock
+/// readings, so only the message count and the tour-broadcast count of
+/// the network statistics are compared, not the byte count.
+#[test]
+fn node_zero_death_under_telemetry_terminates_and_reproduces() {
+    let inst = generate::uniform(80, 10_000.0, 507);
+    let nl = NeighborLists::build(&inst, 8);
+    for seed in 0..4u64 {
+        let v: NodeId = 1 + (seed as usize * 3) % 7;
+        let schedule = ChurnSchedule {
+            events: vec![
+                (1, ChurnAction::Kill(0)),
+                (3, ChurnAction::Kill(v)),
+                (5, ChurnAction::Revive(v)),
+                (7, ChurnAction::Revive(0)),
+            ],
+        };
+        let mut cfg = chaos_cfg(seed, 14);
+        cfg.telemetry_every = 1;
+        let a = run_lockstep_churn(&inst, &nl, &cfg, &schedule);
+        let b = run_lockstep_churn(&inst, &nl, &cfg, &schedule);
+
+        assert_eq!(a.best_length, b.best_length, "seed {seed}");
+        assert_eq!(a.best_tour.order(), b.best_tour.order(), "seed {seed}");
+        assert_eq!(a.total_broadcasts(), b.total_broadcasts(), "seed {seed}");
+        assert_eq!(
+            (a.messages.0, a.messages.2),
+            (b.messages.0, b.messages.2),
+            "seed {seed}: message and broadcast counts"
+        );
+
+        // 8 original incarnations (0 and v aborted) + both revived.
+        assert_eq!(a.nodes.len(), 10, "seed {seed}");
+        let mut aborted: Vec<NodeId> = a.nodes.iter().filter(|n| n.aborted).map(|n| n.id).collect();
+        aborted.sort_unstable();
+        assert_eq!(aborted, vec![0, v], "seed {seed}");
+
+        for n in a.nodes.iter().filter(|n| !n.aborted) {
+            assert!(n.best_tour.is_valid(), "seed {seed} node {}", n.id);
+            assert_eq!(
+                n.best_tour.length(&inst),
+                n.best_length,
+                "seed {seed} node {}",
+                n.id
+            );
+        }
+        assert!(a.best_tour.is_valid());
+        assert_eq!(a.best_tour.length(&inst), a.best_length);
+
+        // Frames did cross the wire to node 0 while it was alive.
+        cfg.telemetry_every = 0;
+        let quiet = run_lockstep_churn(&inst, &nl, &cfg, &schedule);
+        assert!(
+            a.messages.0 > quiet.messages.0,
+            "seed {seed}: no telemetry frame was ever sent"
+        );
+    }
+}
+
 /// ISSUE acceptance criterion: the churn-capable driver costs ≤ 2% over
 /// `run_lockstep` when no churn happens. Min-of-N with alternating
 /// order, same pattern as the lk obs-overhead bound. An empty schedule

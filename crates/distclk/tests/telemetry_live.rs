@@ -87,7 +87,7 @@ fn live_scrape_over_tcp() {
                 &nl,
                 &cfg,
                 endpoints,
-                Some((Arc::clone(&store), TelemetryAttach::Node(0))),
+                Some((Arc::clone(&store), TelemetryAttach::NodeZero)),
             )
         });
         while !solver.is_finished() {

@@ -44,38 +44,11 @@ pub mod chrome;
 pub mod event;
 pub mod metrics;
 
-/// Well-known event kinds and counter names of the lifecycle /
-/// hub-election layer, shared between the emitting node driver and the
-/// conformance tests (a typo'd string would silently assert on an
+/// Well-known event kinds and counter names of the node driver, the
+/// sharded pipeline and the job service, shared between the emitting
+/// code and the tests (a typo'd string would silently assert on an
 /// event that never fires).
 pub mod kinds {
-    /// A survivor won the deterministic election and claimed the hub
-    /// role. Fields: `epoch`.
-    pub const NODE_PROMOTE: &str = "node.promote";
-    /// An accepted `HUB_CLAIM` changed this node's believed hub.
-    /// Fields: `hub`, `epoch`.
-    pub const NODE_HUB_CLAIM: &str = "node.hub_claim";
-    /// A stale hub saw a newer claim and stepped down. Fields: `to`,
-    /// `epoch`. Counter: `node.step_downs`.
-    pub const NODE_STEP_DOWN: &str = "node.step_down";
-    /// A claim was rejected by the epoch fence. Fields: `claimer`,
-    /// `epoch`. Counter: `node.stale_claims`.
-    pub const NODE_STALE_CLAIM: &str = "node.stale_claim";
-    /// Fresh membership-log entries were gossiped to peers. Fields:
-    /// `entries`, `peers`.
-    pub const NODE_GOSSIP: &str = "node.gossip";
-    /// The current hub's replica performed a REJOIN transition — it
-    /// served the rejoin. Fields: `peer`. Counter:
-    /// `node.hub_rejoins_served`.
-    pub const NODE_HUB_REJOIN_SERVED: &str = "node.hub_rejoin_served";
-    /// Counter: elections won by this node.
-    pub const C_PROMOTIONS: &str = "node.promotions";
-    /// Counter: newer claims that fenced this node out of the hub role.
-    pub const C_STEP_DOWNS: &str = "node.step_downs";
-    /// Counter: claims rejected as stale.
-    pub const C_STALE_CLAIMS: &str = "node.stale_claims";
-    /// Counter: rejoins served while holding the hub role.
-    pub const C_HUB_REJOINS_SERVED: &str = "node.hub_rejoins_served";
     /// The stall detector fired: no improvement for the configured
     /// window of loop rounds. Fields: `rounds`, `best_len`. Counter:
     /// [`C_STALLS`].

@@ -3,7 +3,7 @@
 //! Frames are length-prefixed: a `u32` (LE) payload length, then the
 //! payload — a `u8` tag and the message's fields in declaration order,
 //! fixed-width little-endian. Node ids travel as `u64`; tour orders,
-//! byte sections, log entries and metric sections as a `u32` count
+//! byte sections and metric sections as a `u32` count
 //! followed by their items.
 //!
 //! Each frame's layout is stated once for output and once for input.
@@ -19,7 +19,6 @@ use std::io::Read;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::election::LogEntry;
 use crate::message::{Message, NodeId};
 use crate::NetError;
 
@@ -30,8 +29,10 @@ const TAG_PING: u8 = 4;
 const TAG_PONG: u8 = 5;
 const TAG_BEST_REQUEST: u8 = 6;
 const TAG_BEST_REPLY: u8 = 7;
-const TAG_HUB_CLAIM: u8 = 8;
-const TAG_LOG_SNAPSHOT: u8 = 9;
+// Tags 8 and 9 carried the retired hub-election frames (the hub claim
+// and the membership-log snapshot). They are never reassigned, so an
+// old peer's frame is refused as an unknown tag instead of being
+// misread as another one.
 const TAG_TELEMETRY: u8 = 10;
 const TAG_SHARD_RESULT: u8 = 11;
 const TAG_JOB_SUBMIT: u8 = 12;
@@ -50,16 +51,6 @@ const MAX_PAYLOAD_KIND: u8 = 2;
 /// Longest accepted metric name inside a Telemetry frame (real names
 /// are short dotted paths like `node.clk_calls`).
 const MAX_METRIC_NAME: usize = 256;
-
-// Membership-log entry kinds (first byte of each 17-byte entry inside
-// a LogSnapshot payload).
-const KIND_JOIN: u8 = 1;
-const KIND_DOWN: u8 = 2;
-const KIND_REJOIN: u8 = 3;
-const KIND_REPAIR: u8 = 4;
-
-/// Bytes per encoded [`LogEntry`]: kind byte + two `u64` LE fields.
-const LOG_ENTRY_SIZE: usize = 17;
 
 /// Maximum accepted payload (guards against corrupt length prefixes):
 /// a tour of 10 million cities is ~40 MB.
@@ -113,22 +104,6 @@ pub(crate) trait Sink {
         self.bytes(&(name.len() as u16).to_le_bytes())
             .bytes(name.as_bytes())
     }
-
-    /// Membership-log entries: `u32` count, then per entry a kind byte
-    /// and two `u64` fields.
-    fn entries(&mut self, entries: &[LogEntry]) -> &mut Self {
-        self.u32(entries.len() as u32);
-        for e in entries {
-            let (kind, a, b) = match *e {
-                LogEntry::Join { node, epoch } => (KIND_JOIN, node as u64, epoch),
-                LogEntry::Down { node, inc } => (KIND_DOWN, node as u64, inc),
-                LogEntry::Rejoin { node, inc } => (KIND_REJOIN, node as u64, inc),
-                LogEntry::Repair { a, b } => (KIND_REPAIR, a as u64, b as u64),
-            };
-            self.u8(kind).u64(a).u64(b);
-        }
-        self
-    }
 }
 
 impl Sink for BytesMut {
@@ -167,10 +142,6 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
         Message::BestRequest { from } => s.u8(TAG_BEST_REQUEST).node(*from),
         Message::BestReply { from, id, length, order } => {
             s.u8(TAG_BEST_REPLY).node(*from).u64(*id).i64(*length).order(order)
-        }
-        Message::HubClaim { from, epoch } => s.u8(TAG_HUB_CLAIM).node(*from).u64(*epoch),
-        Message::LogSnapshot { from, entries } => {
-            s.u8(TAG_LOG_SNAPSHOT).node(*from).entries(entries)
         }
         Message::Telemetry {
             from,
@@ -267,14 +238,6 @@ pub fn decode(payload: &[u8]) -> Result<Message, NetError> {
             id: r.u64()?,
             length: r.i64()?,
             order: r.order()?,
-        },
-        TAG_HUB_CLAIM => Message::HubClaim {
-            from: r.node()?,
-            epoch: r.u64()?,
-        },
-        TAG_LOG_SNAPSHOT => Message::LogSnapshot {
-            from: r.node()?,
-            entries: r.entries()?,
         },
         TAG_TELEMETRY => Message::Telemetry {
             from: r.node()?,
@@ -420,34 +383,6 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn entries(&mut self) -> Result<Vec<LogEntry>, NetError> {
-        let n = self.count(LOG_ENTRY_SIZE)?;
-        (0..n).map(|_| self.log_entry()).collect()
-    }
-
-    fn log_entry(&mut self) -> Result<LogEntry, NetError> {
-        let (kind, a, b) = (self.u8()?, self.u64()?, self.u64()?);
-        Ok(match kind {
-            KIND_JOIN => LogEntry::Join {
-                node: a as usize,
-                epoch: b,
-            },
-            KIND_DOWN => LogEntry::Down {
-                node: a as usize,
-                inc: b,
-            },
-            KIND_REJOIN => LogEntry::Rejoin {
-                node: a as usize,
-                inc: b,
-            },
-            KIND_REPAIR => LogEntry::Repair {
-                a: a as usize,
-                b: b as usize,
-            },
-            k => return Err(NetError::Codec(format!("unknown log-entry kind {k}"))),
-        })
-    }
-
     /// One `(name, value)` section of a Telemetry payload: a `u32` entry
     /// count, then per entry a `u16`-length-prefixed UTF-8 name of at
     /// most [`MAX_METRIC_NAME`] bytes and a value read by `value`.
@@ -541,50 +476,6 @@ mod tests {
             length: 4242,
             order: (0..33).rev().collect(),
         });
-    }
-
-    #[test]
-    fn roundtrip_election_variants() {
-        roundtrip(Message::HubClaim {
-            from: 3,
-            epoch: u64::MAX,
-        });
-        roundtrip(Message::LogSnapshot {
-            from: 7,
-            entries: vec![],
-        });
-        roundtrip(Message::LogSnapshot {
-            from: 1,
-            entries: vec![
-                LogEntry::Join { node: 0, epoch: 0 },
-                LogEntry::Down { node: 3, inc: 2 },
-                LogEntry::Rejoin { node: 3, inc: 2 },
-                LogEntry::Repair { a: 1, b: 7 },
-            ],
-        });
-    }
-
-    #[test]
-    fn rejects_bad_log_entries() {
-        // Unknown entry kind byte.
-        let mut bad = vec![TAG_LOG_SNAPSHOT];
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.push(99); // not a valid kind
-        bad.extend_from_slice(&0u64.to_le_bytes());
-        bad.extend_from_slice(&0u64.to_le_bytes());
-        assert!(decode(&bad).is_err());
-        // Entry count larger than the bytes present.
-        let mut short = vec![TAG_LOG_SNAPSHOT];
-        short.extend_from_slice(&1u64.to_le_bytes());
-        short.extend_from_slice(&3u32.to_le_bytes());
-        short.extend_from_slice(&[0u8; LOG_ENTRY_SIZE]); // only one entry
-        assert!(decode(&short).is_err());
-        // HubClaim with a truncated epoch.
-        let mut claim = vec![TAG_HUB_CLAIM];
-        claim.extend_from_slice(&1u64.to_le_bytes());
-        claim.extend_from_slice(&[0u8; 4]);
-        assert!(decode(&claim).is_err());
     }
 
     fn sample_telemetry() -> Message {

@@ -265,8 +265,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     // Liveness observations must pass through: without this the
     // decorator inherited the trait's empty default and silently
     // swallowed the inner transport's peer-down notifications, so a
-    // node behind fault injection could never trigger clique repair
-    // or a hub election.
+    // node behind fault injection could never see a peer die.
     fn take_peer_downs(&mut self) -> Vec<NodeId> {
         self.inner.take_peer_downs()
     }

@@ -17,16 +17,14 @@
 //!   telemetry plane and job admission. This is the deployment path the
 //!   paper's Java system used.
 //!
-//! Membership after a death is repaired in-band: every node folds the
-//! gossiped facts into a replicated [`election::Replica`] and applies
-//! the [`topology::Membership`] repair rule, with no hub round trip.
-//!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in
-//! [`topology`] for the ablation experiments.
+//! [`topology`] for the ablation experiments, with the
+//! [`topology::Membership`] repair rule the lockstep churn driver
+//! applies after a death. As in the paper, the nodes elect no hub
+//! among themselves.
 
 pub mod codec;
 pub mod delay;
-pub mod election;
 pub mod fault;
 pub mod hub;
 pub mod memory;
@@ -37,7 +35,6 @@ pub mod topology;
 pub mod transport;
 pub mod util;
 
-pub use election::{ElectionState, LogEntry, MembershipLog, Replica};
 pub use fault::{FaultConfig, FaultyTransport};
 pub use memory::InMemoryNetwork;
 pub use message::{broadcast_id, job_id, Message, NodeId};

@@ -83,32 +83,13 @@ pub enum Message {
         /// Visiting order.
         order: Vec<u32>,
     },
-    /// `HUB_CLAIM(epoch)`: node `from` claims (or is relayed to have
-    /// claimed) the lifecycle-hub role at `epoch`. Receivers accept
-    /// iff the epoch is newer — or equally new with a lower claimer
-    /// id — and forward accepted claims; stale hubs step down (see
-    /// [`crate::election`]).
-    HubClaim {
-        /// Claiming node (not necessarily the transport-level sender:
-        /// claims are relayable facts).
-        from: NodeId,
-        /// Fencing epoch of the claim.
-        epoch: u64,
-    },
-    /// A batch of replicated membership-log entries: either a gossip
-    /// delta (the entries that just changed a replica's state) or a
-    /// full log snapshot for a rejoiner rebuilding its replica.
-    LogSnapshot {
-        /// Sending node.
-        from: NodeId,
-        /// Log entries, oldest first.
-        entries: Vec<crate::election::LogEntry>,
-    },
-    /// Periodic live-telemetry shipment from a node to the current
-    /// hub: metric deltas, recent events, and anytime convergence
-    /// state. The hub folds these into its cluster-merged live
-    /// registry (`METRICS`/`STATUS` scrapes) and estimates the
-    /// sender's clock offset from `t_ns` + the measured RTT.
+    /// Periodic live-telemetry shipment from a node to the cluster's
+    /// aggregation point (node 0 over the peer transport, or the hub's
+    /// `TELEMETRY` command): metric deltas, recent events, and anytime
+    /// convergence state. The receiver folds these into its
+    /// cluster-merged live registry (`METRICS`/`STATUS` scrapes) and
+    /// estimates the sender's clock offset from `t_ns` + the measured
+    /// RTT.
     Telemetry {
         /// Reporting node.
         from: NodeId,
@@ -263,8 +244,6 @@ impl Message {
             | Message::Pong { from, .. }
             | Message::BestRequest { from }
             | Message::BestReply { from, .. }
-            | Message::HubClaim { from, .. }
-            | Message::LogSnapshot { from, .. }
             | Message::Telemetry { from, .. }
             | Message::ShardResult { from, .. }
             | Message::JobSubmit { from, .. }
@@ -374,39 +353,6 @@ mod tests {
             loaded.wire_size() - empty.wire_size(),
             (2 + 2 + 8) + (2 + 3 + 8) + 3
         );
-    }
-
-    #[test]
-    fn from_extracts_sender_election_messages() {
-        use crate::election::LogEntry;
-        assert_eq!(Message::HubClaim { from: 3, epoch: 2 }.from(), 3);
-        assert_eq!(
-            Message::LogSnapshot {
-                from: 4,
-                entries: vec![LogEntry::Down { node: 1, inc: 0 }]
-            }
-            .from(),
-            4
-        );
-    }
-
-    #[test]
-    fn election_wire_sizes() {
-        use crate::election::LogEntry;
-        assert_eq!(Message::HubClaim { from: 0, epoch: 0 }.wire_size(), 17);
-        let empty = Message::LogSnapshot {
-            from: 0,
-            entries: vec![],
-        };
-        let two = Message::LogSnapshot {
-            from: 0,
-            entries: vec![
-                LogEntry::Join { node: 0, epoch: 0 },
-                LogEntry::Repair { a: 1, b: 2 },
-            ],
-        };
-        assert_eq!(empty.wire_size(), 13);
-        assert_eq!(two.wire_size() - empty.wire_size(), 2 * 17);
     }
 
     #[test]

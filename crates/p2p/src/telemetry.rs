@@ -3,7 +3,7 @@
 //!
 //! Nodes periodically build a [`Message::Telemetry`] frame — metric
 //! *deltas* since the previous shipment, recent events, and anytime
-//! convergence state — and send it to the current hub. The hub folds
+//! convergence state — and send it to the hub (node 0). The hub folds
 //! every frame into a [`TelemetryStore`]: counters accumulate, gauges
 //! are replaced per node, events are re-stamped onto the hub's
 //! timeline using a clock offset estimated from the frame's send
@@ -69,8 +69,8 @@ struct StoreState {
 
 /// The hub's cluster-merged live telemetry registry. Shared (via
 /// `Arc`) between the lifecycle hub's scrape commands and whatever
-/// ingests frames — the hub's own TCP handler, or a node driver that
-/// currently holds the hub role in an in-process run.
+/// ingests frames — the hub's own TCP handler, or the node driver it
+/// is attached to (node 0, or every node in an in-process run).
 pub struct TelemetryStore {
     start: Instant,
     state: Mutex<StoreState>,

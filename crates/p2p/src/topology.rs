@@ -5,9 +5,8 @@
 //! experiments. [`Membership`] tracks which nodes are alive in a
 //! long-running network and computes the self-healing repair edges
 //! that keep the topology connected when a node dies (the
-//! dimension-neighbor fallback): the shared rule used by both the
-//! replicated membership view ([`crate::election::Replica`]) and the
-//! lockstep churn driver, so the two degrade identically.
+//! dimension-neighbor fallback). The lockstep churn driver applies it
+//! between rounds.
 
 use std::collections::BTreeSet;
 
@@ -91,8 +90,8 @@ impl Topology {
 /// hurt connectivity and keeping them makes repairs idempotent).
 ///
 /// All sets are `BTreeSet`s so iteration order — and therefore every
-/// repair assignment a replica or the lockstep churn driver derives —
-/// is deterministic.
+/// repair assignment the lockstep churn driver derives — is
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct Membership {
     topo: Topology,
@@ -148,7 +147,7 @@ impl Membership {
     /// Declare `dead` down and rewire around it.
     ///
     /// Returns the repair group — the dead node's alive neighbors, now
-    /// wired into a clique — so the caller (replica or churn driver) can
+    /// wired into a clique — so the caller (the churn driver) can
     /// push `connect` assignments to exactly those nodes. Idempotent:
     /// reporting the same death twice returns an empty group.
     pub fn fail(&mut self, dead: NodeId) -> Vec<NodeId> {
@@ -192,20 +191,6 @@ impl Membership {
             self.adj[v].insert(id);
         }
         back
-    }
-
-    /// Insert the undirected edge `a — b` directly (used when replaying
-    /// `REPAIR` entries from a replicated membership log, where the
-    /// repair edges arrive as facts rather than being re-derived from a
-    /// death). Returns `true` if the edge was new in either direction;
-    /// out-of-range or self edges are ignored.
-    pub fn wire(&mut self, a: NodeId, b: NodeId) -> bool {
-        if a == b || a >= self.n || b >= self.n {
-            return false;
-        }
-        let fresh_a = self.adj[a].insert(b);
-        let fresh_b = self.adj[b].insert(a);
-        fresh_a || fresh_b
     }
 
     /// Is the alive subgraph (with repair edges) connected?
@@ -393,18 +378,6 @@ mod tests {
         // lowest-id alive node.
         assert_eq!(m.rejoin(3), vec![1]);
         assert!(m.alive_connected());
-    }
-
-    #[test]
-    fn membership_wire_inserts_symmetric_edges_once() {
-        let mut m = Membership::new(Topology::Ring, 6);
-        assert!(m.wire(0, 3));
-        assert!(!m.wire(3, 0), "re-wiring the same edge is a no-op");
-        assert!(m.neighbors(0).contains(&3));
-        assert!(m.neighbors(3).contains(&0));
-        // Degenerate edges are rejected.
-        assert!(!m.wire(2, 2));
-        assert!(!m.wire(0, 17));
     }
 
     #[test]

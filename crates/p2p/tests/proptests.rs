@@ -3,29 +3,8 @@
 //! arbitrary bytes (it parses data from the network).
 
 use p2p::codec::{decode, encode, read_frame, write_frame};
-use p2p::{LogEntry, Message};
+use p2p::Message;
 use proptest::prelude::*;
-
-fn arb_log_entry() -> impl Strategy<Value = LogEntry> {
-    prop_oneof![
-        (any::<u16>(), any::<u64>()).prop_map(|(node, epoch)| LogEntry::Join {
-            node: node as usize,
-            epoch,
-        }),
-        (any::<u16>(), any::<u64>()).prop_map(|(node, inc)| LogEntry::Down {
-            node: node as usize,
-            inc,
-        }),
-        (any::<u16>(), any::<u64>()).prop_map(|(node, inc)| LogEntry::Rejoin {
-            node: node as usize,
-            inc,
-        }),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| LogEntry::Repair {
-            a: a as usize,
-            b: b as usize,
-        }),
-    ]
-}
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
@@ -64,16 +43,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 length,
                 order,
             }),
-        (any::<u16>(), any::<u64>()).prop_map(|(from, epoch)| Message::HubClaim {
-            from: from as usize,
-            epoch,
-        }),
-        (any::<u16>(), prop::collection::vec(arb_log_entry(), 0..64)).prop_map(
-            |(from, entries)| Message::LogSnapshot {
-                from: from as usize,
-                entries,
-            }
-        ),
         arb_telemetry(),
         arb_job_message(),
     ]
@@ -398,28 +367,13 @@ fn memory_pair() -> (p2p::memory::MemoryEndpoint, p2p::memory::MemoryEndpoint) {
     (a, b)
 }
 
-fn arb_election_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        (any::<u16>(), any::<u64>()).prop_map(|(f, e)| Message::HubClaim {
-            from: f as usize,
-            epoch: e,
-        }),
-        (any::<u16>(), prop::collection::vec(arb_log_entry(), 0..16)).prop_map(
-            |(f, entries)| Message::LogSnapshot {
-                from: f as usize,
-                entries,
-            }
-        ),
-    ]
-}
-
 proptest! {
-    /// Election frames (`HubClaim`, `LogSnapshot`) delivered through a
-    /// fault-free decorator arrive intact and in order — the decorator
-    /// adds no serialization artifacts of its own.
+    /// Frames delivered through a fault-free decorator arrive intact
+    /// and in order — the decorator adds no serialization artifacts of
+    /// its own.
     #[test]
-    fn election_frames_pass_faultfree_transport(
-        msgs in prop::collection::vec(arb_election_message(), 0..16),
+    fn frames_pass_faultfree_transport(
+        msgs in prop::collection::vec(arb_message(), 0..16),
         seed in any::<u64>(),
     ) {
         use p2p::{FaultConfig, FaultyTransport, Transport};
@@ -431,23 +385,20 @@ proptest! {
         prop_assert_eq!(b.drain(), msgs);
     }
 
-    /// Wire-level corruption of election frames is either caught by
-    /// the codec (frame discarded) or survives as a structurally valid
-    /// message — never a panic, and every frame is accounted for.
+    /// Wire-level corruption of frames is either caught by the codec
+    /// (frame discarded) or survives as a structurally valid message —
+    /// never a panic, and every frame is accounted for.
     #[test]
-    fn corrupt_election_frames_are_rejected_or_valid(
-        snapshots in prop::collection::vec(
-            prop::collection::vec(arb_log_entry(), 0..16),
-            1..20,
-        ),
+    fn corrupt_frames_are_rejected_or_valid(
+        msgs in prop::collection::vec(arb_message(), 1..20),
         seed in any::<u64>(),
     ) {
         use p2p::{FaultConfig, FaultyTransport, Transport};
         let (mut a, b) = memory_pair();
         let mut b = FaultyTransport::new(b, FaultConfig::corrupt_rate(1.0, seed));
-        let sent = snapshots.len() as u64;
-        for entries in snapshots {
-            a.send(1, Message::LogSnapshot { from: 0, entries }).unwrap();
+        let sent = msgs.len() as u64;
+        for m in msgs {
+            a.send(1, m).unwrap();
         }
         let got = b.drain();
         let s = b.stats();
