@@ -310,10 +310,10 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 Construction::SpaceFilling,
             ][id % 4];
         }
-        // The engine picks the tour representation by instance size
-        // (array below `tl_threshold`, two-level above), so large
-        // distributed runs get O(√n) flips without any per-call-site
-        // opt-in.
+        // The engine picks the representation by instance size: the
+        // array in the node's labels below `tl_threshold`, the array on
+        // Hilbert-ordered cities at or above it (same decisions, fewer
+        // cache misses), with no per-call-site opt-in.
         let mut engine = ClkEngine::auto(inst, neighbors, clk_cfg);
         engine.attach_obs(obs.clone());
         let watch = Stopwatch::start();

@@ -12,10 +12,11 @@
 //!
 //! Every search method is generic over [`TourOps`], so the whole chain
 //! (construct → LK → kick → re-optimize) runs on either the array
-//! [`Tour`] or the [`TwoLevelList`]; [`ClkEngine`] picks the
-//! representation by instance size and hides the dispatch.
+//! [`Tour`] or the [`TwoLevelList`], and on the caller's city labels or
+//! on cities renumbered along a Hilbert curve (module `spatial`);
+//! [`ClkEngine`] picks by instance size and hides the dispatch.
 
-use obs_api::{Counter, Histogram, Obs};
+use obs_api::{kinds, Counter, Histogram, Obs};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
@@ -45,17 +46,15 @@ pub struct ChainedLkConfig {
     /// every node builds its lists from this knob, so all nodes must
     /// agree on it (see [`ChainedLkConfig::build_neighbors`]).
     pub candidates: CandidateKind,
-    /// Instance size at which [`ClkEngine::auto`] switches from the
-    /// array tour to the two-level list. Array flips are O(n) but
-    /// cache-friendly, two-level flips O(√n). The default dates from the
-    /// engine that flipped every tentative LK step (break-even near 20k
-    /// cities then). Now that only committed chains flip there is no
-    /// clean crossover: the array runs the first pass 10–35 % faster up
-    /// to 200k cities, the two-level list has the cheaper kick-step tail
-    /// (p90 1.3–1.5× lower) from 50k — EXPERIMENTS.md, "Array vs
-    /// two-level after the virtual-path search". Moving the constant is
-    /// ROADMAP item 1's open decision, deliberately not taken with the
-    /// engine change.
+    /// Instance size at which [`ClkEngine::auto`] moves the search to
+    /// spatial labels: a geometric instance of at least this many cities
+    /// runs on the array tour over cities renumbered along a Hilbert
+    /// curve (module `spatial`), every decision unchanged; a matrix
+    /// instance that large runs on the two-level list. Below it the
+    /// search runs on the array tour in the caller's labels. At 50k
+    /// uniform cities the renumbering takes 13–17 % off the solve and
+    /// 21–26 % off the time to a 103 % tour against the two-level list —
+    /// EXPERIMENTS.md, "Spatial city labels".
     pub tl_threshold: usize,
     /// RNG seed.
     pub seed: u64,
@@ -117,8 +116,9 @@ pub struct Progress<'a> {
 }
 
 impl Progress<'_> {
-    /// The tour itself. Built on request — O(n) on the two-level list —
-    /// so a consumer that only watches lengths pays nothing for it.
+    /// The tour itself, in the caller's labels. Built on request — an
+    /// O(n) walk, which also maps spatial labels back — so a consumer
+    /// that only watches lengths pays nothing for it.
     pub fn tour(&self) -> Tour {
         (self.tour)()
     }
@@ -143,7 +143,6 @@ impl Progress<'_> {
 /// ```
 pub struct ChainedLk<'a> {
     inst: &'a Instance,
-    neighbors: &'a NeighborLists,
     opt: Optimizer<'a>,
     lk: LinKernighan,
     cfg: ChainedLkConfig,
@@ -220,6 +219,13 @@ struct Probes {
     /// Kicks attempted / kicks whose result was kept.
     c_kicks: Counter,
     c_accepts: Counter,
+    /// Exact search work (LK anchors, probes and committed steps, Or-opt
+    /// probes), flushed once per [`ChainedLk::optimize`] and
+    /// [`ChainedLk::chain_step`].
+    c_lk_anchors: Counter,
+    c_lk_probes: Counter,
+    c_lk_steps: Counter,
+    c_or_probes: Counter,
 }
 
 impl Probes {
@@ -232,6 +238,10 @@ impl Probes {
             h_construct_ns: obs.histogram("clk.construct.ns"),
             c_kicks: obs.counter("clk.kicks"),
             c_accepts: obs.counter("clk.accepts"),
+            c_lk_anchors: obs.counter(kinds::C_LK_ANCHORS),
+            c_lk_probes: obs.counter(kinds::C_LK_PROBES),
+            c_lk_steps: obs.counter(kinds::C_LK_STEPS),
+            c_or_probes: obs.counter(kinds::C_OROPT_PROBES),
         }
     }
 }
@@ -240,13 +250,17 @@ impl<'a> ChainedLk<'a> {
     /// Create an engine. `neighbors` must cover the same instance.
     /// Observability is off until [`ChainedLk::attach_obs`].
     pub fn new(inst: &'a Instance, neighbors: &'a NeighborLists, cfg: ChainedLkConfig) -> Self {
+        Self::on(inst, cfg, Optimizer::new(inst, neighbors))
+    }
+
+    /// An engine whose search runs in `opt`'s labels.
+    fn on(inst: &'a Instance, cfg: ChainedLkConfig, opt: Optimizer<'a>) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let obs = Obs::disabled();
         let probes = Probes::resolve(&obs);
         ChainedLk {
             inst,
-            neighbors,
-            opt: Optimizer::new(inst, neighbors),
+            opt,
             lk: LinKernighan::new(cfg.lk.clone()),
             cfg,
             rng,
@@ -305,9 +319,19 @@ impl<'a> ChainedLk<'a> {
             self.opt.activate_all();
             gain += g2 + lk_pass(&mut self.lk, &mut self.opt, tour);
         }
+        self.flush_work();
         t.observe_into(&self.probes.h_call_ns);
         self.probes.h_call_gain.observe(gain.max(0) as u64);
         gain
+    }
+
+    /// Move the work counted since the last flush into the counters.
+    fn flush_work(&mut self) {
+        let work = self.lk.take_work();
+        self.probes.c_lk_anchors.add(work.anchors);
+        self.probes.c_lk_probes.add(work.probes);
+        self.probes.c_lk_steps.add(work.steps);
+        self.probes.c_or_probes.add(self.opt.take_or_probes());
     }
 
     /// LK-optimize, then Or-opt, only around the given seed cities (after
@@ -336,6 +360,9 @@ impl<'a> ChainedLk<'a> {
     /// step's flip journal backwards, so a chained iteration costs only
     /// the local search: nothing in it walks, copies or rebuilds the
     /// tour.
+    ///
+    /// `tour` is in the labels of the engine's search: the caller's for
+    /// an engine from [`ChainedLk::new`].
     pub fn chain_step<R: TourRep>(&mut self, tour: &mut R, current_len: i64) -> i64 {
         let t = self.obs.timer();
         // Out of `self` for the step: the logged tour goes through
@@ -346,15 +373,15 @@ impl<'a> ChainedLk<'a> {
             tour: &mut *tour,
             log: &mut journal,
         };
-        let Some(k) = kick(self.cfg.kick, self.inst, &mut logged, self.neighbors, &mut self.rng)
-        else {
+        let Some(k) = kick(self.cfg.kick, &self.opt, &mut logged, &mut self.rng) else {
             self.journal = journal;
             return current_len;
         };
         self.probes.c_kicks.incr();
         let opt_gain = self.optimize_around(&mut logged, &k.cities);
+        self.flush_work();
         let new_len = current_len + k.delta - opt_gain;
-        debug_assert_eq!(new_len, tour.tour_length(self.inst));
+        debug_assert_eq!(new_len, tour.tour_length(self.opt.instance()));
         self.probes.h_step_flips.observe(journal.len() as u64);
         if new_len <= current_len {
             self.probes.c_accepts.incr();
@@ -379,7 +406,7 @@ impl<'a> ChainedLk<'a> {
         stop: &mut dyn FnMut(i64) -> bool,
     ) -> i64 {
         let before = tour.length(self.inst);
-        let mut rep = R::from_tour(tour);
+        let mut rep: R = self.opt.rep_in(tour);
         let gain = self.optimize(&mut rep);
         let mut len = before - gain;
         for _ in 0..kicks {
@@ -388,7 +415,7 @@ impl<'a> ChainedLk<'a> {
             }
             len = self.chain_step(&mut rep, len);
         }
-        *tour = rep.to_tour();
+        *tour = self.opt.tour_out(&rep);
         len
     }
 
@@ -420,13 +447,15 @@ impl<'a> ChainedLk<'a> {
                 tour,
             });
         };
+        // Constructed on the caller's instance and reported before the
+        // search's labels are even looked at.
         let start = self.construct_tour();
         let before = start.length(self.inst);
         report(0, before, &|| start.clone());
-        let mut rep = R::from_tour(&start);
+        let mut rep: R = self.opt.rep_in(&start);
         let mut best_len = before - self.optimize(&mut rep);
         if best_len < before {
-            report(0, best_len, &|| rep.to_tour());
+            report(0, best_len, &|| self.opt.tour_out(&rep));
         }
         let mut kicks = 0u64;
 
@@ -435,10 +464,10 @@ impl<'a> ChainedLk<'a> {
             kicks += 1;
             if new_len < best_len {
                 best_len = new_len;
-                report(kicks, best_len, &|| rep.to_tour());
+                report(kicks, best_len, &|| self.opt.tour_out(&rep));
             }
         }
-        let tour = rep.to_tour();
+        let tour = self.opt.tour_out(&rep);
         debug_assert_eq!(tour.length(self.inst), best_len);
         ClkResult {
             length: best_len,
@@ -457,12 +486,16 @@ impl<'a> ChainedLk<'a> {
 
 /// A [`ChainedLk`] plus a tour-representation choice.
 ///
-/// Callers that should not care about the array-vs-two-level decision
-/// (the distributed node driver, benchmarks, pipelines) go through this
-/// wrapper: [`ClkEngine::auto`] picks the two-level list for instances
-/// of at least [`ChainedLkConfig::tl_threshold`] cities, and every
-/// method dispatches to the chosen representation internally while
-/// keeping an array-`Tour` interface at the boundary.
+/// Callers that should not care about the representation (the
+/// distributed node driver, benchmarks, pipelines) go through this
+/// wrapper. [`ClkEngine::auto`] keeps instances below
+/// [`ChainedLkConfig::tl_threshold`] cities on the array tour in the
+/// caller's labels. A geometric instance at or above it runs on the
+/// array tour over Hilbert-ordered cities (module `spatial`), a matrix
+/// instance on the two-level list. Every method keeps an array-`Tour`
+/// interface in the caller's labels at the boundary, and the three
+/// choices take the same decisions: tours, lengths, kicks and traces are
+/// identical whichever runs.
 pub struct ClkEngine<'a> {
     inner: ChainedLk<'a>,
     two_level: bool,
@@ -471,15 +504,20 @@ pub struct ClkEngine<'a> {
 impl<'a> ClkEngine<'a> {
     /// Create an engine, selecting the representation by instance size.
     pub fn auto(inst: &'a Instance, neighbors: &'a NeighborLists, cfg: ChainedLkConfig) -> Self {
-        let two_level = inst.len() >= cfg.tl_threshold;
+        if inst.len() < cfg.tl_threshold {
+            return Self::with_representation(inst, neighbors, cfg, false);
+        }
+        if !inst.metric().is_geometric() {
+            return Self::with_representation(inst, neighbors, cfg, true);
+        }
         ClkEngine {
-            inner: ChainedLk::new(inst, neighbors, cfg),
-            two_level,
+            inner: ChainedLk::on(inst, cfg, Optimizer::spatial(inst, neighbors)),
+            two_level: false,
         }
     }
 
-    /// Create an engine with an explicit representation (benchmarks
-    /// force both to measure the crossover).
+    /// Create an engine on the caller's labels with an explicit
+    /// representation (benchmarks force both to measure the crossover).
     pub fn with_representation(
         inst: &'a Instance,
         neighbors: &'a NeighborLists,
@@ -492,10 +530,13 @@ impl<'a> ClkEngine<'a> {
         }
     }
 
-    /// Name of the active representation (`"array"` / `"twolevel"`).
+    /// Name of the active representation: `"array"`, `"twolevel"`, or
+    /// `"spatial"` for the array on Hilbert-ordered cities.
     pub fn representation(&self) -> &'static str {
         if self.two_level {
             TwoLevelList::NAME
+        } else if self.inner.opt.is_spatial() {
+            "spatial"
         } else {
             Tour::NAME
         }
@@ -527,13 +568,20 @@ impl<'a> ClkEngine<'a> {
     }
 
     /// Fully LK-optimize `tour` in the chosen representation. Returns
-    /// the new length.
+    /// the new length. On the array every city ends where the flips put
+    /// it, in either label space; the two-level list hands `tour` back
+    /// in the order of its segment layout.
     pub fn optimize_tour(&mut self, tour: &mut Tour) -> i64 {
         let before = tour.length(self.inner.inst);
         if self.two_level {
             let mut rep = TwoLevelList::from_tour(tour);
             let gain = self.inner.optimize(&mut rep);
             *tour = rep.to_tour();
+            before - gain
+        } else if self.inner.opt.is_spatial() {
+            let mut rep: Tour = self.inner.opt.rep_in(tour);
+            let gain = self.inner.optimize(&mut rep);
+            *tour = self.inner.opt.array_out(&rep);
             before - gain
         } else {
             before - self.inner.optimize(tour)
@@ -761,7 +809,14 @@ mod tests {
             tl_threshold: 50,
             ..Default::default()
         };
-        let big = ClkEngine::auto(&inst, &nl, cfg);
+        let big = ClkEngine::auto(&inst, &nl, cfg.clone());
+        assert_eq!(big.representation(), "spatial");
+        // A matrix has no coordinates to order along a curve.
+        let n = inst.len();
+        let matrix = (0..n * n).map(|i| inst.dist(i / n, i % n)).collect();
+        let explicit = Instance::explicit("m", matrix, n);
+        let nl = NeighborLists::build(&explicit, 8);
+        let big = ClkEngine::auto(&explicit, &nl, cfg);
         assert_eq!(big.representation(), "twolevel");
     }
 

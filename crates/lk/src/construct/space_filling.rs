@@ -34,6 +34,17 @@ fn hilbert_d(order: u32, mut x: u32, mut y: u32) -> u64 {
 ///
 /// Panics on non-geometric instances.
 pub fn space_filling(inst: &Instance) -> Tour {
+    Tour::from_order(hilbert_order(inst))
+}
+
+/// The cities sorted by their Hilbert index over the bounding box, ties
+/// (cities in one grid cell) by id: a permutation of `0..n` that depends
+/// on the coordinates alone.
+///
+/// # Panics
+///
+/// Panics on non-geometric instances.
+pub(crate) fn hilbert_order(inst: &Instance) -> Vec<u32> {
     assert!(inst.metric().is_geometric(), "needs coordinates");
     const ORDER: u32 = 16;
     let side = (1u32 << ORDER) - 1;
@@ -58,7 +69,7 @@ pub fn space_filling(inst: &Instance) -> Tour {
         })
         .collect();
     keyed.sort_unstable();
-    Tour::from_order(keyed.into_iter().map(|(_, i)| i).collect())
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use rand::Rng;
 use tsp_core::{Instance, NeighborLists, TourOps};
 
-use crate::search::two_opt_by_edges;
+use crate::search::{two_opt_by_edges, Optimizer};
 
 /// Which kicking strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,7 +92,20 @@ pub fn select_kick_cities<T: TourOps, R: Rng>(
     neighbors: &NeighborLists,
     rng: &mut R,
 ) -> Option<[usize; 4]> {
-    let n = tour.len();
+    let drawn = draw_kick_cities(strategy, inst, neighbors, tour.len(), rng)?;
+    Some(tour_order_cities(tour, drawn))
+}
+
+/// Draw four distinct cities of a tour of `n` cities for a kick, in the
+/// labels of `inst` and `neighbors`, in draw order; `None` if a distinct
+/// quadruple could not be found (tiny instances).
+fn draw_kick_cities<R: Rng>(
+    strategy: KickStrategy,
+    inst: &Instance,
+    neighbors: &NeighborLists,
+    n: usize,
+    rng: &mut R,
+) -> Option<[usize; 4]> {
     if n < 8 {
         return None;
     }
@@ -150,7 +163,7 @@ pub fn select_kick_cities<T: TourOps, R: Rng>(
             .iter()
             .all(|&c| cities.iter().filter(|&&o| o == c).count() == 1);
         if distinct {
-            return Some(tour_order_cities(tour, cities));
+            return Some(cities);
         }
     }
     None
@@ -263,20 +276,27 @@ pub fn double_bridge_by_cities<T: TourOps>(
     Some(delta)
 }
 
-/// Apply one kick of the given strategy. Returns the cut cities and the
-/// exact length delta, or `None` if the tour was too small or the
-/// 4-exchange degenerated to a no-op. A reported kick always changed at
-/// least one tour edge, so acceptance counters and kick-strength
-/// histograms never record phantom perturbations.
+/// Apply one kick of the given strategy to `tour`, which is in the
+/// labels of `opt`'s search. Returns the cut cities and the exact length
+/// delta, or `None` if the tour was too small or the 4-exchange
+/// degenerated to a no-op. A reported kick always changed at least one
+/// tour edge, so acceptance counters and kick-strength histograms never
+/// record phantom perturbations.
+///
+/// The cities are drawn in the caller's labels, from the caller's
+/// instance and candidate rows, and only the four drawn cities are
+/// mapped into the search's labels: the same RNG stream kicks the same
+/// cities whatever labels the search runs on.
 pub fn kick<T: TourOps, R: Rng>(
     strategy: KickStrategy,
-    inst: &Instance,
+    opt: &Optimizer<'_>,
     tour: &mut T,
-    neighbors: &NeighborLists,
     rng: &mut R,
 ) -> Option<Kick> {
-    let cities = select_kick_cities(strategy, inst, tour, neighbors, rng)?;
-    let delta = double_bridge_by_cities(inst, tour, cities)?;
+    let (inst, neighbors) = opt.caller();
+    let drawn = draw_kick_cities(strategy, inst, neighbors, tour.len(), rng)?;
+    let cities = tour_order_cities(tour, drawn.map(|l| opt.city(l)));
+    let delta = double_bridge_by_cities(opt.instance(), tour, cities)?;
     Some(Kick { cities, delta })
 }
 
@@ -296,11 +316,12 @@ mod tests {
     #[test]
     fn all_strategies_produce_valid_kicks() {
         let (inst, nl, mut tour) = setup(100);
+        let opt = Optimizer::new(&inst, &nl);
         let mut rng = SmallRng::seed_from_u64(1);
         for strategy in KickStrategy::ALL {
             for _ in 0..20 {
                 let before = tour.length(&inst);
-                let k = kick(strategy, &inst, &mut tour, &nl, &mut rng);
+                let k = kick(strategy, &opt, &mut tour, &mut rng);
                 let k = k.expect("kick on 100 cities");
                 assert!(tour.is_valid(), "{strategy:?}");
                 assert_eq!(tour.length(&inst), before + k.delta, "{strategy:?}");
@@ -311,11 +332,12 @@ mod tests {
     #[test]
     fn kick_changes_exactly_up_to_4_edges() {
         let (inst, nl, mut tour) = setup(64);
+        let opt = Optimizer::new(&inst, &nl);
         let mut rng = SmallRng::seed_from_u64(2);
         for strategy in KickStrategy::ALL {
             let before: std::collections::HashSet<(usize, usize)> =
                 tour.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
-            kick(strategy, &inst, &mut tour, &nl, &mut rng).unwrap();
+            kick(strategy, &opt, &mut tour, &mut rng).unwrap();
             let after: std::collections::HashSet<(usize, usize)> =
                 tour.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
             assert!(before.difference(&after).count() <= 4, "{strategy:?}");
@@ -471,12 +493,13 @@ mod tests {
     #[test]
     fn reported_kicks_change_at_least_one_edge() {
         let (inst, nl, mut tour) = setup(64);
+        let opt = Optimizer::new(&inst, &nl);
         let mut rng = SmallRng::seed_from_u64(12);
         for strategy in KickStrategy::ALL {
             for _ in 0..25 {
                 let before: std::collections::HashSet<(usize, usize)> =
                     tour.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
-                if kick(strategy, &inst, &mut tour, &nl, &mut rng).is_some() {
+                if kick(strategy, &opt, &mut tour, &mut rng).is_some() {
                     let after: std::collections::HashSet<(usize, usize)> =
                         tour.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
                     assert_ne!(before, after, "{strategy:?} reported a no-op kick");
@@ -489,6 +512,7 @@ mod tests {
     fn kicks_agree_across_representations() {
         let inst = generate::uniform(120, 10_000.0, 53);
         let nl = NeighborLists::build(&inst, 10);
+        let opt = Optimizer::new(&inst, &nl);
         let mut rng_a = SmallRng::seed_from_u64(7);
         let mut rng_b = SmallRng::seed_from_u64(7);
         let start = Tour::random(120, &mut SmallRng::seed_from_u64(8));
@@ -496,8 +520,8 @@ mod tests {
         let mut tl = TwoLevelList::from_tour(&start);
         for strategy in KickStrategy::ALL {
             for _ in 0..10 {
-                let ka = kick(strategy, &inst, &mut array, &nl, &mut rng_a).unwrap();
-                let kb = kick(strategy, &inst, &mut tl, &nl, &mut rng_b).unwrap();
+                let ka = kick(strategy, &opt, &mut array, &mut rng_a).unwrap();
+                let kb = kick(strategy, &opt, &mut tl, &mut rng_b).unwrap();
                 assert_eq!(ka.cities, kb.cities, "{strategy:?}");
                 assert_eq!(ka.delta, kb.delta, "{strategy:?}");
                 assert_eq!(

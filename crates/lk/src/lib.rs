@@ -12,6 +12,9 @@
 //! - [`lin_kernighan`] — the variable-depth LK search, run on a
 //!   [`vpath`] (the open path as runs of the untouched tour) so that
 //!   only committed chains flip the tour.
+//! - `spatial` — the search's cities renumbered along a Hilbert curve
+//!   for large instances, every decision still taken in the caller's
+//!   labels.
 //! - [`kick`] — the four double-bridge kicking strategies of §2.1:
 //!   Random, Geometric, Close, Random-walk.
 //! - [`candidates`] — candidate-list construction for the engine:
@@ -42,6 +45,7 @@ pub mod multilevel;
 pub mod or_opt;
 pub mod search;
 pub mod shard;
+mod spatial;
 pub mod tour_merge;
 pub mod two_opt;
 pub mod vpath;

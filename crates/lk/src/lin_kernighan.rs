@@ -117,11 +117,26 @@ impl Chain {
     }
 }
 
+/// Exact work counts of the LK search: what a change that claims to
+/// leave the search alone must leave alone, and what a faster search
+/// is measured per.
+#[derive(Debug, Default)]
+pub(crate) struct LkWork {
+    /// Anchors taken from the active queue.
+    pub(crate) anchors: u64,
+    /// Candidates that passed the gain and adjacency tests and had
+    /// their path successor looked up.
+    pub(crate) probes: u64,
+    /// Steps of committed chains (each one 2-opt move on the tour).
+    pub(crate) steps: u64,
+}
+
 /// The Lin-Kernighan searcher. Owns its scratch buffers so repeated
 /// calls allocate nothing.
 pub struct LinKernighan {
     cfg: LkConfig,
     chain: Chain,
+    work: LkWork,
 }
 
 impl LinKernighan {
@@ -130,12 +145,18 @@ impl LinKernighan {
         LinKernighan {
             cfg,
             chain: Chain::new(),
+            work: LkWork::default(),
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &LkConfig {
         &self.cfg
+    }
+
+    /// The work counted since the last call, and reset.
+    pub(crate) fn take_work(&mut self) -> LkWork {
+        std::mem::take(&mut self.work)
     }
 
     /// Try to improve the tour starting from anchor `t1`.
@@ -148,15 +169,31 @@ impl LinKernighan {
         tour: &mut T,
         t1: usize,
     ) -> i64 {
+        if opt.is_spatial() {
+            self.improve::<T, true>(opt, tour, t1)
+        } else {
+            self.improve::<T, false>(opt, tour, t1)
+        }
+    }
+
+    /// [`LinKernighan::improve_from`] compiled for one label space
+    /// (`SPATIAL` must say whether `opt` runs on spatial labels).
+    fn improve<T: TourOps, const SPATIAL: bool>(
+        &mut self,
+        opt: &mut Optimizer<'_>,
+        tour: &mut T,
+        t1: usize,
+    ) -> i64 {
         // Try both tour edges at t1 as the first removed edge.
         for first_side in 0..2 {
             self.chain.steps.clear();
             let last0 = self.chain.path.reset(tour, t1, first_side == 0);
-            let g0 = opt.dist(t1, last0);
-            let gain = self.step(opt, tour, t1, last0, g0, g0, 0, 1);
+            let g0 = opt.dist_in::<SPATIAL>(t1, last0);
+            let gain = self.step::<T, SPATIAL>(opt, tour, t1, last0, g0, g0, 0, 1);
             if gain > 0 {
                 // Commit: each step is the 2-opt move that closes the
                 // path it produced.
+                self.work.steps += self.chain.steps.len() as u64;
                 for &(c, v, last) in &self.chain.steps {
                     debug_assert!(!tour.has_edge(last, c));
                     two_opt_by_edges(tour, (c, v), (last, t1));
@@ -190,7 +227,7 @@ impl LinKernighan {
     /// caller's rewind, or the next `reset`, undoes them (linkern's
     /// `step_noback`).
     #[allow(clippy::too_many_arguments)]
-    fn step<T: TourOps>(
+    fn step<T: TourOps, const SPATIAL: bool>(
         &mut self,
         opt: &Optimizer<'_>,
         tour: &T,
@@ -203,12 +240,15 @@ impl LinKernighan {
     ) -> i64 {
         // Candidate ids and their cached metric distances: the pruning
         // test below never recomputes a distance from coordinates.
-        let (cands, cdists) = opt.neighbors().of_with_dists(last);
+        let (cands, cdists) = opt.candidates_in::<SPATIAL>(last);
         let breadth = self.cfg.breadth_at(depth);
         // Only a level that may try another candidate comes back to this
         // path; a one-candidate level leaves its failed step to its caller.
         let mark = (breadth > 1).then(|| self.chain.path.mark());
         let mut tried = 0usize;
+        // Probes of this level, counted in a register and added to the
+        // work counter on the way out.
+        let mut probes = 0u64;
         let (last_next, last_prev) = (tour.next(last), tour.prev(last));
 
         for ci in 0..cands.len() {
@@ -232,6 +272,7 @@ impl LinKernighan {
             // ... and remove only tour edges: (c, v), v being c's path
             // neighbour on the `last` side, is one iff it lies inside a
             // run (this also skips v == last).
+            probes += 1;
             let succ = self.chain.path.succ(tour, c);
             debug_assert_eq!(succ.across, self.chain.list_tabu(tour, t1, last, c));
             if succ.across {
@@ -239,8 +280,8 @@ impl LinKernighan {
             }
             let v = succ.city;
 
-            let d_c_v = opt.dist(c, v);
-            let d_v_t1 = opt.dist(v, t1);
+            let d_c_v = opt.dist_in::<SPATIAL>(c, v);
+            let d_v_t1 = opt.dist_in::<SPATIAL>(v, t1);
             let new_g = g + d_c_v - d_last_c;
             let new_l = l_delta + d_last_c + d_v_t1 - d_c_v - d_last_t1;
 
@@ -251,8 +292,10 @@ impl LinKernighan {
 
             // Recurse while the gain criterion holds.
             if new_g > 0 && depth < self.cfg.max_depth {
-                let deeper = self.step(opt, tour, t1, v, d_v_t1, new_g, new_l, depth + 1);
+                let deeper =
+                    self.step::<T, SPATIAL>(opt, tour, t1, v, d_v_t1, new_g, new_l, depth + 1);
                 if deeper > 0 {
+                    self.work.probes += probes;
                     return deeper;
                 }
             }
@@ -260,6 +303,7 @@ impl LinKernighan {
             // dropping the failed steps a breadth-1 level below left.
             if new_l < 0 {
                 self.chain.steps.truncate(depth);
+                self.work.probes += probes;
                 return -new_l;
             }
             if let Some(mark) = mark {
@@ -270,6 +314,7 @@ impl LinKernighan {
         if let Some(mark) = mark {
             self.chain.path.release(mark);
         }
+        self.work.probes += probes;
         0
     }
 }
@@ -278,9 +323,23 @@ impl LinKernighan {
 /// is used as anchor until no anchor yields an improving chain.
 /// Returns the total gain.
 pub fn lk_pass<T: TourOps>(lk: &mut LinKernighan, opt: &mut Optimizer<'_>, tour: &mut T) -> i64 {
+    if opt.is_spatial() {
+        pass::<T, true>(lk, opt, tour)
+    } else {
+        pass::<T, false>(lk, opt, tour)
+    }
+}
+
+/// [`lk_pass`] compiled for one label space.
+fn pass<T: TourOps, const SPATIAL: bool>(
+    lk: &mut LinKernighan,
+    opt: &mut Optimizer<'_>,
+    tour: &mut T,
+) -> i64 {
     let mut total = 0i64;
     while let Some(t1) = opt.pop_active() {
-        let gain = lk.improve_from(opt, tour, t1);
+        lk.work.anchors += 1;
+        let gain = lk.improve::<T, SPATIAL>(opt, tour, t1);
         if gain > 0 {
             total += gain;
         } else {

@@ -14,7 +14,12 @@ pub const MAX_SEGMENT: usize = 3;
 
 /// Try to relocate the segment of `len` cities starting at `s`
 /// (forward). Returns the gain and applies the move, or 0.
-fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len: usize) -> i64 {
+fn try_segment<T: TourOps, const SPATIAL: bool>(
+    opt: &mut Optimizer<'_>,
+    tour: &mut T,
+    s: usize,
+    len: usize,
+) -> i64 {
     let n = tour.len();
     if len + 2 >= n {
         return 0;
@@ -29,8 +34,9 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
     if p == e || q == s {
         return 0; // segment wraps the whole tour
     }
-    let removed = opt.dist(p, s) + opt.dist(e, q);
-    let bridge = opt.dist(p, q);
+    let dist = |a: usize, b: usize| opt.dist_in::<SPATIAL>(a, b);
+    let removed = dist(p, s) + dist(e, q);
+    let bridge = dist(p, q);
 
     // Candidate destinations: after city c (so the segment sits between
     // c and next(c)), with c drawn from the candidate lists of both
@@ -41,13 +47,15 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
     // orientation: distances are symmetric, so a second scan of the same
     // list, or the reversed insertion, would only repeat a rejected move.
     let single = s == e;
-    let (cands_s, dists_s) = opt.neighbors().of_with_dists(s);
+    let (cands_s, dists_s) = opt.candidates_in::<SPATIAL>(s);
     let (cands_e, dists_e) = if single {
         (&[][..], &[][..])
     } else {
-        opt.neighbors().of_with_dists(e)
+        opt.candidates_in::<SPATIAL>(e)
     };
     let k = cands_s.len();
+    // Destinations probed (outside the segment), for the work counter.
+    let mut probes = 0u64;
     for i in 0..k + cands_e.len() {
         let (c, cached) = if i < k {
             (cands_s[i] as usize, dists_s[i])
@@ -70,18 +78,19 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
         if inside {
             continue;
         }
+        probes += 1;
         let d = tour.next(c);
         if d == s {
             continue; // inserting right back
         }
-        let broken = opt.dist(c, d);
+        let broken = dist(c, d);
         // Forward orientation: c -> s ... e -> d.
-        let fwd_cost = (if i < k { cached } else { opt.dist(c, s) }) + opt.dist(e, d);
+        let fwd_cost = (if i < k { cached } else { dist(c, s) }) + dist(e, d);
         // Reversed: c -> e ... s -> d.
         let rev_cost = if single {
             fwd_cost
         } else {
-            (if i < k { opt.dist(c, e) } else { cached }) + opt.dist(s, d)
+            (if i < k { dist(c, e) } else { cached }) + dist(s, d)
         };
         let base = removed + broken - bridge;
         let (cost, reversed) = if fwd_cost <= rev_cost {
@@ -95,20 +104,31 @@ fn try_segment<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, s: usize, len:
             for city in [p, q, s, e, c, d] {
                 opt.activate(city);
             }
+            opt.or_probes += probes;
             return gain;
         }
     }
+    opt.or_probes += probes;
     0
 }
 
 /// Run Or-opt to local optimality over the active queue. Returns the
 /// total gain.
 pub fn or_opt_pass<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T) -> i64 {
+    if opt.is_spatial() {
+        pass::<T, true>(opt, tour)
+    } else {
+        pass::<T, false>(opt, tour)
+    }
+}
+
+/// [`or_opt_pass`] compiled for one label space.
+fn pass<T: TourOps, const SPATIAL: bool>(opt: &mut Optimizer<'_>, tour: &mut T) -> i64 {
     let mut total = 0i64;
     while let Some(t1) = opt.pop_active() {
         let mut gained = 0;
         for len in 1..=MAX_SEGMENT.min(tour.len() - 3) {
-            gained = try_segment(opt, tour, t1, len);
+            gained = try_segment::<T, SPATIAL>(opt, tour, t1, len);
             if gained > 0 {
                 break;
             }

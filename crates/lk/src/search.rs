@@ -3,7 +3,9 @@
 //! on. The primitives are generic over [`TourOps`], so the same search
 //! code drives both the array [`Tour`] and the two-level list.
 
-use tsp_core::{Instance, NeighborLists, TourOps};
+use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep};
+
+use crate::spatial::Spatial;
 
 /// Apply the unique non-identity 2-opt reconnection that removes the
 /// two undirected tour edges `e1` and `e2`.
@@ -92,9 +94,19 @@ pub fn or_opt_move_by_edges<T: TourOps>(
 /// Local-search context: the instance, candidate lists, don't-look bits
 /// and the active-city queue. All buffers are allocated once and reused
 /// across passes (nothing allocates on the hot path).
+///
+/// The search runs either on the caller's city labels or, built with
+/// `Optimizer::spatial`, on the cities renumbered along a Hilbert
+/// curve (module `spatial`). Every city a search method takes or
+/// returns is in the search's labels; the engine maps tours across. The
+/// LK and Or-opt passes are compiled once per label space (`dist_in`,
+/// `candidates_in`), so the caller-label path reads its instance and
+/// rows without a check.
 pub struct Optimizer<'a> {
     inst: &'a Instance,
     neighbors: &'a NeighborLists,
+    /// The relabeled space the search runs on, if any.
+    spatial: Option<Spatial>,
     /// Don't-look bits: `true` = city is quiescent.
     dont_look: Vec<bool>,
     /// Number of cities whose don't-look bit is clear.
@@ -103,49 +115,151 @@ pub struct Optimizer<'a> {
     /// improving move).
     queue: std::collections::VecDeque<u32>,
     in_queue: Vec<bool>,
+    /// Or-opt destination probes since [`Optimizer::take_or_probes`].
+    pub(crate) or_probes: u64,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Create a context; all cities start active.
+    /// Create a context on the caller's labels; all cities start active.
     pub fn new(inst: &'a Instance, neighbors: &'a NeighborLists) -> Self {
+        Self::with_space(inst, neighbors, None)
+    }
+
+    /// Create a context on spatial labels (module `spatial`): the same
+    /// search, decision for decision, on Hilbert-ordered cities.
+    /// `inst` must be geometric.
+    pub(crate) fn spatial(inst: &'a Instance, neighbors: &'a NeighborLists) -> Self {
+        Self::with_space(inst, neighbors, Some(Spatial::new(inst, neighbors)))
+    }
+
+    fn with_space(
+        inst: &'a Instance,
+        neighbors: &'a NeighborLists,
+        spatial: Option<Spatial>,
+    ) -> Self {
         let n = inst.len();
-        Optimizer {
+        let mut opt = Optimizer {
             inst,
             neighbors,
+            spatial,
             dont_look: vec![false; n],
             awake: n,
-            queue: (0..n as u32).collect(),
+            queue: std::collections::VecDeque::with_capacity(n),
             in_queue: vec![true; n],
+            or_probes: 0,
+        };
+        opt.activate_all();
+        opt
+    }
+
+    /// The instance being optimized, in the search's labels.
+    #[inline(always)]
+    pub fn instance(&self) -> &Instance {
+        match &self.spatial {
+            Some(s) => s.instance(),
+            None => self.inst,
         }
     }
 
-    /// The instance being optimized.
+    /// The caller's instance and candidate lists, in the caller's labels.
     #[inline]
-    pub fn instance(&self) -> &'a Instance {
-        self.inst
+    pub(crate) fn caller(&self) -> (&'a Instance, &'a NeighborLists) {
+        (self.inst, self.neighbors)
     }
 
-    /// The candidate lists steering the search.
-    #[inline]
-    pub fn neighbors(&self) -> &'a NeighborLists {
-        self.neighbors
+    /// The search's city of the caller's label `l`.
+    #[inline(always)]
+    pub(crate) fn city(&self, l: usize) -> usize {
+        match &self.spatial {
+            Some(s) => s.city(l),
+            None => l,
+        }
+    }
+
+    /// Whether the search runs on spatial labels.
+    pub(crate) fn is_spatial(&self) -> bool {
+        self.spatial.is_some()
+    }
+
+    /// The candidates of city `c`, nearest first, with their cached
+    /// metric distances — the rows that steer the search.
+    #[inline(always)]
+    pub fn candidates(&self, c: usize) -> (&[u32], &'a [i64]) {
+        match &self.spatial {
+            Some(s) => (s.row(c), self.neighbors.dists_of(s.label(c))),
+            None => self.neighbors.of_with_dists(c),
+        }
     }
 
     /// Distance shorthand.
     #[inline(always)]
     pub fn dist(&self, i: usize, j: usize) -> i64 {
-        self.inst.dist(i, j)
+        self.instance().dist(i, j)
     }
 
-    /// Re-activate every city (used after a restart or a fresh tour).
+    /// [`Optimizer::dist`] for a pass compiled for one label space
+    /// (`SPATIAL`): on the caller's labels it reads the caller's
+    /// instance with no check, as if there were no other space.
+    #[inline(always)]
+    pub(crate) fn dist_in<const SPATIAL: bool>(&self, i: usize, j: usize) -> i64 {
+        match &self.spatial {
+            Some(s) if SPATIAL => s.instance().dist(i, j),
+            _ => self.inst.dist(i, j),
+        }
+    }
+
+    /// [`Optimizer::candidates`] for a pass compiled for one label space.
+    #[inline(always)]
+    pub(crate) fn candidates_in<const SPATIAL: bool>(&self, c: usize) -> (&[u32], &'a [i64]) {
+        match &self.spatial {
+            Some(s) if SPATIAL => (s.row(c), self.neighbors.dists_of(s.label(c))),
+            _ => self.neighbors.of_with_dists(c),
+        }
+    }
+
+    /// `tour` (caller labels) as representation `R` in the search's
+    /// labels, every city at its position.
+    pub(crate) fn rep_in<R: TourRep>(&self, tour: &Tour) -> R {
+        match &self.spatial {
+            Some(s) => R::from_order_slice(&s.order_in(tour)),
+            None => R::from_tour(tour),
+        }
+    }
+
+    /// The array tour `rep` (search labels) in caller labels, every city
+    /// at its position.
+    pub(crate) fn array_out(&self, rep: &Tour) -> Tour {
+        match &self.spatial {
+            Some(s) => Tour::from_order(s.order_out(rep)),
+            None => rep.clone(),
+        }
+    }
+
+    /// The tour `rep` (search labels) holds, in caller labels and the
+    /// canonical rotation of [`TourRep::to_tour`].
+    pub(crate) fn tour_out<R: TourRep>(&self, rep: &R) -> Tour {
+        match &self.spatial {
+            Some(s) => s.tour_out(rep),
+            None => rep.to_tour(),
+        }
+    }
+
+    /// Re-activate every city (used after a restart or a fresh tour),
+    /// queued in caller-label order whatever labels the search runs on.
     pub fn activate_all(&mut self) {
         self.queue.clear();
-        for c in 0..self.inst.len() as u32 {
-            self.queue.push_back(c);
-            self.in_queue[c as usize] = true;
-            self.dont_look[c as usize] = false;
+        for l in 0..self.inst.len() {
+            let c = self.city(l);
+            self.queue.push_back(c as u32);
+            self.in_queue[c] = true;
+            self.dont_look[c] = false;
         }
         self.awake = self.inst.len();
+    }
+
+    /// Or-opt destination probes since the last call, and reset.
+    pub(crate) fn take_or_probes(&mut self) -> u64 {
+        std::mem::take(&mut self.or_probes)
     }
 
     /// Deactivate every city (used before seeding a targeted queue,

@@ -17,7 +17,7 @@ use crate::search::{two_opt_by_edges, Optimizer};
 fn improve_city<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, t1: usize) -> i64 {
     // Candidate distances come from the cache, not the metric: the
     // inner loop never recomputes a sqrt/trig distance.
-    let (cands, cdists) = opt.neighbors().of_with_dists(t1);
+    let (cands, cdists) = opt.candidates(t1);
     // Direction 0: remove (t1, next(t1)); new edge (t1, t3),
     // second removed edge (t3, next(t3)), second new edge (t2, t4).
     // Direction 1 mirrors with prev().

@@ -38,12 +38,15 @@ fn plate() -> (Instance, ChainedLkConfig, NeighborLists) {
     (inst, cfg, nl)
 }
 
-fn clk_runs(two_level: bool) -> Vec<(u64, i64, u64)> {
+/// How a test builds its engine.
+type Build = for<'a> fn(&'a Instance, &'a NeighborLists, ChainedLkConfig) -> ClkEngine<'a>;
+
+fn clk_runs(build: Build) -> Vec<(u64, i64, u64)> {
     let (inst, cfg, nl) = plate();
     (1..=3)
         .map(|seed| {
             let cfg = ChainedLkConfig { seed, ..cfg.clone() };
-            let mut engine = ClkEngine::with_representation(&inst, &nl, cfg, two_level);
+            let mut engine = build(&inst, &nl, cfg);
             let obs = Obs::for_node(0);
             engine.attach_obs(obs.clone());
             let res = engine.run(&Budget::kicks(60));
@@ -53,21 +56,35 @@ fn clk_runs(two_level: bool) -> Vec<(u64, i64, u64)> {
         .collect()
 }
 
-fn check_clk(two_level: bool, pinned: &[(u64, i64, u64)]) {
+fn check_clk(build: Build, pinned: &[(u64, i64, u64)]) {
     // Without obs the histograms are compiled out and the flips read 0.
     let observable = |r: &(u64, i64, u64)| (r.0, r.1, if obs_api::ENABLED { r.2 } else { 0 });
     let pinned: Vec<_> = pinned.iter().map(observable).collect();
-    assert_eq!(clk_runs(two_level), pinned, "two_level = {two_level}");
+    assert_eq!(clk_runs(build), pinned);
 }
 
 #[test]
 fn clk_array_trajectories_are_pinned() {
-    check_clk(false, &CLK_ARRAY);
+    check_clk(|inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, false), &CLK_ARRAY);
 }
 
 #[test]
 fn clk_two_level_trajectories_are_pinned() {
-    check_clk(true, &CLK_TWO_LEVEL);
+    check_clk(|inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, true), &CLK_TWO_LEVEL);
+}
+
+/// The array on Hilbert-ordered cities, which `auto` picks at and above
+/// the threshold, must hit the array's constants.
+#[test]
+fn clk_spatial_trajectories_are_pinned() {
+    check_clk(
+        |inst, nl, cfg| {
+            let engine = ClkEngine::auto(inst, nl, ChainedLkConfig { tl_threshold: 0, ..cfg });
+            assert_eq!(engine.representation(), "spatial");
+            engine
+        },
+        &CLK_ARRAY,
+    );
 }
 
 #[test]

@@ -201,13 +201,14 @@ proptest! {
     ) {
         let inst = generate::uniform(n, 10_000.0, seed ^ 0xD8);
         let nl = NeighborLists::build(&inst, 8);
+        let opt = Optimizer::new(&inst, &nl);
         let strategy = KickStrategy::ALL[strategy_ix];
         let (mut tour, mut tl) = both_reps(n, seed);
         let mut rng_a = SmallRng::seed_from_u64(seed ^ 0x1234);
         let mut rng_b = SmallRng::seed_from_u64(seed ^ 0x1234);
         for _ in 0..kicks {
-            let ka = kick(strategy, &inst, &mut tour, &nl, &mut rng_a);
-            let kb = kick(strategy, &inst, &mut tl, &nl, &mut rng_b);
+            let ka = kick(strategy, &opt, &mut tour, &mut rng_a);
+            let kb = kick(strategy, &opt, &mut tl, &mut rng_b);
             match (ka, kb) {
                 (Some(ka), Some(kb)) => {
                     prop_assert_eq!(ka.cities, kb.cities);
@@ -415,8 +416,8 @@ fn try_segment_both_lists<T: TourOps>(
     }
     let removed = opt.dist(p, s) + opt.dist(e, q);
     let bridge = opt.dist(p, q);
-    let (cands_s, dists_s) = opt.neighbors().of_with_dists(s);
-    let (cands_e, dists_e) = opt.neighbors().of_with_dists(e);
+    let (cands_s, dists_s) = opt.candidates(s);
+    let (cands_e, dists_e) = opt.candidates(e);
     let k = cands_s.len();
     for i in 0..k + cands_e.len() {
         let (c, cached) = if i < k {

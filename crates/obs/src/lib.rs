@@ -96,6 +96,18 @@ pub mod kinds {
     pub const C_SVC_REASSIGNED: &str = "svc.jobs_reassigned";
     /// Counter: strictly-improving tour updates streamed to clients.
     pub const C_SVC_IMPROVEMENTS: &str = "svc.improvements";
+    /// Counter: LK anchors taken from the active queue. Like the three
+    /// below, an exact work count of the CLK engine, flushed once per
+    /// full optimization and once per chained iteration; equal on every
+    /// tour representation and label space for one seed.
+    pub const C_LK_ANCHORS: &str = "clk.lk.anchors";
+    /// Counter: LK candidate probes that passed the gain and adjacency
+    /// tests and looked up their path successor.
+    pub const C_LK_PROBES: &str = "clk.lk.probes";
+    /// Counter: steps of committed LK chains (one 2-opt move each).
+    pub const C_LK_STEPS: &str = "clk.lk.steps";
+    /// Counter: Or-opt destinations probed for a segment.
+    pub const C_OROPT_PROBES: &str = "clk.oropt.probes";
 }
 
 use std::borrow::Cow;

@@ -5,9 +5,8 @@
 //! plus `flip`, the single mutation primitive that every
 //! 2-opt-decomposable move (LK steps, Or-opt reinsertion, the
 //! double-bridge kick) reduces to. Local search written against this
-//! trait runs unchanged on either structure; the driver picks the
-//! representation by instance size (array flips are O(n), two-level
-//! flips O(√n)).
+//! trait runs unchanged on either structure (array flips are O(n),
+//! two-level flips O(√n)); `lk::ClkEngine` picks one for the caller.
 //!
 //! Both implementations choose the reversed side of a `flip` by the
 //! same city-count rule (reverse the side with fewer cities, ties to
