@@ -41,7 +41,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -52,7 +51,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use lk::Budget;
 use obs_api::{kinds, Obs, Value};
 use p2p::codec::write_frame;
-use p2p::hub::JobHandler;
+use p2p::hub::{reply_line, JobHandler};
 use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId};
 use tsp_core::{Instance, Point};
 
@@ -1238,20 +1237,19 @@ impl JobHandler for ServiceJobHandler {
                 let (client, spec, _) = match JobSpec::from_submit(&submit) {
                     Ok(parts) => parts,
                     Err(e) => {
-                        writeln!(stream, "ERR {e}")?;
+                        reply_line(&mut stream, &format!("ERR {e}"))?;
                         return Ok(());
                     }
                 };
                 let handle = match self.service.submit(client, spec) {
                     Ok(h) => h,
                     Err(e) => {
-                        writeln!(stream, "ERR {e}")?;
+                        reply_line(&mut stream, &format!("ERR {e}"))?;
                         return Ok(());
                     }
                 };
                 let job = handle.id();
-                writeln!(stream, "OK {job}")?;
-                stream.flush()?;
+                reply_line(&mut stream, &format!("OK {job}"))?;
                 while let Some(update) = handle.recv() {
                     let frame = match update {
                         JobUpdate::Accepted { worker } => Message::JobAccept {
@@ -1291,11 +1289,11 @@ impl JobHandler for ServiceJobHandler {
             }
             Message::JobCancel { job, .. } => {
                 self.service.cancel(job);
-                writeln!(stream, "OK")?;
+                reply_line(&mut stream, "OK")?;
                 Ok(())
             }
             _ => {
-                writeln!(stream, "ERR expected JobSubmit or JobCancel")?;
+                reply_line(&mut stream, "ERR expected JobSubmit or JobCancel")?;
                 Ok(())
             }
         }

@@ -99,7 +99,7 @@ pub fn select_kick_cities<T: TourOps, R: Rng>(
 /// Draw four distinct cities of a tour of `n` cities for a kick, in the
 /// labels of `inst` and `neighbors`, in draw order; `None` if a distinct
 /// quadruple could not be found (tiny instances).
-fn draw_kick_cities<R: Rng>(
+pub(crate) fn draw_kick_cities<R: Rng>(
     strategy: KickStrategy,
     inst: &Instance,
     neighbors: &NeighborLists,
@@ -295,6 +295,17 @@ pub fn kick<T: TourOps, R: Rng>(
 ) -> Option<Kick> {
     let (inst, neighbors) = opt.caller();
     let drawn = draw_kick_cities(strategy, inst, neighbors, tour.len(), rng)?;
+    apply_kick(opt, tour, drawn)
+}
+
+/// The tour half of [`kick`]: order the drawn cities (caller labels)
+/// along `tour` and apply the double bridge. Drawing never reads the
+/// tour, so the draws of later kicks can be made before this one runs.
+pub(crate) fn apply_kick<T: TourOps>(
+    opt: &Optimizer<'_>,
+    tour: &mut T,
+    drawn: [usize; 4],
+) -> Option<Kick> {
     let cities = tour_order_cities(tour, drawn.map(|l| opt.city(l)));
     let delta = double_bridge_by_cities(opt.instance(), tour, cities)?;
     Some(Kick { cities, delta })

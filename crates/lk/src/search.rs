@@ -3,6 +3,9 @@
 //! on. The primitives are generic over [`TourOps`], so the same search
 //! code drives both the array [`Tour`] and the two-level list.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep};
 
 use crate::spatial::Spatial;
@@ -105,8 +108,9 @@ pub fn or_opt_move_by_edges<T: TourOps>(
 pub struct Optimizer<'a> {
     inst: &'a Instance,
     neighbors: &'a NeighborLists,
-    /// The relabeled space the search runs on, if any.
-    spatial: Option<Spatial>,
+    /// The relabeled space the search runs on, if any; shared by every
+    /// lane of one engine (module `lanes`).
+    spatial: Option<Arc<Spatial>>,
     /// Don't-look bits: `true` = city is quiescent.
     dont_look: Vec<bool>,
     /// Number of cities whose don't-look bit is clear.
@@ -117,6 +121,11 @@ pub struct Optimizer<'a> {
     in_queue: Vec<bool>,
     /// Or-opt destination probes since [`Optimizer::take_or_probes`].
     pub(crate) or_probes: u64,
+    /// While a lane runs a step ahead of its turn (module `lanes`): the
+    /// committed tour's version and the one the step runs against. Once
+    /// they differ the step's result is thrown away, so no further
+    /// anchor is popped.
+    pub(crate) stale_after: Option<(Arc<AtomicU64>, u64)>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -129,13 +138,19 @@ impl<'a> Optimizer<'a> {
     /// search, decision for decision, on Hilbert-ordered cities.
     /// `inst` must be geometric.
     pub(crate) fn spatial(inst: &'a Instance, neighbors: &'a NeighborLists) -> Self {
-        Self::with_space(inst, neighbors, Some(Spatial::new(inst, neighbors)))
+        Self::with_space(inst, neighbors, Some(Arc::new(Spatial::new(inst, neighbors))))
+    }
+
+    /// A context in the same label space as `self`, sharing its spatial
+    /// instance and rows, with scratch of its own; all cities active.
+    pub(crate) fn fresh(&self) -> Self {
+        Self::with_space(self.inst, self.neighbors, self.spatial.clone())
     }
 
     fn with_space(
         inst: &'a Instance,
         neighbors: &'a NeighborLists,
-        spatial: Option<Spatial>,
+        spatial: Option<Arc<Spatial>>,
     ) -> Self {
         let n = inst.len();
         let mut opt = Optimizer {
@@ -147,6 +162,7 @@ impl<'a> Optimizer<'a> {
             queue: std::collections::VecDeque::with_capacity(n),
             in_queue: vec![true; n],
             or_probes: 0,
+            stale_after: None,
         };
         opt.activate_all();
         opt
@@ -290,6 +306,11 @@ impl<'a> Optimizer<'a> {
     /// Pop the next active city, if any.
     #[inline]
     pub fn pop_active(&mut self) -> Option<usize> {
+        if let Some((now, base)) = &self.stale_after {
+            if now.load(Ordering::Relaxed) != *base {
+                return None;
+            }
+        }
         while let Some(c) = self.queue.pop_front() {
             let c = c as usize;
             self.in_queue[c] = false;

@@ -78,7 +78,7 @@ pub fn two_opt<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T) -> i64 {
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, SeedableRng};
-    use tsp_core::{generate, NeighborLists, Tour};
+    use tsp_core::{generate, NeighborLists, Tour, TourRep};
 
     #[test]
     fn uncrosses_square() {

@@ -6,7 +6,10 @@
 //! cities), so small instances exercise it. Each case runs the same seed
 //! on the caller-label array, the caller-label two-level list and the
 //! spatial array, and demands the same tour order, length, kicks, trace
-//! points, `clk.step.flips` and exact work counters from all three.
+//! points, `clk.step.flips` and exact work counters from all three. The
+//! spatial array runs its kick loop on as many lanes as there are cores
+//! (up to the engine's limit), the other two on one, so the counters
+//! are also held equal across lane counts.
 
 use distclk::{run_lockstep, DistConfig};
 use lk::{
@@ -24,12 +27,12 @@ struct Outcome {
     kicks: u64,
     trace: Vec<(u64, i64)>,
     flips: u64,
-    work: [u64; 4],
+    work: [u64; 5],
 }
 
-/// The flip total and the four exact work counters an engine's obs
+/// The flip total and the five exact work counters an engine's obs
 /// handle has seen.
-fn counts(obs: &Obs) -> (u64, [u64; 4]) {
+fn counts(obs: &Obs) -> (u64, [u64; 5]) {
     let snap = obs.snapshot();
     let flips = obs.histogram("clk.step.flips").snapshot().sum;
     let work = [
@@ -37,6 +40,7 @@ fn counts(obs: &Obs) -> (u64, [u64; 4]) {
         kinds::C_LK_PROBES,
         kinds::C_LK_STEPS,
         kinds::C_OROPT_PROBES,
+        kinds::C_FLIPS,
     ]
     .map(|name| snap.counter(name));
     (flips, work)
@@ -225,6 +229,39 @@ fn lockstep_run_is_unchanged_on_spatial_labels() {
         };
         let res = run_lockstep(&inst, &nl, &cfg);
         (res.best_length, res.best_tour, res.messages)
+    };
+    assert_eq!(run(0), run(usize::MAX));
+}
+
+/// A matrix instance at threshold 0 runs on the two-level list: its
+/// nodes must perturb and exchange exactly the tours the array's do,
+/// which holds only if every tour leaves the engine in the canonical
+/// rotation (`ClkEngine::optimize_tour` included).
+#[test]
+fn lockstep_run_on_a_matrix_is_the_same_on_both_representations() {
+    let plate = generate::drill_plate(300, 14);
+    let n = plate.len();
+    let matrix = (0..n * n).map(|i| plate.dist(i / n, i % n)).collect();
+    let inst = Instance::explicit("plate300-matrix", matrix, n);
+    let clk = ChainedLkConfig::default();
+    let nl = clk.build_neighbors(&inst);
+    let run = |tl_threshold| {
+        let clk = ChainedLkConfig {
+            tl_threshold,
+            ..clk.clone()
+        };
+        assert_eq!(
+            ClkEngine::auto(&inst, &nl, clk.clone()).representation(),
+            if tl_threshold == 0 { "twolevel" } else { "array" }
+        );
+        let cfg = DistConfig {
+            nodes: 8,
+            clk,
+            budget: Budget::kicks(4),
+            ..Default::default()
+        };
+        let res = run_lockstep(&inst, &nl, &cfg);
+        (res.best_length, canonical(&res.best_tour), res.messages)
     };
     assert_eq!(run(0), run(usize::MAX));
 }

@@ -108,6 +108,17 @@ pub mod kinds {
     pub const C_LK_STEPS: &str = "clk.lk.steps";
     /// Counter: Or-opt destinations probed for a segment.
     pub const C_OROPT_PROBES: &str = "clk.oropt.probes";
+    /// Counter: flips of retired kick steps (kick plus LK and Or-opt
+    /// moves; the undo of a rejected step is not a flip of its own).
+    pub const C_FLIPS: &str = "clk.flips";
+    /// Counter: array tour slots written during kick steps — by flips,
+    /// by rolling a rejected step back and by copying an accepted
+    /// step's window into the other lanes' tours.
+    pub const C_FLIP_MOVED: &str = "clk.flip.moved";
+    /// Counter: kick steps computed speculatively and thrown away (an
+    /// earlier step changed the tour they ran on, or the budget ran out
+    /// before they were due).
+    pub const C_KICK_DISCARDED: &str = "clk.kick.discarded";
 }
 
 use std::borrow::Cow;

@@ -27,7 +27,7 @@ use std::time::Duration;
 use obs_api::{Obs, Value};
 use parking_lot::Mutex;
 
-use crate::codec::{read_frame, write_frame};
+use crate::codec::{encode, read_frame};
 use crate::message::{Message, NodeId};
 use crate::tcp::TcpConfig;
 use crate::telemetry::TelemetryStore;
@@ -293,6 +293,9 @@ fn serve_lifecycle(
     let deadline = TcpConfig::default().handshake_timeout;
     stream.set_read_timeout(Some(deadline)).ok();
     stream.set_write_timeout(Some(deadline)).ok();
+    // Every reply is one write of a whole line or frame: nothing for
+    // Nagle's algorithm to wait for.
+    stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     (&mut reader).take(MAX_REQUEST_LINE).read_line(&mut line)?;
@@ -320,13 +323,14 @@ fn serve_lifecycle(
                 .into_iter()
                 .filter_map(|m| st.joined[m].map(|a| (m, a)))
                 .collect();
-            writeln!(
-                w,
-                "ID {id} EXPECT {} NEIGHBORS {}",
-                st.expected,
-                format_peers(&neighbors)
+            reply_line(
+                &mut w,
+                &format!(
+                    "ID {id} EXPECT {} NEIGHBORS {}",
+                    st.expected,
+                    format_peers(&neighbors)
+                ),
             )?;
-            w.flush()?;
             // The slot is committed only after the reply went out: a
             // client that disconnected mid-handshake never joined and
             // its id is reused.
@@ -353,8 +357,7 @@ fn serve_lifecycle(
             let Some(hub_t) = telemetry.ingest(&msg) else {
                 return Err(NetError::Codec("TELEMETRY frame was not Telemetry".into()));
             };
-            writeln!(w, "OK {hub_t}")?;
-            w.flush()?;
+            reply_line(&mut w, &format!("OK {hub_t}"))?;
             obs.counter("hub.telemetry_frames").incr();
             Ok(())
         }
@@ -375,8 +378,7 @@ fn serve_lifecycle(
                     h.handle(msg, w)
                 }
                 None => {
-                    writeln!(w, "ERR no job service")?;
-                    w.flush()?;
+                    reply_line(&mut w, "ERR no job service")?;
                     Ok(())
                 }
             }
@@ -399,10 +401,21 @@ fn serve_lifecycle(
     }
 }
 
+/// Send one text line (a status reply or a request) as a single write:
+/// `writeln!` on a raw stream would send the pieces of its format
+/// string as separate segments.
+pub fn reply_line(stream: &mut TcpStream, line: &str) -> Result<(), NetError> {
+    let mut out = String::with_capacity(line.len() + 1);
+    out.push_str(line);
+    out.push('\n');
+    stream.write_all(out.as_bytes())?;
+    Ok(())
+}
+
 /// One client exchange with the hub: connect, bound the request write
 /// and the reply read by the handshake timeout, send `line` (followed by
-/// one codec frame for `TELEMETRY`/`JOB`), and return the first reply
-/// line together with the still-open connection.
+/// one codec frame for `TELEMETRY`/`JOB`) in one write, and return the
+/// first reply line together with the still-open connection.
 fn request(
     hub: SocketAddr,
     line: &str,
@@ -412,11 +425,14 @@ fn request(
     let mut stream = TcpStream::connect_timeout(&hub, cfg.connect_timeout)?;
     stream.set_write_timeout(Some(cfg.handshake_timeout)).ok();
     stream.set_read_timeout(Some(cfg.handshake_timeout)).ok();
-    writeln!(stream, "{line}")?;
-    stream.flush()?;
+    stream.set_nodelay(true).ok();
+    let mut out = Vec::with_capacity(line.len() + 1);
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
     if let Some(frame) = frame {
-        write_frame(&mut stream, frame)?;
+        out.extend_from_slice(&encode(frame));
     }
+    stream.write_all(&out)?;
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
@@ -559,6 +575,7 @@ fn scrape(hub: SocketAddr, cmd: &str, cfg: &TcpConfig) -> Result<String, NetErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::write_frame;
     use crate::transport::Transport;
 
     /// Minimal job handler for protocol tests: acknowledges the
@@ -571,8 +588,7 @@ mod tests {
             match first {
                 Message::JobSubmit { client, .. } => {
                     let job = crate::message::job_id(client, 0);
-                    writeln!(stream, "OK {job}")?;
-                    stream.flush()?;
+                    reply_line(&mut stream, &format!("OK {job}"))?;
                     write_frame(
                         &mut stream,
                         &Message::JobAccept {
@@ -603,8 +619,7 @@ mod tests {
                     Ok(())
                 }
                 Message::JobCancel { .. } => {
-                    writeln!(stream, "OK")?;
-                    stream.flush()?;
+                    reply_line(&mut stream, "OK")?;
                     Ok(())
                 }
                 _ => Err(NetError::Codec("unexpected frame".into())),

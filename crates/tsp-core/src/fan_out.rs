@@ -83,8 +83,11 @@ where
     });
 }
 
-/// Threads a fan-out over `items` slots gets on the current thread.
-fn width(items: usize) -> usize {
+/// Threads a fan-out over `items` slots gets on the current thread: one
+/// inside another fan-out, else `available_parallelism()` capped at
+/// `items`. A caller that sizes per-item state by it allocates none for
+/// items that could only run after the others have finished.
+pub fn width(items: usize) -> usize {
     if IN_FAN_OUT.get() {
         return 1;
     }

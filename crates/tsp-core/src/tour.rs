@@ -183,20 +183,40 @@ impl Tour {
         }
     }
 
+    /// The stretch of positions [`Tour::reverse_segment`]`(from, to)`
+    /// rewrites: its first position and its length. It is the shorter
+    /// side of the cycle (ties to the forward segment) and may run past
+    /// position `n - 1` into position 0.
+    #[inline]
+    pub fn reversal(&self, from: usize, to: usize) -> (usize, usize) {
+        let n = self.order.len();
+        let inner = self.forward_gap(from, to) + 1;
+        if inner * 2 <= n {
+            (from, inner)
+        } else {
+            // The complementary segment: same cycle.
+            ((to + 1) % n, n - inner)
+        }
+    }
+
     /// Reverse the cyclic segment of positions from `from` to `to`
     /// (inclusive, walking forward). Always reverses the *shorter* side
     /// of the cycle, which yields the same undirected tour in at most
-    /// `n/2` swaps.
+    /// `n/2` swaps; a side that does not wrap position 0 is one slice
+    /// reversal plus a position fix-up.
     pub fn reverse_segment(&mut self, from: usize, to: usize) {
         let n = self.order.len();
         debug_assert!(from < n && to < n);
-        let inner = self.forward_gap(from, to) + 1;
-        let (mut i, mut j, mut m) = if inner * 2 <= n {
-            (from, to, inner / 2)
-        } else {
-            // Reverse the complementary segment instead: same cycle.
-            ((to + 1) % n, (from + n - 1) % n, (n - inner) / 2)
-        };
+        let (i, len) = self.reversal(from, to);
+        if i + len <= n {
+            let side = &mut self.order[i..i + len];
+            side.reverse();
+            for (p, &c) in (i..).zip(side.iter()) {
+                self.pos[c as usize] = p as u32;
+            }
+            return;
+        }
+        let (mut i, mut j, mut m) = (i, (i + len - 1) % n, len / 2);
         while m > 0 {
             let (ci, cj) = (self.order[i], self.order[j]);
             self.order[i] = cj;
@@ -206,6 +226,16 @@ impl Tour {
             i = if i + 1 == n { 0 } else { i + 1 };
             j = if j == 0 { n - 1 } else { j - 1 };
             m -= 1;
+        }
+    }
+
+    /// Overwrite the positions from `lo` on with `cities`, which must be
+    /// the cities those positions hold now in some order, and fix their
+    /// positions: how a saved stretch of the array is put back.
+    pub fn write_window(&mut self, lo: usize, cities: &[u32]) {
+        self.order[lo..lo + cities.len()].copy_from_slice(cities);
+        for (p, &c) in (lo..).zip(cities) {
+            self.pos[c as usize] = p as u32;
         }
     }
 
@@ -442,6 +472,44 @@ mod tests {
         t.reverse_segment(4, 1);
         assert_eq!(t.order(), &[0, 1, 3, 2, 4, 5]);
         assert!(t.is_valid());
+    }
+
+    #[test]
+    fn slice_and_wrapped_reversals_match_the_swap_loop() {
+        // Reference: the pairwise swap loop, run on a copy.
+        fn swapped(t: &Tour, from: usize, to: usize) -> Vec<u32> {
+            let n = t.len();
+            let (i, len) = t.reversal(from, to);
+            let mut order = t.order().to_vec();
+            let (mut i, mut j) = (i, (i + len + n - 1) % n);
+            for _ in 0..len / 2 {
+                order.swap(i, j);
+                i = (i + 1) % n;
+                j = (j + n - 1) % n;
+            }
+            order
+        }
+        let mut rng = SmallRng::seed_from_u64(8);
+        for n in [3usize, 4, 8, 9, 64] {
+            let mut t = Tour::random(n, &mut rng);
+            for _ in 0..200 {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let want = swapped(&t, from, to);
+                t.reverse_segment(from, to);
+                assert_eq!(t.order(), &want[..], "n={n} {from}..{to}");
+                assert!(t.is_valid());
+            }
+        }
+    }
+
+    #[test]
+    fn write_window_puts_a_stretch_back() {
+        let mut t = Tour::from_order(vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        let saved = t.order()[2..6].to_vec();
+        t.reverse_segment(2, 5);
+        t.reverse_segment(3, 4);
+        t.write_window(2, &saved);
+        assert_eq!(t, Tour::from_order(vec![0, 1, 2, 3, 4, 5, 6, 7]));
     }
 
     #[test]

@@ -113,6 +113,18 @@ pub trait TourRep: TourOps + Clone {
     fn to_tour(&self) -> Tour {
         Tour::from_order(self.to_order())
     }
+
+    /// The array tour itself, when this representation is one: its
+    /// positions are storage slots, so a caller can save and restore a
+    /// stretch of them ([`Tour::reversal`], [`Tour::write_window`]).
+    fn as_array(&self) -> Option<&Tour> {
+        None
+    }
+
+    /// [`TourRep::as_array`], mutably.
+    fn as_array_mut(&mut self) -> Option<&mut Tour> {
+        None
+    }
 }
 
 impl TourOps for Tour {
@@ -173,6 +185,16 @@ impl TourRep for Tour {
 
     fn from_order_slice(order: &[u32]) -> Self {
         Tour::from_order(order.to_vec())
+    }
+
+    #[inline(always)]
+    fn as_array(&self) -> Option<&Tour> {
+        Some(self)
+    }
+
+    #[inline(always)]
+    fn as_array_mut(&mut self) -> Option<&mut Tour> {
+        Some(self)
     }
 }
 
@@ -250,6 +272,29 @@ mod tests {
                     TourOps::next(&t, c),
                     "directed divergence at step {step} (flip {a},{b}), city {c}"
                 );
+            }
+        }
+    }
+
+    /// The list's index is the array's position after any flips,
+    /// across rebuilds too (n = 1000 and 5000 rebuild within 3000 flips).
+    #[test]
+    fn two_level_index_is_the_array_position() {
+        for n in [10usize, 64, 1000, 5000] {
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let mut t = Tour::random(n, &mut rng);
+            let mut tl = TwoLevelList::from_tour(&t);
+            for step in 0..3000 {
+                let a = rng.gen_range(0..n);
+                let mut b = rng.gen_range(0..n);
+                while b == a {
+                    b = rng.gen_range(0..n);
+                }
+                TourOps::flip(&mut t, a, b);
+                TourOps::flip(&mut tl, a, b);
+                for c in 0..n {
+                    assert_eq!(TourOps::index(&tl, c), t.position(c), "n={n} step {step}");
+                }
             }
         }
     }

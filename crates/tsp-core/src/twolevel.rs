@@ -171,8 +171,11 @@ impl TwoLevelList {
     }
 
     /// Tour index of city `c`: its segment's start plus its logical
-    /// offset (mod n), so `index(next(c)) == (index(c) + 1) % n`. The
-    /// origin is wherever `seg_start` puts it.
+    /// offset (mod n), so `index(next(c)) == (index(c) + 1) % n`. Built
+    /// from an order, the index is the position in it; flips reverse
+    /// the shorter side in place and rebuilds keep every index, so it
+    /// stays the position an array tour given the same flips holds `c`
+    /// at.
     #[inline]
     pub fn index(&self, c: usize) -> usize {
         let id = self.city_seg[c] as usize;
@@ -450,14 +453,21 @@ impl TwoLevelList {
         }
     }
 
-    /// Re-group into balanced segments (amortizes split cost).
+    /// Re-group into balanced segments (amortizes split cost). Every
+    /// city keeps its [`TwoLevelList::index`], so the index stays the
+    /// position an array tour given the same flips would hold the city
+    /// at.
     fn rebuild(&mut self) {
-        let flat = self.to_order();
+        let mut flat = self.layout_order();
+        flat.rotate_right(self.seg_start[self.order[0] as usize] as usize);
         *self = TwoLevelList::from_order_slice(&flat);
     }
 
-    /// Flatten to a visiting order.
-    pub fn to_order(&self) -> Vec<u32> {
+    /// Flatten in the order of the segment layout: the tour's cycle from
+    /// wherever the layout starts. Callers get the canonical rotation
+    /// from [`TourOps::to_order`](crate::TourOps::to_order) and
+    /// [`TourRep::to_tour`](crate::TourRep::to_tour).
+    fn layout_order(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.n);
         for &id in &self.order {
             let seg = self.seg(id);
@@ -468,11 +478,6 @@ impl TwoLevelList {
             }
         }
         out
-    }
-
-    /// Convert to an array tour.
-    pub fn to_tour(&self) -> Tour {
-        Tour::from_order(self.to_order())
     }
 
     /// Validate every internal invariant (tests / debug).
@@ -514,12 +519,13 @@ impl TwoLevelList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tourops::{TourOps, TourRep};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn roundtrip(order: &[u32]) -> TwoLevelList {
         let tl = TwoLevelList::from_order_slice(order);
         assert!(tl.check_invariants());
-        assert_eq!(tl.to_order(), order);
+        assert_eq!(tl.layout_order(), order);
         tl
     }
 
@@ -529,7 +535,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let t = Tour::random(137, &mut rng);
         let tl = TwoLevelList::from_tour(&t);
-        assert_eq!(tl.to_order(), t.order());
+        assert_eq!(tl.layout_order(), t.order());
+        assert_eq!(tl.to_order(), TourOps::to_order(&t));
+        assert_eq!(tl.to_tour().order(), TourOps::to_order(&t));
         assert!(tl.check_invariants());
     }
 
