@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use lk::Trace;
-use obs_api::MetricsSnapshot;
+use obs::MetricsSnapshot;
 use p2p::memory::{InMemoryNetwork, NetStats};
 use p2p::{NodeId, TelemetryStore, Transport};
 use tsp_core::{fan_out, Instance, NeighborLists, Tour};
@@ -411,9 +411,7 @@ mod tests {
             .iter()
             .map(|n| n.metrics.histogram("clk.call.ns").map_or(0, |h| h.sum))
             .sum();
-        if obs_api::ENABLED {
-            assert!(clk_ns > 0, "no CLK call was timed");
-        }
+        assert!(clk_ns > 0, "no CLK call was timed");
         let clk_secs = clk_ns as f64 * 1e-9;
         assert!(
             res.total_node_seconds() >= 0.9 * clk_secs,
@@ -444,10 +442,9 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn broadcast_ids_trace_hub_to_leaf() {
-        use obs_api::Value;
+        use obs::Value;
         use p2p::Topology;
 
         // Epidemic forwarding on a ring: a tour found at its origin
@@ -461,7 +458,7 @@ mod tests {
         cfg.forward_received = true;
         let res = run_lockstep(&inst, &nl, &cfg);
 
-        let field = |ev: &obs_api::Event, key: &str| -> Option<u64> {
+        let field = |ev: &obs::Event, key: &str| -> Option<u64> {
             ev.fields.iter().find_map(|(k, v)| match v {
                 Value::U(u) if k == key => Some(*u),
                 _ => None,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lk::{Budget, ChainedLkConfig, ClkEngine, Stopwatch, Trace};
-use obs_api::{Counter, Histogram, MetricsSnapshot, Obs, Span, Value};
+use obs::{Counter, Histogram, MetricsSnapshot, Obs, Span, Value};
 use p2p::{broadcast_id, Message, NodeId, TelemetryShipper, TelemetryStore, Topology, Transport};
 use tsp_core::{Instance, NeighborLists, Tour};
 
@@ -145,9 +145,9 @@ pub struct NodeResult {
     /// counter fields above are read from this registry, so the two
     /// can never drift.
     pub metrics: MetricsSnapshot,
-    /// Structured observability events (empty when the `obs` feature
-    /// is disabled).
-    pub obs_events: Vec<obs_api::Event>,
+    /// Structured observability events (empty when the node ran on
+    /// [`obs::Obs::disabled`]).
+    pub obs_events: Vec<obs::Event>,
     /// The node did not finish cleanly: it was killed by the churn
     /// driver or its thread panicked. Aborted records are excluded from
     /// the aggregate best-tour selection.
@@ -631,9 +631,9 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                     && self.perturb.no_improvements() >= self.stall_window
                 {
                     self.stalled = true;
-                    self.obs.counter(obs_api::kinds::C_STALLS).incr();
+                    self.obs.counter(obs::kinds::C_STALLS).incr();
                     self.obs.event(
-                        obs_api::kinds::CLK_STALL,
+                        obs::kinds::CLK_STALL,
                         &[
                             ("window", Value::U(self.stall_window as u64)),
                             ("best_len", Value::I(self.best_len)),
@@ -943,7 +943,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             length: self.best_len,
             order: self.best_tour.order().to_vec(),
         })
-        .to_vec()
     }
 
     /// Restore state from a [`NodeDriver::checkpoint`] blob. The tour
@@ -1456,15 +1455,13 @@ mod tests {
         while node.step() {}
         assert!(node.stalled(), "an unimprovable tour must trip the detector");
         let res = node.finish();
-        assert_eq!(res.metrics.counter(obs_api::kinds::C_STALLS), 1);
-        if obs_api::ENABLED {
-            assert!(
-                res.obs_events
-                    .iter()
-                    .any(|e| e.kind == obs_api::kinds::CLK_STALL),
-                "no clk.stall event in the log"
-            );
-        }
+        assert_eq!(res.metrics.counter(obs::kinds::C_STALLS), 1);
+        assert!(
+            res.obs_events
+                .iter()
+                .any(|e| e.kind == obs::kinds::CLK_STALL),
+            "no clk.stall event in the log"
+        );
     }
 
     #[test]
@@ -1481,7 +1478,7 @@ mod tests {
         };
         let node = NodeDriver::new(&inst, &nl, &cfg, eps.remove(0));
         let res = node.run_to_completion();
-        assert_eq!(res.metrics.counter(obs_api::kinds::C_STALLS), 0);
+        assert_eq!(res.metrics.counter(obs::kinds::C_STALLS), 0);
     }
 
     #[test]

@@ -43,13 +43,13 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use lk::Budget;
-use obs_api::{kinds, Obs, Value};
+use obs::{kinds, Obs, Value};
 use p2p::codec::write_frame;
 use p2p::hub::{reply_line, JobHandler};
 use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId};
@@ -817,7 +817,7 @@ impl Supervisor {
         // Telemetry shipping would address frames to a hub peer that
         // does not exist on the job's private network.
         engine.telemetry_every = 0;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let state = JobState {
             engine,
             inst,
@@ -877,7 +877,6 @@ impl Supervisor {
                 length: *length,
                 order: order.clone(),
             })
-            .to_vec()
         });
         let inst = Arc::clone(&state.inst);
         let cancel = Arc::new(CancelSlot::default());
@@ -1110,7 +1109,7 @@ impl SolverService {
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "a service needs at least one worker");
         let obs = Obs::for_node(0);
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         let supervisor = Supervisor {
             events: events_rx,
             reports: events_tx.clone(),
@@ -1137,7 +1136,7 @@ impl SolverService {
     /// validation, fairness charge, placement); solving streams back on
     /// the returned handle.
     pub fn submit(&self, client: u64, spec: JobSpec) -> Result<JobHandle, String> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = channel();
         self.events
             .send(Event::Submit {
                 client,
@@ -1166,7 +1165,7 @@ impl SolverService {
 
     /// Snapshot the fairness ledger (for replication / inspection).
     pub fn ledger(&self) -> FlowLedger {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         if self.events.send(Event::Ledger { reply: tx }).is_err() {
             return FlowLedger::new(0);
         }

@@ -27,7 +27,7 @@
 use std::time::{Duration, Instant};
 
 use lk::shard::{solve_one_shard, stitch_and_refine, ShardConfig, ShardStats};
-use obs_api::Obs;
+use obs::Obs;
 use p2p::memory::InMemoryNetwork;
 use p2p::{Message, NodeId, Topology, Transport};
 use tsp_core::partition::Partition;
@@ -250,7 +250,7 @@ fn collect<T: Transport>(
     for s in 0..shard_count {
         if node_of_shard(s, cfg.nodes) == me {
             let (order, length) = solve_one_shard(inst, part, s, &cfg.shard);
-            obs.counter(obs_api::kinds::C_SHARDS_SOLVED).incr();
+            obs.counter(obs::kinds::C_SHARDS_SOLVED).incr();
             install(&mut cycles, &mut solver_of, s, length, order, me);
         }
     }
@@ -274,7 +274,7 @@ fn collect<T: Transport>(
                 }
                 None => {
                     rejected += 1;
-                    obs.counter(obs_api::kinds::C_SHARD_REJECTS).incr();
+                    obs.counter(obs::kinds::C_SHARD_REJECTS).incr();
                 }
             },
             Some(_) => {}
@@ -287,7 +287,7 @@ fn collect<T: Transport>(
     for (s, cycle) in cycles.iter_mut().enumerate() {
         if cycle.is_none() {
             let (order, length) = solve_one_shard(inst, part, s, &cfg.shard);
-            obs.counter(obs_api::kinds::C_SHARDS_SOLVED).incr();
+            obs.counter(obs::kinds::C_SHARDS_SOLVED).incr();
             *cycle = Some((length, order));
         }
     }

@@ -78,9 +78,6 @@ fn churn_schedules_terminate_validate_and_reproduce() {
 /// iteration — asserted through the structured obs event stream.
 #[test]
 fn rejoiner_resyncs_before_first_clk_iteration() {
-    if !obs_api::ENABLED {
-        return; // event stream is compiled out
-    }
     let inst = generate::uniform(80, 10_000.0, 502);
     let nl = NeighborLists::build(&inst, 8);
     let victim: NodeId = 6;
@@ -122,7 +119,7 @@ fn rejoiner_resyncs_before_first_clk_iteration() {
         e.kind.as_ref() == "node.resync"
             && e.fields
                 .iter()
-                .any(|(k, v)| *k == "adopted" && matches!(v, obs_api::Value::U(1)))
+                .any(|(k, v)| *k == "adopted" && matches!(v, obs::Value::U(1)))
     });
     assert!(adopted, "rejoiner did not adopt the neighborhood best");
     assert_eq!(revived.metrics.counter("node.resyncs"), 1);

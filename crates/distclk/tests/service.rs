@@ -26,7 +26,7 @@ use distclk::{
     EvolveConfig, JobPayload, JobSpec, JobUpdate, ServiceConfig, ServiceJobHandler, SolverService,
 };
 use lk::{Budget, ChainedLkConfig, ClkEngine};
-use obs_api::kinds;
+use obs::kinds;
 use p2p::hub::LifecycleHub;
 use p2p::{InMemoryNetwork, Message, TcpConfig, Topology};
 use tsp_core::generate;

@@ -16,7 +16,7 @@
 //! on cities renumbered along a Hilbert curve (module `spatial`);
 //! [`ClkEngine`] picks by instance size and hides the dispatch.
 
-use obs_api::{kinds, Counter, Histogram, Obs};
+use obs::{kinds, Counter, Histogram, Obs};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
@@ -913,10 +913,8 @@ mod tests {
                     let decided = budgets.each_ref().map(|b| lane_run(&mut engine, &obs, b));
                     assert_eq!(decided[0].1, length, "seed {seed} lanes {lanes}");
                     assert_eq!(decided[1].1, target, "seed {seed} lanes {lanes}");
-                    if obs_api::ENABLED {
-                        assert_eq!(decided[0].4[0], flips, "seed {seed} lanes {lanes}");
-                        assert_eq!(decided[0].4[0], decided[0].4[1], "seed {seed} lanes {lanes}");
-                    }
+                    assert_eq!(decided[0].4[0], flips, "seed {seed} lanes {lanes}");
+                    assert_eq!(decided[0].4[0], decided[0].4[1], "seed {seed} lanes {lanes}");
                     runs.push((lanes, decided));
                 }
                 for (lanes, decided) in &runs[1..] {

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use obs_api::Obs;
+use obs::Obs;
 use rand::rngs::SmallRng;
 use tsp_core::{fan_out, Instance, NeighborLists, Tour, TourOps, TourRep};
 

@@ -45,7 +45,7 @@
 
 use std::time::Instant;
 
-use obs_api::Obs;
+use obs::Obs;
 use tsp_core::partition::{Partition, PartitionNode, SubInstance};
 use tsp_core::{fan_out, Instance, NeighborLists, Tour};
 
@@ -201,7 +201,7 @@ pub fn stitch_and_refine(
     seams.sort_unstable();
     seams.dedup();
     stats.seam_cities = seams.len();
-    obs.counter(obs_api::kinds::C_SHARD_SEAM_CITIES)
+    obs.counter(obs::kinds::C_SHARD_SEAM_CITIES)
         .add(seams.len() as u64);
     let (gain, rounds) = refine_seams(inst, &mut order, &seams, cfg);
     stats.refine_gain = gain;
@@ -209,7 +209,7 @@ pub fn stitch_and_refine(
     stats.refine_seconds = t_refine.elapsed().as_secs_f64();
     obs.histogram("shard.refine.ns")
         .observe(t_refine.elapsed().as_nanos() as u64);
-    obs.counter(obs_api::kinds::C_SHARD_REFINE_GAIN).add(gain as u64);
+    obs.counter(obs::kinds::C_SHARD_REFINE_GAIN).add(gain as u64);
 
     let tour = Tour::from_order(order);
     debug_assert!(tour.is_valid());
@@ -243,7 +243,7 @@ pub fn shard_solve_with_obs(inst: &Instance, cfg: &ShardConfig, obs: &Obs) -> Sh
         let t = obs.timer();
         *slot = solve_one_shard(inst, &part, s, cfg);
         t.observe_into(&obs.histogram("shard.solve.ns"));
-        obs.counter(obs_api::kinds::C_SHARDS_SOLVED).incr();
+        obs.counter(obs::kinds::C_SHARDS_SOLVED).incr();
     });
     stats.solve_seconds = t_solve.elapsed().as_secs_f64();
     stats.shard_lengths = solved.iter().map(|&(_, len)| len).collect();

@@ -2,9 +2,9 @@
 //! than 2% on a fixed-seed CLK run.
 //!
 //! The comparison is runtime-attached (`Obs::for_node` vs
-//! `Obs::disabled()`) in the same binary, which is *stricter* than the
-//! feature gate: a disabled handle still pays the `Option` checks that
-//! the `--no-default-features` build compiles out entirely. Timing
+//! `Obs::disabled()`) in the same binary, which is stricter than a
+//! compile-time gate would be: a disabled handle still pays the
+//! `Option` checks that such a build would compile out. Timing
 //! uses on/off pairs in alternating order and fails only if every pair
 //! is over the bound, so scheduler noise and thermal drift hit both
 //! variants equally and cannot fail the test from one side.
@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use lk::{Budget, ChainedLk, ChainedLkConfig};
-use obs_api::Obs;
+use obs::Obs;
 use tsp_core::{generate, NeighborLists};
 
 const N_CITIES: usize = 400;
@@ -48,11 +48,6 @@ fn obs_does_not_change_the_search_trajectory() {
 /// The headline bound: obs-on within 2% of obs-off.
 #[test]
 fn obs_overhead_under_two_percent() {
-    if !obs_api::ENABLED {
-        // Feature off: both variants are the same no-op code, so the
-        // comparison would only measure scheduler noise.
-        return;
-    }
     let inst = generate::uniform(N_CITIES, 100_000.0, 4242);
     let nl = NeighborLists::build(&inst, 10);
 

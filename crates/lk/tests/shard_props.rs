@@ -6,7 +6,7 @@
 //! bit-for-bit, and dividing must cost at most 5 % of tour length at
 //! equal total kicks.
 
-use obs_api::Obs;
+use obs::Obs;
 use proptest::prelude::*;
 use tsp_core::{generate, Partition};
 

@@ -15,7 +15,7 @@ use distclk::{run_lockstep, DistConfig};
 use lk::{
     shard_solve, Budget, CandidateKind, ChainedLkConfig, ClkEngine, KickStrategy, ShardConfig,
 };
-use obs_api::{kinds, Obs};
+use obs::{kinds, Obs};
 use rand::{rngs::SmallRng, SeedableRng};
 use tsp_core::{generate, Instance, Metric, NeighborLists, Point, Tour};
 

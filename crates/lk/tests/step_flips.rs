@@ -6,7 +6,7 @@
 //! `obs_overhead.rs`.)
 
 use lk::{Budget, ChainedLk, ChainedLkConfig};
-use obs_api::Obs;
+use obs::Obs;
 use tsp_core::{generate, NeighborLists};
 
 /// Mean of `clk.step.flips` over 200 chained iterations on an n-city
@@ -25,9 +25,6 @@ fn mean_flips_per_kick(n: usize) -> f64 {
 
 #[test]
 fn flips_per_kick_do_not_grow_with_n() {
-    if !obs_api::ENABLED {
-        return; // histograms are compiled out
-    }
     let small = mean_flips_per_kick(2_000);
     let large = mean_flips_per_kick(20_000);
     assert!(small > 0.0);

@@ -9,8 +9,7 @@
 //!
 //! The ring is bounded: a runaway producer overwrites the oldest
 //! records (and counts the overwrites) instead of growing without
-//! limit. With the `enabled` feature off, [`EventRing::record`]
-//! compiles to a no-op.
+//! limit.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -394,13 +393,10 @@ pub struct EventRing {
 #[derive(Debug)]
 struct RingInner {
     buf: VecDeque<Event>,
-    // Only read by `record`, which compiles out with the feature off.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     cap: usize,
     dropped: u64,
     // Next sequence number to stamp; counts all records ever made,
     // including later-evicted ones.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     next_seq: u64,
 }
 
@@ -409,7 +405,6 @@ impl EventRing {
     pub fn with_capacity(cap: usize) -> Self {
         EventRing {
             inner: Mutex::new(RingInner {
-                // Don't pre-reserve when the feature is off.
                 buf: VecDeque::new(),
                 cap: cap.max(1),
                 dropped: 0,
@@ -419,23 +414,16 @@ impl EventRing {
     }
 
     /// Append an event, stamping its `seq` with this ring's monotonic
-    /// emission counter; evicts the oldest record when full. Compiled
-    /// out when the `enabled` feature is off.
-    pub fn record(&self, event: Event) {
-        #[cfg(feature = "enabled")]
-        {
-            let mut event = event;
-            let mut r = self.inner.lock().expect("event ring poisoned");
-            event.seq = r.next_seq;
-            r.next_seq += 1;
-            if r.buf.len() == r.cap {
-                r.buf.pop_front();
-                r.dropped += 1;
-            }
-            r.buf.push_back(event);
+    /// emission counter; evicts the oldest record when full.
+    pub fn record(&self, mut event: Event) {
+        let mut r = self.inner.lock().expect("event ring poisoned");
+        event.seq = r.next_seq;
+        r.next_seq += 1;
+        if r.buf.len() == r.cap {
+            r.buf.pop_front();
+            r.dropped += 1;
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = event;
+        r.buf.push_back(event);
     }
 
     /// Copy the buffered events out, oldest first.
@@ -561,7 +549,6 @@ mod tests {
         assert_eq!(back, events);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_bounds_and_counts_drops() {
         let ring = EventRing::with_capacity(3);
@@ -579,7 +566,6 @@ mod tests {
         assert!(ring.is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn seq_survives_jsonl_round_trip() {
         let ring = EventRing::with_capacity(8);
@@ -594,14 +580,5 @@ mod tests {
         // A pre-seq log line parses with seq defaulting to 0.
         let legacy = Event::from_jsonl("{\"t_ns\":5,\"node\":1,\"kind\":\"x\"}").unwrap();
         assert_eq!(legacy.seq, 0);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn ring_is_noop_when_disabled() {
-        let ring = EventRing::with_capacity(3);
-        ring.record(ev("tick", vec![]));
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
     }
 }

@@ -1,9 +1,7 @@
 //! # obs
 //!
 //! The observability spine of the workspace: a vendor-free stand-in
-//! for `tracing` + `prometheus` (this build environment is offline, so
-//! like the PR-1 transport stand-ins everything here is written from
-//! scratch against `std`).
+//! for `tracing` + `prometheus`, written from scratch against `std`.
 //!
 //! Three layers, one handle:
 //!
@@ -17,15 +15,16 @@
 //!   cheap to clone, resolves metric handles once, stamps events with
 //!   nanoseconds since creation.
 //!
-//! ## Feature gating
+//! ## Switching it off
 //!
-//! The `enabled` feature (default-on, forwarded from each consumer
-//! crate's `obs` feature) gates everything with measurable cost: the
-//! event ring, histograms, and timers all compile to no-ops when it is
-//! off. Counters and gauges stay live in both modes because algorithm
-//! results (`NodeResult::broadcasts`, the message statistics of §4)
-//! are derived from them — they are part of the algorithm's contract,
-//! and each is a single relaxed atomic add.
+//! There is one build. The off switch is a run-time one:
+//! [`Obs::disabled`] carries no storage, so every operation on it (and
+//! on the handles resolved from it) is a no-op, which is what the
+//! overhead tests compare a live handle against. On a live handle
+//! counters and gauges are part of the algorithm's contract, not
+//! optional telemetry: algorithm results (`NodeResult::broadcasts`, the
+//! message statistics of §4) are derived from them, and each is a
+//! single relaxed atomic add.
 //!
 //! ```
 //! use obs::{Obs, Value};
@@ -132,10 +131,6 @@ pub use metrics::{
     Registry, HIST_BUCKETS,
 };
 
-/// Whether the `enabled` feature is compiled in (events, histograms,
-/// timers). Counters/gauges work regardless.
-pub const ENABLED: bool = cfg!(feature = "enabled");
-
 /// Default event-ring capacity per node.
 pub const DEFAULT_EVENT_CAPACITY: usize = 16 * 1024;
 
@@ -217,21 +212,16 @@ impl Obs {
             .map_or_else(Histogram::noop, |i| i.registry.histogram(name))
     }
 
-    /// Nanoseconds since this handle was created (0 when disabled or
-    /// when the `enabled` feature is off).
+    /// Nanoseconds since this handle was created (0 when disabled).
     pub fn t_ns(&self) -> u64 {
-        if !ENABLED {
-            return 0;
-        }
         self.inner
             .as_ref()
             .map_or(0, |i| i.start.elapsed().as_nanos() as u64)
     }
 
-    /// Start a duration measurement. Reads the clock only when live
-    /// and compiled in.
+    /// Start a duration measurement. Reads the clock only when live.
     pub fn timer(&self) -> Timer {
-        if ENABLED && self.inner.is_some() {
+        if self.inner.is_some() {
             Timer(Some(Instant::now()))
         } else {
             Timer(None)
@@ -240,9 +230,6 @@ impl Obs {
 
     /// Record a structured event, stamped with [`Obs::t_ns`].
     pub fn event(&self, kind: &'static str, fields: &[(&'static str, Value)]) {
-        if !ENABLED {
-            return;
-        }
         if let Some(i) = &self.inner {
             i.events.record(Event {
                 t_ns: i.start.elapsed().as_nanos() as u64,
@@ -258,19 +245,17 @@ impl Obs {
         }
     }
 
-    /// Snapshot the metrics registry (empty when disabled). When the
-    /// event ring is compiled in, the ring's eviction count is exported
-    /// as the `obs.events_dropped` counter, so overflow is visible in
-    /// scrapes and merged cluster views, not only via the Rust API.
+    /// Snapshot the metrics registry (empty when disabled). The event
+    /// ring's eviction count is exported as the `obs.events_dropped`
+    /// counter, so overflow is visible in scrapes and merged cluster
+    /// views, not only via the Rust API.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(i) = self.inner.as_ref() else {
             return MetricsSnapshot::default();
         };
         let mut snap = i.registry.snapshot();
-        if ENABLED {
-            snap.counters
-                .insert("obs.events_dropped".to_string(), i.events.dropped());
-        }
+        snap.counters
+            .insert("obs.events_dropped".to_string(), i.events.dropped());
         snap
     }
 
@@ -298,13 +283,13 @@ impl Obs {
     /// [`Span::end`] (or drop) carrying its id, parent id, duration,
     /// and optional broadcast-id correlation — see the [`chrome`]
     /// module for the Perfetto-loadable export. No-op (id 0) when this
-    /// handle is disabled or the `enabled` feature is off.
+    /// handle is disabled.
     pub fn span(&self, kind: &'static str) -> Span {
         self.span_with_parent(kind, 0)
     }
 
     fn span_with_parent(&self, kind: &'static str, parent: u64) -> Span {
-        if !ENABLED || self.inner.is_none() {
+        let Some(i) = self.inner.as_ref() else {
             return Span {
                 obs: Obs::disabled(),
                 kind,
@@ -314,8 +299,7 @@ impl Obs {
                 t0_ns: 0,
                 done: true,
             };
-        }
-        let i = self.inner.as_ref().expect("checked live above");
+        };
         let seq = i
             .span_seq
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -462,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn live_handle_counts_in_both_modes() {
+    fn live_handle_counts() {
         let obs = Obs::for_node(5);
         assert_eq!(obs.node(), 5);
         obs.counter("a").add(3);
@@ -471,7 +455,6 @@ mod tests {
         assert!(text.contains("a 3"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn events_record_and_merge() {
         let a = Obs::with_capacity(0, 8);
@@ -485,18 +468,6 @@ mod tests {
             assert!(w[0].t_ns <= w[1].t_ns || w[0].node <= w[1].node);
         }
         assert_eq!(a.events_dropped(), 0);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn events_are_noops_when_disabled() {
-        let a = Obs::for_node(0);
-        a.event("x", &[]);
-        assert!(a.events().is_empty());
-        assert_eq!(a.t_ns(), 0);
-        // Counters still work.
-        a.counter("c").incr();
-        assert_eq!(a.snapshot().counter("c"), 1);
     }
 
     /// Regression for the tie-breaking satellite: equal-`t_ns` events
@@ -555,7 +526,6 @@ mod tests {
         assert_eq!(events[1].t_ns, 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_record_ids_parents_and_broadcast_correlation() {
         let obs = Obs::for_node(3);
@@ -589,7 +559,6 @@ mod tests {
         assert!(obs.events().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn events_dropped_exported_as_counter() {
         let obs = Obs::with_capacity(0, 2);
@@ -601,7 +570,6 @@ mod tests {
         assert!(obs.prometheus_text().contains("obs_events_dropped 3"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timer_feeds_histogram() {
         let obs = Obs::for_node(0);

@@ -14,9 +14,8 @@
 //!   name (counters and histogram buckets add, gauges sum), which is
 //!   how the distributed driver aggregates a whole network run.
 //!
-//! With the `enabled` feature off, [`Histogram::observe`] compiles to a
-//! no-op; counters and gauges stay live because the algorithm's own
-//! result records (e.g. `NodeResult::broadcasts`) read from them.
+//! Handles resolved from a disabled `Obs` (or made with `noop()`) carry
+//! no cell, and every operation on them is a no-op.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -128,8 +127,8 @@ impl HistogramInner {
 }
 
 /// A fixed-bucket log2 histogram handle. `observe` is three relaxed
-/// atomic adds — cheap enough for the LK inner loop — and compiles to
-/// nothing when the `enabled` feature is off.
+/// atomic adds — cheap enough for the LK inner loop — and a no-op on
+/// [`Histogram::noop`].
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Option<Arc<HistogramInner>>);
 
@@ -142,14 +141,11 @@ impl Histogram {
     /// Record one value.
     #[inline]
     pub fn observe(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(h) = &self.0 {
             h.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
             h.count.fetch_add(1, Ordering::Relaxed);
             h.sum.fetch_add(v, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Snapshot the current bucket contents.
@@ -446,10 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_work_without_feature() {
-        // Counters/gauges are live in BOTH feature modes (results
-        // depend on them); this test must pass under
-        // --no-default-features too.
+    fn counter_and_gauge_work() {
         let reg = Registry::new();
         let c = reg.counter("x");
         c.incr();
@@ -477,7 +470,6 @@ mod tests {
         assert_eq!(g.get(), 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histogram_observes_edge_values() {
         let reg = Registry::new();
@@ -495,16 +487,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), Some(u64::MAX));
     }
 
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn histogram_is_noop_when_disabled() {
-        let reg = Registry::new();
-        let h = reg.histogram("h");
-        h.observe(12345);
-        assert_eq!(h.snapshot().count, 0);
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_of_disjoint_snapshots() {
         let a = Registry::new();
@@ -529,7 +511,6 @@ mod tests {
         assert_eq!(again.histogram("hb").unwrap().count, 2);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn quantile_estimates_from_buckets() {
         let reg = Registry::new();
@@ -580,7 +561,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn prometheus_histogram_buckets_are_cumulative_and_monotone() {
         let reg = Registry::new();
@@ -618,7 +598,6 @@ mod tests {
         assert!(text.contains("h_count 8"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn delta_subtracts_and_merge_reconstructs() {
         let reg = Registry::new();

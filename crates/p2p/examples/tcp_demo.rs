@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use obs_api::Obs;
+use obs::Obs;
 use p2p::tcp::{TcpConfig, TcpEndpoint};
 use p2p::{Message, Transport};
 
@@ -94,13 +94,13 @@ fn main() {
 
     // 5. The observability artifacts: per-node wire metrics in
     //    Prometheus text format, then the merged event timeline as
-    //    JSONL (empty when built with the obs feature disabled).
+    //    JSONL.
     println!("\n--- node 0 metrics ---\n{}", obs_a.prometheus_text());
     println!("--- node 1 metrics ---\n{}", obs_b.prometheus_text());
     println!("--- event log (jsonl) ---");
-    let timeline = obs_api::merge_timelines(&[obs_a.events(), obs_b.events()]);
+    let timeline = obs::merge_timelines(&[obs_a.events(), obs_b.events()]);
     let mut out = Vec::new();
-    obs_api::write_jsonl(&mut out, &timeline).expect("serialize events");
+    obs::write_jsonl(&mut out, &timeline).expect("serialize events");
     print!("{}", String::from_utf8(out).expect("jsonl is utf-8"));
     println!("ok");
 }

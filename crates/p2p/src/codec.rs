@@ -17,8 +17,6 @@
 
 use std::io::Read;
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::message::{Message, NodeId};
 use crate::NetError;
 
@@ -106,9 +104,9 @@ pub(crate) trait Sink {
     }
 }
 
-impl Sink for BytesMut {
+impl Sink for Vec<u8> {
     fn bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.put_slice(b);
+        self.extend_from_slice(b);
         self
     }
 }
@@ -202,13 +200,13 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
 }
 
 /// Encode a message into a length-prefixed frame.
-pub fn encode(msg: &Message) -> Bytes {
+pub fn encode(msg: &Message) -> Vec<u8> {
     let len = msg.wire_size();
-    let mut buf = BytesMut::with_capacity(4 + len);
+    let mut buf = Vec::with_capacity(4 + len);
     buf.u32(len as u32);
     let buf = put(msg, buf);
     debug_assert_eq!(buf.len(), 4 + len);
-    buf.freeze()
+    buf
 }
 
 /// Decode one payload (without the length prefix): the inverse of

@@ -121,15 +121,15 @@ pub struct FaultyTransport<T: Transport> {
 /// unless created via [`FaultyTransport::with_obs`]). Kept in sync
 /// with [`FaultStats`] at injection time, not copied after the fact.
 struct FaultProbes {
-    c_dropped: obs_api::Counter,
-    c_duplicated: obs_api::Counter,
-    c_reordered: obs_api::Counter,
-    c_corrupted_delivered: obs_api::Counter,
-    c_corrupted_discarded: obs_api::Counter,
+    c_dropped: obs::Counter,
+    c_duplicated: obs::Counter,
+    c_reordered: obs::Counter,
+    c_corrupted_delivered: obs::Counter,
+    c_corrupted_discarded: obs::Counter,
 }
 
 impl FaultProbes {
-    fn resolve(obs: &obs_api::Obs) -> Self {
+    fn resolve(obs: &obs::Obs) -> Self {
         FaultProbes {
             c_dropped: obs.counter("fault.dropped"),
             c_duplicated: obs.counter("fault.duplicated"),
@@ -143,13 +143,13 @@ impl FaultProbes {
 impl<T: Transport> FaultyTransport<T> {
     /// Wrap `inner`, deriving the RNG from `cfg.seed` and the node id.
     pub fn new(inner: T, cfg: FaultConfig) -> Self {
-        Self::with_obs(inner, cfg, obs_api::Obs::disabled())
+        Self::with_obs(inner, cfg, obs::Obs::disabled())
     }
 
     /// [`FaultyTransport::new`] plus an observability handle: every
     /// injected fault also increments a `fault.*` counter in its
     /// registry.
-    pub fn with_obs(inner: T, cfg: FaultConfig, obs: obs_api::Obs) -> Self {
+    pub fn with_obs(inner: T, cfg: FaultConfig, obs: obs::Obs) -> Self {
         cfg.assert_valid();
         let seed = cfg
             .seed
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn obs_counters_mirror_fault_stats() {
         let (mut a, b) = pair();
-        let obs = obs_api::Obs::for_node(1);
+        let obs = obs::Obs::for_node(1);
         let cfg = FaultConfig {
             drop: 0.3,
             duplicate: 0.2,

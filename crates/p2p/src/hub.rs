@@ -20,12 +20,11 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use obs_api::{Obs, Value};
-use parking_lot::Mutex;
+use obs::{Obs, Value};
 
 use crate::codec::{encode, read_frame};
 use crate::message::{Message, NodeId};
@@ -246,7 +245,7 @@ impl LifecycleHub {
     /// `ERR no job service`. The handler outlives individual
     /// connections — it is shared by every job-serving thread.
     pub fn set_job_handler(&self, handler: Arc<dyn JobHandler>) {
-        *self.jobs.lock() = Some(handler);
+        *self.jobs.lock().unwrap_or_else(PoisonError::into_inner) = Some(handler);
     }
 
     /// Stop serving and join the hub thread. Idempotent.
@@ -309,7 +308,7 @@ fn serve_lifecycle(
     match tokens.as_slice() {
         ["JOIN", addr] => {
             let listen: SocketAddr = field("address", addr)?;
-            let mut st = state.lock();
+            let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
             let id = st
                 .joined
                 .iter()
@@ -371,7 +370,7 @@ fn serve_lifecycle(
             if !matches!(msg, Message::JobSubmit { .. } | Message::JobCancel { .. }) {
                 return Err(NetError::Codec("JOB frame was not a job frame".into()));
             }
-            let handler = jobs.lock().clone();
+            let handler = jobs.lock().unwrap_or_else(PoisonError::into_inner).clone();
             match handler {
                 Some(h) => {
                     obs.counter("hub.jobs").incr();
@@ -744,15 +743,13 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hub.joins"), 2);
         assert_eq!(snap.counter("hub.rejects"), 4);
-        if obs_api::ENABLED {
-            let events = obs.events();
-            assert_eq!(events.iter().filter(|e| e.kind == "hub.join").count(), 2);
-            assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 4);
-            assert_eq!(
-                events.iter().filter(|e| e.kind == "hub.complete").count(),
-                1
-            );
-        }
+        let events = obs.events();
+        assert_eq!(events.iter().filter(|e| e.kind == "hub.join").count(), 2);
+        assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 4);
+        assert_eq!(
+            events.iter().filter(|e| e.kind == "hub.complete").count(),
+            1
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! The crate provides two interchangeable transports behind one trait:
 //!
-//! - [`memory::InMemoryNetwork`] — crossbeam channels between threads in
+//! - [`memory::InMemoryNetwork`] — `std::sync::mpsc` channels between threads in
 //!   one process. Used by the simulation driver and by deterministic
 //!   tests; message *semantics* are identical to TCP.
 //! - [`tcp`] — real TCP sockets with length-prefixed frames and a

@@ -1,4 +1,4 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport over `std::sync::mpsc` channels.
 //!
 //! Semantically identical to the TCP transport (asynchronous,
 //! unordered across peers, ordered per peer) but runs the whole
@@ -8,10 +8,8 @@
 //! either backend.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::message::{Message, NodeId};
 use crate::topology::Topology;
@@ -100,7 +98,7 @@ impl Transport for MemoryEndpoint {
     }
 
     fn send(&mut self, to: NodeId, msg: Message) -> Result<(), NetError> {
-        let peers = self.peers.read();
+        let peers = self.peers.read().unwrap_or_else(PoisonError::into_inner);
         let tx = peers
             .get(to)
             .and_then(|p| p.as_ref())
@@ -118,7 +116,7 @@ impl Transport for MemoryEndpoint {
         self.broadcast(Message::Leave { from: id });
         // Unregister so senders get UnknownPeer instead of piling up
         // messages nobody will read.
-        self.peers.write()[id] = None;
+        self.peers.write().unwrap_or_else(PoisonError::into_inner)[id] = None;
     }
 
     fn take_peer_downs(&mut self) -> Vec<NodeId> {
@@ -156,7 +154,7 @@ impl InMemoryNetwork {
         let mut senders: Vec<Option<Sender<Message>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(Some(tx));
             receivers.push(rx);
         }
@@ -193,15 +191,15 @@ impl InMemoryNetwork {
     /// [`Transport::leave`] no notice is sent — peers only learn of the
     /// death through failure detection (crash semantics).
     pub fn kill(&self, id: NodeId) {
-        self.peers.write()[id] = None;
+        self.peers.write().unwrap_or_else(PoisonError::into_inner)[id] = None;
     }
 
     /// Bring node `id` back with a fresh (empty) inbox and the given
     /// neighbor list; peers can send to it again immediately. The
     /// returned endpoint replaces the one the killed node held.
     pub fn revive(&self, id: NodeId, neighbors: Vec<NodeId>) -> MemoryEndpoint {
-        let (tx, rx) = unbounded();
-        self.peers.write()[id] = Some(tx);
+        let (tx, rx) = channel();
+        self.peers.write().unwrap_or_else(PoisonError::into_inner)[id] = Some(tx);
         MemoryEndpoint {
             id,
             neighbors,

@@ -27,13 +27,12 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use obs_api::{Counter, Gauge, Obs, Value};
-use parking_lot::{Mutex, RwLock};
+use obs::{Counter, Gauge, Obs, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,8 +58,9 @@ pub struct TcpConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Per-peer outbound queue capacity; a full queue makes `send`
-    /// return [`NetError::Backpressure`] instead of blocking.
+    /// Per-peer outbound queue capacity (0 is treated as 1); a full
+    /// queue makes `send` return [`NetError::Backpressure`] instead of
+    /// blocking.
     pub outbound_queue: usize,
     /// Liveness timeout: a peer from which no frame (of any kind) has
     /// arrived for this long is declared down — the link is closed,
@@ -118,7 +118,7 @@ impl TcpConfig {
 /// peer), the old link's reader/writer threads die with a stale
 /// generation and must not tear down the replacement.
 struct Peer {
-    tx: Sender<Message>,
+    tx: SyncSender<Message>,
     stream: TcpStream,
     writer: JoinHandle<()>,
     gen: u64,
@@ -220,7 +220,7 @@ impl TcpEndpoint {
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let listen_addr = listener.local_addr()?;
-        let (inbox_tx, inbox_rx) = unbounded();
+        let (inbox_tx, inbox_rx) = channel();
         let probes = TcpProbes::resolve(&obs);
         let shared = Arc::new(Shared {
             id: AtomicUsize::new(id),
@@ -328,7 +328,14 @@ impl TcpEndpoint {
         }
         // Close every socket first (unblocks reads and stalled writes),
         // then drop the senders (stops idle writers) and join.
-        let peers: Vec<Peer> = self.shared.peers.lock().drain().map(|(_, p)| p).collect();
+        let peers: Vec<Peer> = self
+            .shared
+            .peers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain()
+            .map(|(_, p)| p)
+            .collect();
         for p in &peers {
             let _ = p.stream.shutdown(Shutdown::Both);
         }
@@ -336,7 +343,13 @@ impl TcpEndpoint {
             drop(p.tx);
             let _ = p.writer.join();
         }
-        let readers = std::mem::take(&mut *self.shared.readers.lock());
+        let readers = std::mem::take(
+            &mut *self
+                .shared
+                .readers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         for h in readers {
             let _ = h.join();
         }
@@ -372,36 +385,52 @@ fn register_peer(shared: &Arc<Shared>, peer: NodeId, stream: TcpStream) {
     write_half
         .set_write_timeout(Some(shared.cfg.write_timeout))
         .ok();
-    let (tx, rx) = bounded(shared.cfg.outbound_queue);
+    let (tx, rx) = sync_channel(shared.cfg.outbound_queue.max(1));
     let writer_shared = Arc::clone(shared);
     let writer = std::thread::Builder::new()
         .name(format!("p2p-write-{peer}"))
         .spawn(move || writer_loop(write_half, rx, peer, gen, writer_shared))
         .expect("spawn writer thread");
-    if let Some(old) = shared.peers.lock().insert(
-        peer,
-        Peer {
-            tx,
-            stream,
-            writer,
-            gen,
-        },
-    ) {
+    if let Some(old) = shared
+        .peers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(
+            peer,
+            Peer {
+                tx,
+                stream,
+                writer,
+                gen,
+            },
+        )
+    {
         let _ = old.stream.shutdown(Shutdown::Both);
     }
     {
-        let mut nb = shared.neighbors.write();
+        let mut nb = shared
+            .neighbors
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if !nb.contains(&peer) {
             nb.push(peer);
         }
     }
-    shared.last_seen.lock().insert(peer, Instant::now());
+    shared
+        .last_seen
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(peer, Instant::now());
     let reader_shared = Arc::clone(shared);
     let reader = std::thread::Builder::new()
         .name(format!("p2p-read-{peer}"))
         .spawn(move || reader_loop(read_half, peer, gen, reader_shared))
         .expect("spawn reader thread");
-    shared.readers.lock().push(reader);
+    shared
+        .readers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(reader);
     shared
         .obs
         .event("tcp.peer_up", &[("peer", Value::U(peer as u64))]);
@@ -413,13 +442,30 @@ fn register_peer(shared: &Arc<Shared>, peer: NodeId, stream: TcpStream) {
 /// on the first drop of a link, so concurrent detection paths (prober,
 /// reader, writer) report each death once.
 fn drop_peer(shared: &Shared, peer: NodeId) {
-    let known = shared.peers.lock().remove(&peer).map(|p| {
-        let _ = p.stream.shutdown(Shutdown::Both);
-    });
-    shared.neighbors.write().retain(|&n| n != peer);
-    shared.last_seen.lock().remove(&peer);
+    let known = shared
+        .peers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(&peer)
+        .map(|p| {
+            let _ = p.stream.shutdown(Shutdown::Both);
+        });
+    shared
+        .neighbors
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retain(|&n| n != peer);
+    shared
+        .last_seen
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(&peer);
     if known.is_some() {
-        shared.peer_downs.lock().push(peer);
+        shared
+            .peer_downs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(peer);
         shared
             .obs
             .event("tcp.peer_down", &[("peer", Value::U(peer as u64))]);
@@ -431,7 +477,7 @@ fn drop_peer(shared: &Shared, peer: NodeId) {
 /// link must not tear down the replacement.
 fn drop_peer_if(shared: &Shared, peer: NodeId, gen: u64) {
     {
-        let peers = shared.peers.lock();
+        let peers = shared.peers.lock().unwrap_or_else(PoisonError::into_inner);
         if peers.get(&peer).map(|p| p.gen) != Some(gen) {
             return;
         }
@@ -456,9 +502,10 @@ fn probe_loop(shared: Arc<Shared>, timeout: Duration) {
             std::thread::sleep(Duration::from_millis(5));
         }
         let self_id = shared.id.load(Ordering::Relaxed);
-        let peers: Vec<(NodeId, Sender<Message>)> = shared
+        let peers: Vec<(NodeId, SyncSender<Message>)> = shared
             .peers
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&p, peer)| (p, peer.tx.clone()))
             .collect();
@@ -467,6 +514,7 @@ fn probe_loop(shared: Arc<Shared>, timeout: Duration) {
             let stale = shared
                 .last_seen
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .get(&p)
                 .is_none_or(|t| now.duration_since(*t) > timeout);
             if stale {
@@ -534,7 +582,11 @@ fn reader_loop(mut stream: TcpStream, peer: NodeId, gen: u64, shared: Arc<Shared
                 shared.probes.c_bytes_in.add((msg.wire_size() + 4) as u64);
                 shared.probes.c_msgs_in.incr();
                 // Any frame proves the peer alive.
-                shared.last_seen.lock().insert(peer, Instant::now());
+                shared
+                    .last_seen
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(peer, Instant::now());
                 match msg {
                     // Liveness traffic is handled here at the wire
                     // level and never reaches the application inbox,
@@ -542,7 +594,12 @@ fn reader_loop(mut stream: TcpStream, peer: NodeId, gen: u64, shared: Arc<Shared
                     // node loop observes.
                     Message::Ping { .. } => {
                         let self_id = shared.id.load(Ordering::Relaxed);
-                        let tx = shared.peers.lock().get(&peer).map(|p| p.tx.clone());
+                        let tx = shared
+                            .peers
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .get(&peer)
+                            .map(|p| p.tx.clone());
                         if let Some(tx) = tx {
                             let pong = Message::Pong {
                                 from: self_id,
@@ -582,7 +639,11 @@ impl Transport for TcpEndpoint {
     }
 
     fn neighbors(&self) -> Vec<NodeId> {
-        self.shared.neighbors.read().clone()
+        self.shared
+            .neighbors
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Enqueue for the peer's writer thread. Never performs socket
@@ -590,12 +651,12 @@ impl Transport for TcpEndpoint {
     /// [`NetError::Backpressure`] once its queue fills.
     fn send(&mut self, to: NodeId, msg: Message) -> Result<(), NetError> {
         let tx = {
-            let peers = self.shared.peers.lock();
-            peers
-                .get(&to)
-                .ok_or(NetError::UnknownPeer(to))?
-                .tx
-                .clone()
+            let peers = self
+                .shared
+                .peers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            peers.get(&to).ok_or(NetError::UnknownPeer(to))?.tx.clone()
         };
         match tx.try_send(msg) {
             Ok(()) => {
@@ -615,7 +676,13 @@ impl Transport for TcpEndpoint {
     }
 
     fn take_peer_downs(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut *self.shared.peer_downs.lock())
+        std::mem::take(
+            &mut *self
+                .shared
+                .peer_downs
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -706,9 +773,7 @@ mod tests {
         assert_eq!(sb.counter("tcp.msgs_in"), 1);
         // The queue drained back to zero once the frame was written.
         assert_eq!(sa.gauges.get("tcp.queue_depth").copied(), Some(0));
-        if obs_api::ENABLED {
-            assert!(obs_b.events().iter().any(|e| e.kind == "tcp.peer_up"));
-        }
+        assert!(obs_b.events().iter().any(|e| e.kind == "tcp.peer_up"));
     }
 
     #[test]
@@ -724,6 +789,51 @@ mod tests {
             || b.neighbors().is_empty(),
             Duration::from_secs(2)
         ));
+    }
+
+    /// A thread that panics while it holds the endpoint's locks must not
+    /// take the endpoint down with it: every lock site recovers the
+    /// poisoned lock, so the accept loop, reader, writer and prober
+    /// keep serving the link.
+    #[test]
+    fn poisoned_locks_leave_the_endpoint_working() {
+        let cfg = TcpConfig::fast_fail().with_liveness(Duration::from_millis(300));
+        let mut a = TcpEndpoint::bind_with(0, "127.0.0.1:0", cfg.clone()).unwrap();
+        let mut b = TcpEndpoint::bind_with(1, "127.0.0.1:0", cfg).unwrap();
+        a.connect_to(1, b.listen_addr()).unwrap();
+        wait_for_neighbors(&b, 1, 2000);
+        let shared = Arc::clone(&a.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _peers = shared.peers.lock();
+            let _neighbors = shared.neighbors.write();
+            let _seen = shared.last_seen.lock();
+            let _downs = shared.peer_downs.lock();
+            let _readers = shared.readers.lock();
+            panic!("a peer thread dies holding every lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(a.shared.peers.is_poisoned() && a.shared.neighbors.is_poisoned());
+
+        let msg = Message::OptimumFound { from: 0, length: 5 };
+        a.send(1, msg.clone()).unwrap();
+        assert_eq!(recv_with_timeout(&mut b, 2000), Some(msg));
+        let reply = Message::OptimumFound { from: 1, length: 4 };
+        b.send(0, reply.clone()).unwrap();
+        assert_eq!(recv_with_timeout(&mut a, 2000), Some(reply));
+        assert_eq!(a.neighbors(), vec![1]);
+
+        b.shutdown();
+        let mut downs = Vec::new();
+        assert!(wait_until(
+            || {
+                downs.extend(a.take_peer_downs());
+                !downs.is_empty()
+            },
+            Duration::from_secs(5)
+        ));
+        assert_eq!(downs, vec![1]);
+        assert!(a.neighbors().is_empty());
+        a.shutdown();
     }
 
     #[test]
@@ -890,9 +1000,7 @@ mod tests {
         assert!(died, "frozen peer was never declared down");
         assert_eq!(a.take_peer_downs(), vec![2]);
         assert!(a.take_peer_downs().is_empty(), "downs reported twice");
-        if obs_api::ENABLED {
-            assert!(obs.events().iter().any(|e| e.kind == "tcp.peer_down"));
-        }
+        assert!(obs.events().iter().any(|e| e.kind == "tcp.peer_down"));
         let _ = frozen.join();
     }
 

@@ -15,11 +15,10 @@
 //! (`STATUS`). See DESIGN.md §8 "Live telemetry plane".
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use obs_api::{Event, MetricsSnapshot, Obs};
-use parking_lot::Mutex;
+use obs::{Event, MetricsSnapshot, Obs};
 
 use crate::message::{Message, NodeId};
 
@@ -60,7 +59,7 @@ struct StoreState {
     /// Latest absolute gauge readings, per node.
     gauges: BTreeMap<NodeId, BTreeMap<String, i64>>,
     /// Shipped events, re-stamped onto the hub timeline, in arrival
-    /// order (sort with `obs_api::merge_timelines` keys for replay).
+    /// order (sort with `obs::merge_timelines` keys for replay).
     events: Vec<Event>,
     events_dropped: u64,
     /// Known optimum for gap reporting (`None` → no GAP column).
@@ -104,7 +103,10 @@ impl TelemetryStore {
 
     /// Set the known optimum used for the `STATUS` gap column.
     pub fn set_reference(&self, optimum: Option<i64>) {
-        self.state.lock().reference = optimum;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reference = optimum;
     }
 
     /// Fold one [`Message::Telemetry`] frame into the store; returns
@@ -129,7 +131,7 @@ impl TelemetryStore {
         // Half-RTT clock model: the frame left the sender rtt/2 ago.
         let offset_ns = (*t_ns as i128 + *rtt_ns as i128 / 2 - hub_t as i128)
             .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = st.nodes.get(from);
         let iter_rate = match prev {
             Some(p) if hub_t > p.last_ingest_ns && *clk_calls >= p.clk_calls => {
@@ -179,20 +181,32 @@ impl TelemetryStore {
 
     /// Ids of all nodes that have shipped at least one frame.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.state.lock().nodes.keys().copied().collect()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .nodes
+            .keys()
+            .copied()
+            .collect()
     }
 
     /// Live state of one node, if it has reported.
     pub fn node(&self, id: NodeId) -> Option<NodeTelemetry> {
-        self.state.lock().nodes.get(&id).cloned()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .nodes
+            .get(&id)
+            .cloned()
     }
 
     /// Estimated per-node clock offsets keyed for
-    /// [`obs_api::align_timeline`]: adding the returned offset to a
+    /// [`obs::align_timeline`]: adding the returned offset to a
     /// node-local timestamp lands it on the hub timeline.
     pub fn offsets(&self) -> BTreeMap<u32, i64> {
         self.state
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .nodes
             .iter()
             .map(|(&id, n)| (id as u32, -n.offset_ns))
@@ -201,9 +215,14 @@ impl TelemetryStore {
 
     /// All shipped events, already re-stamped onto the hub timeline,
     /// sorted causally (`(t_ns, node, seq)` — same order as
-    /// `obs_api::merge_timelines`).
+    /// `obs::merge_timelines`).
     pub fn events(&self) -> Vec<Event> {
-        let mut events = self.state.lock().events.clone();
+        let mut events = self
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .events
+            .clone();
         events.sort_by_key(|e| (e.t_ns, e.node, e.seq));
         events
     }
@@ -213,7 +232,7 @@ impl TelemetryStore {
     /// store's own ingest health rides along (`telemetry.frames`,
     /// `telemetry.nodes_reporting`, `telemetry.events_dropped`).
     pub fn merged_snapshot(&self) -> MetricsSnapshot {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut snap = MetricsSnapshot {
             counters: st.counters.clone(),
             ..Default::default()
@@ -251,7 +270,7 @@ impl TelemetryStore {
     /// RTT <ns> OFFSET <ns> CALLS <n>`.
     pub fn status_text(&self) -> String {
         use std::fmt::Write as _;
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for (id, n) in &st.nodes {
             let gap = match st.reference {
@@ -345,7 +364,7 @@ impl TelemetryShipper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs_api::Value;
+    use obs::Value;
 
     fn frame(from: NodeId, t_ns: u64, clk_calls: u64, best: i64) -> Message {
         frame_with_events(from, t_ns, clk_calls, best, vec![])
@@ -481,7 +500,7 @@ mod tests {
             let msg = frame_with_events(0, 0, 0, 0, chunk.clone().into_bytes());
             store.ingest(&msg);
         }
-        let st = store.state.lock();
+        let st = store.state.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(st.events.len() <= MAX_EVENTS);
         assert!(st.events_dropped > 0);
     }
@@ -521,22 +540,15 @@ mod tests {
         };
         assert!(*stalled);
         assert!(counters.contains(&("clk.calls".to_string(), 2)), "{counters:?}");
-        if obs_api::ENABLED {
-            assert_eq!(
-                String::from_utf8(first_events).unwrap().lines().count(),
-                1
-            );
-            let second = String::from_utf8(events_jsonl.clone()).unwrap();
-            assert_eq!(second.lines().count(), 1, "{second}");
-            assert!(second.contains("\"round\":1"), "{second}");
-        }
+        assert_eq!(String::from_utf8(first_events).unwrap().lines().count(), 1);
+        let second = String::from_utf8(events_jsonl.clone()).unwrap();
+        assert_eq!(second.lines().count(), 1, "{second}");
+        assert!(second.contains("\"round\":1"), "{second}");
         // Round trip through the store: totals match the node counter.
         let store = TelemetryStore::new();
         store.ingest(&f1);
         store.ingest(&f2);
         assert_eq!(store.merged_snapshot().counter("clk.calls"), 7);
-        if obs_api::ENABLED {
-            assert_eq!(store.events().len(), 2);
-        }
+        assert_eq!(store.events().len(), 2);
     }
 }

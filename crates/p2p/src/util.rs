@@ -114,7 +114,7 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let loop_stop = Arc::clone(&stop);
         let server = std::thread::spawn(move || {
             let mut errors = 0usize;

@@ -1,11 +1,9 @@
 //! TSP instances: a named set of cities plus an edge-weight function.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metric::{self, Metric};
 
 /// A city location in the plane (or a DDD.MM lat/lon pair for `GEO`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     pub x: f64,
     pub y: f64,
@@ -37,7 +35,7 @@ pub const MAX_LENGTH_SCALE: f64 = (1u64 << 60) as f64;
 /// Cities are identified by dense indices `0..n`. Construction validates
 /// nothing beyond basic shape; distance semantics come from the
 /// [`Metric`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     name: String,
     points: Vec<Point>,

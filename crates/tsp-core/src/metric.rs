@@ -7,8 +7,6 @@
 //! compares tour lengths received over the network against locally
 //! computed ones.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instance::Point;
 
 /// Mean earth radius used by TSPLIB's `GEO` metric (kilometres).
@@ -18,7 +16,7 @@ const GEO_EARTH_RADIUS: f64 = 6378.388;
 ///
 /// The variants mirror TSPLIB's `EDGE_WEIGHT_TYPE` values that occur in
 /// the paper's testbed, plus `Explicit` for matrix-specified instances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
     /// Euclidean distance rounded to the nearest integer (`EUC_2D`).
     Euc2d,

@@ -257,52 +257,6 @@ impl Tour {
         self.reverse_segment(from, to);
     }
 
-    /// Move the segment of `seg_len` cities starting at city `s`
-    /// (walking forward) so that it follows city `dest` instead (Or-opt
-    /// move), optionally reversed.
-    ///
-    /// `dest` must not lie inside the segment nor be the city immediately
-    /// preceding it (which would be a no-op in the unreversed case).
-    pub fn or_opt_move(&mut self, s: usize, seg_len: usize, dest: usize, reversed: bool) {
-        let n = self.order.len();
-        debug_assert!(seg_len >= 1 && seg_len < n - 1);
-        // Extract the segment cities.
-        let mut seg = Vec::with_capacity(seg_len);
-        let mut c = s;
-        for _ in 0..seg_len {
-            seg.push(c as u32);
-            c = self.next(c);
-        }
-        debug_assert!(
-            !seg.contains(&(dest as u32)),
-            "destination inside moved segment"
-        );
-        if reversed {
-            seg.reverse();
-        }
-        // Rebuild the order: walk from the city after the segment all the
-        // way around, inserting the segment right after `dest`.
-        let start = self.next(seg[if reversed { 0 } else { seg_len - 1 }] as usize);
-        // `start` is the first city after the segment in the original tour.
-        let mut new_order = Vec::with_capacity(n);
-        let mut c = start;
-        loop {
-            new_order.push(c as u32);
-            if c == dest {
-                new_order.extend_from_slice(&seg);
-            }
-            c = self.next(c);
-            if c == s {
-                break;
-            }
-        }
-        debug_assert_eq!(new_order.len(), n);
-        self.order = new_order;
-        for (p, &city) in self.order.iter().enumerate() {
-            self.pos[city as usize] = p as u32;
-        }
-    }
-
     /// Double-bridge move: cut the tour at four positions and reconnect
     /// the quarters `A B C D` as `A C B D`. This is the 4-exchange kick
     /// of Martin, Otto & Felten used by Chained LK; it cannot be undone
@@ -560,30 +514,6 @@ mod tests {
         assert_eq!(t.order(), &[0, 1, 2, 3, 4]);
         // ... and without touching the RNG.
         assert_eq!(rng.gen::<u64>(), SmallRng::seed_from_u64(7).gen::<u64>());
-    }
-
-    #[test]
-    fn or_opt_moves_segment() {
-        let mut t = Tour::from_order(vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        // Move segment [1,2] to follow 5.
-        t.or_opt_move(1, 2, 5, false);
-        assert!(t.is_valid());
-        let p0 = t.position(0);
-        // After 0 should now come 3.
-        assert_eq!(t.city_at((p0 + 1) % 8), 3);
-        assert_eq!(t.next(5), 1);
-        assert_eq!(t.next(1), 2);
-    }
-
-    #[test]
-    fn or_opt_reversed_segment() {
-        let mut t = Tour::from_order(vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        t.or_opt_move(1, 3, 6, true);
-        assert!(t.is_valid());
-        assert_eq!(t.next(6), 3);
-        assert_eq!(t.next(3), 2);
-        assert_eq!(t.next(2), 1);
-        assert_eq!(t.next(0), 4);
     }
 
     #[test]

@@ -191,32 +191,6 @@ proptest! {
             }
         }
     }
-
-    /// Or-opt moves preserve the permutation.
-    #[test]
-    fn or_opt_preserves_validity(
-        n in 10usize..50,
-        seed in any::<u64>(),
-        seg_len in 1usize..3,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut tour = Tour::random(n, &mut rng);
-        use rand::Rng;
-        let s = rng.gen_range(0..n);
-        // Pick a destination outside the segment.
-        let mut seg = vec![s];
-        let mut c = s;
-        for _ in 1..seg_len {
-            c = tour.next(c);
-            seg.push(c);
-        }
-        let dest_candidates: Vec<usize> = (0..n).filter(|d| !seg.contains(d)).collect();
-        let dest = dest_candidates[rng.gen_range(0..dest_candidates.len())];
-        let reversed = rng.gen_bool(0.5);
-        tour.or_opt_move(s, seg_len, dest, reversed);
-        prop_assert!(tour.is_valid());
-        prop_assert_eq!(tour.next(dest), if reversed { seg[seg_len - 1] } else { s });
-    }
 }
 
 /// Explicit-matrix instances behave like their geometric counterparts.
