@@ -14,7 +14,7 @@
 //! its memory at one working set per thread.
 
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Set while this thread works for a parallel fan-out.
@@ -43,7 +43,7 @@ impl Drop for WorkerMark {
 
 /// Run `f(i, &mut items[i])` for every `i`, in parallel.
 ///
-/// The width is `available_parallelism().min(items.len())`: width − 1
+/// The width is [`width`]`(items.len())`: width − 1
 /// threads are spawned and the calling thread works as the last one.
 /// Called from inside a fan-out, or with a width of one, it runs the
 /// items in index order on the calling thread. A panicking item
@@ -87,13 +87,19 @@ where
 /// inside another fan-out, else `available_parallelism()` capped at
 /// `items`. A caller that sizes per-item state by it allocates none for
 /// items that could only run after the others have finished.
+///
+/// The core count is read once per process: `available_parallelism()`
+/// reads the cgroup files on every call (≈ 18 µs on a 2-vCPU VM, more
+/// than half a scoped spawn and join), and every k-NN build, lockstep
+/// round, seam window and LK pass asks. A process whose affinity mask
+/// changes after the first call keeps the first count.
 pub fn width(items: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if IN_FAN_OUT.get() {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(items)
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    cores.min(items)
 }
 
 #[cfg(test)]
