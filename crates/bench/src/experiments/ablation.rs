@@ -95,8 +95,12 @@ pub fn run(scale: &Scale) -> Report {
             let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB6, None);
             let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
             rows.push(vec![
-                if diversify { "rotating constructions" } else { "uniform Quick-Borůvka" }
-                    .to_string(),
+                if diversify {
+                    "rotating constructions"
+                } else {
+                    "uniform Quick-Borůvka"
+                }
+                .to_string(),
                 format!("{:.0}", mean(&lens)),
             ]);
             csv.push(format!(
@@ -160,14 +164,15 @@ pub fn run(scale: &Scale) -> Report {
                 let (eps, _) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
                 let wrapped: Vec<_> = eps
                     .into_iter()
-                    .map(|e| {
-                        DelayedTransport::new(e, std::time::Duration::from_millis(delay_ms))
-                    })
+                    .map(|e| DelayedTransport::new(e, std::time::Duration::from_millis(delay_ms)))
                     .collect();
                 let result = run_over_transports(&inst, &nl, &cfg, wrapped);
                 lens.push(result.best_length as f64);
             }
-            rows.push(vec![format!("{delay_ms} ms"), format!("{:.0}", mean(&lens))]);
+            rows.push(vec![
+                format!("{delay_ms} ms"),
+                format!("{:.0}", mean(&lens)),
+            ]);
             csv.push(format!("latency,{delay_ms}ms,{:.1}", mean(&lens)));
         }
         report.para(

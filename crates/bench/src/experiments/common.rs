@@ -102,10 +102,12 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Mean excess of a set of lengths over a reference.
 pub fn mean_excess(reference: &Reference, lengths: &[i64]) -> f64 {
-    mean(&lengths
-        .iter()
-        .map(|&l| reference.excess(l))
-        .collect::<Vec<_>>())
+    mean(
+        &lengths
+            .iter()
+            .map(|&l| reference.excess(l))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Best-so-far length at an effort point (kicks) from a trace.

@@ -33,8 +33,7 @@ pub fn run(scale: &Scale) -> Report {
     for (name, inst) in &instances {
         // Panels (a)/(b): CLK per strategy.
         for strategy in KickStrategy::ALL {
-            let run = run_clk_many(inst, strategy, scale.clk_kicks, 1, 0xF2, None)
-                .remove(0);
+            let run = run_clk_many(inst, strategy, scale.clk_kicks, 1, 0xF2, None).remove(0);
             let rows: Vec<String> = run
                 .trace
                 .points()
@@ -48,7 +47,11 @@ pub fn run(scale: &Scale) -> Report {
                 format!("{:.2}", run.seconds),
             ]);
             report.series(
-                format!("{}_clk_{}", name, strategy.name().to_lowercase().replace('-', "")),
+                format!(
+                    "{}_clk_{}",
+                    name,
+                    strategy.name().to_lowercase().replace('-', "")
+                ),
                 "secs,kicks,length",
                 rows,
             );

@@ -35,5 +35,7 @@ pub const ALL: [(&str, Experiment); 11] = [
 
 /// Run one experiment by id; `None` for unknown ids.
 pub fn run(id: &str, scale: &Scale) -> Option<Report> {
-    ALL.iter().find(|(name, _)| *name == id).map(|(_, run)| run(scale))
+    ALL.iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run(scale))
 }

@@ -85,10 +85,7 @@ fn emit_instance(
 
     let eight_cfg = dist_config(scale, kick, scale.nodes, 0);
     let eight_runs = run_dist_many(inst, &eight_cfg, scale.runs, 0x13, None);
-    let eight_traces: Vec<_> = eight_runs
-        .iter()
-        .map(|r| r.network_trace.clone())
-        .collect();
+    let eight_traces: Vec<_> = eight_runs.iter().map(|r| r.network_trace.clone()).collect();
 
     // Surrogate reference: best final length over every run.
     let best = clk_runs

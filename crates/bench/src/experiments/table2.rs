@@ -91,12 +91,13 @@ pub fn run(scale: &Scale) -> Report {
         // x 8" quantity, however many nodes shared a core.
         let dist_secs = dist.total_node_seconds();
 
-        let reference = reference_for(
-            inst,
-            [lkh.clk.length, ml.length, tm_len, dist.best_length],
-        );
+        let reference = reference_for(inst, [lkh.clk.length, ml.length, tm_len, dist.best_length]);
         let cell = |len: i64, secs: f64| {
-            format!("{} / {}", fmt_excess(reference.excess(len)), fmt_secs(secs * factor))
+            format!(
+                "{} / {}",
+                fmt_excess(reference.excess(len)),
+                fmt_secs(secs * factor)
+            )
         };
         rows.push(vec![
             name.to_string(),

@@ -31,11 +31,16 @@ pub fn run(scale: &Scale) -> Report {
     ));
 
     let header = vec![
-        "Instance", "n",
-        "Random CLK", "Random Dist",
-        "Geometric CLK", "Geometric Dist",
-        "Close CLK", "Close Dist",
-        "Random-Walk CLK", "Random-Walk Dist",
+        "Instance",
+        "n",
+        "Random CLK",
+        "Random Dist",
+        "Geometric CLK",
+        "Geometric Dist",
+        "Close CLK",
+        "Close Dist",
+        "Random-Walk CLK",
+        "Random-Walk Dist",
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();

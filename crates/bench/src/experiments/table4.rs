@@ -25,10 +25,14 @@ pub fn run(scale: &Scale) -> Report {
 
     let header = vec![
         "Instance",
-        "Random short", "Random long",
-        "Geometric short", "Geometric long",
-        "Close short", "Close long",
-        "Random-Walk short", "Random-Walk long",
+        "Random short",
+        "Random long",
+        "Geometric short",
+        "Geometric long",
+        "Close short",
+        "Close long",
+        "Random-Walk short",
+        "Random-Walk long",
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -80,6 +84,10 @@ pub fn run(scale: &Scale) -> Report {
 
     let header_refs: Vec<&str> = header.iter().map(|s| &**s).collect();
     report.table(&header_refs, &rows);
-    report.series("excess", "instance,strategy,short_excess,long_excess,reference", csv);
+    report.series(
+        "excess",
+        "instance,strategy,short_excess,long_excess,reference",
+        csv,
+    );
     report
 }

@@ -27,10 +27,14 @@ pub fn run(scale: &Scale) -> Report {
 
     let header = vec![
         "Instance",
-        "Random short", "Random long",
-        "Geometric short", "Geometric long",
-        "Close short", "Close long",
-        "Random-Walk short", "Random-Walk long",
+        "Random short",
+        "Random long",
+        "Geometric short",
+        "Geometric long",
+        "Close short",
+        "Close long",
+        "Random-Walk short",
+        "Random-Walk long",
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -47,7 +51,8 @@ pub fn run(scale: &Scale) -> Report {
         for (i, strategy) in KickStrategy::ALL.into_iter().enumerate() {
             let mut short_cfg = dist_config(scale, strategy, scale.nodes, 0);
             short_cfg.budget = lk::Budget::kicks(short_calls);
-            let short_runs = run_dist_many(inst, &short_cfg, scale.runs, 0x5a + i as u64 * 131, None);
+            let short_runs =
+                run_dist_many(inst, &short_cfg, scale.runs, 0x5a + i as u64 * 131, None);
 
             let mut long_cfg = dist_config(scale, strategy, scale.nodes, 0);
             long_cfg.budget = lk::Budget::kicks(long_calls);
@@ -80,6 +85,10 @@ pub fn run(scale: &Scale) -> Report {
 
     let header_refs: Vec<&str> = header.iter().map(|s| &**s).collect();
     report.table(&header_refs, &rows);
-    report.series("excess", "instance,strategy,short_excess,long_excess,reference", csv);
+    report.series(
+        "excess",
+        "instance,strategy,short_excess,long_excess,reference",
+        csv,
+    );
     report
 }

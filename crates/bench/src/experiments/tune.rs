@@ -28,7 +28,12 @@ pub fn run(scale: &Scale) -> Report {
             cfg.clk_kicks_per_call = 5;
             cfg.budget = lk::Budget::kicks((clk_kicks / 10 / 5).max(1));
             let dist = run_dist_many(inst, &cfg, scale.runs, 0xE2, None);
-            let dist_mean = mean(&dist.iter().map(|r| r.best_length as f64).collect::<Vec<_>>());
+            let dist_mean = mean(
+                &dist
+                    .iter()
+                    .map(|r| r.best_length as f64)
+                    .collect::<Vec<_>>(),
+            );
             rows.push(vec![
                 name.to_string(),
                 clk_kicks.to_string(),
@@ -40,7 +45,13 @@ pub fn run(scale: &Scale) -> Report {
         }
     }
     report.table(
-        &["Instance", "CLK kicks", "CLK mean", "Dist mean (1/10 per node)", "Dist vs CLK"],
+        &[
+            "Instance",
+            "CLK kicks",
+            "CLK mean",
+            "Dist mean (1/10 per node)",
+            "Dist vs CLK",
+        ],
         &rows,
     );
     report.series("tune", "instance,clk_kicks,clk_mean,dist_mean", csv);

@@ -35,7 +35,11 @@ pub fn run(scale: &Scale) -> Report {
         for n in &run.nodes {
             for e in &n.events {
                 match e {
-                    NodeEvent::Improved { secs, length, local } => {
+                    NodeEvent::Improved {
+                        secs,
+                        length,
+                        local,
+                    } => {
                         improvements += 1;
                         csv.push(format!(
                             "{label},{},{secs:.4},improved,{length},{}",

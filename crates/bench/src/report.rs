@@ -52,7 +52,12 @@ impl Report {
     }
 
     /// Attach a CSV series.
-    pub fn series(&mut self, name: impl Into<String>, header: impl Into<String>, rows: Vec<String>) {
+    pub fn series(
+        &mut self,
+        name: impl Into<String>,
+        header: impl Into<String>,
+        rows: Vec<String>,
+    ) {
         self.csv.push((name.into(), header.into(), rows));
     }
 

@@ -177,8 +177,10 @@ mod tests {
             let b = ChurnSchedule::seeded(seed, 8, 2, 1);
             assert_eq!(a.events, b.events);
             assert_eq!(a.events.len(), 3);
-            let (kills, revives): (Vec<_>, Vec<_>) =
-                a.events.iter().partition(|(_, e)| matches!(e, ChurnAction::Kill(_)));
+            let (kills, revives): (Vec<_>, Vec<_>) = a
+                .events
+                .iter()
+                .partition(|(_, e)| matches!(e, ChurnAction::Kill(_)));
             let victims: Vec<NodeId> = kills
                 .iter()
                 .map(|&&(_, a)| match a {

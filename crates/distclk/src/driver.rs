@@ -497,11 +497,9 @@ mod tests {
         }
         // At least one tour crossed more than one hop: the same id
         // adopted by two different nodes (the epidemic forward path).
-        let multi_hop = adopted.iter().any(|(id, a)| {
-            adopted
-                .iter()
-                .any(|(id2, a2)| id == id2 && a != a2)
-        });
+        let multi_hop = adopted
+            .iter()
+            .any(|(id, a)| adopted.iter().any(|(id2, a2)| id == id2 && a != a2));
         assert!(
             multi_hop,
             "no broadcast id was adopted by more than one node on the ring"
@@ -530,7 +528,11 @@ mod tests {
         assert_eq!(store.nodes(), vec![0, 1, 2, 3]);
         for n in &res.nodes {
             let live = store.node(n.id).expect("node reported");
-            assert_eq!(live.best_len, n.best_length, "node {} live view drifted", n.id);
+            assert_eq!(
+                live.best_len, n.best_length,
+                "node {} live view drifted",
+                n.id
+            );
             assert_eq!(live.clk_calls, n.clk_calls);
         }
         // Counter deltas summed over all frames == final registry sum.
@@ -543,7 +545,9 @@ mod tests {
         for id in 0..4 {
             assert!(status.contains(&format!("NODE {id} ")), "{status}");
         }
-        assert!(store.prometheus_text().contains("telemetry_nodes_reporting 4"));
+        assert!(store
+            .prometheus_text()
+            .contains("telemetry_nodes_reporting 4"));
     }
 
     #[test]

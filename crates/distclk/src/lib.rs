@@ -62,9 +62,6 @@ pub use shard::{
 /// `cfg.clk`, so lists built any other way would make nodes disagree
 /// with the config they gossip. Deterministic in `(instance, cfg)`,
 /// hence bit-identical across nodes and hosts.
-pub fn build_neighbors(
-    inst: &tsp_core::Instance,
-    cfg: &DistConfig,
-) -> tsp_core::NeighborLists {
+pub fn build_neighbors(inst: &tsp_core::Instance, cfg: &DistConfig) -> tsp_core::NeighborLists {
     cfg.clk.build_neighbors(inst)
 }

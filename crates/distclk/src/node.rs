@@ -96,11 +96,7 @@ impl Default for DistConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeEvent {
     /// A new best tour, found locally (`local == true`) or received.
-    Improved {
-        secs: f64,
-        length: i64,
-        local: bool,
-    },
+    Improved { secs: f64, length: i64, local: bool },
     /// The perturbation strength the next kick will use changed.
     StrengthChanged { secs: f64, strength: u32 },
     /// `c_r` exceeded: tour discarded, fresh construction.
@@ -273,13 +269,15 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// and wait up to `patience` rounds for a reply before optimizing
     /// locally.
     fn begin_resync(&mut self, patience: u32) {
-        self.obs
-            .event("node.rejoin", &[("len", Value::U(self.best_len.max(0) as u64))]);
-        let sent = self.transport.broadcast(Message::BestRequest { from: self.id });
         self.obs.event(
-            "node.best_request",
-            &[("peers", Value::U(sent as u64))],
+            "node.rejoin",
+            &[("len", Value::U(self.best_len.max(0) as u64))],
         );
+        let sent = self
+            .transport
+            .broadcast(Message::BestRequest { from: self.id });
+        self.obs
+            .event("node.best_request", &[("peers", Value::U(sent as u64))]);
         // Nobody reachable: waiting is pointless, run standalone.
         self.resync_remaining = if sent > 0 { patience } else { 0 };
     }
@@ -469,8 +467,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let len = self
             .engine
             .clk_call(tour, self.clk_kicks_per_call, &mut |len| {
-                budget.target_met(len)
-                    || budget.time_limit.is_some_and(|t| watch.elapsed() >= t)
+                budget.target_met(len) || budget.time_limit.is_some_and(|t| watch.elapsed() >= t)
             });
         self.c_clk_calls.incr();
         len
@@ -583,7 +580,10 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         self.obs.event(
             "node.iter",
             &[
-                ("no_improvements", Value::U(self.perturb.no_improvements() as u64)),
+                (
+                    "no_improvements",
+                    Value::U(self.perturb.no_improvements() as u64),
+                ),
                 ("strength", Value::U(self.perturb.strength() as u64)),
                 ("s_len", Value::I(s_len)),
                 ("best_len", Value::I(self.best_len)),
@@ -647,10 +647,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                         secs: self.watch.secs(),
                         strength,
                     });
-                    self.obs.event(
-                        "node.strength",
-                        &[("strength", Value::U(strength as u64))],
-                    );
+                    self.obs
+                        .event("node.strength", &[("strength", Value::U(strength as u64))]);
                 }
             }
             Source::Local => {
@@ -1364,10 +1362,12 @@ mod tests {
         );
         assert_ne!(node1.best_length(), 1, "adopted a lying length claim");
         let res = node1.finish();
-        assert_eq!(res.rejected, 3, "all three malformed tours must be rejected");
+        assert_eq!(
+            res.rejected, 3,
+            "all three malformed tours must be rejected"
+        );
         assert!(
-            !res
-                .events
+            !res.events
                 .iter()
                 .any(|e| matches!(e, NodeEvent::Improved { local: false, .. })),
             "a malformed tour was recorded as a received improvement"
@@ -1391,8 +1391,14 @@ mod tests {
             ..Default::default()
         };
         let mut node1 = started_node(&inst, &nl, &cfg, ep1);
-        ep0.send(1, Message::OptimumFound { from: 0, length: 42 })
-            .unwrap();
+        ep0.send(
+            1,
+            Message::OptimumFound {
+                from: 0,
+                length: 42,
+            },
+        )
+        .unwrap();
         // The step that drains the message must be the last.
         let cont = node1.step();
         assert!(!cont);
@@ -1453,7 +1459,10 @@ mod tests {
         let mut node = NodeDriver::new(&inst, &nl, &cfg, eps.remove(0));
         assert!(!node.stalled());
         while node.step() {}
-        assert!(node.stalled(), "an unimprovable tour must trip the detector");
+        assert!(
+            node.stalled(),
+            "an unimprovable tour must trip the detector"
+        );
         let res = node.finish();
         assert_eq!(res.metrics.counter(obs::kinds::C_STALLS), 1);
         assert!(

@@ -1396,9 +1396,15 @@ mod tests {
 
     #[test]
     fn flow_budget_semilattice_laws() {
-        let a = FlowBudget { spent: 3, limit: 10 };
+        let a = FlowBudget {
+            spent: 3,
+            limit: 10,
+        };
         let b = FlowBudget { spent: 7, limit: 8 };
-        let c = FlowBudget { spent: 5, limit: 12 };
+        let c = FlowBudget {
+            spent: 5,
+            limit: 12,
+        };
         // Idempotent, commutative, associative.
         assert_eq!(a.join(a), a);
         assert_eq!(a.join(b), b.join(a));
@@ -1512,7 +1518,9 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("flow budget exhausted"), "{err}");
         // A different tenant still gets in.
-        assert!(svc.submit(6, JobSpec::new(grid_payload(16)).kicks(2)).is_ok());
+        assert!(svc
+            .submit(6, JobSpec::new(grid_payload(16)).kicks(2))
+            .is_ok());
         assert!(ok.wait().is_some());
         let snapshot = svc.obs().snapshot();
         assert_eq!(snapshot.counter(kinds::C_SVC_REJECTED), 2);

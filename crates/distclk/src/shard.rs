@@ -233,11 +233,11 @@ fn collect<T: Transport>(
     let me = ep.node_id();
 
     let install = |cycles: &mut Collected,
-                       solver_of: &mut Vec<NodeId>,
-                       shard: usize,
-                       length: i64,
-                       order: Vec<u32>,
-                       from: NodeId| {
+                   solver_of: &mut Vec<NodeId>,
+                   shard: usize,
+                   length: i64,
+                   order: Vec<u32>,
+                   from: NodeId| {
         // Winner merge by (length, sender): deterministic even if a
         // shard is ever solved twice.
         let incumbent = (cycles[shard].as_ref().map(|(l, _)| *l), solver_of[shard]);
@@ -348,14 +348,27 @@ mod tests {
         let part = Partition::build(&inst, cfg.shard.shards);
         let (mut endpoints, _) = InMemoryNetwork::build(cfg.nodes, Topology::Star);
         let obs = Obs::disabled();
-        let (cycles, solver_of, rejected, _) =
-            collect(&inst, &part, &cfg, endpoints.remove(0), &obs, Duration::ZERO);
+        let (cycles, solver_of, rejected, _) = collect(
+            &inst,
+            &part,
+            &cfg,
+            endpoints.remove(0),
+            &obs,
+            Duration::ZERO,
+        );
         assert_eq!(rejected, 0);
         for (s, &solver) in solver_of.iter().enumerate() {
-            let want = if node_of_shard(s, cfg.nodes) == 0 { 0 } else { RESOLVED_LOCALLY };
+            let want = if node_of_shard(s, cfg.nodes) == 0 {
+                0
+            } else {
+                RESOLVED_LOCALLY
+            };
             assert_eq!(solver, want, "shard {s}");
         }
-        let cycles = cycles.into_iter().map(|c| c.map(|(_, order)| order)).collect();
+        let cycles = cycles
+            .into_iter()
+            .map(|c| c.map(|(_, order)| order))
+            .collect();
         let mut stats = ShardStats::default();
         let tour = stitch_and_refine(&inst, &part, cycles, &cfg.shard, &obs, &mut stats);
         assert_eq!(tour.order(), local.tour.order());

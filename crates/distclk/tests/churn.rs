@@ -49,12 +49,7 @@ fn churn_schedules_terminate_validate_and_reproduce() {
 
         // 8 original incarnations (2 of them aborted) + 1 revived.
         assert_eq!(a.nodes.len(), 9, "seed {seed}");
-        let aborted: Vec<NodeId> = a
-            .nodes
-            .iter()
-            .filter(|n| n.aborted)
-            .map(|n| n.id)
-            .collect();
+        let aborted: Vec<NodeId> = a.nodes.iter().filter(|n| n.aborted).map(|n| n.id).collect();
         assert_eq!(aborted.len(), 2, "seed {seed}: kills {aborted:?}");
 
         // Every clean finisher holds a valid tour whose recorded length
@@ -125,10 +120,11 @@ fn rejoiner_resyncs_before_first_clk_iteration() {
     assert_eq!(revived.metrics.counter("node.resyncs"), 1);
 
     // Some survivor answered the request.
-    let replied = res
-        .nodes
-        .iter()
-        .any(|n| n.obs_events.iter().any(|e| e.kind.as_ref() == "node.best_reply"));
+    let replied = res.nodes.iter().any(|n| {
+        n.obs_events
+            .iter()
+            .any(|e| e.kind.as_ref() == "node.best_reply")
+    });
     assert!(replied, "no node answered the BestRequest");
 }
 
@@ -320,12 +316,20 @@ fn panicked_node_yields_degraded_result_in_memory() {
         .into_iter()
         .map(|e| {
             let remaining = if e.node_id() == 5 { 2 } else { u64::MAX };
-            PanicAfter { inner: e, remaining }
+            PanicAfter {
+                inner: e,
+                remaining,
+            }
         })
         .collect();
     let res = run_over_transports(&inst, &nl, &cfg, wrapped);
     assert_eq!(res.nodes.len(), 8);
-    let dead: Vec<NodeId> = res.nodes.iter().filter(|n| n.aborted).map(|n| n.id).collect();
+    let dead: Vec<NodeId> = res
+        .nodes
+        .iter()
+        .filter(|n| n.aborted)
+        .map(|n| n.id)
+        .collect();
     assert_eq!(dead, vec![5]);
     for n in res.nodes.iter().filter(|n| !n.aborted) {
         assert!(n.best_tour.is_valid());
@@ -366,12 +370,20 @@ fn panicked_node_yields_degraded_result_over_tcp() {
         .into_iter()
         .map(|e| {
             let remaining = if e.node_id() == 2 { 2 } else { u64::MAX };
-            PanicAfter { inner: e, remaining }
+            PanicAfter {
+                inner: e,
+                remaining,
+            }
         })
         .collect();
     let res = run_over_transports(&inst, &nl, &cfg, wrapped);
     assert_eq!(res.nodes.len(), nodes);
-    let dead: Vec<NodeId> = res.nodes.iter().filter(|n| n.aborted).map(|n| n.id).collect();
+    let dead: Vec<NodeId> = res
+        .nodes
+        .iter()
+        .filter(|n| n.aborted)
+        .map(|n| n.id)
+        .collect();
     assert_eq!(dead, vec![2]);
     for n in res.nodes.iter().filter(|n| !n.aborted) {
         assert!(n.best_tour.is_valid());

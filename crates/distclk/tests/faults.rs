@@ -95,7 +95,8 @@ fn faulty_runs_reproduce_from_seed() {
 
     assert_eq!(a.best_length, b.best_length);
     assert_eq!(a.best_tour.order(), b.best_tour.order());
-    let rej = |r: &distclk::DistResult| -> Vec<u64> { r.nodes.iter().map(|n| n.rejected).collect() };
+    let rej =
+        |r: &distclk::DistResult| -> Vec<u64> { r.nodes.iter().map(|n| n.rejected).collect() };
     assert_eq!(rej(&a), rej(&b));
 }
 
@@ -119,7 +120,11 @@ fn heavy_corruption_never_pollutes_best_lengths() {
             "node {} reports a best length that is not the true length of its tour",
             n.id
         );
-        assert!(n.best_tour.is_valid(), "node {} holds an invalid tour", n.id);
+        assert!(
+            n.best_tour.is_valid(),
+            "node {} holds an invalid tour",
+            n.id
+        );
     }
     // With 90% corruption and cooperating nodes, validation must have
     // turned at least one damaged tour away (deterministic under the

@@ -10,9 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use distclk::{
-    run_lockstep_telemetry_over, DistConfig, TelemetryAttach,
-};
+use distclk::{run_lockstep_telemetry_over, DistConfig, TelemetryAttach};
 use lk::Budget;
 use p2p::{InMemoryNetwork, TelemetryStore};
 use tsp_core::{generate, NeighborLists};
@@ -42,12 +40,16 @@ fn run_once(
 ) -> (Duration, i64, Vec<u32>) {
     let mut cfg = cfg();
     cfg.telemetry_every = telemetry_every;
-    let telemetry = (telemetry_every > 0)
-        .then(|| (TelemetryStore::shared(), TelemetryAttach::AllNodes));
+    let telemetry =
+        (telemetry_every > 0).then(|| (TelemetryStore::shared(), TelemetryAttach::AllNodes));
     let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
     let start = Instant::now();
     let res = run_lockstep_telemetry_over(inst, nl, &cfg, endpoints, Some(stats), telemetry);
-    (start.elapsed(), res.best_length, res.best_tour.order().to_vec())
+    (
+        start.elapsed(),
+        res.best_length,
+        res.best_tour.order().to_vec(),
+    )
 }
 
 /// Shipping a frame every round must not perturb the search: same

@@ -213,7 +213,10 @@ mod tests {
         // City 3 (interior of cluster 0) should only have cluster-0
         // candidates.
         for &c in nl.of(3) {
-            assert!((c as usize) < 10, "interior city candidate crossed the bridge");
+            assert!(
+                (c as usize) < 10,
+                "interior city candidate crossed the bridge"
+            );
         }
     }
 }

@@ -214,7 +214,12 @@ mod tests {
         let inst = generate::grid_known_optimum(6, 6, 100.0);
         let res = held_karp_bound(&inst, &AscentConfig::default());
         let opt = inst.known_optimum().unwrap();
-        assert!(res.bound <= opt, "bound {} above optimum {}", res.bound, opt);
+        assert!(
+            res.bound <= opt,
+            "bound {} above optimum {}",
+            res.bound,
+            opt
+        );
         // HK is usually within ~1-2% on geometric instances; the grid is
         // benign, expect at least 95%.
         assert!(

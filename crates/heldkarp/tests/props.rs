@@ -295,7 +295,11 @@ fn grid_bound_tight() {
     let res = held_karp_bound(&inst, &AscentConfig::default());
     let opt = inst.known_optimum().unwrap();
     assert!(res.bound <= opt);
-    assert!(res.bound as f64 >= 0.95 * opt as f64, "bound {} weak vs {opt}", res.bound);
+    assert!(
+        res.bound as f64 >= 0.95 * opt as f64,
+        "bound {} weak vs {opt}",
+        res.bound
+    );
 }
 
 /// The sparse ascent's bound is the complete graph's `w(π)` at the

@@ -43,8 +43,11 @@ pub enum CandidateKind {
 
 impl CandidateKind {
     /// All kinds, in ablation-sweep order.
-    pub const ALL: [CandidateKind; 3] =
-        [CandidateKind::Knn, CandidateKind::Alpha, CandidateKind::Hybrid];
+    pub const ALL: [CandidateKind; 3] = [
+        CandidateKind::Knn,
+        CandidateKind::Alpha,
+        CandidateKind::Hybrid,
+    ];
 
     /// Stable lower-case name used in benchmark reports and CLI args.
     pub fn name(&self) -> &'static str {

@@ -96,7 +96,11 @@ pub fn greedy_matching(inst: &Instance) -> Tour {
     loop {
         order.push(cur);
         let a = adj[cur as usize];
-        let next = if a[0] != prev && a[0] != u32::MAX { a[0] } else { a[1] };
+        let next = if a[0] != prev && a[0] != u32::MAX {
+            a[0]
+        } else {
+            a[1]
+        };
         if next == u32::MAX || order.len() == n {
             break;
         }

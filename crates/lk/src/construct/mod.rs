@@ -15,8 +15,8 @@ mod space_filling;
 pub use greedy::greedy_matching;
 pub use nearest::nearest_neighbor;
 pub use quick_boruvka::quick_boruvka;
-pub use space_filling::space_filling;
 pub(crate) use space_filling::hilbert_order;
+pub use space_filling::space_filling;
 
 use rand::Rng;
 use tsp_core::{Instance, Tour};

@@ -62,17 +62,14 @@ pub fn quick_boruvka(inst: &Instance) -> Tour {
             .then(a.cmp(&b))
     });
 
-    let add_edge = |a: usize,
-                        b: usize,
-                        degree: &mut Vec<u8>,
-                        adj: &mut Vec<[u32; 2]>,
-                        uf: &mut UnionFind| {
-        adj[a][degree[a] as usize] = b as u32;
-        adj[b][degree[b] as usize] = a as u32;
-        degree[a] += 1;
-        degree[b] += 1;
-        uf.union(a, b);
-    };
+    let add_edge =
+        |a: usize, b: usize, degree: &mut Vec<u8>, adj: &mut Vec<[u32; 2]>, uf: &mut UnionFind| {
+            adj[a][degree[a] as usize] = b as u32;
+            adj[b][degree[b] as usize] = a as u32;
+            degree[a] += 1;
+            degree[b] += 1;
+            uf.union(a, b);
+        };
 
     // Main passes: stop early once n-1 edges (a Hamiltonian path) exist.
     let mut progress = true;
@@ -100,7 +97,9 @@ pub fn quick_boruvka(inst: &Instance) -> Tour {
     // remains, then close the cycle implicitly by the walk below.
     while edges < n - 1 {
         // Pick any endpoint and its nearest endpoint in another component.
-        let v = (0..n).find(|&c| degree[c] < 2).expect("endpoint must exist");
+        let v = (0..n)
+            .find(|&c| degree[c] < 2)
+            .expect("endpoint must exist");
         let root_v = uf.find(v);
         let mut best = usize::MAX;
         let mut best_d = i64::MAX;

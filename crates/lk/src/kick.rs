@@ -249,7 +249,9 @@ pub fn double_bridge_by_cities<T: TourOps>(
     // Removed: (x_i, next(x_i)); added: (x0,n2), (x3,n1), (x2,n0),
     // (x1,n3). When a quarter is empty the corresponding pair appears
     // on both sides and cancels numerically.
-    let delta = inst.dist(x[0], nx[2]) + inst.dist(x[3], nx[1]) + inst.dist(x[2], nx[0])
+    let delta = inst.dist(x[0], nx[2])
+        + inst.dist(x[3], nx[1])
+        + inst.dist(x[2], nx[0])
         + inst.dist(x[1], nx[3])
         - inst.dist(x[0], nx[0])
         - inst.dist(x[1], nx[1])
@@ -378,17 +380,21 @@ mod tests {
         let (inst, nl, tour) = setup(100);
         let small = Tour::identity(6);
         let mut rng = SmallRng::seed_from_u64(4);
-        assert!(
-            select_kick_cities(KickStrategy::Random, &inst, &small, &nl, &mut rng).is_none()
-        );
+        assert!(select_kick_cities(KickStrategy::Random, &inst, &small, &nl, &mut rng).is_none());
         let _ = tour;
     }
 
     #[test]
     fn names_and_parsing() {
         assert_eq!(KickStrategy::Random.name(), "Random");
-        assert_eq!(KickStrategy::by_name("geometric"), Some(KickStrategy::Geometric(16)));
-        assert_eq!(KickStrategy::by_name("Random-Walk"), Some(KickStrategy::RandomWalk(50)));
+        assert_eq!(
+            KickStrategy::by_name("geometric"),
+            Some(KickStrategy::Geometric(16))
+        );
+        assert_eq!(
+            KickStrategy::by_name("Random-Walk"),
+            Some(KickStrategy::RandomWalk(50))
+        );
         assert_eq!(KickStrategy::by_name("nope"), None);
     }
 
@@ -446,10 +452,8 @@ mod tests {
                 .edges()
                 .map(|(a, b)| (a.min(b), a.max(b)))
                 .collect();
-            let got: std::collections::HashSet<(usize, usize)> = generic
-                .edges()
-                .map(|(a, b)| (a.min(b), a.max(b)))
-                .collect();
+            let got: std::collections::HashSet<(usize, usize)> =
+                generic.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
             assert_eq!(want, got, "trial {trial}");
         }
     }
@@ -481,8 +485,7 @@ mod tests {
             let pool = close_pool(&inst, 3, 10, 30, &mut rng);
             // The pool is the six nearest *distinct* sampled cities.
             assert_eq!(pool, sampled);
-            let distinct: std::collections::HashSet<usize> =
-                pool.iter().map(|e| e.1).collect();
+            let distinct: std::collections::HashSet<usize> = pool.iter().map(|e| e.1).collect();
             assert_eq!(distinct.len(), pool.len(), "pool contains duplicates");
             assert_eq!(pool.len(), sampled.len().min(6));
         }
@@ -497,7 +500,10 @@ mod tests {
         let inst = generate::uniform(4, 1_000.0, 55);
         let mut tour = Tour::identity(4);
         let before = TourOps::to_order(&tour);
-        assert_eq!(double_bridge_by_cities(&inst, &mut tour, [0, 1, 2, 3]), None);
+        assert_eq!(
+            double_bridge_by_cities(&inst, &mut tour, [0, 1, 2, 3]),
+            None
+        );
         assert_eq!(TourOps::to_order(&tour), before, "no-op modified the tour");
     }
 

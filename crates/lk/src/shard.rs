@@ -209,7 +209,8 @@ pub fn stitch_and_refine(
     stats.refine_seconds = t_refine.elapsed().as_secs_f64();
     obs.histogram("shard.refine.ns")
         .observe(t_refine.elapsed().as_nanos() as u64);
-    obs.counter(obs::kinds::C_SHARD_REFINE_GAIN).add(gain as u64);
+    obs.counter(obs::kinds::C_SHARD_REFINE_GAIN)
+        .add(gain as u64);
 
     let tour = Tour::from_order(order);
     debug_assert!(tour.is_valid());
@@ -251,7 +252,11 @@ pub fn shard_solve_with_obs(inst: &Instance, cfg: &ShardConfig, obs: &Obs) -> Sh
 
     let tour = stitch_and_refine(inst, &part, cycles, cfg, obs, &mut stats);
     let length = tour.length(inst);
-    ShardSolveResult { tour, length, stats }
+    ShardSolveResult {
+        tour,
+        length,
+        stats,
+    }
 }
 
 /// The bit-identical fallback: the plain engine on the full instance
@@ -310,13 +315,7 @@ fn stitch_rec(
 }
 
 /// The `k` cities of `cycle` nearest the split plane, ties by id.
-fn boundary_candidates(
-    inst: &Instance,
-    cycle: &[u32],
-    axis: u8,
-    value: f64,
-    k: usize,
-) -> Vec<u32> {
+fn boundary_candidates(inst: &Instance, cycle: &[u32], axis: u8, value: f64, k: usize) -> Vec<u32> {
     let mut scored: Vec<(f64, u32)> = cycle
         .iter()
         .map(|&c| {
@@ -326,9 +325,7 @@ fn boundary_candidates(
         })
         .collect();
     let k = k.min(scored.len());
-    let cmp = |a: &(f64, u32), b: &(f64, u32)| {
-        a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
-    };
+    let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1));
     if k < scored.len() {
         scored.select_nth_unstable_by(k - 1, cmp);
         scored.truncate(k);
@@ -371,10 +368,10 @@ fn merge_cycles(
             let removed = d_x_nx + inst.dist(y as usize, ny as usize);
             // combo 0: add x–y and nx–ny (traverse B backwards);
             // combo 1: add x–ny and nx–y (traverse B forwards).
-            let d0 = inst.dist(x as usize, y as usize) + inst.dist(nx as usize, ny as usize)
-                - removed;
-            let d1 = inst.dist(x as usize, ny as usize) + inst.dist(nx as usize, y as usize)
-                - removed;
+            let d0 =
+                inst.dist(x as usize, y as usize) + inst.dist(nx as usize, ny as usize) - removed;
+            let d1 =
+                inst.dist(x as usize, ny as usize) + inst.dist(nx as usize, y as usize) - removed;
             for (combo, delta) in [(0u8, d0), (1u8, d1)] {
                 let cand = (delta, x, y, combo);
                 if best.is_none_or(|cur| cand < cur) {
@@ -513,7 +510,11 @@ fn refine_window(
     let mut c = 0usize;
     for _ in 0..m {
         path.push(c as u32);
-        c = if step_next { tour.next(c) } else { tour.prev(c) };
+        c = if step_next {
+            tour.next(c)
+        } else {
+            tour.prev(c)
+        };
     }
     debug_assert_eq!(path[m - 1] as usize, m - 1, "virtual edge was broken");
 

@@ -124,10 +124,7 @@ pub fn merge_two(inst: &Instance, a: &Tour, b: &Tour) -> Tour {
     }
     if ok {
         for (x, y) in b.edges() {
-            if !a.has_edge(x, y)
-                && use_b[comp[x] as usize]
-                && !push(x, y, &mut adj, &mut deg)
-            {
+            if !a.has_edge(x, y) && use_b[comp[x] as usize] && !push(x, y, &mut adj, &mut deg) {
                 ok = false;
                 break;
             }

@@ -22,7 +22,11 @@ fn improve_city<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, t1: usize) ->
     // second removed edge (t3, next(t3)), second new edge (t2, t4).
     // Direction 1 mirrors with prev().
     for dir in 0..2 {
-        let t2 = if dir == 0 { tour.next(t1) } else { tour.prev(t1) };
+        let t2 = if dir == 0 {
+            tour.next(t1)
+        } else {
+            tour.prev(t1)
+        };
         let d_t1_t2 = opt.dist(t1, t2);
         for (ci, &t3) in cands.iter().enumerate() {
             let t3 = t3 as usize;
@@ -33,7 +37,11 @@ fn improve_city<T: TourOps>(opt: &mut Optimizer<'_>, tour: &mut T, t1: usize) ->
             if t3 == t2 {
                 continue;
             }
-            let t4 = if dir == 0 { tour.next(t3) } else { tour.prev(t3) };
+            let t4 = if dir == 0 {
+                tour.next(t3)
+            } else {
+                tour.prev(t3)
+            };
             if t4 == t1 {
                 continue;
             }

@@ -76,7 +76,11 @@ impl VPath {
         self.n = tour.len() as u32;
         self.origin = tour.index(t1) as u32;
         self.along_next = along_next;
-        let last = if along_next { tour.prev(t1) } else { tour.next(t1) };
+        let last = if along_next {
+            tour.prev(t1)
+        } else {
+            tour.next(t1)
+        };
         self.runs.clear();
         self.saved.clear();
         self.runs.push(Run {
@@ -144,20 +148,39 @@ impl VPath {
         if !s.across {
             let (head, tail) = if run.rev {
                 (
-                    Run { lo: s.seq, lo_city: c, ..run },
-                    Run { hi: s.seq - 1, hi_city: v, ..run },
+                    Run {
+                        lo: s.seq,
+                        lo_city: c,
+                        ..run
+                    },
+                    Run {
+                        hi: s.seq - 1,
+                        hi_city: v,
+                        ..run
+                    },
                 )
             } else {
                 (
-                    Run { hi: s.seq, hi_city: c, ..run },
-                    Run { lo: s.seq + 1, lo_city: v, ..run },
+                    Run {
+                        hi: s.seq,
+                        hi_city: c,
+                        ..run
+                    },
+                    Run {
+                        lo: s.seq + 1,
+                        lo_city: v,
+                        ..run
+                    },
                 )
             };
             // The cut-off piece ends up last and reversed whatever lies
             // between: reverse the rest, then append it.
             self.runs[r] = head;
             self.reverse_tail(r + 1);
-            self.runs.push(Run { rev: !tail.rev, ..tail });
+            self.runs.push(Run {
+                rev: !tail.rev,
+                ..tail
+            });
         } else {
             self.reverse_tail(r + 1);
         }

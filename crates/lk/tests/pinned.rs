@@ -17,11 +17,17 @@ const PLATE_N: usize = 300;
 const PLATE_SEED: u64 = 7;
 
 /// `(seed, final length, Σ clk.step.flips)` of a 60-kick array run.
-const CLK_ARRAY: [(u64, i64, u64); 3] =
-    [(1, 543_120, 12_048), (2, 542_420, 13_870), (3, 542_420, 13_985)];
+const CLK_ARRAY: [(u64, i64, u64); 3] = [
+    (1, 543_120, 12_048),
+    (2, 542_420, 13_870),
+    (3, 542_420, 13_985),
+];
 /// The same three runs on the two-level list.
-const CLK_TWO_LEVEL: [(u64, i64, u64); 3] =
-    [(1, 543_120, 12_048), (2, 542_420, 13_870), (3, 542_420, 13_985)];
+const CLK_TWO_LEVEL: [(u64, i64, u64); 3] = [
+    (1, 543_120, 12_048),
+    (2, 542_420, 13_870),
+    (3, 542_420, 13_985),
+];
 
 /// Best length and `(messages, wire bytes, tour broadcasts)` of the
 /// 8-node lockstep run.
@@ -45,13 +51,20 @@ fn clk_runs(build: Build) -> Vec<(u64, i64, u64)> {
     let (inst, cfg, nl) = plate();
     (1..=3)
         .map(|seed| {
-            let cfg = ChainedLkConfig { seed, ..cfg.clone() };
+            let cfg = ChainedLkConfig {
+                seed,
+                ..cfg.clone()
+            };
             let mut engine = build(&inst, &nl, cfg);
             let obs = Obs::for_node(0);
             engine.attach_obs(obs.clone());
             let res = engine.run(&Budget::kicks(60));
             assert_eq!(res.tour.length(&inst), res.length);
-            (seed, res.length, obs.histogram("clk.step.flips").snapshot().sum)
+            (
+                seed,
+                res.length,
+                obs.histogram("clk.step.flips").snapshot().sum,
+            )
         })
         .collect()
 }
@@ -62,12 +75,18 @@ fn check_clk(build: Build, pinned: &[(u64, i64, u64)]) {
 
 #[test]
 fn clk_array_trajectories_are_pinned() {
-    check_clk(|inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, false), &CLK_ARRAY);
+    check_clk(
+        |inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, false),
+        &CLK_ARRAY,
+    );
 }
 
 #[test]
 fn clk_two_level_trajectories_are_pinned() {
-    check_clk(|inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, true), &CLK_TWO_LEVEL);
+    check_clk(
+        |inst, nl, cfg| ClkEngine::with_representation(inst, nl, cfg, true),
+        &CLK_TWO_LEVEL,
+    );
 }
 
 /// The array on Hilbert-ordered cities, which `auto` picks at and above
@@ -76,7 +95,14 @@ fn clk_two_level_trajectories_are_pinned() {
 fn clk_spatial_trajectories_are_pinned() {
     check_clk(
         |inst, nl, cfg| {
-            let engine = ClkEngine::auto(inst, nl, ChainedLkConfig { tl_threshold: 0, ..cfg });
+            let engine = ClkEngine::auto(
+                inst,
+                nl,
+                ChainedLkConfig {
+                    tl_threshold: 0,
+                    ..cfg
+                },
+            );
             assert_eq!(engine.representation(), "spatial");
             engine
         },
@@ -94,5 +120,8 @@ fn lockstep_run_is_pinned() {
         ..Default::default()
     };
     let res = run_lockstep(&inst, &nl, &cfg);
-    assert_eq!((res.best_length, res.messages), (LOCKSTEP_BEST, LOCKSTEP_MESSAGES));
+    assert_eq!(
+        (res.best_length, res.messages),
+        (LOCKSTEP_BEST, LOCKSTEP_MESSAGES)
+    );
 }

@@ -287,13 +287,25 @@ fn vpath_matches_flipped_tour<T: TourOps>(
         let real_runs_along_next = real.prev(t1) == last;
         assert!(real_runs_along_next || real.next(t1) == last);
         for x in (0..n).filter(|&x| x != last) {
-            let want = if real_runs_along_next { real.next(x) } else { real.prev(x) };
+            let want = if real_runs_along_next {
+                real.next(x)
+            } else {
+                real.prev(x)
+            };
             let got = path.succ(base, x);
             let depth = applied.len();
-            assert_eq!(got.city, want, "succ({x}) at depth {depth}, {} marks", marks.len());
+            assert_eq!(
+                got.city,
+                want,
+                "succ({x}) at depth {depth}, {} marks",
+                marks.len()
+            );
             // Inside a run the successor is the base tour neighbour.
             if !got.across {
-                assert!(base.next(x) == want || base.prev(x) == want, "succ({x}) at depth {depth}");
+                assert!(
+                    base.next(x) == want || base.prev(x) == want,
+                    "succ({x}) at depth {depth}"
+                );
             }
         }
     }
@@ -337,13 +349,28 @@ fn lk_shapes(n: usize, seed: u64) -> Vec<(&'static str, Instance)> {
     let collinear = (0..n)
         .map(|_| Point::new(rng.gen_range(0..1_000) as f64, 0.0))
         .collect();
-    let spots = [Point::new(0.0, 0.0), Point::new(500.0, 0.0), Point::new(0.0, 300.0)];
-    let duplicates = (0..n).map(|_| spots[rng.gen_range(0..spots.len())]).collect();
+    let spots = [
+        Point::new(0.0, 0.0),
+        Point::new(500.0, 0.0),
+        Point::new(0.0, 300.0),
+    ];
+    let duplicates = (0..n)
+        .map(|_| spots[rng.gen_range(0..spots.len())])
+        .collect();
     vec![
         ("uniform", generate::uniform(n, 10_000.0, seed)),
-        ("clustered", generate::clustered(n, 10_000.0, 3, 300.0, seed)),
-        ("collinear", Instance::new("collinear", collinear, Metric::Euc2d)),
-        ("duplicates", Instance::new("duplicates", duplicates, Metric::Euc2d)),
+        (
+            "clustered",
+            generate::clustered(n, 10_000.0, 3, 300.0, seed),
+        ),
+        (
+            "collinear",
+            Instance::new("collinear", collinear, Metric::Euc2d),
+        ),
+        (
+            "duplicates",
+            Instance::new("duplicates", duplicates, Metric::Euc2d),
+        ),
     ]
 }
 
@@ -363,7 +390,12 @@ fn improve_from_every_anchor<R: TourRep>(
         let (len, order) = (tour.tour_length(inst), tour.to_order());
         let gain = lk.improve_from(&mut opt, &mut tour, t1);
         if gain > 0 {
-            assert_eq!(tour.tour_length(inst), len - gain, "{label} {}: anchor {t1}", R::NAME);
+            assert_eq!(
+                tour.tour_length(inst),
+                len - gain,
+                "{label} {}: anchor {t1}",
+                R::NAME
+            );
         } else {
             assert_eq!(gain, 0, "{label} {}: anchor {t1}", R::NAME);
             assert_eq!(tour.to_order(), order, "{label} {}: anchor {t1}", R::NAME);
@@ -517,7 +549,11 @@ fn or_opt_matches_the_two_scan_original() {
                 let label = format!("{shape} n={n} seed {seed}");
                 assert_eq!(gain, want, "{label}");
                 assert_eq!(fast.to_order(), slow.to_order(), "{label}");
-                assert_eq!(fast.tour_length(&inst), start.tour_length(&inst) - gain, "{label}");
+                assert_eq!(
+                    fast.tour_length(&inst),
+                    start.tour_length(&inst) - gain,
+                    "{label}"
+                );
                 cases += 1;
             }
         }

@@ -223,7 +223,10 @@ struct JsonParser<'a> {
 
 impl<'a> JsonParser<'a> {
     fn new(s: &'a str) -> Self {
-        JsonParser { s: s.as_bytes(), at: 0 }
+        JsonParser {
+            s: s.as_bytes(),
+            at: 0,
+        }
     }
 
     fn skip_ws(&mut self) {

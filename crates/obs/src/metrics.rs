@@ -288,12 +288,7 @@ impl Registry {
             .lock()
             .expect("histogram map poisoned")
             .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    Histogram(Some(Arc::clone(v))).snapshot(),
-                )
-            })
+            .map(|(k, v)| (k.clone(), Histogram(Some(Arc::clone(v))).snapshot()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -327,10 +322,7 @@ impl MetricsSnapshot {
             *self.gauges.entry(k.clone()).or_insert(0) += v;
         }
         for (k, v) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_default()
-                .merge(v);
+            self.histograms.entry(k.clone()).or_default().merge(v);
         }
     }
 

@@ -37,7 +37,11 @@ fn main() {
     let mut b = TcpEndpoint::bind_with_obs(1, "127.0.0.1:0", TcpConfig::default(), obs_b.clone())
         .expect("bind b");
     a.connect_to(1, b.listen_addr()).expect("connect a->b");
-    println!("connected: node 0 @ {} <-> node 1 @ {}", a.listen_addr(), b.listen_addr());
+    println!(
+        "connected: node 0 @ {} <-> node 1 @ {}",
+        a.listen_addr(),
+        b.listen_addr()
+    );
 
     // 2. A tour each way over the wire.
     a.send(
@@ -51,7 +55,12 @@ fn main() {
     )
     .expect("send a->b");
     match recv_blocking(&mut b, Duration::from_secs(2)) {
-        Some(Message::TourFound { from, id, length, order }) => {
+        Some(Message::TourFound {
+            from,
+            id,
+            length,
+            order,
+        }) => {
             println!(
                 "node 1 received tour: from={from} id={id:#x} length={length} cities={}",
                 order.len()
@@ -59,7 +68,14 @@ fn main() {
         }
         other => panic!("node 1 expected a tour, got {other:?}"),
     }
-    b.send(0, Message::OptimumFound { from: 1, length: 4242 }).expect("send b->a");
+    b.send(
+        0,
+        Message::OptimumFound {
+            from: 1,
+            length: 4242,
+        },
+    )
+    .expect("send b->a");
     match recv_blocking(&mut a, Duration::from_secs(2)) {
         Some(Message::OptimumFound { from, length }) => {
             println!("node 0 received optimum notice: from={from} length={length}");
@@ -90,7 +106,10 @@ fn main() {
     a.shutdown();
     b.shutdown();
     println!("both endpoints shut down in {:.2?}", start.elapsed());
-    assert!(start.elapsed() < Duration::from_secs(5), "shutdown not bounded");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "shutdown not bounded"
+    );
 
     // 5. The observability artifacts: per-node wire metrics in
     //    Prometheus text format, then the merged event timeline as

@@ -461,7 +461,9 @@ mod tests {
             from: 0,
             length: i64::MAX,
         });
-        roundtrip(Message::Leave { from: usize::MAX >> 1 });
+        roundtrip(Message::Leave {
+            from: usize::MAX >> 1,
+        });
         roundtrip(Message::Ping { from: 3 });
         roundtrip(Message::Pong {
             from: 4,
@@ -530,7 +532,8 @@ mod tests {
         assert!(decode(&bad).is_err());
         // Oversized metric name length.
         let mut bad = payload.to_vec();
-        bad[count_at + 4..count_at + 6].copy_from_slice(&(MAX_METRIC_NAME as u16 + 1).to_le_bytes());
+        bad[count_at + 4..count_at + 6]
+            .copy_from_slice(&(MAX_METRIC_NAME as u16 + 1).to_le_bytes());
         assert!(decode(&bad).is_err());
         // Non-UTF-8 metric name bytes.
         let mut bad = payload.to_vec();

@@ -65,9 +65,7 @@ impl<T: Transport> Transport for DelayedTransport<T> {
     fn try_recv(&mut self) -> Option<Message> {
         self.ingest();
         match self.holding.front() {
-            Some(&(due, _)) if Instant::now() >= due => {
-                self.holding.pop_front().map(|(_, m)| m)
-            }
+            Some(&(due, _)) if Instant::now() >= due => self.holding.pop_front().map(|(_, m)| m),
             _ => None,
         }
     }

@@ -87,7 +87,10 @@ fn parse_join_reply(line: &str) -> Result<JoinInfo, NetError> {
 /// `n` [`crate::tcp::TcpEndpoint`]s through a hub on localhost, wiring
 /// all topology edges, and wait until every edge is live. The hub is
 /// stopped on return.
-pub fn bootstrap_local(n: usize, topology: Topology) -> Result<Vec<crate::tcp::TcpEndpoint>, NetError> {
+pub fn bootstrap_local(
+    n: usize,
+    topology: Topology,
+) -> Result<Vec<crate::tcp::TcpEndpoint>, NetError> {
     let hub = LifecycleHub::start("127.0.0.1:0", n, topology)?;
     let hub_addr = hub.addr();
     let mut endpoints = Vec::with_capacity(n);
@@ -477,11 +480,7 @@ pub fn join_via_hub_with(
 /// measures the wall time of this call to obtain the RTT fed into its
 /// *next* frame. Deliberately single-attempt: telemetry is lossy by
 /// design and the next periodic shipment supersedes a dropped one.
-pub fn ship_telemetry(
-    hub: SocketAddr,
-    frame: &Message,
-    cfg: &TcpConfig,
-) -> Result<u64, NetError> {
+pub fn ship_telemetry(hub: SocketAddr, frame: &Message, cfg: &TcpConfig) -> Result<u64, NetError> {
     let (line, _) = request(hub, "TELEMETRY", Some(frame), cfg)?;
     let tokens: Vec<&str> = line.trim().split(' ').collect();
     match tokens.as_slice() {
@@ -672,14 +671,16 @@ mod tests {
         write_frame(&mut raw, &Message::Ping { from: 0 }).unwrap();
         let mut line = String::new();
         let _ = BufReader::new(raw).read_line(&mut line);
-        assert!(line.is_empty(), "non-job frame must be dropped, got {line:?}");
+        assert!(
+            line.is_empty(),
+            "non-job frame must be dropped, got {line:?}"
+        );
     }
 
     #[test]
     fn parse_reply_with_neighbors() {
-        let info =
-            parse_join_reply("ID 3 EXPECT 8 NEIGHBORS 1@127.0.0.1:9001;2@127.0.0.1:9002\n")
-                .unwrap();
+        let info = parse_join_reply("ID 3 EXPECT 8 NEIGHBORS 1@127.0.0.1:9001;2@127.0.0.1:9002\n")
+            .unwrap();
         assert_eq!(info.id, 3);
         assert_eq!(info.expected, 8);
         assert_eq!(info.neighbors.len(), 2);
@@ -895,7 +896,9 @@ mod tests {
         let status = scrape_status(addr, &cfg).unwrap();
         assert!(status.contains("NODE 0 BEST 110 GAP 10.0000"), "{status}");
         assert!(status.contains("NODE 1 BEST 100 GAP 0.0000"), "{status}");
-        assert!(status.lines().any(|l| l.starts_with("NODE 1") && l.contains("STALLED 1")));
+        assert!(status
+            .lines()
+            .any(|l| l.starts_with("NODE 1") && l.contains("STALLED 1")));
 
         // The in-process view is the same store the wire serves.
         assert_eq!(hub.telemetry().nodes(), vec![0, 1]);

@@ -226,7 +226,7 @@ mod tests {
         };
         let sent = eps[0].broadcast(msg.clone());
         assert_eq!(sent, 3); // hypercube degree at n=8
-        // Node 1 is a neighbor of 0.
+                             // Node 1 is a neighbor of 0.
         let got = eps[1].try_recv().unwrap();
         assert_eq!(got, msg);
         // Node 7 (111) is not adjacent to 0 (000).
@@ -260,7 +260,9 @@ mod tests {
         e1.leave();
         // Neighbors received the leave notice.
         let notices = eps[0].drain(); // old index 0
-        assert!(notices.iter().any(|m| matches!(m, Message::Leave { from: 1 })));
+        assert!(notices
+            .iter()
+            .any(|m| matches!(m, Message::Leave { from: 1 })));
         // Sending to the departed node now fails.
         let err = eps[0].send(1, Message::Leave { from: 0 }).unwrap_err();
         assert!(matches!(err, NetError::UnknownPeer(1)));

@@ -269,10 +269,7 @@ mod tests {
     #[test]
     fn from_extracts_sender() {
         assert_eq!(Message::Leave { from: 3 }.from(), 3);
-        assert_eq!(
-            Message::OptimumFound { from: 7, length: 1 }.from(),
-            7
-        );
+        assert_eq!(Message::OptimumFound { from: 7, length: 1 }.from(), 7);
         assert_eq!(
             Message::TourFound {
                 from: 2,

@@ -156,15 +156,14 @@ impl TelemetryStore {
         for (name, v) in counters {
             *st.counters.entry(name.clone()).or_insert(0) += v;
         }
-        st.gauges
-            .insert(*from, gauges.iter().cloned().collect());
+        st.gauges.insert(*from, gauges.iter().cloned().collect());
         if let Ok(text) = std::str::from_utf8(events_jsonl) {
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
                 match Event::from_jsonl(line) {
                     Ok(mut e) => {
                         // Re-stamp onto the hub timeline.
-                        e.t_ns = (e.t_ns as i128 - offset_ns as i128)
-                            .clamp(0, u64::MAX as i128) as u64;
+                        e.t_ns =
+                            (e.t_ns as i128 - offset_ns as i128).clamp(0, u64::MAX as i128) as u64;
                         st.events.push(e);
                     }
                     Err(_) => st.events_dropped += 1,
@@ -248,10 +247,8 @@ impl TelemetryStore {
         );
         snap.counters
             .insert("telemetry.events_dropped".into(), st.events_dropped);
-        snap.gauges.insert(
-            "telemetry.nodes_reporting".into(),
-            st.nodes.len() as i64,
-        );
+        snap.gauges
+            .insert("telemetry.nodes_reporting".into(), st.nodes.len() as i64);
         snap.gauges.insert(
             "telemetry.nodes_stalled".into(),
             st.nodes.values().filter(|n| n.stalled).count() as i64,
@@ -323,21 +320,12 @@ impl TelemetryShipper {
     /// Build the next Telemetry frame: counter deltas (zero deltas are
     /// elided), absolute gauges, and the events recorded since the
     /// previous call.
-    pub fn frame(
-        &mut self,
-        from: NodeId,
-        best_len: i64,
-        clk_calls: u64,
-        stalled: bool,
-    ) -> Message {
+    pub fn frame(&mut self, from: NodeId, best_len: i64, clk_calls: u64, stalled: bool) -> Message {
         let snap = self.obs.snapshot();
         let delta = snap.delta(&self.base);
         self.base = snap;
-        let counters: Vec<(String, u64)> = delta
-            .counters
-            .into_iter()
-            .filter(|&(_, v)| v > 0)
-            .collect();
+        let counters: Vec<(String, u64)> =
+            delta.counters.into_iter().filter(|&(_, v)| v > 0).collect();
         let gauges: Vec<(String, i64)> = delta.gauges.into_iter().collect();
         let mut events_jsonl = Vec::new();
         for e in self.obs.events() {
@@ -539,7 +527,10 @@ mod tests {
             panic!("not a telemetry frame")
         };
         assert!(*stalled);
-        assert!(counters.contains(&("clk.calls".to_string(), 2)), "{counters:?}");
+        assert!(
+            counters.contains(&("clk.calls".to_string(), 2)),
+            "{counters:?}"
+        );
         assert_eq!(String::from_utf8(first_events).unwrap().lines().count(), 1);
         let second = String::from_utf8(events_jsonl.clone()).unwrap();
         assert_eq!(second.lines().count(), 1, "{second}");

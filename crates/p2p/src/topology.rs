@@ -183,7 +183,10 @@ impl Membership {
             .filter(|&v| self.alive[v])
             .collect();
         if back.is_empty() {
-            back = (0..self.n).find(|&v| self.alive[v] && v != id).into_iter().collect();
+            back = (0..self.n)
+                .find(|&v| self.alive[v] && v != id)
+                .into_iter()
+                .collect();
         }
         back.sort_unstable();
         self.adj[id] = back.iter().copied().collect();

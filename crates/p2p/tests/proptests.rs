@@ -24,13 +24,19 @@ fn arb_message() -> impl Strategy<Value = Message> {
             from: from as usize,
             length,
         }),
-        any::<u16>().prop_map(|from| Message::Leave { from: from as usize }),
-        any::<u16>().prop_map(|from| Message::Ping { from: from as usize }),
+        any::<u16>().prop_map(|from| Message::Leave {
+            from: from as usize
+        }),
+        any::<u16>().prop_map(|from| Message::Ping {
+            from: from as usize
+        }),
         (any::<u16>(), any::<u64>()).prop_map(|(from, t_ns)| Message::Pong {
             from: from as usize,
             t_ns,
         }),
-        any::<u16>().prop_map(|from| Message::BestRequest { from: from as usize }),
+        any::<u16>().prop_map(|from| Message::BestRequest {
+            from: from as usize
+        }),
         (
             any::<u16>(),
             any::<u64>(),

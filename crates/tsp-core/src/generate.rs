@@ -55,7 +55,10 @@ pub fn clustered(n: usize, side: f64, clusters: usize, stddev: f64, seed: u64) -
     let pts = (0..n)
         .map(|_| {
             let c = centers[rng.gen_range(0..clusters)];
-            Point::new(c.x + stddev * normal(&mut rng), c.y + stddev * normal(&mut rng))
+            Point::new(
+                c.x + stddev * normal(&mut rng),
+                c.y + stddev * normal(&mut rng),
+            )
         })
         .collect();
     Instance::new(format!("C{n}.s{seed}"), pts, Metric::Euc2d)
@@ -83,7 +86,10 @@ pub fn clustered_dimacs(n: usize, seed: u64) -> Instance {
 /// Panics unless `w ≥ 2`, `h ≥ 2`, and `w*h` is even.
 pub fn grid_known_optimum(w: usize, h: usize, spacing: f64) -> Instance {
     assert!(w >= 2 && h >= 2, "grid must be at least 2x2");
-    assert!((w * h).is_multiple_of(2), "odd grids have no unit-step Hamiltonian cycle");
+    assert!(
+        (w * h).is_multiple_of(2),
+        "odd grids have no unit-step Hamiltonian cycle"
+    );
     let mut pts = Vec::with_capacity(w * h);
     for j in 0..h {
         for i in 0..w {
@@ -199,7 +205,12 @@ pub fn road_like(n: usize, seed: u64) -> Instance {
     let side = 1_000_000.0;
     let ncenters = 8.max(n / 500).min(24);
     let centers: Vec<Point> = (0..ncenters)
-        .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.1 * side..0.9 * side)))
+        .map(|_| {
+            Point::new(
+                rng.gen_range(0.0..side),
+                rng.gen_range(0.1 * side..0.9 * side),
+            )
+        })
         .collect();
     let mut pts: Vec<Point> = Vec::with_capacity(n);
     // 25% of towns cluster at centers, 55% along roads between random
@@ -223,7 +234,10 @@ pub fn road_like(n: usize, seed: u64) -> Instance {
         ));
     }
     while pts.len() < n {
-        pts.push(Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)));
+        pts.push(Point::new(
+            rng.gen_range(0.0..side),
+            rng.gen_range(0.0..side),
+        ));
     }
     pts.truncate(n);
     Instance::new(format!("road{n}.s{seed}"), pts, Metric::Euc2d)
@@ -369,7 +383,9 @@ mod tests {
         assert!(testbed_instance("E1k.1", 100, 1).name().starts_with('E'));
         assert!(testbed_instance("C1k.1", 100, 1).name().starts_with('C'));
         assert!(testbed_instance("fl1577", 100, 1).name().starts_with("fl"));
-        assert!(testbed_instance("sw24978", 100, 1).name().starts_with("road"));
+        assert!(testbed_instance("sw24978", 100, 1)
+            .name()
+            .starts_with("road"));
         assert!(testbed_instance("pr2392", 100, 1).name().starts_with("pcb"));
         assert_eq!(testbed_instance("unknown", 64, 1).len(), 64);
     }

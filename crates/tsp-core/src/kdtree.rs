@@ -56,7 +56,13 @@ impl KdTree {
         KdTree { nodes, idx, pts }
     }
 
-    fn build_rec(pts: &[Point], idx: &mut [u32], start: usize, end: usize, nodes: &mut Vec<Node>) -> u32 {
+    fn build_rec(
+        pts: &[Point],
+        idx: &mut [u32],
+        start: usize,
+        end: usize,
+        nodes: &mut Vec<Node>,
+    ) -> u32 {
         let me = nodes.len() as u32;
         if end - start <= LEAF_SIZE {
             nodes.push(Node {
@@ -69,8 +75,12 @@ impl KdTree {
         }
         // Split on the wider axis at the median.
         let slice = &mut idx[start..end];
-        let (mut min_x, mut max_x, mut min_y, mut max_y) =
-            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
+        let (mut min_x, mut max_x, mut min_y, mut max_y) = (
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        );
         for &i in slice.iter() {
             let p = pts[i as usize];
             min_x = min_x.min(p.x);
@@ -78,7 +88,11 @@ impl KdTree {
             min_y = min_y.min(p.y);
             max_y = max_y.max(p.y);
         }
-        let axis = if max_x - min_x >= max_y - min_y { 0u8 } else { 1u8 };
+        let axis = if max_x - min_x >= max_y - min_y {
+            0u8
+        } else {
+            1u8
+        };
         let mid = slice.len() / 2;
         let key = |i: u32| -> f64 {
             let p = pts[i as usize];
@@ -109,7 +123,11 @@ impl KdTree {
     ///
     /// Typical uses: `skip = |c| c == query` for plain NN, or
     /// `skip = |c| degree[c] >= 2 || c == query` inside Quick-Borůvka.
-    pub fn nearest_filtered<F: FnMut(usize) -> bool>(&self, q: Point, mut skip: F) -> Option<usize> {
+    pub fn nearest_filtered<F: FnMut(usize) -> bool>(
+        &self,
+        q: Point,
+        mut skip: F,
+    ) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
         self.search(0, q, &mut best, &mut skip);
         best.map(|(_, c)| c)
@@ -142,7 +160,11 @@ impl KdTree {
             return;
         }
         let qv = if n.axis == 0 { q.x } else { q.y };
-        let (near, far) = if qv <= n.split { (n.lo, n.hi) } else { (n.hi, n.lo) };
+        let (near, far) = if qv <= n.split {
+            (n.lo, n.hi)
+        } else {
+            (n.hi, n.lo)
+        };
         self.search(near, q, best, skip);
         let plane = qv - n.split;
         if best.is_none_or(|(bd, _)| plane * plane < bd) {
@@ -196,7 +218,11 @@ impl KdTree {
             return;
         }
         let qv = if n.axis == 0 { q.x } else { q.y };
-        let (near, far) = if qv <= n.split { (n.lo, n.hi) } else { (n.hi, n.lo) };
+        let (near, far) = if qv <= n.split {
+            (n.lo, n.hi)
+        } else {
+            (n.hi, n.lo)
+        };
         self.knn_search(near, q, query, k, heap);
         let plane = qv - n.split;
         // `<=`: a far-side city at exactly the current worst distance can
@@ -282,8 +308,14 @@ mod tests {
                     .unwrap()
             });
             brute.truncate(10);
-            let gd: Vec<f64> = got.iter().map(|&c| inst.point(c as usize).sq_dist(&qp)).collect();
-            let bd: Vec<f64> = brute.iter().map(|&c| inst.point(c as usize).sq_dist(&qp)).collect();
+            let gd: Vec<f64> = got
+                .iter()
+                .map(|&c| inst.point(c as usize).sq_dist(&qp))
+                .collect();
+            let bd: Vec<f64> = brute
+                .iter()
+                .map(|&c| inst.point(c as usize).sq_dist(&qp))
+                .collect();
             assert_eq!(gd, bd, "query {q}");
         }
     }
@@ -343,7 +375,10 @@ mod tests {
         let mut pts = Vec::new();
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..50 {
-            pts.push(Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)));
+            pts.push(Point::new(
+                rng.gen_range(0.0..10.0),
+                rng.gen_range(0.0..10.0),
+            ));
         }
         for _ in 0..50 {
             pts.push(Point::new(

@@ -227,7 +227,10 @@ mod tests {
         let d1 = geo(a, b);
         let d2 = geo(b, a);
         assert_eq!(d1, d2);
-        assert!(d1 > 300 && d1 < 600, "Kaiserslautern-Berlin ~ 400-450 km, got {d1}");
+        assert!(
+            d1 > 300 && d1 < 600,
+            "Kaiserslautern-Berlin ~ 400-450 km, got {d1}"
+        );
     }
 
     #[test]
@@ -256,7 +259,13 @@ mod tests {
     #[test]
     fn symmetry_across_metrics() {
         let pts = [p(1.5, 2.5), p(-3.0, 4.0), p(100.25, -7.75)];
-        for m in [Metric::Euc2d, Metric::Ceil2d, Metric::Att, Metric::Max2d, Metric::Man2d] {
+        for m in [
+            Metric::Euc2d,
+            Metric::Ceil2d,
+            Metric::Att,
+            Metric::Max2d,
+            Metric::Man2d,
+        ] {
             for &a in &pts {
                 for &b in &pts {
                     assert_eq!(m.distance(a, b), m.distance(b, a), "{m:?}");

@@ -106,7 +106,11 @@ impl Partition {
             min_y = min_y.min(p.y);
             max_y = max_y.max(p.y);
         }
-        let axis = if max_x - min_x >= max_y - min_y { 0u8 } else { 1u8 };
+        let axis = if max_x - min_x >= max_y - min_y {
+            0u8
+        } else {
+            1u8
+        };
         // (coordinate, id) keys: bitwise-deterministic even under
         // massive coordinate ties (lattices), unlike the bare float.
         let key = |i: u32| -> (f64, u32) {
@@ -248,7 +252,10 @@ impl SubInstance {
 
     /// Translate a local tour order to parent city ids.
     pub fn to_global_order(&self, local_order: &[u32]) -> Vec<u32> {
-        local_order.iter().map(|&l| self.globals[l as usize]).collect()
+        local_order
+            .iter()
+            .map(|&l| self.globals[l as usize])
+            .collect()
     }
 }
 
@@ -347,7 +354,11 @@ mod tests {
         let value = part.split_value(part.root());
         let coord = |c: u32| {
             let p = inst.point(c as usize);
-            if axis == 0 { p.x } else { p.y }
+            if axis == 0 {
+                p.x
+            } else {
+                p.y
+            }
         };
         let (lo_shard, hi_shard) = match (part.node(lo), part.node(hi)) {
             (PartitionNode::Leaf { shard: a }, PartitionNode::Leaf { shard: b }) => (a, b),

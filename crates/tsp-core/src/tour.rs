@@ -164,11 +164,9 @@ impl Tour {
     /// Check the permutation invariant `order[pos[c]] == c` for all `c`.
     pub fn is_valid(&self) -> bool {
         self.order.len() == self.pos.len()
-            && self
-                .pos
-                .iter()
-                .enumerate()
-                .all(|(c, &p)| (p as usize) < self.order.len() && self.order[p as usize] == c as u32)
+            && self.pos.iter().enumerate().all(|(c, &p)| {
+                (p as usize) < self.order.len() && self.order[p as usize] == c as u32
+            })
     }
 
     /// Number of forward positions from `a` to `b` (cyclic distance in
@@ -268,7 +266,10 @@ impl Tour {
         let n = self.order.len();
         cuts.sort_unstable();
         let [a, b, c, d] = cuts;
-        assert!(a < b && b < c && c < d && d < n, "cuts must be distinct positions");
+        assert!(
+            a < b && b < c && c < d && d < n,
+            "cuts must be distinct positions"
+        );
         // Segments (by position, inclusive of the left cut's successor):
         //   S1 = (a+1..=b), S2 = (b+1..=c), S3 = (c+1..=d), S4 = (d+1..=a)
         // New order: S4 S2 S1 S3 rotated — equivalently the standard
@@ -486,10 +487,8 @@ mod tests {
         assert!(t.is_valid());
         // A double bridge changes exactly 4 edges.
         let orig = Tour::identity(12);
-        let orig_edges: std::collections::HashSet<(usize, usize)> = orig
-            .edges()
-            .map(|(a, b)| (a.min(b), a.max(b)))
-            .collect();
+        let orig_edges: std::collections::HashSet<(usize, usize)> =
+            orig.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
         let new_edges: std::collections::HashSet<(usize, usize)> =
             t.edges().map(|(a, b)| (a.min(b), a.max(b))).collect();
         let removed = orig_edges.difference(&new_edges).count();

@@ -128,9 +128,11 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
             }
             Section::EdgeWeights => {
                 for tok in line.split_whitespace() {
-                    weights.push(tok.parse().map_err(|_| {
-                        Error::Parse(format!("bad weight {tok:?}"), Some(lineno))
-                    })?);
+                    weights.push(
+                        tok.parse().map_err(|_| {
+                            Error::Parse(format!("bad weight {tok:?}"), Some(lineno))
+                        })?,
+                    );
                 }
             }
             Section::Done => {}
@@ -285,8 +287,7 @@ pub fn write_instance(inst: &Instance) -> String {
             let _ = writeln!(s, "EDGE_WEIGHT_FORMAT : FULL_MATRIX");
             let _ = writeln!(s, "EDGE_WEIGHT_SECTION");
             for i in 0..*n {
-                let row: Vec<String> =
-                    (0..*n).map(|j| m[i * n + j].to_string()).collect();
+                let row: Vec<String> = (0..*n).map(|j| m[i * n + j].to_string()).collect();
                 let _ = writeln!(s, "{}", row.join(" "));
             }
         }

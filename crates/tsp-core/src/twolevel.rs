@@ -205,7 +205,11 @@ impl TwoLevelList {
         let pos = self.seg_pos[id] as usize + 1;
         let pos = if pos == self.order.len() { 0 } else { pos };
         let nseg = &self.segments[self.order[pos] as usize];
-        let first = if nseg.reversed { nseg.cities.len() - 1 } else { 0 };
+        let first = if nseg.reversed {
+            nseg.cities.len() - 1
+        } else {
+            0
+        };
         nseg.cities[first] as usize
     }
 
@@ -224,9 +228,17 @@ impl TwoLevelList {
         }
         // Segment boundary: logical last city of the preceding segment.
         let pos = self.seg_pos[id] as usize;
-        let pos = if pos == 0 { self.order.len() - 1 } else { pos - 1 };
+        let pos = if pos == 0 {
+            self.order.len() - 1
+        } else {
+            pos - 1
+        };
         let pseg = &self.segments[self.order[pos] as usize];
-        let last = if pseg.reversed { 0 } else { pseg.cities.len() - 1 };
+        let last = if pseg.reversed {
+            0
+        } else {
+            pseg.cities.len() - 1
+        };
         pseg.cities[last] as usize
     }
 
@@ -482,7 +494,13 @@ impl TwoLevelList {
 
     /// Validate every internal invariant (tests / debug).
     pub fn check_invariants(&self) -> bool {
-        if self.order.len() != self.order.iter().collect::<std::collections::HashSet<_>>().len() {
+        if self.order.len()
+            != self
+                .order
+                .iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        {
             return false;
         }
         let mut seen = vec![false; self.n];
@@ -580,7 +598,11 @@ mod tests {
         // Order as a cycle unchanged: normalize rotation.
         let order = tl.to_order();
         let zero = order.iter().position(|&c| c == 0).unwrap();
-        let rotated: Vec<u32> = order[zero..].iter().chain(&order[..zero]).copied().collect();
+        let rotated: Vec<u32> = order[zero..]
+            .iter()
+            .chain(&order[..zero])
+            .copied()
+            .collect();
         assert_eq!(rotated, (0..50u32).collect::<Vec<_>>());
     }
 

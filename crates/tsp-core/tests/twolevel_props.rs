@@ -114,6 +114,9 @@ fn index_counts_along_next_after_flips() {
             check(&t, &format!("array n={n} step {step}"));
             check(&tl, &format!("twolevel n={n} step {step}"));
         }
-        assert!(rebuilt || n != 150, "400 flips at n = 150 no longer force a rebuild");
+        assert!(
+            rebuilt || n != 150,
+            "400 flips at n = 150 no longer force a rebuild"
+        );
     }
 }

@@ -21,7 +21,12 @@ fn main() {
     let t = std::time::Instant::now();
     let mut engine = ChainedLk::new(&inst, &neighbors, ChainedLkConfig::default());
     let clk = engine.run(&Budget::kicks(800));
-    println!("{:<22} {:>12} {:>9.2}s", "CLK (800 kicks)", clk.length, t.elapsed().as_secs_f64());
+    println!(
+        "{:<22} {:>12} {:>9.2}s",
+        "CLK (800 kicks)",
+        clk.length,
+        t.elapsed().as_secs_f64()
+    );
 
     // LKH-lite: α-nearness candidates, deeper search, fewer trials.
     let t = std::time::Instant::now();

@@ -37,10 +37,8 @@ fn main() {
     println!("tours reported: {}", result.trace.points().len());
 
     // Compare against the Held-Karp lower bound.
-    let hk = dist_clk::heldkarp::held_karp_bound(
-        &inst,
-        &dist_clk::heldkarp::AscentConfig::default(),
-    );
+    let hk =
+        dist_clk::heldkarp::held_karp_bound(&inst, &dist_clk::heldkarp::AscentConfig::default());
     let gap = (result.length - hk.bound) as f64 / hk.bound as f64 * 100.0;
     println!("Held-Karp bound: {} (gap {:.2}%)", hk.bound, gap);
 }

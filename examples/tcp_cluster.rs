@@ -18,10 +18,7 @@ fn main() {
     let nodes = 8;
     let inst = generate::uniform(800, 1_000_000.0, 11);
     let neighbors = NeighborLists::build(&inst, 10);
-    println!(
-        "bootstrapping {} TCP nodes in a hypercube via hub…",
-        nodes
-    );
+    println!("bootstrapping {} TCP nodes in a hypercube via hub…", nodes);
 
     let endpoints = bootstrap_local(nodes, Topology::Hypercube).expect("bootstrap");
     // Wait briefly until every reverse edge registered.
@@ -35,7 +32,11 @@ fn main() {
         std::time::Duration::from_secs(3),
     );
     for (i, e) in endpoints.iter().enumerate() {
-        println!("node {i} @ {} — neighbors {:?}", e.listen_addr(), e.neighbors());
+        println!(
+            "node {i} @ {} — neighbors {:?}",
+            e.listen_addr(),
+            e.neighbors()
+        );
     }
 
     let cfg = DistConfig {

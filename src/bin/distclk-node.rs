@@ -68,7 +68,10 @@ fn main() {
                 .and_then(|s| Topology::by_name(s))
                 .unwrap_or(Topology::Hypercube);
             let hub = LifecycleHub::start(bind, expected, topology).expect("start hub");
-            println!("hub listening on {} for {expected} nodes ({topology:?})", hub.addr());
+            println!(
+                "hub listening on {} for {expected} nodes ({topology:?})",
+                hub.addr()
+            );
             // The hub serves on its own threads for the life of the process.
             loop {
                 std::thread::park();

@@ -64,11 +64,7 @@ fn network_solves_grid_and_terminates() {
     let res = run_lockstep(&inst, &nl, &cfg);
     assert_eq!(res.best_length, inst.known_optimum().unwrap());
     for n in &res.nodes {
-        assert!(
-            n.clk_calls < 500,
-            "node {} did not terminate early",
-            n.id
-        );
+        assert!(n.clk_calls < 500, "node {} did not terminate early", n.id);
     }
 }
 

@@ -58,5 +58,9 @@ fn variator_micro_runs() {
 fn figure3_micro_runs() {
     let report = experiments::run("figure3", &micro()).expect("known id");
     // Three configurations per instance.
-    assert!(report.csv.len() >= 6, "expected ≥6 series, got {}", report.csv.len());
+    assert!(
+        report.csv.len() >= 6,
+        "expected ≥6 series, got {}",
+        report.csv.len()
+    );
 }
