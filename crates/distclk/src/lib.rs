@@ -47,8 +47,8 @@ pub use evolve::{evolve_hard, hard_suite, solve_effort, EvolveConfig};
 pub use node::{DistConfig, NodeDriver, NodeEvent, NodeResult};
 pub use perturb::{PerturbAction, Perturbator};
 pub use service::{
-    points_to_json, DoneReason, FlowBudget, FlowLedger, JobHandle, JobPayload, JobSpec, JobUpdate,
-    ServiceConfig, ServiceJobHandler, SolverService,
+    points_to_json, DoneReason, JobHandle, JobPayload, JobSpec, JobUpdate, ServiceConfig,
+    ServiceJobHandler, SolverService,
 };
 pub use shard::{
     node_of_shard, run_sharded_threads, run_sharded_threads_with_obs, validate_shard_result,

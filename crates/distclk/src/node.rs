@@ -207,9 +207,6 @@ pub struct NodeDriver<'a, T: Transport> {
     broadcast_seq: u32,
     last_strength: u32,
     terminated: bool,
-    /// Rounds left to wait for a `BestReply` before giving up on state
-    /// resync; `0` means the node is not resyncing.
-    resync_remaining: u32,
 
     // Live telemetry plane (inert when `telemetry_every == 0`).
     telemetry_every: u64,
@@ -236,63 +233,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         neighbors: &'a NeighborLists,
         cfg: &DistConfig,
         transport: T,
-    ) -> Self {
-        Self::construct(inst, neighbors, cfg, transport, true)
-    }
-
-    /// How many loop rounds a rejoining node waits for a validated
-    /// [`Message::BestReply`] before giving up on state resync and
-    /// proceeding from its own constructed tour. In the lockstep driver
-    /// one round suffices for an adjacent live neighbor; three leave
-    /// headroom for message loss and thread scheduling.
-    const RESYNC_PATIENCE: u32 = 3;
-
-    /// Create a node that *rejoins* a running network after a crash:
-    /// instead of burning a CLK call on its cold constructed tour, it
-    /// broadcasts a [`Message::BestRequest`] and spends its first
-    /// (up to) `RESYNC_PATIENCE` loop rounds waiting to adopt the
-    /// neighborhood's validated best — population state resync, so a
-    /// restarted node is productive immediately instead of repeating
-    /// work the network already did.
-    pub fn new_rejoining(
-        inst: &'a Instance,
-        neighbors: &'a NeighborLists,
-        cfg: &DistConfig,
-        transport: T,
-    ) -> Self {
-        let mut node = Self::construct(inst, neighbors, cfg, transport, false);
-        node.begin_resync(Self::RESYNC_PATIENCE);
-        node
-    }
-
-    /// Switch this node into resync mode: broadcast a best-tour request
-    /// and wait up to `patience` rounds for a reply before optimizing
-    /// locally.
-    fn begin_resync(&mut self, patience: u32) {
-        self.obs.event(
-            "node.rejoin",
-            &[("len", Value::U(self.best_len.max(0) as u64))],
-        );
-        let sent = self
-            .transport
-            .broadcast(Message::BestRequest { from: self.id });
-        self.obs
-            .event("node.best_request", &[("peers", Value::U(sent as u64))]);
-        // Nobody reachable: waiting is pointless, run standalone.
-        self.resync_remaining = if sent > 0 { patience } else { 0 };
-    }
-
-    /// Shared constructor. A fresh node (`optimize_initial`) owes the
-    /// Fig. 1 preamble `s_best := CLK(INITIALTOUR)` as its first step; a
-    /// rejoining node keeps the raw construction — its first improvement
-    /// should come from the neighborhood via resync, not from repeating
-    /// local work.
-    fn construct(
-        inst: &'a Instance,
-        neighbors: &'a NeighborLists,
-        cfg: &DistConfig,
-        transport: T,
-        optimize_initial: bool,
     ) -> Self {
         let started = Instant::now();
         let id = transport.node_id();
@@ -344,7 +284,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             forward_received: cfg.forward_received,
             watch,
             busy: started.elapsed(),
-            initial: optimize_initial.then(|| tour.clone()),
+            initial: Some(tour.clone()),
             best_tour: tour,
             best_len: len,
             obs,
@@ -356,7 +296,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             broadcast_seq: 0,
             last_strength: 1,
             terminated: false,
-            resync_remaining: 0,
             telemetry_every: cfg.telemetry_every,
             telemetry_rounds: 0,
             shipper,
@@ -400,15 +339,9 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// Mutable access to the underlying transport — the churn driver
-    /// uses it to rewire neighbor lists and inject peer-down notices
-    /// between lockstep rounds.
+    /// uses it to inject peer-down notices between lockstep rounds.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
-    }
-
-    /// Whether the node is still waiting for a resync reply.
-    pub fn resyncing(&self) -> bool {
-        self.resync_remaining > 0
     }
 
     /// Whether the stall detector currently flags this node (no
@@ -496,8 +429,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// The node-local half of a step, everything before the inbox is
-    /// read: the termination, resync, target and budget checks, then
-    /// the preamble or the perturbation and the CLK call. It reads and
+    /// read: the termination, target and budget checks, then the
+    /// preamble or the perturbation and the CLK call. It reads and
     /// writes only this node's own state, so the lockstep driver runs
     /// the searches of all nodes in parallel. Whether the step runs a
     /// CLK call or exits early is decided here, once.
@@ -508,12 +441,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         } else if let Some(tour) = self.initial.take() {
             self.preamble(tour);
             Searched::Preamble
-        } else if self.resync_remaining > 0 {
-            // A rejoining node spends its first rounds listening for a
-            // BestReply instead of optimizing — adopting the
-            // neighborhood's state beats re-deriving it (see
-            // `new_rejoining`).
-            Searched::Resync
         } else if self.budget.target_met(self.best_len) {
             // Known-optimum reached already (possibly by the preamble):
             // announce before stopping.
@@ -536,7 +463,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let live = match searched {
             Searched::Stopped => false,
             Searched::Preamble => true,
-            Searched::Resync => self.resync_step(),
             Searched::TargetMet => {
                 self.announce_optimum();
                 false
@@ -753,14 +679,13 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// Drain the inbox, handling control traffic in place, and return
-    /// the best *validated* received tour (carried by `TourFound` or
-    /// `BestReply`), if any. Received tours are untrusted input: the
-    /// order must be a permutation of the instance's cities and the
-    /// sender-claimed length must match the locally recomputed one —
-    /// anything else is dropped so a corrupted frame can never poison
-    /// `best_len` or panic the node (and a bogus length is never
-    /// rebroadcast). Also surfaces transport-detected peer deaths as
-    /// `node.peer_down` events.
+    /// the best *validated* received tour (carried by `TourFound`), if
+    /// any. Received tours are untrusted input: the order must be a
+    /// permutation of the instance's cities and the sender-claimed
+    /// length must match the locally recomputed one — anything else is
+    /// dropped so a corrupted frame can never poison `best_len` or panic
+    /// the node (and a bogus length is never rebroadcast). Also surfaces
+    /// transport-detected peer deaths as `node.peer_down` events.
     fn drain_inbox(&mut self) -> Option<(i64, Tour, NodeId, u64)> {
         for dead in self.transport.take_peer_downs() {
             self.obs
@@ -770,12 +695,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         for msg in self.transport.drain() {
             match msg {
                 Message::TourFound {
-                    from,
-                    id,
-                    length,
-                    order,
-                }
-                | Message::BestReply {
                     from,
                     id,
                     length,
@@ -841,7 +760,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                         store.ingest(&m);
                     }
                 }
-                Message::BestRequest { from } => self.answer_best_request(from),
                 // Shard results belong to the sharded driver's
                 // collector loop (`crate::shard`); a replicated-search
                 // node receiving one ignores it.
@@ -857,77 +775,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             }
         }
         best_received
-    }
-
-    /// Answer a rejoining peer's state-resync request with this node's
-    /// current best tour.
-    fn answer_best_request(&mut self, to: NodeId) {
-        let tour_id = broadcast_id(self.id, self.broadcast_seq);
-        self.broadcast_seq += 1;
-        if self
-            .transport
-            .send(
-                to,
-                Message::BestReply {
-                    from: self.id,
-                    id: tour_id,
-                    length: self.best_len,
-                    order: self.best_tour.order().to_vec(),
-                },
-            )
-            .is_ok()
-        {
-            self.obs.event(
-                "node.best_reply",
-                &[
-                    ("to", Value::U(to as u64)),
-                    ("tour_id", Value::U(tour_id)),
-                    ("len", Value::I(self.best_len)),
-                ],
-            );
-        }
-    }
-
-    /// One resync round: listen for a `BestReply` (or any tour) instead
-    /// of running CLK. Ends resync mode on the first validated reply —
-    /// adopted only if strictly better than the local construction —
-    /// or after the patience runs out.
-    fn resync_step(&mut self) -> bool {
-        self.resync_remaining -= 1;
-        let best_received = self.drain_inbox();
-        if self.terminated {
-            // A peer announced the optimum while we were resyncing.
-            self.finishing_touches();
-            return false;
-        }
-        if let Some((len, tour, from, tour_id)) = best_received {
-            let adopted = len < self.best_len;
-            if adopted {
-                self.install_best(tour, len, false);
-            }
-            self.obs.counter("node.resyncs").incr();
-            self.obs.event(
-                "node.resync",
-                &[
-                    ("tour_id", Value::U(tour_id)),
-                    ("from", Value::U(from as u64)),
-                    ("len", Value::I(len)),
-                    ("adopted", Value::U(adopted as u64)),
-                ],
-            );
-            self.resync_remaining = 0;
-        } else if self.resync_remaining == 0 {
-            self.obs.event("node.resync_timeout", &[]);
-        }
-        if self.budget.target_met(self.best_len) {
-            self.announce_optimum();
-            return false;
-        }
-        if self.budget_exhausted() {
-            self.finishing_touches();
-            return false;
-        }
-        true
     }
 
     /// Serialize this node's resumable state — best tour plus the
@@ -1091,8 +938,6 @@ pub(crate) enum Searched {
     Stopped,
     /// The Fig. 1 preamble ran; nothing is left to settle.
     Preamble,
-    /// A rejoining node listens for a resync reply this round.
-    Resync,
     /// The target length is met: announce the optimum and stop.
     TargetMet,
     /// The budget is spent: stop.

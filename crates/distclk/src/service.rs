@@ -34,10 +34,8 @@
 //!   frame, revalidated on restore). The kick budget restarts on the
 //!   new worker but the absolute deadline is preserved.
 //! - **Fairness.** Admission charges a per-client [`FlowBudget`] in a
-//!   [`FlowLedger`] before any effect, the semilattice flow-budget
-//!   idiom: `spent` merges by max (join), `limit` by min (meet), so
-//!   ledger replicas merge in any order and a failover can never
-//!   *refund* a tenant.
+//!   [`FlowLedger`] before any effect: a job over its tenant's limit is
+//!   refused before it is queued, and a refused job costs nothing.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -363,13 +361,11 @@ impl JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Fairness ledger (semilattice flow budget)
+// Fairness ledger (per-tenant flow budget)
 // ---------------------------------------------------------------------------
 
-/// One tenant's flow budget: a join-semilattice pair. `spent` only
-/// grows (merge = max), `limit` only shrinks (merge = min), so merging
-/// replicas is idempotent, commutative, and associative, and a merge
-/// after failover can never hand a tenant budget back.
+/// One tenant's flow budget: what admission has charged it so far and
+/// its ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowBudget {
     /// Cumulative admission cost charged to this tenant.
@@ -384,14 +380,6 @@ impl FlowBudget {
         FlowBudget { spent: 0, limit }
     }
 
-    /// Semilattice merge: join on `spent`, meet on `limit`.
-    pub fn join(self, other: FlowBudget) -> FlowBudget {
-        FlowBudget {
-            spent: self.spent.max(other.spent),
-            limit: self.limit.min(other.limit),
-        }
-    }
-
     /// Charge `cost` against the budget, *before* any effect of the
     /// admission. `false` leaves the budget untouched.
     pub fn charge(&mut self, cost: u64) -> bool {
@@ -401,16 +389,11 @@ impl FlowBudget {
         self.spent += cost;
         true
     }
-
-    /// Admission headroom left.
-    pub fn remaining(&self) -> u64 {
-        self.limit.saturating_sub(self.spent)
-    }
 }
 
 /// The per-client fairness ledger: tenant id → [`FlowBudget`]. Absent
 /// tenants are implicitly `{spent: 0, limit: default_limit}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct FlowLedger {
     entries: BTreeMap<u64, FlowBudget>,
     default_limit: u64,
@@ -442,29 +425,6 @@ impl FlowLedger {
             .get(&client)
             .copied()
             .unwrap_or(FlowBudget::with_limit(self.default_limit))
-    }
-
-    /// Pin a tenant's limit (meet: it can only shrink the effective
-    /// ceiling when merged with replicas).
-    pub fn set_limit(&mut self, client: u64, limit: u64) {
-        let e = self
-            .entries
-            .entry(client)
-            .or_insert_with(|| FlowBudget::with_limit(limit));
-        e.limit = e.limit.min(limit);
-    }
-
-    /// Semilattice merge with another replica (entry-wise
-    /// [`FlowBudget::join`]; the default limit meets too).
-    pub fn merge(&mut self, other: &FlowLedger) {
-        self.default_limit = self.default_limit.min(other.default_limit);
-        for (&client, &budget) in &other.entries {
-            let e = self
-                .entries
-                .entry(client)
-                .or_insert_with(|| FlowBudget::with_limit(budget.limit));
-            *e = e.join(budget);
-        }
     }
 }
 
@@ -603,12 +563,6 @@ enum Event {
     WorkerDead {
         worker: NodeId,
     },
-    MergeLedger {
-        other: FlowLedger,
-    },
-    Ledger {
-        reply: Sender<FlowLedger>,
-    },
     Shutdown,
     /// A solve thread found a better tour.
     Improved {
@@ -738,10 +692,6 @@ impl Supervisor {
                 }
             }
             Event::WorkerDead { worker } => self.on_worker_dead(worker),
-            Event::MergeLedger { other } => self.ledger.merge(&other),
-            Event::Ledger { reply } => {
-                let _ = reply.send(self.ledger.clone());
-            }
             Event::Shutdown => return false,
             Event::Improved { job, length, order } => self.on_improved(job, length, order),
             Event::Done {
@@ -1163,22 +1113,6 @@ impl SolverService {
         let _ = self.events.send(Event::WorkerDead { worker });
     }
 
-    /// Snapshot the fairness ledger (for replication / inspection).
-    pub fn ledger(&self) -> FlowLedger {
-        let (tx, rx) = channel();
-        if self.events.send(Event::Ledger { reply: tx }).is_err() {
-            return FlowLedger::new(0);
-        }
-        rx.recv().unwrap_or_else(|_| FlowLedger::new(0))
-    }
-
-    /// Merge a replica's ledger into the live one (failover path: the
-    /// new holder joins the old holder's last ledger so tenants keep
-    /// their `spent`).
-    pub fn merge_ledger(&self, other: FlowLedger) {
-        let _ = self.events.send(Event::MergeLedger { other });
-    }
-
     /// The service's observability handle (`svc.*` counters/events).
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -1395,48 +1329,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_budget_semilattice_laws() {
-        let a = FlowBudget {
-            spent: 3,
-            limit: 10,
-        };
-        let b = FlowBudget { spent: 7, limit: 8 };
-        let c = FlowBudget {
-            spent: 5,
-            limit: 12,
-        };
-        // Idempotent, commutative, associative.
-        assert_eq!(a.join(a), a);
-        assert_eq!(a.join(b), b.join(a));
-        assert_eq!(a.join(b).join(c), a.join(b.join(c)));
-        // Join takes max spent, min limit: merging replicas can only
-        // tighten what a tenant has left.
-        assert_eq!(a.join(b), FlowBudget { spent: 7, limit: 8 });
-        assert!(a.join(b).remaining() <= a.remaining());
-        assert!(a.join(b).remaining() <= b.remaining());
-    }
-
-    #[test]
-    fn flow_ledger_charges_and_merges() {
+    fn flow_ledger_charges_per_tenant() {
         let mut ledger = FlowLedger::new(2);
         assert!(ledger.charge(1, 1));
         assert!(ledger.charge(1, 1));
         assert!(!ledger.charge(1, 1), "third job must bounce off limit 2");
         assert!(ledger.charge(2, 1), "other tenants unaffected");
         assert_eq!(ledger.get(1), FlowBudget { spent: 2, limit: 2 });
-
-        // Failover merge: spent survives by max, limit tightens by min.
-        let mut replica = FlowLedger::new(2);
-        replica.charge(1, 1);
-        replica.set_limit(3, 1);
-        replica.merge(&ledger);
-        assert_eq!(replica.get(1), FlowBudget { spent: 2, limit: 2 });
-        assert_eq!(replica.get(3).limit, 1);
-        assert!(!replica.charge(1, 1));
-        // Merge is idempotent.
-        let snapshot = replica.clone();
-        replica.merge(&ledger);
-        assert_eq!(replica, snapshot);
     }
 
     #[test]

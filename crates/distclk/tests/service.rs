@@ -397,42 +397,6 @@ fn tcp_admission_rejects_exactly_the_overshoot() {
     hub.stop();
 }
 
-/// Failover bookkeeping: merging the admission ledger into a replica
-/// (as a new hub holder would) keeps every tenant's `spent`, so a
-/// tenant cannot launder its budget through a failover.
-#[test]
-fn ledger_survives_holder_merge() {
-    let inst = generate::uniform(30, 10_000.0, 913);
-    let svc = SolverService::start(ServiceConfig {
-        workers: 1,
-        engine: engine_template(),
-        default_limit: 2,
-    });
-    let payload = json_payload_of(&inst);
-    svc.submit(7, JobSpec::new(payload.clone()).kicks(1))
-        .expect("first job")
-        .wait();
-    let ledger = svc.ledger();
-    assert_eq!(ledger.get(7).spent, 1);
-
-    // A "replacement holder": fresh service, old ledger merged in.
-    let svc2 = SolverService::start(ServiceConfig {
-        workers: 1,
-        engine: engine_template(),
-        default_limit: 2,
-    });
-    svc2.merge_ledger(ledger);
-    svc2.submit(7, JobSpec::new(payload.clone()).kicks(1))
-        .expect("second job within limit")
-        .wait();
-    let err = svc2
-        .submit(7, JobSpec::new(payload).kicks(1))
-        .expect_err("third job must bounce: spent carried over the merge");
-    assert!(err.contains("flow budget exhausted"), "{err}");
-    svc.shutdown();
-    svc2.shutdown();
-}
-
 /// Block until the job has streamed at least one tour, returning the
 /// last length seen so far.
 fn first_improvement(handle: &distclk::JobHandle) -> i64 {

@@ -25,12 +25,11 @@ const TAG_OPTIMUM: u8 = 2;
 const TAG_LEAVE: u8 = 3;
 const TAG_PING: u8 = 4;
 const TAG_PONG: u8 = 5;
-const TAG_BEST_REQUEST: u8 = 6;
-const TAG_BEST_REPLY: u8 = 7;
-// Tags 8 and 9 carried the retired hub-election frames (the hub claim
-// and the membership-log snapshot). They are never reassigned, so an
-// old peer's frame is refused as an unknown tag instead of being
-// misread as another one.
+// Tags 6 and 7 carried the retired rejoin-resync frames (the best-tour
+// request and its reply), tags 8 and 9 the retired hub-election frames
+// (the hub claim and the membership-log snapshot). They are never
+// reassigned, so an old peer's frame is refused as an unknown tag
+// instead of being misread as another one.
 const TAG_TELEMETRY: u8 = 10;
 const TAG_SHARD_RESULT: u8 = 11;
 const TAG_JOB_SUBMIT: u8 = 12;
@@ -137,10 +136,6 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
         Message::Leave { from } => s.u8(TAG_LEAVE).node(*from),
         Message::Ping { from } => s.u8(TAG_PING).node(*from),
         Message::Pong { from, t_ns } => s.u8(TAG_PONG).node(*from).u64(*t_ns),
-        Message::BestRequest { from } => s.u8(TAG_BEST_REQUEST).node(*from),
-        Message::BestReply { from, id, length, order } => {
-            s.u8(TAG_BEST_REPLY).node(*from).u64(*id).i64(*length).order(order)
-        }
         Message::Telemetry {
             from,
             t_ns,
@@ -229,13 +224,6 @@ pub fn decode(payload: &[u8]) -> Result<Message, NetError> {
         TAG_PONG => Message::Pong {
             from: r.node()?,
             t_ns: r.u64()?,
-        },
-        TAG_BEST_REQUEST => Message::BestRequest { from: r.node()? },
-        TAG_BEST_REPLY => Message::BestReply {
-            from: r.node()?,
-            id: r.u64()?,
-            length: r.i64()?,
-            order: r.order()?,
         },
         TAG_TELEMETRY => Message::Telemetry {
             from: r.node()?,
@@ -468,13 +456,6 @@ mod tests {
         roundtrip(Message::Pong {
             from: 4,
             t_ns: u64::MAX - 1,
-        });
-        roundtrip(Message::BestRequest { from: 5 });
-        roundtrip(Message::BestReply {
-            from: 6,
-            id: crate::message::broadcast_id(6, 1),
-            length: 4242,
-            order: (0..33).rev().collect(),
         });
     }
 

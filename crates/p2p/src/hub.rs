@@ -10,8 +10,8 @@
 //!
 //! After bootstrap the same [`LifecycleHub`] keeps serving the
 //! telemetry plane (`TELEMETRY`/`METRICS`/`STATUS`) and job admission
-//! (`JOB`). Membership repair after a death is not the hub's business
-//! (DESIGN.md §9).
+//! (`JOB`). Nobody repairs the topology after a death, the hub
+//! included (DESIGN.md §9).
 //!
 //! The hub protocol is a one-request/one-response text exchange
 //! (`JOIN <addr>` → `ID <id> EXPECT <n> NEIGHBORS <id>@<addr>;…`),

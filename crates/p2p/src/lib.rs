@@ -18,10 +18,9 @@
 //!   paper's Java system used.
 //!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in
-//! [`topology`] for the ablation experiments, with the
-//! [`topology::Membership`] repair rule the lockstep churn driver
-//! applies after a death. As in the paper, the nodes elect no hub
-//! among themselves.
+//! [`topology`] for the ablation experiments. As in the paper, the
+//! node set is fixed: a node that crashes is not replaced, nobody
+//! rewires around it, and the nodes elect no hub among themselves.
 
 pub mod codec;
 pub mod delay;
@@ -40,7 +39,7 @@ pub use memory::InMemoryNetwork;
 pub use message::{broadcast_id, job_id, Message, NodeId};
 pub use tcp::TcpConfig;
 pub use telemetry::{NodeTelemetry, TelemetryShipper, TelemetryStore};
-pub use topology::{Membership, Topology};
+pub use topology::Topology;
 pub use transport::Transport;
 pub use util::wait_until;
 

@@ -5,7 +5,8 @@
 //! network inside one process — the harness the simulation driver and
 //! the deterministic tests use. Message counts and byte volumes are
 //! tracked so the message-statistics experiment (§4 prelude) works on
-//! either backend.
+//! either backend. A node can be killed, crash-stop like a TCP peer
+//! whose process died; it never comes back.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -63,25 +64,11 @@ pub struct MemoryEndpoint {
 }
 
 impl MemoryEndpoint {
-    /// Add `peer` to the neighbor list (topology repair). No-op when
-    /// already present.
-    pub fn add_neighbor(&mut self, peer: NodeId) {
-        if peer != self.id && !self.neighbors.contains(&peer) {
-            self.neighbors.push(peer);
-            self.neighbors.sort_unstable();
-        }
-    }
-
-    /// Remove `peer` from the neighbor list.
-    pub fn remove_neighbor(&mut self, peer: NodeId) {
-        self.neighbors.retain(|&n| n != peer);
-    }
-
     /// Declare `peer` dead: drop the link and queue a peer-down
     /// notification for the next [`Transport::take_peer_downs`]. This is
     /// the in-memory analogue of the TCP liveness timeout firing.
     pub fn note_peer_down(&mut self, peer: NodeId) {
-        self.remove_neighbor(peer);
+        self.neighbors.retain(|&n| n != peer);
         if !self.pending_downs.contains(&peer) {
             self.pending_downs.push(peer);
         }
@@ -130,8 +117,8 @@ impl Transport for MemoryEndpoint {
 /// [`InMemoryNetwork::create`] additionally returns the network handle,
 /// which can [`kill`](InMemoryNetwork::kill) a node (unregister its
 /// sender so peers get [`NetError::UnknownPeer`], like a crashed
-/// process) and [`revive`](InMemoryNetwork::revive) it with a fresh
-/// inbox — the substrate of the churn experiments.
+/// process) — the substrate of the crash-stop churn driver. A killed
+/// node never comes back.
 ///
 /// ```
 /// use p2p::{InMemoryNetwork, Message, Topology, Transport};
@@ -148,7 +135,7 @@ pub struct InMemoryNetwork {
 
 impl InMemoryNetwork {
     /// Build an `n`-node network with the given topology, returning the
-    /// churn-capable network handle plus one endpoint per node.
+    /// network handle (which can kill nodes) plus one endpoint per node.
     pub fn create(n: usize, topology: Topology) -> (Self, Vec<MemoryEndpoint>) {
         let stats = Arc::new(NetStats::default());
         let mut senders: Vec<Option<Sender<Message>>> = Vec::with_capacity(n);
@@ -192,22 +179,6 @@ impl InMemoryNetwork {
     /// death through failure detection (crash semantics).
     pub fn kill(&self, id: NodeId) {
         self.peers.write().unwrap_or_else(PoisonError::into_inner)[id] = None;
-    }
-
-    /// Bring node `id` back with a fresh (empty) inbox and the given
-    /// neighbor list; peers can send to it again immediately. The
-    /// returned endpoint replaces the one the killed node held.
-    pub fn revive(&self, id: NodeId, neighbors: Vec<NodeId>) -> MemoryEndpoint {
-        let (tx, rx) = channel();
-        self.peers.write().unwrap_or_else(PoisonError::into_inner)[id] = Some(tx);
-        MemoryEndpoint {
-            id,
-            neighbors,
-            inbox: rx,
-            peers: Arc::clone(&self.peers),
-            stats: Arc::clone(&self.stats),
-            pending_downs: Vec::new(),
-        }
     }
 }
 
@@ -305,27 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn revive_restores_delivery_with_fresh_inbox() {
-        let (net, mut eps) = InMemoryNetwork::create(4, Topology::Ring);
-        eps[0]
-            .send(1, Message::OptimumFound { from: 0, length: 1 })
-            .unwrap();
-        net.kill(1);
-        let mut revived = net.revive(1, vec![0, 2]);
-        // The pre-death message died with the old inbox.
-        assert!(revived.try_recv().is_none());
-        assert_eq!(revived.neighbors(), vec![0, 2]);
-        eps[0]
-            .send(1, Message::OptimumFound { from: 0, length: 2 })
-            .unwrap();
-        assert_eq!(
-            revived.try_recv(),
-            Some(Message::OptimumFound { from: 0, length: 2 })
-        );
-    }
-
-    #[test]
-    fn note_peer_down_rewires_and_reports_once() {
+    fn note_peer_down_drops_the_link_and_reports_once() {
         let (_net, mut eps) = InMemoryNetwork::create(4, Topology::Ring);
         let mut e0 = eps.remove(0);
         assert_eq!(e0.neighbors(), vec![3, 1]);
@@ -334,8 +285,5 @@ mod tests {
         assert_eq!(e0.neighbors(), vec![3]);
         assert_eq!(e0.take_peer_downs(), vec![1]);
         assert!(e0.take_peer_downs().is_empty());
-        e0.add_neighbor(2);
-        e0.add_neighbor(2); // idempotent
-        assert_eq!(e0.neighbors(), vec![2, 3]);
     }
 }

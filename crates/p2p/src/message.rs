@@ -61,28 +61,6 @@ pub enum Message {
         /// its observability epoch (0 when observability is off).
         t_ns: u64,
     },
-    /// A rejoining node asking its neighborhood for the current best
-    /// tour, so it can resume from population state instead of a cold
-    /// construction (state resync; see DESIGN.md "Failure model").
-    BestRequest {
-        /// Rejoining node.
-        from: NodeId,
-    },
-    /// Answer to [`Message::BestRequest`]: the responder's current
-    /// best tour. Validated by the receiver exactly like
-    /// [`Message::TourFound`] (city count, permutation, recomputed
-    /// length) before adoption.
-    BestReply {
-        /// Responding node.
-        from: NodeId,
-        /// Broadcast id of the carried tour (same scheme as
-        /// `TourFound`, so resyncs are traceable in the event logs).
-        id: u64,
-        /// Tour length as recomputed by the responder.
-        length: i64,
-        /// Visiting order.
-        order: Vec<u32>,
-    },
     /// Periodic live-telemetry shipment from a node to the cluster's
     /// aggregation point (node 0 over the peer transport, or the hub's
     /// `TELEMETRY` command): metric deltas, recent events, and anytime
@@ -242,8 +220,6 @@ impl Message {
             | Message::Leave { from }
             | Message::Ping { from }
             | Message::Pong { from, .. }
-            | Message::BestRequest { from }
-            | Message::BestReply { from, .. }
             | Message::Telemetry { from, .. }
             | Message::ShardResult { from, .. }
             | Message::JobSubmit { from, .. }
@@ -283,38 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn from_extracts_sender_liveness_and_resync() {
+    fn from_extracts_sender_liveness() {
         assert_eq!(Message::Ping { from: 4 }.from(), 4);
         assert_eq!(Message::Pong { from: 5, t_ns: 123 }.from(), 5);
-        assert_eq!(Message::BestRequest { from: 6 }.from(), 6);
-        assert_eq!(
-            Message::BestReply {
-                from: 1,
-                id: broadcast_id(1, 9),
-                length: 77,
-                order: vec![0, 1, 2]
-            }
-            .from(),
-            1
-        );
     }
 
     #[test]
-    fn best_reply_wire_size_matches_tour_found() {
-        let order: Vec<u32> = (0..55).collect();
-        let a = Message::TourFound {
-            from: 0,
-            id: 0,
-            length: 1,
-            order: order.clone(),
-        };
-        let b = Message::BestReply {
-            from: 0,
-            id: 0,
-            length: 1,
-            order,
-        };
-        assert_eq!(a.wire_size(), b.wire_size());
+    fn liveness_wire_sizes() {
         assert_eq!(Message::Ping { from: 0 }.wire_size(), 9);
         // Pong additionally carries the responder's clock.
         assert_eq!(Message::Pong { from: 0, t_ns: 0 }.wire_size(), 17);

@@ -9,16 +9,15 @@ use p2p::codec::{decode, encode};
 use p2p::Message;
 
 /// `(tag, frame length incl. the 4-byte prefix, FNV-1a-64 of the frame)`.
-/// Tags 8 and 9 (the retired hub-election frames) have no row: see
+/// Tags 6 and 7 (the retired rejoin-resync frames) and 8 and 9 (the
+/// retired hub-election frames) have no row: see
 /// [`retired_tags_are_refused`].
-const GOLDEN: [(u8, usize, u64); 14] = [
+const GOLDEN: [(u8, usize, u64); 12] = [
     (1, 181, 0x9816_4a72_44eb_4aec),
     (2, 21, 0xe2f1_a3d8_c921_1cdf),
     (3, 13, 0xc97e_3bf5_16c6_3e5a),
     (4, 13, 0x26b0_0338_cfdd_1130),
     (5, 21, 0x356b_2c4a_831f_4dd9),
-    (6, 13, 0x0f8f_1fe1_e334_6914),
-    (7, 181, 0x422b_52dd_0f6f_e3e2),
     (10, 173, 0x16ae_c12b_9e3c_b3b6),
     (11, 73, 0x635a_f7ef_6d15_4b3b),
     (12, 95, 0x1831_4cf8_6426_baba),
@@ -55,13 +54,6 @@ fn samples() -> Vec<Message> {
         Message::Pong {
             from: 9,
             t_ns: u64::MAX - 11,
-        },
-        Message::BestRequest { from: 10 },
-        Message::BestReply {
-            from: 11,
-            id: p2p::broadcast_id(11, 3),
-            length: 987_654,
-            order: order.iter().rev().copied().collect(),
         },
         Message::Telemetry {
             from: 14,
@@ -139,17 +131,31 @@ fn every_tag_is_sized_and_read_back_exactly() {
     }
 }
 
-/// Tags 8 and 9 carried the hub-election frames (the hub claim and the
-/// membership-log snapshot). They stay retired: a payload starting with either is refused whatever follows
-/// — the old frames' own layouts (a node and an epoch; a node and an
-/// empty entry list) and every live frame's body alike.
+/// Tags 6 and 7 carried the rejoin-resync frames (the best-tour request
+/// and its reply), tags 8 and 9 the hub-election frames (the hub claim
+/// and the membership-log snapshot). They stay retired: a payload
+/// starting with any of them is refused whatever follows — the old
+/// frames' own layouts (a node; a node, a tour id, a length and an
+/// order; a node and an epoch; a node and an empty entry list) and
+/// every live frame's body alike.
 #[test]
 fn retired_tags_are_refused() {
     let mut bodies: Vec<Vec<u8>> = samples().iter().map(|m| encode(m)[5..].to_vec()).collect();
     bodies.push(Vec::new());
+    bodies.push(10u64.to_le_bytes().to_vec());
+    bodies.push(
+        [
+            &11u64.to_le_bytes()[..],
+            &p2p::broadcast_id(11, 3).to_le_bytes(),
+            &987_654i64.to_le_bytes(),
+            &3u32.to_le_bytes(),
+            &[2u32, 1, 0].map(u32::to_le_bytes).concat(),
+        ]
+        .concat(),
+    );
     bodies.push([12u64.to_le_bytes(), 0x0123_4567_89ab_cdef_u64.to_le_bytes()].concat());
     bodies.push([&13u64.to_le_bytes()[..], &0u32.to_le_bytes()].concat());
-    for tag in [8u8, 9] {
+    for tag in [6u8, 7, 8, 9] {
         for body in &bodies {
             let payload = [&[tag][..], body].concat();
             assert!(decode(&payload).is_err(), "tag {tag} decoded: {payload:?}");

@@ -34,21 +34,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             from: from as usize,
             t_ns,
         }),
-        any::<u16>().prop_map(|from| Message::BestRequest {
-            from: from as usize
-        }),
-        (
-            any::<u16>(),
-            any::<u64>(),
-            any::<i64>(),
-            prop::collection::vec(any::<u32>(), 0..500)
-        )
-            .prop_map(|(from, id, length, order)| Message::BestReply {
-                from: from as usize,
-                id,
-                length,
-                order,
-            }),
         arb_telemetry(),
         arb_job_message(),
     ]
@@ -173,35 +158,6 @@ fn arb_telemetry() -> impl Strategy<Value = Message> {
                 }
             },
         )
-}
-
-/// Killing nodes one at a time never disconnects the survivors, in any
-/// topology; rejoin restores a connected graph too.
-#[test]
-fn membership_repairs_preserve_connectivity() {
-    use p2p::{Membership, Topology};
-    for n in [4usize, 6, 8, 11, 16] {
-        for t in [
-            Topology::Hypercube,
-            Topology::Ring,
-            Topology::Complete,
-            Topology::Star,
-        ] {
-            let mut m = Membership::new(t, n);
-            // Kill in a fixed pseudo-random order, leaving 2 alive.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.rotate_left(n / 3 + 1);
-            for &dead in order.iter().take(n - 2) {
-                m.fail(dead);
-                assert!(m.alive_connected(), "{t:?} n={n} after killing {dead}");
-            }
-            // Everyone comes back; graph must stay connected throughout.
-            for &back in order.iter().take(n - 2) {
-                m.rejoin(back);
-                assert!(m.alive_connected(), "{t:?} n={n} after rejoin {back}");
-            }
-        }
-    }
 }
 
 proptest! {
