@@ -7,18 +7,21 @@
 //! 4. the candidate-list kind (k-NN vs. α-nearness vs. hybrid) through
 //!    the full distributed stack.
 
+use distclk::driver::run_over_transports;
+use distclk::NodeEvent;
 use lk::KickStrategy;
+use p2p::delay::DelayedTransport;
+use p2p::memory::InMemoryNetwork;
 use p2p::Topology;
+use tsp_core::NeighborLists;
 
-use crate::experiments::common::{dist_config, mean, run_dist_many};
+use crate::experiments::common::{dist_config, mean, mean_best, run_dist_many};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("ablation", "Ablations: DBM, node count, topology, c_v/c_r");
-    let sized = |base: usize| ((base as f64 * scale.size_factor) as usize).max(256);
-    let inst = generate::uniform(sized(1000), 1_000_000.0, 12);
+    let inst = scale.stand_in("E1k", 1000, 256, 12).inst;
     let kick = KickStrategy::RandomWalk(50);
     let mut csv = Vec::new();
 
@@ -32,9 +35,7 @@ pub fn run(scale: &Scale) -> Report {
     ] {
         let mut cfg = dist_config(scale, kick, nodes, 0);
         cfg.use_dbm = use_dbm;
-        let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB1, None);
-        let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
-        let m = mean(&lens);
+        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB1, None));
         rows.push(vec![label.to_string(), format!("{m:.0}")]);
         csv.push(format!("mode,{label},{m:.1}"));
     }
@@ -52,14 +53,14 @@ pub fn run(scale: &Scale) -> Report {
         let mut cfg = dist_config(scale, kick, scale.nodes, 0);
         cfg.topology = topo;
         let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB2, None);
-        let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
+        let m = mean_best(&runs);
         let msgs: Vec<f64> = runs.iter().map(|r| r.messages.0 as f64).collect();
         rows.push(vec![
             format!("{topo:?}"),
-            format!("{:.0}", mean(&lens)),
+            format!("{m:.0}"),
             format!("{:.0}", mean(&msgs)),
         ]);
-        csv.push(format!("topology,{topo:?},{:.1}", mean(&lens)));
+        csv.push(format!("topology,{topo:?},{m:.1}"));
     }
     report.para("Topology (8 nodes): quality vs. message volume:");
     report.table(&["Topology", "Mean best length", "Mean messages"], &rows);
@@ -68,119 +69,89 @@ pub fn run(scale: &Scale) -> Report {
     // candidate knob is part of the wire config, so the lists every
     // node searches over come from `distclk::build_neighbors` (inside
     // `run_dist_many`), exactly as a deployment would build them.
-    {
-        let mut rows = Vec::new();
-        for kind in lk::CandidateKind::ALL {
-            let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-            cfg.clk.candidates = kind;
-            let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB7, None);
-            let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
-            rows.push(vec![kind.name().to_string(), format!("{:.0}", mean(&lens))]);
-            csv.push(format!("candidates,{},{:.1}", kind.name(), mean(&lens)));
-        }
-        report.para(
-            "Candidate-list kind (k-NN vs. α-nearness vs. hybrid), same \
-             width and budget, through the distributed stack:",
-        );
-        report.table(&["Candidate kind", "Mean best length"], &rows);
+    let mut rows = Vec::new();
+    for kind in lk::CandidateKind::ALL {
+        let mut cfg = dist_config(scale, kick, scale.nodes, 0);
+        cfg.clk.candidates = kind;
+        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB7, None));
+        rows.push(vec![kind.name().to_string(), format!("{m:.0}")]);
+        csv.push(format!("candidates,{},{m:.1}", kind.name()));
     }
+    report.para(
+        "Candidate-list kind (k-NN vs. α-nearness vs. hybrid), same \
+         width and budget, through the distributed stack:",
+    );
+    report.table(&["Candidate kind", "Mean best length"], &rows);
 
     // 1b. Construction diversity extension: rotating constructions per
     // node vs. everyone starting from the same deterministic QB tour.
-    {
-        let mut rows = Vec::new();
-        for diversify in [false, true] {
-            let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-            cfg.diversify_construction = diversify;
-            let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB6, None);
-            let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
-            rows.push(vec![
-                if diversify {
-                    "rotating constructions"
-                } else {
-                    "uniform Quick-Borůvka"
-                }
-                .to_string(),
-                format!("{:.0}", mean(&lens)),
-            ]);
-            csv.push(format!(
-                "diversity,{},{:.1}",
-                if diversify { "rotating" } else { "uniform" },
-                mean(&lens)
-            ));
-        }
-        report.para("Initial-tour diversity across nodes (extension):");
-        report.table(&["Construction policy", "Mean best length"], &rows);
+    let mut rows = Vec::new();
+    for diversify in [false, true] {
+        let mut cfg = dist_config(scale, kick, scale.nodes, 0);
+        cfg.diversify_construction = diversify;
+        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB6, None));
+        let (label, variant) = if diversify {
+            ("rotating constructions", "rotating")
+        } else {
+            ("uniform Quick-Borůvka", "uniform")
+        };
+        rows.push(vec![label.to_string(), format!("{m:.0}")]);
+        csv.push(format!("diversity,{variant},{m:.1}"));
     }
+    report.para("Initial-tour diversity across nodes (extension):");
+    report.table(&["Construction policy", "Mean best length"], &rows);
 
     // 2a. Epidemic forwarding extension: on sparse topologies,
     // relaying received improvements should help (on the hypercube the
     // diameter is 3 and it barely matters — the paper's design point).
-    {
-        let mut rows = Vec::new();
-        for (topo, fwd) in [
-            (Topology::Hypercube, false),
-            (Topology::Hypercube, true),
-            (Topology::Ring, false),
-            (Topology::Ring, true),
-        ] {
-            let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-            cfg.topology = topo;
-            cfg.forward_received = fwd;
-            let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB5, None);
-            let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
-            rows.push(vec![
-                format!("{topo:?}{}", if fwd { " + forwarding" } else { "" }),
-                format!("{:.0}", mean(&lens)),
-            ]);
-            csv.push(format!(
-                "forwarding,{topo:?}{},{:.1}",
-                if fwd { "+fwd" } else { "" },
-                mean(&lens)
-            ));
-        }
-        report.para(
-            "Epidemic forwarding of received tours (extension beyond the paper's \
-             Fig. 1, which broadcasts only local improvements):",
-        );
-        report.table(&["Configuration", "Mean best length"], &rows);
+    let mut rows = Vec::new();
+    for (topo, fwd) in [
+        (Topology::Hypercube, false),
+        (Topology::Hypercube, true),
+        (Topology::Ring, false),
+        (Topology::Ring, true),
+    ] {
+        let mut cfg = dist_config(scale, kick, scale.nodes, 0);
+        cfg.topology = topo;
+        cfg.forward_received = fwd;
+        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB5, None));
+        let (label, variant) = if fwd {
+            (" + forwarding", "+fwd")
+        } else {
+            ("", "")
+        };
+        rows.push(vec![format!("{topo:?}{label}"), format!("{m:.0}")]);
+        csv.push(format!("forwarding,{topo:?}{variant},{m:.1}"));
     }
+    report.para(
+        "Epidemic forwarding of received tours (extension beyond the paper's \
+         Fig. 1, which broadcasts only local improvements):",
+    );
+    report.table(&["Configuration", "Mean best length"], &rows);
 
     // 2b. Network latency: inject one-way delays to test the paper's
     // "communication cost is negligible" claim directly.
-    {
-        use distclk::driver::run_over_transports;
-        use p2p::delay::DelayedTransport;
-        use p2p::memory::InMemoryNetwork;
-        use tsp_core::NeighborLists;
-
-        let nl = NeighborLists::build(&inst, 10);
-        let mut rows = Vec::new();
-        for delay_ms in [0u64, 10, 100] {
-            let mut lens = Vec::new();
-            for run in 0..scale.runs {
-                let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-                cfg.seed = 0xB4 + run as u64;
+    let nl = NeighborLists::build(&inst, 10);
+    let mut rows = Vec::new();
+    for delay_ms in [0u64, 10, 100] {
+        let delay = std::time::Duration::from_millis(delay_ms);
+        let runs: Vec<_> = (0..scale.runs as u64)
+            .map(|run| {
+                let cfg = dist_config(scale, kick, scale.nodes, 0xB4 + run);
                 let (eps, _) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-                let wrapped: Vec<_> = eps
-                    .into_iter()
-                    .map(|e| DelayedTransport::new(e, std::time::Duration::from_millis(delay_ms)))
-                    .collect();
-                let result = run_over_transports(&inst, &nl, &cfg, wrapped);
-                lens.push(result.best_length as f64);
-            }
-            rows.push(vec![
-                format!("{delay_ms} ms"),
-                format!("{:.0}", mean(&lens)),
-            ]);
-            csv.push(format!("latency,{delay_ms}ms,{:.1}", mean(&lens)));
-        }
-        report.para(
-            "Injected one-way message latency (the paper argues communication cost is \
-             negligible; quality should be flat across delays):",
-        );
-        report.table(&["One-way delay", "Mean best length"], &rows);
+                let wrapped = eps.into_iter().map(|e| DelayedTransport::new(e, delay));
+                run_over_transports(&inst, &nl, &cfg, wrapped.collect())
+            })
+            .collect();
+        let m = mean_best(&runs);
+        rows.push(vec![format!("{delay_ms} ms"), format!("{m:.0}")]);
+        csv.push(format!("latency,{delay_ms}ms,{m:.1}"));
     }
+    report.para(
+        "Injected one-way message latency (the paper argues communication cost is \
+         negligible; quality should be flat across delays):",
+    );
+    report.table(&["One-way delay", "Mean best length"], &rows);
 
     // 3. c_v / c_r sweep. Two knobs differ from the other ablations:
     // the swept pairs sit *below* the paper defaults and the per-node
@@ -198,22 +169,17 @@ pub fn run(scale: &Scale) -> Report {
         cfg.c_r = c_r;
         cfg.budget = lk::Budget::kicks(scale.dist_calls_per_node().max(160));
         let runs = run_dist_many(&inst, &cfg, scale.runs, 0xB3, None);
-        let lens: Vec<f64> = runs.iter().map(|r| r.best_length as f64).collect();
+        let m = mean_best(&runs);
         let mut restarts_per_run = Vec::new();
         let mut strength_changes_per_run = Vec::new();
         for (r, run) in runs.iter().enumerate() {
-            let restarts: u64 = run
-                .nodes
-                .iter()
-                .flat_map(|n| &n.events)
-                .filter(|e| matches!(e, distclk::NodeEvent::Restart { .. }))
-                .count() as u64;
-            let strength_changes: u64 = run
-                .nodes
-                .iter()
-                .flat_map(|n| &n.events)
-                .filter(|e| matches!(e, distclk::NodeEvent::StrengthChanged { .. }))
-                .count() as u64;
+            let events = || run.nodes.iter().flat_map(|n| &n.events);
+            let restarts = events()
+                .filter(|e| matches!(e, NodeEvent::Restart { .. }))
+                .count();
+            let strength_changes = events()
+                .filter(|e| matches!(e, NodeEvent::StrengthChanged { .. }))
+                .count();
             restarts_per_run.push(restarts as f64);
             strength_changes_per_run.push(strength_changes as f64);
             cvcr_csv.push(format!(
@@ -223,11 +189,11 @@ pub fn run(scale: &Scale) -> Report {
         }
         rows.push(vec![
             format!("c_v={c_v}, c_r={c_r}"),
-            format!("{:.0}", mean(&lens)),
+            format!("{m:.0}"),
             format!("{:.1}", mean(&restarts_per_run)),
             format!("{:.1}", mean(&strength_changes_per_run)),
         ]);
-        csv.push(format!("cvcr,{c_v}/{c_r},{:.1}", mean(&lens)));
+        csv.push(format!("cvcr,{c_v}/{c_r},{m:.1}"));
     }
     report.para(
         "Perturbation parameters, swept below the paper defaults (c_v=64, \

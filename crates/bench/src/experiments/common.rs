@@ -5,7 +5,8 @@ use lk::{Budget, ChainedLk, ChainedLkConfig, ClkResult, KickStrategy, Trace};
 use p2p::Topology;
 use tsp_core::{Instance, NeighborLists};
 
-use crate::testbed::{Reference, Scale};
+use crate::report::{fmt_excess, Report};
+use crate::testbed::{small_testbed, Reference, Scale};
 
 /// Run standalone CLK `runs` times with distinct seeds.
 pub fn run_clk_many(
@@ -100,6 +101,16 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// Mean best length of distributed runs.
+pub fn mean_best(runs: &[DistResult]) -> f64 {
+    mean(
+        &runs
+            .iter()
+            .map(|r| r.best_length as f64)
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// Mean excess of a set of lengths over a reference.
 pub fn mean_excess(reference: &Reference, lengths: &[i64]) -> f64 {
     mean(
@@ -118,6 +129,71 @@ pub fn length_at_kicks(trace: &Trace, kicks: u64) -> Option<i64> {
         .take_while(|&&(_, k, _)| k <= kicks)
         .map(|&(_, _, l)| l)
         .last()
+}
+
+/// Attach a best-so-far trace to `report` as the CSV series `name`, one
+/// `secs,kicks,length` row per improvement.
+pub fn trace_series(report: &mut Report, name: String, trace: &Trace) {
+    let rows = trace
+        .points()
+        .iter()
+        .map(|&(s, k, l)| format!("{s},{k},{l}"))
+        .collect();
+    report.series(name, "secs,kicks,length", rows);
+}
+
+/// A table header: the `lead` columns, then one column per kick strategy
+/// of [`KickStrategy::ALL`] and suffix (`Random short`, `Random long`, …).
+pub fn strategy_header(lead: &[&str], suffixes: [&str; 2]) -> Vec<String> {
+    let per_strategy = KickStrategy::ALL
+        .iter()
+        .flat_map(|k| suffixes.map(|s| format!("{} {s}", k.name())));
+    lead.iter()
+        .map(|s| s.to_string())
+        .chain(per_strategy)
+        .collect()
+}
+
+/// Mean excess per small-testbed instance and kick strategy after a
+/// short and a long budget, as a table and the CSV series `excess`.
+/// `run(inst, i, strategy)` returns the short and the long lengths of
+/// strategy `i` of [`KickStrategy::ALL`]; `pool(short, long)` returns
+/// the lengths among them that the instance's reference is drawn from.
+pub fn short_long_excess(
+    report: &mut Report,
+    scale: &Scale,
+    run: impl Fn(&Instance, u64, KickStrategy) -> (Vec<i64>, Vec<i64>),
+    pool: impl Fn(&[i64], &[i64]) -> Vec<i64>,
+) {
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    for t in &small_testbed(scale) {
+        let per_strategy: Vec<_> = (0..)
+            .zip(KickStrategy::ALL)
+            .map(|(i, strategy)| (strategy, run(&t.inst, i, strategy)))
+            .collect();
+        let observed = per_strategy.iter().flat_map(|(_, (s, l))| pool(s, l));
+        let reference = reference_for(&t.inst, observed);
+        let mut row = vec![t.paper_name.to_string()];
+        for (strategy, (short, long)) in &per_strategy {
+            let es = mean_excess(&reference, short);
+            let el = mean_excess(&reference, long);
+            row.extend([fmt_excess(es), fmt_excess(el)]);
+            csv.push(format!(
+                "{},{},{es:.6},{el:.6},{}",
+                t.paper_name,
+                strategy.name(),
+                reference.label()
+            ));
+        }
+        rows.push(row);
+    }
+    report.table(&strategy_header(&["Instance"], ["short", "long"]), &rows);
+    report.series(
+        "excess",
+        "instance,strategy,short_excess,long_excess,reference",
+        csv,
+    );
 }
 
 /// Mean effort (kicks / CLK calls) at which each trace first reached

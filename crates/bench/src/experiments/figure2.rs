@@ -11,10 +11,9 @@
 
 use lk::KickStrategy;
 
-use crate::experiments::common::{dist_config, run_clk_many, run_dist_many};
+use crate::experiments::common::{dist_config, run_clk_many, run_dist_many, trace_series};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("figure2", "Figure 2: convergence traces (CSV series)");
@@ -23,55 +22,36 @@ pub fn run(scale: &Scale) -> Report {
          seconds to reproduce the figure. One representative run per configuration.",
     );
 
-    let sized = |base: usize| ((base as f64 * scale.size_factor) as usize).max(128);
     let instances = [
-        ("fl1577", generate::drill_plate(sized(1577), 13)),
-        ("sw24978", generate::road_like(sized(4000), 19)),
+        scale.stand_in("fl1577", 1577, 128, 13),
+        scale.stand_in("sw24978", 4000, 128, 19),
     ];
 
     let mut summary_rows = Vec::new();
-    for (name, inst) in &instances {
+    for t in &instances {
+        let (name, inst) = (t.paper_name, &t.inst);
         // Panels (a)/(b): CLK per strategy.
         for strategy in KickStrategy::ALL {
             let run = run_clk_many(inst, strategy, scale.clk_kicks, 1, 0xF2, None).remove(0);
-            let rows: Vec<String> = run
-                .trace
-                .points()
-                .iter()
-                .map(|&(s, k, l)| format!("{s},{k},{l}"))
-                .collect();
             summary_rows.push(vec![
                 name.to_string(),
                 format!("CLK {}", strategy.name()),
                 run.length.to_string(),
                 format!("{:.2}", run.seconds),
             ]);
-            report.series(
-                format!(
-                    "{}_clk_{}",
-                    name,
-                    strategy.name().to_lowercase().replace('-', "")
-                ),
-                "secs,kicks,length",
-                rows,
-            );
+            let label = strategy.name().to_lowercase().replace('-', "");
+            trace_series(&mut report, format!("{name}_clk_{label}"), &run.trace);
         }
         // Panels (c)/(d): DistCLK 8 nodes, Random-walk.
         let cfg = dist_config(scale, KickStrategy::RandomWalk(50), scale.nodes, 0xF3);
         let dist = run_dist_many(inst, &cfg, 1, 0xF3, None).remove(0);
-        let rows: Vec<String> = dist
-            .network_trace
-            .points()
-            .iter()
-            .map(|&(s, k, l)| format!("{s},{k},{l}"))
-            .collect();
         summary_rows.push(vec![
             name.to_string(),
             "DistCLK 8 nodes".into(),
             dist.best_length.to_string(),
             format!("{:.2}", dist.wall_seconds),
         ]);
-        report.series(format!("{name}_dist8"), "secs,kicks,length", rows);
+        trace_series(&mut report, format!("{name}_dist8"), &dist.network_trace);
     }
 
     report.table(

@@ -8,10 +8,9 @@
 
 use lk::KickStrategy;
 
-use crate::experiments::common::{dist_config, run_clk_many, run_dist_many};
+use crate::experiments::common::{dist_config, run_clk_many, run_dist_many, trace_series};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("figure3", "Figure 3: parallelization effect (CSV series)");
@@ -21,25 +20,17 @@ pub fn run(scale: &Scale) -> Report {
          paper.",
     );
 
-    let sized = |base: usize| ((base as f64 * scale.size_factor) as usize).max(128);
     let instances = [
-        ("fl3795", generate::drill_plate(sized(3795), 16)),
-        ("fi10639", generate::road_like(sized(2600), 18)),
+        scale.stand_in("fl3795", 3795, 128, 16),
+        scale.stand_in("fi10639", 2600, 128, 18),
     ];
     let kick = KickStrategy::RandomWalk(50);
 
     let mut rows = Vec::new();
-    for (name, inst) in &instances {
+    for t in &instances {
+        let (name, inst) = (t.paper_name, &t.inst);
         let clk = run_clk_many(inst, kick, scale.clk_kicks, 1, 0x31, None).remove(0);
-        report.series(
-            format!("{name}_clk"),
-            "secs,kicks,length",
-            clk.trace
-                .points()
-                .iter()
-                .map(|&(s, k, l)| format!("{s},{k},{l}"))
-                .collect(),
-        );
+        trace_series(&mut report, format!("{name}_clk"), &clk.trace);
         rows.push(vec![
             name.to_string(),
             "ABCC-CLK".into(),
@@ -49,14 +40,10 @@ pub fn run(scale: &Scale) -> Report {
         for nodes in [1usize, scale.nodes] {
             let cfg = dist_config(scale, kick, nodes, 0x32);
             let dist = run_dist_many(inst, &cfg, 1, 0x32, None).remove(0);
-            report.series(
+            trace_series(
+                &mut report,
                 format!("{name}_dist{nodes}"),
-                "secs,kicks,length",
-                dist.network_trace
-                    .points()
-                    .iter()
-                    .map(|&(s, k, l)| format!("{s},{k},{l}"))
-                    .collect(),
+                &dist.network_trace,
             );
             rows.push(vec![
                 name.to_string(),

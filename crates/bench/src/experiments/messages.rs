@@ -11,12 +11,10 @@ use lk::KickStrategy;
 use crate::experiments::common::{dist_config, run_dist_many};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("messages", "Message statistics (paper §4 prelude)");
-    let sized = |base: usize| ((base as f64 * scale.size_factor) as usize).max(256);
-    let inst = generate::road_like(sized(4000), 19);
+    let inst = scale.stand_in("sw24978", 4000, 256, 19).inst;
     let cfg = dist_config(scale, KickStrategy::RandomWalk(50), scale.nodes, 0x99);
     let runs = run_dist_many(&inst, &cfg, scale.runs, 0x99, None);
 
@@ -42,15 +40,15 @@ pub fn run(scale: &Scale) -> Report {
                 })
             })
             .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times.sort_by(f64::total_cmp);
         let horizon = r
             .nodes
             .iter()
             .map(|n| n.seconds)
             .fold(0.0f64, f64::max)
             .max(1e-9);
-        let first10 = times.iter().take(10).copied().collect::<Vec<_>>();
-        let frac = first10.last().map(|t| t / horizon).unwrap_or(0.0);
+        times.truncate(10);
+        let frac = times.last().map_or(0.0, |t| t / horizon);
         first10_fracs.push(frac);
         rows.push(vec![
             format!("run {i}"),

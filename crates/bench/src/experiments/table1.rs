@@ -17,12 +17,12 @@
 //! used fixed percentages over known optima, which our scaled stand-ins
 //! reach either instantly or never.
 
+use distclk::DistResult;
 use lk::KickStrategy;
 
 use crate::experiments::common::{dist_config, mean_kicks_to, run_clk_many, run_dist_many};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
@@ -39,6 +39,52 @@ pub fn run(scale: &Scale) -> Report {
         scale.dist_kicks_per_node()
     ));
 
+    let kick = KickStrategy::RandomWalk(50);
+    // Distributed traces record CLK calls; convert to kick-equivalents.
+    let per_call = scale.kicks_per_call as f64;
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    for t in [
+        scale.stand_in("pr2392*", 2392, 200, 14),
+        scale.stand_in("fi10639*", 2600, 200, 18),
+    ] {
+        let (name, inst) = (t.paper_name, &t.inst);
+        let clk = run_clk_many(inst, kick, scale.clk_kicks, scale.runs, 0x11, None);
+        let one_cfg = dist_config(scale, kick, 1, 0);
+        let one = run_dist_many(inst, &one_cfg, scale.runs, 0x12, None);
+        let eight_cfg = dist_config(scale, kick, scale.nodes, 0);
+        let eight = run_dist_many(inst, &eight_cfg, scale.runs, 0x13, None);
+
+        let clk_traces: Vec<_> = clk.iter().map(|r| r.trace.clone()).collect();
+        let traces = |runs: &[DistResult]| -> Vec<_> {
+            runs.iter().map(|r| r.network_trace.clone()).collect()
+        };
+        let (one_traces, eight_traces) = (traces(&one), traces(&eight));
+        // Surrogate reference: best final length over every run.
+        let dist_best = one.iter().chain(&eight).map(|r| r.best_length);
+        let best = clk.iter().map(|r| r.length).chain(dist_best).min();
+        let best = best.expect("runs exist");
+
+        for (frac, label) in [(0.01, "1%"), (0.005, "0.5%"), (0.002, "0.2%")] {
+            let target = best + (best as f64 * frac) as i64;
+            let e_clk = mean_kicks_to(&clk_traces, target);
+            let e_one = mean_kicks_to(&one_traces, target).map(|c| c * per_call);
+            let e_eight = mean_kicks_to(&eight_traces, target).map(|c| c * per_call);
+            let factor = match (e_one, e_eight) {
+                (Some(a), Some(b)) if b > 0.0 => format!("{:.2}", a / b),
+                (Some(_), Some(_)) => ">1 (8n instant)".into(),
+                _ => "-".into(),
+            };
+            let efforts = [e_clk, e_one, e_eight];
+            let raw = efforts.map(|e| e.map(|v| v.to_string()).unwrap_or_default());
+            csv.push(format!("{name},{label},{},{factor}", raw.join(",")));
+            let mut row = vec![name.to_string(), label.to_string()];
+            row.extend(efforts.map(|e| e.map_or("-".into(), |v| format!("{v:.0}"))));
+            row.push(factor);
+            rows.push(row);
+        }
+    }
+
     let header = [
         "Instance",
         "Level",
@@ -47,18 +93,6 @@ pub fn run(scale: &Scale) -> Report {
         "8 nodes",
         "Factor(1v8)",
     ];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut csv = Vec::new();
-
-    let sized = |b: usize| ((b as f64 * scale.size_factor) as usize).max(200);
-    let instances = [
-        ("pr2392*", generate::pcb_like(sized(2392), 14)),
-        ("fi10639*", generate::road_like(sized(2600), 18)),
-    ];
-    for (name, inst) in &instances {
-        emit_instance(scale, inst, name, &mut rows, &mut csv);
-    }
-
     report.table(&header, &rows);
     report.series(
         "speedup",
@@ -66,67 +100,4 @@ pub fn run(scale: &Scale) -> Report {
         csv,
     );
     report
-}
-
-fn emit_instance(
-    scale: &Scale,
-    inst: &tsp_core::Instance,
-    name: &str,
-    rows: &mut Vec<Vec<String>>,
-    csv: &mut Vec<String>,
-) {
-    let kick = KickStrategy::RandomWalk(50);
-    let clk_runs = run_clk_many(inst, kick, scale.clk_kicks, scale.runs, 0x11, None);
-    let clk_traces: Vec<_> = clk_runs.iter().map(|r| r.trace.clone()).collect();
-
-    let one_cfg = dist_config(scale, kick, 1, 0);
-    let one_runs = run_dist_many(inst, &one_cfg, scale.runs, 0x12, None);
-    let one_traces: Vec<_> = one_runs.iter().map(|r| r.network_trace.clone()).collect();
-
-    let eight_cfg = dist_config(scale, kick, scale.nodes, 0);
-    let eight_runs = run_dist_many(inst, &eight_cfg, scale.runs, 0x13, None);
-    let eight_traces: Vec<_> = eight_runs.iter().map(|r| r.network_trace.clone()).collect();
-
-    // Surrogate reference: best final length over every run.
-    let best = clk_runs
-        .iter()
-        .map(|r| r.length)
-        .chain(one_runs.iter().map(|r| r.best_length))
-        .chain(eight_runs.iter().map(|r| r.best_length))
-        .min()
-        .expect("runs exist");
-
-    // Distributed traces record CLK calls; convert to kick-equivalents.
-    let per_call = scale.kicks_per_call as f64;
-    let levels = [(0.01, "1%"), (0.005, "0.5%"), (0.002, "0.2%")];
-
-    for &(frac, label) in &levels {
-        let target = best + (best as f64 * frac) as i64;
-        let e_clk = mean_kicks_to(&clk_traces, target);
-        let e_one = mean_kicks_to(&one_traces, target).map(|c| c * per_call);
-        let e_eight = mean_kicks_to(&eight_traces, target).map(|c| c * per_call);
-        let factor = match (e_one, e_eight) {
-            (Some(a), Some(b)) if b > 0.0 => format!("{:.2}", a / b),
-            (Some(_), Some(_)) => ">1 (8n instant)".into(),
-            _ => "-".into(),
-        };
-        let fmt = |e: Option<f64>| e.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into());
-        rows.push(vec![
-            name.to_string(),
-            label.to_string(),
-            fmt(e_clk),
-            fmt(e_one),
-            fmt(e_eight),
-            factor.clone(),
-        ]);
-        csv.push(format!(
-            "{},{},{},{},{},{}",
-            name,
-            label,
-            e_clk.map(|t| t.to_string()).unwrap_or_default(),
-            e_one.map(|t| t.to_string()).unwrap_or_default(),
-            e_eight.map(|t| t.to_string()).unwrap_or_default(),
-            factor
-        ));
-    }
 }

@@ -10,9 +10,11 @@
 
 use lk::KickStrategy;
 
-use crate::experiments::common::{dist_config, reference_for, run_clk_many, run_dist_many};
+use crate::experiments::common::{
+    dist_config, reference_for, run_clk_many, run_dist_many, strategy_header,
+};
 use crate::report::Report;
-use crate::testbed::{small_testbed, Scale};
+use crate::testbed::{small_testbed, Reference, Scale};
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new(
@@ -30,107 +32,59 @@ pub fn run(scale: &Scale) -> Report {
         scale.dist_kicks_per_node(),
     ));
 
-    let header = vec![
-        "Instance",
-        "n",
-        "Random CLK",
-        "Random Dist",
-        "Geometric CLK",
-        "Geometric Dist",
-        "Close CLK",
-        "Close Dist",
-        "Random-Walk CLK",
-        "Random-Walk Dist",
-    ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-
-    // Quick mode trims the testbed to keep the suite fast.
-    let mut testbed = small_testbed(scale);
-    if scale.runs <= 3 {
-        testbed.truncate(4);
-    }
-
-    for t in &testbed {
+    for t in &small_testbed(scale) {
         let inst = &t.inst;
         let target = inst.known_optimum();
-        let mut cells: Vec<(KickStrategy, usize, usize)> = Vec::new();
-        let mut all_lengths: Vec<i64> = Vec::new();
-        let mut per_strategy: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        // Per strategy: the final lengths of the CLK and the DistCLK runs.
+        let per_strategy: Vec<(Vec<i64>, Vec<i64>)> = (0..)
+            .zip(KickStrategy::ALL)
+            .map(|(i, strategy): (u64, _)| {
+                let (kicks, runs) = (scale.clk_kicks, scale.runs);
+                let clk = run_clk_many(inst, strategy, kicks, runs, 0xC1 + i * 1000, target);
+                let dist_cfg = dist_config(scale, strategy, scale.nodes, 0);
+                let dist = run_dist_many(inst, &dist_cfg, runs, 0xD1 + i * 1000, target);
+                (
+                    clk.iter().map(|r| r.length).collect(),
+                    dist.iter().map(|r| r.best_length).collect(),
+                )
+            })
+            .collect();
 
-        for strategy in KickStrategy::ALL {
-            let clk_runs = run_clk_many(
-                inst,
-                strategy,
-                scale.clk_kicks,
-                scale.runs,
-                0xC1 + strategy_ix(strategy) as u64 * 1000,
-                target,
-            );
-            let dist_cfg = dist_config(scale, strategy, scale.nodes, 0);
-            let dist_runs = run_dist_many(
-                inst,
-                &dist_cfg,
-                scale.runs,
-                0xD1 + strategy_ix(strategy) as u64 * 1000,
-                target,
-            );
-            let clk_lens: Vec<i64> = clk_runs.iter().map(|r| r.length).collect();
-            let dist_lens: Vec<i64> = dist_runs.iter().map(|r| r.best_length).collect();
-            all_lengths.extend(&clk_lens);
-            all_lengths.extend(&dist_lens);
-            per_strategy.push((clk_lens, dist_lens));
-            cells.push((strategy, 0, 0)); // success counts filled below
-        }
-
-        let reference = reference_for(inst, all_lengths.iter().copied());
-        let opt = reference.value();
+        let all = per_strategy.iter().flat_map(|(c, d)| c.iter().chain(d));
         // Known optima are matched exactly (as in the paper). Surrogate
         // references (= the single best run over all 24 runs of this
         // instance) get a 0.03% acceptance band: demanding an exact
         // match to the global best would just reward whichever
         // configuration produced that one run.
-        let threshold = match reference {
-            crate::testbed::Reference::Optimum(v) => v,
-            _ => opt + (opt as f64 * 0.0003) as i64,
+        let threshold = match reference_for(inst, all.copied()) {
+            Reference::Optimum(v) => v,
+            Reference::Surrogate(v) => v + (v as f64 * 0.0003) as i64,
         };
-        for (i, (clk_lens, dist_lens)) in per_strategy.iter().enumerate() {
-            cells[i].1 = clk_lens.iter().filter(|&&l| l <= threshold).count();
-            cells[i].2 = dist_lens.iter().filter(|&&l| l <= threshold).count();
-        }
+        let successes = |lens: &[i64]| lens.iter().filter(|&&l| l <= threshold).count();
 
         let mut row = vec![t.paper_name.to_string(), inst.len().to_string()];
-        for &(_, clk_ok, dist_ok) in &cells {
+        for (strategy, (clk, dist)) in KickStrategy::ALL.iter().zip(&per_strategy) {
+            let (clk_ok, dist_ok) = (successes(clk), successes(dist));
             row.push(format!("{clk_ok}/{}", scale.runs));
             row.push(format!("{dist_ok}/{}", scale.runs));
-        }
-        rows.push(row);
-        for &(s, clk_ok, dist_ok) in &cells {
             csv.push(format!(
-                "{},{},{},{},{},{}",
+                "{},{},{},{clk_ok},{dist_ok},{}",
                 t.paper_name,
                 inst.len(),
-                s.name(),
-                clk_ok,
-                dist_ok,
+                strategy.name(),
                 scale.runs
             ));
         }
+        rows.push(row);
     }
 
-    let header_refs: Vec<&str> = header.iter().map(|s| &**s).collect();
-    report.table(&header_refs, &rows);
+    report.table(&strategy_header(&["Instance", "n"], ["CLK", "Dist"]), &rows);
     report.series(
         "successes",
         "instance,n,strategy,clk_success,dist_success,runs",
         csv,
     );
     report
-}
-
-fn strategy_ix(s: KickStrategy) -> usize {
-    KickStrategy::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("strategy in ALL")
 }

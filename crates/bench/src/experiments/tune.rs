@@ -5,35 +5,28 @@
 
 use lk::KickStrategy;
 
-use crate::experiments::common::{dist_config, mean, run_clk_many, run_dist_many};
+use crate::experiments::common::{dist_config, mean, mean_best, run_clk_many, run_dist_many};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("tune", "Budget maturity: CLK vs DistCLK across budgets");
-    let sized = |b: usize| ((b as f64 * scale.size_factor) as usize).max(128);
     let instances = [
-        ("fl1577*", generate::drill_plate(sized(1577), 13)),
-        ("E1k*", generate::uniform(sized(1000), 1_000_000.0, 12)),
+        scale.stand_in("fl1577*", 1577, 128, 13),
+        scale.stand_in("E1k*", 1000, 128, 12),
     ];
     let kick = KickStrategy::RandomWalk(50);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (name, inst) in &instances {
+    for t in &instances {
+        let (name, inst) = (t.paper_name, &t.inst);
         for clk_kicks in [500u64, 1500, 4000] {
             let clk = run_clk_many(inst, kick, clk_kicks, scale.runs, 0xE1, None);
             let clk_mean = mean(&clk.iter().map(|r| r.length as f64).collect::<Vec<_>>());
             let mut cfg = dist_config(scale, kick, scale.nodes, 0);
             cfg.clk_kicks_per_call = 5;
             cfg.budget = lk::Budget::kicks((clk_kicks / 10 / 5).max(1));
-            let dist = run_dist_many(inst, &cfg, scale.runs, 0xE2, None);
-            let dist_mean = mean(
-                &dist
-                    .iter()
-                    .map(|r| r.best_length as f64)
-                    .collect::<Vec<_>>(),
-            );
+            let dist_mean = mean_best(&run_dist_many(inst, &cfg, scale.runs, 0xE2, None));
             rows.push(vec![
                 name.to_string(),
                 clk_kicks.to_string(),

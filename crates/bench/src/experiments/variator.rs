@@ -12,12 +12,10 @@ use lk::KickStrategy;
 use crate::experiments::common::{dist_config, run_dist_many};
 use crate::report::Report;
 use crate::testbed::Scale;
-use tsp_core::generate;
 
 pub fn run(scale: &Scale) -> Report {
     let mut report = Report::new("variator", "Variator strength & restarts (paper §4.2.1)");
-    let sized = |base: usize| ((base as f64 * scale.size_factor) as usize).max(256);
-    let inst = generate::road_like(sized(2600), 18);
+    let inst = scale.stand_in("fi10639", 2600, 256, 18).inst;
 
     let mut cfg = dist_config(scale, KickStrategy::RandomWalk(50), scale.nodes, 0);
     // Lower thresholds so strength dynamics are visible at our scaled

@@ -16,10 +16,16 @@
 //! cargo run --release --bin repro -- table3 --full   # paper-scale runs
 //! ```
 //!
+//! The experiments share one runner ([`experiments::common`]) and take
+//! their instances from [`Scale::stand_in`]. Table 2's comparators, the
+//! stand-ins for LKH, multilevel CLK and tour merging, are
+//! [`baselines`]: yardsticks, not engines the system runs.
+//!
 //! The failure-handling and telemetry behaviour of the distributed
 //! solver is not an experiment here: its contracts are the `distclk`
 //! test suites (`churn`, `faults`, `telemetry_live`).
 
+pub mod baselines;
 pub mod calibrate;
 pub mod experiments;
 pub mod report;

@@ -38,7 +38,8 @@ impl Report {
     }
 
     /// Append a markdown table.
-    pub fn table(&mut self, header: &[&str], rows: &[Vec<String>]) {
+    pub fn table<S: AsRef<str>>(&mut self, header: &[S], rows: &[Vec<String>]) {
+        let header: Vec<&str> = header.iter().map(AsRef::as_ref).collect();
         let _ = writeln!(self.markdown, "| {} |", header.join(" | "));
         let _ = writeln!(
             self.markdown,

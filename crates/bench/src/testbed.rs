@@ -62,7 +62,7 @@ pub struct Scale {
     /// time limit (10⁴/10⁵ s).
     pub clk_kicks: u64,
     /// Size multiplier applied to the stand-in instances (1.0 = the
-    /// quick sizes listed in [`testbed`]).
+    /// base sizes the experiments pass to [`Scale::stand_in`]).
     pub size_factor: f64,
     /// Nodes in the distributed runs (paper: 8).
     pub nodes: usize,
@@ -107,60 +107,61 @@ impl Scale {
         (self.dist_kicks_per_node() / self.kicks_per_call).max(1)
     }
 
-    fn sized(&self, base: usize) -> usize {
-        ((base as f64 * self.size_factor) as usize).max(64)
+    /// The stand-in for the paper's `paper_name` (its generator from
+    /// [`generate::testbed_instance`]) at `base` cities times the size
+    /// factor, and at least `floor`.
+    pub fn stand_in(
+        &self,
+        paper_name: &'static str,
+        base: usize,
+        floor: usize,
+        seed: u64,
+    ) -> TestInstance {
+        let n = ((base as f64 * self.size_factor) as usize).max(floor);
+        let inst = generate::testbed_instance(paper_name, n, seed).expect("a testbed family");
+        TestInstance { paper_name, inst }
     }
 }
 
-/// Small-instance testbed (the paper's Table 3/4/5 set up to fnl4461).
+/// Small-instance testbed (the paper's Table 3/4/5 set up to fnl4461):
+/// `(paper name, base size, seed)`. `grid1024` is the known-optimum
+/// grid, not a generator family.
+const SMALL_TESTBED: [(&str, usize, u64); 8] = [
+    ("C1k.1", 1000, 11),
+    ("E1k.1", 1000, 12),
+    ("grid1024", 1024, 0),
+    ("fl1577", 1577, 13),
+    ("pr2392", 2392, 14),
+    ("pcb3038", 3038, 15),
+    ("fl3795", 3795, 16),
+    ("fnl4461", 4461, 17),
+];
+
+/// The small testbed at this scale; quick runs (`runs <= 3`) take its
+/// first four instances to keep the suite fast.
 pub fn small_testbed(scale: &Scale) -> Vec<TestInstance> {
-    vec![
-        TestInstance {
-            paper_name: "C1k.1",
-            inst: generate::clustered_dimacs(scale.sized(1000), 11),
-        },
-        TestInstance {
-            paper_name: "E1k.1",
-            inst: generate::uniform(scale.sized(1000), 1_000_000.0, 12),
-        },
-        TestInstance {
-            paper_name: "grid1024",
-            inst: sized_grid(scale),
-        },
-        TestInstance {
-            paper_name: "fl1577",
-            inst: generate::drill_plate(scale.sized(1577), 13),
-        },
-        TestInstance {
-            paper_name: "pr2392",
-            inst: generate::pcb_like(scale.sized(2392), 14),
-        },
-        TestInstance {
-            paper_name: "pcb3038",
-            inst: generate::pcb_like(scale.sized(3038), 15),
-        },
-        TestInstance {
-            paper_name: "fl3795",
-            inst: generate::drill_plate(scale.sized(3795), 16),
-        },
-        TestInstance {
-            paper_name: "fnl4461",
-            inst: generate::uniform(scale.sized(4461), 1_000_000.0, 17),
-        },
-    ]
+    let keep = if scale.runs <= 3 {
+        4
+    } else {
+        SMALL_TESTBED.len()
+    };
+    SMALL_TESTBED[..keep]
+        .iter()
+        .map(|&(paper_name, base, seed)| match paper_name {
+            "grid1024" => TestInstance {
+                paper_name,
+                inst: sized_grid(scale),
+            },
+            _ => scale.stand_in(paper_name, base, 64, seed),
+        })
+        .collect()
 }
 
 fn sized_grid(scale: &Scale) -> Instance {
-    // Nearest even-sized square grid to 1024 * factor.
+    // Nearest even-sized square grid to 1024 * factor (at least 8 x 8).
     let n = ((1024.0 * scale.size_factor) as usize).max(64);
-    let mut w = (n as f64).sqrt().round() as usize;
-    if w < 8 {
-        w = 8;
-    }
-    if w % 2 == 1 {
-        w += 1;
-    }
-    generate::grid_known_optimum(w, w, 1000.0)
+    let w = (n as f64).sqrt().round() as usize;
+    generate::grid_known_optimum(w + w % 2, w + w % 2, 1000.0)
 }
 
 #[cfg(test)]
@@ -169,10 +170,11 @@ mod tests {
 
     #[test]
     fn quick_testbed_builds() {
-        let scale = Scale::quick();
-        let tb = small_testbed(&scale);
-        assert_eq!(tb.len(), 8);
-        for t in &tb {
+        let tb = small_testbed(&Scale::quick());
+        assert_eq!(tb.len(), 4);
+        let full = small_testbed(&Scale::full());
+        assert_eq!(full.len(), 8);
+        for t in tb.iter().chain(&full) {
             assert!(t.inst.len() >= 64, "{} too small", t.paper_name);
         }
         // The grid carries its known optimum.

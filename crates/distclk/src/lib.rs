@@ -22,9 +22,10 @@
 //!
 //! Two drivers schedule the node loop:
 //!
-//! - [`driver::run_threads`] — one OS thread per node over any
+//! - [`driver::run_over_transports`] — one OS thread per node over any
 //!   [`p2p::Transport`] (in-memory or TCP), wall-clock budgets; this is
-//!   the paper's deployment shape.
+//!   the paper's deployment shape. [`driver::run_threads`] is the same
+//!   driver over in-memory endpoints it builds itself.
 //! - [`driver::run_lockstep`] — round-based simulation with
 //!   deterministic message delivery, used by tests and the
 //!   effort-budgeted experiments: each round's CLK calls run on every

@@ -4,8 +4,9 @@
 //! `(i,j)` is required to be in the 1-tree. Edges with small α are
 //! likely to be in good tours — Helsgaun showed candidate lists sorted
 //! by α dominate plain nearest-neighbor lists for Lin-Kernighan moves.
-//! Our `lkh_lite` baseline (standing in for LKH in the paper's Table 2)
-//! consumes these lists.
+//! The CLK engine's α and hybrid candidate kinds consume these lists,
+//! and so does the `bench` crate's LKH-lite baseline (standing in for
+//! LKH in the paper's Table 2).
 //!
 //! For `i, j` both different from the special node `s`:
 //! `α(i,j) = c(i,j) − β(i,j)` where `β(i,j)` is the costliest edge on

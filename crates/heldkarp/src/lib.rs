@@ -2,7 +2,8 @@
 //!
 //! Held-Karp 1-tree lower bound for symmetric TSP instances, plus the
 //! α-nearness candidate lists derived from it (Helsgaun's LKH uses these
-//! to steer its 5-opt search; our `lkh_lite` baseline does the same).
+//! to steer its 5-opt search; the CLK engine's α/hybrid candidates and
+//! the `bench` crate's LKH-lite baseline do the same).
 //!
 //! The paper reports tour qualities relative to the optimum *or the
 //! Held-Karp lower bound* for instances whose optimum is unknown

@@ -377,13 +377,6 @@ impl<'a> ChainedLk<'a> {
         self.probes.c_or_probes.add(self.opt.take_or_probes());
     }
 
-    /// LK-optimize, then Or-opt, only around the given seed cities (after
-    /// a kick the paper's engine re-optimizes locally; this is what makes
-    /// chained iterations cheap).
-    pub fn optimize_around<T: TourOps>(&mut self, tour: &mut T, seeds: &[usize]) -> i64 {
-        optimize_around(&mut self.lk, &mut self.opt, tour, seeds)
-    }
-
     /// One chained iteration on `tour` (assumed LK-optimal, of length
     /// `current_len`): kick, re-optimize around the kick, keep iff not
     /// worse. Returns the new length.
@@ -574,7 +567,9 @@ fn full_passes<T>(tour: &mut T, mut pass: impl FnMut(Pass, &mut T) -> i64) -> i6
     gain
 }
 
-/// [`ChainedLk::optimize_around`] on the search state of one lane.
+/// LK-optimize, then Or-opt, only around the given seed cities (after
+/// a kick the paper's engine re-optimizes locally; this is what makes
+/// chained iterations cheap), on the search state of one lane.
 fn optimize_around<T: TourOps>(
     lk: &mut LinKernighan,
     opt: &mut Optimizer<'_>,
@@ -912,14 +907,17 @@ mod tests {
         let start = tour.clone();
         // First call clears the fresh all-active state; nothing seeded,
         // nothing done, and the context is left all-quiet.
-        assert_eq!(clk.optimize_around(&mut tour, &[]), 0);
+        let around = |clk: &mut ChainedLk, tour: &mut Tour, seeds: &[usize]| {
+            optimize_around(&mut clk.lk, &mut clk.opt, tour, seeds)
+        };
+        assert_eq!(around(&mut clk, &mut tour, &[]), 0);
         // Someone else wakes a city up: the next call must not take the
         // all-quiet shortcut and search from it.
         clk.opt.activate(5);
-        assert_eq!(clk.optimize_around(&mut tour, &[]), 0);
+        assert_eq!(around(&mut clk, &mut tour, &[]), 0);
         assert_eq!(tour, start);
         // The move was there to be found.
-        assert!(clk.optimize_around(&mut tour, &[5]) > 0);
+        assert!(around(&mut clk, &mut tour, &[5]) > 0);
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub enum Construction {
     Greedy,
     /// Hilbert space-filling-curve order.
     SpaceFilling,
-    /// Uniformly random permutation.
-    Random,
 }
 
 /// Build an initial tour with the chosen heuristic.
@@ -46,7 +44,6 @@ pub fn construct<R: Rng>(inst: &Instance, which: Construction, rng: &mut R) -> T
         Construction::QuickBoruvka if geometric => quick_boruvka(inst),
         Construction::Greedy if geometric => greedy_matching(inst),
         Construction::SpaceFilling if geometric => space_filling(inst),
-        Construction::Random => Tour::random(inst.len(), rng),
         // NearestNeighbor, and the fallback for geometric-only
         // constructions on non-geometric instances.
         _ => {
@@ -71,7 +68,6 @@ mod tests {
             Construction::NearestNeighbor,
             Construction::Greedy,
             Construction::SpaceFilling,
-            Construction::Random,
         ] {
             let t = construct(&inst, which, &mut rng);
             assert!(t.is_valid(), "{which:?}");
@@ -83,7 +79,7 @@ mod tests {
     fn heuristic_tours_beat_random() {
         let inst = generate::uniform(200, 10_000.0, 5);
         let mut rng = SmallRng::seed_from_u64(2);
-        let random_len = construct(&inst, Construction::Random, &mut rng).length(&inst);
+        let random_len = Tour::random(inst.len(), &mut rng).length(&inst);
         for which in [
             Construction::QuickBoruvka,
             Construction::NearestNeighbor,

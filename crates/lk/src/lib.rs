@@ -22,11 +22,6 @@
 //! - [`chained`] — the Chained Lin-Kernighan driver (kick → re-optimize
 //!   → accept/revert), with time / kick / target-length budgets and
 //!   convergence traces.
-//! - [`lkh_lite`] — an LK steered by α-nearness candidate lists
-//!   (stand-in for Helsgaun's LKH in the paper's Table 2).
-//! - [`multilevel`] — Walshaw-style multilevel coarsening around CLK.
-//! - [`tour_merge`] — union-graph tour merging in the spirit of Cook &
-//!   Seymour.
 //! - [`shard`] — divide-and-optimize sharding: spatial partition,
 //!   per-shard CLK, boundary stitching, and windowed seam refinement
 //!   for instances beyond one node's working set.
@@ -40,13 +35,10 @@ pub mod chained;
 pub mod construct;
 pub mod kick;
 pub mod lin_kernighan;
-pub mod lkh_lite;
-pub mod multilevel;
 pub mod or_opt;
 pub mod search;
 pub mod shard;
 mod spatial;
-pub mod tour_merge;
 pub mod two_opt;
 pub mod vpath;
 

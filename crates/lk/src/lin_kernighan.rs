@@ -70,15 +70,6 @@ impl Default for LkConfig {
 }
 
 impl LkConfig {
-    /// Restricted configuration equivalent to a sequential 3-opt
-    /// (chains of length ≤ 2).
-    pub fn three_opt() -> Self {
-        LkConfig {
-            max_depth: 2,
-            breadth: vec![8, 8],
-        }
-    }
-
     #[inline]
     fn breadth_at(&self, depth: usize) -> usize {
         self.breadth.get(depth - 1).copied().unwrap_or(1).max(1)
@@ -544,25 +535,6 @@ mod tests {
                 "n={n} seed {seed}: only {failed} failing searches"
             );
         }
-    }
-
-    #[test]
-    fn three_opt_config_also_improves() {
-        let inst = generate::uniform(150, 10_000.0, 45);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut tour = Tour::random(150, &mut rng);
-        let mut two = tour.clone();
-        let before = tour.length(&inst);
-        let nl = NeighborLists::build(&inst, 8);
-        let mut opt = Optimizer::new(&inst, &nl);
-        let mut lk = LinKernighan::new(LkConfig::three_opt());
-        let gain = lin_kernighan(&mut lk, &mut opt, &mut tour);
-        assert!(gain > 0);
-        assert_eq!(tour.length(&inst), before - gain);
-        // Depth 3 searches a superset of the 2-opt moves; the order of
-        // first improvements differs, hence the tolerance.
-        crate::two_opt::two_opt(&mut Optimizer::new(&inst, &nl), &mut two);
-        assert!(tour.length(&inst) as f64 <= 1.03 * two.length(&inst) as f64);
     }
 
     #[test]

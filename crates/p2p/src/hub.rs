@@ -8,10 +8,12 @@
 //! the reverse edges — so early nodes start with sparse lists that fill
 //! in as the cube completes, exactly as the paper describes.
 //!
-//! After bootstrap the same [`LifecycleHub`] keeps serving the
-//! telemetry plane (`TELEMETRY`/`METRICS`/`STATUS`) and job admission
-//! (`JOB`). Nobody repairs the topology after a death, the hub
-//! included (DESIGN.md §9).
+//! After bootstrap the same [`LifecycleHub`] keeps serving scrapes of
+//! the telemetry plane (`METRICS`/`STATUS`) and job admission (`JOB`).
+//! Frames reach its store in-process ([`LifecycleHub::telemetry`]);
+//! nodes without a store ship theirs over the peer transport to node 0.
+//! Nobody repairs the topology after a death, the hub included
+//! (DESIGN.md §9).
 //!
 //! The hub protocol is a one-request/one-response text exchange
 //! (`JOIN <addr>` → `ID <id> EXPECT <n> NEIGHBORS <id>@<addr>;…`),
@@ -138,15 +140,13 @@ pub trait JobHandler: Send + Sync {
 type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 
 /// The hub: it bootstraps the network and keeps serving after
-/// bootstrap, answering five commands, one text request line per
+/// bootstrap, answering four commands, one text request line per
 /// connection:
 ///
 /// - `JOIN <addr>` — bootstrap join: the node is assigned the lowest
 ///   free id and told which of its topology neighbors already joined;
-/// - `TELEMETRY` — followed by one `Telemetry` codec frame, folded into
-///   the cluster-merged store; answered `OK <hub clock>`;
-/// - `METRICS` / `STATUS` — scrapes of that store (Prometheus text and
-///   the per-node status table);
+/// - `METRICS` / `STATUS` — scrapes of the cluster-merged telemetry
+///   store (Prometheus text and the per-node status table);
 /// - `JOB` — followed by one `JobSubmit` or `JobCancel` codec frame; the
 ///   connection is handed to the registered [`JobHandler`].
 ///
@@ -235,10 +235,9 @@ impl LifecycleHub {
         &self.obs
     }
 
-    /// The hub's live telemetry registry: `TELEMETRY` frames land
-    /// here, and `METRICS`/`STATUS` scrapes read from it. In-process
-    /// runs can clone the `Arc` and ingest directly, bypassing the
-    /// wire — the scrape commands then serve exactly the same view.
+    /// The hub's live telemetry registry: `METRICS`/`STATUS` scrapes
+    /// read from it. In-process runs clone the `Arc` and ingest frames
+    /// directly; the scrape commands serve exactly that view.
     pub fn telemetry(&self) -> Arc<TelemetryStore> {
         Arc::clone(&self.telemetry)
     }
@@ -280,8 +279,7 @@ fn reject(obs: &Obs, error: &dyn std::fmt::Display) {
 /// and no newline grows the line without bound.
 const MAX_REQUEST_LINE: u64 = 512;
 
-/// Serve one request (`JOIN` / `TELEMETRY` / `METRICS` / `STATUS` /
-/// `JOB`) under read and write deadlines (a `JOB` connection is handed
+/// Serve one request (`JOIN` / `METRICS` / `STATUS` / `JOB`) under read and write deadlines (a `JOB` connection is handed
 /// to the registered [`JobHandler`], which manages its own deadlines
 /// from then on — result streams legitimately outlive the handshake
 /// timeout).
@@ -351,23 +349,10 @@ fn serve_lifecycle(
             }
             Ok(())
         }
-        ["TELEMETRY"] => {
-            // The text line is followed by one binary codec frame on
-            // the same stream; the reply carries the hub store clock
-            // at ingest so the shipper can measure its own RTT.
-            let msg = read_frame(&mut reader)?;
-            let Some(hub_t) = telemetry.ingest(&msg) else {
-                return Err(NetError::Codec("TELEMETRY frame was not Telemetry".into()));
-            };
-            reply_line(&mut w, &format!("OK {hub_t}"))?;
-            obs.counter("hub.telemetry_frames").incr();
-            Ok(())
-        }
         ["JOB"] => {
             // The text line is followed by one binary codec frame (a
-            // `JobSubmit` or `JobCancel`) on the same stream, like
-            // `TELEMETRY`. The connection is then handed to the job
-            // layer, which replies with a status line and streams
+            // `JobSubmit` or `JobCancel`) on the same stream. The
+            // connection is then handed to the job layer, which replies with a status line and streams
             // result frames back on it.
             let msg = read_frame(&mut reader)?;
             if !matches!(msg, Message::JobSubmit { .. } | Message::JobCancel { .. }) {
@@ -416,7 +401,7 @@ pub fn reply_line(stream: &mut TcpStream, line: &str) -> Result<(), NetError> {
 
 /// One client exchange with the hub: connect, bound the request write
 /// and the reply read by the handshake timeout, send `line` (followed by
-/// one codec frame for `TELEMETRY`/`JOB`) in one write, and return the
+/// one codec frame for `JOB`) in one write, and return the
 /// first reply line together with the still-open connection.
 fn request(
     hub: SocketAddr,
@@ -473,20 +458,6 @@ pub fn join_via_hub_with(
         }
     }
     Err(last_err)
-}
-
-/// Ship one [`Message::Telemetry`] frame to the hub's `TELEMETRY`
-/// command and return the hub store clock (ns) at ingest. The caller
-/// measures the wall time of this call to obtain the RTT fed into its
-/// *next* frame. Deliberately single-attempt: telemetry is lossy by
-/// design and the next periodic shipment supersedes a dropped one.
-pub fn ship_telemetry(hub: SocketAddr, frame: &Message, cfg: &TcpConfig) -> Result<u64, NetError> {
-    let (line, _) = request(hub, "TELEMETRY", Some(frame), cfg)?;
-    let tokens: Vec<&str> = line.trim().split(' ').collect();
-    match tokens.as_slice() {
-        ["OK", t] => field("hub clock", t),
-        _ => Err(NetError::Codec(format!("bad telemetry reply {line:?}"))),
-    }
 }
 
 /// A live job-result stream: the client half of a `JOB` connection
@@ -736,6 +707,25 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             writeln!(s, "{garbage}").unwrap();
         }
+        // The retired telemetry command is refused even with a
+        // well-formed frame behind it: no `OK <clock>` comes back.
+        let frame = Message::Telemetry {
+            from: 0,
+            t_ns: 10,
+            rtt_ns: 0,
+            best_len: 110,
+            clk_calls: 42,
+            stalled: false,
+            counters: vec![],
+            gauges: vec![],
+            events_jsonl: vec![],
+        };
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&[b"TELEMETRY\n".as_slice(), &encode(&frame)].concat())
+            .unwrap();
+        let mut reply = String::new();
+        let _ = s.read_to_string(&mut reply);
+        assert_eq!(reply, "", "the hub answered a telemetry frame");
         let a = join_via_hub(addr, "127.0.0.1:40020".parse().unwrap()).unwrap();
         let b = join_via_hub(addr, "127.0.0.1:40021".parse().unwrap()).unwrap();
         assert_eq!((a.id, b.id), (0, 1));
@@ -743,10 +733,10 @@ mod tests {
         hub.stop();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hub.joins"), 2);
-        assert_eq!(snap.counter("hub.rejects"), 4);
+        assert_eq!(snap.counter("hub.rejects"), 5);
         let events = obs.events();
         assert_eq!(events.iter().filter(|e| e.kind == "hub.join").count(), 2);
-        assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 4);
+        assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 5);
         assert_eq!(
             events.iter().filter(|e| e.kind == "hub.complete").count(),
             1
@@ -851,12 +841,11 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
-    /// The live telemetry plane over real sockets: nodes ship frames
-    /// to the hub's `TELEMETRY` command mid-run; `METRICS` returns the
-    /// cluster-merged Prometheus view and `STATUS` the per-node
-    /// convergence lines.
+    /// The live telemetry plane over real sockets: frames ingested into
+    /// the hub's store are scraped back, `METRICS` as the cluster-merged
+    /// Prometheus view and `STATUS` as the per-node convergence lines.
     #[test]
-    fn telemetry_ship_and_scrape_over_sockets() {
+    fn telemetry_ingest_and_scrape_over_sockets() {
         let mut hub = LifecycleHub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
         let addr = hub.addr();
         let cfg = TcpConfig::default();
@@ -873,7 +862,7 @@ mod tests {
             gauges: vec![("node.best".into(), 110)],
             events_jsonl: vec![],
         };
-        let t0 = ship_telemetry(addr, &f0, &cfg).unwrap();
+        let t0 = hub.telemetry().ingest(&f0).unwrap();
         let f1 = Message::Telemetry {
             from: 1,
             t_ns: 11,
@@ -885,7 +874,7 @@ mod tests {
             gauges: vec![("node.best".into(), 100)],
             events_jsonl: vec![],
         };
-        let t1 = ship_telemetry(addr, &f1, &cfg).unwrap();
+        let t1 = hub.telemetry().ingest(&f1).unwrap();
         assert!(t1 >= t0, "hub clock went backwards: {t0} -> {t1}");
 
         let metrics = scrape_metrics(addr, &cfg).unwrap();

@@ -62,9 +62,9 @@ pub enum Message {
         t_ns: u64,
     },
     /// Periodic live-telemetry shipment from a node to the cluster's
-    /// aggregation point (node 0 over the peer transport, or the hub's
-    /// `TELEMETRY` command): metric deltas, recent events, and anytime
-    /// convergence state. The receiver folds these into its
+    /// aggregation point (node 0 over the peer transport, or a store
+    /// that ingests in-process): metric deltas, recent events, and
+    /// anytime convergence state. The receiver folds these into its
     /// cluster-merged live registry (`METRICS`/`STATUS` scrapes) and
     /// estimates the sender's clock offset from `t_ns` + the measured
     /// RTT.

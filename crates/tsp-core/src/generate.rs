@@ -243,25 +243,22 @@ pub fn road_like(n: usize, seed: u64) -> Instance {
     Instance::new(format!("road{n}.s{seed}"), pts, Metric::Euc2d)
 }
 
-/// The paper's testbed, scaled: returns the stand-in instance for a
-/// TSPLIB/DIMACS name at a reduced size suitable for second-scale
-/// experiments (see DESIGN.md §3). Unknown names fall back to a uniform
-/// instance of the requested size.
-pub fn testbed_instance(paper_name: &str, size: usize, seed: u64) -> Instance {
-    match paper_name {
-        name if name.starts_with("E") => uniform(size, 1_000_000.0, seed),
-        name if name.starts_with("C") => clustered_dimacs(size, seed),
-        name if name.starts_with("fl") => drill_plate(size, seed),
-        name if name.starts_with("pcb") || name.starts_with("pr") || name.starts_with("pla") => {
-            // Printed-circuit-board style: semi-regular rows with jitter.
-            pcb_like(size, seed)
-        }
-        name if name.starts_with("fi") || name.starts_with("sw") || name.starts_with("usa") => {
-            road_like(size, seed)
-        }
-        name if name.starts_with("fnl") => uniform(size, 1_000_000.0, seed),
-        _ => uniform(size, 1_000_000.0, seed),
-    }
+/// The paper's testbed, scaled: the stand-in for a TSPLIB/DIMACS name
+/// at `size` cities (see DESIGN.md §3). The family is the name's
+/// letters before its first digit (`E1k.1` → `E`, `pr2392` → `pr`);
+/// `road` names the road-like generator itself. `None` for an unknown
+/// family.
+pub fn testbed_instance(paper_name: &str, size: usize, seed: u64) -> Option<Instance> {
+    let family = paper_name.split(|c: char| c.is_ascii_digit()).next();
+    Some(match family? {
+        "E" | "fnl" => uniform(size, 1_000_000.0, seed),
+        "C" => clustered_dimacs(size, seed),
+        "fl" => drill_plate(size, seed),
+        // Printed-circuit-board style: semi-regular rows with jitter.
+        "pcb" | "pr" | "pla" => pcb_like(size, seed),
+        "fi" | "sw" | "usa" | "road" => road_like(size, seed),
+        _ => return None,
+    })
 }
 
 /// PCB-drilling style instance: points on semi-regular rows/columns with
@@ -380,13 +377,20 @@ mod tests {
 
     #[test]
     fn testbed_dispatch() {
-        assert!(testbed_instance("E1k.1", 100, 1).name().starts_with('E'));
-        assert!(testbed_instance("C1k.1", 100, 1).name().starts_with('C'));
-        assert!(testbed_instance("fl1577", 100, 1).name().starts_with("fl"));
-        assert!(testbed_instance("sw24978", 100, 1)
-            .name()
-            .starts_with("road"));
-        assert!(testbed_instance("pr2392", 100, 1).name().starts_with("pcb"));
-        assert_eq!(testbed_instance("unknown", 64, 1).len(), 64);
+        let name = |paper: &str| testbed_instance(paper, 100, 1).unwrap().name().to_string();
+        assert!(name("E1k.1").starts_with('E'));
+        assert!(name("fnl4461*").starts_with('E'));
+        assert!(name("C1k.1").starts_with('C'));
+        assert!(name("fl1577").starts_with("fl"));
+        assert!(name("sw24978").starts_with("road"));
+        assert!(name("road300").starts_with("road"));
+        assert!(name("pr2392").starts_with("pcb"));
+        assert_eq!(
+            testbed_instance("fi10639", 100, 7).unwrap().points(),
+            road_like(100, 7).points()
+        );
+        for unknown in ["unknown", "grid1024", "Ex300", "1000"] {
+            assert!(testbed_instance(unknown, 64, 1).is_none(), "{unknown}");
+        }
     }
 }

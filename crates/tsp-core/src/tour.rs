@@ -237,24 +237,6 @@ impl Tour {
         }
     }
 
-    /// Perform the 2-opt reconnection that removes edges
-    /// `(a, next(a))` and `(b, next(b))` and adds `(a, b)` and
-    /// `(next(a), next(b))`, by reversing the path `next(a) … b`.
-    ///
-    /// Callers are responsible for having computed the gain; this method
-    /// only mutates the permutation.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if `a == b` or `b == next(a)` (degenerate moves).
-    pub fn two_opt_move(&mut self, a: usize, b: usize) {
-        debug_assert_ne!(a, b, "degenerate 2-opt");
-        debug_assert_ne!(self.next(a), b, "2-opt over adjacent edge is a no-op");
-        let from = (self.pos[a] as usize + 1) % self.order.len();
-        let to = self.pos[b] as usize;
-        self.reverse_segment(from, to);
-    }
-
     /// Double-bridge move: cut the tour at four positions and reconnect
     /// the quarters `A B C D` as `A C B D`. This is the 4-exchange kick
     /// of Martin, Otto & Felten used by Chained LK; it cannot be undone
@@ -308,12 +290,6 @@ impl Tour {
                 return true;
             }
         }
-    }
-
-    /// The two tour neighbors of city `c`, `(prev, next)`.
-    #[inline]
-    pub fn tour_neighbors(&self, c: usize) -> (usize, usize) {
-        (self.prev(c), self.next(c))
     }
 
     /// Whether the undirected edge `(a, b)` is on the tour.
@@ -468,19 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn two_opt_uncrosses_square() {
-        let inst = square();
-        let mut t = Tour::from_order(vec![0, 2, 1, 3]);
-        let before = t.length(&inst);
-        // Remove (0,2) and (1,3), add (0,1) and (2,3).
-        t.two_opt_move(0, 1);
-        assert!(t.is_valid());
-        let after = t.length(&inst);
-        assert_eq!(after, 40);
-        assert!(after < before);
-    }
-
-    #[test]
     fn double_bridge_keeps_permutation() {
         let mut t = Tour::identity(12);
         t.double_bridge_at([2, 5, 7, 10]);
@@ -525,13 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_and_neighbors() {
+    fn has_edge() {
         let t = Tour::from_order(vec![3, 1, 4, 0, 2]);
         assert!(t.has_edge(3, 1));
         assert!(t.has_edge(1, 3));
         assert!(t.has_edge(2, 3)); // wrap
         assert!(!t.has_edge(3, 0));
-        assert_eq!(t.tour_neighbors(4), (1, 0));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! cargo run --release --example baselines
 //! ```
 
-use dist_clk::lk::lkh_lite::{lkh_lite, LkhLiteConfig};
-use dist_clk::lk::multilevel::{multilevel_clk, MultilevelConfig};
-use dist_clk::lk::tour_merge::merge_tours;
+use dist_clk::bench::baselines::lkh_lite::{lkh_lite, LkhLiteConfig};
+use dist_clk::bench::baselines::multilevel::{multilevel_clk, MultilevelConfig};
+use dist_clk::bench::baselines::tour_merge::merge_tours;
 use dist_clk::lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
 use dist_clk::tsp_core::{generate, NeighborLists};
 

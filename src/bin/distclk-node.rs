@@ -13,8 +13,8 @@
 //! Every node prints its best tour length on exit; collect the minimum
 //! (the paper: "the best result … has to be collected from the local
 //! output of each node", §2.3). The hub keeps serving after bootstrap
-//! (`TELEMETRY`/`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the
-//! process is killed.
+//! (`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the process is
+//! killed.
 
 use std::time::Duration;
 
@@ -41,17 +41,9 @@ fn parse_instance(spec: &str) -> Instance {
     let split = spec
         .find(|c: char| c.is_ascii_digit())
         .unwrap_or_else(|| usage());
-    let (family, n) = spec.split_at(split);
-    let n: usize = n.parse().unwrap_or_else(|_| usage());
+    let n: usize = spec[split..].parse().unwrap_or_else(|_| usage());
     // Fixed seed: every node must build the *same* instance.
-    match family {
-        "E" => generate::uniform(n, 1_000_000.0, 1),
-        "C" => generate::clustered_dimacs(n, 1),
-        "fl" => generate::drill_plate(n, 1),
-        "pcb" | "pr" | "pla" => generate::pcb_like(n, 1),
-        "road" | "fi" | "sw" => generate::road_like(n, 1),
-        _ => usage(),
-    }
+    generate::testbed_instance(spec, n, 1).unwrap_or_else(|| usage())
 }
 
 fn main() {

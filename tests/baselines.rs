@@ -1,9 +1,9 @@
 //! Integration tests for the Table 2 comparator family.
 
+use dist_clk::bench::baselines::lkh_lite::{lkh_lite, LkhLiteConfig};
+use dist_clk::bench::baselines::multilevel::{multilevel_clk, MultilevelConfig};
+use dist_clk::bench::baselines::tour_merge::merge_tours;
 use dist_clk::heldkarp::{held_karp_bound, AscentConfig};
-use dist_clk::lk::lkh_lite::{lkh_lite, LkhLiteConfig};
-use dist_clk::lk::multilevel::{multilevel_clk, MultilevelConfig};
-use dist_clk::lk::tour_merge::merge_tours;
 use dist_clk::lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
 use dist_clk::tsp_core::{generate, NeighborLists};
 
@@ -96,4 +96,29 @@ fn alpha_pipeline_on_all_generators() {
         let res = lkh_lite(&inst, &cfg, &Budget::kicks(10));
         assert!(res.clk.tour.is_valid(), "{}", inst.name());
     }
+}
+
+/// Multilevel and plain CLK agree within a small factor; multilevel
+/// does not produce garbage on clustered data (the coarsening edge
+/// case the paper's related-work section flags for Bachem/Wottawa).
+#[test]
+fn multilevel_quality_sane_on_clusters() {
+    let inst = generate::clustered(400, 1_000_000.0, 6, 10_000.0, 12);
+    let nl = NeighborLists::build(&inst, 10);
+    let ml = multilevel_clk(&inst, &MultilevelConfig::default(), 5);
+    let mut engine = ChainedLk::new(
+        &inst,
+        &nl,
+        ChainedLkConfig {
+            seed: 5,
+            ..Default::default()
+        },
+    );
+    let clk = engine.run(&Budget::kicks(100));
+    assert!(
+        (ml.length as f64) < 1.2 * clk.length as f64,
+        "multilevel {} vs CLK {}",
+        ml.length,
+        clk.length
+    );
 }

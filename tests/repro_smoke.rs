@@ -64,3 +64,54 @@ fn figure3_micro_runs() {
         report.csv.len()
     );
 }
+
+/// FNV-1a-64 over a report's markdown and every CSV series (name,
+/// header, rows), each string closed by a zero byte.
+fn digest(report: &dist_clk::bench::Report) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |s: &str| {
+        for b in s.bytes().chain([0]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(&report.markdown);
+    for (name, header, rows) in &report.csv {
+        eat(name);
+        eat(header);
+        for row in rows {
+            eat(row);
+        }
+    }
+    h
+}
+
+/// The experiments whose reports hold no wall-clock figure are pinned
+/// byte for byte: every seed, budget, instance, row and format of
+/// Tables 1, 3, 4, 5 and the budget sweep, recorded at micro scale
+/// before the experiments shared one runner.
+#[test]
+fn deterministic_reports_are_pinned() {
+    let pinned = [
+        ("table1", 0xb8df_6018_b5b5_b193u64),
+        ("table3", 0xd140_6794_31ba_258c),
+        ("table4", 0x5d9f_467e_5f1e_887d),
+        ("table5", 0xa7fd_e709_2737_ad2b),
+        ("tune", 0x32f7_db7e_23fb_c086),
+    ];
+    let got: Vec<(&str, u64)> = pinned
+        .iter()
+        .map(|&(id, _)| {
+            (
+                id,
+                digest(&experiments::run(id, &micro()).expect("known id")),
+            )
+        })
+        .collect();
+    for (&(id, want), &(_, have)) in pinned.iter().zip(&got) {
+        assert_eq!(
+            have, want,
+            "{id}: report digest {have:#018x}, pinned {want:#018x}"
+        );
+    }
+}
