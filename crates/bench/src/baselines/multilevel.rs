@@ -224,7 +224,7 @@ mod tests {
         assert!(res.tour.is_valid());
         assert_eq!(res.tour.length(&inst), res.length);
         assert!(res.levels >= 3);
-        let qb = lk::construct::quick_boruvka(&inst).length(&inst);
+        let qb = lk::construct::quick_boruvka(&inst, None).0.length(&inst);
         assert!(
             res.length < qb,
             "multilevel {} not better than QB {}",

@@ -184,6 +184,9 @@ struct Probes {
     h_step_flips: Histogram,
     /// Initial-tour construction duration (ns).
     h_construct_ns: Histogram,
+    /// Where construction answered its nearest-city queries.
+    c_tree_searches: Counter,
+    c_row_answers: Counter,
     /// Kicks attempted / kicks whose result was kept.
     c_kicks: Counter,
     c_accepts: Counter,
@@ -213,6 +216,8 @@ impl Probes {
             h_step_ns: obs.histogram("clk.step.ns"),
             h_step_flips: obs.histogram("clk.step.flips"),
             h_construct_ns: obs.histogram("clk.construct.ns"),
+            c_tree_searches: obs.counter(kinds::C_CONSTRUCT_TREE_SEARCHES),
+            c_row_answers: obs.counter(kinds::C_CONSTRUCT_ROW_ANSWERS),
             c_kicks: obs.counter("clk.kicks"),
             c_accepts: obs.counter("clk.accepts"),
             c_lk_anchors: obs.counter(kinds::C_LK_ANCHORS),
@@ -285,11 +290,15 @@ impl<'a> ChainedLk<'a> {
         &mut self.rng
     }
 
-    /// Construct the configured initial tour.
+    /// Construct the configured initial tour, on the caller's instance
+    /// and candidate rows.
     pub fn construct_tour(&mut self) -> Tour {
         let t = self.obs.timer();
-        let tour = construct(self.inst, self.cfg.construction, &mut self.rng);
+        let (inst, rows) = self.opt.caller();
+        let (tour, queries) = construct(inst, self.cfg.construction, Some(rows), &mut self.rng);
         t.observe_into(&self.probes.h_construct_ns);
+        self.probes.c_tree_searches.add(queries.tree_searches);
+        self.probes.c_row_answers.add(queries.row_answers);
         tour
     }
 

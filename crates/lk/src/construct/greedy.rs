@@ -4,8 +4,8 @@
 //! degrees ≤ 2 and closes no subtour — the classic "Greedy" tour of the
 //! DIMACS challenge. To stay near O(n log n) we only consider each
 //! city's `k` nearest neighbors as candidate edges (k = 10 suffices for
-//! a valid matching on geometric data; leftovers are stitched like
-//! Quick-Borůvka's fragments).
+//! a valid matching on geometric data; the fragments left over are
+//! joined endpoint to nearest endpoint).
 
 use tsp_core::{Instance, NeighborLists, Tour};
 

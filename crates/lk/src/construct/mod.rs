@@ -19,7 +19,7 @@ pub(crate) use space_filling::hilbert_order;
 pub use space_filling::space_filling;
 
 use rand::Rng;
-use tsp_core::{Instance, Tour};
+use tsp_core::{Instance, NeighborLists, Tour};
 
 /// The available construction heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,21 +34,40 @@ pub enum Construction {
     SpaceFilling,
 }
 
-/// Build an initial tour with the chosen heuristic.
+/// Where Quick-Borůvka answered its "nearest eligible city" queries: by
+/// a k-d tree search, or from the asking city's candidate row. Exact
+/// counts, the same for every tour representation and label space of
+/// the engine that asked. The other constructions count nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Queries {
+    /// k-d tree searches.
+    pub tree_searches: u64,
+    /// Queries a candidate row answered without a search.
+    pub row_answers: u64,
+}
+
+/// Build an initial tour with the chosen heuristic. Quick-Borůvka reads
+/// `rows` (the candidate lists of `inst`) where they prove an answer;
+/// the tour is the same with or without them.
 ///
 /// Non-geometric (explicit-matrix) instances fall back to
 /// nearest-neighbor for the geometric heuristics.
-pub fn construct<R: Rng>(inst: &Instance, which: Construction, rng: &mut R) -> Tour {
+pub fn construct<R: Rng>(
+    inst: &Instance,
+    which: Construction,
+    rows: Option<&NeighborLists>,
+    rng: &mut R,
+) -> (Tour, Queries) {
     let geometric = inst.metric().is_geometric();
     match which {
-        Construction::QuickBoruvka if geometric => quick_boruvka(inst),
-        Construction::Greedy if geometric => greedy_matching(inst),
-        Construction::SpaceFilling if geometric => space_filling(inst),
+        Construction::QuickBoruvka if geometric => quick_boruvka(inst, rows),
+        Construction::Greedy if geometric => (greedy_matching(inst), Queries::default()),
+        Construction::SpaceFilling if geometric => (space_filling(inst), Queries::default()),
         // NearestNeighbor, and the fallback for geometric-only
         // constructions on non-geometric instances.
         _ => {
             let start = rng.gen_range(0..inst.len());
-            nearest_neighbor(inst, start)
+            (nearest_neighbor(inst, start), Queries::default())
         }
     }
 }
@@ -69,7 +88,7 @@ mod tests {
             Construction::Greedy,
             Construction::SpaceFilling,
         ] {
-            let t = construct(&inst, which, &mut rng);
+            let (t, _) = construct(&inst, which, None, &mut rng);
             assert!(t.is_valid(), "{which:?}");
             assert_eq!(t.len(), 120);
         }
@@ -86,7 +105,7 @@ mod tests {
             Construction::Greedy,
             Construction::SpaceFilling,
         ] {
-            let len = construct(&inst, which, &mut rng).length(&inst);
+            let len = construct(&inst, which, None, &mut rng).0.length(&inst);
             assert!(
                 len < random_len,
                 "{which:?}: {len} not better than random {random_len}"
@@ -106,7 +125,7 @@ mod tests {
         }
         let inst = tsp_core::Instance::explicit("m", m, n);
         let mut rng = SmallRng::seed_from_u64(3);
-        let t = construct(&inst, Construction::QuickBoruvka, &mut rng);
+        let (t, _) = construct(&inst, Construction::QuickBoruvka, None, &mut rng);
         assert!(t.is_valid());
     }
 }

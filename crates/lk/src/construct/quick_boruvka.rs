@@ -5,11 +5,17 @@
 //! edges selects the minimum-weight incident edge that neither closes a
 //! subtour nor touches a city that already has two edges. The algorithm
 //! iterates (at most twice in the original; we iterate until no city is
-//! eligible) and finally stitches the remaining path fragments into a
-//! Hamiltonian cycle.
+//! eligible), which always ends on one Hamiltonian path.
+//!
+//! "Nearest eligible city to `v`" is answered from `v`'s candidate row
+//! when the row proves the answer, and by a k-d tree search otherwise;
+//! both give the city the search alone would, so the tour does not
+//! depend on whether rows were given.
 
 use tsp_core::kdtree::KdTree;
-use tsp_core::{Instance, Tour};
+use tsp_core::{Instance, NeighborLists, Tour};
+
+use super::Queries;
 
 /// Union-find with path halving.
 struct UnionFind(Vec<u32>);
@@ -34,42 +40,32 @@ impl UnionFind {
     }
 }
 
-/// Build a tour with Quick-Borůvka.
+/// Build a tour with Quick-Borůvka. `rows`, when given, must cover
+/// `inst`; only rows that are [`NeighborLists::is_nearest`] are read.
+/// Returns the tour and where its nearest-city queries were answered.
 ///
 /// # Panics
 ///
 /// Panics if the instance is not geometric (sorting needs coordinates).
-pub fn quick_boruvka(inst: &Instance) -> Tour {
+pub fn quick_boruvka(inst: &Instance, rows: Option<&NeighborLists>) -> (Tour, Queries) {
     assert!(
         inst.metric().is_geometric(),
         "Quick-Borůvka sorts by coordinates"
     );
     let n = inst.len();
+    let rows = rows.filter(|r| r.is_nearest());
+    if let Some(r) = rows {
+        assert_eq!(r.len(), n, "candidate rows must cover the instance");
+    }
     let tree = KdTree::build(inst);
+    let by_coord = coordinate_order(inst);
+
     let mut degree = vec![0u8; n];
     // adj[c] = up to two tour neighbors of c.
     let mut adj = vec![[u32::MAX; 2]; n];
     let mut uf = UnionFind::new(n);
     let mut edges = 0usize;
-
-    // Process cities sorted by (x, y) as the paper describes.
-    let mut by_coord: Vec<u32> = (0..n as u32).collect();
-    by_coord.sort_by(|&a, &b| {
-        let (pa, pb) = (inst.point(a as usize), inst.point(b as usize));
-        pa.x.partial_cmp(&pb.x)
-            .unwrap()
-            .then(pa.y.partial_cmp(&pb.y).unwrap())
-            .then(a.cmp(&b))
-    });
-
-    let add_edge =
-        |a: usize, b: usize, degree: &mut Vec<u8>, adj: &mut Vec<[u32; 2]>, uf: &mut UnionFind| {
-            adj[a][degree[a] as usize] = b as u32;
-            adj[b][degree[b] as usize] = a as u32;
-            degree[a] += 1;
-            degree[b] += 1;
-            uf.union(a, b);
-        };
+    let mut queries = Queries::default();
 
     // Main passes: stop early once n-1 edges (a Hamiltonian path) exist.
     let mut progress = true;
@@ -81,40 +77,35 @@ pub fn quick_boruvka(inst: &Instance) -> Tour {
                 continue;
             }
             let root_v = uf.find(v);
-            let pick = tree.nearest_filtered(inst.point(v), |c| {
-                c == v || degree[c] >= 2 || uf.find(c) == root_v
+            let from_row = rows.and_then(|r| {
+                row_answer(inst, r.of(v), v, |c| degree[c] < 2 && uf.find(c) != root_v)
             });
+            let pick = match from_row {
+                Some(w) => {
+                    queries.row_answers += 1;
+                    Some(w)
+                }
+                None => {
+                    queries.tree_searches += 1;
+                    tree.nearest_filtered(inst.point(v), |c| degree[c] >= 2 || uf.find(c) == root_v)
+                }
+            };
             if let Some(w) = pick {
-                add_edge(v, w, &mut degree, &mut adj, &mut uf);
+                for (a, b) in [(v, w), (w, v)] {
+                    adj[a][degree[a] as usize] = b as u32;
+                    degree[a] += 1;
+                }
+                uf.union(v, w);
                 edges += 1;
                 progress = true;
             }
         }
     }
-
-    // Stitch remaining fragments: connect endpoints (degree < 2) of
-    // distinct components nearest-first until one Hamiltonian path
-    // remains, then close the cycle implicitly by the walk below.
-    while edges < n - 1 {
-        // Pick any endpoint and its nearest endpoint in another component.
-        let v = (0..n)
-            .find(|&c| degree[c] < 2)
-            .expect("endpoint must exist");
-        let root_v = uf.find(v);
-        let mut best = usize::MAX;
-        let mut best_d = i64::MAX;
-        for (c, &deg_c) in degree.iter().enumerate() {
-            if c != v && deg_c < 2 && uf.find(c) != root_v {
-                let d = inst.dist(v, c);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-        }
-        add_edge(v, best, &mut degree, &mut adj, &mut uf);
-        edges += 1;
-    }
+    // A pass that adds no edge found no eligible partner for any city of
+    // degree < 2. Two fragments would give each other one — every
+    // fragment has an end of degree < 2 (a lone city has degree 0) — so
+    // only one is left: the passes end on a Hamiltonian path.
+    debug_assert_eq!(edges, n - 1);
 
     // Walk the Hamiltonian path into a tour order. Find one endpoint.
     let start = (0..n).find(|&c| degree[c] == 1).unwrap_or(0);
@@ -136,7 +127,51 @@ pub fn quick_boruvka(inst: &Instance) -> Tour {
         cur = next;
     }
     debug_assert_eq!(order.len(), n);
-    Tour::from_order(order)
+    (Tour::from_order(order), queries)
+}
+
+/// The cities sorted by (x, y, id), the order the passes visit them in.
+/// The coordinates are compared with `total_cmp`, which agrees with
+/// `partial_cmp` once `-0.0` reads `0.0`; ids are distinct, so the order
+/// is total and an unstable sort gives the one order there is.
+fn coordinate_order(inst: &Instance) -> Vec<u32> {
+    let key = |c: u32| {
+        let p = inst.point(c as usize);
+        (p.x + 0.0, p.y + 0.0)
+    };
+    let mut order: Vec<u32> = (0..inst.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let ((ax, ay), (bx, by)) = (key(a), key(b));
+        ax.total_cmp(&bx).then(ay.total_cmp(&by)).then(a.cmp(&b))
+    });
+    order
+}
+
+/// The nearest city to `v` that `eligible` accepts, if `row` — `v`'s
+/// row, the `k` nearest cities by (squared distance, id) — proves it:
+/// the row's first eligible city must be strictly nearer than every
+/// other eligible city of the row and than the row's last city, hence
+/// than every city outside it. Then it is the one city a tree search
+/// for the nearest eligible city returns, whatever its visiting order.
+/// `None` when the row proves nothing.
+fn row_answer(
+    inst: &Instance,
+    row: &[u32],
+    v: usize,
+    mut eligible: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    let p = inst.point(v);
+    let sq = |c: u32| inst.point(c as usize).sq_dist(&p);
+    let at = row.iter().position(|&c| eligible(c as usize))?;
+    let d = sq(row[at]);
+    if d >= sq(*row.last()?) {
+        return None;
+    }
+    let tie = row[at + 1..]
+        .iter()
+        .take_while(|&&c| sq(c) == d)
+        .any(|&c| eligible(c as usize));
+    (!tie).then_some(row[at] as usize)
 }
 
 #[cfg(test)]
@@ -148,15 +183,34 @@ mod tests {
     fn produces_valid_tour() {
         for n in [10, 57, 200] {
             let inst = generate::uniform(n, 10_000.0, n as u64);
-            let t = quick_boruvka(&inst);
+            let t = quick_boruvka(&inst, None).0;
             assert!(t.is_valid(), "n={n}");
         }
     }
 
     #[test]
+    fn coordinate_order_is_the_stable_partial_cmp_order() {
+        // Signed zeros compare equal under `partial_cmp`; the order must
+        // then fall through to y and id exactly as the stable sort did.
+        let xs = [0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 1.5, 0.0];
+        let ys = [-0.0, 0.0, 3.0, -0.0, 0.0, 1.0, -1.0, -0.0];
+        let pts = xs.iter().zip(ys).map(|(&x, y)| tsp_core::Point::new(x, y));
+        let inst = Instance::new("zeros", pts.collect(), tsp_core::Metric::Euc2d);
+        let mut want: Vec<u32> = (0..xs.len() as u32).collect();
+        want.sort_by(|&a, &b| {
+            let (pa, pb) = (inst.point(a as usize), inst.point(b as usize));
+            pa.x.partial_cmp(&pb.x)
+                .unwrap()
+                .then(pa.y.partial_cmp(&pb.y).unwrap())
+                .then(a.cmp(&b))
+        });
+        assert_eq!(coordinate_order(&inst), want);
+    }
+
+    #[test]
     fn quality_beats_random_substantially() {
         let inst = generate::uniform(300, 10_000.0, 9);
-        let qb = quick_boruvka(&inst).length(&inst);
+        let qb = quick_boruvka(&inst, None).0.length(&inst);
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(1);
         let rand_len = Tour::random(300, &mut rng).length(&inst);
@@ -169,14 +223,14 @@ mod tests {
     #[test]
     fn works_on_clustered_data() {
         let inst = generate::clustered(150, 100_000.0, 5, 1000.0, 2);
-        let t = quick_boruvka(&inst);
+        let t = quick_boruvka(&inst, None).0;
         assert!(t.is_valid());
     }
 
     #[test]
     fn works_on_grid() {
         let inst = generate::grid_known_optimum(8, 8, 100.0);
-        let t = quick_boruvka(&inst);
+        let t = quick_boruvka(&inst, None).0;
         assert!(t.is_valid());
         // QB on a grid should be within 2x of optimal.
         assert!(t.length(&inst) <= 2 * inst.known_optimum().unwrap());

@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn finds_grid_optimum_from_good_start() {
         let inst = generate::grid_known_optimum(6, 6, 100.0);
-        let mut tour = crate::construct::quick_boruvka(&inst);
+        let mut tour = crate::construct::quick_boruvka(&inst, None).0;
         optimize(&inst, &mut tour, 8);
         // LK from a QB start should usually reach the optimum on a tiny
         // grid; allow 2% slack to avoid flakiness.

@@ -31,7 +31,12 @@ fn lk_improves_every_construction_on_every_family() {
             Construction::Greedy,
             Construction::SpaceFilling,
         ]
-        .map(|which| (format!("{which:?}"), construct(&inst, which, &mut rng)));
+        .map(|which| {
+            (
+                format!("{which:?}"),
+                construct(&inst, which, None, &mut rng).0,
+            )
+        });
         let random = ("Random".to_string(), Tour::random(inst.len(), &mut rng));
         for (which, mut tour) in constructions.into_iter().chain([random]) {
             let before = tour.length(&inst);

@@ -7,7 +7,8 @@
 //! on the caller-label array, the caller-label two-level list and the
 //! spatial array, and demands the same tour order, length, kicks, trace
 //! points, `clk.step.flips` and exact work counters (`clk.pass.flips`
-//! among them) from all three. The spatial array runs its full passes
+//! among them, and construction's k-d tree searches and row answers)
+//! from all three. The spatial array runs its full passes
 //! and its kick loop on as many lanes as there are cores (up to the
 //! engine's limit), the other two on one, so the counters are also held
 //! equal across lane counts.
@@ -29,6 +30,7 @@ struct Outcome {
     trace: Vec<(u64, i64)>,
     flips: u64,
     work: [u64; 6],
+    construct: [u64; 2],
 }
 
 /// The flip total and the six exact work counters an engine's obs
@@ -46,6 +48,16 @@ fn counts(obs: &Obs) -> (u64, [u64; 6]) {
     ]
     .map(|name| snap.counter(name));
     (flips, work)
+}
+
+/// Construction's k-d tree searches and row answers.
+fn construct_counts(obs: &Obs) -> [u64; 2] {
+    let snap = obs.snapshot();
+    [
+        kinds::C_CONSTRUCT_TREE_SEARCHES,
+        kinds::C_CONSTRUCT_ROW_ANSWERS,
+    ]
+    .map(|name| snap.counter(name))
 }
 
 /// The three engines: spatial (through `auto` at threshold 0), array,
@@ -87,6 +99,7 @@ fn run(mut engine: ClkEngine<'_>, kicks: u64) -> Outcome {
         trace: res.trace.points().iter().map(|&(_, k, l)| (k, l)).collect(),
         flips,
         work,
+        construct: construct_counts(&obs),
     }
 }
 
@@ -165,6 +178,29 @@ fn spatial_runs_agree_on_ties_and_geo() {
     }
 }
 
+/// Construction's query counts are exact: equal on every engine and on
+/// a second run. k-NN rows answer most queries; hybrid rows, which are
+/// not the nearest cities, answer none, so every query is a tree search
+/// there, and the k-NN run asks exactly as many queries.
+#[test]
+fn construction_query_counts_are_exact() {
+    let inst = generate::uniform(2000, 1e6, 77);
+    let [knn, hybrid] = [CandidateKind::Knn, CandidateKind::Hybrid].map(|kind| {
+        let c = cfg(kind, KickStrategy::RandomWalk(50), 5);
+        let nl = c.build_neighbors(&inst);
+        let runs: Vec<[u64; 2]> = (0..2)
+            .flat_map(|_| engines(&inst, &nl, &c))
+            .map(|(_, e)| run(e, 2).construct)
+            .collect();
+        assert!(runs.iter().all(|r| *r == runs[0]), "{kind:?}: {runs:?}");
+        runs[0]
+    });
+    let ([tree, rows], [all, none]) = (knn, hybrid);
+    assert!(rows > 9 * tree && tree > 0, "k-NN: {knn:?}");
+    assert_eq!(none, 0, "hybrid: {hybrid:?}");
+    assert_eq!(tree + rows, all, "k-NN {knn:?}, hybrid {hybrid:?}");
+}
+
 /// `clk_call` and `optimize_tour` from a tour the caller perturbated.
 #[test]
 fn clk_call_and_optimize_tour_agree_on_a_perturbed_tour() {
@@ -172,7 +208,7 @@ fn clk_call_and_optimize_tour_agree_on_a_perturbed_tour() {
     for kind in [CandidateKind::Knn, CandidateKind::Hybrid] {
         let c = cfg(kind, KickStrategy::RandomWalk(50), 17);
         let nl = c.build_neighbors(&inst);
-        let mut start = lk::construct::quick_boruvka(&inst);
+        let mut start = lk::construct::quick_boruvka(&inst, None).0;
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..20 {
             start.random_double_bridge(&mut rng);

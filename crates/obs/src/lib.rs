@@ -126,6 +126,14 @@ pub mod kinds {
     /// earlier step changed the tour they ran on, or the budget ran out
     /// before they were due).
     pub const C_KICK_DISCARDED: &str = "clk.kick.discarded";
+    /// Counter: k-d tree searches of the initial-tour construction
+    /// (Quick-Borůvka only; the other constructions count nothing).
+    pub const C_CONSTRUCT_TREE_SEARCHES: &str = "clk.construct.tree_searches";
+    /// Counter: nearest-city queries of the initial-tour construction
+    /// that a candidate row answered without a search (Quick-Borůvka on
+    /// rows that are the k nearest cities). With the tree searches, an
+    /// exact count: equal on every tour representation and label space.
+    pub const C_CONSTRUCT_ROW_ANSWERS: &str = "clk.construct.row_answers";
 }
 
 use std::borrow::Cow;

@@ -2,17 +2,17 @@
 //!
 //! Used for the k-nearest-neighbor queries behind the candidate lists
 //! (robust on clustered `C`-style and drill-plate `fl`-style data), and
-//! by the Quick-Borůvka and greedy tour constructions which need
-//! *filtered* nearest-neighbor queries ("nearest city that still has
-//! tour degree < 2").
+//! by the Quick-Borůvka and nearest-neighbor tour constructions, which
+//! need *filtered* nearest-neighbor queries ("nearest city that still
+//! has tour degree < 2").
 //!
-//! The tree is built once over index arrays (no per-node allocation,
+//! The tree is built once over flat arrays (no per-node allocation,
 //! perf-book idiom) and is immutable; deletions needed by constructions
 //! are handled by caller-supplied `skip` predicates.
 
 use crate::instance::{Instance, Point};
 
-/// Flat k-d tree node. Leaves hold a range of the permuted index array.
+/// Flat k-d tree node. Leaves hold a range of the slot array.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Splitting coordinate value.
@@ -28,13 +28,22 @@ struct Node {
 const LEAF: u8 = u8::MAX;
 const LEAF_SIZE: usize = 8;
 
+/// A city in a leaf, next to its coordinates so a leaf scan reads one
+/// contiguous range.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    p: Point,
+    c: u32,
+}
+
 /// An immutable 2-D k-d tree over the cities of a geometric instance.
 #[derive(Debug)]
 pub struct KdTree {
     nodes: Vec<Node>,
-    /// Permutation of city indices; leaves reference contiguous ranges.
-    idx: Vec<u32>,
-    pts: Vec<Point>,
+    /// The cities in leaf order; leaves reference contiguous ranges.
+    slots: Vec<Slot>,
+    /// The slot of each city.
+    slot_of: Vec<u32>,
 }
 
 impl KdTree {
@@ -48,21 +57,31 @@ impl KdTree {
             inst.metric().is_geometric(),
             "k-d tree requires coordinates"
         );
-        let pts: Vec<Point> = inst.points().to_vec();
-        let mut idx: Vec<u32> = (0..pts.len() as u32).collect();
-        let mut nodes = Vec::with_capacity(2 * pts.len() / LEAF_SIZE + 2);
-        let n = pts.len();
-        Self::build_rec(&pts, &mut idx, 0, n, &mut nodes);
-        KdTree { nodes, idx, pts }
+        let mut slots: Vec<Slot> = (0u32..)
+            .zip(inst.points())
+            .map(|(c, &p)| Slot { p, c })
+            .collect();
+        let n = slots.len();
+        let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 2);
+        Self::build_rec(&mut slots, 0, n, &mut nodes);
+        let mut slot_of = vec![0u32; n];
+        for (i, s) in (0u32..).zip(&slots) {
+            slot_of[s.c as usize] = i;
+        }
+        KdTree {
+            nodes,
+            slots,
+            slot_of,
+        }
     }
 
-    fn build_rec(
-        pts: &[Point],
-        idx: &mut [u32],
-        start: usize,
-        end: usize,
-        nodes: &mut Vec<Node>,
-    ) -> u32 {
+    /// The cities of leaf `n`, in build order.
+    #[inline(always)]
+    fn leaf_slots(&self, n: Node) -> &[Slot] {
+        &self.slots[n.lo as usize..n.hi as usize]
+    }
+
+    fn build_rec(slots: &mut [Slot], start: usize, end: usize, nodes: &mut Vec<Node>) -> u32 {
         let me = nodes.len() as u32;
         if end - start <= LEAF_SIZE {
             nodes.push(Node {
@@ -74,52 +93,45 @@ impl KdTree {
             return me;
         }
         // Split on the wider axis at the median.
-        let slice = &mut idx[start..end];
+        let slice = &mut slots[start..end];
         let (mut min_x, mut max_x, mut min_y, mut max_y) = (
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::INFINITY,
             f64::NEG_INFINITY,
         );
-        for &i in slice.iter() {
-            let p = pts[i as usize];
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-            min_y = min_y.min(p.y);
-            max_y = max_y.max(p.y);
+        for s in slice.iter() {
+            min_x = min_x.min(s.p.x);
+            max_x = max_x.max(s.p.x);
+            min_y = min_y.min(s.p.y);
+            max_y = max_y.max(s.p.y);
         }
-        let axis = if max_x - min_x >= max_y - min_y {
-            0u8
-        } else {
-            1u8
-        };
         let mid = slice.len() / 2;
-        let key = |i: u32| -> f64 {
-            let p = pts[i as usize];
-            if axis == 0 {
-                p.x
-            } else {
-                p.y
-            }
+        let (axis, split) = if max_x - min_x >= max_y - min_y {
+            slice.select_nth_unstable_by(mid, |a, b| a.p.x.partial_cmp(&b.p.x).unwrap());
+            (0u8, slice[mid].p.x)
+        } else {
+            slice.select_nth_unstable_by(mid, |a, b| a.p.y.partial_cmp(&b.p.y).unwrap());
+            (1u8, slice[mid].p.y)
         };
-        slice.select_nth_unstable_by(mid, |&a, &b| key(a).partial_cmp(&key(b)).unwrap());
-        let split = key(slice[mid]);
         nodes.push(Node {
             split,
             axis,
             lo: 0,
             hi: 0,
         });
-        let lo = Self::build_rec(pts, idx, start, start + mid, nodes);
-        let hi = Self::build_rec(pts, idx, start + mid, end, nodes);
+        let lo = Self::build_rec(slots, start, start + mid, nodes);
+        let hi = Self::build_rec(slots, start + mid, end, nodes);
         nodes[me as usize].lo = lo;
         nodes[me as usize].hi = hi;
         me
     }
 
     /// The nearest city to `q` for which `skip` returns `false`
-    /// (squared-Euclidean metric). Returns `None` when every city is
-    /// skipped.
+    /// (squared-Euclidean metric); of several at the same distance, the
+    /// first the search visits. Returns `None` when every city is
+    /// skipped. `skip` is asked only about cities nearer than the best
+    /// one found so far.
     ///
     /// Typical uses: `skip = |c| c == query` for plain NN, or
     /// `skip = |c| degree[c] >= 2 || c == query` inside Quick-Borůvka.
@@ -147,14 +159,10 @@ impl KdTree {
     ) {
         let n = self.nodes[node as usize];
         if n.axis == LEAF {
-            for &c in &self.idx[n.lo as usize..n.hi as usize] {
-                let c = c as usize;
-                if skip(c) {
-                    continue;
-                }
-                let d = self.pts[c].sq_dist(&q);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    *best = Some((d, c));
+            for s in self.leaf_slots(n) {
+                let d = s.p.sq_dist(&q);
+                if best.is_none_or(|(bd, _)| d < bd) && !skip(s.c as usize) {
+                    *best = Some((d, s.c as usize));
                 }
             }
             return;
@@ -178,7 +186,7 @@ impl KdTree {
     /// the same order every candidate-list builder uses, so fixed-seed
     /// runs do not depend on which spatial index built the lists.
     pub fn k_nearest(&self, query: usize, k: usize) -> Vec<u32> {
-        let q = self.pts[query];
+        let q = self.slots[self.slot_of[query] as usize].p;
         // Max-heap of (dist, city) capped at k.
         let mut heap: std::collections::BinaryHeap<(OrdF64, u32)> =
             std::collections::BinaryHeap::with_capacity(k + 1);
@@ -198,12 +206,11 @@ impl KdTree {
     ) {
         let n = self.nodes[node as usize];
         if n.axis == LEAF {
-            for &c in &self.idx[n.lo as usize..n.hi as usize] {
-                if c as usize == query {
+            for s in self.leaf_slots(n) {
+                if s.c as usize == query {
                     continue;
                 }
-                let d = self.pts[c as usize].sq_dist(&q);
-                let cand = (OrdF64(d), c);
+                let cand = (OrdF64(s.p.sq_dist(&q)), s.c);
                 if heap.len() < k {
                     heap.push(cand);
                 } else if let Some(&top) = heap.peek() {

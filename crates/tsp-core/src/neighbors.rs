@@ -35,6 +35,9 @@ pub struct NeighborLists {
     /// `flat`. For α-nearness lists the *order* follows α, but the
     /// cached values are still true metric distances.
     dists: Vec<i64>,
+    /// Whether every row is the `k` nearest cities by (squared distance
+    /// of the coordinates, id), nearest first; see [`Self::is_nearest`].
+    nearest: bool,
 }
 
 impl NeighborLists {
@@ -47,7 +50,7 @@ impl NeighborLists {
             return Self::build_brute_force(inst, k);
         }
         let tree = KdTree::build(inst);
-        Self::build_with(inst, k, &|c| tree.k_nearest(c, k))
+        Self::build_with(inst, k, true, &|c| tree.k_nearest(c, k))
     }
 
     /// O(n²) fallback, ordered by the instance metric itself for
@@ -59,7 +62,7 @@ impl NeighborLists {
         let n = inst.len();
         let k = k.min(n - 1);
         let geometric = inst.metric().is_geometric();
-        Self::build_with(inst, k, &|c| {
+        Self::build_with(inst, k, geometric, &|c| {
             let others = (0..n as u32).filter(|&o| o as usize != c);
             if geometric {
                 let p = inst.point(c);
@@ -76,8 +79,9 @@ impl NeighborLists {
 
     /// Shared builder: run `query` for every city (chunks of
     /// [`PARALLEL_MIN_CITIES`] fanned out) and cache the metric
-    /// distance of each returned neighbor.
-    fn build_with<F>(inst: &Instance, k: usize, query: &F) -> Self
+    /// distance of each returned neighbor. `nearest` records whether
+    /// `query` returns the coordinate-nearest cities.
+    fn build_with<F>(inst: &Instance, k: usize, nearest: bool, query: &F) -> Self
     where
         F: Fn(usize) -> Vec<u32> + Sync,
     {
@@ -91,7 +95,12 @@ impl NeighborLists {
         fan_out(&mut chunks, |i, (fc, dc)| {
             Self::fill_chunk(inst, k, i * PARALLEL_MIN_CITIES, fc, dc, query)
         });
-        NeighborLists { k, flat, dists }
+        NeighborLists {
+            k,
+            flat,
+            dists,
+            nearest,
+        }
     }
 
     /// Fill the lists for cities `base .. base + chunk_len/k`.
@@ -119,7 +128,8 @@ impl NeighborLists {
     /// Construct from precomputed flat lists (used by the α-nearness
     /// builder in the `heldkarp` crate). Distances are cached from the
     /// instance metric — the list *order* may follow another key (α),
-    /// but the cached values are always `inst.dist`.
+    /// but the cached values are always `inst.dist`. The rows count as
+    /// any order ([`Self::is_nearest`] is `false`), whatever they hold.
     ///
     /// # Panics
     ///
@@ -135,7 +145,24 @@ impl NeighborLists {
                 dists[c * k + j] = inst.dist(c, flat[c * k + j] as usize);
             }
         }
-        NeighborLists { k, flat, dists }
+        NeighborLists {
+            k,
+            flat,
+            dists,
+            nearest: false,
+        }
+    }
+
+    /// Whether every row is the `k` nearest other cities by (squared
+    /// Euclidean distance of the coordinates, id), nearest first — what
+    /// [`Self::build`] and [`Self::build_brute_force`] make on a
+    /// geometric instance. Then a row proves which city is nearest to
+    /// its owner among any set it holds a closer member of, which is
+    /// what tour construction reads rows for; rows in any other order
+    /// (α-nearness, hybrid, a matrix metric) prove nothing of the kind.
+    #[inline]
+    pub fn is_nearest(&self) -> bool {
+        self.nearest
     }
 
     /// Candidates of city `c`, nearest first.
@@ -301,6 +328,19 @@ mod tests {
                 assert_eq!(d, inst.dist(c, o as usize));
             }
         }
+    }
+
+    #[test]
+    fn rows_record_whether_they_are_the_nearest() {
+        let inst = random_instance(40, 12);
+        assert!(NeighborLists::build(&inst, 5).is_nearest());
+        assert!(NeighborLists::build_brute_force(&inst, 5).is_nearest());
+        let flat = NeighborLists::build(&inst, 5).flat;
+        assert!(!NeighborLists::from_flat(&inst, 5, flat).is_nearest());
+        let m = (0..16usize)
+            .map(|i| (i / 4).abs_diff(i % 4) as i64)
+            .collect();
+        assert!(!NeighborLists::build(&Instance::explicit("m4", m, 4), 2).is_nearest());
     }
 
     #[test]

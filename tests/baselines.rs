@@ -20,7 +20,9 @@ fn solvers_sandwiched_between_bound_and_construction() {
         },
     )
     .bound;
-    let qb = dist_clk::lk::construct::quick_boruvka(&inst).length(&inst);
+    let qb = dist_clk::lk::construct::quick_boruvka(&inst, None)
+        .0
+        .length(&inst);
 
     let nl = NeighborLists::build(&inst, 10);
     let mut engine = ChainedLk::new(&inst, &nl, ChainedLkConfig::default());

@@ -26,7 +26,7 @@ proptest! {
         prop_assert!(res.tour.is_valid());
         prop_assert_eq!(res.tour.length(&inst), res.length);
         // CLK result is never worse than its own construction.
-        let qb = dist_clk::lk::construct::quick_boruvka(&inst).length(&inst);
+        let qb = dist_clk::lk::construct::quick_boruvka(&inst, None).0.length(&inst);
         prop_assert!(res.length <= qb);
     }
 
