@@ -21,9 +21,9 @@
 //! stand-ins for LKH, multilevel CLK and tour merging, are
 //! [`baselines`]: yardsticks, not engines the system runs.
 //!
-//! The failure-handling and telemetry behaviour of the distributed
-//! solver is not an experiment here: its contracts are the `distclk`
-//! test suites (`churn`, `faults`, `telemetry_live`).
+//! The failure-handling behaviour of the distributed solver is not an
+//! experiment here: its contracts are the `distclk` test suites
+//! (`churn`, `faults`).
 
 pub mod baselines;
 pub mod calibrate;

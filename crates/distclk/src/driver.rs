@@ -5,7 +5,7 @@ use std::sync::Arc;
 use lk::Trace;
 use obs::MetricsSnapshot;
 use p2p::memory::{InMemoryNetwork, NetStats};
-use p2p::{NodeId, TelemetryStore, Transport};
+use p2p::Transport;
 use tsp_core::{fan_out, Instance, NeighborLists, Tour};
 
 use crate::node::{DistConfig, NodeDriver, NodeResult, Searched};
@@ -207,60 +207,12 @@ pub fn run_lockstep_over<T: Transport>(
     transports: Vec<T>,
     stats: Option<Arc<NetStats>>,
 ) -> DistResult {
-    run_lockstep_telemetry_over(inst, neighbors, cfg, transports, stats, None)
-}
-
-/// [`run_lockstep_over`] with a live telemetry plane: the store is
-/// attached per `attach` ([`TelemetryAttach::AllNodes`] ingests frames
-/// in-process on every node — the lockstep equivalent of a live hub
-/// view; [`TelemetryAttach::NodeZero`] attaches only node 0, so every
-/// other node ships its frames *over the transport* to node 0 exactly
-/// like the TCP deployment). Pass
-/// `telemetry: None` (or leave `cfg.telemetry_every` at 0) for a plain
-/// run. The caller keeps the `Arc` and can scrape the store mid-run
-/// from another thread.
-pub fn run_lockstep_telemetry_over<T: Transport>(
-    inst: &Instance,
-    neighbors: &NeighborLists,
-    cfg: &DistConfig,
-    transports: Vec<T>,
-    stats: Option<Arc<NetStats>>,
-    telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
-) -> DistResult {
     let start = std::time::Instant::now();
     let mut drivers = started_nodes(inst, neighbors, cfg, transports);
-    if let Some((store, attach)) = &telemetry {
-        for node in drivers.iter_mut().flatten() {
-            if attach.covers(node.id()) {
-                node.attach_telemetry(Arc::clone(store));
-            }
-        }
-    }
     let mut results: Vec<NodeResult> = Vec::with_capacity(drivers.len());
     while lockstep_round(&mut drivers, &mut results) {}
     let messages = stats.map_or((0, 0, 0), |s| s.snapshot());
     DistResult::assemble(inst, results, messages, start.elapsed().as_secs_f64())
-}
-
-/// Which nodes a shared [`TelemetryStore`] is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryAttach {
-    /// Every node ingests its own frames in-process — no telemetry
-    /// traffic on the wire. The right mode for single-process drivers.
-    AllNodes,
-    /// Only node 0 (the bootstrap hub's position) aggregates; every
-    /// other node ships its frames over the transport to it — the
-    /// deployment shape.
-    NodeZero,
-}
-
-impl TelemetryAttach {
-    fn covers(self, id: NodeId) -> bool {
-        match self {
-            TelemetryAttach::AllNodes => true,
-            TelemetryAttach::NodeZero => id == 0,
-        }
-    }
 }
 
 /// Run the distributed algorithm over pre-built transports (e.g. the
@@ -277,23 +229,6 @@ pub fn run_over_transports<T: Transport + 'static>(
     cfg: &DistConfig,
     transports: Vec<T>,
 ) -> DistResult {
-    run_over_transports_telemetry(inst, neighbors, cfg, transports, None)
-}
-
-/// [`run_over_transports`] with a live telemetry plane (see
-/// [`run_lockstep_telemetry_over`] for the attachment modes). In the
-/// TCP deployment the natural shape is `TelemetryAttach::NodeZero` with
-/// the store borrowed from the lifecycle hub's scrape server
-/// ([`p2p::hub::LifecycleHub::telemetry`]): frames cross the real
-/// sockets to node 0, merge there, and `METRICS`/`STATUS` scrapes on
-/// the hub port read the same store mid-run.
-pub fn run_over_transports_telemetry<T: Transport + 'static>(
-    inst: &Instance,
-    neighbors: &NeighborLists,
-    cfg: &DistConfig,
-    transports: Vec<T>,
-    telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
-) -> DistResult {
     let start = std::time::Instant::now();
     let results: Vec<NodeResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = transports
@@ -301,17 +236,8 @@ pub fn run_over_transports_telemetry<T: Transport + 'static>(
             .map(|ep| {
                 let id = ep.node_id();
                 let cfg = cfg.clone();
-                let store = telemetry
-                    .as_ref()
-                    .filter(|(_, attach)| attach.covers(id))
-                    .map(|(store, _)| Arc::clone(store));
-                let h = scope.spawn(move || {
-                    let mut node = NodeDriver::new(inst, neighbors, &cfg, ep);
-                    if let Some(store) = store {
-                        node.attach_telemetry(store);
-                    }
-                    node.run_to_completion()
-                });
+                let h = scope
+                    .spawn(move || NodeDriver::new(inst, neighbors, &cfg, ep).run_to_completion());
                 (id, h)
             })
             .collect();
@@ -504,120 +430,6 @@ mod tests {
             multi_hop,
             "no broadcast id was adopted by more than one node on the ring"
         );
-    }
-
-    #[test]
-    fn telemetry_store_builds_live_cluster_view() {
-        // Shared store attached to every node: after the run the live
-        // view must agree with the authoritative per-node results and
-        // the merged registry — the lockstep equivalent of a hub scrape.
-        let inst = generate::uniform(80, 10_000.0, 307);
-        let nl = NeighborLists::build(&inst, 8);
-        let mut cfg = small_cfg(4, 4, 7);
-        cfg.telemetry_every = 1;
-        let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-        let res = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &cfg,
-            endpoints,
-            Some(stats),
-            Some((Arc::clone(&store), TelemetryAttach::AllNodes)),
-        );
-        assert_eq!(store.nodes(), vec![0, 1, 2, 3]);
-        for n in &res.nodes {
-            let live = store.node(n.id).expect("node reported");
-            assert_eq!(
-                live.best_len, n.best_length,
-                "node {} live view drifted",
-                n.id
-            );
-            assert_eq!(live.clk_calls, n.clk_calls);
-        }
-        // Counter deltas summed over all frames == final registry sum.
-        let merged = store.merged_snapshot();
-        assert_eq!(
-            merged.counter("node.clk_calls"),
-            res.metrics.counter("node.clk_calls")
-        );
-        let status = store.status_text();
-        for id in 0..4 {
-            assert!(status.contains(&format!("NODE {id} ")), "{status}");
-        }
-        assert!(store
-            .prometheus_text()
-            .contains("telemetry_nodes_reporting 4"));
-    }
-
-    #[test]
-    fn telemetry_frames_ship_over_the_transport_to_the_hub_node() {
-        // Store attached only to node 0 (the bootstrap hub's position):
-        // every other node's view must arrive as Telemetry frames over
-        // the wire — the deployment shape.
-        let inst = generate::uniform(80, 10_000.0, 308);
-        let nl = NeighborLists::build(&inst, 8);
-        let mut cfg = small_cfg(4, 4, 7);
-        // Complete graph so every node has a direct edge to node 0
-        // (there is no frame routing — telemetry is one hop).
-        cfg.topology = p2p::Topology::Complete;
-        cfg.telemetry_every = 1;
-        let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-        let res = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &cfg,
-            endpoints,
-            Some(stats),
-            Some((Arc::clone(&store), TelemetryAttach::NodeZero)),
-        );
-        assert_eq!(
-            store.nodes(),
-            vec![0, 1, 2, 3],
-            "a node's frames never reached node 0"
-        );
-        // Frames drained by node 0 trail the sender by a round (and a
-        // final frame may arrive after node 0 terminated), so
-        // the live view is a *recent* state: a best no better than the
-        // node's final one, and real progress shipped.
-        for n in &res.nodes {
-            let live = store.node(n.id).expect("reported");
-            assert!(
-                live.best_len >= n.best_length,
-                "live best {} beats node {}'s final {}",
-                live.best_len,
-                n.id,
-                n.best_length
-            );
-            assert!(live.frames >= 1);
-        }
-    }
-
-    #[test]
-    fn telemetry_shipping_preserves_bit_identity() {
-        // Acceptance criterion: the live plane must not perturb the
-        // search. Same seed with and without shipping — bit-identical
-        // tours and identical broadcast counts.
-        let inst = generate::uniform(100, 10_000.0, 309);
-        let nl = NeighborLists::build(&inst, 8);
-        let cfg = small_cfg(4, 5, 21);
-        let base = run_lockstep(&inst, &nl, &cfg);
-        let mut live_cfg = cfg.clone();
-        live_cfg.telemetry_every = 1;
-        let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(live_cfg.nodes, live_cfg.topology);
-        let live = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &live_cfg,
-            endpoints,
-            Some(stats),
-            Some((store, TelemetryAttach::AllNodes)),
-        );
-        assert_eq!(base.best_length, live.best_length);
-        assert_eq!(base.best_tour.order(), live.best_tour.order());
-        assert_eq!(base.total_broadcasts(), live.total_broadcasts());
     }
 
     #[test]

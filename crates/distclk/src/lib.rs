@@ -30,6 +30,10 @@
 //!   deterministic message delivery, used by tests and the
 //!   effort-budgeted experiments: each round's CLK calls run on every
 //!   core, then the nodes read and send in id order.
+//!
+//! Each node reports through its own [`obs::Obs`] registry: the
+//! counters, events and spans come back in [`NodeResult`] (`metrics`,
+//! `obs_events`).
 
 pub mod churn;
 pub mod driver;
@@ -40,10 +44,7 @@ pub mod service;
 pub mod shard;
 
 pub use churn::{run_lockstep_churn, ChurnAction, ChurnSchedule};
-pub use driver::{
-    run_lockstep, run_lockstep_over, run_lockstep_telemetry_over, run_over_transports,
-    run_over_transports_telemetry, run_threads, DistResult, TelemetryAttach,
-};
+pub use driver::{run_lockstep, run_lockstep_over, run_over_transports, run_threads, DistResult};
 pub use evolve::{evolve_hard, hard_suite, solve_effort, EvolveConfig};
 pub use node::{DistConfig, NodeDriver, NodeEvent, NodeResult};
 pub use perturb::{PerturbAction, Perturbator};

@@ -1,11 +1,10 @@
 //! The per-node driver: the paper's Figure 1 loop over any transport.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lk::{Budget, ChainedLkConfig, ClkEngine, Stopwatch, Trace};
 use obs::{Counter, Histogram, MetricsSnapshot, Obs, Span, Value};
-use p2p::{broadcast_id, Message, NodeId, TelemetryShipper, TelemetryStore, Topology, Transport};
+use p2p::{broadcast_id, Message, NodeId, Topology, Transport};
 use tsp_core::{Instance, NeighborLists, Tour};
 
 use crate::perturb::{PerturbAction, Perturbator};
@@ -54,20 +53,10 @@ pub struct DistConfig {
     pub budget: Budget,
     /// Master seed; node `i` uses `seed * 1000003 + i`.
     pub seed: u64,
-    /// Ship a live [`Message::Telemetry`] frame (metric deltas, new
-    /// structured events, convergence state) every this many loop
-    /// rounds — directly into an attached [`TelemetryStore`] when one
-    /// is present, otherwise over the transport to node 0, the bootstrap
-    /// hub's position (dropped when node 0 is dead or is the sender
-    /// itself: telemetry is best-effort). `0` (the default) disables
-    /// shipping entirely: the loop stays bit-identical to
-    /// pre-telemetry builds (shipping itself never touches the RNG,
-    /// but zero keeps even the clock reads out of the hot path).
-    pub telemetry_every: u64,
     /// Consecutive non-improving rounds before the node flags itself
     /// stalled: fires one `clk.stall` event, bumps the `clk.stalls`
-    /// counter, and sets the stall flag carried by telemetry frames
-    /// until the next improvement clears it. `0` disables detection.
+    /// counter, and stays flagged until the next improvement clears it.
+    /// `0` disables detection.
     pub stall_window: u32,
 }
 
@@ -85,7 +74,6 @@ impl Default for DistConfig {
             forward_received: false,
             budget: Budget::kicks(50),
             seed: 0,
-            telemetry_every: 0,
             stall_window: 128,
         }
     }
@@ -208,11 +196,6 @@ pub struct NodeDriver<'a, T: Transport> {
     last_strength: u32,
     terminated: bool,
 
-    // Live telemetry plane (inert when `telemetry_every == 0`).
-    telemetry_every: u64,
-    telemetry_rounds: u64,
-    shipper: Option<TelemetryShipper>,
-    telemetry: Option<Arc<TelemetryStore>>,
     stall_window: u32,
     stalled: bool,
 
@@ -273,7 +256,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             local: true,
         }];
 
-        let shipper = (cfg.telemetry_every > 0).then(|| TelemetryShipper::new(obs.clone()));
         NodeDriver {
             id,
             engine,
@@ -296,10 +278,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             broadcast_seq: 0,
             last_strength: 1,
             terminated: false,
-            telemetry_every: cfg.telemetry_every,
-            telemetry_rounds: 0,
-            shipper,
-            telemetry: None,
             stall_window: cfg.stall_window,
             stalled: false,
             trace,
@@ -349,47 +327,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// the next improvement, local or received).
     pub fn stalled(&self) -> bool {
         self.stalled
-    }
-
-    /// Attach a cluster-merged live telemetry store. Frames this node
-    /// ships (see [`DistConfig::telemetry_every`]) are ingested
-    /// directly instead of traversing the transport, and
-    /// [`Message::Telemetry`] frames *received* from peers are merged
-    /// in too — so attaching the store to node 0 turns it into the
-    /// cluster's aggregation point, while attaching the
-    /// same store to every node gives the lockstep driver an
-    /// in-process live view with identical semantics.
-    pub fn attach_telemetry(&mut self, store: Arc<TelemetryStore>) {
-        self.telemetry = Some(store);
-    }
-
-    /// Count one loop round against the telemetry cadence and ship a
-    /// frame when due. No-op (not even a clock read) when
-    /// `telemetry_every` is zero.
-    fn maybe_ship_telemetry(&mut self) {
-        if self.telemetry_every == 0 {
-            return;
-        }
-        self.telemetry_rounds += 1;
-        if self.telemetry_rounds.is_multiple_of(self.telemetry_every) {
-            self.ship_telemetry_frame();
-        }
-    }
-
-    /// Build one telemetry frame (metric deltas since the last frame,
-    /// structured events not yet shipped, convergence state) and hand
-    /// it to the attached store — or, without one, send it to node 0,
-    /// which aggregates on the cluster's behalf.
-    fn ship_telemetry_frame(&mut self) {
-        let Some(shipper) = self.shipper.as_mut() else {
-            return;
-        };
-        let frame = shipper.frame(self.id, self.best_len, self.c_clk_calls.get(), self.stalled);
-        if let Some(store) = &self.telemetry {
-            store.ingest(&frame);
-        } else if self.id != 0 {
-            let _ = self.transport.send(0, frame);
-        }
     }
 
     /// One CLK call: full LK optimization plus the engine's internal
@@ -455,7 +392,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// The other half of a step, everything from reading the inbox on:
-    /// select, broadcast or forward, termination, telemetry — or the
+    /// select, broadcast or forward, termination — or the
     /// early exit [`NodeDriver::search`] chose. Returns what
     /// [`NodeDriver::step`] returns.
     pub(crate) fn settle(&mut self, searched: Searched) -> bool {
@@ -671,10 +608,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             self.finishing_touches();
             return false;
         }
-        // Close the round span *before* shipping so this round's span
-        // event rides in this round's frame, not the next one's.
         round_span.end();
-        self.maybe_ship_telemetry();
         true
     }
 
@@ -752,14 +686,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                     let _ = self.transport.send(from, pong);
                 }
                 Message::Pong { .. } => {}
-                // A peer shipped its live telemetry here because this
-                // is node 0: merge it into the attached store. Without a store the frame is
-                // dropped — telemetry is best-effort by design.
-                m @ Message::Telemetry { .. } => {
-                    if let Some(store) = &self.telemetry {
-                        store.ingest(&m);
-                    }
-                }
                 // Shard results belong to the sharded driver's
                 // collector loop (`crate::shard`); a replicated-search
                 // node receiving one ignores it.
@@ -901,12 +827,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         self.into_result(true)
     }
 
-    fn into_result(mut self, aborted: bool) -> NodeResult {
-        // One last frame so the live view converges to the final state
-        // (a crash ships nothing — exactly like a killed process).
-        if !aborted {
-            self.ship_telemetry_frame();
-        }
+    fn into_result(self, aborted: bool) -> NodeResult {
         NodeResult {
             id: self.id,
             best_length: self.best_len,

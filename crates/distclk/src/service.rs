@@ -764,9 +764,6 @@ impl Supervisor {
             },
             target_length: spec.target,
         };
-        // Telemetry shipping would address frames to a hub peer that
-        // does not exist on the job's private network.
-        engine.telemetry_every = 0;
         let (tx, rx) = channel();
         let state = JobState {
             engine,

@@ -1,14 +1,11 @@
 //! distclk integration tests: the deterministic lockstep driver as a
 //! test harness for the algorithm's cooperative semantics.
 
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
-use distclk::{
-    run_lockstep, run_lockstep_telemetry_over, DistConfig, NodeDriver, NodeEvent, NodeResult,
-    TelemetryAttach,
-};
+use distclk::{run_lockstep, run_lockstep_over, DistConfig, NodeDriver, NodeEvent, NodeResult};
 use lk::{Budget, KickStrategy};
-use p2p::{InMemoryNetwork, TelemetryStore, Topology};
+use p2p::{InMemoryNetwork, Topology};
 use tsp_core::{generate, Instance, NeighborLists};
 
 fn base_cfg(nodes: usize, calls: u64, seed: u64) -> DistConfig {
@@ -190,22 +187,12 @@ fn round_robin(
     inst: &Instance,
     nl: &NeighborLists,
     cfg: &DistConfig,
-    attach: Option<TelemetryAttach>,
 ) -> (Vec<NodeResult>, (u64, u64, u64)) {
     let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-    let store = TelemetryStore::shared();
     let mut live: Vec<Option<NodeDriver<'_, _>>> = endpoints
         .into_iter()
         .map(|ep| {
             let mut node = NodeDriver::new(inst, nl, cfg, ep);
-            let covered = match attach {
-                Some(TelemetryAttach::AllNodes) => true,
-                Some(TelemetryAttach::NodeZero) => node.id() == 0,
-                None => false,
-            };
-            if covered {
-                node.attach_telemetry(Arc::clone(&store));
-            }
             node.step();
             Some(node)
         })
@@ -240,9 +227,9 @@ fn without_secs(events: &[NodeEvent]) -> Vec<NodeEvent> {
 
 /// `run_lockstep` runs each round's CLK calls in parallel and settles
 /// the nodes in id order; that must be the serial round-robin schedule
-/// exactly: the same tours, counters, hub views, event logs and
-/// message triple, for every topology, forwarding on and off, diverse
-/// constructions, a target-terminated run and both telemetry shapes.
+/// exactly: the same tours, counters, event logs and message triple,
+/// for every topology, forwarding on and off, diverse constructions and
+/// a target-terminated run.
 #[test]
 fn lockstep_rounds_equal_round_robin_steps() {
     let uniform = generate::uniform(120, 100_000.0, 31);
@@ -251,13 +238,7 @@ fn lockstep_rounds_equal_round_robin_steps() {
     let grid_nl = NeighborLists::build(&grid, 8);
     let optimum = grid.known_optimum().expect("grid optimum");
 
-    let mut cases: Vec<(
-        &str,
-        &Instance,
-        &NeighborLists,
-        DistConfig,
-        Option<TelemetryAttach>,
-    )> = Vec::new();
+    let mut cases: Vec<(&str, &Instance, &NeighborLists, DistConfig)> = Vec::new();
     let mut seed = 0;
     for topology in [
         Topology::Hypercube,
@@ -270,58 +251,26 @@ fn lockstep_rounds_equal_round_robin_steps() {
             let mut cfg = base_cfg(8, 5, seed);
             cfg.topology = topology;
             cfg.forward_received = forward_received;
-            cases.push(("topology", &uniform, &uniform_nl, cfg, None));
+            cases.push(("topology", &uniform, &uniform_nl, cfg));
         }
     }
     let mut diverse = base_cfg(8, 5, 9);
     diverse.diversify_construction = true;
-    cases.push((
-        "diversify_construction",
-        &uniform,
-        &uniform_nl,
-        diverse,
-        None,
-    ));
+    cases.push(("diversify_construction", &uniform, &uniform_nl, diverse));
     let mut target = base_cfg(4, 10_000, 10);
     target.clk_kicks_per_call = 30;
     target.budget = Budget::kicks(10_000).with_target(optimum);
-    cases.push(("target", &grid, &grid_nl, target, None));
-    let mut all_nodes = base_cfg(4, 5, 11);
-    all_nodes.telemetry_every = 1;
-    cases.push((
-        "telemetry all nodes",
-        &uniform,
-        &uniform_nl,
-        all_nodes,
-        Some(TelemetryAttach::AllNodes),
-    ));
-    let mut hub_only = base_cfg(4, 5, 12);
-    hub_only.topology = Topology::Complete;
-    hub_only.telemetry_every = 1;
-    cases.push((
-        "telemetry node 0",
-        &uniform,
-        &uniform_nl,
-        hub_only,
-        Some(TelemetryAttach::NodeZero),
-    ));
+    cases.push(("target", &grid, &grid_nl, target));
 
-    for (name, inst, nl, cfg, attach) in cases {
+    for (name, inst, nl, cfg) in cases {
         let what = format!(
             "{name} {:?} forward={} seed {}",
             cfg.topology, cfg.forward_received, cfg.seed
         );
         let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-        let telemetry = attach.map(|a| (TelemetryStore::shared(), a));
-        let got = run_lockstep_telemetry_over(inst, nl, &cfg, endpoints, Some(stats), telemetry);
-        let (want, messages) = round_robin(inst, nl, &cfg, attach);
-        // Telemetry frames that cross the wire carry clock readings as
-        // JSONL text, so their byte count varies from run to run.
-        let (mut got_messages, mut want_messages) = (got.messages, messages);
-        if attach == Some(TelemetryAttach::NodeZero) {
-            (got_messages.1, want_messages.1) = (0, 0);
-        }
-        assert_eq!(got_messages, want_messages, "{what}: message triple");
+        let got = run_lockstep_over(inst, nl, &cfg, endpoints, Some(stats));
+        let (want, messages) = round_robin(inst, nl, &cfg);
+        assert_eq!(got.messages, messages, "{what}: message triple");
         assert_eq!(got.nodes.len(), want.len(), "{what}");
         for (g, w) in got.nodes.iter().zip(&want) {
             let node = format!("{what}, node {}", w.id);
@@ -361,4 +310,38 @@ fn lockstep_rounds_equal_round_robin_steps() {
             );
         }
     }
+}
+
+/// A tour migration shows in the merged event timelines as `node.round`
+/// spans of several nodes sharing one broadcast id. Checked on a seeded
+/// lockstep run, where it is deterministic: on a small grid every node
+/// can reach the optimum by itself and nothing migrates.
+#[test]
+fn adopted_broadcasts_correlate_round_spans_across_nodes() {
+    let inst = generate::uniform(300, 100_000.0, 7);
+    let nl = NeighborLists::build(&inst, 8);
+    let cfg = DistConfig {
+        nodes: 4,
+        budget: Budget::kicks(40),
+        clk_kicks_per_call: 2,
+        // Distinct starting tours: early broadcasts improve peers, who
+        // adopt them, so a broadcast id shows up on several nodes.
+        diversify_construction: true,
+        seed: 1,
+        ..Default::default()
+    };
+    let res = run_lockstep(&inst, &nl, &cfg);
+    let per_node: Vec<_> = res.nodes.iter().map(|n| n.obs_events.clone()).collect();
+    let events = obs::merge_timelines(&per_node);
+
+    let mut by_bcast: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.kind == "node.round") {
+        if let Some(b) = e.field_u64("bcast") {
+            by_bcast.entry(b).or_default().insert(e.node);
+        }
+    }
+    assert!(
+        by_bcast.values().any(|nodes| nodes.len() >= 2),
+        "no broadcast id on the round spans of two nodes: {by_bcast:?}"
+    );
 }

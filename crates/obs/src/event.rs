@@ -1,5 +1,5 @@
 //! Structured events: per-node ring-buffered records with a JSONL
-//! serializer and a matching parser (round-trip tested).
+//! serializer.
 //!
 //! Events are the "what happened when" side of observability — the
 //! metrics registry answers *how much/how long*, the event log answers
@@ -16,9 +16,9 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// A field value. Non-negative integers normalize to `U` so that a
-/// serialize → parse round trip is identity (JSON has one number
-/// type).
+/// A field value. Non-negative integers normalize to `U` (JSON has one
+/// number type), so equal numbers compare equal whichever way they
+/// were recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned integer.
@@ -138,9 +138,9 @@ impl Event {
                     let _ = write!(out, "{x}");
                 }
                 Value::F(x) => {
-                    // `{}` prints the shortest representation that
+                    // `{:?}` prints the shortest representation that
                     // round-trips exactly; NaN/inf are not valid JSON,
-                    // so they are emitted as null and parse back as 0.
+                    // so they are emitted as null.
                     if x.is_finite() {
                         let _ = write!(out, "{x:?}");
                     } else {
@@ -153,46 +153,6 @@ impl Event {
         }
         out.push('}');
         out
-    }
-
-    /// Parse one JSONL line produced by [`Event::to_jsonl`] (a flat
-    /// JSON object with number/string/bool/null values).
-    pub fn from_jsonl(line: &str) -> Result<Event, String> {
-        let mut p = JsonParser::new(line);
-        let pairs = p.object()?;
-        let mut t_ns = None;
-        let mut node = None;
-        // Older logs predate the seq key; default to 0 on parse.
-        let mut seq = 0;
-        let mut kind = None;
-        let mut fields = Vec::new();
-        for (k, v) in pairs {
-            match k.as_str() {
-                "t_ns" => t_ns = Some(value_u64(&v).ok_or("t_ns not unsigned")?),
-                "node" => node = Some(value_u64(&v).ok_or("node not unsigned")? as u32),
-                "seq" => seq = value_u64(&v).ok_or("seq not unsigned")?,
-                "kind" => match v {
-                    Value::S(s) => kind = Some(s),
-                    _ => return Err("kind not a string".into()),
-                },
-                _ => fields.push((Cow::Owned(k), v)),
-            }
-        }
-        Ok(Event {
-            t_ns: t_ns.ok_or("missing t_ns")?,
-            node: node.ok_or("missing node")?,
-            seq,
-            kind: Cow::Owned(kind.ok_or("missing kind")?),
-            fields,
-        })
-    }
-}
-
-fn value_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U(x) => Some(*x),
-        Value::I(x) if *x >= 0 => Some(*x as u64),
-        _ => None,
     }
 }
 
@@ -213,177 +173,6 @@ pub(crate) fn json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Minimal parser for the flat JSON objects this module emits.
-struct JsonParser<'a> {
-    s: &'a [u8],
-    at: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            s: s.as_bytes(),
-            at: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.at < self.s.len() && (self.s[self.at] as char).is_ascii_whitespace() {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.at < self.s.len() && self.s[self.at] == c {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.at))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.at).copied()
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value()?;
-            out.push((key, val));
-            match self.peek() {
-                Some(b',') => {
-                    self.at += 1;
-                }
-                Some(b'}') => {
-                    self.at += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-            }
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.s.get(self.at) else {
-                return Err("unterminated string".into());
-            };
-            self.at += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.at) else {
-                        return Err("dangling escape".into());
-                    };
-                    self.at += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.at..self.at + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.at += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy the raw bytes through.
-                b => {
-                    // Find the full char starting at at-1.
-                    let start = self.at - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self.s.get(start..end).ok_or("truncated utf-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.at = end;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'"' => Ok(Value::S(self.string()?)),
-            b't' => self.literal("true", Value::B(true)),
-            b'f' => self.literal("false", Value::B(false)),
-            b'n' => self.literal("null", Value::U(0)),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.s[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.at))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.at;
-        while self
-            .s
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.at]).map_err(|e| e.to_string())?;
-        if text.is_empty() {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Value::I(v));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
-
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 /// A bounded ring of events. Single writer per node in practice, but
@@ -474,14 +263,6 @@ pub fn write_jsonl<W: std::io::Write>(w: &mut W, events: &[Event]) -> std::io::R
     Ok(())
 }
 
-/// Parse a JSONL document (ignoring blank lines) back into events.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(Event::from_jsonl)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,8 +280,10 @@ mod tests {
         }
     }
 
+    /// The exact line for every value kind, with the escapes a string
+    /// needs: quotes, backslash and newline.
     #[test]
-    fn jsonl_round_trip_preserves_fields() {
+    fn jsonl_line_is_pinned() {
         let e = ev(
             "broadcast",
             vec![
@@ -512,13 +295,16 @@ mod tests {
                 ("peer", Value::S("node \"7\"\n\\end".to_string())),
             ],
         );
-        let line = e.to_jsonl();
-        let back = Event::from_jsonl(&line).expect("parse back");
-        assert_eq!(back, e);
+        assert_eq!(
+            e.to_jsonl(),
+            r#"{"t_ns":123456789,"node":3,"seq":0,"kind":"broadcast","tour_id":244837814042690,"len":987654,"delta":-42,"frac":0.125,"local":true,"peer":"node \"7\"\n\\end"}"#
+        );
     }
 
+    /// Integer extremes, tiny floats, non-ASCII text (written as is),
+    /// control characters (escaped) and non-finite floats (`null`).
     #[test]
-    fn jsonl_round_trip_extremes() {
+    fn jsonl_line_extremes_are_pinned() {
         let e = ev(
             "edge",
             vec![
@@ -527,29 +313,31 @@ mod tests {
                 ("min_i", Value::I(i64::MIN)),
                 ("tiny", Value::F(1e-300)),
                 ("unicode", Value::S("héllo ☃".to_string())),
+                ("ctl", Value::S("a\tb\rc\u{1}".to_string())),
+                ("nan", Value::F(f64::NAN)),
+                ("inf", Value::F(f64::NEG_INFINITY)),
             ],
         );
-        let back = Event::from_jsonl(&e.to_jsonl()).unwrap();
-        assert_eq!(back, e);
+        assert_eq!(
+            e.to_jsonl(),
+            r#"{"t_ns":123456789,"node":3,"seq":0,"kind":"edge","zero":0,"max":18446744073709551615,"min_i":-9223372036854775808,"tiny":1e-300,"unicode":"héllo ☃","ctl":"a\tb\rc\u0001","nan":null,"inf":null}"#
+        );
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(Event::from_jsonl("").is_err());
-        assert!(Event::from_jsonl("{\"t_ns\":1}").is_err()); // missing node/kind
-        assert!(Event::from_jsonl("not json").is_err());
-        assert!(Event::from_jsonl("{\"t_ns\":1,\"node\":0,\"kind\":7}").is_err());
-    }
-
-    #[test]
-    fn jsonl_document_round_trip() {
+    fn jsonl_document_is_one_line_per_event() {
         let events = vec![ev("a", vec![("x", Value::U(1))]), ev("b", vec![])];
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &events).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        let back = parse_jsonl(&text).unwrap();
-        assert_eq!(back, events);
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            concat!(
+                r#"{"t_ns":123456789,"node":3,"seq":0,"kind":"a","x":1}"#,
+                "\n",
+                r#"{"t_ns":123456789,"node":3,"seq":0,"kind":"b"}"#,
+                "\n",
+            )
+        );
     }
 
     #[test]
@@ -570,18 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn seq_survives_jsonl_round_trip() {
+    fn seq_is_serialized() {
         let ring = EventRing::with_capacity(8);
         for _ in 0..3 {
             ring.record(ev("tick", vec![]));
         }
         let evs = ring.events();
         assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
-        let line = evs[2].to_jsonl();
-        assert!(line.contains("\"seq\":2"), "{line}");
-        assert_eq!(Event::from_jsonl(&line).unwrap(), evs[2]);
-        // A pre-seq log line parses with seq defaulting to 0.
-        let legacy = Event::from_jsonl("{\"t_ns\":5,\"node\":1,\"kind\":\"x\"}").unwrap();
-        assert_eq!(legacy.seq, 0);
+        assert_eq!(
+            evs[2].to_jsonl(),
+            r#"{"t_ns":123456789,"node":3,"seq":2,"kind":"tick"}"#
+        );
     }
 }

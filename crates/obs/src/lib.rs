@@ -10,7 +10,7 @@
 //!   [`MetricsSnapshot`] merge for cross-node aggregation and a
 //!   Prometheus text exposition writer.
 //! - [`event`] — per-node ring-buffered structured [`Event`]s
-//!   (`t_ns`, `node`, `kind`, fields) with a JSONL sink and parser.
+//!   (`t_ns`, `node`, `kind`, fields) with a JSONL sink.
 //! - [`Obs`] — the per-node handle the search and P2P layers carry:
 //!   cheap to clone, resolves metric handles once, stamps events with
 //!   nanoseconds since creation.
@@ -39,7 +39,6 @@
 //! assert_eq!(obs.snapshot().counter("clk.calls"), 1);
 //! ```
 
-pub mod chrome;
 pub mod event;
 pub mod metrics;
 
@@ -140,8 +139,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use chrome::chrome_trace_json;
-pub use event::{parse_jsonl, write_jsonl, Event, EventRing, Value};
+pub use event::{write_jsonl, Event, EventRing, Value};
 pub use metrics::{
     bucket_of, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
     Registry, HIST_BUCKETS,
@@ -263,8 +261,8 @@ impl Obs {
 
     /// Snapshot the metrics registry (empty when disabled). The event
     /// ring's eviction count is exported as the `obs.events_dropped`
-    /// counter, so overflow is visible in scrapes and merged cluster
-    /// views, not only via the Rust API.
+    /// counter, so overflow is visible in the Prometheus text and in
+    /// merged snapshots, not only via the Rust API.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(i) = self.inner.as_ref() else {
             return MetricsSnapshot::default();
@@ -299,8 +297,7 @@ impl Obs {
 
     /// Open a root span named `kind`. The span records one event on
     /// [`Span::end`] (or drop) carrying its id, parent id, duration,
-    /// and optional broadcast-id correlation — see the [`chrome`]
-    /// module for the Perfetto-loadable export. No-op (id 0) when this
+    /// and optional broadcast-id correlation. No-op (id 0) when this
     /// handle is disabled.
     pub fn span(&self, kind: &'static str) -> Span {
         self.span_with_parent(kind, 0)
@@ -362,8 +359,8 @@ impl Span {
     }
 
     /// Correlate this span with a broadcast id (`p2p::broadcast_id`):
-    /// the exported trace groups spans sharing a `bcast` field across
-    /// nodes, which is how a tour's hub-to-leaf migration is followed.
+    /// spans sharing a `bcast` field across nodes' merged timelines are
+    /// how a tour's hub-to-leaf migration is followed.
     pub fn correlate_broadcast(&mut self, bcast: u64) {
         self.bcast = Some(bcast);
     }
@@ -425,24 +422,11 @@ impl Timer {
 /// with the same timestamp — a coarse clock, or two nodes observing
 /// the same instant — still land in one deterministic sequence (node
 /// id first, then the per-ring emission order). Timestamps from
-/// different nodes are each node's own monotonic clock; align them
-/// first with [`align_timeline`] when cross-node offsets are known.
+/// different nodes are each node's own monotonic clock.
 pub fn merge_timelines(per_node: &[Vec<Event>]) -> Vec<Event> {
     let mut all: Vec<Event> = per_node.iter().flatten().cloned().collect();
     all.sort_by_key(|e| (e.t_ns, e.node, e.seq));
     all
-}
-
-/// Shift event timestamps by per-node clock offsets: `offsets[node]`
-/// is the signed nanosecond correction to *add* to that node's local
-/// `t_ns` to land on the reference (hub) timeline. Nodes without an
-/// entry are left untouched; corrected values clamp at 0.
-pub fn align_timeline(events: &mut [Event], offsets: &std::collections::BTreeMap<u32, i64>) {
-    for e in events.iter_mut() {
-        if let Some(&off) = offsets.get(&e.node) {
-            e.t_ns = (e.t_ns as i128 + off as i128).clamp(0, u64::MAX as i128) as u64;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,37 +495,6 @@ mod tests {
         // Deterministic under any per-node input permutation.
         let merged2 = merge_timelines(&[b, a]);
         assert_eq!(merged, merged2);
-    }
-
-    #[test]
-    fn align_timeline_applies_signed_offsets() {
-        use std::borrow::Cow;
-        use std::collections::BTreeMap;
-        let mut events = vec![
-            Event {
-                t_ns: 1_000,
-                node: 0,
-                seq: 0,
-                kind: Cow::Borrowed("x"),
-                fields: vec![],
-            },
-            Event {
-                t_ns: 1_000,
-                node: 1,
-                seq: 0,
-                kind: Cow::Borrowed("y"),
-                fields: vec![],
-            },
-        ];
-        let mut offsets = BTreeMap::new();
-        offsets.insert(1u32, -400i64);
-        align_timeline(&mut events, &offsets);
-        assert_eq!(events[0].t_ns, 1_000, "no offset entry: untouched");
-        assert_eq!(events[1].t_ns, 600);
-        // Underflow clamps at zero instead of wrapping.
-        offsets.insert(1, -10_000);
-        align_timeline(&mut events, &offsets);
-        assert_eq!(events[1].t_ns, 0);
     }
 
     #[test]

@@ -326,44 +326,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The change since `base`: counters and histogram buckets
-    /// subtract (saturating — a restarted node whose counters went
-    /// backwards reports zero, not a huge wrap), gauges keep their
-    /// current absolute value (a gauge *is* a point-in-time reading,
-    /// so an ingester replaces rather than adds them). Shipping deltas
-    /// instead of absolutes is what lets a hub add frames from many
-    /// nodes into one live cluster registry without double-counting
-    /// earlier shipments: for counters and histograms,
-    /// `base.merge(&delta)` reconstructs `self`.
-    pub fn delta(&self, base: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.saturating_sub(base.counter(k))))
-            .collect();
-        let gauges = self.gauges.clone();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let mut d = h.clone();
-                if let Some(b) = base.histograms.get(k) {
-                    for (x, y) in d.buckets.iter_mut().zip(b.buckets.iter()) {
-                        *x = x.saturating_sub(*y);
-                    }
-                    d.count = d.count.saturating_sub(b.count);
-                    d.sum = d.sum.saturating_sub(b.sum);
-                }
-                (k.clone(), d)
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -588,37 +550,6 @@ mod tests {
         }
         assert_eq!(*counts.last().unwrap(), 8);
         assert!(text.contains("h_count 8"));
-    }
-
-    #[test]
-    fn delta_subtracts_and_merge_reconstructs() {
-        let reg = Registry::new();
-        let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
-        c.add(10);
-        g.set(5);
-        h.observe(3);
-        let base = reg.snapshot();
-        c.add(7);
-        g.set(-2);
-        h.observe(3);
-        h.observe(100);
-        let now = reg.snapshot();
-        let d = now.delta(&base);
-        assert_eq!(d.counter("c"), 7);
-        assert_eq!(d.gauges["g"], -2, "gauges ship absolute values");
-        assert_eq!(d.histogram("h").unwrap().count, 2);
-        assert_eq!(d.histogram("h").unwrap().sum, 103);
-        // Counter/histogram reconstruction: base + delta == now.
-        let mut rebuilt = base.clone();
-        rebuilt.merge(&d);
-        assert_eq!(rebuilt.counters, now.counters);
-        assert_eq!(rebuilt.histograms, now.histograms);
-        // A fresh registry (restart) deltas to zero, not to a wrap.
-        let empty = MetricsSnapshot::default();
-        let d2 = empty.delta(&now);
-        assert!(d2.counters.is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Frames are length-prefixed: a `u32` (LE) payload length, then the
 //! payload — a `u8` tag and the message's fields in declaration order,
-//! fixed-width little-endian. Node ids travel as `u64`; tour orders,
-//! byte sections and metric sections as a `u32` count
-//! followed by their items.
+//! fixed-width little-endian. Node ids travel as `u64`; tour orders
+//! and byte sections as a `u32` count followed by their items.
+//!
+//! Tags 6 to 10 are retired; 11 frame types are live.
 //!
 //! Each frame's layout is stated once for output and once for input.
 //! `put` writes it into a `Sink`: the frame buffer in [`encode`], a
@@ -27,10 +28,10 @@ const TAG_PING: u8 = 4;
 const TAG_PONG: u8 = 5;
 // Tags 6 and 7 carried the retired rejoin-resync frames (the best-tour
 // request and its reply), tags 8 and 9 the retired hub-election frames
-// (the hub claim and the membership-log snapshot). They are never
-// reassigned, so an old peer's frame is refused as an unknown tag
-// instead of being misread as another one.
-const TAG_TELEMETRY: u8 = 10;
+// (the hub claim and the membership-log snapshot), tag 10 the retired
+// wire-telemetry shipment. They are never reassigned, so an old peer's
+// frame is refused as an unknown tag instead of being misread as
+// another one.
 const TAG_SHARD_RESULT: u8 = 11;
 const TAG_JOB_SUBMIT: u8 = 12;
 const TAG_JOB_ACCEPT: u8 = 13;
@@ -44,10 +45,6 @@ const MAX_JOB_REASON: u8 = 3;
 
 /// Job payload kinds accepted on the wire (1 = TSPLIB, 2 = JSON).
 const MAX_PAYLOAD_KIND: u8 = 2;
-
-/// Longest accepted metric name inside a Telemetry frame (real names
-/// are short dotted paths like `node.clk_calls`).
-const MAX_METRIC_NAME: usize = 256;
 
 /// Maximum accepted payload (guards against corrupt length prefixes):
 /// a tour of 10 million cities is ~40 MB.
@@ -95,12 +92,6 @@ pub(crate) trait Sink {
         }
         self
     }
-
-    /// A metric name: `u16` length, then its UTF-8 bytes.
-    fn name(&mut self, name: &str) -> &mut Self {
-        self.bytes(&(name.len() as u16).to_le_bytes())
-            .bytes(name.as_bytes())
-    }
 }
 
 impl Sink for Vec<u8> {
@@ -136,29 +127,6 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
         Message::Leave { from } => s.u8(TAG_LEAVE).node(*from),
         Message::Ping { from } => s.u8(TAG_PING).node(*from),
         Message::Pong { from, t_ns } => s.u8(TAG_PONG).node(*from).u64(*t_ns),
-        Message::Telemetry {
-            from,
-            t_ns,
-            rtt_ns,
-            best_len,
-            clk_calls,
-            stalled,
-            counters,
-            gauges,
-            events_jsonl,
-        } => {
-            s.u8(TAG_TELEMETRY).node(*from).u64(*t_ns).u64(*rtt_ns);
-            s.i64(*best_len).u64(*clk_calls).u8(*stalled as u8);
-            s.u32(counters.len() as u32);
-            for (name, v) in counters {
-                s.name(name).u64(*v);
-            }
-            s.u32(gauges.len() as u32);
-            for (name, v) in gauges {
-                s.name(name).i64(*v);
-            }
-            s.blob(events_jsonl)
-        }
         Message::ShardResult { from, shard, length, order } => {
             s.u8(TAG_SHARD_RESULT).node(*from).u32(*shard).i64(*length).order(order)
         }
@@ -224,17 +192,6 @@ pub fn decode(payload: &[u8]) -> Result<Message, NetError> {
         TAG_PONG => Message::Pong {
             from: r.node()?,
             t_ns: r.u64()?,
-        },
-        TAG_TELEMETRY => Message::Telemetry {
-            from: r.node()?,
-            t_ns: r.u64()?,
-            rtt_ns: r.u64()?,
-            best_len: r.i64()?,
-            clk_calls: r.u64()?,
-            stalled: r.code(0, 1)? == 1,
-            counters: r.section(Reader::u64)?,
-            gauges: r.section(Reader::i64)?,
-            events_jsonl: r.blob()?,
         },
         TAG_SHARD_RESULT => Message::ShardResult {
             from: r.node()?,
@@ -368,28 +325,6 @@ impl<'a> Reader<'a> {
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
     }
-
-    /// One `(name, value)` section of a Telemetry payload: a `u32` entry
-    /// count, then per entry a `u16`-length-prefixed UTF-8 name of at
-    /// most [`MAX_METRIC_NAME`] bytes and a value read by `value`.
-    fn section<T>(
-        &mut self,
-        value: impl Fn(&mut Self) -> Result<T, NetError>,
-    ) -> Result<Vec<(String, T)>, NetError> {
-        // Each entry is at least 2 (name length) + 8 (value) bytes.
-        let n = self.count(2 + 8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = u16::from_le_bytes(self.array()?) as usize;
-            if len > MAX_METRIC_NAME {
-                return Err(NetError::Codec(format!("metric name too long ({len})")));
-            }
-            let name = std::str::from_utf8(self.take(len)?)
-                .map_err(|_| NetError::Codec("metric name not UTF-8".into()))?;
-            out.push((name.to_string(), value(self)?));
-        }
-        Ok(out)
-    }
 }
 
 fn truncated() -> NetError {
@@ -457,73 +392,6 @@ mod tests {
             from: 4,
             t_ns: u64::MAX - 1,
         });
-    }
-
-    fn sample_telemetry() -> Message {
-        Message::Telemetry {
-            from: 3,
-            t_ns: 1_000_000_007,
-            rtt_ns: 42_000,
-            best_len: -27686,
-            clk_calls: 512,
-            stalled: true,
-            counters: vec![
-                ("clk.calls".to_string(), 512),
-                ("node.broadcasts".to_string(), 9),
-            ],
-            gauges: vec![("node.best_len".to_string(), -27686)],
-            events_jsonl: b"{\"t_ns\":1,\"node\":3,\"seq\":0,\"kind\":\"clk.stall\"}\n".to_vec(),
-        }
-    }
-
-    #[test]
-    fn roundtrip_telemetry() {
-        roundtrip(sample_telemetry());
-        // Empty sections are a legal (idle-node) shipment.
-        roundtrip(Message::Telemetry {
-            from: 0,
-            t_ns: 0,
-            rtt_ns: 0,
-            best_len: i64::MAX,
-            clk_calls: 0,
-            stalled: false,
-            counters: vec![],
-            gauges: vec![],
-            events_jsonl: vec![],
-        });
-    }
-
-    #[test]
-    fn rejects_corrupt_telemetry() {
-        let frame = encode(&sample_telemetry());
-        let payload = &frame[4..];
-        // Pristine payload decodes; every truncation prefix is rejected
-        // (never panics, never mis-decodes).
-        assert!(decode(payload).is_ok());
-        for cut in 1..payload.len() {
-            assert!(
-                decode(&payload[..cut]).is_err(),
-                "truncation at {cut} bytes accepted"
-            );
-        }
-        // Counter count overrunning the frame.
-        let mut bad = payload.to_vec();
-        let count_at = 1 + 8 * 5 + 1;
-        bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&bad).is_err());
-        // Oversized metric name length.
-        let mut bad = payload.to_vec();
-        bad[count_at + 4..count_at + 6]
-            .copy_from_slice(&(MAX_METRIC_NAME as u16 + 1).to_le_bytes());
-        assert!(decode(&bad).is_err());
-        // Non-UTF-8 metric name bytes.
-        let mut bad = payload.to_vec();
-        bad[count_at + 6] = 0xFF;
-        assert!(decode(&bad).is_err());
-        // Stall flag outside {0, 1}.
-        let mut bad = payload.to_vec();
-        bad[count_at - 1] = 7;
-        assert!(decode(&bad).is_err());
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! the reverse edges — so early nodes start with sparse lists that fill
 //! in as the cube completes, exactly as the paper describes.
 //!
-//! After bootstrap the same [`LifecycleHub`] keeps serving scrapes of
-//! the telemetry plane (`METRICS`/`STATUS`) and job admission (`JOB`).
-//! Frames reach its store in-process ([`LifecycleHub::telemetry`]);
-//! nodes without a store ship theirs over the peer transport to node 0.
-//! Nobody repairs the topology after a death, the hub included
-//! (DESIGN.md §9).
+//! After bootstrap the same [`LifecycleHub`] keeps serving job admission
+//! (`JOB`); it serves `JOIN` and `JOB` only. Nobody repairs the topology
+//! after a death, the hub included (DESIGN.md §9).
 //!
 //! The hub protocol is a one-request/one-response text exchange
 //! (`JOIN <addr>` → `ID <id> EXPECT <n> NEIGHBORS <id>@<addr>;…`),
@@ -31,7 +28,6 @@ use obs::{Obs, Value};
 use crate::codec::{encode, read_frame};
 use crate::message::{Message, NodeId};
 use crate::tcp::TcpConfig;
-use crate::telemetry::TelemetryStore;
 use crate::topology::Topology;
 use crate::util::accept_loop;
 use crate::NetError;
@@ -140,13 +136,11 @@ pub trait JobHandler: Send + Sync {
 type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 
 /// The hub: it bootstraps the network and keeps serving after
-/// bootstrap, answering four commands, one text request line per
+/// bootstrap, answering two commands, one text request line per
 /// connection:
 ///
 /// - `JOIN <addr>` — bootstrap join: the node is assigned the lowest
 ///   free id and told which of its topology neighbors already joined;
-/// - `METRICS` / `STATUS` — scrapes of the cluster-merged telemetry
-///   store (Prometheus text and the per-node status table);
 /// - `JOB` — followed by one `JobSubmit` or `JobCancel` codec frame; the
 ///   connection is handed to the registered [`JobHandler`].
 ///
@@ -159,7 +153,6 @@ pub struct LifecycleHub {
     addr: SocketAddr,
     thread: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    telemetry: Arc<TelemetryStore>,
     jobs: JobHandlerSlot,
     obs: Obs,
 }
@@ -190,10 +183,8 @@ impl LifecycleHub {
             expected,
             complete: false,
         });
-        let telemetry = TelemetryStore::shared();
         let jobs: JobHandlerSlot = Arc::new(Mutex::new(None));
         let loop_stop = Arc::clone(&stop);
-        let conn_telemetry = Arc::clone(&telemetry);
         let conn_jobs = Arc::clone(&jobs);
         let conn_obs = obs.clone();
         let loop_obs = obs.clone();
@@ -205,9 +196,7 @@ impl LifecycleHub {
                     &loop_stop,
                     "p2p-hub-conn",
                     move |stream| {
-                        if let Err(e) =
-                            serve_lifecycle(stream, &state, &conn_telemetry, &conn_jobs, &conn_obs)
-                        {
+                        if let Err(e) = serve_lifecycle(stream, &state, &conn_jobs, &conn_obs) {
                             reject(&conn_obs, &e);
                         }
                     },
@@ -219,7 +208,6 @@ impl LifecycleHub {
             addr,
             thread: Some(thread),
             stop,
-            telemetry,
             jobs,
             obs,
         })
@@ -233,13 +221,6 @@ impl LifecycleHub {
     /// The hub's observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The hub's live telemetry registry: `METRICS`/`STATUS` scrapes
-    /// read from it. In-process runs clone the `Arc` and ingest frames
-    /// directly; the scrape commands serve exactly that view.
-    pub fn telemetry(&self) -> Arc<TelemetryStore> {
-        Arc::clone(&self.telemetry)
     }
 
     /// Register (or replace) the handler behind the `JOB` command.
@@ -279,14 +260,13 @@ fn reject(obs: &Obs, error: &dyn std::fmt::Display) {
 /// and no newline grows the line without bound.
 const MAX_REQUEST_LINE: u64 = 512;
 
-/// Serve one request (`JOIN` / `METRICS` / `STATUS` / `JOB`) under read and write deadlines (a `JOB` connection is handed
-/// to the registered [`JobHandler`], which manages its own deadlines
-/// from then on — result streams legitimately outlive the handshake
-/// timeout).
+/// Serve one request (`JOIN` / `JOB`) under read and write deadlines (a
+/// `JOB` connection is handed to the registered [`JobHandler`], which
+/// manages its own deadlines from then on — result streams legitimately
+/// outlive the handshake timeout).
 fn serve_lifecycle(
     stream: TcpStream,
     state: &Mutex<JoinState>,
-    telemetry: &TelemetryStore,
     jobs: &JobHandlerSlot,
     obs: &Obs,
 ) -> Result<(), NetError> {
@@ -369,20 +349,6 @@ fn serve_lifecycle(
                     Ok(())
                 }
             }
-        }
-        ["METRICS"] => {
-            // Prometheus text exposition of the cluster-merged view;
-            // the body ends when the hub closes the connection.
-            w.write_all(telemetry.prometheus_text().as_bytes())?;
-            w.flush()?;
-            obs.counter("hub.scrapes").incr();
-            Ok(())
-        }
-        ["STATUS"] => {
-            w.write_all(telemetry.status_text().as_bytes())?;
-            w.flush()?;
-            obs.counter("hub.scrapes").incr();
-            Ok(())
         }
         _ => Err(NetError::Codec(format!("bad hub request {line:?}"))),
     }
@@ -521,24 +487,6 @@ pub fn cancel_job(hub: SocketAddr, job: u64, cfg: &TcpConfig) -> Result<(), NetE
         "OK" => Ok(()),
         other => Err(NetError::Codec(format!("bad cancel reply {other:?}"))),
     }
-}
-
-/// Scrape the hub's cluster-merged metrics (`METRICS`): the body is
-/// Prometheus text exposition, terminated by connection close.
-pub fn scrape_metrics(hub: SocketAddr, cfg: &TcpConfig) -> Result<String, NetError> {
-    scrape(hub, "METRICS", cfg)
-}
-
-/// Scrape the hub's per-node convergence view (`STATUS`): one
-/// `NODE …` line per reporting node.
-pub fn scrape_status(hub: SocketAddr, cfg: &TcpConfig) -> Result<String, NetError> {
-    scrape(hub, "STATUS", cfg)
-}
-
-fn scrape(hub: SocketAddr, cmd: &str, cfg: &TcpConfig) -> Result<String, NetError> {
-    let (mut body, mut rest) = request(hub, cmd, None, cfg)?;
-    rest.read_to_string(&mut body)?;
-    Ok(body)
 }
 
 #[cfg(test)]
@@ -707,25 +655,15 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             writeln!(s, "{garbage}").unwrap();
         }
-        // The retired telemetry command is refused even with a
-        // well-formed frame behind it: no `OK <clock>` comes back.
-        let frame = Message::Telemetry {
-            from: 0,
-            t_ns: 10,
-            rtt_ns: 0,
-            best_len: 110,
-            clk_calls: 42,
-            stalled: false,
-            counters: vec![],
-            gauges: vec![],
-            events_jsonl: vec![],
-        };
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&[b"TELEMETRY\n".as_slice(), &encode(&frame)].concat())
-            .unwrap();
-        let mut reply = String::new();
-        let _ = s.read_to_string(&mut reply);
-        assert_eq!(reply, "", "the hub answered a telemetry frame");
+        // The retired telemetry commands are refused the same way, and
+        // none of them gets a reply body.
+        for retired in ["TELEMETRY\n", "METRICS\n", "STATUS\n"] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(retired.as_bytes()).unwrap();
+            let mut reply = String::new();
+            let _ = s.read_to_string(&mut reply);
+            assert_eq!(reply, "", "the hub answered {retired:?}");
+        }
         let a = join_via_hub(addr, "127.0.0.1:40020".parse().unwrap()).unwrap();
         let b = join_via_hub(addr, "127.0.0.1:40021".parse().unwrap()).unwrap();
         assert_eq!((a.id, b.id), (0, 1));
@@ -733,10 +671,10 @@ mod tests {
         hub.stop();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hub.joins"), 2);
-        assert_eq!(snap.counter("hub.rejects"), 5);
+        assert_eq!(snap.counter("hub.rejects"), 7);
         let events = obs.events();
         assert_eq!(events.iter().filter(|e| e.kind == "hub.join").count(), 2);
-        assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 5);
+        assert_eq!(events.iter().filter(|e| e.kind == "hub.reject").count(), 7);
         assert_eq!(
             events.iter().filter(|e| e.kind == "hub.complete").count(),
             1
@@ -841,59 +779,6 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
-    /// The live telemetry plane over real sockets: frames ingested into
-    /// the hub's store are scraped back, `METRICS` as the cluster-merged
-    /// Prometheus view and `STATUS` as the per-node convergence lines.
-    #[test]
-    fn telemetry_ingest_and_scrape_over_sockets() {
-        let mut hub = LifecycleHub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
-        let addr = hub.addr();
-        let cfg = TcpConfig::default();
-        hub.telemetry().set_reference(Some(100));
-
-        let f0 = Message::Telemetry {
-            from: 0,
-            t_ns: 10,
-            rtt_ns: 0,
-            best_len: 110,
-            clk_calls: 42,
-            stalled: false,
-            counters: vec![("clk.calls".into(), 42)],
-            gauges: vec![("node.best".into(), 110)],
-            events_jsonl: vec![],
-        };
-        let t0 = hub.telemetry().ingest(&f0).unwrap();
-        let f1 = Message::Telemetry {
-            from: 1,
-            t_ns: 11,
-            rtt_ns: 5,
-            best_len: 100,
-            clk_calls: 8,
-            stalled: true,
-            counters: vec![("clk.calls".into(), 8)],
-            gauges: vec![("node.best".into(), 100)],
-            events_jsonl: vec![],
-        };
-        let t1 = hub.telemetry().ingest(&f1).unwrap();
-        assert!(t1 >= t0, "hub clock went backwards: {t0} -> {t1}");
-
-        let metrics = scrape_metrics(addr, &cfg).unwrap();
-        assert!(metrics.contains("clk_calls 50"), "{metrics}");
-        assert!(metrics.contains("node_best 210"), "{metrics}");
-        assert!(metrics.contains("telemetry_nodes_reporting 2"), "{metrics}");
-        assert!(metrics.contains("telemetry_nodes_stalled 1"), "{metrics}");
-        let status = scrape_status(addr, &cfg).unwrap();
-        assert!(status.contains("NODE 0 BEST 110 GAP 10.0000"), "{status}");
-        assert!(status.contains("NODE 1 BEST 100 GAP 0.0000"), "{status}");
-        assert!(status
-            .lines()
-            .any(|l| l.starts_with("NODE 1") && l.contains("STALLED 1")));
-
-        // The in-process view is the same store the wire serves.
-        assert_eq!(hub.telemetry().nodes(), vec![0, 1]);
-        hub.stop();
-    }
-
     #[test]
     fn bootstrap_local_wires_full_topology() {
         let mut eps = bootstrap_local(4, Topology::Ring).unwrap();
@@ -915,7 +800,7 @@ mod tests {
     }
 
     /// The bootstrap hub is the lifecycle hub: after the last `JOIN` it
-    /// keeps answering scrapes instead of retiring.
+    /// keeps answering `JOB` instead of retiring.
     #[test]
     fn bootstrap_hub_keeps_serving_after_last_join() {
         let mut hub = LifecycleHub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
@@ -930,9 +815,9 @@ mod tests {
         // A fourth join finds the network full and is refused.
         assert!(join_via_hub_with(addr, "127.0.0.1:40059".parse().unwrap(), &cfg).is_err());
 
-        // No node has shipped telemetry yet, so the view is empty — but
-        // the scrape itself is served.
-        assert_eq!(scrape_status(addr, &cfg).unwrap(), "");
+        // No job service is attached, but the command itself is served.
+        let err = submit_job(addr, &sample_submit(1), &cfg).unwrap_err();
+        assert!(err.to_string().contains("no job service"), "{err}");
         hub.stop();
     }
 }

@@ -13,9 +13,9 @@
 //!   tests; message *semantics* are identical to TCP.
 //! - [`tcp`] — real TCP sockets with length-prefixed frames and a
 //!   hand-rolled binary codec ([`codec`]), plus the hub ([`hub`]): it
-//!   bootstraps the network (`JOIN`) and afterwards serves only the
-//!   telemetry plane and job admission. This is the deployment path the
-//!   paper's Java system used.
+//!   bootstraps the network (`JOIN`) and afterwards serves only job
+//!   admission (`JOB`). This is the deployment path the paper's Java
+//!   system used.
 //!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in
 //! [`topology`] for the ablation experiments. As in the paper, the
@@ -29,7 +29,6 @@ pub mod hub;
 pub mod memory;
 pub mod message;
 pub mod tcp;
-pub mod telemetry;
 pub mod topology;
 pub mod transport;
 pub mod util;
@@ -38,7 +37,6 @@ pub use fault::{FaultConfig, FaultyTransport};
 pub use memory::InMemoryNetwork;
 pub use message::{broadcast_id, job_id, Message, NodeId};
 pub use tcp::TcpConfig;
-pub use telemetry::{NodeTelemetry, TelemetryShipper, TelemetryStore};
 pub use topology::Topology;
 pub use transport::Transport;
 pub use util::wait_until;

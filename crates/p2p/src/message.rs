@@ -9,7 +9,8 @@
 /// the hypercube).
 pub type NodeId = usize;
 
-/// A protocol message.
+/// A protocol message: 11 frame types, one wire tag each (tags 6 to 10
+/// are retired, see [`crate::codec`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// An improved tour, broadcast to the sender's neighbors
@@ -50,49 +51,13 @@ pub enum Message {
         from: NodeId,
     },
     /// Liveness probe answer. Refreshes the sender's last-seen clock
-    /// on the receiving endpoint; the carried timestamp additionally
-    /// lets the prober estimate the responder's clock offset
-    /// (`t_remote - (t_send + rtt/2)`) for cross-node timeline
-    /// alignment.
+    /// on the receiving endpoint.
     Pong {
         /// Answering node.
         from: NodeId,
         /// The responder's local monotonic clock, in nanoseconds since
         /// its observability epoch (0 when observability is off).
         t_ns: u64,
-    },
-    /// Periodic live-telemetry shipment from a node to the cluster's
-    /// aggregation point (node 0 over the peer transport, or a store
-    /// that ingests in-process): metric deltas, recent events, and
-    /// anytime convergence state. The receiver folds these into its
-    /// cluster-merged live registry (`METRICS`/`STATUS` scrapes) and
-    /// estimates the sender's clock offset from `t_ns` + the measured
-    /// RTT.
-    Telemetry {
-        /// Reporting node.
-        from: NodeId,
-        /// Sender's local monotonic clock (ns since its observability
-        /// epoch) at send time.
-        t_ns: u64,
-        /// Round-trip time to the hub as last measured by the sender
-        /// (previous shipment ack, or the transport's Ping/Pong
-        /// probe); 0 when unknown.
-        rtt_ns: u64,
-        /// Anytime best tour length on this node.
-        best_len: i64,
-        /// CLK calls performed so far (the hub derives the iteration
-        /// rate from successive shipments).
-        clk_calls: u64,
-        /// Whether the stall detector is currently tripped (no
-        /// improvement for the configured window).
-        stalled: bool,
-        /// Counter increments since the previous shipment, by name.
-        counters: Vec<(String, u64)>,
-        /// Gauge readings (absolute, point-in-time), by name.
-        gauges: Vec<(String, i64)>,
-        /// Recent events serialized as JSONL (node-local timestamps;
-        /// the hub re-stamps them onto its own timeline).
-        events_jsonl: Vec<u8>,
     },
     /// A solved subregion of a sharded (divide-and-optimize) run: the
     /// sub-tour of one spatial shard, sent by the worker that solved it
@@ -220,7 +185,6 @@ impl Message {
             | Message::Leave { from }
             | Message::Ping { from }
             | Message::Pong { from, .. }
-            | Message::Telemetry { from, .. }
             | Message::ShardResult { from, .. }
             | Message::JobSubmit { from, .. }
             | Message::JobAccept { from, .. }
@@ -269,38 +233,6 @@ mod tests {
         assert_eq!(Message::Ping { from: 0 }.wire_size(), 9);
         // Pong additionally carries the responder's clock.
         assert_eq!(Message::Pong { from: 0, t_ns: 0 }.wire_size(), 17);
-    }
-
-    #[test]
-    fn telemetry_wire_size_counts_sections() {
-        let empty = Message::Telemetry {
-            from: 0,
-            t_ns: 0,
-            rtt_ns: 0,
-            best_len: 0,
-            clk_calls: 0,
-            stalled: false,
-            counters: vec![],
-            gauges: vec![],
-            events_jsonl: vec![],
-        };
-        // tag + 5×u64/i64 + bool + three u32 section lengths.
-        assert_eq!(empty.wire_size(), 1 + 5 * 8 + 1 + 3 * 4);
-        let loaded = Message::Telemetry {
-            from: 0,
-            t_ns: 0,
-            rtt_ns: 0,
-            best_len: 0,
-            clk_calls: 0,
-            stalled: true,
-            counters: vec![("ab".into(), 1)],
-            gauges: vec![("xyz".into(), -2)],
-            events_jsonl: b"{}\n".to_vec(),
-        };
-        assert_eq!(
-            loaded.wire_size() - empty.wire_size(),
-            (2 + 2 + 8) + (2 + 3 + 8) + 3
-        );
     }
 
     #[test]

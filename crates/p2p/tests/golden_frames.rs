@@ -9,16 +9,15 @@ use p2p::codec::{decode, encode};
 use p2p::Message;
 
 /// `(tag, frame length incl. the 4-byte prefix, FNV-1a-64 of the frame)`.
-/// Tags 6 and 7 (the retired rejoin-resync frames) and 8 and 9 (the
-/// retired hub-election frames) have no row: see
-/// [`retired_tags_are_refused`].
-const GOLDEN: [(u8, usize, u64); 12] = [
+/// Tags 6 and 7 (the retired rejoin-resync frames), 8 and 9 (the
+/// retired hub-election frames) and 10 (the retired wire-telemetry
+/// frame) have no row: see [`retired_tags_are_refused`].
+const GOLDEN: [(u8, usize, u64); 11] = [
     (1, 181, 0x9816_4a72_44eb_4aec),
     (2, 21, 0xe2f1_a3d8_c921_1cdf),
     (3, 13, 0xc97e_3bf5_16c6_3e5a),
     (4, 13, 0x26b0_0338_cfdd_1130),
     (5, 21, 0x356b_2c4a_831f_4dd9),
-    (10, 173, 0x16ae_c12b_9e3c_b3b6),
     (11, 73, 0x635a_f7ef_6d15_4b3b),
     (12, 95, 0x1831_4cf8_6426_baba),
     (13, 29, 0xe0a0_6bcb_6835_2d75),
@@ -54,17 +53,6 @@ fn samples() -> Vec<Message> {
         Message::Pong {
             from: 9,
             t_ns: u64::MAX - 11,
-        },
-        Message::Telemetry {
-            from: 14,
-            t_ns: 1_000_000_007,
-            rtt_ns: 42_000,
-            best_len: -27_686,
-            clk_calls: 512,
-            stalled: true,
-            counters: vec![("clk.calls".into(), 512), ("node.broadcasts".into(), 9)],
-            gauges: vec![("node.best_len".into(), -27_686)],
-            events_jsonl: b"{\"t_ns\":1,\"node\":14,\"seq\":0,\"kind\":\"clk.stall\"}\n".to_vec(),
         },
         Message::ShardResult {
             from: 15,
@@ -133,11 +121,12 @@ fn every_tag_is_sized_and_read_back_exactly() {
 
 /// Tags 6 and 7 carried the rejoin-resync frames (the best-tour request
 /// and its reply), tags 8 and 9 the hub-election frames (the hub claim
-/// and the membership-log snapshot). They stay retired: a payload
-/// starting with any of them is refused whatever follows — the old
-/// frames' own layouts (a node; a node, a tour id, a length and an
-/// order; a node and an epoch; a node and an empty entry list) and
-/// every live frame's body alike.
+/// and the membership-log snapshot), tag 10 the wire-telemetry shipment.
+/// They stay retired: a payload starting with any of them is refused
+/// whatever follows — the old frames' own layouts (a node; a node, a
+/// tour id, a length and an order; a node and an epoch; a node and an
+/// empty entry list; a telemetry shipment) and every live frame's body
+/// alike.
 #[test]
 fn retired_tags_are_refused() {
     let mut bodies: Vec<Vec<u8>> = samples().iter().map(|m| encode(m)[5..].to_vec()).collect();
@@ -155,10 +144,43 @@ fn retired_tags_are_refused() {
     );
     bodies.push([12u64.to_le_bytes(), 0x0123_4567_89ab_cdef_u64.to_le_bytes()].concat());
     bodies.push([&13u64.to_le_bytes()[..], &0u32.to_le_bytes()].concat());
-    for tag in [6u8, 7, 8, 9] {
+    bodies.push(old_telemetry_body());
+    for tag in [6u8, 7, 8, 9, 10] {
         for body in &bodies {
             let payload = [&[tag][..], body].concat();
             assert!(decode(&payload).is_err(), "tag {tag} decoded: {payload:?}");
         }
     }
+}
+
+/// The body (after the tag) of the last tag-10 sample: node, clock,
+/// round-trip time, best length, CLK calls and stall flag, then the
+/// counter and gauge sections (`u32` count; per entry a `u16`-prefixed
+/// name and an 8-byte value) and the `u32`-prefixed JSONL event bytes.
+fn old_telemetry_body() -> Vec<u8> {
+    fn entry(name: &str, value: [u8; 8]) -> Vec<u8> {
+        [
+            &(name.len() as u16).to_le_bytes()[..],
+            name.as_bytes(),
+            &value,
+        ]
+        .concat()
+    }
+    let events = b"{\"t_ns\":1,\"node\":14,\"seq\":0,\"kind\":\"clk.stall\"}\n";
+    [
+        &14u64.to_le_bytes()[..],
+        &1_000_000_007u64.to_le_bytes(),
+        &42_000u64.to_le_bytes(),
+        &(-27_686i64).to_le_bytes(),
+        &512u64.to_le_bytes(),
+        &[1],
+        &2u32.to_le_bytes(),
+        &entry("clk.calls", 512u64.to_le_bytes()),
+        &entry("node.broadcasts", 9u64.to_le_bytes()),
+        &1u32.to_le_bytes(),
+        &entry("node.best_len", (-27_686i64).to_le_bytes()),
+        &(events.len() as u32).to_le_bytes(),
+        events,
+    ]
+    .concat()
 }

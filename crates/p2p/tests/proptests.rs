@@ -34,7 +34,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             from: from as usize,
             t_ns,
         }),
-        arb_telemetry(),
         arb_job_message(),
     ]
 }
@@ -111,53 +110,6 @@ fn arb_job_message() -> impl Strategy<Value = Message> {
             }
         }),
     ]
-}
-
-/// Metric names on the wire: short ASCII dotted paths (UTF-8 by
-/// construction, under the codec's length cap).
-fn arb_metric_name() -> impl Strategy<Value = String> {
-    prop::collection::vec(0u8..38, 1..24).prop_map(|bytes| {
-        bytes
-            .into_iter()
-            .map(|b| match b {
-                0..=25 => (b'a' + b) as char,
-                26..=35 => (b'0' + b - 26) as char,
-                36 => '.',
-                _ => '_',
-            })
-            .collect()
-    })
-}
-
-fn arb_telemetry() -> impl Strategy<Value = Message> {
-    (
-        (any::<u16>(), any::<u64>(), any::<u64>()),
-        (any::<i64>(), any::<u64>(), any::<bool>()),
-        prop::collection::vec((arb_metric_name(), any::<u64>()), 0..12),
-        prop::collection::vec((arb_metric_name(), any::<i64>()), 0..12),
-        prop::collection::vec(any::<u8>(), 0..512),
-    )
-        .prop_map(
-            |(
-                (from, t_ns, rtt_ns),
-                (best_len, clk_calls, stalled),
-                counters,
-                gauges,
-                events_jsonl,
-            )| {
-                Message::Telemetry {
-                    from: from as usize,
-                    t_ns,
-                    rtt_ns,
-                    best_len,
-                    clk_calls,
-                    stalled,
-                    counters,
-                    gauges,
-                    events_jsonl,
-                }
-            },
-        )
 }
 
 proptest! {

@@ -12,9 +12,8 @@
 //!
 //! Every node prints its best tour length on exit; collect the minimum
 //! (the paper: "the best result … has to be collected from the local
-//! output of each node", §2.3). The hub keeps serving after bootstrap
-//! (`METRICS`/`STATUS`/`JOB`, see `p2p::hub`) until the process is
-//! killed.
+//! output of each node", §2.3). After bootstrap the hub serves `JOB`
+//! only (see `p2p::hub`) until the process is killed.
 
 use std::time::Duration;
 
