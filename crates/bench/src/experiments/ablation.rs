@@ -83,52 +83,6 @@ pub fn run(scale: &Scale) -> Report {
     );
     report.table(&["Candidate kind", "Mean best length"], &rows);
 
-    // 1b. Construction diversity extension: rotating constructions per
-    // node vs. everyone starting from the same deterministic QB tour.
-    let mut rows = Vec::new();
-    for diversify in [false, true] {
-        let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-        cfg.diversify_construction = diversify;
-        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB6, None));
-        let (label, variant) = if diversify {
-            ("rotating constructions", "rotating")
-        } else {
-            ("uniform Quick-Borůvka", "uniform")
-        };
-        rows.push(vec![label.to_string(), format!("{m:.0}")]);
-        csv.push(format!("diversity,{variant},{m:.1}"));
-    }
-    report.para("Initial-tour diversity across nodes (extension):");
-    report.table(&["Construction policy", "Mean best length"], &rows);
-
-    // 2a. Epidemic forwarding extension: on sparse topologies,
-    // relaying received improvements should help (on the hypercube the
-    // diameter is 3 and it barely matters — the paper's design point).
-    let mut rows = Vec::new();
-    for (topo, fwd) in [
-        (Topology::Hypercube, false),
-        (Topology::Hypercube, true),
-        (Topology::Ring, false),
-        (Topology::Ring, true),
-    ] {
-        let mut cfg = dist_config(scale, kick, scale.nodes, 0);
-        cfg.topology = topo;
-        cfg.forward_received = fwd;
-        let m = mean_best(&run_dist_many(&inst, &cfg, scale.runs, 0xB5, None));
-        let (label, variant) = if fwd {
-            (" + forwarding", "+fwd")
-        } else {
-            ("", "")
-        };
-        rows.push(vec![format!("{topo:?}{label}"), format!("{m:.0}")]);
-        csv.push(format!("forwarding,{topo:?}{variant},{m:.1}"));
-    }
-    report.para(
-        "Epidemic forwarding of received tours (extension beyond the paper's \
-         Fig. 1, which broadcasts only local improvements):",
-    );
-    report.table(&["Configuration", "Mean best length"], &rows);
-
     // 2b. Network latency: inject one-way delays to test the paper's
     // "communication cost is negligible" claim directly.
     let nl = NeighborLists::build(&inst, 10);

@@ -373,15 +373,15 @@ mod tests {
         use obs::Value;
         use p2p::Topology;
 
-        // Epidemic forwarding on a ring: a tour found at its origin
-        // must be traceable — by one broadcast id — through the
-        // structured event logs of every node that adopted it, and the
-        // id must still name its origin after any number of hops.
+        // Adoption is one hop: a node adopts only tours its neighbors
+        // found themselves (Fig. 1 broadcasts local improvements only),
+        // so every adopted broadcast id must name the node it came
+        // from, that node must have broadcast it, and it must be a
+        // static neighbor of the adopter.
         let inst = generate::uniform(100, 10_000.0, 306);
         let nl = NeighborLists::build(&inst, 8);
         let mut cfg = small_cfg(6, 6, 17);
         cfg.topology = Topology::Ring;
-        cfg.forward_received = true;
         let res = run_lockstep(&inst, &nl, &cfg);
 
         let field = |ev: &obs::Event, key: &str| -> Option<u64> {
@@ -391,45 +391,36 @@ mod tests {
             })
         };
 
-        // Collect every id that was adopted somewhere, and every id
-        // that was originated (node.broadcast) anywhere.
-        let mut adopted: Vec<(u64, u32)> = Vec::new(); // (tour_id, adopter)
-        let mut originated: Vec<u64> = Vec::new();
+        // Every adoption `(tour_id, sender, adopter)` and every
+        // broadcast `(tour_id, node)`.
+        let mut adopted: Vec<(u64, u64, usize)> = Vec::new();
+        let mut originated: Vec<(u64, usize)> = Vec::new();
         for n in &res.nodes {
             for ev in &n.obs_events {
+                let id = || field(ev, "tour_id").expect("event has a tour id");
                 match ev.kind.as_ref() {
                     "node.adopt" => {
-                        adopted.push((field(ev, "tour_id").expect("adopt has id"), ev.node));
+                        let from = field(ev, "from").expect("adopt has a sender");
+                        adopted.push((id(), from, n.id));
                     }
-                    "node.broadcast" => {
-                        originated.push(field(ev, "tour_id").expect("broadcast has id"));
-                    }
+                    "node.broadcast" => originated.push((id(), n.id)),
                     _ => {}
                 }
             }
         }
         assert!(!adopted.is_empty(), "cooperation produced no adoptions");
-        for (id, adopter) in &adopted {
-            let origin = (id >> 32) as u32;
+        for &(id, from, adopter) in &adopted {
+            let sender = from as usize;
+            assert_eq!(id >> 32, from, "id {id:#x} adopted from node {from}");
             assert!(
-                (origin as usize) < res.nodes.len(),
-                "id {id:#x} names origin {origin} outside the network"
+                originated.contains(&(id, sender)),
+                "adopted id {id:#x} was never broadcast by node {from}"
             );
-            assert_ne!(origin, *adopter, "a node adopted its own broadcast");
             assert!(
-                originated.contains(id),
-                "adopted id {id:#x} was never originated by a node.broadcast event"
+                cfg.topology.neighbors(adopter, cfg.nodes).contains(&sender),
+                "node {adopter} adopted from node {from}, not a neighbor"
             );
         }
-        // At least one tour crossed more than one hop: the same id
-        // adopted by two different nodes (the epidemic forward path).
-        let multi_hop = adopted
-            .iter()
-            .any(|(id, a)| adopted.iter().any(|(id2, a2)| id == id2 && a != a2));
-        assert!(
-            multi_hop,
-            "no broadcast id was adopted by more than one node on the ring"
-        );
     }
 
     #[test]

@@ -34,31 +34,17 @@ pub struct DistConfig {
     /// iterations; `linkern`'s default scales with n — ours is explicit
     /// so effort budgets are exact).
     pub clk_kicks_per_call: u64,
-    /// Diversity extension (off in the paper): node `i` constructs its
-    /// initial (and restart) tours with the `i % 4`-th construction
-    /// heuristic instead of everyone using Quick-Borůvka. All nodes
-    /// starting from the identical deterministic QB tour wastes the
-    /// early exchange rounds; rotating constructions seeds the network
-    /// with distinct local optima.
-    pub diversify_construction: bool,
-    /// Epidemic extension (off in the paper): re-forward a *received*
-    /// tour to the other neighbors when it improves this node's best.
-    /// The paper's Fig. 1 broadcasts only locally-found tours, which is
-    /// enough on a diameter-3 hypercube; on sparse topologies (ring)
-    /// forwarding spreads improvements network-wide in one round per
-    /// hop instead of one CLK call per hop.
-    pub forward_received: bool,
     /// Per-node budget. `max_kicks` counts CLK *calls* here; the target
     /// length doubles as the "known optimum" termination criterion.
     pub budget: Budget,
     /// Master seed; node `i` uses `seed * 1000003 + i`.
     pub seed: u64,
-    /// Consecutive non-improving rounds before the node flags itself
-    /// stalled: fires one `clk.stall` event, bumps the `clk.stalls`
-    /// counter, and stays flagged until the next improvement clears it.
-    /// `0` disables detection.
-    pub stall_window: u32,
 }
+
+/// Consecutive non-improving rounds before a node flags itself stalled:
+/// it fires one `clk.stall` event, bumps the `clk.stalls` counter, and
+/// stays flagged until the next improvement clears it.
+const STALL_WINDOW: u32 = 128;
 
 impl Default for DistConfig {
     fn default() -> Self {
@@ -70,11 +56,8 @@ impl Default for DistConfig {
             c_r: 256,
             use_dbm: true,
             clk_kicks_per_call: 20,
-            diversify_construction: false,
-            forward_received: false,
             budget: Budget::kicks(50),
             seed: 0,
-            stall_window: 128,
         }
     }
 }
@@ -170,7 +153,6 @@ pub struct NodeDriver<'a, T: Transport> {
     perturb: Perturbator,
     budget: Budget,
     clk_kicks_per_call: u64,
-    forward_received: bool,
     watch: Stopwatch,
     /// Time spent in construction, `search` and `settle` so far.
     busy: Duration,
@@ -195,8 +177,6 @@ pub struct NodeDriver<'a, T: Transport> {
     broadcast_seq: u32,
     last_strength: u32,
     terminated: bool,
-
-    stall_window: u32,
     stalled: bool,
 
     trace: Trace,
@@ -222,15 +202,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let obs = Obs::for_node(id as u32);
         let mut clk_cfg = cfg.clk.clone();
         clk_cfg.seed = cfg.seed.wrapping_mul(1_000_003).wrapping_add(id as u64);
-        if cfg.diversify_construction {
-            use lk::construct::Construction;
-            clk_cfg.construction = [
-                Construction::QuickBoruvka,
-                Construction::NearestNeighbor,
-                Construction::Greedy,
-                Construction::SpaceFilling,
-            ][id % 4];
-        }
         // The engine picks the representation by instance size: the
         // array in the node's labels below `tl_threshold`, the array on
         // Hilbert-ordered cities at or above it (same decisions, fewer
@@ -263,7 +234,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             perturb: Perturbator::new(cfg.c_v, cfg.c_r, cfg.use_dbm),
             budget: cfg.budget.clone(),
             clk_kicks_per_call: cfg.clk_kicks_per_call,
-            forward_received: cfg.forward_received,
             watch,
             busy: started.elapsed(),
             initial: Some(tour.clone()),
@@ -278,7 +248,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             broadcast_seq: 0,
             last_strength: 1,
             terminated: false,
-            stall_window: cfg.stall_window,
             stalled: false,
             trace,
             events,
@@ -323,7 +292,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// Whether the stall detector currently flags this node (no
-    /// improvement for `stall_window` consecutive rounds; cleared by
+    /// improvement for [`STALL_WINDOW`] consecutive rounds; cleared by
     /// the next improvement, local or received).
     pub fn stalled(&self) -> bool {
         self.stalled
@@ -392,7 +361,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     }
 
     /// The other half of a step, everything from reading the inbox on:
-    /// select, broadcast or forward, termination — or the
+    /// select, broadcast, termination — or the
     /// early exit [`NodeDriver::search`] chose. Returns what
     /// [`NodeDriver::step`] returns.
     pub(crate) fn settle(&mut self, searched: Searched) -> bool {
@@ -489,16 +458,13 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 // cleared only by an improvement), touching nothing but
                 // the obs plane — a stalled search trajectory is
                 // bit-identical to pre-detector builds.
-                if self.stall_window > 0
-                    && !self.stalled
-                    && self.perturb.no_improvements() >= self.stall_window
-                {
+                if !self.stalled && self.perturb.no_improvements() >= STALL_WINDOW {
                     self.stalled = true;
                     self.obs.counter(obs::kinds::C_STALLS).incr();
                     self.obs.event(
                         obs::kinds::CLK_STALL,
                         &[
-                            ("window", Value::U(self.stall_window as u64)),
+                            ("window", Value::U(STALL_WINDOW as u64)),
                             ("best_len", Value::I(self.best_len)),
                         ],
                     );
@@ -558,43 +524,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                         ("len", Value::I(len)),
                     ],
                 );
-                if self.forward_received {
-                    // Epidemic forwarding: relay the improvement to every
-                    // neighbor except the one it came from. The broadcast
-                    // id is preserved verbatim so the tour's migration
-                    // stays traceable to its origin.
-                    let order = self.best_tour.order().to_vec();
-                    let mut relayed = 0;
-                    for nb in self.transport.neighbors() {
-                        if nb != from
-                            && self
-                                .transport
-                                .send(
-                                    nb,
-                                    Message::TourFound {
-                                        from: self.id,
-                                        id: tour_id,
-                                        length: len,
-                                        order: order.clone(),
-                                    },
-                                )
-                                .is_ok()
-                        {
-                            relayed += 1;
-                        }
-                    }
-                    if relayed > 0 {
-                        self.c_broadcasts.incr();
-                        self.obs.event(
-                            "node.forward",
-                            &[
-                                ("tour_id", Value::U(tour_id)),
-                                ("len", Value::I(len)),
-                                ("peers", Value::U(relayed as u64)),
-                            ],
-                        );
-                    }
-                }
             }
         }
 
@@ -679,11 +608,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 // reader thread and never reach this loop; in-memory
                 // transports surface them here, so answer for parity.
                 Message::Ping { from } => {
-                    let pong = Message::Pong {
-                        from: self.id,
-                        t_ns: self.obs.t_ns(),
-                    };
-                    let _ = self.transport.send(from, pong);
+                    let _ = self.transport.send(from, Message::Pong { from: self.id });
                 }
                 Message::Pong { .. } => {}
                 // Shard results belong to the sharded driver's
@@ -1213,18 +1138,23 @@ mod tests {
         let inst = generate::grid_known_optimum(4, 4, 100.0);
         let nl = NeighborLists::build(&inst, 8);
         let (mut eps, _) = InMemoryNetwork::build(1, Topology::Hypercube);
+        let calls = 2 * STALL_WINDOW as u64;
         let cfg = DistConfig {
             nodes: 1,
             c_v: 2,
             c_r: 1000, // keep restarts out of the episode
-            stall_window: 5,
-            budget: Budget::kicks(30),
+            budget: Budget::kicks(calls),
             clk_kicks_per_call: 0,
             ..Default::default()
         };
         let mut node = NodeDriver::new(&inst, &nl, &cfg, eps.remove(0));
         assert!(!node.stalled());
         while node.step() {}
+        assert_eq!(node.c_clk_calls.get(), calls);
+        assert!(
+            node.perturb.no_improvements() > STALL_WINDOW,
+            "the episode must run past the window"
+        );
         assert!(
             node.stalled(),
             "an unimprovable tour must trip the detector"
@@ -1240,20 +1170,52 @@ mod tests {
     }
 
     #[test]
-    fn stall_window_zero_disables_detection() {
-        let inst = generate::grid_known_optimum(4, 4, 100.0);
+    fn every_node_starts_from_the_common_construction_tour() {
+        // Quick-Borůvka draws nothing from the RNG, so on a geometric
+        // instance the 8 nodes start from one tour although each runs
+        // its own seed, and a `c_r` restart, however far the node's RNG
+        // has moved, rebuilds that same tour.
+        let inst = generate::uniform(200, 10_000.0, 205);
         let nl = NeighborLists::build(&inst, 8);
-        let (mut eps, _) = InMemoryNetwork::build(1, Topology::Hypercube);
         let cfg = DistConfig {
-            nodes: 1,
-            stall_window: 0,
-            budget: Budget::kicks(20),
-            clk_kicks_per_call: 0,
+            budget: Budget::kicks(3),
+            clk_kicks_per_call: 5,
+            seed: 11,
             ..Default::default()
         };
-        let node = NodeDriver::new(&inst, &nl, &cfg, eps.remove(0));
-        let res = node.run_to_completion();
-        assert_eq!(res.metrics.counter(obs::kinds::C_STALLS), 0);
+        let (eps, _) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
+        let mut nodes: Vec<_> = eps
+            .into_iter()
+            .map(|ep| NodeDriver::new(&inst, &nl, &cfg, ep))
+            .collect();
+        let common = nodes[0].best_tour().clone();
+        for node in &nodes {
+            assert_eq!(node.best_tour(), &common, "node {}", node.id());
+        }
+        for node in &mut nodes {
+            while node.step() {}
+            assert_eq!(node.engine.construct_tour(), common, "node {}", node.id());
+        }
+
+        // The exception: an explicit matrix has no coordinates, so each
+        // node builds a nearest-neighbor chain from a start city its own
+        // RNG draws, and the nodes start apart.
+        let n = 50;
+        let geo = generate::uniform(n, 10_000.0, 206);
+        let m = (0..n * n).map(|ij| geo.dist(ij / n, ij % n)).collect();
+        let inst = Instance::explicit("m", m, n);
+        let nl = NeighborLists::build(&inst, 8);
+        let (eps, _) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
+        let starts: std::collections::HashSet<_> = eps
+            .into_iter()
+            .map(|ep| {
+                NodeDriver::new(&inst, &nl, &cfg, ep)
+                    .best_tour()
+                    .order()
+                    .to_vec()
+            })
+            .collect();
+        assert!(starts.len() > 1, "every node drew the same start city");
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Unlimited budget (callers must bound some other way).
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
     /// Time-bounded budget.
     pub fn time(d: Duration) -> Self {
         Budget {
@@ -208,7 +203,7 @@ mod tests {
 
     #[test]
     fn target_budget() {
-        let b = Budget::unlimited().with_target(100);
+        let b = Budget::default().with_target(100);
         assert!(!b.exhausted(Duration::ZERO, 0, 101));
         assert!(b.exhausted(Duration::ZERO, 0, 100));
         assert!(b.target_met(99));

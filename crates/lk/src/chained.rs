@@ -23,7 +23,7 @@ use tsp_core::{Instance, NeighborLists, Tour, TourOps, TourRep, TwoLevelList};
 
 use crate::budget::{Budget, Stopwatch, Trace};
 use crate::candidates::CandidateKind;
-use crate::construct::{construct, Construction};
+use crate::construct::construct;
 use crate::kick::KickStrategy;
 use crate::lin_kernighan::{lk_pass, LinKernighan, LkConfig};
 use crate::or_opt::or_opt_pass;
@@ -45,8 +45,6 @@ pub struct ChainedLkConfig {
     pub kick: KickStrategy,
     /// LK search parameters.
     pub lk: LkConfig,
-    /// Initial tour construction (QB is the `linkern` default).
-    pub construction: Construction,
     /// Candidate list width.
     pub neighbor_k: usize,
     /// How the candidate lists are constructed (k-NN, α-nearness, or
@@ -73,7 +71,6 @@ impl Default for ChainedLkConfig {
         ChainedLkConfig {
             kick: KickStrategy::RandomWalk(50),
             lk: LkConfig::default(),
-            construction: Construction::QuickBoruvka,
             neighbor_k: 10,
             candidates: CandidateKind::Knn,
             tl_threshold: 50_000,
@@ -290,12 +287,13 @@ impl<'a> ChainedLk<'a> {
         &mut self.rng
     }
 
-    /// Construct the configured initial tour, on the caller's instance
+    /// Construct the initial tour ([`construct`]: Quick-Borůvka, or
+    /// nearest-neighbor on an explicit matrix), on the caller's instance
     /// and candidate rows.
     pub fn construct_tour(&mut self) -> Tour {
         let t = self.obs.timer();
         let (inst, rows) = self.opt.caller();
-        let (tour, queries) = construct(inst, self.cfg.construction, Some(rows), &mut self.rng);
+        let (tour, queries) = construct(inst, Some(rows), &mut self.rng);
         t.observe_into(&self.probes.h_construct_ns);
         self.probes.c_tree_searches.add(queries.tree_searches);
         self.probes.c_row_answers.add(queries.row_answers);

@@ -5,8 +5,7 @@
 //! `linkern` (the engine the paper wraps):
 //!
 //! - [`construct`] — initial tours: **Quick-Borůvka** (the paper's
-//!   default, §2.1), nearest-neighbor, greedy edge matching, and a
-//!   space-filling-curve order.
+//!   default, §2.1), and nearest-neighbor on explicit matrices.
 //! - [`two_opt`] / [`or_opt`] — classic neighborhood
 //!   searches with candidate lists and don't-look bits.
 //! - [`lin_kernighan`] — the variable-depth LK search, run on a

@@ -214,10 +214,10 @@ mod tests {
     fn two_level_large_instance_smoke() {
         use tsp_core::TwoLevelList;
         // 20k cities: array 2-opt from random would be minutes; the
-        // two-level engine from a space-filling start finishes fast.
+        // two-level engine from a Hilbert-curve start finishes fast.
         let inst = generate::uniform(20_000, 1_000_000.0, 54);
         let nl = NeighborLists::build(&inst, 6);
-        let start = crate::construct::space_filling(&inst);
+        let start = Tour::from_order(crate::construct::hilbert_order(&inst));
         let before = start.length(&inst);
         let mut tl = TwoLevelList::from_tour(&start);
         let mut opt = Optimizer::new(&inst, &nl);

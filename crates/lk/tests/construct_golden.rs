@@ -2,7 +2,7 @@
 //! and nearest-neighbor orders, recorded before Quick-Borůvka read
 //! candidate rows, the k-d tree kept each city next to its coordinates
 //! and the coordinate sort became an unstable keyed sort. Every digest must
-//! come out the same whatever rows `construct` is handed — k-NN rows
+//! come out the same whatever rows Quick-Borůvka is handed — k-NN rows
 //! (read), hybrid rows (ignored: not the k nearest) or none — so a
 //! change that claims to leave construction as it is must leave these
 //! constants exactly as they are.
@@ -14,7 +14,7 @@
 //! 12 500. Hybrid rows need a Held-Karp ascent, seconds per instance at
 //! 12 500 cities, so they are built up to 2 000.
 
-use lk::construct::{construct, Construction};
+use lk::construct::{nearest_neighbor, quick_boruvka};
 use lk::CandidateKind;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tsp_core::{generate, Instance, Metric, NeighborLists, Point, Tour};
@@ -89,11 +89,17 @@ fn instances() -> Vec<(String, Instance)> {
     cases
 }
 
-/// The order `construct` builds with `which` on `rows`, from a fixed
-/// RNG (nearest-neighbor draws its start city from it).
-fn order(inst: &Instance, which: Construction, rows: Option<&NeighborLists>) -> Vec<u32> {
-    let mut rng = SmallRng::seed_from_u64(7);
-    let (tour, _) = construct(inst, which, rows, &mut rng);
+/// The order Quick-Borůvka builds on `rows`.
+fn qb_order(inst: &Instance, rows: Option<&NeighborLists>) -> Vec<u32> {
+    let (tour, _) = quick_boruvka(inst, rows);
+    assert!(tour.is_valid());
+    tour.order().to_vec()
+}
+
+/// The nearest-neighbor order from the start city a fixed RNG draws.
+fn nn_order(inst: &Instance) -> Vec<u32> {
+    let start = SmallRng::seed_from_u64(7).gen_range(0..inst.len());
+    let tour = nearest_neighbor(inst, start);
     assert!(tour.is_valid());
     tour.order().to_vec()
 }
@@ -115,9 +121,9 @@ fn construction_orders_are_pinned_with_any_rows() {
             if label == "hybrid" && rows.is_none() {
                 continue;
             }
-            let got = fnv1a64(&order(inst, Construction::QuickBoruvka, rows));
+            let got = fnv1a64(&qb_order(inst, rows));
             assert_eq!(got, qb, "{name}: Quick-Borůvka on {label} rows");
-            let got = fnv1a64(&order(inst, Construction::NearestNeighbor, rows));
+            let got = fnv1a64(&nn_order(inst));
             assert_eq!(got, nn, "{name}: nearest neighbor on {label} rows");
         }
     }
@@ -144,12 +150,12 @@ fn rows_first_equals_tree_only_on_duplicated_points() {
     for case in 0..300 {
         let inst = crowded(&mut rng);
         let k = rng.gen_range(1..12usize).min(inst.len() - 1);
-        let tree_only = order(&inst, Construction::QuickBoruvka, None);
+        let tree_only = qb_order(&inst, None);
         for rows in [
             NeighborLists::build(&inst, k),
             NeighborLists::build_brute_force(&inst, k),
         ] {
-            let listed = order(&inst, Construction::QuickBoruvka, Some(&rows));
+            let listed = qb_order(&inst, Some(&rows));
             assert_eq!(listed, tree_only, "case {case}: n {} k {k}", inst.len());
         }
         let tour = Tour::from_order(tree_only);

@@ -229,16 +229,6 @@ impl EventRing {
             .collect()
     }
 
-    /// Drain the buffered events, oldest first.
-    pub fn drain(&self) -> Vec<Event> {
-        self.inner
-            .lock()
-            .expect("event ring poisoned")
-            .buf
-            .drain(..)
-            .collect()
-    }
-
     /// How many records were evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().expect("event ring poisoned").dropped
@@ -353,8 +343,6 @@ mod tests {
         assert_eq!(evs[2].field_u64("i"), Some(4));
         // Seq keeps counting across evictions: survivors are 2..=4.
         assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), [2, 3, 4]);
-        assert_eq!(ring.drain().len(), 3);
-        assert!(ring.is_empty());
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod metrics;
 /// code and the tests (a typo'd string would silently assert on an
 /// event that never fires).
 pub mod kinds {
-    /// The stall detector fired: no improvement for the configured
-    /// window of loop rounds. Fields: `rounds`, `best_len`. Counter:
+    /// The stall detector fired: no improvement for a window of loop
+    /// rounds. Fields: `window`, `best_len`. Counter:
     /// [`C_STALLS`].
     pub const CLK_STALL: &str = "clk.stall";
     /// Counter: stall-detector firings.
@@ -194,11 +194,6 @@ impl Obs {
         }
     }
 
-    /// Whether this handle records anything at all.
-    pub fn is_live(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The node id (0 for a disabled handle).
     pub fn node(&self) -> u32 {
         self.inner.as_ref().map_or(0, |i| i.node)
@@ -280,36 +275,21 @@ impl Obs {
             .map_or_else(Vec::new, |i| i.events.events())
     }
 
-    /// How many events were evicted because the ring was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.events.dropped())
-    }
-
     /// Render the registry in the Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         self.snapshot().prometheus_text()
     }
 
-    /// Write the buffered events as JSONL.
-    pub fn write_events_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        write_jsonl(w, &self.events())
-    }
-
-    /// Open a root span named `kind`. The span records one event on
-    /// [`Span::end`] (or drop) carrying its id, parent id, duration,
-    /// and optional broadcast-id correlation. No-op (id 0) when this
-    /// handle is disabled.
+    /// Open a span named `kind`. The span records one event on
+    /// [`Span::end`] (or drop) carrying its id, duration, and optional
+    /// broadcast-id correlation. No-op (id 0) when this handle is
+    /// disabled.
     pub fn span(&self, kind: &'static str) -> Span {
-        self.span_with_parent(kind, 0)
-    }
-
-    fn span_with_parent(&self, kind: &'static str, parent: u64) -> Span {
         let Some(i) = self.inner.as_ref() else {
             return Span {
                 obs: Obs::disabled(),
                 kind,
                 id: 0,
-                parent: 0,
                 bcast: None,
                 t0_ns: 0,
                 done: true,
@@ -322,7 +302,6 @@ impl Obs {
             obs: self.clone(),
             kind,
             id: ((i.node as u64) << 32) | (seq & 0xFFFF_FFFF),
-            parent,
             bcast: None,
             t0_ns: self.t_ns(),
             done: false,
@@ -330,18 +309,17 @@ impl Obs {
     }
 }
 
-/// An open span from [`Obs::span`]: a named duration with an id, a
-/// parent id (0 = root), and an optional broadcast-id correlation so
-/// the same logical tour migration can be followed across nodes. The
-/// span is recorded as a regular [`Event`] (kind = span name, fields
-/// `span`, `parent`, `dur_ns`, and `bcast` when correlated) when
+/// An open span from [`Obs::span`]: a named duration with an id and an
+/// optional broadcast-id correlation so the same logical tour
+/// migration can be followed across nodes. The span is recorded as a
+/// regular [`Event`] (kind = span name, fields `span`, `dur_ns`, and
+/// `bcast` when correlated) when
 /// [`Span::end`] is called or the guard drops.
 #[derive(Debug)]
 pub struct Span {
     obs: Obs,
     kind: &'static str,
     id: u64,
-    parent: u64,
     bcast: Option<u64>,
     t0_ns: u64,
     done: bool,
@@ -351,11 +329,6 @@ impl Span {
     /// This span's cluster-unique id (0 when observability is off).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Open a child span: same node, `parent` set to this span's id.
-    pub fn child(&self, kind: &'static str) -> Span {
-        self.obs.span_with_parent(kind, self.id)
     }
 
     /// Correlate this span with a broadcast id (`p2p::broadcast_id`):
@@ -377,11 +350,7 @@ impl Span {
         }
         self.done = true;
         let dur_ns = self.obs.t_ns().saturating_sub(self.t0_ns);
-        let mut fields = vec![
-            ("span", Value::U(self.id)),
-            ("parent", Value::U(self.parent)),
-            ("dur_ns", Value::U(dur_ns)),
-        ];
+        let mut fields = vec![("span", Value::U(self.id)), ("dur_ns", Value::U(dur_ns))];
         if let Some(b) = self.bcast {
             fields.push(("bcast", Value::U(b)));
         }
@@ -444,7 +413,6 @@ mod tests {
         assert_eq!(obs.t_ns(), 0);
         assert_eq!(obs.timer().elapsed_ns(), 0);
         assert!(obs.snapshot().counters.is_empty());
-        assert!(!obs.is_live());
     }
 
     #[test]
@@ -469,7 +437,7 @@ mod tests {
         for w in merged.windows(2) {
             assert!(w[0].t_ns <= w[1].t_ns || w[0].node <= w[1].node);
         }
-        assert_eq!(a.events_dropped(), 0);
+        assert_eq!(a.snapshot().counter("obs.events_dropped"), 0);
     }
 
     /// Regression for the tie-breaking satellite: equal-`t_ns` events
@@ -498,25 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_ids_parents_and_broadcast_correlation() {
+    fn spans_record_ids_and_broadcast_correlation() {
         let obs = Obs::for_node(3);
-        let mut root = obs.span("clk.call");
-        root.correlate_broadcast(0xBEEF);
-        let root_id = root.id();
-        assert_eq!(root_id >> 32, 3, "span id embeds the node");
-        let child = root.child("clk.kick");
-        let child_id = child.id();
-        assert_ne!(child_id, root_id);
-        child.end();
-        root.end();
+        let mut first = obs.span("node.round");
+        first.correlate_broadcast(0xBEEF);
+        let first_id = first.id();
+        assert_eq!(first_id >> 32, 3, "span id embeds the node");
+        let second = obs.span("node.round");
+        let second_id = second.id();
+        assert_ne!(second_id, first_id);
+        second.end();
+        first.end();
         let events = obs.events();
         assert_eq!(events.len(), 2, "one event per closed span");
-        // Child closed first.
-        assert_eq!(events[0].kind, "clk.kick");
-        assert_eq!(events[0].field_u64("span"), Some(child_id));
-        assert_eq!(events[0].field_u64("parent"), Some(root_id));
-        assert_eq!(events[1].kind, "clk.call");
-        assert_eq!(events[1].field_u64("parent"), Some(0));
+        // The second span closed first.
+        assert_eq!(events[0].field_u64("span"), Some(second_id));
+        assert_eq!(events[0].field_u64("bcast"), None);
+        assert_eq!(events[1].kind, "node.round");
+        assert_eq!(events[1].field_u64("span"), Some(first_id));
         assert_eq!(events[1].field_u64("bcast"), Some(0xBEEF));
         assert!(events[1].field_u64("dur_ns").is_some());
     }
@@ -536,7 +503,7 @@ mod tests {
         for _ in 0..5 {
             obs.event("tick", &[]);
         }
-        assert_eq!(obs.events_dropped(), 3);
+        assert_eq!(obs.events().len(), 2);
         assert_eq!(obs.snapshot().counter("obs.events_dropped"), 3);
         assert!(obs.prometheus_text().contains("obs_events_dropped 3"));
     }

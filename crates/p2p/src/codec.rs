@@ -126,7 +126,7 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
         Message::OptimumFound { from, length } => s.u8(TAG_OPTIMUM).node(*from).i64(*length),
         Message::Leave { from } => s.u8(TAG_LEAVE).node(*from),
         Message::Ping { from } => s.u8(TAG_PING).node(*from),
-        Message::Pong { from, t_ns } => s.u8(TAG_PONG).node(*from).u64(*t_ns),
+        Message::Pong { from } => s.u8(TAG_PONG).node(*from),
         Message::ShardResult { from, shard, length, order } => {
             s.u8(TAG_SHARD_RESULT).node(*from).u32(*shard).i64(*length).order(order)
         }
@@ -189,10 +189,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, NetError> {
         },
         TAG_LEAVE => Message::Leave { from: r.node()? },
         TAG_PING => Message::Ping { from: r.node()? },
-        TAG_PONG => Message::Pong {
-            from: r.node()?,
-            t_ns: r.u64()?,
-        },
+        TAG_PONG => Message::Pong { from: r.node()? },
         TAG_SHARD_RESULT => Message::ShardResult {
             from: r.node()?,
             shard: r.u32()?,
@@ -388,10 +385,7 @@ mod tests {
             from: usize::MAX >> 1,
         });
         roundtrip(Message::Ping { from: 3 });
-        roundtrip(Message::Pong {
-            from: 4,
-            t_ns: u64::MAX - 1,
-        });
+        roundtrip(Message::Pong { from: 4 });
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub enum Message {
         /// Originating node.
         from: NodeId,
         /// Broadcast id, unique per originating broadcast
-        /// (`origin << 32 | seq`). Preserved verbatim on epidemic
-        /// forwarding so a tour's migration can be traced hub-to-leaf
-        /// in the event logs.
+        /// (`origin << 32 | seq`). Nodes relay no received tour, so the
+        /// id names the sender, and the event logs trace each adoption
+        /// to its broadcast.
         id: u64,
         /// Tour length (precomputed by the sender so receivers can
         /// filter without touching the instance).
@@ -55,9 +55,6 @@ pub enum Message {
     Pong {
         /// Answering node.
         from: NodeId,
-        /// The responder's local monotonic clock, in nanoseconds since
-        /// its observability epoch (0 when observability is off).
-        t_ns: u64,
     },
     /// A solved subregion of a sharded (divide-and-optimize) run: the
     /// sub-tour of one spatial shard, sent by the worker that solved it
@@ -162,8 +159,7 @@ pub enum Message {
 
 /// Compose a per-broadcast tour id from the originating node and its
 /// local broadcast sequence number. The high half carries the origin,
-/// so `id >> 32` recovers where a tour was first found even after it
-/// has been forwarded across the hypercube.
+/// so `id >> 32` recovers the node that found the tour.
 pub fn broadcast_id(origin: NodeId, seq: u32) -> u64 {
     ((origin as u64) << 32) | seq as u64
 }
@@ -184,7 +180,7 @@ impl Message {
             | Message::OptimumFound { from, .. }
             | Message::Leave { from }
             | Message::Ping { from }
-            | Message::Pong { from, .. }
+            | Message::Pong { from }
             | Message::ShardResult { from, .. }
             | Message::JobSubmit { from, .. }
             | Message::JobAccept { from, .. }
@@ -225,14 +221,13 @@ mod tests {
     #[test]
     fn from_extracts_sender_liveness() {
         assert_eq!(Message::Ping { from: 4 }.from(), 4);
-        assert_eq!(Message::Pong { from: 5, t_ns: 123 }.from(), 5);
+        assert_eq!(Message::Pong { from: 5 }.from(), 5);
     }
 
     #[test]
     fn liveness_wire_sizes() {
         assert_eq!(Message::Ping { from: 0 }.wire_size(), 9);
-        // Pong additionally carries the responder's clock.
-        assert_eq!(Message::Pong { from: 0, t_ns: 0 }.wire_size(), 17);
+        assert_eq!(Message::Pong { from: 0 }.wire_size(), 9);
     }
 
     #[test]

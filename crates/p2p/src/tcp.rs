@@ -601,11 +601,7 @@ fn reader_loop(mut stream: TcpStream, peer: NodeId, gen: u64, shared: Arc<Shared
                             .get(&peer)
                             .map(|p| p.tx.clone());
                         if let Some(tx) = tx {
-                            let pong = Message::Pong {
-                                from: self_id,
-                                t_ns: shared.obs.t_ns(),
-                            };
-                            if tx.try_send(pong).is_ok() {
+                            if tx.try_send(Message::Pong { from: self_id }).is_ok() {
                                 shared.probes.g_queue.add(1);
                             }
                         }

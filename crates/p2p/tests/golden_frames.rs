@@ -11,13 +11,15 @@ use p2p::Message;
 /// `(tag, frame length incl. the 4-byte prefix, FNV-1a-64 of the frame)`.
 /// Tags 6 and 7 (the retired rejoin-resync frames), 8 and 9 (the
 /// retired hub-election frames) and 10 (the retired wire-telemetry
-/// frame) have no row: see [`retired_tags_are_refused`].
+/// frame) have no row: see [`retired_tags_are_refused`]. Row 5 was
+/// re-recorded when Pong dropped its clock (see
+/// [`old_pong_with_a_clock_is_refused`]); the others are unchanged.
 const GOLDEN: [(u8, usize, u64); 11] = [
     (1, 181, 0x9816_4a72_44eb_4aec),
     (2, 21, 0xe2f1_a3d8_c921_1cdf),
     (3, 13, 0xc97e_3bf5_16c6_3e5a),
     (4, 13, 0x26b0_0338_cfdd_1130),
-    (5, 21, 0x356b_2c4a_831f_4dd9),
+    (5, 13, 0x9b1f_918d_5988_bd22),
     (11, 73, 0x635a_f7ef_6d15_4b3b),
     (12, 95, 0x1831_4cf8_6426_baba),
     (13, 29, 0xe0a0_6bcb_6835_2d75),
@@ -50,10 +52,7 @@ fn samples() -> Vec<Message> {
         },
         Message::Leave { from: 7 },
         Message::Ping { from: 8 },
-        Message::Pong {
-            from: 9,
-            t_ns: u64::MAX - 11,
-        },
+        Message::Pong { from: 9 },
         Message::ShardResult {
             from: 15,
             shard: 0xdead_beef,
@@ -151,6 +150,23 @@ fn retired_tags_are_refused() {
             assert!(decode(&payload).is_err(), "tag {tag} decoded: {payload:?}");
         }
     }
+}
+
+/// Pong carried the responder's clock as a `u64` after its node until
+/// that clock lost its last reader. The old 17-byte frame of the tag-5
+/// sample is refused by the trailing-bytes check, not read as a Pong.
+#[test]
+fn old_pong_with_a_clock_is_refused() {
+    let payload = [
+        &[5u8][..],
+        &9u64.to_le_bytes(),
+        &(u64::MAX - 11).to_le_bytes(),
+    ]
+    .concat();
+    let frame = [&(payload.len() as u32).to_le_bytes()[..], &payload].concat();
+    assert_eq!((frame.len(), fnv1a64(&frame)), (21, 0x356b_2c4a_831f_4dd9));
+    let err = decode(&payload).unwrap_err();
+    assert!(err.to_string().contains("8 trailing bytes"), "{err}");
 }
 
 /// The body (after the tag) of the last tag-10 sample: node, clock,

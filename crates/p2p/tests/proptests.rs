@@ -30,9 +30,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u16>().prop_map(|from| Message::Ping {
             from: from as usize
         }),
-        (any::<u16>(), any::<u64>()).prop_map(|(from, t_ns)| Message::Pong {
-            from: from as usize,
-            t_ns,
+        any::<u16>().prop_map(|from| Message::Pong {
+            from: from as usize
         }),
         arb_job_message(),
     ]
