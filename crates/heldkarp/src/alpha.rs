@@ -31,18 +31,28 @@ use crate::onetree::{two_cheapest, OneTree};
 /// 1-trees on the complete graph, the iterations between them on a
 /// sparse one), then computes α values against the closing 1-tree in
 /// O(n²) time, spread over the cores, and O(n) memory per thread.
+///
+/// # Panics
+///
+/// Panics if `k == 0` ([`NeighborLists::assert_k`]), before the ascent.
 pub fn alpha_candidate_lists(inst: &Instance, k: usize, cfg: &AscentConfig) -> NeighborLists {
+    NeighborLists::assert_k(k, inst.len());
     let res = sparse_ascent(inst, cfg);
     alpha_lists_from_tree(inst, &res.pi, &res.one_tree, k)
 }
 
 /// α-candidate lists from an existing 1-tree and potentials.
+///
+/// # Panics
+///
+/// Panics if `k == 0` ([`NeighborLists::assert_k`]).
 pub fn alpha_lists_from_tree(
     inst: &Instance,
     pi: &[i64],
     tree: &OneTree,
     k: usize,
 ) -> NeighborLists {
+    NeighborLists::assert_k(k, inst.len());
     let k = k.min(inst.len() - 1);
     NeighborLists::from_flat(inst, k, alpha_nearest(inst, pi, tree, k))
 }
@@ -153,6 +163,13 @@ mod tests {
     use super::*;
     use crate::ascent::held_karp_bound;
     use tsp_core::generate;
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 12 cities")]
+    fn alpha_lists_of_width_zero_are_refused() {
+        let inst = generate::uniform(12, 1_000.0, 2);
+        alpha_candidate_lists(&inst, 0, &AscentConfig::default());
+    }
 
     #[test]
     fn tree_edges_have_alpha_zero_and_come_first() {

@@ -75,8 +75,13 @@ impl CandidateKind {
 }
 
 /// Build candidate lists of the given kind and width `k`.
+///
+/// # Panics
+///
+/// Panics if `k == 0` ([`NeighborLists::assert_k`]).
 pub fn build_candidate_lists(inst: &Instance, kind: CandidateKind, k: usize) -> NeighborLists {
     let n = inst.len();
+    NeighborLists::assert_k(k, n);
     let k = k.min(n - 1);
     match kind {
         CandidateKind::Knn => NeighborLists::build(inst, k),
@@ -127,6 +132,30 @@ mod tests {
         }
         assert_eq!(CandidateKind::by_name("KNN"), Some(CandidateKind::Knn));
         assert_eq!(CandidateKind::by_name("quadrant"), None);
+    }
+
+    /// `kind.build(inst, 0)` must panic with the one width message.
+    fn width_zero_panics(kind: CandidateKind) {
+        let inst = generate::uniform(20, 1_000.0, 4);
+        kind.build(&inst, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 20 cities")]
+    fn knn_lists_of_width_zero_are_refused() {
+        width_zero_panics(CandidateKind::Knn);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 20 cities")]
+    fn alpha_lists_of_width_zero_are_refused() {
+        width_zero_panics(CandidateKind::Alpha);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 20 cities")]
+    fn hybrid_lists_of_width_zero_are_refused() {
+        width_zero_panics(CandidateKind::Hybrid);
     }
 
     #[test]

@@ -9,7 +9,16 @@
 //! The tree is built once over flat arrays (no per-node allocation,
 //! perf-book idiom) and is immutable; deletions needed by constructions
 //! are handled by caller-supplied `skip` predicates.
+//!
+//! The k-nearest lists come from one batch kernel,
+//! `KdTree::k_nearest_rows`, which answers a run of consecutive
+//! *slots* — the cities in leaf order — in one walk of the tree:
+//! leaf-mates share the root path, the scanned leaves stay warm, and
+//! one sorted buffer of `k` best serves every query.
 
+use std::ops::Range;
+
+use crate::fan_out::fan_out;
 use crate::instance::{Instance, Point};
 
 /// Flat k-d tree node. Leaves hold a range of the slot array.
@@ -27,6 +36,8 @@ struct Node {
 
 const LEAF: u8 = u8::MAX;
 const LEAF_SIZE: usize = 8;
+/// Cities from which the root's two halves are built on two threads.
+const PARALLEL_MIN_SLOTS: usize = 4_096;
 
 /// A city in a leaf, next to its coordinates so a leaf scan reads one
 /// contiguous range.
@@ -42,8 +53,6 @@ pub struct KdTree {
     nodes: Vec<Node>,
     /// The cities in leaf order; leaves reference contiguous ranges.
     slots: Vec<Slot>,
-    /// The slot of each city.
-    slot_of: Vec<u32>,
 }
 
 impl KdTree {
@@ -63,16 +72,40 @@ impl KdTree {
             .collect();
         let n = slots.len();
         let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 2);
-        Self::build_rec(&mut slots, 0, n, &mut nodes);
-        let mut slot_of = vec![0u32; n];
-        for (i, s) in (0u32..).zip(&slots) {
-            slot_of[s.c as usize] = i;
+        if n < PARALLEL_MIN_SLOTS {
+            Self::build_rec(&mut slots, 0, &mut nodes);
+            return KdTree { nodes, slots };
         }
-        KdTree {
-            nodes,
-            slots,
-            slot_of,
-        }
+        // The root's halves are independent: build them side by side,
+        // the lower one in place right after the root, where the serial
+        // build puts it, the upper one apart, then append it. (Halves
+        // grown from empty vectors and then merged fragmented the heap
+        // enough to raise a sharded 100k run's peak RSS by 8 %.)
+        let (axis, split) = split_at_median(&mut slots);
+        nodes.push(Node {
+            split,
+            axis,
+            lo: 1,
+            hi: 0,
+        });
+        let mid = median(0, n);
+        let (lo, hi) = slots.split_at_mut(mid);
+        let mut upper = Vec::with_capacity(2 * hi.len() / LEAF_SIZE + 2);
+        let mut halves = [(lo, 0, &mut nodes), (hi, mid, &mut upper)];
+        fan_out(&mut halves, |_, (part, start, nodes)| {
+            Self::build_rec(part, *start, nodes);
+        });
+        let offset = nodes.len() as u32;
+        nodes[0].hi = offset;
+        nodes.extend(upper.iter().map(|&n| match n.axis {
+            LEAF => n,
+            _ => Node {
+                lo: n.lo + offset,
+                hi: n.hi + offset,
+                ..n
+            },
+        }));
+        KdTree { nodes, slots }
     }
 
     /// The cities of leaf `n`, in build order.
@@ -81,47 +114,30 @@ impl KdTree {
         &self.slots[n.lo as usize..n.hi as usize]
     }
 
-    fn build_rec(slots: &mut [Slot], start: usize, end: usize, nodes: &mut Vec<Node>) -> u32 {
+    /// Append the subtree over `slots`, the tree's slots from `start`
+    /// on, to `nodes` in depth-first order; child indices count from
+    /// the start of `nodes`. Returns the subtree's root.
+    fn build_rec(slots: &mut [Slot], start: usize, nodes: &mut Vec<Node>) -> u32 {
         let me = nodes.len() as u32;
-        if end - start <= LEAF_SIZE {
+        if slots.len() <= LEAF_SIZE {
             nodes.push(Node {
                 split: 0.0,
                 axis: LEAF,
                 lo: start as u32,
-                hi: end as u32,
+                hi: (start + slots.len()) as u32,
             });
             return me;
         }
-        // Split on the wider axis at the median.
-        let slice = &mut slots[start..end];
-        let (mut min_x, mut max_x, mut min_y, mut max_y) = (
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for s in slice.iter() {
-            min_x = min_x.min(s.p.x);
-            max_x = max_x.max(s.p.x);
-            min_y = min_y.min(s.p.y);
-            max_y = max_y.max(s.p.y);
-        }
-        let mid = slice.len() / 2;
-        let (axis, split) = if max_x - min_x >= max_y - min_y {
-            slice.select_nth_unstable_by(mid, |a, b| a.p.x.partial_cmp(&b.p.x).unwrap());
-            (0u8, slice[mid].p.x)
-        } else {
-            slice.select_nth_unstable_by(mid, |a, b| a.p.y.partial_cmp(&b.p.y).unwrap());
-            (1u8, slice[mid].p.y)
-        };
+        let (axis, split) = split_at_median(slots);
         nodes.push(Node {
             split,
             axis,
             lo: 0,
             hi: 0,
         });
-        let lo = Self::build_rec(slots, start, start + mid, nodes);
-        let hi = Self::build_rec(slots, start + mid, end, nodes);
+        let (lo_part, hi_part) = slots.split_at_mut(median(0, slots.len()));
+        let lo = Self::build_rec(lo_part, start, nodes);
+        let hi = Self::build_rec(hi_part, start + lo_part.len(), nodes);
         nodes[me as usize].lo = lo;
         nodes[me as usize].hi = hi;
         me
@@ -180,48 +196,107 @@ impl KdTree {
         }
     }
 
-    /// The `k` nearest cities to city `query` (excluding itself),
-    /// closest first. Exact, with ties broken by city id: the result is
-    /// the first `k` entries of all cities sorted by `(distance, id)` —
-    /// the same order every candidate-list builder uses, so fixed-seed
-    /// runs do not depend on which spatial index built the lists.
-    pub fn k_nearest(&self, query: usize, k: usize) -> Vec<u32> {
-        let q = self.slots[self.slot_of[query] as usize].p;
-        // Max-heap of (dist, city) capped at k.
-        let mut heap: std::collections::BinaryHeap<(OrdF64, u32)> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        self.knn_search(0, q, query, k, &mut heap);
-        let mut out: Vec<(OrdF64, u32)> = heap.into_vec();
-        out.sort();
-        out.into_iter().map(|(_, c)| c).collect()
+    /// Cities in the tree: one slot each.
+    #[inline]
+    fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    fn knn_search(
-        &self,
-        node: u32,
-        q: Point,
-        query: usize,
-        k: usize,
-        heap: &mut std::collections::BinaryHeap<(OrdF64, u32)>,
-    ) {
+    /// The city in slot `s`. Slots run in leaf order: a leaf's cities
+    /// are consecutive slots, and so are the leaves of a subtree.
+    #[inline]
+    pub(crate) fn city_in_slot(&self, s: usize) -> usize {
+        self.slots[s].c as usize
+    }
+
+    /// The `k` nearest other cities of the cities in slots `first ..`,
+    /// one row of `k` ids per slot in `rows`, closest first. Exact,
+    /// with ties broken by city id: a row is the first `k` entries of
+    /// all other cities sorted by `(squared distance, id)` — the order
+    /// every candidate-list builder uses, so fixed-seed runs do not
+    /// depend on which builder made the lists.
+    ///
+    /// One batch kernel: it walks the tree once, and at each leaf
+    /// answers the leaf's slots in order. A query scans its own leaf
+    /// first, then climbs the path it shares with its leaf-mates,
+    /// searching each ancestor's other side that the `k` best so far
+    /// do not rule out; one buffer of `k` best serves every query.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= k < self.len()`, or if `rows` runs past the
+    /// last slot.
+    pub(crate) fn k_nearest_rows(&self, first: usize, k: usize, rows: &mut [u32]) {
+        assert!(
+            (1..self.len()).contains(&k),
+            "k = {k} nearest of {} cities",
+            self.len()
+        );
+        let end = first + rows.len() / k;
+        assert!(end <= self.len(), "rows run past the last slot");
+        let mut batch = Batch {
+            slots: first..end,
+            rows,
+            best: KBest::new(k),
+            path: Vec::new(),
+        };
+        self.walk(0, 0..self.len(), &mut batch);
+    }
+
+    /// Answer the queries of `batch` in the subtree `node`, which holds
+    /// the slots `span`.
+    fn walk(&self, node: u32, span: Range<usize>, batch: &mut Batch) {
+        if span.end <= batch.slots.start || span.start >= batch.slots.end {
+            return;
+        }
         let n = self.nodes[node as usize];
         if n.axis == LEAF {
-            for s in self.leaf_slots(n) {
-                if s.c as usize == query {
-                    continue;
-                }
-                let cand = (OrdF64(s.p.sq_dist(&q)), s.c);
-                if heap.len() < k {
-                    heap.push(cand);
-                } else if let Some(&top) = heap.peek() {
-                    // Full-tuple comparison: at equal distance the lower
-                    // id wins, independent of traversal order.
-                    if cand < top {
-                        heap.pop();
-                        heap.push(cand);
+            let k = batch.best.items.len();
+            let first = batch.slots.start;
+            for s in span.start.max(first)..span.end.min(batch.slots.end) {
+                let q = self.slots[s].p;
+                batch.best.clear();
+                self.scan_leaf(n, q, s, &mut batch.best);
+                for &(other, axis, split) in batch.path.iter().rev() {
+                    let plane = if axis == 0 { q.x } else { q.y } - split;
+                    // `<=`: a city across the plane at exactly the worst
+                    // distance can still displace it on id.
+                    if plane * plane <= batch.best.worst() {
+                        self.knn_search(other, q, s, &mut batch.best);
                     }
                 }
+                let row = &mut batch.rows[(s - first) * k..(s - first + 1) * k];
+                for (o, near) in row.iter_mut().zip(&batch.best.items) {
+                    *o = near.c;
+                }
             }
+            return;
+        }
+        let mid = median(span.start, span.end);
+        batch.path.push((n.hi, n.axis, n.split));
+        self.walk(n.lo, span.start..mid, batch);
+        batch.path.pop();
+        batch.path.push((n.lo, n.axis, n.split));
+        self.walk(n.hi, mid..span.end, batch);
+        batch.path.pop();
+    }
+
+    /// Offer every city of leaf `n` but the query's own slot to `best`.
+    #[inline(always)]
+    fn scan_leaf(&self, n: Node, q: Point, query: usize, best: &mut KBest) {
+        for (s, slot) in (n.lo as usize..).zip(self.leaf_slots(n)) {
+            let d = slot.p.sq_dist(&q);
+            if d <= best.worst() && s != query {
+                best.offer(Near { d, c: slot.c });
+            }
+        }
+    }
+
+    /// Top-down k-nearest search of the subtree `node`.
+    fn knn_search(&self, node: u32, q: Point, query: usize, best: &mut KBest) {
+        let n = self.nodes[node as usize];
+        if n.axis == LEAF {
+            self.scan_leaf(n, q, query, best);
             return;
         }
         let qv = if n.axis == 0 { q.x } else { q.y };
@@ -230,35 +305,118 @@ impl KdTree {
         } else {
             (n.hi, n.lo)
         };
-        self.knn_search(near, q, query, k, heap);
+        self.knn_search(near, q, query, best);
         let plane = qv - n.split;
-        // `<=`: a far-side city at exactly the current worst distance can
-        // still displace it on id, so equality must not prune.
-        let need_far = heap.len() < k
-            || heap
-                .peek()
-                .is_none_or(|&(OrdF64(worst), _)| plane * plane <= worst);
-        if need_far {
-            self.knn_search(far, q, query, k, heap);
+        // `<=` for the reason given in `walk`.
+        if plane * plane <= best.worst() {
+            self.knn_search(far, q, query, best);
         }
     }
 }
 
-/// Total-ordered f64 wrapper for heap use (distances are never NaN).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// Split `slots` on the wider axis at the median: the lower half gets
+/// the cities up to the split value, the upper half those from it on.
+/// Returns the axis and the split value.
+fn split_at_median(slots: &mut [Slot]) -> (u8, f64) {
+    let (mut min_x, mut max_x, mut min_y, mut max_y) = (
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    );
+    for s in slots.iter() {
+        min_x = min_x.min(s.p.x);
+        max_x = max_x.max(s.p.x);
+        min_y = min_y.min(s.p.y);
+        max_y = max_y.max(s.p.y);
+    }
+    let mid = median(0, slots.len());
+    if max_x - min_x >= max_y - min_y {
+        slots.select_nth_unstable_by(mid, |a, b| a.p.x.partial_cmp(&b.p.x).unwrap());
+        (0, slots[mid].p.x)
+    } else {
+        slots.select_nth_unstable_by(mid, |a, b| a.p.y.partial_cmp(&b.p.y).unwrap());
+        (1, slots[mid].p.y)
     }
 }
 
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("distance is never NaN")
+/// Where a subtree of the slots `start..end` splits: its lower child
+/// holds `start..median`, its upper child `median..end`.
+#[inline]
+fn median(start: usize, end: usize) -> usize {
+    start + (end - start) / 2
+}
+
+/// The state of one [`KdTree::k_nearest_rows`] call.
+struct Batch<'a> {
+    /// The slots to answer; row `i` of `rows` belongs to slot
+    /// `slots.start + i`.
+    slots: Range<usize>,
+    rows: &'a mut [u32],
+    best: KBest,
+    /// The ancestors of the node being walked, root first: each one's
+    /// child off the path, split axis and split value.
+    path: Vec<(u32, u8, f64)>,
+}
+
+/// A city found by a k-nearest query: squared distance and id.
+#[derive(Clone, Copy)]
+struct Near {
+    d: f64,
+    c: u32,
+}
+
+impl Near {
+    /// Held by an empty buffer: every city sorts before it.
+    const NONE: Near = Near {
+        d: f64::INFINITY,
+        c: u32::MAX,
+    };
+
+    /// The `(squared distance, id)` order of the rows.
+    #[inline(always)]
+    fn before(&self, other: &Near) -> bool {
+        self.d < other.d || (self.d == other.d && self.c < other.c)
+    }
+}
+
+/// The `k` best cities seen so far, sorted by [`Near::before`] and
+/// padded with [`Near::NONE`]; a newcomer is inserted in place and the
+/// last one falls off.
+struct KBest {
+    items: Vec<Near>,
+}
+
+impl KBest {
+    fn new(k: usize) -> KBest {
+        KBest {
+            items: vec![Near::NONE; k],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.items.fill(Near::NONE);
+    }
+
+    /// The squared distance a city must not exceed to get in.
+    #[inline(always)]
+    fn worst(&self) -> f64 {
+        self.items[self.items.len() - 1].d
+    }
+
+    /// Keep `near` if it sorts before the last held city; at equal
+    /// distance the lower id wins, independent of traversal order.
+    #[inline(always)]
+    fn offer(&mut self, near: Near) {
+        let mut i = self.items.len() - 1;
+        if !near.before(&self.items[i]) {
+            return;
+        }
+        while i > 0 && near.before(&self.items[i - 1]) {
+            self.items[i] = self.items[i - 1];
+            i -= 1;
+        }
+        self.items[i] = near;
     }
 }
 
@@ -267,6 +425,17 @@ mod tests {
     use super::*;
     use crate::metric::Metric;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// Every city's row from the batch kernel, in city order.
+    fn rows_by_city(tree: &KdTree, k: usize) -> Vec<Vec<u32>> {
+        let mut rows = vec![0u32; tree.len() * k];
+        tree.k_nearest_rows(0, k, &mut rows);
+        let mut by_city = vec![Vec::new(); tree.len()];
+        for (s, row) in rows.chunks(k).enumerate() {
+            by_city[tree.city_in_slot(s)] = row.to_vec();
+        }
+        by_city
+    }
 
     fn random_instance(n: usize, seed: u64) -> Instance {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -303,9 +472,9 @@ mod tests {
     #[test]
     fn knn_matches_brute_force() {
         let inst = random_instance(250, 22);
-        let tree = KdTree::build(&inst);
+        let rows = rows_by_city(&KdTree::build(&inst), 10);
         for q in [0usize, 42, 249] {
-            let got = tree.k_nearest(q, 10);
+            let got = &rows[q];
             let qp = inst.point(q);
             let mut brute: Vec<u32> = (0..250u32).filter(|&c| c as usize != q).collect();
             brute.sort_by(|&a, &b| {
@@ -340,8 +509,8 @@ mod tests {
             }
         }
         let inst = Instance::new("lattice", pts, Metric::Euc2d);
-        let tree = KdTree::build(&inst);
-        for q in 0..144usize {
+        let rows = rows_by_city(&KdTree::build(&inst), 6);
+        for (q, row) in rows.iter().enumerate() {
             let qp = inst.point(q);
             let mut brute: Vec<u32> = (0..144u32).filter(|&c| c as usize != q).collect();
             brute.sort_by(|&a, &b| {
@@ -352,8 +521,29 @@ mod tests {
                     .then(a.cmp(&b))
             });
             brute.truncate(6);
-            assert_eq!(tree.k_nearest(q, 6), brute, "query {q}");
+            assert_eq!(*row, brute, "query {q}");
         }
+    }
+
+    #[test]
+    fn halves_built_side_by_side_equal_the_serial_tree() {
+        let inst = random_instance(PARALLEL_MIN_SLOTS + 901, 7);
+        let tree = KdTree::build(&inst);
+        let mut slots: Vec<Slot> = (0u32..)
+            .zip(inst.points())
+            .map(|(c, &p)| Slot { p, c })
+            .collect();
+        let mut nodes = Vec::new();
+        KdTree::build_rec(&mut slots, 0, &mut nodes);
+        let shape = |nodes: &[Node]| -> Vec<(u64, u8, u32, u32)> {
+            nodes
+                .iter()
+                .map(|n| (n.split.to_bits(), n.axis, n.lo, n.hi))
+                .collect()
+        };
+        assert_eq!(shape(&tree.nodes), shape(&nodes));
+        let cities = |slots: &[Slot]| slots.iter().map(|s| s.c).collect::<Vec<_>>();
+        assert_eq!(cities(&tree.slots), cities(&slots));
     }
 
     #[test]
@@ -394,9 +584,9 @@ mod tests {
             ));
         }
         let inst = Instance::new("two-clusters", pts, Metric::Euc2d);
-        let tree = KdTree::build(&inst);
-        for q in 0..50 {
-            for c in tree.k_nearest(q, 5) {
+        let rows = rows_by_city(&KdTree::build(&inst), 5);
+        for row in &rows[..50] {
+            for &c in row {
                 assert!((c as usize) < 50, "neighbor of cluster-0 city in cluster 1");
             }
         }

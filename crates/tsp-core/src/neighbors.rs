@@ -10,11 +10,16 @@
 //! Next to each neighbor id the structure caches the exact metric
 //! distance in a parallel `i64` array, so candidate scans in the LK
 //! inner loops read a precomputed value instead of recomputing sqrt
-//! (EUC_2D) or trig (GEO) per probe. Construction hands chunks of
-//! per-city k-NN queries to [`fan_out`] — the serial pass is a visible
-//! startup cost at pla85900 scale.
+//! (EUC_2D) or trig (GEO) per probe. On a geometric instance the rows
+//! are made in the k-d tree's leaf order: [`fan_out`] gets chunks of
+//! consecutive slots, each answered by one batch kernel
+//! (`KdTree::k_nearest_rows`) whose neighbouring queries share a warm
+//! path through the tree, and each chunk's finished rows are then
+//! scattered to their cities.
 
 use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::Mutex;
 
 use crate::fan_out::fan_out;
 use crate::instance::Instance;
@@ -41,16 +46,37 @@ pub struct NeighborLists {
 }
 
 impl NeighborLists {
+    /// The one width contract of every candidate-list builder: a row
+    /// holds at least one city (`k` above `n − 1` is clamped to it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, naming `k` and the instance size `n`.
+    pub fn assert_k(k: usize, n: usize) {
+        assert!(
+            k >= 1,
+            "candidate lists need k >= 1, got k = {k} for n = {n} cities"
+        );
+    }
+
     /// Build lists of `k` nearest neighbors per city using the k-d tree
     /// (exact, robust on clustered data).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` ([`Self::assert_k`]).
     pub fn build(inst: &Instance, k: usize) -> Self {
         let n = inst.len();
+        Self::assert_k(k, n);
         let k = k.min(n - 1);
         if !inst.metric().is_geometric() {
             return Self::build_brute_force(inst, k);
         }
         let tree = KdTree::build(inst);
-        Self::build_with(inst, k, true, &|c| tree.k_nearest(c, k))
+        // Rows are made in the tree's slot order.
+        Self::build_rows(inst, k, true, &|s| tree.city_in_slot(s), &|first, ids| {
+            tree.k_nearest_rows(first, k, ids)
+        })
     }
 
     /// O(n²) fallback, ordered by the instance metric itself for
@@ -58,11 +84,16 @@ impl NeighborLists {
     /// geometric instances — the latter matches the `(dist, id)` order
     /// of the k-d tree queries exactly, so both builders produce
     /// identical candidate ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` ([`Self::assert_k`]).
     pub fn build_brute_force(inst: &Instance, k: usize) -> Self {
         let n = inst.len();
+        Self::assert_k(k, n);
         let k = k.min(n - 1);
         let geometric = inst.metric().is_geometric();
-        Self::build_with(inst, k, geometric, &|c| {
+        let row = |c: usize| {
             let others = (0..n as u32).filter(|&o| o as usize != c);
             if geometric {
                 let p = inst.point(c);
@@ -74,54 +105,52 @@ impl NeighborLists {
                 let keyed = others.map(|o| (inst.dist(c, o as usize), o));
                 k_smallest(keyed.collect(), k, Ord::cmp)
             }
+        };
+        Self::build_rows(inst, k, geometric, &|c| c, &|first, ids| {
+            for (c, out) in (first..).zip(ids.chunks_exact_mut(k)) {
+                out.copy_from_slice(&row(c));
+            }
         })
     }
 
-    /// Shared builder: run `query` for every city (chunks of
-    /// [`PARALLEL_MIN_CITIES`] fanned out) and cache the metric
-    /// distance of each returned neighbor. `nearest` records whether
-    /// `query` returns the coordinate-nearest cities.
-    fn build_with<F>(inst: &Instance, k: usize, nearest: bool, query: &F) -> Self
+    /// Shared builder: `fill(first, ids)` writes the `k` ids of every
+    /// row from `first` on into `ids`, and row `r` belongs to city
+    /// `city(r)`. Chunks of [`PARALLEL_MIN_CITIES`] rows are fanned
+    /// out; each then scatters its ids to their cities and caches the
+    /// metric distances there, so no row but a chunk's ids is held
+    /// twice. `nearest` records whether the rows are the
+    /// coordinate-nearest cities.
+    fn build_rows<C, F>(inst: &Instance, k: usize, nearest: bool, city: &C, fill: &F) -> Self
     where
-        F: Fn(usize) -> Vec<u32> + Sync,
+        C: Fn(usize) -> usize + Sync,
+        F: Fn(usize, &mut [u32]) + Sync,
     {
         let n = inst.len();
         let mut flat = vec![0u32; n * k];
         let mut dists = vec![0i64; n * k];
-        let mut chunks: Vec<_> = flat
-            .chunks_mut(PARALLEL_MIN_CITIES * k)
-            .zip(dists.chunks_mut(PARALLEL_MIN_CITIES * k))
+        let out = Mutex::new((&mut flat[..], &mut dists[..]));
+        let mut chunks: Vec<Range<usize>> = (0..n)
+            .step_by(PARALLEL_MIN_CITIES)
+            .map(|first| first..n.min(first + PARALLEL_MIN_CITIES))
             .collect();
-        fan_out(&mut chunks, |i, (fc, dc)| {
-            Self::fill_chunk(inst, k, i * PARALLEL_MIN_CITIES, fc, dc, query)
+        fan_out(&mut chunks, |_, rows| {
+            let mut ids = vec![0u32; rows.len() * k];
+            fill(rows.start, &mut ids);
+            let mut out = out.lock().expect("no chunk panics holding the lists");
+            let (flat, dists) = &mut *out;
+            for (r, row) in rows.clone().zip(ids.chunks_exact(k)) {
+                let c = city(r);
+                flat[c * k..(c + 1) * k].copy_from_slice(row);
+                for (d, &o) in dists[c * k..(c + 1) * k].iter_mut().zip(row) {
+                    *d = inst.dist(c, o as usize);
+                }
+            }
         });
         NeighborLists {
             k,
             flat,
             dists,
             nearest,
-        }
-    }
-
-    /// Fill the lists for cities `base .. base + chunk_len/k`.
-    fn fill_chunk<F>(
-        inst: &Instance,
-        k: usize,
-        base: usize,
-        flat: &mut [u32],
-        dists: &mut [i64],
-        query: &F,
-    ) where
-        F: Fn(usize) -> Vec<u32>,
-    {
-        for i in 0..flat.len() / k {
-            let c = base + i;
-            let nn = query(c);
-            debug_assert_eq!(nn.len(), k);
-            flat[i * k..(i + 1) * k].copy_from_slice(&nn);
-            for (j, &o) in nn.iter().enumerate() {
-                dists[i * k + j] = inst.dist(c, o as usize);
-            }
         }
     }
 
@@ -133,12 +162,11 @@ impl NeighborLists {
     ///
     /// # Panics
     ///
-    /// Panics if `flat.len() != inst.len() * k`.
+    /// Panics if `k == 0` ([`Self::assert_k`]) or
+    /// `flat.len() != inst.len() * k`.
     pub fn from_flat(inst: &Instance, k: usize, flat: Vec<u32>) -> Self {
-        assert!(
-            k > 0 && flat.len() == inst.len() * k,
-            "flat length must be n*k"
-        );
+        Self::assert_k(k, inst.len());
+        assert!(flat.len() == inst.len() * k, "flat length must be n*k");
         let mut dists = vec![0i64; flat.len()];
         for c in 0..inst.len() {
             for j in 0..k {
@@ -316,18 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial_semantics() {
-        // Large enough to cross PARALLEL_MIN_CITIES on multi-core hosts.
+    fn rows_in_leaf_order_reach_their_cities() {
+        // Two chunks of slots, each scattered to its cities.
         let inst = random_instance(3_000, 21);
         let nl = NeighborLists::build(&inst, 5);
+        let brute = NeighborLists::build_brute_force(&inst, 5);
         assert_eq!(nl.len(), 3_000);
-        let tree = KdTree::build(&inst);
-        for c in (0..3_000).step_by(97) {
-            assert_eq!(nl.of(c), &tree.k_nearest(c, 5)[..], "city {c}");
-            for (&o, &d) in nl.of(c).iter().zip(nl.dists_of(c)) {
-                assert_eq!(d, inst.dist(c, o as usize));
-            }
-        }
+        assert_eq!(nl.flat, brute.flat);
+        assert_eq!(nl.dists, brute.dists);
     }
 
     #[test]
@@ -341,6 +365,24 @@ mod tests {
             .map(|i| (i / 4).abs_diff(i % 4) as i64)
             .collect();
         assert!(!NeighborLists::build(&Instance::explicit("m4", m, 4), 2).is_nearest());
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 30 cities")]
+    fn tree_lists_of_width_zero_are_refused() {
+        NeighborLists::build(&random_instance(30, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 30 cities")]
+    fn brute_force_lists_of_width_zero_are_refused() {
+        NeighborLists::build_brute_force(&random_instance(30, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists need k >= 1, got k = 0 for n = 3 cities")]
+    fn flat_lists_of_width_zero_are_refused() {
+        NeighborLists::from_flat(&random_instance(3, 2), 0, Vec::new());
     }
 
     #[test]

@@ -45,6 +45,19 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
         if line.is_empty() {
             continue;
         }
+        // A digit-led line is no keyword: in the coordinate section it is
+        // a city, read without the upper-case copy a keyword test needs.
+        // On ASCII, `split_whitespace` also splits at the vertical tab,
+        // which `split_ascii_whitespace` keeps; such lines take the
+        // general route.
+        if section == Section::NodeCoords
+            && line.as_bytes()[0].is_ascii_digit()
+            && line.is_ascii()
+            && !line.contains('\x0b')
+        {
+            coords.push(coord_line(line.split_ascii_whitespace(), lineno)?);
+            continue;
+        }
         // Section keywords can appear after data sections too.
         let upper = line.to_ascii_uppercase();
         if upper == "EOF" {
@@ -101,31 +114,7 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
                     _ => {}
                 }
             }
-            Section::NodeCoords => {
-                let mut it = line.split_whitespace();
-                let idx: usize = it
-                    .next()
-                    .ok_or_else(|| Error::Parse("missing node index".into(), Some(lineno)))?
-                    .parse()
-                    .map_err(|_| Error::Parse("bad node index".into(), Some(lineno)))?;
-                let x: f64 = it
-                    .next()
-                    .ok_or_else(|| Error::Parse("missing x".into(), Some(lineno)))?
-                    .parse()
-                    .map_err(|_| Error::Parse("bad x coordinate".into(), Some(lineno)))?;
-                let y: f64 = it
-                    .next()
-                    .ok_or_else(|| Error::Parse("missing y".into(), Some(lineno)))?
-                    .parse()
-                    .map_err(|_| Error::Parse("bad y coordinate".into(), Some(lineno)))?;
-                if !(x.is_finite() && y.is_finite()) {
-                    return Err(Error::Parse(
-                        format!("coordinate ({x}, {y}) is not finite"),
-                        Some(lineno),
-                    ));
-                }
-                coords.push((idx, Point::new(x, y)));
-            }
+            Section::NodeCoords => coords.push(coord_line(line.split_whitespace(), lineno)?),
             Section::EdgeWeights => {
                 for tok in line.split_whitespace() {
                     weights.push(
@@ -197,6 +186,35 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
         inst.set_known_optimum(opt);
     }
     Ok(inst)
+}
+
+/// One `NODE_COORD_SECTION` line, split into `tokens`: index, x, y.
+fn coord_line<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    lineno: usize,
+) -> Result<(usize, Point)> {
+    let idx: usize = tokens
+        .next()
+        .ok_or_else(|| Error::Parse("missing node index".into(), Some(lineno)))?
+        .parse()
+        .map_err(|_| Error::Parse("bad node index".into(), Some(lineno)))?;
+    let x: f64 = tokens
+        .next()
+        .ok_or_else(|| Error::Parse("missing x".into(), Some(lineno)))?
+        .parse()
+        .map_err(|_| Error::Parse("bad x coordinate".into(), Some(lineno)))?;
+    let y: f64 = tokens
+        .next()
+        .ok_or_else(|| Error::Parse("missing y".into(), Some(lineno)))?
+        .parse()
+        .map_err(|_| Error::Parse("bad y coordinate".into(), Some(lineno)))?;
+    if !(x.is_finite() && y.is_finite()) {
+        return Err(Error::Parse(
+            format!("coordinate ({x}, {y}) is not finite"),
+            Some(lineno),
+        ));
+    }
+    Ok((idx, Point::new(x, y)))
 }
 
 /// Expand a packed TSPLIB weight list into a full row-major matrix.
