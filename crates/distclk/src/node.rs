@@ -159,12 +159,10 @@ pub struct NodeDriver<'a, T: Transport> {
 
     best_tour: Tour,
     best_len: i64,
-    /// The construction tour while the Fig. 1 preamble
-    /// `s_best := CLK(INITIALTOUR)` is still owed; the first
-    /// [`NodeDriver::step`] takes it. Kept apart from `best_tour` so
-    /// that a [`NodeDriver::restore`] in between cannot put another
-    /// tour through the preamble.
-    initial: Option<Tour>,
+    /// The Fig. 1 preamble `s_best := CLK(INITIALTOUR)` is still owed:
+    /// the first [`NodeDriver::step`] runs it on `best_tour`, which
+    /// holds the construction tour until then.
+    preamble_owed: bool,
 
     // Counters live in the obs registry (the single source of truth
     // NodeResult reads from); these are the resolved handles.
@@ -236,7 +234,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
             clk_kicks_per_call: cfg.clk_kicks_per_call,
             watch,
             busy: started.elapsed(),
-            initial: Some(tour.clone()),
+            preamble_owed: true,
             best_tour: tour,
             best_len: len,
             obs,
@@ -315,7 +313,9 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// The Fig. 1 preamble `s_best := CLK(INITIALTOUR)` on the
     /// construction tour: one full LK optimization, counted as a CLK
     /// call, nothing perturbed, nothing sent or read.
-    fn preamble(&mut self, mut tour: Tour) {
+    fn preamble(&mut self) {
+        self.preamble_owed = false;
+        let mut tour = self.best_tour.clone();
         let len = self.engine.optimize_tour(&mut tour);
         self.c_clk_calls.incr();
         self.obs
@@ -344,8 +344,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         let started = Instant::now();
         let searched = if self.terminated {
             Searched::Stopped
-        } else if let Some(tour) = self.initial.take() {
-            self.preamble(tour);
+        } else if self.preamble_owed {
+            self.preamble();
             Searched::Preamble
         } else if self.budget.target_met(self.best_len) {
             // Known-optimum reached already (possibly by the preamble):
@@ -628,47 +628,6 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         best_received
     }
 
-    /// Serialize this node's resumable state — best tour plus the
-    /// adaptive `NumNoImprovements` counter — as one wire frame (the
-    /// tour rides in a `TourFound`, the counter in its id field), so
-    /// the checkpoint format needs no second codec.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        p2p::codec::encode(&Message::TourFound {
-            from: self.id,
-            id: self.perturb.no_improvements() as u64,
-            length: self.best_len,
-            order: self.best_tour.order().to_vec(),
-        })
-    }
-
-    /// Restore state from a [`NodeDriver::checkpoint`] blob. The tour
-    /// is validated exactly like a received one (a stale or corrupted
-    /// checkpoint must not poison the node) and adopted only if it
-    /// beats the current best. Returns `false` when the blob is
-    /// rejected.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> bool {
-        let mut reader = checkpoint;
-        let Ok(Message::TourFound {
-            id, length, order, ..
-        }) = p2p::codec::read_frame(&mut reader)
-        else {
-            return false;
-        };
-        let Some((len, tour)) = self.validate_received(length, order) else {
-            return false;
-        };
-        if len < self.best_len {
-            self.install_best(tour, len, false);
-        }
-        self.perturb
-            .set_no_improvements(id.min(u32::MAX as u64) as u32);
-        self.obs.event(
-            "node.restore",
-            &[("len", Value::I(len)), ("no_improvements", Value::U(id))],
-        );
-        true
-    }
-
     /// Validate one received tour against the local instance: right
     /// city count, a real permutation, and a truthful length claim.
     /// Returns the recomputed length and the tour, or `None` when the
@@ -890,50 +849,6 @@ mod tests {
             assert_eq!(node.perturb.no_improvements(), 0);
             assert_eq!(node.trace.points().len(), 2);
         }
-    }
-
-    #[test]
-    fn restored_checkpoint_does_not_go_through_the_preamble() {
-        let inst = generate::uniform(150, 10_000.0, 204);
-        let nl = NeighborLists::build(&inst, 8);
-        let cfg = DistConfig {
-            nodes: 1,
-            budget: Budget::kicks(4),
-            clk_kicks_per_call: 5,
-            ..Default::default()
-        };
-        // A checkpoint from a node that has worked for a while: better
-        // than the construction tour and than its first LK pass.
-        let mut donor = lone_node(&inst, &nl, &cfg);
-        donor.step();
-        let first_pass = donor.best_length();
-        while donor.step() {}
-        let checkpoint = donor.checkpoint();
-        let restored = (donor.best_length(), donor.best_tour().clone());
-        assert!(
-            restored.0 < first_pass,
-            "donor never improved: pick another seed"
-        );
-
-        let mut node = lone_node(&inst, &nl, &cfg);
-        assert!(node.restore(&checkpoint));
-        assert_eq!(
-            (node.best_length(), node.best_tour()),
-            (restored.0, &restored.1)
-        );
-        // The preamble is still owed, on the construction tour: it counts
-        // as CLK call 1 and finds `first_pass`, which does not displace
-        // the checkpoint — and the checkpoint itself is not optimized.
-        assert!(node.step());
-        assert_eq!(node.c_clk_calls.get(), 1);
-        assert_eq!(
-            (node.best_length(), node.best_tour()),
-            (restored.0, &restored.1)
-        );
-        let res = node.finish();
-        let lens: Vec<i64> = res.trace.points().iter().map(|p| p.2).collect();
-        assert_eq!(lens.len(), 2, "construction, checkpoint: {lens:?}");
-        assert!(!lens.contains(&first_pass));
     }
 
     #[test]

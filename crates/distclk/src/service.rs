@@ -19,20 +19,20 @@
 //!   up. Every accepted job gets its own solve thread owning the
 //!   [`Instance`] admission parsed, its candidate lists, and a fresh
 //!   single-node driver — engine state is keyed by `job_id`. A *worker*
-//!   is a placement-and-failure domain, not a thread: it carries any
-//!   number of concurrent jobs, and killing it orphans exactly those.
+//!   is a placement label, not a thread or a process: each job goes to
+//!   the least-loaded of `1..=workers`, and `JobAccept` reports which.
 //! - **Wire protocol.** The five `Job*` frames (codec tags 12–16) exist
 //!   on the TCP boundary only: the front-end ([`ServiceJobHandler`])
 //!   rides the lifecycle hub's `JOB` command and translates frames to
 //!   and from the in-process [`JobSpec`]/[`JobUpdate`] types. Ids are
 //!   minted by [`p2p::job_id`]`(client, seq)` following the PR 2
 //!   broadcast-id template.
-//! - **Churn survival.** The supervisor remembers each job's last
-//!   streamed best; when a worker dies the job is restarted on a
-//!   survivor with that tour as a checkpoint (PR 4's
-//!   [`crate::NodeDriver::restore`] blob — an encoded `TourFound`
-//!   frame, revalidated on restore). The kick budget restarts on the
-//!   new worker but the absolute deadline is preserved.
+//! - **No failure domain.** Solve threads share the service's process,
+//!   so nothing can fail one of them alone: a job ends by its own
+//!   bounds, a cancel, its deadline (the supervisor force-finishes it
+//!   `DEADLINE_GRACE` after), or shutdown. The one process that runs
+//!   a service is whoever embeds [`SolverService`] — tests and the
+//!   benchmark; `distclk-node hub` attaches no job handler.
 //! - **Fairness.** Admission charges a per-client [`FlowBudget`] in a
 //!   [`FlowLedger`] before any effect: a job over its tenant's limit is
 //!   refused before it is queued, and a refused job costs nothing.
@@ -310,8 +310,8 @@ impl JobSpec {
         self
     }
 
-    /// Encode as a `JobSubmit` frame (fresh submission: `from`/`job`
-    /// zero — the scheduler assigns the id — and no checkpoint).
+    /// Encode as a `JobSubmit` frame (`from`/`job` zero: the scheduler
+    /// assigns the id).
     pub fn to_submit(&self, client: u64) -> Message {
         Message::JobSubmit {
             from: 0,
@@ -326,12 +326,11 @@ impl JobSpec {
             target: self.target.unwrap_or(i64::MIN),
             payload_kind: self.payload.kind(),
             payload: self.payload.bytes().to_vec(),
-            checkpoint: Vec::new(),
         }
     }
 
-    /// Decode a `JobSubmit` frame into `(client, spec, checkpoint)`.
-    pub fn from_submit(msg: &Message) -> Result<(u64, JobSpec, Vec<u8>), String> {
+    /// Decode a `JobSubmit` frame into `(client, spec)`.
+    pub fn from_submit(msg: &Message) -> Result<(u64, JobSpec), String> {
         let Message::JobSubmit {
             client,
             seed,
@@ -340,7 +339,6 @@ impl JobSpec {
             target,
             payload_kind,
             payload,
-            checkpoint,
             ..
         } = msg
         else {
@@ -355,7 +353,6 @@ impl JobSpec {
                 target: (*target != i64::MIN).then_some(*target),
                 payload: JobPayload::from_wire(*payload_kind, payload)?,
             },
-            checkpoint.clone(),
         ))
     }
 }
@@ -435,8 +432,8 @@ impl FlowLedger {
 /// Configuration of a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker count: the placement-and-failure domains jobs are spread
-    /// over (node ids `1..=workers`).
+    /// Worker count: the placement labels jobs are spread over (node
+    /// ids `1..=workers`, reported in `JobAccept`).
     pub workers: usize,
     /// Engine template: `clk`, `c_v`/`c_r`, perturbation settings.
     /// Per-job fields (`nodes`, `seed`, `budget`) are overridden from
@@ -560,9 +557,6 @@ enum Event {
     Cancel {
         job: u64,
     },
-    WorkerDead {
-        worker: NodeId,
-    },
     Shutdown,
     /// A solve thread found a better tour.
     Improved {
@@ -570,9 +564,8 @@ enum Event {
         length: i64,
         order: Vec<u32>,
     },
-    /// A solve thread (running under worker `from`) stopped.
+    /// A solve thread stopped.
     Done {
-        from: NodeId,
         job: u64,
         reason: DoneReason,
         length: i64,
@@ -598,14 +591,11 @@ impl CancelSlot {
 }
 
 struct JobState {
-    /// The service's engine template with this job's seed and bounds.
-    engine: DistConfig,
-    inst: Arc<Instance>,
     deadline: Option<Instant>,
     /// The deadline passed and the solve thread was told so.
     nudged: bool,
     worker: NodeId,
-    /// Stops the current assignee's solve thread.
+    /// Stops the job's solve thread.
     cancel: Arc<CancelSlot>,
     best: Option<(i64, Vec<u32>)>,
     subscriber: Sender<JobUpdate>,
@@ -636,11 +626,8 @@ struct Supervisor {
     jobs: HashMap<u64, JobState>,
     /// Per-client sequence numbers for id minting.
     seqs: HashMap<u64, u32>,
-    /// Live workers (dead ones are removed, never revived — the
-    /// service keeps running degraded, like the paper's topology
-    /// "degenerating" near the end of a run).
-    alive: Vec<NodeId>,
-    load: HashMap<NodeId, usize>,
+    /// Running jobs per worker; worker `w` is `load[w - 1]`.
+    load: Vec<usize>,
 }
 
 impl Supervisor {
@@ -691,29 +678,16 @@ impl Supervisor {
                     state.cancel.set(DoneReason::Cancelled);
                 }
             }
-            Event::WorkerDead { worker } => self.on_worker_dead(worker),
             Event::Shutdown => return false,
             Event::Improved { job, length, order } => self.on_improved(job, length, order),
             Event::Done {
-                from,
                 job,
                 reason,
                 length,
                 order,
             } => {
                 let tour = (length < i64::MAX && !order.is_empty()).then_some((length, order));
-                match self.jobs.get(&job) {
-                    Some(state) if state.worker == from => self.finish_job(job, reason, tour),
-                    // A previous assignee that raced the reassignment:
-                    // keep its tour, ignore its verdict — the new
-                    // worker owns termination now.
-                    Some(_) => {
-                        if let Some((length, order)) = tour {
-                            self.on_improved(job, length, order);
-                        }
-                    }
-                    None => {}
-                }
+                self.finish_job(job, reason, tour);
             }
         }
         true
@@ -731,7 +705,7 @@ impl Supervisor {
         // Validate before charging: a malformed payload is not the
         // tenant's budget's problem.
         let inst = match spec.payload.parse() {
-            Ok(inst) => Arc::new(inst),
+            Ok(inst) => inst,
             Err(e) => {
                 reject(&self.obs, 0);
                 return Err(format!("bad payload: {e}"));
@@ -755,8 +729,7 @@ impl Supervisor {
         engine.nodes = 1;
         engine.seed = spec.seed;
         engine.budget = Budget {
-            // Each placement sets what is left to the deadline.
-            time_limit: None,
+            time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
             max_kicks: if unbounded_job {
                 Some(DEFAULT_KICKS)
             } else {
@@ -764,32 +737,38 @@ impl Supervisor {
             },
             target_length: spec.target,
         };
-        let (tx, rx) = channel();
-        let state = JobState {
-            engine,
-            inst,
-            deadline,
-            nudged: false,
-            worker: 0,
-            cancel: Arc::default(),
-            best: None,
-            subscriber: tx,
-        };
-        self.jobs.insert(job, state);
-        let worker = match self.dispatch(job) {
-            Ok(worker) => worker,
-            Err(e) => {
-                self.jobs.remove(&job);
-                self.obs.counter(kinds::C_SVC_REJECTED).incr();
-                return Err(e);
-            }
-        };
+        // Placement: the least-loaded worker, ties to the lowest id.
+        let worker = (1..=self.load.len())
+            .min_by_key(|&w| self.load[w - 1])
+            .expect("a service has at least one worker");
+        let cancel = Arc::new(CancelSlot::default());
+        let (stop, reports) = (Arc::clone(&cancel), self.reports.clone());
+        // The OS may refuse a thread: that fails this admission, not
+        // the supervisor.
+        if let Err(e) = std::thread::Builder::new()
+            .name(format!("svc-job-{job:x}"))
+            .spawn(move || solve_job(job, &inst, &engine, &stop, &reports))
+        {
+            self.obs.counter(kinds::C_SVC_REJECTED).incr();
+            return Err(format!("cannot start a solve thread: {e}"));
+        }
+        self.load[worker - 1] += 1;
         self.obs.counter(kinds::C_SVC_ACCEPTED).incr();
         // Sent before the next event is read, so `Accepted` precedes
         // every `Improved` of the job by construction.
-        let _ = self.jobs[&job]
-            .subscriber
-            .send(JobUpdate::Accepted { worker });
+        let (tx, rx) = channel();
+        let _ = tx.send(JobUpdate::Accepted { worker });
+        self.jobs.insert(
+            job,
+            JobState {
+                deadline,
+                nudged: false,
+                worker,
+                cancel,
+                best: None,
+                subscriber: tx,
+            },
+        );
         self.obs.event(
             kinds::SVC_ACCEPT,
             &[
@@ -801,50 +780,10 @@ impl Supervisor {
         Ok((job, rx))
     }
 
-    /// Place a job (fresh or orphaned) on the least-loaded live worker
-    /// (ties to the lowest id) and start its solve thread there, from
-    /// the last streamed best if there is one. Returns the worker.
-    fn dispatch(&mut self, job: u64) -> Result<NodeId, String> {
-        let Some(&worker) = self
-            .alive
-            .iter()
-            .min_by_key(|&&w| (self.load.get(&w).copied().unwrap_or(0), w))
-        else {
-            return Err("no live workers".into());
-        };
-        let state = self.jobs.get_mut(&job).expect("dispatching unknown job");
-        let mut engine = state.engine.clone();
-        engine.budget.time_limit = state
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()));
-        let checkpoint = state.best.as_ref().map(|(length, order)| {
-            p2p::codec::encode(&Message::TourFound {
-                from: 0,
-                id: 0,
-                length: *length,
-                order: order.clone(),
-            })
-        });
-        let inst = Arc::clone(&state.inst);
-        let cancel = Arc::new(CancelSlot::default());
-        let (stop, reports) = (Arc::clone(&cancel), self.reports.clone());
-        // The OS may refuse a thread: that fails this placement, not
-        // the supervisor.
-        std::thread::Builder::new()
-            .name(format!("svc-job-{job:x}"))
-            .spawn(move || solve_job(worker, job, &inst, &engine, checkpoint, &stop, &reports))
-            .map_err(|e| format!("cannot start a solve thread: {e}"))?;
-        state.worker = worker;
-        state.cancel = cancel;
-        *self.load.entry(worker).or_insert(0) += 1;
-        Ok(worker)
-    }
-
-    /// Relay only strict improvements over the tracked best: one solve
-    /// thread's reports are already strictly improving, but a
-    /// reassigned job restarts from its checkpoint and may re-announce
-    /// equal-or-worse tours. This filter is what makes the client
-    /// stream monotone decreasing unconditionally.
+    /// Relay only strict improvements over the tracked best. A solve
+    /// thread's reports are already strictly improving; this filter is
+    /// what makes the client stream monotone decreasing whatever a
+    /// solve thread sends.
     fn on_improved(&mut self, job: u64, length: i64, order: Vec<u32>) {
         let Some(state) = self.jobs.get_mut(&job) else {
             return;
@@ -856,9 +795,9 @@ impl Supervisor {
         }
     }
 
-    /// Terminal transition: emit `Done` carrying the best tour seen
-    /// from any assignee, drop the job, stop its solve thread if that
-    /// is still running, release the worker-load slot.
+    /// Terminal transition: emit `Done` carrying the best tour seen,
+    /// drop the job, stop its solve thread if that is still running,
+    /// release the worker-load slot.
     fn finish_job(&mut self, job: u64, reason: DoneReason, last: Option<(i64, Vec<u32>)>) {
         let Some(mut state) = self.jobs.remove(&job) else {
             return;
@@ -869,9 +808,7 @@ impl Supervisor {
                 state.best = Some((length, order));
             }
         }
-        if let Some(load) = self.load.get_mut(&state.worker) {
-            *load = load.saturating_sub(1);
-        }
+        self.load[state.worker - 1] -= 1;
         let (length, order) = state.best.unwrap_or((i64::MAX, Vec::new()));
         // Book-keep *before* waking the subscriber: a client that sees
         // the terminal update (possibly across a TCP hop) must also see
@@ -895,41 +832,6 @@ impl Supervisor {
             length,
             order,
         });
-    }
-
-    /// A worker died: its solve threads stop, and every job it carried
-    /// restarts on a survivor from the last tour the supervisor
-    /// streamed (the checkpoint/restore path — zero accepted-job loss).
-    fn on_worker_dead(&mut self, worker: NodeId) {
-        self.alive.retain(|&w| w != worker);
-        self.load.remove(&worker);
-        let orphans: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, s)| s.worker == worker)
-            .map(|(&j, _)| j)
-            .collect();
-        for job in orphans {
-            let state = &self.jobs[&job];
-            state.cancel.set(DoneReason::Cancelled);
-            if state.deadline.is_some_and(|d| Instant::now() >= d) {
-                // Past deadline already: expire cleanly rather than
-                // burn a survivor on it.
-                self.finish_job(job, DoneReason::Deadline, None);
-            } else if let Ok(to) = self.dispatch(job) {
-                self.obs.counter(kinds::C_SVC_REASSIGNED).incr();
-                self.obs.event(
-                    kinds::SVC_REASSIGN,
-                    &[
-                        ("job", Value::U(job)),
-                        ("from_worker", Value::U(worker as u64)),
-                        ("to_worker", Value::U(to as u64)),
-                    ],
-                );
-            } else {
-                self.finish_job(job, DoneReason::Cancelled, None);
-            }
-        }
     }
 
     /// Deadline enforcement: at expiry, tell the solve thread (its own
@@ -971,23 +873,18 @@ impl Supervisor {
 /// after the first step, then every improving iteration — so a job's
 /// first `JobImproved` precedes its first LK pass.
 fn solve_job(
-    worker: NodeId,
     job: u64,
     inst: &Instance,
     engine: &DistConfig,
-    checkpoint: Option<Vec<u8>>,
     cancel: &CancelSlot,
     reports: &Sender<Event>,
 ) {
     let neighbors = crate::build_neighbors(inst, engine);
     let (mut eps, _) = InMemoryNetwork::build(1, engine.topology);
     let mut node = NodeDriver::new(inst, &neighbors, engine, eps.remove(0));
-    if let Some(checkpoint) = checkpoint {
-        node.restore(&checkpoint);
-    }
-    // `new` returns with the construction tour (or the checkpoint, if
-    // that is better): stream it before the first LK pass, which is the
-    // node's first step. Anytime semantics start at acceptance.
+    // `new` returns with the construction tour: stream it before the
+    // first LK pass, which is the node's first step. Anytime semantics
+    // start at acceptance.
     let mut last = i64::MAX;
     let mut ship = |node: &NodeDriver<_>| {
         if node.best_length() < last {
@@ -1030,7 +927,6 @@ fn solve_job(
         }
     });
     let _ = reports.send(Event::Done {
-        from: worker,
         job,
         reason,
         length: result.best_length,
@@ -1060,8 +956,7 @@ impl SolverService {
         let supervisor = Supervisor {
             events: events_rx,
             reports: events_tx.clone(),
-            alive: (1..=cfg.workers as NodeId).collect(),
-            load: HashMap::new(),
+            load: vec![0; cfg.workers],
             ledger: FlowLedger::new(cfg.default_limit),
             jobs: HashMap::new(),
             seqs: HashMap::new(),
@@ -1100,14 +995,6 @@ impl SolverService {
     /// Cancel a job (client-initiated, reason code 3).
     pub fn cancel(&self, job: u64) {
         let _ = self.events.send(Event::Cancel { job });
-    }
-
-    /// Crash worker `worker` (1-based node id): it takes no more jobs,
-    /// its solve threads stop, and the supervisor restarts every job it
-    /// carried from the last streamed checkpoints.
-    pub fn kill_worker(&self, worker: NodeId) {
-        assert!(worker >= 1, "worker ids start at 1");
-        let _ = self.events.send(Event::WorkerDead { worker });
     }
 
     /// The service's observability handle (`svc.*` counters/events).
@@ -1164,7 +1051,7 @@ impl JobHandler for ServiceJobHandler {
     fn handle(&self, first: Message, mut stream: TcpStream) -> Result<(), NetError> {
         match first {
             submit @ Message::JobSubmit { .. } => {
-                let (client, spec, _) = match JobSpec::from_submit(&submit) {
+                let (client, spec) = match JobSpec::from_submit(&submit) {
                     Ok(parts) => parts,
                     Err(e) => {
                         reply_line(&mut stream, &format!("ERR {e}"))?;
@@ -1308,18 +1195,17 @@ mod tests {
             .deadline(Duration::from_millis(1500))
             .target(123);
         let msg = spec.to_submit(42);
-        let (client, back, checkpoint) = JobSpec::from_submit(&msg).unwrap();
+        let (client, back) = JobSpec::from_submit(&msg).unwrap();
         assert_eq!(client, 42);
         assert_eq!(back.seed, 7);
         assert_eq!(back.kicks, Some(12));
         assert_eq!(back.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(back.target, Some(123));
         assert_eq!(back.payload, spec.payload);
-        assert!(checkpoint.is_empty());
 
         // Unset bounds map through the wire sentinels.
         let bare = JobSpec::new(grid_payload(16));
-        let (_, back, _) = JobSpec::from_submit(&bare.to_submit(1)).unwrap();
+        let (_, back) = JobSpec::from_submit(&bare.to_submit(1)).unwrap();
         assert_eq!(back.kicks, None);
         assert_eq!(back.deadline, None);
         assert_eq!(back.target, None);

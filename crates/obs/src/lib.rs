@@ -73,11 +73,6 @@ pub mod kinds {
     /// An accepted job reached a terminal state. Fields: `job`,
     /// `reason`, `len`. Counter: [`C_SVC_COMPLETED`].
     pub const SVC_DONE: &str = "svc.done";
-    /// An in-flight job was reassigned to a surviving worker after its
-    /// worker died, restored from the last streamed checkpoint.
-    /// Fields: `job`, `from_worker`, `to_worker`. Counter:
-    /// [`C_SVC_REASSIGNED`].
-    pub const SVC_REASSIGN: &str = "svc.reassign";
     /// Counter: jobs submitted to the service (accepted or not).
     pub const C_SVC_SUBMITTED: &str = "svc.jobs_submitted";
     /// Counter: jobs admitted by the scheduler.
@@ -90,8 +85,6 @@ pub mod kinds {
     pub const C_SVC_EXPIRED: &str = "svc.jobs_expired";
     /// Counter: jobs cancelled by their client.
     pub const C_SVC_CANCELLED: &str = "svc.jobs_cancelled";
-    /// Counter: jobs reassigned after a worker death.
-    pub const C_SVC_REASSIGNED: &str = "svc.jobs_reassigned";
     /// Counter: strictly-improving tour updates streamed to clients.
     pub const C_SVC_IMPROVEMENTS: &str = "svc.improvements";
     /// Counter: LK anchors taken from the active queue. Like the three

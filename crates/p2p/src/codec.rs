@@ -140,11 +140,9 @@ pub(crate) fn put<S: Sink>(msg: &Message, mut s: S) -> S {
             target,
             payload_kind,
             payload,
-            checkpoint,
         } => {
             s.u8(TAG_JOB_SUBMIT).node(*from).u64(*job).u64(*client).u64(*seed);
-            s.u64(*kicks).u64(*deadline_ms).i64(*target).u8(*payload_kind);
-            s.blob(payload).blob(checkpoint)
+            s.u64(*kicks).u64(*deadline_ms).i64(*target).u8(*payload_kind).blob(payload)
         }
         Message::JobAccept { from, job, worker } => {
             s.u8(TAG_JOB_ACCEPT).node(*from).u64(*job).u64(*worker)
@@ -206,7 +204,6 @@ pub fn decode(payload: &[u8]) -> Result<Message, NetError> {
             target: r.i64()?,
             payload_kind: r.code(1, MAX_PAYLOAD_KIND)?,
             payload: r.blob()?,
-            checkpoint: r.blob()?,
         },
         TAG_JOB_ACCEPT => Message::JobAccept {
             from: r.node()?,
@@ -438,14 +435,13 @@ mod tests {
             target: -5,
             payload_kind: 1,
             payload: b"NAME: t\nTYPE: TSP\n".to_vec(),
-            checkpoint: vec![1, 2, 3, 4, 5],
         }
     }
 
     #[test]
     fn roundtrip_job_frames() {
         roundtrip(sample_job_submit());
-        // Fresh submission: empty checkpoint, unbounded kicks.
+        // No bounds, a short payload.
         roundtrip(Message::JobSubmit {
             from: 3,
             job: 0,
@@ -456,7 +452,6 @@ mod tests {
             target: i64::MIN,
             payload_kind: 2,
             payload: b"[[0,0],[1,1]]".to_vec(),
-            checkpoint: vec![],
         });
         roundtrip(Message::JobAccept {
             from: 2,
@@ -513,11 +508,11 @@ mod tests {
         let mut bad = payload.to_vec();
         bad[kind_at + 1..kind_at + 5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(&bad).is_err());
-        // Checkpoint length disagreeing with the bytes present (the
-        // 4-byte section length sits right before the 5 blob bytes).
+        // Payload length one short of the bytes present: the last byte
+        // is left over.
         let mut bad = payload.to_vec();
-        let len = bad.len();
-        bad[len - 9..len - 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let short = (bad.len() - kind_at - 5 - 1) as u32;
+        bad[kind_at + 1..kind_at + 5].copy_from_slice(&short.to_le_bytes());
         assert!(decode(&bad).is_err());
     }
 

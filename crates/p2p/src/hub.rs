@@ -555,7 +555,6 @@ mod tests {
             target: i64::MIN,
             payload_kind: 2,
             payload: b"[[0,0],[1,0],[1,1],[0,1]]".to_vec(),
-            checkpoint: vec![],
         }
     }
 

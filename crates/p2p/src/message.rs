@@ -72,18 +72,16 @@ pub enum Message {
         /// Sub-tour visiting order in global city ids.
         order: Vec<u32>,
     },
-    /// A solve job entering the service layer: carried from a client
-    /// to the scheduling hub, and from the hub to the worker node the
-    /// job is assigned to. On *re*assignment after a worker death the
-    /// same frame travels again with `checkpoint` holding the last
-    /// streamed best tour (a [`crate::codec`]-encoded `TourFound`, the
-    /// node checkpoint format), so an in-flight job survives churn.
+    /// A solve job, sent by a client on the hub's `JOB` command. The
+    /// five job frames travel only on that client connection: the hub
+    /// hands it to its registered job handler, which answers on the same
+    /// stream. No job frame goes between nodes.
     JobSubmit {
-        /// Submitting node (the hub when forwarding to a worker).
+        /// Submitting client connection (`0`; unread).
         from: NodeId,
         /// Job id, `client << 32 | seq` — the same composition as
-        /// [`broadcast_id`], so `job >> 32` recovers the owning client
-        /// anywhere in the pipeline. `0` until the hub assigns one.
+        /// [`broadcast_id`], so `job >> 32` recovers the owning client.
+        /// `0` on submission: the job handler assigns the id.
         job: u64,
         /// Client (tenant) the job belongs to; the fairness ledger is
         /// keyed by this.
@@ -102,23 +100,21 @@ pub enum Message {
         payload_kind: u8,
         /// The instance payload bytes.
         payload: Vec<u8>,
-        /// Resume state for reassignment (empty on fresh submission).
-        checkpoint: Vec<u8>,
     },
-    /// A worker accepted a job and is solving it.
+    /// The job handler accepted a job: the first frame of the job's
+    /// stream back to the client.
     JobAccept {
-        /// Accepting worker.
+        /// The job handler (`0`).
         from: NodeId,
         /// Job id.
         job: u64,
-        /// Worker id echoed as a field so the frame can be relayed to
-        /// the client without rewriting `from`.
+        /// The worker label the service placed the job on.
         worker: u64,
     },
     /// Anytime stream: the job's engine improved its best tour. Sent
-    /// worker → hub → client for every strict improvement.
+    /// to the client for every strict improvement.
     JobImproved {
-        /// Reporting worker.
+        /// The job handler (`0`).
         from: NodeId,
         /// Job id.
         job: u64,
@@ -131,7 +127,7 @@ pub enum Message {
     /// reached, deadline expired, or cancelled — with the final best
     /// tour either way (anytime semantics).
     JobDone {
-        /// Reporting worker.
+        /// The job handler (`0`).
         from: NodeId,
         /// Job id.
         job: u64,
@@ -143,16 +139,16 @@ pub enum Message {
         /// Final best visiting order.
         order: Vec<u32>,
     },
-    /// Cancel an in-flight job (client request, or the hub enforcing a
-    /// deadline on a wedged worker). The worker answers with a
+    /// Cancel an in-flight job, sent by a client on a `JOB` connection
+    /// of its own. The job's stream then ends with a
     /// [`Message::JobDone`] carrying its best-so-far.
     JobCancel {
-        /// Requesting node.
+        /// Requesting client connection (`0`; unread).
         from: NodeId,
         /// Job id.
         job: u64,
         /// Reason code, same scale as [`Message::JobDone::reason`]
-        /// (2 = deadline enforcement, 3 = client cancel).
+        /// (clients send 3 = cancel).
         reason: u8,
     },
 }
@@ -255,11 +251,10 @@ mod tests {
             target: i64::MIN,
             payload_kind: 1,
             payload: b"NAME: t\n".to_vec(),
-            checkpoint: vec![],
         };
         assert_eq!(submit.from(), 0);
-        // Fixed header + kind byte + two length-prefixed sections.
-        assert_eq!(submit.wire_size(), 1 + 7 * 8 + 1 + 4 + 8 + 4);
+        // Fixed header + kind byte + a length-prefixed payload.
+        assert_eq!(submit.wire_size(), 1 + 7 * 8 + 1 + 4 + 8);
         assert_eq!(
             Message::JobAccept {
                 from: 2,

@@ -13,7 +13,10 @@ use p2p::Message;
 /// retired hub-election frames) and 10 (the retired wire-telemetry
 /// frame) have no row: see [`retired_tags_are_refused`]. Row 5 was
 /// re-recorded when Pong dropped its clock (see
-/// [`old_pong_with_a_clock_is_refused`]); the others are unchanged.
+/// [`old_pong_with_a_clock_is_refused`]), row 12 when `JobSubmit`
+/// dropped its checkpoint (see
+/// [`old_job_submit_with_a_checkpoint_is_refused`]); the others are
+/// unchanged.
 const GOLDEN: [(u8, usize, u64); 11] = [
     (1, 181, 0x9816_4a72_44eb_4aec),
     (2, 21, 0xe2f1_a3d8_c921_1cdf),
@@ -21,7 +24,7 @@ const GOLDEN: [(u8, usize, u64); 11] = [
     (4, 13, 0x26b0_0338_cfdd_1130),
     (5, 13, 0x9b1f_918d_5988_bd22),
     (11, 73, 0x635a_f7ef_6d15_4b3b),
-    (12, 95, 0x1831_4cf8_6426_baba),
+    (12, 85, 0x6d01_236e_ad3e_1e55),
     (13, 29, 0xe0a0_6bcb_6835_2d75),
     (14, 45, 0x2d14_29d4_5720_3982),
     (15, 46, 0x2bcc_9f31_8594_eaa5),
@@ -69,7 +72,6 @@ fn samples() -> Vec<Message> {
             target: -5,
             payload_kind: 2,
             payload: b"[[0,0],[3,4],[6,0]]".to_vec(),
-            checkpoint: vec![1, 2, 3, 4, 5, 250],
         },
         Message::JobAccept {
             from: 17,
@@ -167,6 +169,36 @@ fn old_pong_with_a_clock_is_refused() {
     assert_eq!((frame.len(), fnv1a64(&frame)), (21, 0x356b_2c4a_831f_4dd9));
     let err = decode(&payload).unwrap_err();
     assert!(err.to_string().contains("8 trailing bytes"), "{err}");
+}
+
+/// `JobSubmit` carried a `u32`-prefixed checkpoint section after its
+/// payload until the service stopped restarting jobs on other workers.
+/// The old 95-byte frame of the tag-12 sample is refused by the
+/// trailing-bytes check, not read as a `JobSubmit`.
+#[test]
+fn old_job_submit_with_a_checkpoint_is_refused() {
+    let json = b"[[0,0],[3,4],[6,0]]";
+    let checkpoint = [1u8, 2, 3, 4, 5, 250];
+    let payload = [
+        &[12u8][..],
+        &16u64.to_le_bytes(),
+        &p2p::job_id(7, 1).to_le_bytes(),
+        &7u64.to_le_bytes(),
+        &99u64.to_le_bytes(),
+        &250u64.to_le_bytes(),
+        &10_000u64.to_le_bytes(),
+        &(-5i64).to_le_bytes(),
+        &[2],
+        &(json.len() as u32).to_le_bytes(),
+        json,
+        &(checkpoint.len() as u32).to_le_bytes(),
+        &checkpoint,
+    ]
+    .concat();
+    let frame = [&(payload.len() as u32).to_le_bytes()[..], &payload].concat();
+    assert_eq!((frame.len(), fnv1a64(&frame)), (95, 0x1831_4cf8_6426_baba));
+    let err = decode(&payload).unwrap_err();
+    assert!(err.to_string().contains("10 trailing bytes"), "{err}");
 }
 
 /// The body (after the tag) of the last tag-10 sample: node, clock,

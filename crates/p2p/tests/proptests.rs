@@ -47,25 +47,24 @@ fn arb_job_message() -> impl Strategy<Value = Message> {
             (any::<u16>(), any::<u64>(), any::<u64>(), any::<u64>()),
             (any::<u64>(), any::<u64>(), any::<i64>(), 1u8..=2),
             prop::collection::vec(any::<u8>(), 0..512),
-            prop::collection::vec(any::<u8>(), 0..128),
         )
             .prop_map(
                 |(
                     (from, job, client, seed),
                     (kicks, deadline_ms, target, payload_kind),
                     payload,
-                    checkpoint,
-                )| Message::JobSubmit {
-                    from: from as usize,
-                    job,
-                    client,
-                    seed,
-                    kicks,
-                    deadline_ms,
-                    target,
-                    payload_kind,
-                    payload,
-                    checkpoint,
+                )| {
+                    Message::JobSubmit {
+                        from: from as usize,
+                        job,
+                        client,
+                        seed,
+                        kicks,
+                        deadline_ms,
+                        target,
+                        payload_kind,
+                        payload,
+                    }
                 }
             ),
         (any::<u16>(), any::<u64>(), any::<u64>()).prop_map(|(from, job, worker)| {
@@ -240,7 +239,7 @@ proptest! {
 
     /// Every strict truncation of a job frame's payload is rejected:
     /// all five frames demand exact consumption, so a cut anywhere —
-    /// mid-header, mid-payload, mid-checkpoint — errors cleanly.
+    /// mid-header, mid-order, mid-payload — errors cleanly.
     #[test]
     fn job_frames_reject_truncation(msg in arb_job_message(), cut in any::<u64>()) {
         let frame = encode(&msg).to_vec();

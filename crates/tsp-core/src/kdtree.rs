@@ -71,7 +71,7 @@ impl KdTree {
             .map(|(c, &p)| Slot { p, c })
             .collect();
         let n = slots.len();
-        let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 2);
+        let mut nodes = Vec::with_capacity(node_count(n));
         if n < PARALLEL_MIN_SLOTS {
             Self::build_rec(&mut slots, 0, &mut nodes);
             return KdTree { nodes, slots };
@@ -90,7 +90,7 @@ impl KdTree {
         });
         let mid = median(0, n);
         let (lo, hi) = slots.split_at_mut(mid);
-        let mut upper = Vec::with_capacity(2 * hi.len() / LEAF_SIZE + 2);
+        let mut upper = Vec::with_capacity(node_count(hi.len()));
         let mut halves = [(lo, 0, &mut nodes), (hi, mid, &mut upper)];
         fan_out(&mut halves, |_, (part, start, nodes)| {
             Self::build_rec(part, *start, nodes);
@@ -340,6 +340,16 @@ fn split_at_median(slots: &mut [Slot]) -> (u8, f64) {
     }
 }
 
+/// Nodes of the tree that [`KdTree::build_rec`] builds over `len`
+/// slots: median splits down to leaves of at most `LEAF_SIZE`.
+fn node_count(len: usize) -> usize {
+    if len <= LEAF_SIZE {
+        return 1;
+    }
+    let mid = median(0, len);
+    1 + node_count(mid) + node_count(len - mid)
+}
+
 /// Where a subtree of the slots `start..end` splits: its lower child
 /// holds `start..median`, its upper child `median..end`.
 #[inline]
@@ -544,6 +554,27 @@ mod tests {
         assert_eq!(shape(&tree.nodes), shape(&nodes));
         let cities = |slots: &[Slot]| slots.iter().map(|s| s.c).collect::<Vec<_>>();
         assert_eq!(cities(&tree.slots), cities(&slots));
+    }
+
+    #[test]
+    fn node_count_is_the_size_of_the_built_tree() {
+        let sizes = (1..=LEAF_SIZE + 1).chain([4_095, 4_096, 4_097, 12_500, 50_000]);
+        for n in sizes {
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let pts: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+                .collect();
+            let mut slots: Vec<Slot> = (0u32..).zip(&pts).map(|(c, &p)| Slot { p, c }).collect();
+            let mut nodes = Vec::new();
+            KdTree::build_rec(&mut slots, 0, &mut nodes);
+            assert_eq!(node_count(n), nodes.len(), "n = {n}");
+            if n >= 3 {
+                // The reservation is exact: the build never reallocates.
+                let tree = KdTree::build(&Instance::new("rand", pts, Metric::Euc2d));
+                assert_eq!(node_count(n), tree.nodes.len(), "n = {n}");
+                assert_eq!(tree.nodes.capacity(), tree.nodes.len(), "n = {n}");
+            }
+        }
     }
 
     #[test]

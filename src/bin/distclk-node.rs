@@ -17,12 +17,12 @@
 
 use std::time::Duration;
 
-use dist_clk::distclk::{DistConfig, NodeDriver};
+use dist_clk::distclk::{build_neighbors, DistConfig, NodeDriver};
 use dist_clk::lk::Budget;
 use dist_clk::p2p::hub::{join_via_hub, LifecycleHub};
 use dist_clk::p2p::tcp::TcpEndpoint;
 use dist_clk::p2p::{Topology, Transport};
-use dist_clk::tsp_core::{generate, tsplib, Instance, NeighborLists};
+use dist_clk::tsp_core::{generate, tsplib, Instance};
 
 fn usage() -> ! {
     eprintln!(
@@ -108,7 +108,6 @@ fn main() {
 
             let inst = parse_instance(&spec);
             eprintln!("node: instance {} ({} cities)", inst.name(), inst.len());
-            let neighbors = NeighborLists::build(&inst, 10);
 
             let mut ep = TcpEndpoint::bind(usize::MAX, "0.0.0.0:0").expect("bind");
             let info = join_via_hub(hub_addr, ep.listen_addr()).expect("join via hub");
@@ -136,6 +135,7 @@ fn main() {
                 seed,
                 ..Default::default()
             };
+            let neighbors = build_neighbors(&inst, &cfg);
             let id = ep.node_id();
             let node = NodeDriver::new(&inst, &neighbors, &cfg, ep);
             let res = node.run_to_completion();
