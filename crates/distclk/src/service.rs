@@ -3,14 +3,14 @@
 //!
 //! The paper's system solves one instance per cluster bring-up; this
 //! module makes the solver outlive any single job. A persistent
-//! [`SolverService`] is one supervisor thread blocked on one channel of
-//! events: client calls, and the improvements and verdicts that solve
-//! threads report to it directly. It wakes otherwise only when a job
-//! deadline comes due — an idle service does nothing at all. Clients
-//! submit a [`JobSpec`] — TSPLIB or JSON payload plus a deadline and/or
-//! quality budget — and receive a [`JobHandle`] streaming strictly
-//! improving tours back as they are found (anytime semantics),
-//! terminated by a single [`JobUpdate::Done`].
+//! [`SolverService`] is one lock over the live jobs and owns no thread:
+//! whoever causes an event handles it under that lock — the caller of
+//! [`SolverService::submit`] admits its job, each job's solve thread
+//! streams to its own client and ends its job. Clients submit a
+//! [`JobSpec`] — TSPLIB or JSON payload plus a deadline and/or quality
+//! budget — and receive a [`JobHandle`] streaming strictly improving
+//! tours back as they are found (anytime semantics), terminated by a
+//! single [`JobUpdate::Done`].
 //!
 //! Design points:
 //!
@@ -29,21 +29,21 @@
 //!   broadcast-id template.
 //! - **No failure domain.** Solve threads share the service's process,
 //!   so nothing can fail one of them alone: a job ends by its own
-//!   bounds, a cancel, its deadline (the supervisor force-finishes it
-//!   `DEADLINE_GRACE` after), or shutdown. The one process that runs
-//!   a service is whoever embeds [`SolverService`] — tests and the
-//!   benchmark; `distclk-node hub` attaches no job handler.
-//! - **Fairness.** Admission charges a per-client [`FlowBudget`] in a
-//!   [`FlowLedger`] before any effect: a job over its tenant's limit is
-//!   refused before it is queued, and a refused job costs nothing.
+//!   bounds, a cancel, its deadline (the client's [`JobHandle::recv`]
+//!   force-finishes it `DEADLINE_GRACE` after), or shutdown. The one
+//!   process that runs a service is whoever embeds [`SolverService`] —
+//!   tests and the benchmark; `distclk-node hub` attaches no job
+//!   handler.
+//! - **Fairness.** Each client may have `default_limit` jobs admitted;
+//!   the count of its admitted jobs is also its next job's sequence
+//!   number. A job over the limit is refused before any effect, and a
+//!   refused job costs nothing.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use lk::Budget;
@@ -81,16 +81,6 @@ impl DoneReason {
             DoneReason::Target => 1,
             DoneReason::Deadline => 2,
             DoneReason::Cancelled => 3,
-        }
-    }
-
-    /// Human-readable name (reports, logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            DoneReason::Budget => "budget",
-            DoneReason::Target => "target",
-            DoneReason::Deadline => "deadline",
-            DoneReason::Cancelled => "cancelled",
         }
     }
 
@@ -319,9 +309,11 @@ impl JobSpec {
             client,
             seed: self.seed,
             kicks: self.kicks.unwrap_or(0),
+            // Past `u64::MAX` ms saturates: admission reads that as
+            // no deadline, as it reads any deadline past the clock.
             deadline_ms: self
                 .deadline
-                .map(|d| (d.as_millis() as u64).max(1))
+                .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1))
                 .unwrap_or(0),
             target: self.target.unwrap_or(i64::MIN),
             payload_kind: self.payload.kind(),
@@ -358,74 +350,6 @@ impl JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Fairness ledger (per-tenant flow budget)
-// ---------------------------------------------------------------------------
-
-/// One tenant's flow budget: what admission has charged it so far and
-/// its ceiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowBudget {
-    /// Cumulative admission cost charged to this tenant.
-    pub spent: u64,
-    /// Ceiling; admission fails once `spent + cost > limit`.
-    pub limit: u64,
-}
-
-impl FlowBudget {
-    /// Fresh budget with nothing spent.
-    pub fn with_limit(limit: u64) -> Self {
-        FlowBudget { spent: 0, limit }
-    }
-
-    /// Charge `cost` against the budget, *before* any effect of the
-    /// admission. `false` leaves the budget untouched.
-    pub fn charge(&mut self, cost: u64) -> bool {
-        if self.spent.saturating_add(cost) > self.limit {
-            return false;
-        }
-        self.spent += cost;
-        true
-    }
-}
-
-/// The per-client fairness ledger: tenant id → [`FlowBudget`]. Absent
-/// tenants are implicitly `{spent: 0, limit: default_limit}`.
-#[derive(Debug)]
-pub struct FlowLedger {
-    entries: BTreeMap<u64, FlowBudget>,
-    default_limit: u64,
-}
-
-impl FlowLedger {
-    /// Empty ledger; unseen tenants get `default_limit`.
-    pub fn new(default_limit: u64) -> Self {
-        FlowLedger {
-            entries: BTreeMap::new(),
-            default_limit,
-        }
-    }
-
-    /// Charge a tenant (materializing its entry on first contact).
-    /// Charging happens before the corresponding effect; a `false`
-    /// return must abort the admission.
-    pub fn charge(&mut self, client: u64, cost: u64) -> bool {
-        let default_limit = self.default_limit;
-        self.entries
-            .entry(client)
-            .or_insert_with(|| FlowBudget::with_limit(default_limit))
-            .charge(cost)
-    }
-
-    /// Read a tenant's budget (the implicit default when unseen).
-    pub fn get(&self, client: u64) -> FlowBudget {
-        self.entries
-            .get(&client)
-            .copied()
-            .unwrap_or(FlowBudget::with_limit(self.default_limit))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Service configuration and client-facing types
 // ---------------------------------------------------------------------------
 
@@ -453,13 +377,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Admission cost of one job against its tenant's [`FlowBudget`].
-const JOB_COST: u64 = 1;
 /// Kick cap applied to submissions that set no bound at all.
 const DEFAULT_KICKS: u64 = 64;
-/// How long past a job's deadline the supervisor waits for the solve
-/// thread's own expiry before force-finishing the job itself (the
-/// backstop that guarantees clean expiry even if the thread is wedged).
+/// How long past a job's deadline [`JobHandle::recv`] waits for the
+/// solve thread to end the job before ending it itself (the backstop
+/// that guarantees clean expiry even if the thread is wedged).
 const DEADLINE_GRACE: Duration = Duration::from_secs(2);
 
 /// One update on a job's result stream. Lengths are monotone
@@ -495,6 +417,11 @@ pub enum JobUpdate {
 pub struct JobHandle {
     id: u64,
     updates: Receiver<JobUpdate>,
+    /// `DEADLINE_GRACE` past the job's deadline (`None` without one, or
+    /// past the end of the clock): when [`JobHandle::recv`] stops
+    /// waiting and ends the job itself.
+    backstop: Option<Instant>,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -511,14 +438,26 @@ impl JobHandle {
     }
 
     /// Block for the next update; `None` once the stream is closed
-    /// (after `Done`, or if the service shut down).
+    /// (after `Done`, or if the service shut down). A job still live
+    /// `DEADLINE_GRACE` past its deadline is ended here, with
+    /// `Done(Deadline)` and its best tour.
     pub fn recv(&self) -> Option<JobUpdate> {
-        self.updates.recv().ok()
-    }
-
-    /// Non-blocking poll.
-    pub fn try_recv(&self) -> Option<JobUpdate> {
-        self.updates.try_recv().ok()
+        let Some(at) = self.backstop else {
+            return self.updates.recv().ok();
+        };
+        match self
+            .updates
+            .recv_timeout(at.saturating_duration_since(Instant::now()))
+        {
+            Ok(update) => Some(update),
+            Err(RecvTimeoutError::Disconnected) => None,
+            Err(RecvTimeoutError::Timeout) => {
+                self.shared.finish_job(self.id, DoneReason::Deadline);
+                // The job is no longer live, so nothing can send on its
+                // stream and this does not block.
+                self.updates.recv().ok()
+            }
+        }
     }
 
     /// Drain the stream to its terminal update, returning
@@ -543,35 +482,8 @@ impl JobHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor internals
+// Service internals
 // ---------------------------------------------------------------------------
-
-/// Everything the supervisor reacts to, on one channel so one blocking
-/// receive covers it all: client calls, and what solve threads report.
-enum Event {
-    Submit {
-        client: u64,
-        spec: JobSpec,
-        reply: Sender<Result<(u64, Receiver<JobUpdate>), String>>,
-    },
-    Cancel {
-        job: u64,
-    },
-    Shutdown,
-    /// A solve thread found a better tour.
-    Improved {
-        job: u64,
-        length: i64,
-        order: Vec<u32>,
-    },
-    /// A solve thread stopped.
-    Done {
-        job: u64,
-        reason: DoneReason,
-        length: i64,
-        order: Vec<u32>,
-    },
-}
 
 /// Cross-thread cancel slot: 0 = not cancelled, else `reason + 1`.
 #[derive(Default)]
@@ -591,9 +503,6 @@ impl CancelSlot {
 }
 
 struct JobState {
-    deadline: Option<Instant>,
-    /// The deadline passed and the solve thread was told so.
-    nudged: bool,
     worker: NodeId,
     /// Stops the job's solve thread.
     cancel: Arc<CancelSlot>,
@@ -601,215 +510,81 @@ struct JobState {
     subscriber: Sender<JobUpdate>,
 }
 
-/// When the supervisor must wake although no event arrived, given each
-/// job's `(deadline, nudged)`: the earliest deadline still to be
-/// announced, or force-finish time of one already announced.
-fn next_wake(jobs: impl Iterator<Item = (Option<Instant>, bool)>) -> Option<Instant> {
-    jobs.filter_map(|(deadline, nudged)| {
-        let deadline = deadline?;
-        if nudged {
-            deadline.checked_add(DEADLINE_GRACE)
-        } else {
-            Some(deadline)
-        }
-    })
-    .min()
-}
-
-struct Supervisor {
-    events: Receiver<Event>,
-    /// Handed to every solve thread to report on.
-    reports: Sender<Event>,
-    engine: DistConfig,
-    obs: Obs,
-    ledger: FlowLedger,
-    jobs: HashMap<u64, JobState>,
-    /// Per-client sequence numbers for id minting.
-    seqs: HashMap<u64, u32>,
+/// Everything the service's lock guards.
+struct State {
+    /// Jobs admitted per client: its next job's sequence number, and
+    /// what it has spent against `limit`.
+    admitted: HashMap<u64, u64>,
+    limit: u64,
     /// Running jobs per worker; worker `w` is `load[w - 1]`.
     load: Vec<usize>,
+    /// The live jobs.
+    jobs: HashMap<u64, JobState>,
 }
 
-impl Supervisor {
-    fn run(mut self) {
-        loop {
-            self.check_deadlines();
-            let wake = next_wake(self.jobs.values().map(|s| (s.deadline, s.nudged)));
-            let event = match wake {
-                None => self
-                    .events
-                    .recv()
-                    .map_err(|_| RecvTimeoutError::Disconnected),
-                Some(at) => self
-                    .events
-                    .recv_timeout(at.saturating_duration_since(Instant::now())),
-            };
-            match event {
-                Ok(event) => {
-                    if !self.on_event(event) {
-                        break;
-                    }
-                }
-                // A deadline came due: the top of the loop handles it.
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+impl State {
+    /// Mint the client's next job id and place the job on the
+    /// least-loaded worker, ties to the lowest id; `None` once the
+    /// client is at its limit.
+    fn reserve(&mut self, client: u64) -> Option<(u64, NodeId)> {
+        let admitted = self.admitted.entry(client).or_insert(0);
+        if *admitted >= self.limit {
+            return None;
         }
-        // Terminal updates for anything still in flight, so client
-        // streams end cleanly instead of hanging on a dropped channel.
-        let jobs: Vec<u64> = self.jobs.keys().copied().collect();
-        for job in jobs {
-            self.finish_job(job, DoneReason::Cancelled, None);
-        }
-    }
-
-    /// Handle one event; `false` on shutdown.
-    fn on_event(&mut self, event: Event) -> bool {
-        match event {
-            Event::Submit {
-                client,
-                spec,
-                reply,
-            } => {
-                let _ = reply.send(self.admit(client, spec));
-            }
-            Event::Cancel { job } => {
-                if let Some(state) = self.jobs.get(&job) {
-                    state.cancel.set(DoneReason::Cancelled);
-                }
-            }
-            Event::Shutdown => return false,
-            Event::Improved { job, length, order } => self.on_improved(job, length, order),
-            Event::Done {
-                job,
-                reason,
-                length,
-                order,
-            } => {
-                let tour = (length < i64::MAX && !order.is_empty()).then_some((length, order));
-                self.finish_job(job, reason, tour);
-            }
-        }
-        true
-    }
-
-    fn admit(&mut self, client: u64, spec: JobSpec) -> Result<(u64, Receiver<JobUpdate>), String> {
-        self.obs.counter(kinds::C_SVC_SUBMITTED).incr();
-        let reject = |obs: &Obs, why: u64| {
-            obs.counter(kinds::C_SVC_REJECTED).incr();
-            obs.event(
-                kinds::SVC_REJECT,
-                &[("client", Value::U(client)), ("why", Value::U(why))],
-            );
-        };
-        // Validate before charging: a malformed payload is not the
-        // tenant's budget's problem.
-        let inst = match spec.payload.parse() {
-            Ok(inst) => inst,
-            Err(e) => {
-                reject(&self.obs, 0);
-                return Err(format!("bad payload: {e}"));
-            }
-        };
-        // Charge before any effect (the flow-budget discipline).
-        if !self.ledger.charge(client, JOB_COST) {
-            reject(&self.obs, 1);
-            return Err(format!(
-                "flow budget exhausted for client {client} (limit {})",
-                self.ledger.get(client).limit
-            ));
-        }
-        // A deadline past the end of the clock is no deadline.
-        let deadline = spec.deadline.and_then(|d| Instant::now().checked_add(d));
-        let unbounded_job = spec.kicks.is_none() && deadline.is_none() && spec.target.is_none();
-        let seq = self.seqs.entry(client).or_insert(0);
-        let job = job_id(client, *seq);
-        *seq += 1;
-        let mut engine = self.engine.clone();
-        engine.nodes = 1;
-        engine.seed = spec.seed;
-        engine.budget = Budget {
-            time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
-            max_kicks: if unbounded_job {
-                Some(DEFAULT_KICKS)
-            } else {
-                spec.kicks
-            },
-            target_length: spec.target,
-        };
-        // Placement: the least-loaded worker, ties to the lowest id.
+        let job = job_id(client, *admitted as u32);
+        *admitted += 1;
         let worker = (1..=self.load.len())
             .min_by_key(|&w| self.load[w - 1])
             .expect("a service has at least one worker");
-        let cancel = Arc::new(CancelSlot::default());
-        let (stop, reports) = (Arc::clone(&cancel), self.reports.clone());
-        // The OS may refuse a thread: that fails this admission, not
-        // the supervisor.
-        if let Err(e) = std::thread::Builder::new()
-            .name(format!("svc-job-{job:x}"))
-            .spawn(move || solve_job(job, &inst, &engine, &stop, &reports))
-        {
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            return Err(format!("cannot start a solve thread: {e}"));
-        }
         self.load[worker - 1] += 1;
-        self.obs.counter(kinds::C_SVC_ACCEPTED).incr();
-        // Sent before the next event is read, so `Accepted` precedes
-        // every `Improved` of the job by construction.
-        let (tx, rx) = channel();
-        let _ = tx.send(JobUpdate::Accepted { worker });
-        self.jobs.insert(
-            job,
-            JobState {
-                deadline,
-                nudged: false,
-                worker,
-                cancel,
-                best: None,
-                subscriber: tx,
-            },
-        );
-        self.obs.event(
-            kinds::SVC_ACCEPT,
-            &[
-                ("job", Value::U(job)),
-                ("client", Value::U(client)),
-                ("worker", Value::U(worker as u64)),
-            ],
-        );
-        Ok((job, rx))
+        Some((job, worker))
     }
 
-    /// Relay only strict improvements over the tracked best. A solve
-    /// thread's reports are already strictly improving; this filter is
-    /// what makes the client stream monotone decreasing whatever a
-    /// solve thread sends.
-    fn on_improved(&mut self, job: u64, length: i64, order: Vec<u32>) {
-        let Some(state) = self.jobs.get_mut(&job) else {
-            return;
-        };
-        if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
-            state.best = Some((length, order.clone()));
-            let _ = state.subscriber.send(JobUpdate::Improved { length, order });
-            self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
-        }
+    /// Undo the client's latest [`State::reserve`], whose job never
+    /// ran: the client is not charged for it, and the next job gets its
+    /// id.
+    fn release(&mut self, client: u64, worker: NodeId) {
+        self.load[worker - 1] -= 1;
+        self.admitted.entry(client).and_modify(|n| *n -= 1);
+    }
+}
+
+/// What the service, its solve threads and its handles share.
+struct Shared {
+    state: Mutex<State>,
+    obs: Obs,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Terminal transition: emit `Done` carrying the best tour seen,
-    /// drop the job, stop its solve thread if that is still running,
-    /// release the worker-load slot.
-    fn finish_job(&mut self, job: u64, reason: DoneReason, last: Option<(i64, Vec<u32>)>) {
-        let Some(mut state) = self.jobs.remove(&job) else {
+    /// Track and stream a better tour of a live job. The job's solve
+    /// thread sends only strict improvements, so the stream is
+    /// strictly monotone.
+    fn improved(&self, job: u64, length: i64, order: Vec<u32>) {
+        let mut state = self.lock();
+        let Some(live) = state.jobs.get_mut(&job) else {
             return;
         };
-        state.cancel.set(reason);
-        if let Some((length, order)) = last {
-            if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
-                state.best = Some((length, order));
-            }
-        }
-        self.load[state.worker - 1] -= 1;
-        let (length, order) = state.best.unwrap_or((i64::MAX, Vec::new()));
+        live.best = Some((length, order.clone()));
+        let _ = live.subscriber.send(JobUpdate::Improved { length, order });
+        self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
+    }
+
+    /// End a job exactly once: whoever removes it from the live jobs
+    /// first books the counters, releases its worker, stops its solve
+    /// thread if that still runs and sends `Done` with the tracked
+    /// best.
+    fn finish_job(&self, job: u64, reason: DoneReason) {
+        let mut state = self.lock();
+        let Some(live) = state.jobs.remove(&job) else {
+            return;
+        };
+        live.cancel.set(reason);
+        state.load[live.worker - 1] -= 1;
+        let (length, order) = live.best.unwrap_or((i64::MAX, Vec::new()));
         // Book-keep *before* waking the subscriber: a client that sees
         // the terminal update (possibly across a TCP hop) must also see
         // the completion counters it implies.
@@ -827,38 +602,11 @@ impl Supervisor {
                 ("len", Value::I(length)),
             ],
         );
-        let _ = state.subscriber.send(JobUpdate::Done {
+        let _ = live.subscriber.send(JobUpdate::Done {
             reason,
             length,
             order,
         });
-    }
-
-    /// Deadline enforcement: at expiry, tell the solve thread (its own
-    /// time budget normally fires first); [`DEADLINE_GRACE`] later,
-    /// force-finish from the supervisor — the guarantee that every job
-    /// terminates even if its thread is wedged.
-    fn check_deadlines(&mut self) {
-        let now = Instant::now();
-        let mut expired = Vec::new();
-        for (&job, state) in self.jobs.iter_mut() {
-            let Some(deadline) = state.deadline.filter(|&d| now >= d) else {
-                continue;
-            };
-            if !state.nudged {
-                state.nudged = true;
-                state.cancel.set(DoneReason::Deadline);
-            }
-            if deadline
-                .checked_add(DEADLINE_GRACE)
-                .is_some_and(|g| now >= g)
-            {
-                expired.push(job);
-            }
-        }
-        for job in expired {
-            self.finish_job(job, DoneReason::Deadline, None);
-        }
     }
 }
 
@@ -868,32 +616,27 @@ impl Supervisor {
 /// (`while step(); finish()`), which is what the conformance suite
 /// pins: same seed and config ⇒ bit-identical tour.
 ///
-/// Reports in the order the node obtains tours: the construction tour
+/// Streams in the order the node obtains tours: the construction tour
 /// as soon as [`NodeDriver::new`] returns, the first LK pass's result
-/// after the first step, then every improving iteration — so a job's
-/// first `JobImproved` precedes its first LK pass.
+/// after the first step, then every improving step, the last one
+/// included — so a job's first `JobImproved` precedes its first LK
+/// pass, and its `JobDone` carries the last tour it streamed.
 fn solve_job(
     job: u64,
     inst: &Instance,
     engine: &DistConfig,
+    deadline: Option<Instant>,
     cancel: &CancelSlot,
-    reports: &Sender<Event>,
+    shared: &Shared,
 ) {
     let neighbors = crate::build_neighbors(inst, engine);
     let (mut eps, _) = InMemoryNetwork::build(1, engine.topology);
     let mut node = NodeDriver::new(inst, &neighbors, engine, eps.remove(0));
-    // `new` returns with the construction tour: stream it before the
-    // first LK pass, which is the node's first step. Anytime semantics
-    // start at acceptance.
     let mut last = i64::MAX;
     let mut ship = |node: &NodeDriver<_>| {
         if node.best_length() < last {
             last = node.best_length();
-            let _ = reports.send(Event::Improved {
-                job,
-                length: last,
-                order: node.best_tour().order().to_vec(),
-            });
+            shared.improved(job, last, node.best_tour().order().to_vec());
         }
     };
     ship(&node);
@@ -901,10 +644,15 @@ fn solve_job(
         if let Some(reason) = cancel.get() {
             break Some(reason);
         }
-        if !node.step() {
+        // The engine's own time budget normally stops it first.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            break Some(DoneReason::Deadline);
+        }
+        let more = node.step();
+        ship(&node);
+        if !more {
             break None;
         }
-        ship(&node);
     };
     let result = node.finish();
     // Attribute a natural stop to whichever bound actually tripped:
@@ -926,100 +674,155 @@ fn solve_job(
             DoneReason::Budget
         }
     });
-    let _ = reports.send(Event::Done {
-        job,
-        reason,
-        length: result.best_length,
-        order: result.best_tour.order().to_vec(),
-    });
+    shared.finish_job(job, reason);
 }
 
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
 
-/// A persistent, multi-tenant solve service: one supervisor thread,
-/// plus one solve thread per running job, accepting jobs until
+/// A persistent, multi-tenant solve service: one solve thread per
+/// running job and no thread of its own, accepting jobs until
 /// [`SolverService::shutdown`] (or drop).
 pub struct SolverService {
-    events: Sender<Event>,
-    supervisor: Option<JoinHandle<()>>,
-    obs: Obs,
+    shared: Arc<Shared>,
+    engine: DistConfig,
 }
 
 impl SolverService {
     /// Start accepting jobs.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "a service needs at least one worker");
-        let obs = Obs::for_node(0);
-        let (events_tx, events_rx) = channel();
-        let supervisor = Supervisor {
-            events: events_rx,
-            reports: events_tx.clone(),
+        let state = State {
+            admitted: HashMap::new(),
+            limit: cfg.default_limit,
             load: vec![0; cfg.workers],
-            ledger: FlowLedger::new(cfg.default_limit),
             jobs: HashMap::new(),
-            seqs: HashMap::new(),
-            obs: obs.clone(),
-            engine: cfg.engine,
         };
-        let supervisor = std::thread::Builder::new()
-            .name("svc-supervisor".into())
-            .spawn(move || supervisor.run())
-            .expect("spawn supervisor");
         SolverService {
-            events: events_tx,
-            supervisor: Some(supervisor),
-            obs,
+            shared: Arc::new(Shared {
+                state: Mutex::new(state),
+                obs: Obs::for_node(0),
+            }),
+            engine: cfg.engine,
         }
     }
 
-    /// Submit a job for `client`. Blocks only for admission (payload
-    /// validation, fairness charge, placement); solving streams back on
-    /// the returned handle.
+    /// Submit a job for `client`. Admission runs on the caller's thread
+    /// (payload validation, fairness count, placement, the solve
+    /// thread's start); solving streams back on the returned handle.
     pub fn submit(&self, client: u64, spec: JobSpec) -> Result<JobHandle, String> {
-        let (reply_tx, reply_rx) = channel();
-        self.events
-            .send(Event::Submit {
-                client,
-                spec,
-                reply: reply_tx,
-            })
-            .map_err(|_| "service shut down".to_string())?;
-        let (id, updates) = reply_rx
-            .recv()
-            .map_err(|_| "service shut down".to_string())??;
-        Ok(JobHandle { id, updates })
+        let obs = &self.shared.obs;
+        obs.counter(kinds::C_SVC_SUBMITTED).incr();
+        let reject = |why: u64| {
+            obs.counter(kinds::C_SVC_REJECTED).incr();
+            obs.event(
+                kinds::SVC_REJECT,
+                &[("client", Value::U(client)), ("why", Value::U(why))],
+            );
+        };
+        // Validate before counting: a malformed payload is not the
+        // tenant's budget's problem.
+        let inst = spec.payload.parse().map_err(|e| {
+            reject(0);
+            format!("bad payload: {e}")
+        })?;
+        // A deadline past the end of the clock is no deadline.
+        let deadline = spec.deadline.and_then(|d| Instant::now().checked_add(d));
+        let unbounded_job = spec.kicks.is_none() && deadline.is_none() && spec.target.is_none();
+        let mut engine = self.engine.clone();
+        engine.nodes = 1;
+        engine.seed = spec.seed;
+        engine.budget = Budget {
+            time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            max_kicks: if unbounded_job {
+                Some(DEFAULT_KICKS)
+            } else {
+                spec.kicks
+            },
+            target_length: spec.target,
+        };
+        let mut state = self.shared.lock();
+        let Some((job, worker)) = state.reserve(client) else {
+            reject(1);
+            return Err(format!(
+                "flow budget exhausted for client {client} (limit {})",
+                state.limit
+            ));
+        };
+        // Sent before the solve thread exists, so `Accepted` precedes
+        // every `Improved` of the job by construction.
+        let (subscriber, updates) = channel();
+        let _ = subscriber.send(JobUpdate::Accepted { worker });
+        let cancel = Arc::new(CancelSlot::default());
+        state.jobs.insert(
+            job,
+            JobState {
+                worker,
+                cancel: Arc::clone(&cancel),
+                best: None,
+                subscriber,
+            },
+        );
+        // The OS may refuse a thread: that fails this admission and
+        // costs the client nothing. Started under the lock, so the
+        // release cannot interleave with the client's next admission.
+        let shared = Arc::clone(&self.shared);
+        if let Err(e) = std::thread::Builder::new()
+            .name(format!("svc-job-{job:x}"))
+            .spawn(move || solve_job(job, &inst, &engine, deadline, &cancel, &shared))
+        {
+            state.jobs.remove(&job);
+            state.release(client, worker);
+            obs.counter(kinds::C_SVC_REJECTED).incr();
+            return Err(format!("cannot start a solve thread: {e}"));
+        }
+        // Booked under the lock, so before the job can end.
+        obs.counter(kinds::C_SVC_ACCEPTED).incr();
+        obs.event(
+            kinds::SVC_ACCEPT,
+            &[
+                ("job", Value::U(job)),
+                ("client", Value::U(client)),
+                ("worker", Value::U(worker as u64)),
+            ],
+        );
+        drop(state);
+        Ok(JobHandle {
+            id: job,
+            updates,
+            backstop: deadline.and_then(|d| d.checked_add(DEADLINE_GRACE)),
+            shared: Arc::clone(&self.shared),
+        })
     }
 
-    /// Cancel a job (client-initiated, reason code 3).
+    /// Cancel a job (client-initiated, reason code 3): its solve thread
+    /// stops before its next step and ends the job.
     pub fn cancel(&self, job: u64) {
-        let _ = self.events.send(Event::Cancel { job });
+        if let Some(live) = self.shared.lock().jobs.get(&job) {
+            live.cancel.set(DoneReason::Cancelled);
+        }
     }
 
     /// The service's observability handle (`svc.*` counters/events).
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.shared.obs
     }
 
-    /// Stop accepting jobs, finish terminal updates for anything in
-    /// flight (their solve threads are told to stop), and join the
-    /// supervisor.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let _ = self.events.send(Event::Shutdown);
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
+    /// Stop accepting jobs and end every live one with
+    /// `Done(Cancelled)` and its best tour; their solve threads are
+    /// told to stop.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for SolverService {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        let live: Vec<u64> = self.shared.lock().jobs.keys().copied().collect();
+        for job in live {
+            self.shared.finish_job(job, DoneReason::Cancelled);
+        }
     }
 }
 
@@ -1036,14 +839,9 @@ pub struct ServiceJobHandler {
 }
 
 impl ServiceJobHandler {
-    /// Wrap a service for hub registration.
-    pub fn new(service: Arc<SolverService>) -> Self {
-        ServiceJobHandler { service }
-    }
-
     /// Register on a running hub (`hub.set_job_handler`).
     pub fn attach(service: Arc<SolverService>, hub: &p2p::hub::LifecycleHub) {
-        hub.set_job_handler(Arc::new(ServiceJobHandler::new(service)));
+        hub.set_job_handler(Arc::new(ServiceJobHandler { service }));
     }
 }
 
@@ -1209,16 +1007,43 @@ mod tests {
         assert_eq!(back.kicks, None);
         assert_eq!(back.deadline, None);
         assert_eq!(back.target, None);
+
+        // A deadline past `u64::MAX` ms saturates instead of wrapping
+        // (this one truncated to 384 ms).
+        let far =
+            JobSpec::new(grid_payload(16)).deadline(Duration::from_secs(18_446_744_073_709_552));
+        let Message::JobSubmit { deadline_ms, .. } = far.to_submit(1) else {
+            unreachable!()
+        };
+        assert_eq!(deadline_ms, u64::MAX);
     }
 
     #[test]
-    fn flow_ledger_charges_per_tenant() {
-        let mut ledger = FlowLedger::new(2);
-        assert!(ledger.charge(1, 1));
-        assert!(ledger.charge(1, 1));
-        assert!(!ledger.charge(1, 1), "third job must bounce off limit 2");
-        assert!(ledger.charge(2, 1), "other tenants unaffected");
-        assert_eq!(ledger.get(1), FlowBudget { spent: 2, limit: 2 });
+    fn reserve_counts_per_client_and_release_gives_the_job_back() {
+        let mut state = State {
+            admitted: HashMap::new(),
+            limit: 2,
+            load: vec![0; 2],
+            jobs: HashMap::new(),
+        };
+        assert_eq!(state.reserve(1), Some((job_id(1, 0), 1)));
+        assert_eq!(state.reserve(1), Some((job_id(1, 1), 2)));
+        // The second job's thread was refused: its id is free again and
+        // the limit counts the retry once.
+        state.release(1, 2);
+        assert_eq!(state.load, [1, 0]);
+        assert_eq!(state.reserve(1), Some((job_id(1, 1), 2)));
+        assert_eq!(
+            state.reserve(1),
+            None,
+            "a third job must bounce off limit 2"
+        );
+        assert_eq!(state.load, [1, 1], "a refused job takes no worker");
+        assert_eq!(
+            state.reserve(2),
+            Some((job_id(2, 0), 1)),
+            "other tenants unaffected"
+        );
     }
 
     #[test]
@@ -1233,29 +1058,51 @@ mod tests {
         }
     }
 
+    /// A live job whose solve thread never ends it is ended by the
+    /// client's `recv`, `DEADLINE_GRACE` after its deadline, with the
+    /// tracked best; the job is booked and its worker released once.
     #[test]
-    fn next_wake_is_the_earliest_pending_deadline_action() {
-        let t = Instant::now();
-        let (soon, later) = (t + Duration::from_secs(1), t + Duration::from_secs(5));
-        // No job, or none with a deadline: block until an event.
-        assert_eq!(next_wake([].into_iter()), None);
-        assert_eq!(next_wake([(None, false)].into_iter()), None);
-        // Before expiry: the deadline itself.
-        assert_eq!(next_wake([(Some(soon), false)].into_iter()), Some(soon));
-        // Once the solve thread was told: the force-finish time.
-        assert_eq!(
-            next_wake([(Some(soon), true)].into_iter()),
-            Some(soon + DEADLINE_GRACE)
+    fn recv_ends_a_job_left_live_past_its_deadline() {
+        let svc = SolverService::start(ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let deadline = Instant::now();
+        // Registered as admission does, with no solve thread behind it.
+        let (job, worker) = svc.shared.lock().reserve(7).unwrap();
+        let (subscriber, updates) = channel();
+        let best = (123, vec![0, 2, 1]);
+        svc.shared.lock().jobs.insert(
+            job,
+            JobState {
+                worker,
+                cancel: Arc::default(),
+                best: Some(best.clone()),
+                subscriber,
+            },
         );
-        // The earliest job wins, whichever kind of wake it needs.
+        let handle = JobHandle {
+            id: job,
+            updates,
+            backstop: deadline.checked_add(DEADLINE_GRACE),
+            shared: Arc::clone(&svc.shared),
+        };
         assert_eq!(
-            next_wake([(Some(later), false), (None, false), (Some(soon), true)].into_iter()),
-            Some(soon + DEADLINE_GRACE)
+            handle.recv(),
+            Some(JobUpdate::Done {
+                reason: DoneReason::Deadline,
+                length: best.0,
+                order: best.1,
+            })
         );
-        assert_eq!(
-            next_wake([(Some(later), true), (Some(soon), false)].into_iter()),
-            Some(soon)
-        );
+        assert!(deadline.elapsed() >= DEADLINE_GRACE);
+        assert_eq!(handle.recv(), None, "the stream ends after Done");
+        let snapshot = svc.obs().snapshot();
+        assert_eq!(snapshot.counter(kinds::C_SVC_COMPLETED), 1);
+        assert_eq!(snapshot.counter(kinds::C_SVC_EXPIRED), 1);
+        let state = svc.shared.lock();
+        assert!(state.jobs.is_empty());
+        assert_eq!(state.load, [0, 0], "the worker was not released");
     }
 
     #[test]
